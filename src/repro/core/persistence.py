@@ -8,16 +8,16 @@ A saved agent directory contains:
 - ``actor.npz`` / ``critic.npz`` (+ ``*_target.npz``) — the DDPG networks,
 - ``replay.npz`` — the DDPG replay buffer (contents, cursor, and
   wraparound state, restored bit-exactly),
+- ``optimizers.npz`` — Adam moments and step counts of the model, actor
+  and critic optimisers (``model/…``, ``actor/…``, ``critic/…``), so
+  training continued after a reload takes the same gradient steps as the
+  never-saved agent; directories written before this file existed load
+  with fresh optimisers,
 - ``results.json`` — per-iteration training diagnostics.
 
 Loading reconstructs a fully functional agent bound to a caller-provided
 environment (the environment itself — a live simulation — is not
 serialised; bind to any system with matching dimensions).
-
-Known limitation: optimiser state (Adam moments) is not persisted — a
-loaded agent's *policy decisions* are bit-identical and continued
-training works against the restored replay buffer, but gradient steps
-resume with fresh Adam moments.
 """
 
 from __future__ import annotations
@@ -37,6 +37,14 @@ from repro.rl.ddpg import DDPGConfig
 from repro.sim.env import MicroserviceEnv
 
 __all__ = ["save_agent", "load_agent", "config_to_dict", "config_from_dict"]
+
+
+def _optimizers(agent: MirasAgent) -> dict:
+    return {
+        "model": agent.model.optimizer,
+        "actor": agent.ddpg.actor.optimizer,
+        "critic": agent.ddpg.critic.optimizer,
+    }
 
 
 def config_to_dict(config: MirasConfig) -> dict:
@@ -79,6 +87,14 @@ def save_agent(directory: Union[str, Path], agent: MirasAgent) -> Path:
     save_mlp(directory / "critic", agent.ddpg.critic.network)
     save_mlp(directory / "critic_target", agent.ddpg.critic.target_network)
     np.savez(directory / "replay.npz", **agent.ddpg.replay.state_dict())
+    np.savez(
+        directory / "optimizers.npz",
+        **{
+            f"{owner}/{key}": value
+            for owner, optimizer in _optimizers(agent).items()
+            for key, value in optimizer.state_dict().items()
+        },
+    )
 
     (directory / "results.json").write_text(
         json.dumps([dataclasses.asdict(r) for r in agent.results], indent=2)
@@ -137,6 +153,19 @@ def load_agent(
             agent.ddpg.replay.load_state_dict(
                 {key: archive[key] for key in archive.files}
             )
+
+    optimizers_path = directory / "optimizers.npz"
+    if optimizers_path.exists():
+        with np.load(optimizers_path) as archive:
+            for owner, optimizer in _optimizers(agent).items():
+                prefix = f"{owner}/"
+                optimizer.load_state_dict(
+                    {
+                        key[len(prefix) :]: archive[key]
+                        for key in archive.files
+                        if key.startswith(prefix)
+                    }
+                )
 
     results_path = directory / "results.json"
     if results_path.exists():

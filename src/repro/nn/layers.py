@@ -8,6 +8,10 @@ The layer supports everything MIRAS's networks need:
 - an optional *auxiliary input* concatenated at this layer (the paper's
   critic "inserts one of Critic's inputs — action — to the second layer"),
 - flattened parameter views for parameter-space exploration noise.
+
+Inside an :class:`repro.nn.MLP` the four parameter/gradient arrays are
+*views* into the network's flat arena (:meth:`Dense.bind`): write them
+with ``layer.weights[...] = value``, never rebind the attribute.
 """
 
 from __future__ import annotations
@@ -134,21 +138,56 @@ class Dense:
         self._y = self.activation.forward(self._z)
         return self._y
 
-    def backward(self, grad_y: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Backpropagate ``dL/dy``; returns ``(dL/dx, dL/daux)``.
+    def bind(
+        self,
+        weights: np.ndarray,
+        bias: np.ndarray,
+        grad_weights: np.ndarray,
+        grad_bias: np.ndarray,
+    ) -> None:
+        """Adopt caller-owned arrays as this layer's storage.
 
-        Also accumulates ``grad_weights`` / ``grad_bias`` (overwriting the
-        previous values — optimizers read them right after).
+        :class:`repro.nn.MLP` passes reshaped views of its flat arena,
+        already holding this layer's parameter values; from here on every
+        in-place write to the attributes lands in the arena.
         """
+        self.weights, self.bias = weights, bias
+        self.grad_weights, self.grad_bias = grad_weights, grad_bias
+
+    def _grad_z(self, grad_y: np.ndarray) -> np.ndarray:
         if self._x is None or self._z is None or self._y is None:
             raise RuntimeError("backward() called before forward()")
-        grad_z = self.activation.backward(grad_y, self._z, self._y)
-        self.grad_weights = self._x.T @ grad_z
-        self.grad_bias = grad_z.sum(axis=0)
+        return self.activation.backward(grad_y, self._z, self._y)
+
+    def _grad_inputs(
+        self, grad_z: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         grad_x_full = grad_z @ self.weights.T
         if self.aux_dim:
             return grad_x_full[:, : self.in_dim], grad_x_full[:, self.in_dim :]
         return grad_x_full, None
+
+    def backward(self, grad_y: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Backpropagate ``dL/dy``; returns ``(dL/dx, dL/daux)``.
+
+        Also writes ``grad_weights`` / ``grad_bias`` in place (overwriting
+        the previous values — optimizers read them right after).
+        """
+        grad_z = self._grad_z(grad_y)
+        np.matmul(self._x.T, grad_z, out=self.grad_weights)
+        np.sum(grad_z, axis=0, out=self.grad_bias)
+        return self._grad_inputs(grad_z)
+
+    def input_backward(
+        self, grad_y: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """:meth:`backward` without the parameter gradients.
+
+        Returns the same ``(dL/dx, dL/daux)`` and leaves ``grad_weights``
+        / ``grad_bias`` untouched — all the deterministic policy gradient
+        needs from the critic.
+        """
+        return self._grad_inputs(self._grad_z(grad_y))
 
     # Parameter flattening (for parameter-space noise) ------------------
     @property
@@ -166,8 +205,8 @@ class Dense:
                 f"flat vector has shape {flat.shape}, expected ({self.num_params},)"
             )
         w_size = self.weights.size
-        self.weights = flat[:w_size].reshape(self.weights.shape).copy()
-        self.bias = flat[w_size:].reshape(self.bias.shape).copy()
+        self.weights[...] = flat[:w_size].reshape(self.weights.shape)
+        self.bias[...] = flat[w_size:]
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of all parameters for checkpointing."""
@@ -178,8 +217,8 @@ class Dense:
             raise ValueError("weights shape mismatch in state dict")
         if state["bias"].shape != self.bias.shape:
             raise ValueError("bias shape mismatch in state dict")
-        self.weights = state["weights"].copy()
-        self.bias = state["bias"].copy()
+        self.weights[...] = state["weights"]
+        self.bias[...] = state["bias"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         aux = f", aux_dim={self.aux_dim}" if self.aux_dim else ""

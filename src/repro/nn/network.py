@@ -11,6 +11,12 @@ three capabilities the MIRAS algorithms require:
   network with Gaussian noise;
 - **auxiliary (second-layer) inputs** so the critic can receive the action
   "at the second layer" exactly as the paper describes.
+
+All parameters of one network live in a single contiguous ``float64``
+vector ``[W0|b0|W1|b1|...]`` (the *arena*, :attr:`MLP.params`) with an
+equal-sized gradient vector beside it; each layer's ``weights`` / ``bias``
+/ ``grad_weights`` / ``grad_bias`` is a reshaped view.  The optimiser and
+:func:`soft_update` therefore touch one array per network, in place.
 """
 
 from __future__ import annotations
@@ -92,6 +98,47 @@ class MLP:
                     rng=rng.fork(f"layer{i}"),
                 )
             )
+        self._bind_arena()
+
+    def _bind_arena(self) -> None:
+        """Allocate this network's own arena and point its layers into it."""
+        bounds = [0]
+        for layer in self.layers:
+            bounds.append(bounds[-1] + layer.weights.size)
+            bounds.append(bounds[-1] + layer.bias.size)
+        #: Flat parameter vector; layer arrays are views into it.
+        self.params = np.empty(bounds[-1], dtype=np.float64)
+        #: Flat gradient vector, same layout, written by :meth:`backward`
+        #: (zero until then, also in a copy of a trained network).
+        self.grads = np.zeros(bounds[-1], dtype=np.float64)
+        #: Offsets of each weight/bias array in the arena.  Global-norm
+        #: clipping sums squares per segment so its rounding matches a
+        #: list of separate per-layer arrays.
+        self.segment_bounds = tuple(bounds)
+        for i, layer in enumerate(self.layers):
+            w, b, end = bounds[2 * i : 2 * i + 3]
+            shape = layer.weights.shape
+            self.params[w:b] = layer.weights.ravel()
+            self.params[b:end] = layer.bias
+            layer.bind(
+                self.params[w:b].reshape(shape),
+                self.params[b:end],
+                self.grads[w:b].reshape(shape),
+                self.grads[b:end],
+            )
+
+    def __getstate__(self) -> dict:
+        # Layer arrays travel by value; the arena is rebuilt on arrival.
+        state = self.__dict__.copy()
+        del state["params"], state["grads"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Copying or unpickling turns each layer's views into independent
+        # arrays; re-binding gives the copy its own arena so it neither
+        # aliases the source nor loses the flat layout.
+        self.__dict__.update(state)
+        self._bind_arena()
 
     # ------------------------------------------------------------------
     @property
@@ -122,21 +169,35 @@ class MLP:
         out = self.forward(x, aux)
         return out[0] if single else out
 
+    @property
+    def output(self) -> Optional[np.ndarray]:
+        """What the most recent :meth:`forward` returned (None before one)."""
+        return self.layers[-1]._y
+
+    def _backpropagate(
+        self, grad_out: np.ndarray, accumulate: bool, first_layer: int
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Walk layers last -> ``first_layer``; returns ``(dL/dx, dL/daux)``
+        where ``x`` is the input of ``first_layer``."""
+        grad = grad_out
+        grad_aux: Optional[np.ndarray] = None
+        for i in range(len(self.layers) - 1, first_layer - 1, -1):
+            layer = self.layers[i]
+            step = layer.backward if accumulate else layer.input_backward
+            grad, layer_grad_aux = step(grad)
+            if layer_grad_aux is not None:
+                grad_aux = layer_grad_aux
+        return grad, grad_aux
+
     def backward(
         self, grad_out: np.ndarray
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Backpropagate ``dL/d(output)``; returns ``(dL/dx, dL/daux)``.
 
-        Per-layer weight gradients are left in each layer's
-        ``grad_weights`` / ``grad_bias``.
+        Weight gradients are left in :attr:`grads` (each layer's
+        ``grad_weights`` / ``grad_bias`` view).
         """
-        grad = grad_out
-        grad_aux: Optional[np.ndarray] = None
-        for i in range(len(self.layers) - 1, -1, -1):
-            grad, layer_grad_aux = self.layers[i].backward(grad)
-            if layer_grad_aux is not None:
-                grad_aux = layer_grad_aux
-        return grad, grad_aux
+        return self._backpropagate(grad_out, accumulate=True, first_layer=0)
 
     def input_gradient(
         self,
@@ -151,27 +212,31 @@ class MLP:
         vector of ones is used — this gives d(output)/d(input) directly,
         which is what the deterministic policy gradient needs from the
         critic (``wrt='aux'`` selects the action input).
+
+        Only input gradients are computed: no weight gradient is formed,
+        :attr:`grads` keeps what the last :meth:`backward` left there, and
+        the walk stops at the auxiliary layer when ``wrt='aux'``.  The
+        forward output stays readable as :attr:`output`.
         """
+        if wrt not in ("input", "aux"):
+            raise ValueError(f"wrt must be 'input' or 'aux', got {wrt!r}")
+        if wrt == "aux" and not self.aux_dim:
+            raise ValueError("network has no auxiliary input")
         out = self.forward(x, aux)
         if grad_out is None:
             grad_out = np.ones_like(out)
-        grad_x, grad_aux = self.backward(grad_out)
-        if wrt == "input":
-            return grad_x
-        if wrt == "aux":
-            if grad_aux is None:
-                raise ValueError("network has no auxiliary input")
-            return grad_aux
-        raise ValueError(f"wrt must be 'input' or 'aux', got {wrt!r}")
+        grad_x, grad_aux = self._backpropagate(
+            grad_out,
+            accumulate=False,
+            first_layer=self.aux_layer if wrt == "aux" else 0,
+        )
+        return grad_aux if wrt == "aux" else grad_x
 
     # Training ----------------------------------------------------------
     def params_and_grads(self):
-        """(parameter, gradient) pairs for the optimiser, layer order."""
-        pairs = []
-        for layer in self.layers:
-            pairs.append((layer.weights, layer.grad_weights))
-            pairs.append((layer.bias, layer.grad_bias))
-        return pairs
+        """The arena as one ``(params, grads, segment_bounds)`` entry for
+        :meth:`repro.nn.Optimizer.step`."""
+        return [(self.params, self.grads, self.segment_bounds)]
 
     def train_batch(
         self,
@@ -196,11 +261,11 @@ class MLP:
     # Parameter-vector API (for parameter-space noise) -------------------
     @property
     def num_params(self) -> int:
-        return sum(layer.num_params for layer in self.layers)
+        return self.params.size
 
     def get_flat(self) -> np.ndarray:
         """All parameters as one flat copy."""
-        return np.concatenate([layer.get_flat() for layer in self.layers])
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
         """Load all parameters from a flat vector."""
@@ -210,11 +275,7 @@ class MLP:
                 f"flat vector has shape {flat.shape}, "
                 f"expected ({self.num_params},)"
             )
-        offset = 0
-        for layer in self.layers:
-            size = layer.num_params
-            layer.set_flat(flat[offset : offset + size])
-            offset += size
+        self.params[...] = flat
 
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
         """Copy of all parameters keyed by layer index."""
@@ -225,7 +286,11 @@ class MLP:
             layer.load_state_dict(state[f"layer{i}"])
 
     def clone(self) -> "MLP":
-        """Structural + parameter deep copy (used for target networks)."""
+        """Structural + parameter deep copy (used for target networks).
+
+        The copy owns a fresh arena (see :meth:`__setstate__`); it never
+        aliases this network's parameters.
+        """
         return copy.deepcopy(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -243,5 +308,8 @@ def soft_update(target: MLP, source: MLP, tau: float) -> None:
         raise ValueError(f"tau must lie in (0, 1], got {tau!r}")
     if target.num_params != source.num_params:
         raise ValueError("target and source networks differ in size")
-    blended = tau * source.get_flat() + (1.0 - tau) * target.get_flat()
-    target.set_flat(blended)
+    # In place on the arenas; (1-tau)*t + tau*s rounds exactly like
+    # tau*s + (1-tau)*t (two products, one commutative add).
+    scaled_source = tau * source.params
+    target.params *= 1.0 - tau
+    target.params += scaled_source

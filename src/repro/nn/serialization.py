@@ -72,6 +72,6 @@ def load_mlp(path: Union[str, Path]) -> MLP:
                     f"layer {i} weight shape mismatch in {path}: "
                     f"{weights.shape} vs {layer.weights.shape}"
                 )
-            layer.weights = weights.copy()
-            layer.bias = bias.copy()
+            layer.weights[...] = weights
+            layer.bias[...] = bias
     return network

@@ -12,7 +12,7 @@ hundreds; raw counts would saturate the first layer).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -89,41 +89,58 @@ class Actor:
         action = network.predict(self.normalize(np.atleast_2d(state)))[0]
         return self._mix(action)
 
+    def actions(
+        self, features: np.ndarray, network: Optional[MLP] = None
+    ) -> np.ndarray:
+        """Actions for already-:meth:`normalize`-d states (one forward)."""
+        return self._mix((network or self.network).forward(features))
+
     @batched_pair("act", shapes="(K, state_dim), _ -> (K, action_dim)")
     def act_batch(
         self, states: np.ndarray, network: Optional[MLP] = None
     ) -> np.ndarray:
         """Actions for a ``(K, state_dim)`` block; row k matches :meth:`act`."""
-        network = network or self.network
-        return self._mix(network.forward(self.normalize(states)))
+        return self.actions(self.normalize(states), network)
 
     def act_target(self, states: np.ndarray) -> np.ndarray:
         """Target-network actions mu'(s) for critic bootstrapping."""
-        return self._mix(self.target_network.forward(self.normalize(states)))
+        return self.actions(self.normalize(states), self.target_network)
+
+    def policy_gradient_step(
+        self,
+        features: np.ndarray,
+        dq_da_at: Callable[[np.ndarray], np.ndarray],
+    ) -> None:
+        """Deterministic policy gradient ascent step.
+
+        Forwards the policy on normalised states, asks ``dq_da_at(a)`` for
+        the critic's gradient of Q w.r.t. the action at those actions, and
+        backpropagates through the activations of that same forward.
+        Ascending Q means descending -Q, so ``-dq_da / B`` goes through
+        the actor before its optimiser steps (Silver et al. 2014, as
+        quoted in the paper's Section IV-D).
+        """
+        actions = self.actions(features)
+        dq_da = np.atleast_2d(dq_da_at(actions))
+        if dq_da.shape != actions.shape:
+            raise ValueError(
+                f"dq_da shape {dq_da.shape} != "
+                f"({actions.shape[0]}, {self.action_dim})"
+            )
+        # The uniform mixing is affine, so its chain-rule factor is a
+        # constant (1 - eps) on the incoming gradient.
+        scale = (1.0 - self.output_mixing) / actions.shape[0]
+        self.network.backward(-dq_da * scale)
+        self.optimizer.step(self.network.params_and_grads())
 
     def apply_policy_gradient(
         self, states: np.ndarray, dq_da: np.ndarray
     ) -> None:
-        """Deterministic policy gradient ascent step.
-
-        ``dq_da`` is the critic's gradient of Q w.r.t. the action evaluated
-        at a = mu(s); ascending Q means descending -Q, so we backpropagate
-        ``-dq_da / B`` through the actor and step its optimiser (Silver et
-        al. 2014, as quoted in the paper's Section IV-D).
-        """
-        states = np.atleast_2d(states)
-        dq_da = np.atleast_2d(dq_da)
-        if dq_da.shape != (states.shape[0], self.action_dim):
-            raise ValueError(
-                f"dq_da shape {dq_da.shape} != "
-                f"({states.shape[0]}, {self.action_dim})"
-            )
-        self.network.forward(self.normalize(states))
-        # The uniform mixing is affine, so its chain-rule factor is a
-        # constant (1 - eps) on the incoming gradient.
-        scale = (1.0 - self.output_mixing) / states.shape[0]
-        self.network.backward(-dq_da * scale)
-        self.optimizer.step(self.network.params_and_grads())
+        """:meth:`policy_gradient_step` for a precomputed ``dq_da`` (the
+        critic's dQ/da at a = mu(s)) on raw states."""
+        self.policy_gradient_step(
+            self.normalize(np.atleast_2d(states)), lambda _: dq_da
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Actor({self.network!r})"

@@ -9,7 +9,7 @@ second layer's input.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,23 +64,35 @@ class Critic:
         states = np.asarray(states, dtype=np.float64)
         return np.log1p(np.maximum(states, 0.0)) / np.log1p(self.state_scale)
 
+    # Each public method takes raw states; its ``*_features`` twin takes
+    # states already through :meth:`normalize_states`, so a caller that
+    # feeds several networks normalises once (DDPGAgent's update).
     def q_values(
         self, states: np.ndarray, actions: np.ndarray, target: bool = False
     ) -> np.ndarray:
         """Q(s, a) for a batch; scaled back to reward units."""
+        return self.q_features(self.normalize_states(states), actions, target)
+
+    def q_features(
+        self, features: np.ndarray, actions: np.ndarray, target: bool = False
+    ) -> np.ndarray:
         network = self.target_network if target else self.network
-        q = network.forward(self.normalize_states(states), aux=actions)
-        return q * self.reward_scale
+        return network.forward(features, aux=actions) * self.reward_scale
 
     def train_batch(
         self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
     ) -> float:
         """One TD-regression step toward ``targets`` (reward units)."""
+        return self.train_features(
+            self.normalize_states(states), actions, targets
+        )
+
+    def train_features(
+        self, features: np.ndarray, actions: np.ndarray, targets: np.ndarray
+    ) -> float:
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         scaled = targets / self.reward_scale
-        prediction = self.network.forward(
-            self.normalize_states(states), aux=actions
-        )
+        prediction = self.network.forward(features, aux=actions)
         value, grad = self.loss(prediction, scaled)
         self.network.backward(grad)
         self.optimizer.step(self.network.params_and_grads())
@@ -93,6 +105,14 @@ class Critic:
         return self.network.input_gradient(
             self.normalize_states(states), aux=actions, wrt="aux"
         )
+
+    def q_and_action_gradient(
+        self, features: np.ndarray, actions: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(Q(s, a), dQ/da)`` from one forward: Q in reward units, the
+        gradient in network-output units (as :meth:`action_gradient`)."""
+        dq_da = self.network.input_gradient(features, aux=actions, wrt="aux")
+        return self.network.output * self.reward_scale, dq_da
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Critic({self.network!r})"

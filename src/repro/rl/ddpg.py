@@ -289,7 +289,11 @@ class DDPGAgent:
         self.replay.add_batch(states, actions, rewards, next_states)
 
     def update(self) -> Tuple[float, float]:
-        """One DDPG update; returns (critic_loss, mean_q_of_policy)."""
+        """One DDPG update; returns ``(critic_loss, mean_q)``.
+
+        ``mean_q`` is the batch mean of Q(s, mu(s)) in reward units under
+        the just-updated critic and the policy *before* its step.
+        """
         if self.profiler.enabled:
             with self.profiler.phase("ddpg/update"):
                 return self._update()
@@ -305,22 +309,39 @@ class DDPGAgent:
         rewards = batch["rewards"]
         next_states = batch["next_states"]
 
-        # Critic: y = r + gamma * Q'(s', mu'(s')).
-        next_actions = self.actor.act_target(next_states)
-        next_q = self.critic.q_values(next_states, next_actions, target=True)
-        targets = rewards + cfg.gamma * next_q
-        critic_loss = self.critic.train_batch(states, actions, targets)
+        # Actor and critic normalise states identically (same log1p map,
+        # same cfg.state_scale), so do it once; each (network, weights,
+        # input) triple below is then forwarded exactly once.
+        features = self.actor.normalize(states)
+        next_features = self.actor.normalize(next_states)
 
-        # Actor: ascend Q(s, mu(s)) + beta * H(mu(s)).
-        policy_actions = self.actor.act_batch(states)
-        dq_da = self.critic.action_gradient(states, policy_actions)
-        if cfg.entropy_weight:
-            entropy_grad = -(np.log(policy_actions + 1e-8) + 1.0)
-            dq_da = dq_da + cfg.entropy_weight * entropy_grad
-        self.actor.apply_policy_gradient(states, dq_da)
-        mean_q = float(
-            np.mean(self.critic.q_values(states, self.actor.act_batch(states)))
+        # Critic: y = r + gamma * Q'(s', mu'(s')).
+        next_actions = self.actor.actions(
+            next_features, self.actor.target_network
         )
+        next_q = self.critic.q_features(
+            next_features, next_actions, target=True
+        )
+        targets = rewards + cfg.gamma * next_q
+        critic_loss = self.critic.train_features(features, actions, targets)
+
+        # Actor: ascend Q(s, mu(s)) + beta * H(mu(s)).  mean_q is that
+        # objective's Q term, read off the critic forward that also yields
+        # dQ/da — so it is measured before this update's actor step.
+        mean_q = 0.0
+
+        def dq_da_at(policy_actions: np.ndarray) -> np.ndarray:
+            nonlocal mean_q
+            q, dq_da = self.critic.q_and_action_gradient(
+                features, policy_actions
+            )
+            mean_q = float(np.mean(q))
+            if cfg.entropy_weight:
+                entropy_grad = -(np.log(policy_actions + 1e-8) + 1.0)
+                dq_da = dq_da + cfg.entropy_weight * entropy_grad
+            return dq_da
+
+        self.actor.policy_gradient_step(features, dq_da_at)
 
         soft_update(self.actor.target_network, self.actor.network, cfg.tau)
         soft_update(self.critic.target_network, self.critic.network, cfg.tau)

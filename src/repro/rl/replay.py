@@ -147,11 +147,12 @@ class ReplayBuffer:
         check_positive("batch_size", batch_size)
         replace = batch_size > self._size
         idx = rng.choice(self._size, size=batch_size, replace=replace)
+        # Fancy indexing already returns fresh arrays, never views.
         return {
-            "states": self._states[idx].copy(),
-            "actions": self._actions[idx].copy(),
-            "rewards": self._rewards[idx].copy(),
-            "next_states": self._next_states[idx].copy(),
+            "states": self._states[idx],
+            "actions": self._actions[idx],
+            "rewards": self._rewards[idx],
+            "next_states": self._next_states[idx],
         }
 
     def sample_states(self, batch_size: int, rng: RngStream) -> np.ndarray:
