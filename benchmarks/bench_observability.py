@@ -122,7 +122,7 @@ def test_disabled_profiler_guard(benchmark):
 
 
 def test_histogram_observe(benchmark):
-    """Histogram ingest cost (bucket increment + sorted-value insert)."""
+    """Histogram ingest cost (bucket increment + value append)."""
     from repro.telemetry.metrics import Histogram, RESPONSE_TIME_BUCKETS
 
     values = np.random.default_rng(0).uniform(0, 2000, GUARD_BATCH).tolist()

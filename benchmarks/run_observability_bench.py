@@ -14,11 +14,16 @@ and writes ``BENCH_observability.json`` at the repository root:
   guard per record it would emit) and both timings come from the same
   process/machine, so the ratio transfers across hardware in a way raw
   throughput numbers do not.
-- enabled-path overheads (memory sink, metrics tee) and the offline
+- ``aggregation_overhead_pct`` — what live aggregation adds to a traced
+  run, ``traced_metrics_tee / traced_memory - 1``: like the no-op
+  estimate, a ratio of two timings from one process, so it transfers
+  across hardware.
+- enabled-path overheads against the untraced run and the offline
   aggregation throughput, reported informationally.
 
 ``--check`` exits non-zero when ``noop_overhead_pct`` exceeds the 2%
-budget that docs/OBSERVABILITY.md promises — this is the CI gate.
+budget, or ``aggregation_overhead_pct`` the 50% budget, that
+docs/OBSERVABILITY.md promises — this is the CI gate.
 
 Run:  PYTHONPATH=src python benchmarks/run_observability_bench.py --check
 """
@@ -49,9 +54,17 @@ from repro.workload.bursts import MSD_BACKGROUND_RATES
 #: The documented ceiling for the disabled path (docs/OBSERVABILITY.md).
 BUDGET_PCT = 2.0
 
+#: The documented ceiling for live aggregation on top of a traced run.
+AGGREGATION_BUDGET_PCT = 50.0
+
 ARTIFACT = "BENCH_observability.json"
 
 GUARD_LOOP = 200_000
+
+#: Default best-of count: enough that every configuration's minimum comes
+#: from a quiet phase of the host (on the 2-core sizing host 20 repeats
+#: spread the gated aggregation ratio over 37-48 %, 50 over 36-40 %).
+REPEATS = 50
 
 
 def _loaded_system(tracer=None, profiler=None):
@@ -68,16 +81,13 @@ def _loaded_system(tracer=None, profiler=None):
     return system
 
 
-def _time_windows(windows: int, repeats: int, **system_kwargs) -> float:
-    """Best-of-``repeats`` seconds for ``windows`` windows, fresh system each."""
-    best = float("inf")
-    for _ in range(repeats):
-        system = _loaded_system(**system_kwargs)
-        start = time.perf_counter()
-        for _ in range(windows):
-            system.run_window()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_windows(windows: int, **system_kwargs) -> float:
+    """Seconds for ``windows`` windows of a fresh system."""
+    system = _loaded_system(**system_kwargs)
+    start = time.perf_counter()
+    for _ in range(windows):
+        system.run_window()
+    return time.perf_counter() - start
 
 
 def _guard_ns(obj) -> float:
@@ -107,7 +117,21 @@ def run_benchmark(windows: int, repeats: int) -> dict:
     records = list(counting_sink.records)
     sites_per_window = len(records) / windows + 1.0
 
-    baseline_s = _time_windows(windows, repeats)
+    # The four configurations are timed in turn, round after round and
+    # with fresh sinks each time, so a slow phase of the host lands on
+    # every side of the ratios below.
+    baseline_s = traced_s = metrics_s = profiled_s = float("inf")
+    for _ in range(repeats):
+        baseline_s = min(baseline_s, _time_windows(windows))
+        traced_s = min(traced_s, _time_windows(
+            windows, tracer=Tracer(MemorySink())
+        ))
+        metrics_s = min(metrics_s, _time_windows(
+            windows, tracer=Tracer(MetricsSink(MemorySink()))
+        ))
+        profiled_s = min(profiled_s, _time_windows(
+            windows, tracer=Tracer(MemorySink()), profiler=PhaseProfiler(),
+        ))
     window_ns = baseline_s / windows * 1e9
 
     tracer_guard_ns = _guard_ns(NULL_TRACER)
@@ -115,20 +139,11 @@ def run_benchmark(windows: int, repeats: int) -> dict:
     guard_ns = max(tracer_guard_ns, profiler_guard_ns)
     noop_overhead_pct = sites_per_window * guard_ns / window_ns * 100.0
 
-    traced_s = _time_windows(
-        windows, repeats, tracer=Tracer(MemorySink())
-    )
-    metrics_s = _time_windows(
-        windows, repeats, tracer=Tracer(MetricsSink(MemorySink()))
-    )
-    profiled_s = _time_windows(
-        windows, repeats,
-        tracer=Tracer(MemorySink()), profiler=PhaseProfiler(),
-    )
-
-    start = time.perf_counter()
-    aggregate_trace(records)
-    aggregation_s = time.perf_counter() - start
+    aggregation_s = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        aggregate_trace(records)
+        aggregation_s = min(aggregation_s, time.perf_counter() - start)
 
     return {
         "artifact_version": 1,
@@ -145,6 +160,8 @@ def run_benchmark(windows: int, repeats: int) -> dict:
             "traced_metrics_tee": metrics_s / windows,
             "traced_profiled": profiled_s / windows,
         },
+        "aggregation_budget_pct": AGGREGATION_BUDGET_PCT,
+        "aggregation_overhead_pct": (metrics_s / traced_s - 1.0) * 100.0,
         "enabled_overhead_pct": {
             "traced_memory": (traced_s / baseline_s - 1.0) * 100.0,
             "traced_metrics_tee": (metrics_s / baseline_s - 1.0) * 100.0,
@@ -172,7 +189,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--windows", type=int, default=5,
                         help="control windows per measurement")
-    parser.add_argument("--repeats", type=int, default=3,
+    parser.add_argument("--repeats", type=int, default=REPEATS,
                         help="repetitions per configuration (best-of)")
     parser.add_argument(
         "--output",
@@ -180,7 +197,8 @@ def main(argv=None) -> int:
         help="where to write the JSON artifact",
     )
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if the no-op overhead exceeds budget")
+                        help="exit 1 if the no-op or the aggregation "
+                             "overhead exceeds its budget")
     args = parser.parse_args(argv)
 
     result = run_benchmark(args.windows, args.repeats)
@@ -197,18 +215,24 @@ def main(argv=None) -> int:
           f"{result['noop_overhead_pct']:.3f}% (budget {BUDGET_PCT}%)")
     for name, pct in result["enabled_overhead_pct"].items():
         print(f"enabled overhead [{name}]: {pct:+.1f}%")
+    print(f"aggregation overhead (tee / memory): "
+          f"{result['aggregation_overhead_pct']:+.1f}% "
+          f"(budget {AGGREGATION_BUDGET_PCT:.0f}%)")
     rps = result["aggregation"]["records_per_second"]
     if rps:
         print(f"aggregation throughput: {rps:,.0f} records/s")
 
-    if args.check and result["noop_overhead_pct"] > BUDGET_PCT:
-        print(
-            f"FAIL: no-op overhead {result['noop_overhead_pct']:.3f}% "
-            f"exceeds the {BUDGET_PCT}% budget",
-            file=sys.stderr,
+    failures = [
+        f"FAIL: {name} {result[name]:.3f}% exceeds the {budget}% budget"
+        for name, budget in (
+            ("noop_overhead_pct", BUDGET_PCT),
+            ("aggregation_overhead_pct", AGGREGATION_BUDGET_PCT),
         )
-        return 1
-    return 0
+        if args.check and result[name] > budget
+    ]
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

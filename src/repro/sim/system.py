@@ -129,11 +129,9 @@ class MicroserviceWorkflowSystem:
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Telemetry tracer shared by every component of this system;
         #: defaults to the disabled NULL_TRACER (near-zero overhead).
-        #: Timestamps come from the simulation clock, never wall time.
-        #: The clock binding is late: the lambda reads ``self.loop``,
-        #: which :meth:`_build_substrate` assigns below.
+        #: Timestamps come from the simulation clock, never wall time
+        #: (bound below, once :meth:`_build_substrate` has made the loop).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.tracer.bind_clock(lambda: self.loop.now)
         #: Called with each WindowObservation at the end of run_window()
         #: — the periodic snapshot hook live consumers (metrics
         #: dashboards, progress meters) attach to.  Fixed at construction
@@ -156,6 +154,8 @@ class MicroserviceWorkflowSystem:
             ensemble, replicas=self.config.tds_replicas
         )
         self._build_substrate()
+        loop = self.loop
+        self.tracer.bind_clock(lambda: loop.now)
 
         self.window_index = 0
         self.delay_tracker = DelayByArrivalWindow()

@@ -101,7 +101,7 @@ def merge_fleet(root: Union[str, Path]) -> FleetMerge:
         records = load_trace(trace_path)
         sim_time_end = 0.0
         for record in records:
-            sink.write(dict(record))
+            sink.write(record)
             t = record.get("t")
             if t is not None:
                 sim_time_end = float(t)

@@ -26,7 +26,7 @@ Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`).
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -128,8 +128,10 @@ class Gauge:
     def set(self, value: float) -> None:
         value = float(value)
         self.value = value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         self.total += value
         self.observations += 1
 
@@ -184,14 +186,15 @@ class Histogram:
 
     Bucket counts (cumulative, Prometheus-style ``le`` semantics with an
     implicit +Inf bucket) serve the exposition format; alongside them the
-    histogram keeps a sorted copy of every observation, so
+    histogram keeps every observation (appended by :meth:`observe`, sorted
+    when next read), so
     :meth:`quantile` is *exact*, not a bucket interpolation.  At
     simulation scale (at most ~10^5 observations per run) the memory cost
     is negligible; pass ``track_values=False`` to fall back to
     bucket-boundary quantile estimates for unbounded streams.
     """
 
-    __slots__ = ("buckets", "counts", "sum", "count", "_values")
+    __slots__ = ("buckets", "counts", "sum", "count", "_values", "_sorted")
     kind = "histogram"
 
     def __init__(
@@ -210,6 +213,9 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
         self._values: Optional[List[float]] = [] if track_values else None
+        #: Length of the sorted prefix of ``_values``; what :meth:`observe`
+        #: appended since the last read lies past it.
+        self._sorted = 0
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -217,7 +223,7 @@ class Histogram:
         self.sum += value
         self.count += 1
         if self._values is not None:
-            insort(self._values, value)
+            self._values.append(value)
 
     @property
     def mean(self) -> float:
@@ -236,8 +242,13 @@ class Histogram:
         if self.count == 0:
             return 0.0
         rank = min(int(q * self.count), self.count - 1)
-        if self._values is not None:
-            return self._values[rank]
+        values = self._values
+        if values is not None:
+            held = len(values)
+            if self._sorted != held:
+                values.sort()
+                self._sorted = held
+            return values[rank]
         remaining = rank + 1
         for i, bucket_count in enumerate(self.counts):
             remaining -= bucket_count
@@ -272,8 +283,18 @@ class Histogram:
 Metric = Union[Counter, Gauge, Ewma, Histogram]
 
 
-class _Family:
-    """One named metric family: a constructor plus labeled children."""
+class _Family(dict):
+    """One named metric family: a constructor plus labeled children.
+
+    As a mapping it is the aggregator's fast path: ``family[raw]`` is the
+    child that :meth:`labels` — the validating, ``str()``-coercing public
+    path — returned the first time ``raw`` was seen, for a label value
+    exactly as a record carries it (a tuple of them for several labels,
+    ``()`` for none).  The one invariant: the mapping caches *children*,
+    never values, so :attr:`children` holds exactly what a ``labels()``
+    call per record would have built, from the record that would have
+    built it.
+    """
 
     __slots__ = ("name", "help", "label_names", "factory", "children", "kind")
 
@@ -290,6 +311,11 @@ class _Family:
         self.factory = factory
         self.children: Dict[LabelValue, Metric] = {}
         self.kind = factory().kind
+
+    def __missing__(self, raw) -> Metric:
+        values = raw if type(raw) is tuple else (raw,)
+        child = self[raw] = self.labels(*values)
+        return child
 
     def labels(self, *values: str) -> Metric:
         if len(values) != len(self.label_names):
@@ -471,7 +497,10 @@ class MetricsAggregator:
     One aggregator instance serves both the live path (wrapped in a
     :class:`MetricsSink`) and the offline path (:func:`aggregate_trace`);
     the dispatch below is the single definition of how raw records map to
-    aggregates.
+    aggregates.  It is compiled as records arrive: a ``kind`` resolves,
+    in one lookup, to its ``repro_records_total`` child and its fold, and
+    a fold reaches labeled children through ``family[raw]`` instead of a
+    ``labels()`` call per record.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -584,105 +613,118 @@ class MetricsAggregator:
             "repro_training_metric_ewma",
             "EWMA per training metric (loss smoothing)", ("name",),
         )
+        #: Every response time of the run, in fold order past the prefix
+        #: that :func:`window_summary_row` sorted at the last row.
+        self._response_merged: List[float] = []
+        #: kind -> (its ``repro_records_total`` child, its fold or None).
+        self._dispatch: Dict[str, Tuple[Counter, Optional[Callable]]] = {}
 
     # Dispatch -------------------------------------------------------------
-    def observe(self, record: Mapping) -> None:
-        """Fold one trace record into the aggregates."""
+    def observe(self, record: Mapping) -> Optional[str]:
+        """Fold one trace record into the aggregates; returns its kind."""
         kind = record.get("kind")
-        if not isinstance(kind, str):
-            return
-        self._records.labels(kind).inc()
+        try:
+            seen, fold = self._dispatch[kind]
+        except (KeyError, TypeError):
+            if not isinstance(kind, str):
+                return None
+            seen, fold = self._dispatch[kind] = (
+                self._records.labels(kind), self._HANDLERS.get(kind)
+            )
+        seen.value += 1.0  # inc() minus the call: one per record
         t = record.get("t")
         if t is not None:
-            self._sim_time.labels().set(float(t))
-        handler = self._HANDLERS.get(kind)
-        if handler is not None:
-            handler(self, record)
+            self._sim_time[()].set(t)
+        if fold is not None:
+            fold(self, record)
+        return kind
 
     def observe_many(self, records: Iterable[Mapping]) -> None:
         for record in records:
             self.observe(record)
 
     def _on_arrival(self, record: Mapping) -> None:
-        self._arrivals.labels(record["workflow"]).inc()
+        self._arrivals[record["workflow"]].inc()
 
     def _on_workflow_complete(self, record: Mapping) -> None:
         workflow = record["workflow"]
-        self._completions.labels(workflow).inc()
-        self._response.labels(workflow).observe(record["response_time"])
+        self._completions[workflow].inc()
+        response_time = float(record["response_time"])
+        self._response[workflow].observe(response_time)
+        self._response_merged.append(response_time)
 
     def _on_publish(self, record: Mapping) -> None:
         queue = record["queue"]
-        self._publishes.labels(queue).inc()
-        self._queue_depth.labels(queue).observe(record["depth"])
+        self._publishes[queue].inc()
+        self._queue_depth[queue].observe(record["depth"])
 
     def _on_redeliver(self, record: Mapping) -> None:
-        self._redeliveries.labels(record["queue"]).inc()
+        self._redeliveries[record["queue"]].inc()
 
     def _on_consumer_start(self, record: Mapping) -> None:
-        self._consumer_events.labels(record["service"], "start").inc()
+        self._consumer_events[record["service"], "start"].inc()
 
     def _on_consumer_ready(self, record: Mapping) -> None:
         service = record["service"]
-        self._consumer_events.labels(service, "ready").inc()
-        self._startup.labels(service).observe(record["startup_latency"])
+        self._consumer_events[service, "ready"].inc()
+        self._startup[service].observe(record["startup_latency"])
 
     def _on_consumer_stop(self, record: Mapping) -> None:
-        self._consumer_events.labels(
+        self._consumer_events[
             record["service"], f"stop_{record['mode']}"
-        ).inc()
+        ].inc()
 
     def _on_task_complete(self, record: Mapping) -> None:
-        self._service_time.labels(record["service"]).observe(
+        self._service_time[record["service"]].observe(
             record["service_time"]
         )
 
     def _on_task_span(self, record: Mapping) -> None:
         service = record["service"]
-        self._queue_wait.labels(service).observe(
+        self._queue_wait[service].observe(
             record["started"] - record["published"]
         )
         retries = record["deliveries"] - 1
         if retries > 0:
-            self._task_retries.labels(service).inc(retries)
+            self._task_retries[service].inc(retries)
         wasted = record["wasted"]
         if wasted > 0:
-            self._wasted_work.labels(service).inc(wasted)
+            self._wasted_work[service].inc(wasted)
 
     def _on_fault(self, record: Mapping) -> None:
-        self._faults.labels(record["fault"]).inc()
+        self._faults[record["fault"]].inc()
 
     def _on_placement(self, record: Mapping) -> None:
-        self._node_used.labels(str(record["node"])).set(record["used"])
+        self._node_used[record["node"]].set(record["used"])
 
     def _on_window(self, record: Mapping) -> None:
-        self._windows.labels().inc()
-        self._window_reward.labels().set(record["reward"])
+        self._windows[()].inc()
+        self._window_reward[()].set(record["reward"])
         allocation = record["allocation"]
         busy = record["busy"]
         for service, wip in record["wip"].items():
-            self._wip.labels(service).set(wip)
+            self._wip[service].set(wip)
         for service, count in allocation.items():
-            self._allocation.labels(service).set(count)
+            self._allocation[service].set(count)
         for service, count in busy.items():
-            self._busy.labels(service).set(count)
+            self._busy[service].set(count)
             allocated = allocation.get(service, 0)
             if allocated:
-                self._utilization.labels(service).set(count / allocated)
+                self._utilization[service].set(count / allocated)
         for service, depth in record["queue_ready"].items():
-            self._queue_ready.labels(service).set(depth)
+            self._queue_ready[service].set(depth)
 
     def _on_collect(self, record: Mapping) -> None:
         lane = f"lane{record['lane']}"
-        self._collect_episodes.labels(lane).inc()
-        self._collect_steps.labels(lane).inc(record["steps"])
-        self._collect_return.labels(lane).set(record["reward"])
+        self._collect_episodes[lane].inc()
+        self._collect_steps[lane].inc(record["steps"])
+        self._collect_return[lane].set(record["reward"])
 
     def _on_metric(self, record: Mapping) -> None:
         name = record["name"]
         value = record["value"]
-        self._training_last.labels(name).set(value)
-        self._training_ewma.labels(name).update(value)
+        self._training_last[name].set(value)
+        self._training_ewma[name].update(value)
 
     _HANDLERS: Dict[str, Callable] = {
         "event.arrival": _on_arrival,
@@ -744,8 +786,7 @@ class MetricsSink(Sink):
         self._windows_seen = 0
 
     def write(self, record: Dict) -> None:
-        self.aggregator.observe(record)
-        if record.get("kind") == "span.window":
+        if self.aggregator.observe(record) == "span.window":
             self._windows_seen += 1
             if (
                 self.snapshot_every
@@ -784,20 +825,16 @@ def window_summary_row(aggregator: MetricsAggregator) -> Dict:
     """
     registry = aggregator.registry
     row: Dict = {}
-    response = registry._families["repro_response_time_seconds"]
-    completed = 0
     p50 = p95 = p99 = 0.0
-    merged: List[float] = []
-    for hist in response.children.values():
-        completed += hist.count
-        if hist._values:
-            merged.extend(hist._values)
+    merged = aggregator._response_merged
     if merged:
+        # Sorted up to the last row: Timsort merges the new tail in ~O(n)
+        # where re-merging every histogram was O(n log n) per window.
         merged.sort()
         p50 = merged[min(int(0.50 * len(merged)), len(merged) - 1)]
         p95 = merged[min(int(0.95 * len(merged)), len(merged) - 1)]
         p99 = merged[min(int(0.99 * len(merged)), len(merged) - 1)]
-    row["completions"] = completed
+    row["completions"] = len(merged)
     row["response_p50"] = p50
     row["response_p95"] = p95
     row["response_p99"] = p99
@@ -816,7 +853,7 @@ def aggregate_trace(records: Iterable[Mapping]) -> MetricsSink:
     """
     sink = MetricsSink()
     for record in records:
-        sink.write(dict(record))
+        sink.write(record)
     return sink
 
 

@@ -34,6 +34,12 @@ class Sink:
     def close(self) -> None:
         """Release resources; further writes are an error (default: no-op)."""
 
+    def __bool__(self) -> bool:
+        """A sink is always truthy, however few records it holds: without
+        this, ``Tracer(sink) if sink else None`` runs untraced on a fresh
+        :class:`MemorySink`, whose ``__len__`` is still 0."""
+        return True
+
     def __enter__(self) -> "Sink":
         return self
 

@@ -74,9 +74,12 @@ class Tracer:
         """
         if not self.enabled:
             return
-        record: Dict = {"kind": kind, "t": self.now()}
-        record.update(fields)
-        self.sink.write(record)
+        clock = self._clock
+        self.sink.write({
+            "kind": kind,
+            "t": float(clock()) if clock is not None else None,
+            **fields,
+        })
         self.records_written += 1
 
     def metric(self, name: str, value: float, step: Optional[int] = None) -> None:

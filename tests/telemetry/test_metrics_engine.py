@@ -2,6 +2,7 @@
 determinism contract."""
 
 import json
+from bisect import insort
 
 import numpy as np
 import pytest
@@ -114,6 +115,44 @@ class TestHistogram:
     def test_empty_quantile_is_zero(self):
         assert Histogram((1.0,)).quantile(0.99) == 0.0
 
+    @pytest.mark.parametrize("values", [
+        [3.0, 1.0, 3.0, 3.0, 2.0, 1.0, 3.0, 2.0, 2.0, 1.0, 0.0, -0.0],
+        [float(v) for v in range(60, 0, -1)],
+        np.random.default_rng(5).uniform(0.0, 50.0, 200).tolist(),
+    ], ids=["duplicates", "descending", "random"])
+    def test_sort_on_read_equals_insort_under_interleaved_reads(self, values):
+        """Reading between observations (quantile, then state, then
+        nothing) never changes what a later read returns: it is always
+        the nearest-rank value of an insort-maintained reference."""
+        h = Histogram((10.0, 100.0))
+        reference = []
+
+        def nearest(q):
+            return reference[min(int(q * len(reference)), len(reference) - 1)]
+
+        for i, value in enumerate(values):
+            h.observe(value)
+            insort(reference, value)
+            if i % 3 == 0:
+                for q in (0.0, 0.25, 0.5, 0.95, 0.99, 1.0):
+                    assert h.quantile(q) == nearest(q)
+            elif i % 3 == 1:
+                state = h.state()
+                assert state["count"] == len(reference)
+                assert state["p50"] == nearest(0.50)
+                assert state["p95"] == nearest(0.95)
+                assert state["p99"] == nearest(0.99)
+        for k in range(len(values)):
+            assert h.quantile(k / len(values)) == nearest(k / len(values))
+
+    def test_untracked_histogram_keeps_no_values_across_reads(self):
+        h = Histogram((10.0, 100.0), track_values=False)
+        for v in (50.0, 5.0, 500.0):
+            h.observe(v)
+            assert h.quantile(0.0) in (10.0, 100.0)
+        assert h._values is None
+        assert h.state()["p50"] == h.buckets[1]
+
     def test_rejects_bad_buckets(self):
         with pytest.raises(ValueError):
             Histogram(())
@@ -142,6 +181,28 @@ class TestRegistry:
         family = registry.gauge("y", labels=("a", "b"))
         with pytest.raises(ValueError, match="expected labels"):
             family.labels("only-one")
+
+    def test_labels_coerce_to_the_child_of_their_str(self):
+        registry = MetricsRegistry()
+        family = registry.gauge("slots", labels=("node",))
+        assert family.labels(3) is family.labels("3")
+        assert list(family.children) == [("3",)]
+
+    def test_fast_path_resolves_through_labels_once(self):
+        """``family[raw]`` is a cache over ``labels()``: same children,
+        same validation, nothing built that ``labels()`` would not."""
+        registry = MetricsRegistry()
+        nodes = registry.gauge("slots", labels=("node",))
+        assert nodes[3] is nodes["3"] is nodes.labels("3")
+        assert list(nodes.children) == [("3",)]
+        events = registry.counter("events_total", labels=("service", "event"))
+        assert events["Ingest", "ready"] is events.labels("Ingest", "ready")
+        with pytest.raises(ValueError, match="expected labels"):
+            events["Ingest"]
+        assert "Ingest" not in events and len(events.children) == 1
+        plain = registry.counter("windows_total")
+        assert plain.children == {}  # label-less children are lazy too
+        assert plain[()] is plain.labels()
 
     def test_invalid_names_rejected(self):
         registry = MetricsRegistry()
@@ -312,6 +373,32 @@ class TestDeterminismContract:
                 "completions", "response_p50", "response_p95",
                 "response_p99", "wip_total", "reward", "window",
             }
+
+    def test_window_rows_match_a_from_scratch_recomputation(self):
+        """The run-wide merged list is an optimisation only: every row
+        equals re-sorting all response times seen up to that window."""
+        memory, sink = _traced_run(windows=6)
+        seen = []
+        rows = []
+        for record in memory.records:
+            if record["kind"] == "event.workflow_complete":
+                seen.append(record["response_time"])
+            elif record["kind"] == "span.window":
+                ordered = sorted(seen)
+                n = len(ordered)
+                rows.append({
+                    "completions": n,
+                    **{
+                        f"response_p{int(q * 100)}":
+                            ordered[min(int(q * n), n - 1)] if n else 0.0
+                        for q in (0.50, 0.95, 0.99)
+                    },
+                })
+        assert rows and rows[-1]["completions"] > 0
+        assert [
+            {key: row[key] for key in rows[0]}
+            for row in sink.window_snapshots
+        ] == rows
 
     def test_snapshot_every_zero_disables_window_series(self):
         memory, _ = _traced_run()

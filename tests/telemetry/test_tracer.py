@@ -82,6 +82,18 @@ class TestEnabledTracer:
         assert tracer.records_written == 0
 
 
+class TestSinkTruthiness:
+    def test_fresh_sinks_are_truthy(self, tmp_path):
+        """``Tracer(sink) if sink else None`` must trace: MemorySink has
+        ``__len__``, and an empty one used to be falsy."""
+        memory = MemorySink()
+        assert len(memory) == 0
+        assert memory
+        assert NullSink()
+        with JsonlSink(tmp_path / "trace.jsonl") as jsonl:
+            assert jsonl
+
+
 class TestJsonlSink:
     def test_writes_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "runs" / "trace.jsonl"  # parent dir auto-created
