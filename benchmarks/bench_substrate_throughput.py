@@ -65,11 +65,11 @@ def test_batched_window_throughput(benchmark):
     """Batched-substrate twin of ``test_simulator_window_throughput``.
 
     Same paper-scale workload on ``BatchedWorkflowSystem``; at 14
-    consumers the speedup is modest (the batched substrate pays its
-    per-window setup on tiny windows) but any regression in the batched
-    per-event path shows up here without the minutes-long serial
-    baseline that benchmarks/run_substrate_bench.py needs for the
-    production-scale gate.
+    consumers the two are about level (the batched substrate pays its
+    per-window setup on tiny windows), and any regression in the
+    batched per-event path shows up here with pytest-benchmark's
+    statistics; benchmarks/run_substrate_bench.py gates the
+    production-scale pair.
     """
     system = _loaded_system(cls=BatchedWorkflowSystem)
 
@@ -78,12 +78,11 @@ def test_batched_window_throughput(benchmark):
 
 
 def test_batched_window_throughput_loaded(benchmark):
-    """Batched substrate at a consumer budget where batching pays.
+    """Batched substrate at an operator-scale consumer budget.
 
-    512 consumers and a 4,000-workflow burst: the serial substrate's
-    O(consumers) dispatch scan makes this scale painful, so only the
-    batched system is benchmarked (run_substrate_bench.py measures the
-    serial/batched pair and gates the speedup).
+    512 consumers and a 4,000-workflow burst, batched system only
+    (run_substrate_bench.py measures the serial/batched pair at 4,096
+    consumers and gates their parity).
     """
     system = BatchedWorkflowSystem(
         build_msd_ensemble(),

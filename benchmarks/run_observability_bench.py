@@ -14,15 +14,22 @@ and writes ``BENCH_observability.json`` at the repository root:
   guard per record it would emit) and both timings come from the same
   process/machine, so the ratio transfers across hardware in a way raw
   throughput numbers do not.
-- ``aggregation_overhead_pct`` — what live aggregation adds to a traced
-  run, ``traced_metrics_tee / traced_memory - 1``: like the no-op
-  estimate, a ratio of two timings from one process, so it transfers
-  across hardware.
-- enabled-path overheads against the untraced run and the offline
+- ``aggregation_over_emission`` — what folding a record into the live
+  aggregates costs, in units of what emitting it into a ``MemorySink``
+  costs: ``(traced_metrics_tee - traced_memory) / (traced_memory -
+  untraced)``.  Both terms are telemetry's own work, so the ratio moves
+  neither with the host nor with the simulator's speed.  (Until the
+  exact-tier event kernel halved the window, the gate was
+  ``aggregation_overhead_pct <= 50``: tee over memory, whose
+  denominator is mostly simulator.  50 % of that window was 2.06x the
+  emission cost; the budget below is the same allowance, restated.)
+- enabled-path overheads against the untraced run — each percentage
+  with the microseconds per window it stands for, because the window
+  they divide by is the simulator's to shrink — and the offline
   aggregation throughput, reported informationally.
 
 ``--check`` exits non-zero when ``noop_overhead_pct`` exceeds the 2%
-budget, or ``aggregation_overhead_pct`` the 50% budget, that
+budget, or ``aggregation_over_emission`` the 2.0x budget, that
 docs/OBSERVABILITY.md promises — this is the CI gate.
 
 Run:  PYTHONPATH=src python benchmarks/run_observability_bench.py --check
@@ -54,12 +61,13 @@ from repro.workload.bursts import MSD_BACKGROUND_RATES
 #: The documented ceiling for the disabled path (docs/OBSERVABILITY.md).
 BUDGET_PCT = 2.0
 
-#: The documented ceiling for live aggregation on top of a traced run.
-AGGREGATION_BUDGET_PCT = 50.0
+#: The documented ceiling for live aggregation: folding a record may
+#: cost at most this many times what emitting it into memory costs.
+AGGREGATION_BUDGET_RATIO = 2.0
 
 ARTIFACT = "BENCH_observability.json"
 
-GUARD_LOOP = 200_000
+GUARD_LOOP = 20_000
 
 #: Default best-of count: enough that every configuration's minimum comes
 #: from a quiet phase of the host (on the 2-core sizing host 20 repeats
@@ -92,17 +100,14 @@ def _time_windows(windows: int, **system_kwargs) -> float:
 
 def _guard_ns(obj) -> float:
     """Per-evaluation nanoseconds of ``if obj.enabled:`` in a tight loop."""
-    best = float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        hits = 0
-        for _ in range(GUARD_LOOP):
-            if obj.enabled:
-                hits += 1
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        assert hits == 0
-    return best / GUARD_LOOP * 1e9
+    start = time.perf_counter()
+    hits = 0
+    for _ in range(GUARD_LOOP):
+        if obj.enabled:
+            hits += 1
+    elapsed = time.perf_counter() - start
+    assert hits == 0
+    return elapsed / GUARD_LOOP * 1e9
 
 
 def run_benchmark(windows: int, repeats: int) -> dict:
@@ -117,11 +122,17 @@ def run_benchmark(windows: int, repeats: int) -> dict:
     records = list(counting_sink.records)
     sites_per_window = len(records) / windows + 1.0
 
-    # The four configurations are timed in turn, round after round and
-    # with fresh sinks each time, so a slow phase of the host lands on
-    # every side of the ratios below.
+    # The four configurations and the two guards are timed in turn,
+    # round after round and with fresh sinks each time, so a slow phase
+    # of the host lands on every side of the ratios below.  (The guards
+    # used to be timed once, afterwards: 19 ns x 488 sites is 1.5 % of
+    # today's 0.63 ms window, and one reading from a slow phase -- 27 ns
+    # was seen -- crossed the 2 % budget on its own.)
     baseline_s = traced_s = metrics_s = profiled_s = float("inf")
+    tracer_guard_ns = profiler_guard_ns = float("inf")
     for _ in range(repeats):
+        tracer_guard_ns = min(tracer_guard_ns, _guard_ns(NULL_TRACER))
+        profiler_guard_ns = min(profiler_guard_ns, _guard_ns(NULL_PROFILER))
         baseline_s = min(baseline_s, _time_windows(windows))
         traced_s = min(traced_s, _time_windows(
             windows, tracer=Tracer(MemorySink())
@@ -134,8 +145,6 @@ def run_benchmark(windows: int, repeats: int) -> dict:
         ))
     window_ns = baseline_s / windows * 1e9
 
-    tracer_guard_ns = _guard_ns(NULL_TRACER)
-    profiler_guard_ns = _guard_ns(NULL_PROFILER)
     guard_ns = max(tracer_guard_ns, profiler_guard_ns)
     noop_overhead_pct = sites_per_window * guard_ns / window_ns * 100.0
 
@@ -153,6 +162,7 @@ def run_benchmark(windows: int, repeats: int) -> dict:
             "tracer": tracer_guard_ns,
             "profiler": profiler_guard_ns,
         },
+        "noop_overhead_us_per_window": sites_per_window * guard_ns / 1e3,
         "sites_per_window": sites_per_window,
         "window_seconds": {
             "untraced": baseline_s / windows,
@@ -160,12 +170,21 @@ def run_benchmark(windows: int, repeats: int) -> dict:
             "traced_metrics_tee": metrics_s / windows,
             "traced_profiled": profiled_s / windows,
         },
-        "aggregation_budget_pct": AGGREGATION_BUDGET_PCT,
+        "aggregation_budget_ratio": AGGREGATION_BUDGET_RATIO,
+        "aggregation_over_emission": (
+            (metrics_s - traced_s) / (traced_s - baseline_s)
+        ),
         "aggregation_overhead_pct": (metrics_s / traced_s - 1.0) * 100.0,
+        "aggregation_us_per_window": (metrics_s - traced_s) / windows * 1e6,
         "enabled_overhead_pct": {
             "traced_memory": (traced_s / baseline_s - 1.0) * 100.0,
             "traced_metrics_tee": (metrics_s / baseline_s - 1.0) * 100.0,
             "traced_profiled": (profiled_s / baseline_s - 1.0) * 100.0,
+        },
+        "enabled_overhead_us_per_window": {
+            "traced_memory": (traced_s - baseline_s) / windows * 1e6,
+            "traced_metrics_tee": (metrics_s - baseline_s) / windows * 1e6,
+            "traced_profiled": (profiled_s - baseline_s) / windows * 1e6,
         },
         "aggregation": {
             "records": len(records),
@@ -211,22 +230,30 @@ def main(argv=None) -> int:
     print(f"disabled guard: tracer "
           f"{result['disabled_guard_ns']['tracer']:.1f} ns, profiler "
           f"{result['disabled_guard_ns']['profiler']:.1f} ns")
+    untraced_us = result["window_seconds"]["untraced"] * 1e6
+    print(f"untraced window: {untraced_us:.0f} us")
     print(f"estimated no-op overhead: "
-          f"{result['noop_overhead_pct']:.3f}% (budget {BUDGET_PCT}%)")
+          f"{result['noop_overhead_pct']:.3f}% = "
+          f"{result['noop_overhead_us_per_window']:.1f} us/window "
+          f"(budget {BUDGET_PCT}%)")
     for name, pct in result["enabled_overhead_pct"].items():
-        print(f"enabled overhead [{name}]: {pct:+.1f}%")
-    print(f"aggregation overhead (tee / memory): "
-          f"{result['aggregation_overhead_pct']:+.1f}% "
-          f"(budget {AGGREGATION_BUDGET_PCT:.0f}%)")
+        extra_us = result["enabled_overhead_us_per_window"][name]
+        print(f"enabled overhead [{name}]: {pct:+.1f}% = "
+              f"{extra_us:+.0f} us/window")
+    print(f"aggregation: {result['aggregation_over_emission']:.2f}x the "
+          f"emission cost (budget {AGGREGATION_BUDGET_RATIO}x) = "
+          f"{result['aggregation_us_per_window']:+.0f} us/window = "
+          f"{result['aggregation_overhead_pct']:+.1f}% on a memory-sink "
+          f"trace")
     rps = result["aggregation"]["records_per_second"]
     if rps:
         print(f"aggregation throughput: {rps:,.0f} records/s")
 
     failures = [
-        f"FAIL: {name} {result[name]:.3f}% exceeds the {budget}% budget"
+        f"FAIL: {name} {result[name]:.3f} exceeds the budget of {budget}"
         for name, budget in (
             ("noop_overhead_pct", BUDGET_PCT),
-            ("aggregation_overhead_pct", AGGREGATION_BUDGET_PCT),
+            ("aggregation_over_emission", AGGREGATION_BUDGET_RATIO),
         )
         if args.check and result[name] > budget
     ]

@@ -1,22 +1,28 @@
-"""Batched-substrate throughput benchmark: requests/second, CI-gated.
+"""Substrate throughput benchmark: tasks/second on both substrates, CI-gated.
 
 Measures the serial and batched substrates on identical scenarios and
-writes ``BENCH_substrate.json`` at the repo root:
+writes ``BENCH_substrate.json`` at the repo root, with both substrates'
+absolute tasks/second and burst-injection seconds for every scenario:
 
 - **paper scale** (consumer budget 14, MSD burst) — informational; the
-  serial substrate is already fast here and the batched one pays its
-  per-window overhead on tiny windows.
+  batched substrate pays its per-window overhead on tiny windows.
 - **production scale** (consumer budget 4096, tens of thousands of
-  workflows) — the gated scenario.  The serial per-event dispatch scan
-  is O(consumers), so this is where an operator-scale simulation lives
-  or dies; the batched substrate must be >= ``SPEEDUP_FLOOR`` times
-  faster (``--check`` exits non-zero otherwise; CI runs that).
+  workflows) — the gated scenario.  Both loaded windows of this
+  scenario run on each substrate's *exact tier* (consumer start-ups make
+  the first ineligible for the vectorised replay, the second starves
+  it), so the pair compares one event kernel with the other.  The gate
+  is parity: batched tasks/s must be at least ``PARITY_FLOOR`` of serial
+  tasks/s (``--check`` exits non-zero otherwise; CI runs that).  Until
+  the serial microservice got an idle index this was a ">= 10x" gate —
+  whose denominator was the serial substrate's O(consumers) dispatch
+  scan, not anything the arrays did; docs/PERFORMANCE.md has the
+  before/after numbers.
 - **million-request demo** (``--million``) — batched substrate only: a
   one-million-workflow MSD burst, reported as tasks/second.
 
 Every measured pair also asserts semantic equivalence (identical task
-counts; full ``substrate_snapshot`` equality at paper scale), so the
-speedup number can never come from simulating something different.
+counts; full ``substrate_snapshot`` equality at paper scale), so neither
+number can come from simulating something different.
 
 Usage::
 
@@ -45,10 +51,12 @@ from repro.workflows import build_msd_ensemble
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_substrate.json"
 
-#: The CI gate: batched must beat serial by at least this factor on the
-#: production-scale scenario (docs/PERFORMANCE.md quotes the measured
-#: numbers; .github/workflows/ci.yml runs ``--check``).
-SPEEDUP_FLOOR = 10.0
+#: The CI gate: on the production-scale scenario the batched substrate's
+#: throughput must be at least this share of the serial substrate's.
+#: Measured 0.87-0.99 on the sizing host (docs/PERFORMANCE.md); the
+#: margin is for shared CI runners.  .github/workflows/ci.yml runs
+#: ``--check``.
+PARITY_FLOOR = 0.7
 
 PAPER_SCALE = dict(
     consumer_budget=14,
@@ -104,17 +112,20 @@ def build(cls, scale, seed=0):
 
 
 def run_one(cls, scale):
+    build_start = time.perf_counter()
     system = build(cls, scale)
     start = time.perf_counter()
     for _ in range(scale["windows"]):
         system.run_window()
     elapsed = time.perf_counter() - start
+    build_seconds = start - build_start
     tasks = sum(ms.tasks_completed for ms in system.microservices.values())
     workflows = system.invoker.completed_total
     assert system.conservation_ok(), "conservation violated during benchmark"
     return {
         "tasks_completed": tasks,
         "workflows_completed": workflows,
+        "build_seconds": build_seconds,
         "seconds": elapsed,
         "tasks_per_second": tasks / elapsed if elapsed else float("inf"),
         "fast_windows": getattr(system, "fast_windows", None),
@@ -122,20 +133,30 @@ def run_one(cls, scale):
     }
 
 
+#: A production-scale run takes about a second per substrate since the
+#: serial dispatch scan went; the gate compares each side's fastest of
+#: this many interleaved runs, so one scheduler stall cannot decide it.
+ROUNDS = 3
+
+
 def run_pair(name, scale):
-    print(f"[{name}] serial substrate ...", flush=True)
-    serial = run_one(MicroserviceWorkflowSystem, scale)
+    runs = {"serial": [], "batched": []}
+    for _ in range(ROUNDS):
+        runs["serial"].append(run_one(MicroserviceWorkflowSystem, scale))
+        runs["batched"].append(run_one(BatchedWorkflowSystem, scale))
+    serial = min(runs["serial"], key=lambda r: r["seconds"])
+    batched = min(runs["batched"], key=lambda r: r["seconds"])
     print(
-        f"[{name}]   {serial['tasks_completed']:,} tasks in "
-        f"{serial['seconds']:.2f}s = {serial['tasks_per_second']:,.0f} tasks/s"
+        f"[{name}] serial:  {serial['tasks_completed']:,} tasks in "
+        f"{serial['seconds']:.2f}s = {serial['tasks_per_second']:,.0f} tasks/s "
+        f"(burst injected in {serial['build_seconds']:.3f}s)"
     )
-    print(f"[{name}] batched substrate ...", flush=True)
-    batched = run_one(BatchedWorkflowSystem, scale)
     print(
-        f"[{name}]   {batched['tasks_completed']:,} tasks in "
+        f"[{name}] batched: {batched['tasks_completed']:,} tasks in "
         f"{batched['seconds']:.2f}s = "
         f"{batched['tasks_per_second']:,.0f} tasks/s "
-        f"(fast windows {batched['fast_windows']}/{scale['windows']}, "
+        f"(burst injected in {batched['build_seconds']:.3f}s; "
+        f"fast windows {batched['fast_windows']}/{scale['windows']}, "
         f"aborts {batched['fast_aborts']})"
     )
     if serial["tasks_completed"] != batched["tasks_completed"]:
@@ -143,15 +164,15 @@ def run_pair(name, scale):
             f"[{name}] substrates disagree: serial completed "
             f"{serial['tasks_completed']} tasks, batched "
             f"{batched['tasks_completed']} — equivalence is broken, the "
-            f"speedup is meaningless"
+            f"comparison is meaningless"
         )
-    speedup = serial["seconds"] / batched["seconds"]
-    print(f"[{name}] speedup: {speedup:.1f}x")
+    ratio = serial["seconds"] / batched["seconds"]
+    print(f"[{name}] batched / serial throughput: {ratio:.2f}x")
     return {
         "scenario": {k: v for k, v in scale.items()},
         "serial": serial,
         "batched": batched,
-        "speedup": speedup,
+        "batched_over_serial": ratio,
     }
 
 
@@ -210,7 +231,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=f"exit 1 unless production-scale speedup >= {SPEEDUP_FLOOR}x",
+        help=(
+            f"exit 1 unless production-scale batched throughput is >= "
+            f"{PARITY_FLOOR}x serial"
+        ),
     )
     parser.add_argument(
         "--quick",
@@ -228,26 +252,29 @@ def main(argv=None) -> int:
 
     if args.quick:
         result = run_pair("quick", QUICK_SCALE)
-        print(f"quick speedup {result['speedup']:.1f}x (informational)")
+        print(
+            f"quick batched / serial {result['batched_over_serial']:.2f}x "
+            f"(informational)"
+        )
         return 0
 
     results = {
-        "speedup_floor": SPEEDUP_FLOOR,
+        "parity_floor": PARITY_FLOOR,
         "paper_scale": run_pair("paper", PAPER_SCALE),
         "production_scale": run_pair("production", PRODUCTION_SCALE),
     }
     if args.million:
         results["million_requests"] = run_million()
 
-    speedup = results["production_scale"]["speedup"]
-    results["gate_passed"] = speedup >= SPEEDUP_FLOOR
+    ratio = results["production_scale"]["batched_over_serial"]
+    results["gate_passed"] = ratio >= PARITY_FLOOR
     OUTPUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {OUTPUT_PATH}")
 
     if args.check and not results["gate_passed"]:
         print(
-            f"FAIL: production-scale speedup {speedup:.1f}x is below the "
-            f"{SPEEDUP_FLOOR}x floor",
+            f"FAIL: production-scale batched throughput is {ratio:.2f}x "
+            f"serial, below the {PARITY_FLOOR}x parity floor",
             file=sys.stderr,
         )
         return 1

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Simulate a one-million-request MSD burst on the batched substrate.
 
-The serial substrate dispatches one event at a time and scans every
-consumer per dispatch; at operator scale (thousands of consumers,
-hundreds of thousands of queued requests) that is hours of wall-clock
-per experiment.  ``BatchedWorkflowSystem`` runs the same simulation —
-byte-identical traces, equal metrics snapshots — on a numpy
-struct-of-arrays request pool with batched queue operations, and
-replays entire windows vectorised when the fast-path preconditions
-hold (see docs/SIMULATOR.md).
+The serial substrate keeps one Python object per request (61 MB per
+100,000 queued workflows, injected one ``submit`` at a time).
+``BatchedWorkflowSystem`` runs the same simulation — byte-identical
+traces, equal metrics snapshots — on a numpy struct-of-arrays request
+pool (19 MB per 100,000) with batched queue operations: the burst
+below is injected as whole arrays, ten times faster, and entire windows
+are replayed vectorised when the fast-path preconditions hold (see
+docs/SIMULATOR.md).
 
 This example injects 1,000,000 workflow requests (3.25 million tasks)
 as a single MSD burst and runs windows until the burst drains, printing

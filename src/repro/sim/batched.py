@@ -61,7 +61,7 @@ class BatchedInvoker:
     completion detection — but addresses workflow instances by pool row
     and tasks by compiled-table indices.  The AND-join test is a
     countdown (``wf_pred_remaining`` hits zero) instead of the serial
-    set-membership scan; both fire at the same completion event.
+    set-membership test; both fire at the same completion event.
     """
 
     def __init__(
@@ -170,7 +170,7 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
     # Substrate wiring ----------------------------------------------------
     def _build_substrate(self) -> None:
         self.loop = TypedEventLoop(profiler=self.profiler)
-        self.table = CompiledDependencyTable(self.ensemble)
+        self.table = self.tds.table
         self.pool = RequestPool(self.table.max_tasks)
         self.microservices: Dict[str, BatchedMicroservice] = {}
         self._services: List[BatchedMicroservice] = []

@@ -34,6 +34,7 @@ __all__ = [
     "sample_service_time",
     "sample_service_times",
     "lognormal_params",
+    "service_time_params",
 ]
 
 _consumer_ids = itertools.count()
@@ -63,6 +64,22 @@ def lognormal_params(mean: float, cv: float) -> Tuple[float, float]:
     return mu, math.sqrt(sigma_sq)
 
 
+def service_time_params(
+    mean: float, cv: float
+) -> Tuple[Optional[float], float, float]:
+    """``(fixed, mu, sigma)``: how one task type's service times are drawn.
+
+    Computed once per microservice, on either substrate.  ``cv=0``
+    degenerates to the mean — ``fixed`` is that constant and nothing is
+    ever drawn; otherwise ``fixed`` is ``None`` and ``(mu, sigma)``
+    parameterise the lognormal.
+    """
+    mu, sigma = lognormal_params(mean, cv)  # validates mean and cv
+    if isclose_zero(cv):
+        return mean, 0.0, 0.0
+    return None, mu, sigma
+
+
 def sample_service_time(mean: float, cv: float, rng) -> float:
     """Sample a lognormal service time with the given mean and CV.
 
@@ -70,13 +87,9 @@ def sample_service_time(mean: float, cv: float, rng) -> float:
     to variant sizes of input data".  A lognormal is the standard heavy-ish
     tailed model for such task durations.  ``cv=0`` degenerates to the mean.
     """
-    if mean <= 0:
-        raise ValueError(f"mean service time must be positive, got {mean!r}")
-    if cv < 0:
-        raise ValueError(f"cv must be non-negative, got {cv!r}")
-    if isclose_zero(cv):
-        return mean
-    mu, sigma = lognormal_params(mean, cv)
+    fixed, mu, sigma = service_time_params(mean, cv)
+    if fixed is not None:
+        return fixed
     return float(rng.lognormal(mean=mu, sigma=sigma))
 
 
@@ -94,13 +107,9 @@ def sample_service_times(batch: int, mean: float, cv: float, rng) -> np.ndarray:
     """
     if batch < 0:
         raise ValueError(f"batch must be non-negative, got {batch}")
-    if mean <= 0:
-        raise ValueError(f"mean service time must be positive, got {mean!r}")
-    if cv < 0:
-        raise ValueError(f"cv must be non-negative, got {cv!r}")
-    if isclose_zero(cv):
+    fixed, mu, sigma = service_time_params(mean, cv)
+    if fixed is not None:
         return np.full(batch, mean, dtype=np.float64)
-    mu, sigma = lognormal_params(mean, cv)
     return rng.lognormal(mean=mu, sigma=sigma, size=batch)
 
 

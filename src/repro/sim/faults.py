@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.consumer import ConsumerState
 from repro.sim.microservice import Microservice
 from repro.sim.system import MicroserviceWorkflowSystem
 from repro.utils.rng import RngStream
-from repro.utils.validation import check_non_negative, check_positive, require
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["crash_one_consumer", "ChaosInjector"]
 
@@ -30,50 +29,10 @@ __all__ = ["crash_one_consumer", "ChaosInjector"]
 def crash_one_consumer(microservice: Microservice) -> bool:
     """Crash one busy (else idle) consumer and start a replacement.
 
-    The crash is a hard kill regardless of the scale-down mode: the
-    in-flight request is nacked (redelivered, never lost) and a fresh
-    container is launched to restore the allocation, paying the usual
-    start-up latency.  Returns False when there is nothing to crash.
-
-    Works on either substrate: a batched microservice carries its own
-    :meth:`repro.sim.microservice.BatchedMicroservice.crash_one` twin
-    with identical victim choice and event order.
+    See :meth:`repro.sim.microservice.Microservice.crash_one` (and its
+    batched twin, with identical victim choice and event order).
     """
-    if hasattr(microservice, "crash_one"):
-        return microservice.crash_one()
-    victim: Optional = None
-    for state in (ConsumerState.BUSY, ConsumerState.IDLE):
-        for consumer in microservice.consumers:
-            if consumer.state is state:
-                victim = consumer
-                break
-        if victim is not None:
-            break
-    if victim is None:
-        return False
-
-    if microservice.tracer.enabled:
-        microservice.tracer.emit(
-            "event.fault", fault="consumer_crash", target=microservice.name
-        )
-    if victim.pending_event is not None:
-        victim.pending_event.cancel()
-        victim.pending_event = None
-    if victim.state is ConsumerState.BUSY:
-        require(victim.current_tag is not None,
-                "busy consumer has no delivery tag")
-        elapsed = microservice.loop.now - victim.processing_started_at
-        victim.current_request.wasted_work += elapsed
-        microservice.queue.nack(victim.current_tag)
-        victim.current_tag = None
-        victim.current_request = None
-        microservice.consumers_killed_busy += 1
-    victim.state = ConsumerState.STOPPED
-    microservice.consumers.remove(victim)
-    microservice.cluster.release(victim.node)
-    # Replacement container (restores the allocation m_j).
-    microservice._start_consumer()
-    return True
+    return microservice.crash_one()
 
 
 class ChaosInjector:
@@ -150,8 +109,7 @@ class ChaosInjector:
                     "event.fault", fault="tds_outage", target=victim
                 )
             self.system.loop.schedule(
-                self.tds_outage_duration,
-                lambda server_id=victim: self._recover(server_id),
+                self.tds_outage_duration, self._recover, victim
             )
         self._schedule_outage()
 

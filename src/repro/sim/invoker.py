@@ -25,7 +25,15 @@ WorkflowCompletionCallback = Callable[[WorkflowRequest], None]
 
 
 class WorkflowInvoker:
-    """Routes workflow requests through their task DAGs."""
+    """Routes workflow requests through their task DAGs.
+
+    Routing is resolved once, at construction, from the TDS's compiled
+    dependency table: per workflow type its size and entry tasks, per
+    ``(workflow type, task)`` the successors with the predecessors each
+    waits for — every task already paired with its queue.  The hot path
+    is then dictionary lookups; each TDS read is still accounted where
+    the query it stands for used to be made.
+    """
 
     def __init__(
         self,
@@ -36,27 +44,53 @@ class WorkflowInvoker:
     ):
         self.loop = loop
         self.tds = tds
-        self.queues = queues
         self.on_workflow_complete = on_workflow_complete
         self.submitted_total = 0
         self.completed_total = 0
+        table = tds.table
+        # A task type without a queue is reported when something is
+        # published to it, not here: ``queues.get`` leaves ``None``.
+        self._entries = {
+            w_name: (
+                table.size[w],
+                tuple((t, queues.get(t)) for t in table.entry_names[w]),
+            )
+            for w, w_name in enumerate(table.workflow_names)
+        }
+        self._routes = {
+            key: tuple(
+                (successor, predecessors, queues.get(successor))
+                for successor, predecessors in route
+            )
+            for key, route in table.routes.items()
+        }
 
     # Submission ------------------------------------------------------------
     def submit(self, workflow_type: str) -> WorkflowRequest:
         """Step 1–2 of Fig. 1: create a request and publish its entry tasks."""
-        workflow = self.tds.ensemble.workflow(workflow_type)
+        try:
+            total_tasks, entries = self._entries[workflow_type]
+        except KeyError:
+            raise KeyError(
+                f"unknown workflow type {workflow_type!r}"
+            ) from None
         request = WorkflowRequest(
             workflow_type=workflow_type,
             arrival_time=self.loop.now,
-            total_tasks=workflow.size,
+            total_tasks=total_tasks,
         )
         self.submitted_total += 1
-        for task in self.tds.entry_tasks(workflow_type):
-            self._publish(request, task)
+        self.tds.account_reads(1)  # entry-tasks query
+        for task, queue in entries:
+            self._publish(request, task, queue)
         return request
 
-    def _publish(self, workflow_request: WorkflowRequest, task: str) -> None:
-        queue = self.queues.get(task)
+    def _publish(
+        self,
+        workflow_request: WorkflowRequest,
+        task: str,
+        queue: Optional[AckQueue],
+    ) -> None:
         if queue is None:
             raise KeyError(
                 f"no queue for task type {task!r} (workflow "
@@ -75,20 +109,24 @@ class WorkflowInvoker:
         """Step 4 of Fig. 1: publish ready successors; detect completion."""
         workflow_request = task_request.workflow
         task = task_request.task_type
-        if task in workflow_request.completed_tasks:
+        completed = workflow_request.completed_tasks
+        if task in completed:
             raise RuntimeError(
                 f"task {task!r} completed twice for workflow request "
                 f"{workflow_request.request_id}"
             )
-        workflow_request.completed_tasks.add(task)
+        completed.add(task)
 
-        wf_type = workflow_request.workflow_type
-        for successor in self.tds.successors(wf_type, task):
-            predecessors = self.tds.predecessors(wf_type, successor)
-            if all(p in workflow_request.completed_tasks for p in predecessors):
-                self._publish(workflow_request, successor)
+        account_read = self.tds.account_reads
+        account_read(1)  # successors query
+        for successor, predecessors, queue in self._routes[
+            workflow_request.workflow_type, task
+        ]:
+            account_read(1)  # predecessors query (AND-join check)
+            if completed.issuperset(predecessors):
+                self._publish(workflow_request, successor, queue)
 
-        if len(workflow_request.completed_tasks) == workflow_request.total_tasks:
+        if len(completed) == workflow_request.total_tasks:
             workflow_request.completion_time = now
             self.completed_total += 1
             if self.on_workflow_complete is not None:

@@ -29,12 +29,7 @@ import heapq
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.cluster import Cluster
-from repro.sim.consumer import (
-    Consumer,
-    ConsumerState,
-    lognormal_params,
-    sample_service_time,
-)
+from repro.sim.consumer import Consumer, ConsumerState, service_time_params
 from repro.sim.events import EventLoop, TypedEventLoop
 from repro.sim.queueing import AckQueue, IndexFifo
 from repro.sim.requests import RequestPool, TaskRequest
@@ -42,7 +37,7 @@ from repro.sim.substrate import PrefetchStream
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream
-from repro.utils.validation import isclose_zero, require
+from repro.utils.validation import require
 from repro.workflows.dag import TaskType
 
 __all__ = ["Microservice", "BatchedMicroservice", "BatchedQueueView"]
@@ -62,7 +57,16 @@ _STOPPED = "stopped"
 
 
 class Microservice:
-    """Queue + consumer pool for one task type."""
+    """Queue + consumer pool for one task type.
+
+    ``consumers`` is always in birth order (appends are births, removals
+    keep order), so "the first idle consumer in list order" is the idle
+    consumer with the smallest birth ordinal: ``_idle`` is a min-heap of
+    ``(ordinal, consumer)`` holding exactly the IDLE consumers.  Every
+    way out of IDLE — dispatch, scale-down, crash — takes that first
+    one, so the heap needs no lazy invalidation; and ``consumer.state``
+    is assigned nowhere outside this class.
+    """
 
     def __init__(
         self,
@@ -94,9 +98,13 @@ class Microservice:
         self.scale_down_mode = scale_down_mode
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
+        self._fixed_service, self._mu, self._sigma = service_time_params(
+            task_type.mean_service_time, task_type.cv
+        )
         self.queue = AckQueue(task_type.name, tracer=self.tracer)
         self.queue.subscribe(self._dispatch)
         self.consumers: List[Consumer] = []
+        self._idle: List[Tuple[int, Consumer]] = []
         #: Busy consumers finishing their last task before exiting
         #: (Terminating pods); they no longer count toward the allocation.
         self.draining: List[Consumer] = []
@@ -133,7 +141,7 @@ class Microservice:
         low, high = self.startup_delay_range
         delay = float(self.rng.uniform(low, high)) if high > 0 else 0.0
         consumer.pending_event = self.loop.schedule(
-            delay, lambda c=consumer: self._on_started(c)
+            delay, self._on_started, consumer
         )
         if self.tracer.enabled:
             self.tracer.emit(
@@ -148,6 +156,7 @@ class Microservice:
         if consumer.state is not ConsumerState.STARTING:
             return  # was killed while starting; activation already cancelled
         consumer.state = ConsumerState.IDLE
+        heapq.heappush(self._idle, (consumer.trace_id, consumer))
         consumer.pending_event = None
         if self.tracer.enabled:
             self.tracer.emit(
@@ -178,9 +187,17 @@ class Microservice:
             self._trace_stop(victim, "kill")
         else:
             self._trace_stop(victim, "idle")
+        self._stop_now(victim)
+
+    def _stop_now(self, victim: Consumer) -> None:
+        """Hard-stop a live consumer and free its slot.
+
+        A busy victim's in-flight request is redelivered (never lost);
+        the elapsed processing is wasted.  An idle victim is always the
+        first idle consumer (see the class docstring), the head of the
+        idle index.
+        """
         if victim.state is ConsumerState.BUSY:
-            # Kill mode: the in-flight request is redelivered; elapsed
-            # work is wasted.
             require(victim.current_tag is not None,
                     "busy consumer has no delivery tag")
             require(victim.current_request is not None,
@@ -191,9 +208,43 @@ class Microservice:
             victim.current_tag = None
             victim.current_request = None
             self.consumers_killed_busy += 1
+        elif victim.state is ConsumerState.IDLE:
+            _, first_idle = heapq.heappop(self._idle)
+            require(first_idle is victim,
+                    "idle victim is not the first idle consumer")
         victim.state = ConsumerState.STOPPED
         self.consumers.remove(victim)
         self.cluster.release(victim.node)
+
+    def crash_one(self) -> bool:
+        """Crash one busy (else idle) consumer and start a replacement.
+
+        The crash is a hard kill regardless of the scale-down mode: the
+        in-flight request is nacked (redelivered, never lost) and a
+        fresh container is launched to restore the allocation, paying
+        the usual start-up latency.  Returns False when there is
+        nothing to crash.
+        """
+        victim: Optional[Consumer] = None
+        for consumer in self.consumers:
+            if consumer.state is ConsumerState.BUSY:
+                victim = consumer
+                break
+        if victim is None:
+            if not self._idle:
+                return False
+            victim = self._idle[0][1]
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "event.fault", fault="consumer_crash", target=self.name
+            )
+        if victim.pending_event is not None:
+            victim.pending_event.cancel()
+            victim.pending_event = None
+        self._stop_now(victim)
+        # Replacement container (restores the allocation m_j).
+        self._start_consumer()
+        return True
 
     def _trace_stop(self, consumer: Consumer, mode: str) -> None:
         """Emit a container-removal event (no-op when tracing is off)."""
@@ -206,32 +257,40 @@ class Microservice:
             )
 
     def _pick_victim(self) -> Consumer:
-        for state in (ConsumerState.STARTING, ConsumerState.IDLE):
-            for consumer in self.consumers:
-                if consumer.state is state:
-                    return consumer
+        for consumer in self.consumers:
+            if consumer.state is ConsumerState.STARTING:
+                return consumer
+        if self._idle:
+            return self._idle[0][1]
         return self.consumers[-1]  # newest busy consumer
 
     # Processing ------------------------------------------------------------
     def _dispatch(self) -> None:
-        """Hand ready messages to idle consumers (push delivery)."""
-        for consumer in self.consumers:
-            if consumer.state is not ConsumerState.IDLE:
-                continue
+        """Hand ready messages to idle consumers (push delivery).
+
+        Oldest message to first idle consumer, until either runs out;
+        with nobody idle or nothing ready it returns at once.
+        """
+        idle = self._idle
+        while idle:
             item = self.queue.consume()
             if item is None:
                 return
+            consumer = heapq.heappop(idle)[1]
             tag, request = item
+            now = self.loop.now
             consumer.state = ConsumerState.BUSY
             consumer.current_tag = tag
             consumer.current_request = request
-            consumer.processing_started_at = self.loop.now
-            request.started_at = self.loop.now
-            service_time = sample_service_time(
-                self.task_type.mean_service_time, self.task_type.cv, self.rng
-            )
+            consumer.processing_started_at = now
+            request.started_at = now
+            service_time = self._fixed_service
+            if service_time is None:
+                service_time = float(
+                    self.rng.lognormal(mean=self._mu, sigma=self._sigma)
+                )
             consumer.pending_event = self.loop.schedule(
-                service_time, lambda c=consumer: self._on_finished(c)
+                service_time, self._on_finished, consumer
             )
 
     def _on_finished(self, consumer: Consumer) -> None:
@@ -264,6 +323,7 @@ class Microservice:
             self._trace_stop(consumer, "drained")
         else:
             consumer.state = ConsumerState.IDLE
+            heapq.heappush(self._idle, (consumer.trace_id, consumer))
         self.on_task_complete(request, now)
         self._dispatch()
 
@@ -409,20 +469,9 @@ class BatchedMicroservice:
         self.scale_down_mode = scale_down_mode
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.prefetch = PrefetchStream(rng)
-        mean, cv = task_type.mean_service_time, task_type.cv
-        if mean <= 0:
-            raise ValueError(
-                f"mean service time must be positive, got {mean!r}"
-            )
-        if cv < 0:
-            raise ValueError(f"cv must be non-negative, got {cv!r}")
-        if isclose_zero(cv):
-            self._fixed_service: Optional[float] = mean
-            self._mu = 0.0
-            self._sigma = 0.0
-        else:
-            self._fixed_service = None
-            self._mu, self._sigma = lognormal_params(mean, cv)
+        self._fixed_service, self._mu, self._sigma = service_time_params(
+            task_type.mean_service_time, task_type.cv
+        )
 
         self.fifo = IndexFifo()
         self.queue = BatchedQueueView(self)
@@ -575,8 +624,8 @@ class BatchedMicroservice:
     def crash_one(self) -> bool:
         """Crash one busy (else idle) consumer and start a replacement.
 
-        Batched twin of :func:`repro.sim.faults.crash_one_consumer`'s
-        serial body, with identical victim choice and event order.
+        Batched twin of :meth:`Microservice.crash_one`, with identical
+        victim choice and event order.
         """
         victim = -1
         for state in (_BUSY, _IDLE):

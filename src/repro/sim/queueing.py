@@ -77,7 +77,9 @@ class AckQueue:
         self._subscribers.append(callback)
 
     def _notify(self) -> None:
-        for callback in list(self._subscribers):
+        # No copy: subscription happens at wiring time (the owning
+        # microservice's constructor), never from inside a callback.
+        for callback in self._subscribers:
             callback()
 
     # Consumption -------------------------------------------------------

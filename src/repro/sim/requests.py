@@ -43,7 +43,7 @@ class WorkflowRequest:
     workflow_type: str
     arrival_time: float
     total_tasks: int
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
     completed_tasks: Set[str] = field(default_factory=set)
     completion_time: Optional[float] = None
 
@@ -74,7 +74,7 @@ class TaskRequest:
     task_type: str
     workflow: WorkflowRequest
     published_at: float
-    task_id: int = field(default_factory=lambda: next(_task_ids))
+    task_id: int = field(default_factory=_task_ids.__next__)
     #: Number of delivery attempts (redeliveries after consumer kills).
     deliveries: int = 0
     #: Cumulative processing time wasted by interrupted attempts.

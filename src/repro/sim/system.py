@@ -154,6 +154,10 @@ class MicroserviceWorkflowSystem:
             ensemble, replicas=self.config.tds_replicas
         )
         self._build_substrate()
+        # Publishes already attributed to a window — a persistent
+        # snapshot, so burst injections between windows are attributed
+        # to the window that observes them.
+        self._published_snapshot = {name: 0 for name in self.microservices}
         loop = self.loop
         self.tracer.bind_clock(lambda: loop.now)
 
@@ -336,13 +340,6 @@ class MicroserviceWorkflowSystem:
         end = start + self.config.window_length
         self._advance_window(end)
         wip = self.wip_vector()
-        # Publishes since the last window's observation — a persistent
-        # snapshot so burst injections between windows are attributed to
-        # the window that observes them.
-        if not hasattr(self, "_published_snapshot"):
-            self._published_snapshot = {
-                name: 0 for name in self.microservices
-            }
         task_publishes = {}
         for name, ms in self.microservices.items():
             task_publishes[name] = (

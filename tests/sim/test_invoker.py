@@ -10,7 +10,7 @@ from repro.sim.tds import TaskDependencyService
 from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
 
 
-def build_invoker(edges, tasks=()):
+def build_invoker(edges, tasks=(), without_queue=()):
     names = set(tasks)
     for up, down in edges:
         names.add(up)
@@ -21,7 +21,9 @@ def build_invoker(edges, tasks=()):
         [WorkflowType("W", edges=edges, tasks=tasks)],
     )
     loop = EventLoop()
-    queues = {n: AckQueue(n) for n in ensemble.task_names()}
+    queues = {
+        n: AckQueue(n) for n in ensemble.task_names() if n not in without_queue
+    }
     completed = []
     invoker = WorkflowInvoker(
         loop,
@@ -88,8 +90,15 @@ class TestRouting:
             invoker.handle_task_completion(request, 1.0)
 
     def test_unknown_queue_raises(self):
-        loop, invoker, queues, _ = build_invoker([("A", "B")])
-        del queues["A"]
+        # Routing binds queues at construction; a task type that has
+        # none is reported when something is first published to it.
+        loop, invoker, queues, _ = build_invoker(
+            [("A", "B")], without_queue=("B",)
+        )
+        invoker.submit("W")
+        with pytest.raises(KeyError, match="no queue"):
+            finish(invoker, queues["A"])
+        _, invoker, _, _ = build_invoker([("A", "B")], without_queue=("A",))
         with pytest.raises(KeyError, match="no queue"):
             invoker.submit("W")
 
