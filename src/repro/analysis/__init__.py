@@ -17,7 +17,7 @@ Per-file rule families (see ``docs/LINTING.md`` for the full reference):
 - **A1** — public-API consistency in package ``__init__`` files (A101
   broken exports, A102 missing docstrings, A103 ``__all__`` mismatches).
 
-Cross-module families, consuming the cached whole-tree
+Cross-module families, consuming the whole-tree
 :class:`~repro.analysis.index.ProjectIndex`:
 
 - **R1** — RNG fork-label provenance (R101 duplicate labels on one

@@ -69,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule reference and exit",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="rebuild the project index instead of using the on-disk cache",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="parse and per-file-check N files in parallel "
              "(order-deterministic; default: auto-detect cpu count)",
@@ -89,7 +85,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule}  [{family}]  {description}")
         return 0
 
-    config = load_config(Path(args.root) if args.root else None)
+    try:
+        config = load_config(Path(args.root) if args.root else None)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.jobs is None:
         # Output is byte-identical at any job count (input-order merge,
         # project checkers in the parent), so parallelism is safe to
@@ -112,8 +112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.baseline:
         config.baseline = args.baseline
-    if args.no_cache:
-        config.cache = None
     baseline_path = config.baseline_path()
 
     paths = (

@@ -7,7 +7,6 @@ Recognised keys::
     disable = ["A103"]             # rule ids to turn off globally
     baseline = "reprolint-baseline.json"   # optional ratchet file
     exclude = ["src/repro/_vendored"]      # path prefixes to skip
-    cache = ".reprolint-cache.json"        # project-index cache (false = off)
     sim_packages = ["repro.sim"]           # layers owning event-loop state (E1)
     step_entrypoints = ["run_window", "step"]  # extra E1 roots
     hotpath_roots = ["step", "predict_batch"]  # N102 reachability roots
@@ -18,13 +17,14 @@ Recognised keys::
 TOML parsing uses the stdlib :mod:`tomllib` (Python >= 3.11).  On older
 interpreters — where tomllib does not exist and the project vendors no
 TOML parser — configuration silently falls back to the defaults, keeping
-the analyser importable everywhere the library runs.
+the analyser importable everywhere the library runs.  A key outside the
+list above is a :class:`ValueError`: a typo such as ``hotpath_root`` must
+not silently leave the default in force.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _DEFAULT_PATHS = ["src/repro"]
-_DEFAULT_CACHE = ".reprolint-cache.json"
 
 #: The import DAG of docs/ARCHITECTURE.md, as package -> packages it may
 #: import at module scope.  Packages not listed (``repro.cli`` and the
@@ -123,28 +122,6 @@ class LintConfig:
     hotpath_roots: List[str] = field(
         default_factory=lambda: list(DEFAULT_HOTPATH_ROOTS)
     )
-    #: Project-index cache file relative to root; None disables caching.
-    cache: Optional[str] = None
-
-    def fingerprint(self) -> str:
-        """Stable string over every analysis-affecting setting.
-
-        Folded into :func:`repro.analysis.index.project_digest` so a
-        ``[tool.reprolint]`` edit invalidates the index cache even when
-        no source file changed.  ``root`` and ``cache`` are deliberately
-        left out: neither changes what the analysis computes.
-        """
-        payload = {
-            "paths": list(self.paths),
-            "disable": sorted(self.disable),
-            "baseline": self.baseline,
-            "exclude": list(self.exclude),
-            "layers": {k: sorted(v) for k, v in sorted(self.layers.items())},
-            "sim_packages": list(self.sim_packages),
-            "step_entrypoints": list(self.step_entrypoints),
-            "hotpath_roots": list(self.hotpath_roots),
-        }
-        return json.dumps(payload, sort_keys=True)
 
     def resolved_paths(self) -> List[Path]:
         """Analysis targets as absolute paths."""
@@ -156,11 +133,10 @@ class LintConfig:
             return None
         return self.root / self.baseline
 
-    def cache_path(self) -> Optional[Path]:
-        """Absolute index-cache path, or None when caching is off."""
-        if self.cache is None:
-            return None
-        return self.root / self.cache
+
+#: Every key ``[tool.reprolint]`` accepts (one per settable field);
+#: anything else is rejected.
+_KNOWN_KEYS = frozenset(f.name for f in fields(LintConfig)) - {"root"}
 
 
 def find_pyproject(start: Path) -> Optional[Path]:
@@ -177,7 +153,8 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     """Build a :class:`LintConfig` from the nearest pyproject.toml.
 
     Without a pyproject.toml (or on interpreters without :mod:`tomllib`)
-    the defaults apply, rooted at ``start``.
+    the defaults apply, rooted at ``start``.  Raises :class:`ValueError`
+    for a ``[tool.reprolint]`` key that is not recognised.
     """
     start = (start or Path.cwd()).resolve()
     pyproject = find_pyproject(start)
@@ -186,7 +163,19 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     with pyproject.open("rb") as handle:
         data = tomllib.load(handle)
     section = data.get("tool", {}).get("reprolint", {})
-    config = LintConfig(root=pyproject.parent, cache=_DEFAULT_CACHE)
+    if "cache" in section:
+        raise ValueError(
+            f"{pyproject}: [tool.reprolint] key 'cache' was removed: "
+            "the index is rebuilt every run; delete the key"
+        )
+    unknown = sorted(set(section) - _KNOWN_KEYS)
+    if unknown:
+        raise ValueError(
+            f"{pyproject}: unknown [tool.reprolint] key(s) "
+            f"{', '.join(repr(k) for k in unknown)}; accepted keys are "
+            f"{', '.join(sorted(_KNOWN_KEYS))}"
+        )
+    config = LintConfig(root=pyproject.parent)
     if "paths" in section:
         config.paths = [str(p) for p in section["paths"]]
     if "disable" in section:
@@ -206,9 +195,4 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
         config.step_entrypoints = [str(n) for n in section["step_entrypoints"]]
     if "hotpath_roots" in section:
         config.hotpath_roots = [str(n) for n in section["hotpath_roots"]]
-    if "cache" in section:
-        # ``cache = false`` disables the index cache; a string names it.
-        config.cache = (
-            str(section["cache"]) if section["cache"] else None
-        )
     return config

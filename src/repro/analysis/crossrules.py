@@ -36,14 +36,9 @@ B1     Batch-pair contracts: every ``@batched_pair`` declaration must
        the leading batch axis (B102), and — when tests are under
        analysis — at least one test must reference the batched side
        (B103).
-V1/V2  Shape discipline and batch-axis dataflow proofs, built on the
-W1     abstract interpreter in :mod:`repro.analysis.shapes`; the
-       checkers live in :mod:`repro.analysis.shaperules` and register
-       through :func:`all_project_checkers` like every other family.
 =====  ======================================================================
 
-All checks work on plain index data, so they run identically from a
-fresh extraction or the on-disk index cache.
+All checks work on plain index data.
 """
 
 from __future__ import annotations
@@ -815,14 +810,6 @@ def _signature_mismatch(
 
 def all_project_checkers() -> List[ProjectChecker]:
     """Fresh instances of every cross-module checker, report order."""
-    # Imported lazily: shaperules subclasses ProjectChecker, so a
-    # module-level import here would be circular.
-    from repro.analysis.shaperules import (
-        BatchAxisChecker,
-        ShapeDisciplineChecker,
-        WorkerPayloadChecker,
-    )
-
     return [
         RngProvenanceChecker(),
         TelemetryConformanceChecker(),
@@ -831,9 +818,6 @@ def all_project_checkers() -> List[ProjectChecker]:
         NumericDisciplineChecker(),
         ProcessSafetyChecker(),
         BatchPairChecker(),
-        ShapeDisciplineChecker(),
-        BatchAxisChecker(),
-        WorkerPayloadChecker(),
     ]
 
 

@@ -7,8 +7,7 @@ call it directly with synthetic trees.
 Two checker tiers run over one parse: per-file rules (D/S/A families)
 see each module alone, and project rules (R/T/E/L/N/P/B families)
 consume the whole-tree :class:`~repro.analysis.index.ProjectIndex`,
-which is cached on disk keyed by source hashes *and* the config
-fingerprint when the config enables it.
+rebuilt from the parsed modules on every run.
 
 ``jobs > 1`` fans the parse + per-file-checker stage out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  The split follows the
@@ -40,7 +39,7 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.config import LintConfig
 from repro.analysis.crossrules import all_project_checkers
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.index import load_or_build_index
+from repro.analysis.index import build_index
 from repro.analysis.project import (
     ModuleInfo,
     Project,
@@ -164,11 +163,7 @@ def run_analysis(
         for module in modules:
             raw.extend(checker.check(module, project))
 
-    index = load_or_build_index(
-        project,
-        cache_path=config.cache_path(),
-        fingerprint=config.fingerprint(),
-    )
+    index = build_index(project)
     for project_checker in all_project_checkers():
         raw.extend(project_checker.check(index, config))
 

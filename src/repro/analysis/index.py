@@ -21,18 +21,10 @@ modules:
   explicit dtype mentions, in-loop scalar accumulations, and in-place
   mutations of parameters (N1/B1), plus per-module mutable/RNG global
   tables, process-pool dispatch sites and order-nondeterministic
-  result-combination sites (P1), and ``@batched_pair`` declarations (B1),
-- **shape IR** — a per-function statement/expression mini-IR (plain
-  dicts, see :data:`FunctionInfo.shape_stmts`) that the
-  :mod:`repro.analysis.shapes` abstract interpreter evaluates to infer
-  symbolic array shapes and dtypes (V1/V2), and per-pool-site payload
-  descriptors for the worker-serialization family (W1).
+  result-combination sites (P1), and ``@batched_pair`` declarations (B1).
 
-Everything in the index is plain data (str/int/bool containers), so the
-whole index serialises to JSON.  :func:`load_or_build_index` uses that to
-cache the index on disk keyed by a digest of every source file — edits
-invalidate the cache, and a warm ``repro lint`` skips the cross-module
-extraction pass entirely.
+Everything in the index is plain data (str/int/bool containers) and is
+rebuilt from the parsed modules on every run.
 
 The extraction is deliberately *approximate where Python is dynamic*:
 f-string fork labels index as ``label=None``, ``getattr``-style access
@@ -45,10 +37,7 @@ error, so dynamic code degrades gracefully (see
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.project import (
@@ -69,19 +58,12 @@ __all__ = [
     "AccumSite",
     "DtypeMention",
     "RngCall",
-    "PayloadArg",
     "PoolSite",
     "UnorderedSite",
     "BatchPairSite",
     "ProjectIndex",
     "build_index",
-    "load_or_build_index",
-    "project_digest",
 ]
-
-#: Bumped whenever the index shape changes; stale on-disk caches with a
-#: different version are rebuilt, never reinterpreted.
-INDEX_VERSION = 3
 
 #: Receiver path segments that mark state as sim-owned for the E1 family.
 SIM_OWNED_SEGMENTS = ("system", "microservice", "microservices", "cluster")
@@ -219,23 +201,6 @@ class RngCall:
 
 
 @dataclass
-class PayloadArg:
-    """One value flowing across a process boundary at a pool site (W1)."""
-
-    line: int
-    column: int
-    #: ``name`` | ``attribute`` | ``lambda`` | ``call`` | ``const`` |
-    #: ``other``.
-    form: str
-    #: Simple name for ``name``/``attribute`` forms; None otherwise.
-    name: Optional[str] = None
-    #: Simple callee name for ``call`` forms; None otherwise.
-    callee: Optional[str] = None
-    #: Dotted receiver chain for ``attribute`` forms (``self.tracer``).
-    chain: Optional[str] = None
-
-
-@dataclass
 class PoolSite:
     """One pool/executor dispatch (``pool.map(fn, ...)``) or
     ``Process(target=fn)`` construction."""
@@ -253,9 +218,6 @@ class PoolSite:
     worker_form: str
     #: Qualified enclosing scope; "" at module level.
     function: str
-    #: Every argument shipped to the worker (everything after the
-    #: callable itself) — the raw material of the W1 payload rules.
-    payloads: List[PayloadArg] = field(default_factory=list)
 
 
 @dataclass
@@ -287,9 +249,6 @@ class BatchPairSite:
     serial_name: Optional[str]
     #: Positional parameter names of the batch function, in order.
     batch_params: List[str] = field(default_factory=list)
-    #: Constant ``shapes="..."`` contract string from the decorator; None
-    #: when absent or computed (V201 then fires on registered twins).
-    shapes: Optional[str] = None
 
 
 @dataclass
@@ -320,23 +279,12 @@ class FunctionInfo:
     #: any analysis question matters; excluded from mutation findings.
     rebound_params: List[str] = field(default_factory=list)
     rng_calls: List[RngCall] = field(default_factory=list)
-    #: Sorted names of functions/classes defined *inside* this function;
-    #: pickling them across a process boundary always fails (W101).
-    local_defs: List[str] = field(default_factory=list)
-    #: Local name -> simple callee name of its last call-result binding
-    #: (``fh = open(...)`` -> ``{"fh": "open"}``); W102 raw material.
-    call_bindings: Dict[str, str] = field(default_factory=dict)
-    #: Statement/expression mini-IR of the function body (plain JSON
-    #: dicts) evaluated by :mod:`repro.analysis.shapes`.
-    shape_stmts: List[Dict] = field(default_factory=list)
 
 
 @dataclass
 class ProjectIndex:
-    """Whole-project facts, all plain data (JSON-serialisable)."""
+    """Whole-project facts, all plain data."""
 
-    version: int = INDEX_VERSION
-    digest: str = ""
     #: module dotted name -> sorted top-level symbol names.
     symbols: Dict[str, List[str]] = field(default_factory=dict)
     imports: List[ImportEdge] = field(default_factory=list)
@@ -364,111 +312,10 @@ class ProjectIndex:
     #: module -> sorted top-level names bound to RNG factory calls.
     rng_globals: Dict[str, List[str]] = field(default_factory=dict)
 
-    # Serialisation --------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ProjectIndex":
-        index = cls(version=data["version"], digest=data["digest"])
-        index.symbols = {k: list(v) for k, v in data["symbols"].items()}
-        index.imports = [ImportEdge(**e) for e in data["imports"]]
-        index.fork_sites = [ForkSite(**s) for s in data["fork_sites"]]
-        index.emit_sites = [EmitSite(**s) for s in data["emit_sites"]]
-        index.schemas = {
-            k: (list(v) if v is not None else None)
-            for k, v in data["schemas"].items()
-        }
-        index.schema_module = data["schema_module"]
-        index.functions = [
-            FunctionInfo(
-                path=f["path"],
-                line=f["line"],
-                column=f["column"],
-                module=f["module"],
-                qualname=f["qualname"],
-                name=f["name"],
-                calls=list(f["calls"]),
-                writes=[AttributeWrite(**w) for w in f["writes"]],
-                decorated=f["decorated"],
-                params=list(f["params"]),
-                reads=list(f["reads"]),
-                dtype_mentions=[
-                    DtypeMention(**d) for d in f["dtype_mentions"]
-                ],
-                accum_loops=[AccumSite(**a) for a in f["accum_loops"]],
-                float_names=list(f["float_names"]),
-                param_mutations=[
-                    ParamMutation(**m) for m in f["param_mutations"]
-                ],
-                rebound_params=list(f["rebound_params"]),
-                rng_calls=[RngCall(**r) for r in f["rng_calls"]],
-                local_defs=list(f["local_defs"]),
-                call_bindings=dict(f["call_bindings"]),
-                shape_stmts=list(f["shape_stmts"]),
-            )
-            for f in data["functions"]
-        ]
-        index.scheduled_callbacks = list(data["scheduled_callbacks"])
-        index.value_refs = list(data["value_refs"])
-        index.toplevel_calls = list(data["toplevel_calls"])
-        index.pool_sites = [
-            PoolSite(
-                **{k: v for k, v in s.items() if k != "payloads"},
-                payloads=[PayloadArg(**p) for p in s["payloads"]],
-            )
-            for s in data["pool_sites"]
-        ]
-        index.unordered_sites = [
-            UnorderedSite(**s) for s in data["unordered_sites"]
-        ]
-        index.batch_pairs = [
-            BatchPairSite(
-                path=b["path"],
-                line=b["line"],
-                column=b["column"],
-                module=b["module"],
-                class_name=b["class_name"],
-                batch_name=b["batch_name"],
-                serial_name=b["serial_name"],
-                batch_params=list(b["batch_params"]),
-                shapes=b["shapes"],
-            )
-            for b in data["batch_pairs"]
-        ]
-        index.mutable_globals = {
-            k: list(v) for k, v in data["mutable_globals"].items()
-        }
-        index.rng_globals = {
-            k: list(v) for k, v in data["rng_globals"].items()
-        }
-        return index
-
-
-def project_digest(project: Project, fingerprint: str = "") -> str:
-    """Content digest over every module; the index cache key.
-
-    ``fingerprint`` folds analysis configuration into the key (see
-    :meth:`LintConfig.fingerprint`) so a ``[tool.reprolint]`` change
-    invalidates the cache even when no source changed.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(f"v{INDEX_VERSION}".encode())
-    if fingerprint:
-        hasher.update(b"\x02")
-        hasher.update(fingerprint.encode("utf-8", errors="replace"))
-        hasher.update(b"\x03")
-    for module in sorted(project.modules, key=lambda m: m.display_path):
-        hasher.update(module.display_path.encode())
-        hasher.update(b"\x00")
-        hasher.update(module.source.encode("utf-8", errors="replace"))
-        hasher.update(b"\x01")
-    return hasher.hexdigest()
-
-
-def build_index(project: Project, fingerprint: str = "") -> ProjectIndex:
+def build_index(project: Project) -> ProjectIndex:
     """Extract the whole-project index from parsed modules."""
-    index = ProjectIndex(digest=project_digest(project, fingerprint))
+    index = ProjectIndex()
     scheduled: Set[str] = set()
     value_refs: Set[str] = set()
     toplevel_calls: Set[str] = set()
@@ -725,7 +572,7 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.function_stack.append(info)
         self._fn_aux.append({
             "reads": set(), "stores": set(),
-            "floats": set(), "rebound": set(), "bindings": {},
+            "floats": set(), "rebound": set(),
         })
         outer_loop_depth, self.loop_depth = self.loop_depth, 0
         body = node.body
@@ -745,16 +592,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         )
         info.float_names = sorted(aux["floats"])
         info.rebound_params = sorted(aux["rebound"])
-        info.call_bindings = dict(sorted(aux["bindings"].items()))
-        local_defs = set()
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, (
-                    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                )):
-                    local_defs.add(sub.name)
-        info.local_defs = sorted(local_defs)
-        info.shape_stmts = _shape_stmt_ir(body)
         self.function_stack.pop()
         self.scope_kinds.pop()
         self.scope.pop()
@@ -772,14 +609,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                     first.value, str
                 ):
                     serial = first.value
-            shapes: Optional[str] = None
-            for kw in decorator.keywords:
-                if (
-                    kw.arg == "shapes"
-                    and isinstance(kw.value, ast.Constant)
-                    and isinstance(kw.value.value, str)
-                ):
-                    shapes = kw.value.value
             class_name = (
                 self.scope[-1]
                 if self.scope_kinds and self.scope_kinds[-1] == "class"
@@ -794,7 +623,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                 batch_name=node.name,
                 serial_name=serial,
                 batch_params=list(params),
-                shapes=shapes,
             ))
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -872,10 +700,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             node.value.value, float
         ):
             aux["floats"].add(target.id)
-        if isinstance(node.value, ast.Call):
-            callee = _simple_call_name(node.value.func)
-            if callee is not None:
-                aux["bindings"][target.id] = callee
         if target.id in info.params and not _alias_preserving_rebind(
             node.value, target.id
         ):
@@ -970,7 +794,7 @@ class _ModuleVisitor(ast.NodeVisitor):
         # String dtype tokens count as mentions only in dtype-bearing
         # positions (``dtype="float32"``, ``astype("float32")``): a bare
         # "float64" in a comparison or table is a *check*, not a
-        # provenance source — the V105 inference covers those instead.
+        # provenance source.
         for kw in node.keywords:
             if (
                 kw.arg == "dtype"
@@ -1013,13 +837,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                 worker, form = _worker_descriptor(
                     node.args[0] if node.args else None
                 )
-                payloads = [
-                    _payload_descriptor(arg) for arg in node.args[1:]
-                ] + [
-                    _payload_descriptor(kw.value)
-                    for kw in node.keywords
-                    if kw.arg is not None
-                ]
                 self.index.pool_sites.append(PoolSite(
                     path=self.module.display_path,
                     line=node.lineno,
@@ -1030,7 +847,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                     worker=worker,
                     worker_form=form,
                     function=function,
-                    payloads=payloads,
                 ))
         elif simple == "Process":
             target = next(
@@ -1040,20 +856,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             if target is None:
                 return
             worker, form = _worker_descriptor(target)
-            payloads: List[PayloadArg] = []
-            for kw in node.keywords:
-                if kw.arg not in ("args", "kwargs"):
-                    continue
-                if isinstance(kw.value, (ast.Tuple, ast.List)):
-                    payloads.extend(
-                        _payload_descriptor(elt) for elt in kw.value.elts
-                    )
-                elif isinstance(kw.value, ast.Dict):
-                    payloads.extend(
-                        _payload_descriptor(v) for v in kw.value.values
-                    )
-                else:
-                    payloads.append(_payload_descriptor(kw.value))
             self.index.pool_sites.append(PoolSite(
                 path=self.module.display_path,
                 line=node.lineno,
@@ -1064,7 +866,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                 worker=worker,
                 worker_form=form,
                 function=function,
-                payloads=payloads,
             ))
 
     def visit_Name(self, node: ast.Name) -> None:
@@ -1208,322 +1009,3 @@ def _write_target(target: ast.AST) -> Optional[str]:
     if dotted is None:
         return None
     return dotted + suffix
-
-
-def _payload_descriptor(node: ast.AST) -> PayloadArg:
-    """W1 descriptor for one value handed to a pool dispatch."""
-    line = getattr(node, "lineno", 1)
-    column = getattr(node, "col_offset", 0) + 1
-    if isinstance(node, ast.Name):
-        return PayloadArg(line, column, "name", name=node.id)
-    if isinstance(node, ast.Attribute):
-        return PayloadArg(
-            line, column, "attribute", name=node.attr,
-            chain=dotted_name(node) or receiver_key(node),
-        )
-    if isinstance(node, ast.Lambda):
-        return PayloadArg(line, column, "lambda")
-    if isinstance(node, ast.Call):
-        return PayloadArg(
-            line, column, "call", callee=_simple_call_name(node.func),
-        )
-    if isinstance(node, ast.Constant):
-        return PayloadArg(line, column, "const")
-    return PayloadArg(line, column, "other")
-
-
-# Shape IR -----------------------------------------------------------------
-#
-# A tiny statement/expression IR — plain dicts with short keys, so the
-# whole thing rides in the JSON index cache — that
-# :mod:`repro.analysis.shapes` evaluates abstractly.  Everything the
-# interpreter cannot use maps to ``{"k": "o"}`` (opaque), which the shape
-# domain treats as "unknown — stay silent".
-
-#: Expressions nested deeper than this collapse to opaque; bounds both
-#: extraction cost and cache size.
-_MAX_EXPR_DEPTH = 8
-
-#: Binary operators worth distinguishing (broadcast semantics are the
-#: same for all of them; matmul has its own shape algebra).
-_BINOP_NAMES = {
-    ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div",
-    ast.FloorDiv: "floordiv", ast.Mod: "mod", ast.Pow: "pow",
-    ast.MatMult: "matmul",
-}
-
-
-def _shape_expr_ir(node: ast.AST, depth: int = _MAX_EXPR_DEPTH) -> Dict:
-    if depth <= 0:
-        return {"k": "o"}
-    line = getattr(node, "lineno", 1)
-    column = getattr(node, "col_offset", 0) + 1
-    if isinstance(node, ast.Name):
-        return {"k": "n", "id": node.id}
-    if isinstance(node, ast.Constant):
-        value = node.value
-        if isinstance(value, bool):
-            return {"k": "c", "t": "bool"}
-        if isinstance(value, int):
-            return {"k": "c", "t": "int", "v": value}
-        if isinstance(value, float):
-            return {"k": "c", "t": "float"}
-        if isinstance(value, str):
-            return {"k": "c", "t": "str", "v": value}
-        if value is None:
-            return {"k": "c", "t": "none"}
-        return {"k": "c", "t": "o"}
-    if isinstance(node, (ast.Tuple, ast.List)):
-        return {
-            "k": "t",
-            "e": [_shape_expr_ir(e, depth - 1) for e in node.elts],
-        }
-    if isinstance(node, ast.Call):
-        fn = _simple_call_name(node.func)
-        recv = (
-            receiver_key(node.func.value)
-            if isinstance(node.func, ast.Attribute) else None
-        )
-        kwargs = {}
-        for kw in node.keywords:
-            if kw.arg is not None:
-                kwargs[kw.arg] = _shape_expr_ir(kw.value, depth - 1)
-        return {
-            "k": "call", "fn": fn, "recv": recv,
-            "a": [_shape_expr_ir(a, depth - 1) for a in node.args],
-            "kw": kwargs, "ln": line, "c": column,
-        }
-    if isinstance(node, ast.BinOp):
-        op = _BINOP_NAMES.get(type(node.op))
-        if op is None:
-            return {"k": "o"}
-        return {
-            "k": "b", "op": op,
-            "l": _shape_expr_ir(node.left, depth - 1),
-            "r": _shape_expr_ir(node.right, depth - 1),
-            "ln": line, "c": column,
-        }
-    if isinstance(node, ast.UnaryOp):
-        return {"k": "u", "v": _shape_expr_ir(node.operand, depth - 1)}
-    if isinstance(node, (ast.Compare, ast.BoolOp)):
-        return {"k": "cmp"}
-    if isinstance(node, ast.Attribute):
-        return {
-            "k": "attr", "b": _shape_expr_ir(node.value, depth - 1),
-            "at": node.attr, "ln": line, "c": column,
-        }
-    if isinstance(node, ast.Subscript):
-        return {
-            "k": "sub", "b": _shape_expr_ir(node.value, depth - 1),
-            "i": _shape_index_ir(node.slice, depth - 1),
-            "ln": line, "c": column,
-        }
-    if isinstance(node, ast.IfExp):
-        return {
-            "k": "ife",
-            "b": _shape_expr_ir(node.body, depth - 1),
-            "o": _shape_expr_ir(node.orelse, depth - 1),
-        }
-    if isinstance(node, ast.Starred):
-        return {"k": "o"}
-    return {"k": "o"}
-
-
-def _shape_index_ir(node: ast.AST, depth: int) -> Dict:
-    """Subscript index descriptor: int / slice / newaxis / tuple / opaque."""
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return {"k": "i", "v": node.value}
-        if node.value is None:
-            return {"k": "na"}  # x[None] inserts an axis
-        return {"k": "o"}
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = node.operand
-        if isinstance(inner, ast.Constant) and isinstance(inner.value, int):
-            return {"k": "i", "v": -inner.value}
-        return {"k": "o"}
-    if isinstance(node, ast.Slice):
-        return {"k": "sl"}
-    if isinstance(node, (ast.Name, ast.Attribute)):
-        name = node.id if isinstance(node, ast.Name) else node.attr
-        if name == "newaxis":
-            return {"k": "na"}
-        return {"k": "o"}
-    if isinstance(node, ast.Tuple):
-        if depth <= 0:
-            return {"k": "o"}
-        return {
-            "k": "tup",
-            "e": [_shape_index_ir(e, depth - 1) for e in node.elts],
-        }
-    return {"k": "o"}
-
-
-def _cond_mentions_shape(node: ast.AST) -> bool:
-    """True when a branch condition reads ``.shape`` or ``.ndim``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr in ("shape", "ndim"):
-            return True
-    return False
-
-
-def _cond_mentions_ndim(node: ast.AST) -> bool:
-    """True when a branch condition reads ``.ndim`` — rank dispatch,
-    the pattern V104 flags (size logic on ``.shape`` stays exempt)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == "ndim":
-            return True
-    return False
-
-
-def _raise_only(body: List[ast.stmt]) -> bool:
-    """True when a branch body only raises (a validation guard)."""
-    return bool(body) and all(isinstance(s, ast.Raise) for s in body)
-
-
-def _shape_stmt_ir(body: List[ast.stmt]) -> List[Dict]:
-    """Statement IR for one function body (nested defs excluded)."""
-    out: List[Dict] = []
-    for stmt in body:
-        line = getattr(stmt, "lineno", 1)
-        column = getattr(stmt, "col_offset", 0) + 1
-        if isinstance(stmt, (
-            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-        )):
-            continue  # nested defs are their own FunctionInfo
-        if isinstance(stmt, ast.Assign):
-            names = [
-                t.id for t in stmt.targets if isinstance(t, ast.Name)
-            ]
-            if len(stmt.targets) == 1 and names:
-                out.append({
-                    "s": "assign", "t": names,
-                    "e": _shape_expr_ir(stmt.value),
-                    "ln": line, "c": column,
-                })
-            else:
-                # Tuple unpacking / attribute targets: kill any plain
-                # names so stale shapes never survive an opaque write.
-                killed = []
-                for target in stmt.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name):
-                            killed.append(sub.id)
-                out.append({"s": "clear", "t": killed})
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None and isinstance(stmt.target, ast.Name):
-                out.append({
-                    "s": "assign", "t": [stmt.target.id],
-                    "e": _shape_expr_ir(stmt.value),
-                    "ln": line, "c": column,
-                })
-        elif isinstance(stmt, ast.AugAssign):
-            if isinstance(stmt.target, ast.Name) and type(
-                stmt.op
-            ) in _BINOP_NAMES:
-                out.append({
-                    "s": "assign", "t": [stmt.target.id],
-                    "e": {
-                        "k": "b", "op": _BINOP_NAMES[type(stmt.op)],
-                        "l": {"k": "n", "id": stmt.target.id},
-                        "r": _shape_expr_ir(stmt.value),
-                        "ln": line, "c": column,
-                    },
-                    "ln": line, "c": column,
-                })
-        elif isinstance(stmt, ast.Return):
-            out.append({
-                "s": "return",
-                "e": (
-                    _shape_expr_ir(stmt.value)
-                    if stmt.value is not None else None
-                ),
-                "ln": line, "c": column,
-            })
-        elif isinstance(stmt, ast.If):
-            out.append({
-                "s": "if",
-                "shape_cond": _cond_mentions_shape(stmt.test),
-                "ndim_cond": _cond_mentions_ndim(stmt.test),
-                "raise_only": _raise_only(stmt.body),
-                "body": _shape_stmt_ir(stmt.body),
-                "orelse": _shape_stmt_ir(stmt.orelse),
-                "ln": line, "c": column,
-            })
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            out.append({
-                "s": "for",
-                "t": (
-                    stmt.target.id
-                    if isinstance(stmt.target, ast.Name) else None
-                ),
-                "iter": _shape_expr_ir(stmt.iter),
-                "body": _shape_stmt_ir(stmt.body + stmt.orelse),
-                "ln": line, "c": column,
-            })
-        elif isinstance(stmt, ast.While):
-            out.append({
-                "s": "while",
-                "body": _shape_stmt_ir(stmt.body + stmt.orelse),
-                "ln": line, "c": column,
-            })
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            out.extend(_shape_stmt_ir(stmt.body))
-        elif isinstance(stmt, ast.Try):
-            handler_body: List[ast.stmt] = []
-            for handler in stmt.handlers:
-                handler_body.extend(handler.body)
-            out.append({
-                "s": "if",
-                "shape_cond": False,
-                "raise_only": False,
-                "body": _shape_stmt_ir(
-                    stmt.body + stmt.orelse + stmt.finalbody
-                ),
-                "orelse": _shape_stmt_ir(handler_body),
-                "ln": line, "c": column,
-            })
-        elif isinstance(stmt, ast.Expr):
-            out.append({
-                "s": "expr", "e": _shape_expr_ir(stmt.value),
-                "ln": line, "c": column,
-            })
-    return out
-
-
-# Cache --------------------------------------------------------------------
-
-def load_or_build_index(
-    project: Project,
-    cache_path: Optional[Path] = None,
-    fingerprint: str = "",
-) -> ProjectIndex:
-    """Return the index for ``project``, via the on-disk cache if valid.
-
-    The cache is keyed by :func:`project_digest`; any source edit, file
-    addition, removal, or (via ``fingerprint``) ``[tool.reprolint]``
-    config change alters the digest and forces a rebuild.  Cache IO
-    failures (corrupt file, permissions) silently fall back to a
-    rebuild — the cache is an optimisation, never a correctness input.
-    """
-    digest = project_digest(project, fingerprint)
-    if cache_path is not None and cache_path.exists():
-        try:
-            data = json.loads(cache_path.read_text(encoding="utf-8"))
-            if (
-                data.get("version") == INDEX_VERSION
-                and data.get("digest") == digest
-            ):
-                return ProjectIndex.from_dict(data)
-        except (ValueError, KeyError, TypeError):
-            pass
-    index = build_index(project, fingerprint)
-    if cache_path is not None:
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(
-                json.dumps(index.to_dict()) + "\n", encoding="utf-8"
-            )
-        except OSError:
-            pass
-    return index

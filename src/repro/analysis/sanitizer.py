@@ -21,16 +21,6 @@ agree on one invariant set:
   raises, and (c) hashes every array argument before and after the call,
   so in-place mutation leaking across the registered boundary fails at
   the exact call site the static N103 pass could not prove.
-- **Shape contracts** (static V2): the same guard binds the pair's
-  declared ``shapes=`` contract against the *observed* call — scalar
-  specs bind their symbol to the passed int, array specs bind each
-  symbolic axis to the observed extent (a rank-mismatched argument
-  simply doesn't bind; the serial-compat paths legitimise 1-D inputs
-  via ``atleast_2d``) — and raises when one symbol binds two different
-  extents in a single call or, once the batch symbol ``K`` is bound,
-  when the result's shape diverges from the declared return.  Observed
-  shapes are recorded per pair in :attr:`SanitizerState.pair_shapes`,
-  giving the static inference a dynamic twin.
 
 Activation is explicit and reversible::
 
@@ -96,10 +86,6 @@ class SanitizerState:
         #: BatchPair.key -> floating result dtype pinned by the first
         #: guarded call; later drift raises.
         self.pair_dtypes: dict = {}
-        #: BatchPair.key -> observed (argument shapes, result shape)
-        #: tuples for calls checked against the shapes= contract (capped
-        #: per pair; entries are plain tuples/ints/None).
-        self.pair_shapes: dict = {}
         #: Streams whose per-instance label registry we populated, so
         #: reset() can clear them (weakrefs: never prolong lifetimes).
         self._touched: List[weakref.ref] = []
@@ -110,7 +96,6 @@ class SanitizerState:
         self.violations = 0
         self.pair_calls.clear()
         self.pair_dtypes.clear()
-        self.pair_shapes.clear()
         for ref in self._touched:
             stream = ref()
             if stream is not None and hasattr(stream, _FORKED_ATTR):
@@ -145,11 +130,6 @@ def activate() -> None:
 
     import numpy as np
 
-    from repro.analysis.shapes import (
-        BATCH_SYMBOL,
-        ContractError,
-        parse_contract,
-    )
     from repro.telemetry.records import validate_record
     from repro.telemetry.tracer import Tracer
     from repro.utils import batchpairs
@@ -206,123 +186,6 @@ def activate() -> None:
         ).hexdigest()
         return str(value.dtype), value.shape, digest
 
-    # shapes= contracts are static per pair: parse once per activation.
-    contracts: dict = {}
-
-    def pair_contract(pair):
-        if pair.key not in contracts:
-            if pair.shapes is None:
-                contracts[pair.key] = None
-            else:
-                try:
-                    contracts[pair.key] = parse_contract(pair.shapes)
-                except ContractError:
-                    # Malformed contracts are the static V201 rule's
-                    # finding; the runtime guard degrades gracefully.
-                    contracts[pair.key] = None
-        return contracts[pair.key]
-
-    def check_pair_shapes(pair, fn, args, kwargs, result):
-        contract = pair_contract(pair)
-        if contract is None:
-            return
-        code = fn.__code__
-        names = code.co_varnames[:code.co_argcount]
-        offset = 1 if names and names[0] == "self" else 0
-        bindings: dict = {}
-
-        def bind(symbol, observed, what):
-            prior = bindings.setdefault(symbol, observed)
-            if prior != observed:
-                state.violations += 1
-                raise SanitizerError(
-                    f"batch-axis contract violation: "
-                    f"{pair.batch_qualname} binds `{symbol}` to both "
-                    f"{prior} and {observed} in one call ({what}); "
-                    f"declared shapes={pair.shapes!r}"
-                )
-
-        observed_args: list = []
-        for i, spec in enumerate(contract.params):
-            slot = offset + i
-            if slot < len(args):
-                value = args[slot]
-            elif slot < len(names) and names[slot] in kwargs:
-                value = kwargs[names[slot]]
-            else:
-                observed_args.append(None)
-                continue
-            label = names[slot] if slot < len(names) else f"arg{slot}"
-            if (
-                spec.kind == "int"
-                and isinstance(value, (int, np.integer))
-                and not isinstance(value, bool)
-            ):
-                observed_args.append(int(value))
-                bind(spec.symbol, int(value), f"scalar `{label}`")
-            elif spec.kind == "array" and isinstance(value, np.ndarray):
-                observed_args.append(value.shape)
-                if value.ndim != len(spec.dims):
-                    # A rank-mismatched argument does not bind: the
-                    # serial-compat paths legitimise 1-D inputs via
-                    # atleast_2d inside the twin.
-                    continue
-                for pos, dim in enumerate(spec.dims):
-                    if isinstance(dim, str):
-                        bind(
-                            dim, value.shape[pos],
-                            f"axis {pos} of `{label}`",
-                        )
-                    elif isinstance(dim, int) and value.shape[pos] != dim:
-                        state.violations += 1
-                        raise SanitizerError(
-                            f"shape-contract violation: "
-                            f"{pair.batch_qualname} received `{label}` "
-                            f"with shape {value.shape} but the contract "
-                            f"pins axis {pos} to {dim}; declared "
-                            f"shapes={pair.shapes!r}"
-                        )
-            else:
-                observed_args.append(None)
-        ret = contract.ret
-        if (
-            ret is not None
-            and ret.kind == "array"
-            and BATCH_SYMBOL in bindings
-        ):
-            if not isinstance(result, np.ndarray) or result.ndim != len(
-                ret.dims
-            ):
-                got = (
-                    f"shape {result.shape}"
-                    if isinstance(result, np.ndarray)
-                    else f"a non-array {type(result).__name__}"
-                )
-                state.violations += 1
-                raise SanitizerError(
-                    f"shape-contract violation: {pair.batch_qualname} "
-                    f"declared a rank-{len(ret.dims)} batch return but "
-                    f"produced {got}; declared shapes={pair.shapes!r}"
-                )
-            for pos, dim in enumerate(ret.dims):
-                if isinstance(dim, str):
-                    bind(dim, result.shape[pos], f"axis {pos} of the result")
-                elif isinstance(dim, int) and result.shape[pos] != dim:
-                    state.violations += 1
-                    raise SanitizerError(
-                        f"shape-contract violation: "
-                        f"{pair.batch_qualname} returned shape "
-                        f"{result.shape} but the contract pins result "
-                        f"axis {pos} to {dim}; declared "
-                        f"shapes={pair.shapes!r}"
-                    )
-        observed = state.pair_shapes.setdefault(pair.key, [])
-        if len(observed) < 32:
-            observed.append((
-                tuple(observed_args),
-                result.shape if isinstance(result, np.ndarray) else None,
-            ))
-
     def batch_pair_guard(pair, fn, args, kwargs):
         arrays = [
             (label, value)
@@ -370,7 +233,6 @@ def activate() -> None:
                     f"returned {pinned}; the serial/batch equivalence "
                     "contract assumes a stable dtype"
                 )
-        check_pair_shapes(pair, fn, args, kwargs, result)
         state.pair_calls[pair.key] += 1
         return result
 

@@ -220,7 +220,7 @@ class EnvironmentModel:
         decoded = self._decode_prediction(state2, y)
         return decoded[0] if single else decoded
 
-    @batched_pair("predict", shapes="(K, state_dim), (K, action_dim) -> (K, state_dim)")
+    @batched_pair("predict")
     def predict_batch(
         self, states: np.ndarray, actions: np.ndarray
     ) -> np.ndarray:

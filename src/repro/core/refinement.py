@@ -128,7 +128,7 @@ class RefinedModel:
             state[np.newaxis], np.atleast_2d(action)
         )[0]
 
-    @batched_pair("predict", shapes="(K, state_dim), (K, action_dim) -> (K, state_dim)")
+    @batched_pair("predict")
     def predict_batch(
         self, states: np.ndarray, actions: np.ndarray
     ) -> np.ndarray:

@@ -24,7 +24,7 @@ def reward_eq1(wip: np.ndarray) -> float:
     return 1.0 - float(wip.sum())
 
 
-@batched_pair("reward_eq1", shapes="(K, state_dim) -> (K,)")
+@batched_pair("reward_eq1")
 def reward_eq1_batch(wip: np.ndarray) -> np.ndarray:
     """Eq. (1) over a ``(K, state_dim)`` batch; returns ``(K,)`` rewards.
 

@@ -95,7 +95,7 @@ class Actor:
         """Actions for already-:meth:`normalize`-d states (one forward)."""
         return self._mix((network or self.network).forward(features))
 
-    @batched_pair("act", shapes="(K, state_dim), _ -> (K, action_dim)")
+    @batched_pair("act")
     def act_batch(
         self, states: np.ndarray, network: Optional[MLP] = None
     ) -> np.ndarray:

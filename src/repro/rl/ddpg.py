@@ -221,7 +221,7 @@ class DDPGAgent:
             noisy = project_to_simplex(noisy)
         return noisy
 
-    @batched_pair("act", shapes="(K, state_dim), _ -> (K, action_dim)")
+    @batched_pair("act")
     def act_batch(
         self, states: np.ndarray, explore: bool = True
     ) -> np.ndarray:

@@ -39,7 +39,7 @@ ingested (no out-of-order partial state, no silent loss).
 Process safety: the worker entry point :func:`run_collect_episode` is
 module-level and its payload is a plain dict of scalars, strings and
 numpy arrays — no live RNG generators, tracers, sinks or open handles
-(reprolint P101–P104 / W101–W103).
+(reprolint P101–P104).
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def policy_payload(ddpg) -> Dict:
     Ships the actor weights plus the handful of hyper-parameters the
     exploration schedule needs.  Deliberately *not* the whole agent: no
     critic, no replay buffer, no RNG stream, no tracer — the payload
-    must survive pickling into a worker process untouched (W102/W103).
+    must survive pickling into a worker process untouched.
     """
     cfg = ddpg.config
     return {

@@ -48,7 +48,7 @@ def project_to_simplex(vector: np.ndarray) -> np.ndarray:
     return np.maximum(vector - theta, 0.0)
 
 
-@batched_pair("project_to_simplex", shapes="(K, dim) -> (K, dim)")
+@batched_pair("project_to_simplex")
 def project_to_simplex_batch(vectors: np.ndarray) -> np.ndarray:
     """Row-wise :func:`project_to_simplex` for a ``(K, dim)`` batch.
 
@@ -74,7 +74,7 @@ class GaussianActionNoise:
     def sample(self, action_dim: int, rng: RngStream) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=action_dim)
 
-    @batched_pair("sample", shapes="K, action_dim, _ -> (K, action_dim)")
+    @batched_pair("sample")
     def sample_batch(
         self, batch: int, action_dim: int, rng: RngStream
     ) -> np.ndarray:
@@ -123,7 +123,7 @@ class OrnsteinUhlenbeckNoise:
         self._state = self._state + drift + diffusion
         return self._state.copy()
 
-    @batched_pair("sample", shapes="K, action_dim, _ -> (K, action_dim)")
+    @batched_pair("sample")
     def sample_batch(
         self, batch: int, action_dim: int, rng: RngStream
     ) -> np.ndarray:

@@ -93,7 +93,7 @@ def sample_service_time(mean: float, cv: float, rng) -> float:
     return float(rng.lognormal(mean=mu, sigma=sigma))
 
 
-@batched_pair("sample_service_time", shapes="K, _, _, _ -> (K,)")
+@batched_pair("sample_service_time")
 def sample_service_times(batch: int, mean: float, cv: float, rng) -> np.ndarray:
     """``batch`` lognormal service times in one draw; shape ``(batch,)``.
 

@@ -109,7 +109,7 @@ class DelayByArrivalWindow:
     def record_arrival(self, window_index: int, workflow_type: str) -> None:
         self._arrived[(window_index, workflow_type)] += 1
 
-    @batched_pair("record_arrival", shapes="K, _, _ -> _")
+    @batched_pair("record_arrival")
     def record_arrivals(
         self, count: int, window_index: int, workflow_type: str
     ) -> None:

@@ -681,7 +681,7 @@ class BatchedMicroservice:
             )
         self._dispatch()
 
-    @batched_pair("publish", shapes="(K,) -> _")
+    @batched_pair("publish")
     def publish_many(self, tasks) -> None:
         """Enqueue a batch of task indices, then dispatch once.
 

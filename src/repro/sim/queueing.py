@@ -204,7 +204,7 @@ class IndexFifo:
         self._buf[self._tail] = value
         self._tail += 1
 
-    @batched_pair("push", shapes="(K,) -> _")
+    @batched_pair("push")
     def push_many(self, values) -> None:
         """Append a batch of indices at the tail, in order.
 

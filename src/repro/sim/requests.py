@@ -203,7 +203,7 @@ class RequestPool:
         self.num_workflows = i + 1
         return i
 
-    @batched_pair("add_workflow", shapes="K, _, _, _, _, (n_task_types,) -> _")
+    @batched_pair("add_workflow")
     def add_workflows(
         self,
         count: int,
@@ -249,7 +249,7 @@ class RequestPool:
         self.num_tasks = i + 1
         return i
 
-    @batched_pair("add_task", shapes="(K,), (K,), _ -> (K,)")
+    @batched_pair("add_task")
     def add_tasks(self, task_types, workflows, published_at) -> np.ndarray:
         """Append a batch of task rows; returns their indices in order.
 

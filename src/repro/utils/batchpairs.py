@@ -62,14 +62,6 @@ class BatchPair:
     batch_qualname: str
     serial_name: str
     batch_name: str
-    #: Declared shape contract for the batch twin's positional
-    #: parameters after ``self`` and its return, in the grammar parsed
-    #: by :func:`repro.analysis.shapes.parse_contract` — e.g.
-    #: ``"(K, state_dim), (K, action_dim) -> (K, state_dim)"``.  ``K``
-    #: is the leading batch axis; a bare identifier binds a scalar int
-    #: symbol; ``_`` leaves a slot unchecked.  None means undeclared
-    #: (reprolint's V201 fires on registered twins without one).
-    shapes: Optional[str] = None
 
     @property
     def key(self) -> str:
@@ -87,29 +79,17 @@ _REGISTRY: Dict[str, BatchPair] = {}
 _RUNTIME_GUARD: Optional[Callable[..., Any]] = None
 
 
-def batched_pair(
-    serial_name: str, *, shapes: Optional[str] = None
-) -> Callable:
+def batched_pair(serial_name: str) -> Callable:
     """Declare the decorated function as the batch twin of ``serial_name``.
 
     ``serial_name`` is the *simple* name of the serial function in the
     same scope (same class for methods, same module for free functions);
     reprolint resolves and checks it statically, so a typo here fails CI
     rather than silently registering an unpaired function.
-
-    ``shapes`` declares the batch twin's array-shape contract (see
-    :class:`BatchPair.shapes`).  It is read both statically — reprolint's
-    V2 family parses it from source and proves the leading batch axis
-    flows entry-to-return — and at runtime, where the sanitizer binds
-    its symbols against observed argument shapes on every call.
     """
     require(
         isinstance(serial_name, str) and serial_name.isidentifier(),
         f"serial_name must be a Python identifier, got {serial_name!r}",
-    )
-    require(
-        shapes is None or (isinstance(shapes, str) and shapes.strip()),
-        "shapes must be a non-empty contract string when given",
     )
 
     def decorate(fn: Callable) -> Callable:
@@ -122,7 +102,6 @@ def batched_pair(
             batch_qualname=qualname,
             serial_name=serial_name,
             batch_name=fn.__name__,
-            shapes=shapes,
         )
         _REGISTRY[pair.key] = pair
 

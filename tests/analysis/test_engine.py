@@ -3,6 +3,8 @@
 import json
 import textwrap
 
+import pytest
+
 from repro.analysis.baseline import Baseline
 from repro.analysis.cli import main as lint_main
 from repro.analysis.config import LintConfig, load_config
@@ -124,6 +126,47 @@ class TestConfig:
         assert config.baseline_path() == tmp_path / "base.json"
         assert config.exclude == ["lib/_gen"]
 
+    def test_load_config_accepts_every_documented_key(self, tmp_path):
+        (tmp_path / "pyproject.toml").write_text(src("""
+            [tool.reprolint]
+            paths = ["lib"]
+            disable = []
+            baseline = "base.json"
+            exclude = []
+            sim_packages = ["lib.sim"]
+            step_entrypoints = ["tick"]
+            hotpath_roots = ["tick"]
+
+            [tool.reprolint.layers]
+            "lib.sim" = []
+        """), encoding="utf-8")
+        config = load_config(tmp_path)
+        assert config.hotpath_roots == ["tick"]
+        assert config.layers == {"lib.sim": []}
+
+    def test_load_config_rejects_unknown_and_removed_keys(
+        self, tmp_path, capsys
+    ):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(src("""
+            [tool.reprolint]
+            hotpath_root = ["tick"]
+        """), encoding="utf-8")
+        with pytest.raises(ValueError, match="hotpath_root") as excinfo:
+            load_config(tmp_path)
+        assert "hotpath_roots" in str(excinfo.value)  # the accepted set
+        assert lint_main(["--root", str(tmp_path), str(tmp_path)]) == 2
+        assert "hotpath_root" in capsys.readouterr().err
+
+        pyproject.write_text(src("""
+            [tool.reprolint]
+            cache = ".reprolint-cache.json"
+        """), encoding="utf-8")
+        with pytest.raises(
+            ValueError, match="removed: the index is rebuilt every run"
+        ):
+            load_config(tmp_path)
+
     def test_load_config_defaults_without_pyproject(self, tmp_path):
         config = load_config(tmp_path)
         assert config.paths == ["src/repro"]
@@ -240,9 +283,11 @@ class TestCli:
         assert "P001" in capsys.readouterr().out
 
     def test_unknown_disable_rule_is_usage_error(self, tmp_path, capsys):
-        assert lint_main(["--root", str(tmp_path),
-                          "--disable", "Z999", str(tmp_path)]) == 2
-        assert "unknown rule" in capsys.readouterr().err
+        # V101/W103 were rule ids once; a removed id is an unknown id.
+        for rule in ("Z999", "V101", "W103"):
+            assert lint_main(["--root", str(tmp_path),
+                              "--disable", rule, str(tmp_path)]) == 2
+            assert "unknown rule" in capsys.readouterr().err
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert lint_main([str(tmp_path / "nope"),

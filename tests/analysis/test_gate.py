@@ -10,18 +10,51 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.analysis.baseline import Baseline
-from repro.analysis.config import load_config
+from repro.analysis.config import LintConfig, load_config
 from repro.analysis.engine import run_analysis
+from repro.analysis.rules import all_rule_ids
 
 from tests.analysis.conftest import repo_root
 
+#: ``(path, line, rule)`` of every reported finding per tree, generated
+#: at the last commit that still had the V1/V2/W1 families (which
+#: reported nothing on any of these trees) by running the code of
+#: ``_triples`` below there.
+PINNED_FINDINGS = {
+    "src/repro": [],
+    "cyclepkg": [],
+    "dynpkg": [],
+    "reexport": [
+        ("reexport/__init__.py", 3, "A102"),
+        ("reexport/__init__.py", 3, "A102"),
+    ],
+}
+
+#: ``(path, rule)`` of every inline-suppressed finding in ``src/repro``.
+PINNED_SUPPRESSED = [
+    ("src/repro/nn/serialization.py", "D201"),
+    ("src/repro/telemetry/manifest.py", "D102"),
+    ("src/repro/telemetry/profile.py", "D102"),
+]
+
+
+def _triples(findings):
+    return sorted((f.path, f.line, f.rule) for f in findings)
+
+
+@pytest.fixture(scope="module")
+def library_result():
+    """One lint run over ``src/repro`` with the repo's own config."""
+    config = load_config(repo_root())
+    return run_analysis(config.resolved_paths(), config=config)
+
 
 class TestLintGate:
-    def test_src_repro_has_zero_findings(self):
-        root = repo_root()
-        config = load_config(root)
-        result = run_analysis(config.resolved_paths(), config=config)
+    def test_src_repro_has_zero_findings(self, library_result):
+        result = library_result
         details = "\n".join(f.format_text() for f in result.findings)
         assert result.findings == [], f"reprolint regressions:\n{details}"
         assert result.checked_files > 50
@@ -39,6 +72,7 @@ class TestLintGate:
     def test_module_cli_exits_zero(self):
         root = repo_root()
         env = dict(os.environ)
+        before = sorted(os.listdir(root))
         src = str(root / "src")
         env["PYTHONPATH"] = (
             src + os.pathsep + env["PYTHONPATH"]
@@ -54,3 +88,30 @@ class TestLintGate:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        # A lint run is read-only: nothing may appear next to pyproject.
+        assert sorted(os.listdir(root)) == before
+
+
+class TestRemainingRulesPinned:
+    """Deleting a rule family must not move a finding of the others."""
+
+    def test_thirty_rules_remain(self):
+        ids = all_rule_ids()
+        assert len(ids) == len(set(ids)) == 30
+        assert not [r for r in ids if r[0] in "VW"]
+
+    def test_library_tree_matches_the_pin(self, library_result):
+        assert (
+            _triples(library_result.findings) == PINNED_FINDINGS["src/repro"]
+        )
+        assert sorted(
+            (f.path, f.rule) for f in library_result.suppressed
+        ) == PINNED_SUPPRESSED
+
+    def test_fixture_packages_match_the_pin(self):
+        fixtures = repo_root() / "tests" / "analysis" / "fixtures"
+        for name in ("cyclepkg", "dynpkg", "reexport"):
+            result = run_analysis(
+                [fixtures / name], config=LintConfig(root=fixtures)
+            )
+            assert _triples(result.findings) == PINNED_FINDINGS[name], name

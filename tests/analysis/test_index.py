@@ -1,4 +1,4 @@
-"""The project index: extraction, graceful degradation, and the cache.
+"""The project index: extraction and graceful degradation.
 
 Runs :func:`repro.analysis.index.build_index` over the synthetic
 packages in ``tests/analysis/fixtures/`` (import cycles, re-export
@@ -7,18 +7,9 @@ that extraction is complete where Python is static and silent — never
 wrong — where it is dynamic.
 """
 
-import json
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.index import (
-    INDEX_VERSION,
-    ProjectIndex,
-    build_index,
-    load_or_build_index,
-    project_digest,
-)
+from repro.analysis.index import build_index
 from repro.analysis.project import Project, discover_files, parse_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -153,203 +144,3 @@ class TestForkSiteContext:
         assert index.schemas["blob"] is None  # unresolvable: unchecked
         # The computed key is skipped outright, never guessed.
         assert set(index.schemas) == {"tick", "blob"}
-
-
-class TestDigestAndCache:
-    def test_digest_changes_with_source(self, tmp_path):
-        before = project_digest(write_project(tmp_path, {"a.py": "x = 1\n"}))
-        (tmp_path / "a.py").write_text("x = 2\n", encoding="utf-8")
-        after = project_digest(write_project(tmp_path, {}))
-        assert before != after
-
-    def test_round_trip_through_dict(self):
-        index = build_index(load_fixture_project("cyclepkg", "dynpkg"))
-        clone = ProjectIndex.from_dict(
-            json.loads(json.dumps(index.to_dict()))
-        )
-        assert clone.to_dict() == index.to_dict()
-
-    def test_cache_hit_and_invalidation(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        project = write_project(tmp_path / "src", {"a.py": "x = 1\n"})
-        first = load_or_build_index(project, cache_path=cache)
-        assert cache.exists()
-        cached = json.loads(cache.read_text(encoding="utf-8"))
-        assert cached["version"] == INDEX_VERSION
-        assert cached["digest"] == first.digest
-
-        # Warm load returns the cached content.
-        warm = load_or_build_index(project, cache_path=cache)
-        assert warm.to_dict() == first.to_dict()
-
-        # A source edit changes the digest and forces a rebuild.
-        (tmp_path / "src" / "a.py").write_text("y = 2\n", encoding="utf-8")
-        edited = write_project(tmp_path / "src", {})
-        rebuilt = load_or_build_index(edited, cache_path=cache)
-        assert rebuilt.digest != first.digest
-        assert json.loads(cache.read_text())["digest"] == rebuilt.digest
-
-    def test_corrupt_cache_falls_back_to_rebuild(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        project = write_project(tmp_path / "src", {"a.py": "x = 1\n"})
-        index = load_or_build_index(project, cache_path=cache)
-        assert index.symbols["a"] == ["x"]
-
-
-class TestConfigFingerprintKeying:
-    """The cache key folds in the lint config, not just the sources:
-    editing ``[tool.reprolint]`` must invalidate the cached index even
-    when no source file changed."""
-
-    def test_digest_changes_with_fingerprint(self, tmp_path):
-        project = write_project(tmp_path, {"a.py": "x = 1\n"})
-        assert (
-            project_digest(project, "fp-one")
-            != project_digest(project, "fp-two")
-        )
-        # Same fingerprint stays stable across calls.
-        assert (
-            project_digest(project, "fp-one")
-            == project_digest(project, "fp-one")
-        )
-
-    def test_config_change_forces_rebuild(self, tmp_path):
-        from repro.analysis.config import LintConfig
-
-        cache = tmp_path / "cache.json"
-        project = write_project(tmp_path / "src", {"a.py": "x = 1\n"})
-        base = LintConfig(root=tmp_path)
-        first = load_or_build_index(
-            project, cache_path=cache, fingerprint=base.fingerprint()
-        )
-
-        # Unchanged config: warm cache hit, digest stable.
-        warm = load_or_build_index(
-            project, cache_path=cache, fingerprint=base.fingerprint()
-        )
-        assert warm.digest == first.digest
-
-        # A [tool.reprolint] edit (here: hotpath_roots) changes the
-        # fingerprint, so the cached digest no longer matches and the
-        # index is rebuilt and re-persisted under the new key.
-        edited = LintConfig(root=tmp_path, hotpath_roots=["main"])
-        assert edited.fingerprint() != base.fingerprint()
-        rebuilt = load_or_build_index(
-            project, cache_path=cache, fingerprint=edited.fingerprint()
-        )
-        assert rebuilt.digest != first.digest
-        assert (
-            json.loads(cache.read_text(encoding="utf-8"))["digest"]
-            == rebuilt.digest
-        )
-
-    def test_fingerprint_covers_every_behavioural_knob(self, tmp_path):
-        from repro.analysis.config import LintConfig
-
-        base = LintConfig(root=tmp_path)
-        variants = [
-            LintConfig(root=tmp_path, disable=["S103"]),
-            LintConfig(root=tmp_path, paths=["src", "tests"]),
-            LintConfig(root=tmp_path, exclude=["vendored"]),
-            LintConfig(root=tmp_path, sim_packages=["repro.other"]),
-            LintConfig(root=tmp_path, hotpath_roots=["act"]),
-            LintConfig(root=tmp_path, layers={"core": []}),
-        ]
-        prints = {c.fingerprint() for c in variants}
-        assert base.fingerprint() not in prints
-        assert len(prints) == len(variants)
-
-    def test_fingerprint_ignores_cache_location(self, tmp_path):
-        # Where the cache lives must not key the cache: moving the file
-        # would otherwise always miss.
-        from repro.analysis.config import LintConfig
-
-        a = LintConfig(root=tmp_path, cache="one.json")
-        b = LintConfig(root=tmp_path, cache="two.json")
-        assert a.fingerprint() == b.fingerprint()
-
-
-class TestCacheVersionSkew:
-    """The version gate: a cache produced by any other INDEX_VERSION is
-    discarded, whatever its digest says.
-
-    Each test poisons the cached symbol table while keeping the JSON
-    well-formed: a cache *hit* serves the poison, a rebuild restores
-    the truth — so the assertions can tell the two paths apart."""
-
-    def _prime_and_poison(self, tmp_path, mutate=None):
-        cache = tmp_path / "cache.json"
-        project = write_project(tmp_path / "src", {"a.py": "x = 1\n"})
-        load_or_build_index(project, cache_path=cache)
-        data = json.loads(cache.read_text(encoding="utf-8"))
-        data["symbols"]["a"] = ["poisoned"]
-        if mutate is not None:
-            mutate(data)
-        cache.write_text(json.dumps(data), encoding="utf-8")
-        return cache, project
-
-    def test_valid_cache_is_trusted(self, tmp_path):
-        # Control for the skew tests: with version and digest intact
-        # the poisoned payload IS served, proving the rebuild
-        # assertions below detect real rebuilds.
-        cache, project = self._prime_and_poison(tmp_path)
-        index = load_or_build_index(project, cache_path=cache)
-        assert index.symbols["a"] == ["poisoned"]
-
-    def test_older_version_forces_rebuild(self, tmp_path):
-        cache, project = self._prime_and_poison(
-            tmp_path, lambda d: d.update(version=INDEX_VERSION - 1)
-        )
-        index = load_or_build_index(project, cache_path=cache)
-        assert index.symbols["a"] == ["x"]
-        # The rebuild re-keys the cache at the current version.
-        assert json.loads(cache.read_text())["version"] == INDEX_VERSION
-
-    def test_newer_version_is_not_trusted(self, tmp_path):
-        # Version skew cuts both ways: a cache from a newer checkout
-        # (e.g. after a branch switch) must not be deserialised.
-        cache, project = self._prime_and_poison(
-            tmp_path, lambda d: d.update(version=INDEX_VERSION + 1)
-        )
-        index = load_or_build_index(project, cache_path=cache)
-        assert index.symbols["a"] == ["x"]
-
-    def test_index_version_bump_invalidates_cache(
-        self, tmp_path, monkeypatch
-    ):
-        # Simulate the next schema bump: the constant moves, every
-        # existing cache (valid today) is discarded on first load.
-        cache, project = self._prime_and_poison(tmp_path)
-        monkeypatch.setattr(
-            "repro.analysis.index.INDEX_VERSION", INDEX_VERSION + 1
-        )
-        index = load_or_build_index(project, cache_path=cache)
-        assert index.symbols["a"] == ["x"]
-
-    def test_fingerprint_change_bypasses_stale_cache(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        project = write_project(tmp_path / "src", {"a.py": "x = 1\n"})
-        load_or_build_index(project, cache_path=cache, fingerprint="one")
-        data = json.loads(cache.read_text(encoding="utf-8"))
-        data["symbols"]["a"] = ["poisoned"]
-        cache.write_text(json.dumps(data), encoding="utf-8")
-        index = load_or_build_index(
-            project, cache_path=cache, fingerprint="two"
-        )
-        assert index.symbols["a"] == ["x"]
-
-    def test_missing_payload_keys_fall_back_to_rebuild(self, tmp_path):
-        cache, project = self._prime_and_poison(
-            tmp_path,
-            lambda d: [d.pop("functions"), d.pop("batch_pairs")],
-        )
-        index = load_or_build_index(project, cache_path=cache)
-        assert index.symbols["a"] == ["x"]
-
-    def test_wrong_payload_types_fall_back_to_rebuild(self, tmp_path):
-        cache, project = self._prime_and_poison(
-            tmp_path, lambda d: d.update(imports=17)
-        )
-        index = load_or_build_index(project, cache_path=cache)
-        assert index.symbols["a"] == ["x"]

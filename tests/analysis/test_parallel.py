@@ -30,18 +30,6 @@ PACKAGE = {
             return total
     """).lstrip("\n"),
     "pkg/broken.py": "def oops(:\n",
-    # A contract-less batch pair: the V2 family runs in the project
-    # tier, so its findings must survive the parallel merge too.
-    "pkg/pairs.py": textwrap.dedent("""
-        from repro.utils.batchpairs import batched_pair
-
-        def predict(s):
-            return s
-
-        @batched_pair("predict")
-        def predict_batch(states):
-            return states
-    """).lstrip("\n"),
 }
 
 
@@ -80,7 +68,6 @@ class TestParallelDeterminism:
         rules = {f.rule for f in run(tmp_path, jobs=4).findings}
         assert "N102" in rules  # project-tier rule (parent process)
         assert "D101" in rules  # per-file rule (worker process)
-        assert "V201" in rules  # shape-contract rule (project tier)
 
     def test_single_file_stays_serial(self, tmp_path):
         path = tmp_path / "one.py"
@@ -118,11 +105,11 @@ class TestJobsDefault:
         write_package(tmp_path)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         code_default = main([
-            "--root", str(tmp_path), "--no-cache", str(tmp_path),
+            "--root", str(tmp_path), str(tmp_path),
         ])
         default_out = capsys.readouterr().out
         code_serial = main([
-            "--root", str(tmp_path), "--no-cache", "--jobs", "1",
+            "--root", str(tmp_path), "--jobs", "1",
             str(tmp_path),
         ])
         serial_out = capsys.readouterr().out
@@ -137,7 +124,7 @@ class TestJobsDefault:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
         code = main([
-            "--root", str(tmp_path), "--no-cache", str(tmp_path / "ok.py"),
+            "--root", str(tmp_path), str(tmp_path / "ok.py"),
         ])
         assert code == 0
         assert "0 finding(s)" in capsys.readouterr().out

@@ -3,9 +3,9 @@
 The collector ships episode specs into a process pool and gets
 transition blocks back (``repro.rl.distributed``).  These fixtures pin
 the endorsed payload shape — a module-level worker fed plain dicts of
-scalars, strings, and arrays — as P/W-clean, and pin the tempting
-shortcuts (shipping a live RNG, a tracer, or a lambda along with the
-spec) as findings.  The real engine module itself must stay clean too.
+scalars, strings, and arrays — as P-clean, and pin the tempting
+shortcuts (a lambda worker, a completion-order merge) as findings.  The
+real engine module itself must stay clean too.
 """
 
 import textwrap
@@ -15,7 +15,6 @@ from repro.analysis.engine import run_analysis
 from tests.analysis.conftest import repo_root, rules_of
 
 PROCESS_RULES = {"P101", "P102", "P103", "P104"}
-WORKER_RULES = {"W101", "W102", "W103"}
 
 
 def src(code):
@@ -34,37 +33,7 @@ class TestCollectorPayloadShape:
             def collect(pool, specs):
                 return list(pool.map(run_collect_episode, specs))
         """))
-        assert rules_of(findings).isdisjoint(PROCESS_RULES | WORKER_RULES)
-
-    def test_live_rng_in_spec_is_flagged(self, lint):
-        # Shipping the parent's generator would tie worker draws to
-        # parent state (and pickling a BitGenerator forks its stream).
-        findings = lint(src("""
-            from numpy.random import default_rng
-
-            def run_collect_episode(spec, rng):
-                return rng.normal()
-
-            def collect(pool, spec):
-                rng = default_rng(0)
-                return pool.submit(run_collect_episode, spec, rng)
-        """))
-        assert "W102" in rules_of(findings)
-
-    def test_tracer_in_spec_is_flagged(self, lint):
-        # Workers must not carry the learner's tracer; merged telemetry
-        # is emitted parent-side at merge time instead.
-        findings = lint(src("""
-            def run_collect_episode(spec, t):
-                return t
-
-            class Collector:
-                def collect(self, executor, spec):
-                    return executor.submit(
-                        run_collect_episode, spec, self.tracer
-                    )
-        """))
-        assert "W103" in rules_of(findings)
+        assert rules_of(findings).isdisjoint(PROCESS_RULES)
 
     def test_lambda_episode_worker_is_flagged(self, lint):
         findings = lint(src("""
@@ -101,5 +70,5 @@ class TestRealCollectorModuleIsClean:
         findings = run_analysis(
             [target], config=LintConfig(root=root / "src")
         ).findings
-        flagged = rules_of(findings) & (PROCESS_RULES | WORKER_RULES)
+        flagged = rules_of(findings) & PROCESS_RULES
         assert not flagged, findings

@@ -151,12 +151,12 @@ def _double(x):
     return 2.0 * x
 
 
-@batched_pair("_double", shapes="(K,) -> (K,)")
+@batched_pair("_double")
 def _double_batch(xs):
     return 2.0 * xs
 
 
-@batched_pair("_double", shapes="(K,) -> (K,)")
+@batched_pair("_double")
 def _double_batch_inplace(xs):
     xs *= 2.0
     return xs
@@ -167,7 +167,7 @@ def _scale(x, promote):
     return np.float64(out) if promote else out
 
 
-@batched_pair("_scale", shapes="(K,), _ -> (K,)")
+@batched_pair("_scale")
 def _scale_batch(xs, promotes):
     out = 2.0 * xs
     return out.astype(np.float64) if promotes else out
@@ -240,81 +240,3 @@ class TestBatchPairGuard:
             "_double_batch_inplace",
         )
         assert f"{__name__}._scale" in pairs
-
-
-def _reshape(x, new):
-    return np.reshape(x, new)
-
-
-@batched_pair("_reshape", shapes="(K,), _ -> (K,)")
-def _reshape_batch(xs, new):
-    return np.reshape(xs, new)
-
-
-def _pairup(x, y):
-    return x + y
-
-
-@batched_pair("_pairup", shapes="(K, 2), (K,) -> (K, 2)")
-def _pairup_batch(xs, ys):
-    return xs + ys[:, None]
-
-
-class TestBatchPairShapeGuard:
-    """The dynamic twin of the static V2 family: while the sanitizer is
-    active, every ``@batched_pair`` call is checked against its declared
-    ``shapes=`` contract — symbols bind to observed axis lengths, one
-    symbol never binds two values, and observed shapes are recorded."""
-
-    def test_clean_call_records_observed_shapes(self):
-        key = _pairup_batch.__repro_batch_pair__.key
-        with sanitized() as state:
-            out = _pairup_batch(np.zeros((4, 2)), np.ones(4))
-            assert state.pair_shapes[key] == [(((4, 2), (4,)), (4, 2))]
-        assert out.shape == (4, 2)
-
-    def test_conflicting_batch_binding_raises(self):
-        # numpy happily broadcasts the length-1 ys across the batch;
-        # the contract says both axes are K, so the guard must refuse.
-        with sanitized() as state:
-            with pytest.raises(
-                SanitizerError, match="binds `K` to both 4 and 1"
-            ):
-                _pairup_batch(np.zeros((4, 2)), np.ones(1))
-            assert state.violations == 1
-
-    def test_rank_divergent_result_raises(self):
-        # The reshape target is opaque to static inference, so only the
-        # runtime guard can see the batch axis disappear.
-        with sanitized():
-            with pytest.raises(
-                SanitizerError, match="rank-1 batch return"
-            ):
-                _reshape_batch(np.zeros(4), (2, 2))
-
-    def test_concrete_dim_pin_violation_raises(self):
-        with sanitized():
-            with pytest.raises(SanitizerError, match="pins axis 1 to 2"):
-                _pairup_batch(np.zeros((4, 3)), np.ones(4))
-
-    def test_rank_mismatched_argument_does_not_bind(self):
-        # Serial-compat twins legitimise low-rank inputs via atleast_2d,
-        # so a rank-mismatched argument is recorded but never bound.
-        with sanitized() as state:
-            out = _double_batch(np.ones((2, 3)))
-            assert out.shape == (2, 3)
-            assert state.violations == 0
-
-    def test_observations_are_capped(self):
-        key = _double_batch.__repro_batch_pair__.key
-        with sanitized() as state:
-            for k in range(40):
-                _double_batch(np.zeros(k + 1))
-            assert len(state.pair_shapes[key]) == 32
-
-    def test_recorded_shapes_reset_between_scopes(self):
-        with sanitized() as state:
-            _double_batch(np.zeros(3))
-            assert state.pair_shapes
-        with sanitized() as state:
-            assert state.pair_shapes == {}

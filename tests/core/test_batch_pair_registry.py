@@ -1,13 +1,16 @@
 """The serial/batch pair registry: every vectorised hot path is declared.
 
 PR 5 introduced the batched twins (``predict_batch``, ``act_batch``,
-``reward_eq1_batch``, ``sample_batch``, ``project_to_simplex_batch``);
-this suite pins that each one is *registered* via ``@batched_pair`` and
-that the declared equivalence holds bit-for-bit with the same seed —
-driven generically off :func:`repro.utils.batchpairs.registered_pairs`
-and exercised under the sanitizer so the runtime batch-pair guard (dtype
-stability, argument-mutation hashing) sees every call.
+``reward_eq1_batch``, ``sample_batch``, ``project_to_simplex_batch``) and
+PR 7 the substrate ones; this suite pins that the set *registered* via
+``@batched_pair`` is exactly :data:`EXPECTED_PAIRS`, that each entry
+names the test proving its equivalence, and that the training-side
+equivalences hold bit-for-bit with the same seed — exercised under the
+sanitizer so the runtime batch-pair guard (dtype stability,
+argument-mutation hashing) sees every call.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -27,16 +30,49 @@ from repro.rl.noise import (
 from repro.utils.batchpairs import registered_pairs
 from repro.utils.rng import RngStream
 
-#: Every pair PR 5's vectorised paths rely on, by registry key.
+_HERE = f"{__name__}:TestSameSeedBitIdentity"
+_SIM = "tests.sim.test_substrate_primitives"
+
+#: Every registered pair, by registry key: the batch twin's name and the
+#: ``module:Class.test`` that pins its row-k equality with the serial
+#: twin.  The registry must equal this table exactly, so a new
+#: ``@batched_pair`` cannot land without an equivalence test.
 EXPECTED_PAIRS = {
-    "repro.core.environment_model.EnvironmentModel.predict": "predict_batch",
-    "repro.core.refinement.RefinedModel.predict": "predict_batch",
-    "repro.core.reward.reward_eq1": "reward_eq1_batch",
-    "repro.rl.actor.Actor.act": "act_batch",
-    "repro.rl.ddpg.DDPGAgent.act": "act_batch",
-    "repro.rl.noise.project_to_simplex": "project_to_simplex_batch",
-    "repro.rl.noise.GaussianActionNoise.sample": "sample_batch",
-    "repro.rl.noise.OrnsteinUhlenbeckNoise.sample": "sample_batch",
+    "repro.core.environment_model.EnvironmentModel.predict": (
+        "predict_batch", f"{_HERE}.test_model_predict_pair"),
+    "repro.core.refinement.RefinedModel.predict": (
+        "predict_batch", f"{_HERE}.test_refined_predict_pair"),
+    "repro.core.reward.reward_eq1": (
+        "reward_eq1_batch", f"{_HERE}.test_reward_pair"),
+    "repro.rl.actor.Actor.act": (
+        "act_batch", f"{_HERE}.test_actor_act_pair"),
+    "repro.rl.ddpg.DDPGAgent.act": (
+        "act_batch", f"{_HERE}.test_agent_act_pair"),
+    "repro.rl.noise.project_to_simplex": (
+        "project_to_simplex_batch",
+        f"{_HERE}.test_simplex_projection_pair"),
+    "repro.rl.noise.GaussianActionNoise.sample": (
+        "sample_batch", f"{_HERE}.test_gaussian_noise_pair"),
+    "repro.rl.noise.OrnsteinUhlenbeckNoise.sample": (
+        "sample_batch", f"{_HERE}.test_ou_noise_pair"),
+    "repro.sim.requests.RequestPool.add_workflow": (
+        "add_workflows",
+        f"{_SIM}:TestRequestPool.test_add_workflows_matches_serial"),
+    "repro.sim.requests.RequestPool.add_task": (
+        "add_tasks",
+        f"{_SIM}:TestRequestPool.test_add_tasks_matches_serial"),
+    "repro.sim.microservice.BatchedMicroservice.publish": (
+        "publish_many",
+        f"{_SIM}:TestPublishMany.test_matches_serial_publishes"),
+    "repro.sim.metrics.DelayByArrivalWindow.record_arrival": (
+        "record_arrivals",
+        f"{_SIM}:TestRecordArrivals.test_matches_serial_calls"),
+    "repro.sim.consumer.sample_service_time": (
+        "sample_service_times",
+        f"{_SIM}:TestServiceTimeSampling.test_batch_matches_serial_draws"),
+    "repro.sim.queueing.IndexFifo.push": (
+        "push_many",
+        f"{_SIM}:TestIndexFifo.test_push_many_matches_serial_pushes"),
 }
 
 
@@ -60,11 +96,23 @@ def _trained_model(seed=3):
 
 
 class TestRegistryCompleteness:
-    def test_every_pr5_pair_is_registered(self):
-        pairs = registered_pairs()
-        for key, batch_name in EXPECTED_PAIRS.items():
-            assert key in pairs, f"unregistered pair: {key}"
+    def test_registry_equals_the_expected_table(self):
+        importlib.import_module("repro.sim")  # registers the sim-side pairs
+        pairs = {
+            key: pair for key, pair in registered_pairs().items()
+            if key.startswith("repro.")  # other test modules register too
+        }
+        assert set(pairs) == set(EXPECTED_PAIRS)
+        for key, (batch_name, _) in EXPECTED_PAIRS.items():
             assert pairs[key].batch_name == batch_name
+
+    def test_every_pair_names_an_existing_equivalence_test(self):
+        for key, (_, test_ref) in EXPECTED_PAIRS.items():
+            module_name, _, qualname = test_ref.partition(":")
+            target = importlib.import_module(module_name)
+            for part in qualname.split("."):
+                target = getattr(target, part, None)
+            assert callable(target), f"{key}: no such test {test_ref}"
 
     def test_registry_records_scope_correctly(self):
         pair = registered_pairs()["repro.core.reward.reward_eq1"]
@@ -197,22 +245,3 @@ class TestGuardedDtypeStability:
         with sanitized():
             with pytest.raises(ValueError, match="rollout_batch"):
                 noise.sample_batch(2, 3, _stream(32))
-
-
-class TestDeclaredShapeContracts:
-    """PR 8: every registered pair also declares a ``shapes=`` contract
-    that binds the leading batch axis — the runtime half of the static
-    registry sweep in tests/analysis/test_shapes.py."""
-
-    def test_every_registered_pair_declares_a_contract(self):
-        from repro.analysis.shapes import parse_contract
-
-        for key, pair in registered_pairs().items():
-            assert pair.shapes is not None, f"{key} has no shapes= contract"
-            contract = parse_contract(pair.shapes)  # must not raise
-            assert contract.binds_batch_axis, key
-            assert contract.returns_batch_axis, key
-
-    def test_reward_contract_matches_its_signature(self):
-        pair = registered_pairs()["repro.core.reward.reward_eq1"]
-        assert pair.shapes == "(K, state_dim) -> (K,)"
