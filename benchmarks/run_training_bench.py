@@ -6,10 +6,12 @@ writes ``BENCH_training.json`` at the repository root:
 
 - ``rollout.speedup`` — synthetic-rollout transitions/second of the
   batched engine (``BatchedModelEnv`` + ``act_batch`` + ``add_batch``
-  at K=``--rollout-batch``) over the serial engine (``ModelEnv`` with
-  per-step ``act``/``store``).  Both paths run the same trained
-  refined model and the same number of transitions; the ratio is the
-  machine-independent quantity the CI gate checks (>= 3x).
+  at K=``--rollout-batch``) over one rollout at a time (the same
+  ``BatchedModelEnv`` at K=1 with per-step ``act``/``store``: the
+  work ``repro train`` does at the default ``rollout_batch=1``).  Both
+  paths run the same trained refined model and the same number of
+  transitions; the ratio is the machine-independent quantity the CI
+  gate checks (>= 3x).
 - ``parallel`` — experiment cells/second of the serial in-process
   runner vs ``run_cells`` with worker processes, on quick fig5 cells,
   plus a byte-equality check of the two results JSONs.  On a one-core
@@ -46,7 +48,7 @@ import numpy as np
 
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
-from repro.core.model_env import BatchedModelEnv, ModelEnv
+from repro.core.model_env import BatchedModelEnv
 from repro.core.refinement import RefinedModel
 from repro.eval.parallel import (
     ExperimentCell,
@@ -123,38 +125,9 @@ def _ddpg(seed: int = 0) -> DDPGAgent:
     )
 
 
-def _time_serial_rollouts(transitions: int, rollout_length: int) -> float:
+def _rollout_env(rollout_length: int, batch: int) -> BatchedModelEnv:
     refined, dataset = _trained_refined_model()
-    agent = _ddpg()
-    env = ModelEnv(
-        refined,
-        dataset,
-        consumer_budget=BUDGET,
-        rollout_length=rollout_length,
-        rng=RngStream("bench-env", np.random.SeedSequence(9)),
-    )
-    generated = 0
-    start = time.perf_counter()
-    while generated < transitions:
-        state = env.reset()
-        agent.refresh_perturbation()
-        done = False
-        while not done:
-            simplex = agent.act(state, explore=True)
-            executed = env.allocation_from_simplex(simplex)
-            next_state, reward, done = env.step(executed)
-            agent.store(state, executed / BUDGET, reward, next_state)
-            state = next_state
-            generated += 1
-    return time.perf_counter() - start
-
-
-def _time_batched_rollouts(
-    transitions: int, rollout_length: int, batch: int
-) -> float:
-    refined, dataset = _trained_refined_model()
-    agent = _ddpg()
-    env = BatchedModelEnv(
+    return BatchedModelEnv(
         refined,
         dataset,
         consumer_budget=BUDGET,
@@ -162,6 +135,34 @@ def _time_batched_rollouts(
         batch_size=batch,
         rng=RngStream("bench-env", np.random.SeedSequence(9)),
     )
+
+
+def _time_serial_rollouts(transitions: int, rollout_length: int) -> float:
+    agent = _ddpg()
+    env = _rollout_env(rollout_length, batch=1)
+    generated = 0
+    start = time.perf_counter()
+    while generated < transitions:
+        state = env.reset()[0]
+        agent.refresh_perturbation()
+        done = False
+        while not done:
+            simplex = agent.act(state, explore=True)
+            executed = env.allocation_from_simplex_batch(simplex[np.newaxis])
+            next_states, rewards, done = env.step(executed)
+            agent.store(
+                state, executed[0] / BUDGET, rewards[0], next_states[0]
+            )
+            state = next_states[0]
+            generated += 1
+    return time.perf_counter() - start
+
+
+def _time_batched_rollouts(
+    transitions: int, rollout_length: int, batch: int
+) -> float:
+    agent = _ddpg()
+    env = _rollout_env(rollout_length, batch)
     generated = 0
     start = time.perf_counter()
     while generated < transitions:

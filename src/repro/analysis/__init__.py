@@ -23,16 +23,15 @@ Cross-module families, consuming the whole-tree
 - **R1** — RNG fork-label provenance (R101 duplicate labels on one
   parent stream, R102 constant labels in loops, R103 forks in default
   arguments),
-- **T1** — telemetry conformance of every ``tracer.emit`` site against
-  the ``RECORD_SCHEMAS`` registry as written (T101 unknown kind, T102
-  payload drift, T103 statically unresolvable sites),
-- **E1** — event discipline: sim-owned state mutated only from the
-  event-loop/step path (E101) and never from other layers (E102),
 - **L1** — the import DAG of docs/ARCHITECTURE.md at module scope
-  (L101).
+  (L101),
+- **N1** — numeric discipline (N101 mixed float32/float64 provenance,
+  N102 scalar accumulation loops on the hot path, N103 in-place
+  mutation of escaping array parameters).
 
-:mod:`repro.analysis.sanitizer` is the runtime twin of R1/T1: activated
-via ``REPRO_SANITIZE=1`` (or :func:`~repro.analysis.sanitizer.sanitized`),
+:mod:`repro.analysis.sanitizer` is the runtime twin of R1 and the only
+check of emitted records against ``RECORD_SCHEMAS``: activated via
+``REPRO_SANITIZE=1`` (or :func:`~repro.analysis.sanitizer.sanitized`),
 it asserts fork-label uniqueness and record-schema validity on the
 running program.
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -68,11 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule reference and exit",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parse and per-file-check N files in parallel "
-             "(order-deterministic; default: auto-detect cpu count)",
-    )
     return parser
 
 
@@ -89,14 +83,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         config = load_config(Path(args.root) if args.root else None)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.jobs is None:
-        # Output is byte-identical at any job count (input-order merge,
-        # project checkers in the parent), so parallelism is safe to
-        # default on.
-        args.jobs = os.cpu_count() or 1
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
     if args.disable:
         extra = [r.strip() for r in args.disable.split(",") if r.strip()]
@@ -135,7 +121,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        result = run_analysis(paths, config=config, jobs=args.jobs)
+        result = run_analysis(paths, config=config)
         Baseline.from_findings(result.findings).save(baseline_path)
         print(
             f"baseline updated: {len(result.findings)} finding(s) "
@@ -146,9 +132,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     baseline = (
         Baseline.load(baseline_path) if baseline_path else Baseline.empty()
     )
-    result = run_analysis(
-        paths, config=config, baseline=baseline, jobs=args.jobs
-    )
+    result = run_analysis(paths, config=config, baseline=baseline)
 
     if args.format == "json":
         print(json.dumps(_to_json(result), indent=2))

@@ -7,8 +7,6 @@ Recognised keys::
     disable = ["A103"]             # rule ids to turn off globally
     baseline = "reprolint-baseline.json"   # optional ratchet file
     exclude = ["src/repro/_vendored"]      # path prefixes to skip
-    sim_packages = ["repro.sim"]           # layers owning event-loop state (E1)
-    step_entrypoints = ["run_window", "step"]  # extra E1 roots
     hotpath_roots = ["step", "predict_batch"]  # N102 reachability roots
 
     [tool.reprolint.layers]        # import DAG (L1): package -> allowed deps
@@ -38,7 +36,6 @@ __all__ = [
     "load_config",
     "find_pyproject",
     "DEFAULT_LAYERS",
-    "DEFAULT_STEP_ENTRYPOINTS",
     "DEFAULT_HOTPATH_ROOTS",
 ]
 
@@ -72,22 +69,6 @@ DEFAULT_LAYERS: Dict[str, List[str]] = {
     "repro.analysis": [],
 }
 
-#: Method names that anchor the E1 "step path": state mutation is legal
-#: in functions reachable from these, from ``__init__``/dunders, or from
-#: event-loop callbacks.
-DEFAULT_STEP_ENTRYPOINTS: List[str] = [
-    "run_window",
-    "step",
-    "step_simplex",
-    "reset",
-    "submit",
-    "inject_burst",
-    "attach",
-    # Lifecycle controls drivers call between windows.
-    "start",
-    "stop",
-]
-
 #: Roots of the numeric hot path (N102): scalar accumulation loops in
 #: functions reachable from these names are flagged as vectorisation
 #: hazards; cold utility code is left alone.
@@ -111,12 +92,6 @@ class LintConfig:
     #: Import DAG enforced by L1: package -> packages it may import.
     layers: Dict[str, List[str]] = field(
         default_factory=lambda: dict(DEFAULT_LAYERS)
-    )
-    #: Packages whose objects own event-loop state (E1).
-    sim_packages: List[str] = field(default_factory=lambda: ["repro.sim"])
-    #: Extra E1 reachability roots besides ``__init__``/dunders/callbacks.
-    step_entrypoints: List[str] = field(
-        default_factory=lambda: list(DEFAULT_STEP_ENTRYPOINTS)
     )
     #: Roots of the N102 hot-path reachability closure.
     hotpath_roots: List[str] = field(
@@ -189,10 +164,6 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
             str(pkg): [str(d) for d in deps]
             for pkg, deps in section["layers"].items()
         }
-    if "sim_packages" in section:
-        config.sim_packages = [str(p) for p in section["sim_packages"]]
-    if "step_entrypoints" in section:
-        config.step_entrypoints = [str(n) for n in section["step_entrypoints"]]
     if "hotpath_roots" in section:
         config.hotpath_roots = [str(n) for n in section["hotpath_roots"]]
     return config

@@ -5,19 +5,10 @@
 call it directly with synthetic trees.
 
 Two checker tiers run over one parse: per-file rules (D/S/A families)
-see each module alone, and project rules (R/T/E/L/N/P/B families)
-consume the whole-tree :class:`~repro.analysis.index.ProjectIndex`,
-rebuilt from the parsed modules on every run.
-
-``jobs > 1`` fans the parse + per-file-checker stage out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  The split follows the
-``needs_project`` attribute: checkers that resolve names across modules
-(A1) stay in the parent, the rest run in workers against a single-module
-Project — the two paths produce byte-identical findings, and results
-merge in input order (``executor.map``), so ``--jobs`` can never reorder
-a report.  The worker is a module-level function that takes only plain
-strings and derives everything else locally: exactly the discipline the
-P1 family enforces on the rest of the repository.
+see each module in turn, and project rules (R/L/N families) consume the
+whole-tree :class:`~repro.analysis.index.ProjectIndex`, rebuilt from the
+parsed modules on every run.  Findings are sorted before they are
+reported, so checker execution order never shows in a report.
 
 After suppression filtering the engine replays every inline
 ``# reprolint: disable`` comment against the *raw* finding set: a
@@ -30,7 +21,6 @@ other rule.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -73,29 +63,6 @@ class AnalysisResult:
         return 1 if self.findings or self.stale_baseline else 0
 
 
-def _analyse_file(path_str: str, root_str: str):
-    """Parse one file and run the per-file checkers that do not need the
-    whole project.
-
-    Module-level, arguments are plain strings, no module globals read,
-    no RNG: the shape the P1 family demands of pool workers — this
-    function is linted by the rules it helps enforce.  Returns
-    ``(module_info_or_None, local findings, parse-error finding_or_None)``.
-    """
-    path = Path(path_str)
-    root = Path(root_str)
-    module, error = parse_module(path, root=root)
-    if error is not None:
-        return None, [], _syntax_finding(path, root, error)
-    project = Project([module])
-    findings: List[Finding] = []
-    for checker in all_checkers():
-        if checker.needs_project:
-            continue
-        findings.extend(checker.check(module, project))
-    return module, findings, None
-
-
 def _syntax_finding(path: Path, root: Path, error: SyntaxError) -> Finding:
     return Finding(
         path=_display(path, root),
@@ -112,14 +79,8 @@ def run_analysis(
     paths: Sequence[Path],
     config: Optional[LintConfig] = None,
     baseline: Optional[Baseline] = None,
-    jobs: int = 1,
 ) -> AnalysisResult:
-    """Analyse ``paths`` (files or directories) and return the result.
-
-    ``jobs > 1`` parallelises parsing and single-module checking over a
-    process pool; findings are merged in input order and are identical
-    to a serial run.
-    """
+    """Analyse ``paths`` (files or directories) and return the result."""
     config = config or LintConfig(root=Path.cwd())
     baseline = baseline or Baseline.empty()
     excludes = [str(config.root / e) for e in config.exclude]
@@ -135,31 +96,16 @@ def run_analysis(
     modules: List[ModuleInfo] = []
     raw: List[Finding] = []
 
-    root_str = str(config.root)
-    if jobs > 1 and len(files) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            # map() yields in input order regardless of completion order,
-            # so parallel runs report identically to serial ones (P104).
-            per_file = list(executor.map(
-                _analyse_file,
-                [str(f) for f in files],
-                [root_str] * len(files),
-            ))
-    else:
-        per_file = [_analyse_file(str(f), root_str) for f in files]
-
-    for module, local_findings, error_finding in per_file:
+    for path in files:
         result.checked_files += 1
-        if error_finding is not None:
-            raw.append(error_finding)
+        module, error = parse_module(path, root=config.root)
+        if error is not None:
+            raw.append(_syntax_finding(path, config.root, error))
             continue
         modules.append(module)
-        raw.extend(local_findings)
 
     project = Project(modules)
     for checker in all_checkers():
-        if not checker.needs_project:
-            continue
         for module in modules:
             raw.extend(checker.check(module, project))
 

@@ -12,8 +12,7 @@ __all__ = ["Severity", "Finding"]
 def _family_of(rule: str) -> str:
     """Family implied by a rule id: ``D101`` -> ``D1``, ``P001`` -> ``P``.
 
-    ``P001`` (parse failure) predates the P1 process-safety family and
-    keeps its historic one-letter family.
+    ``P001`` (parse failure) keeps its historic one-letter family.
     """
     if rule == "P001":
         return "P"

@@ -59,12 +59,6 @@ class Checker:
     family: str = ""
     severity: Severity = Severity.ERROR
     description: str = ""
-    #: True when check() resolves names across the whole Project (other
-    #: modules' trees).  Such checkers must run in the parent process
-    #: under ``--jobs N``; the rest see one module at a time and can be
-    #: farmed out to workers with a single-module Project.
-    needs_project: bool = False
-
     def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
         """Yield findings for one module."""
         raise NotImplementedError
@@ -401,9 +395,6 @@ class ApiConsistencyChecker(Checker):
         "package __init__ exports must resolve (A101), carry docstrings "
         "(A102) and be listed in __all__ (A103)"
     )
-    # Resolves re-export chains through other modules' trees, so it must
-    # see the full Project (parent process under --jobs N).
-    needs_project = True
 
     _MAX_CHAIN = 8
 

@@ -1,19 +1,19 @@
-"""Runtime sanitizer: the dynamic twin of the static R1/T1 families.
+"""Runtime sanitizer: contracts asserted on the *running* program.
 
 The static pass proves properties about call sites it can resolve; this
-module asserts the same contracts on the *running* program, so the two
-agree on one invariant set:
+module checks what only the running program can show:
 
 - **Fork-label provenance** (static R101): while active, forking the
   same label twice from the same parent :class:`~repro.utils.rng.RngStream`
   instance raises :class:`SanitizerError` — two live streams would share
   one hierarchical name, making traces unattributable.  A process-wide
   registry of every fork name is kept for auditing.
-- **Emit-schema conformance** (static T101/T102): while active, every
-  record an enabled :class:`~repro.telemetry.tracer.Tracer` emits is run
-  through :func:`repro.telemetry.records.validate_record` before it
-  reaches the sink, so schema drift fails at the emitting call site.
-- **Batch-pair contracts** (static B1/N1): while active, every call
+- **Emit-schema conformance**: while active, every record an enabled
+  :class:`~repro.telemetry.tracer.Tracer` emits is run through
+  :func:`repro.telemetry.records.validate_record` before it reaches the
+  sink, so schema drift fails at the emitting call site.  This is the
+  only emit-schema check: there is no static twin.
+- **Batch-pair contracts** (static N1): while active, every call
   through a function registered with
   :func:`repro.utils.batchpairs.batched_pair` is routed through a guard
   that (a) rejects mixed float32/float64 array arguments, (b) pins the
@@ -171,8 +171,7 @@ def activate() -> None:
             except ValueError as exc:
                 state.violations += 1
                 raise SanitizerError(
-                    f"emit-schema violation (static rules T101/T102 "
-                    f"catch the constant cases): {exc}"
+                    f"emit-schema violation: {exc}"
                 ) from exc
             state.records_validated += 1
         return original_emit(self, kind, **fields)

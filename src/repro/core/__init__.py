@@ -20,7 +20,7 @@ from repro.core.agent import IterationResult, MirasAgent
 from repro.core.config import MirasConfig, ModelConfig, PolicyConfig
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
-from repro.core.model_env import BatchedModelEnv, ModelEnv
+from repro.core.model_env import BatchedModelEnv
 from repro.core.persistence import load_agent, save_agent
 from repro.core.refinement import RefinedModel
 from repro.core.reward import (
@@ -40,7 +40,6 @@ __all__ = [
     "RefinedModel",
     "save_agent",
     "load_agent",
-    "ModelEnv",
     "BatchedModelEnv",
     "reward_eq1",
     "reward_eq1_batch",

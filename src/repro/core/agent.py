@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.config import MirasConfig
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
-from repro.core.model_env import BatchedModelEnv, ModelEnv
+from repro.core.model_env import BatchedModelEnv
 from repro.core.refinement import RefinedModel
 from repro.rl.ddpg import DDPGAgent
 from repro.rl.distributed import (
@@ -312,18 +312,6 @@ class MirasAgent:
         return history[-1]
 
     # --- Phase 3: policy training on the model -----------------------------
-    def build_model_env(self) -> ModelEnv:
-        """A fresh synthetic environment over the current refined model."""
-        if self.refined_model is None:
-            raise RuntimeError("train_model() must run before policy training")
-        return ModelEnv(
-            self.refined_model,
-            self.dataset,
-            consumer_budget=self.env.consumer_budget,
-            rollout_length=self.config.policy.rollout_length,
-            rng=self._rngs["model-env"].fork(f"n{len(self.dataset)}"),
-        )
-
     def build_batched_model_env(
         self, batch_size: Optional[int] = None
     ) -> BatchedModelEnv:

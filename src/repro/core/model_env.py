@@ -3,9 +3,9 @@
 Policy learning interacts with this instead of the real system: "we train
 a deep reinforcement learning agent by letting it interact with the learnt
 environment model f̂_Φ instead of the actual real environment, and observe
-rewards and state transitions" (Section IV-D).  The interface mirrors
-:class:`repro.sim.env.MicroserviceEnv` (reset/step/step_simplex) so the
-same DDPG loop runs against either.
+rewards and state transitions" (Section IV-D).  The interface is
+:class:`repro.sim.env.MicroserviceEnv`'s reset/step with a leading batch
+axis: K rollouts advance through one model call per step.
 """
 
 from __future__ import annotations
@@ -17,114 +17,11 @@ import numpy as np
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
 from repro.core.refinement import RefinedModel
-from repro.core.reward import reward_eq1, reward_eq1_batch
+from repro.core.reward import reward_eq1_batch
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_positive
 
-__all__ = ["ModelEnv", "BatchedModelEnv"]
-
-
-class ModelEnv:
-    """reset/step environment over a learnt dynamics model."""
-
-    def __init__(
-        self,
-        model: Union[EnvironmentModel, RefinedModel],
-        dataset: TransitionDataset,
-        consumer_budget: int,
-        rollout_length: int = 25,
-        rng: Optional[RngStream] = None,
-    ):
-        check_positive("consumer_budget", consumer_budget)
-        check_positive("rollout_length", rollout_length)
-        if rng is None:
-            rng = fallback_stream("model-env")
-        self.model = model
-        self.dataset = dataset
-        self.consumer_budget = consumer_budget
-        self.rollout_length = rollout_length
-        self._rng = rng
-        self._state: Optional[np.ndarray] = None
-        self._steps_in_rollout = 0
-        self.total_steps = 0
-
-    @property
-    def state_dim(self) -> int:
-        return self.model.state_dim
-
-    @property
-    def action_dim(self) -> int:
-        return self.model.action_dim
-
-    # Action mapping (same contract as the real env) ------------------------
-    def allocation_from_simplex(self, simplex: np.ndarray) -> np.ndarray:
-        """m_j = floor(C * a_j), valid whenever the input sums to one."""
-        simplex = np.asarray(simplex, dtype=np.float64)
-        if simplex.shape != (self.action_dim,):
-            raise ValueError(
-                f"simplex shape {simplex.shape} != ({self.action_dim},)"
-            )
-        if np.any(simplex < -1e-9) or abs(float(simplex.sum()) - 1.0) > 1e-6:
-            raise ValueError(f"not a probability simplex: {simplex}")
-        return np.floor(
-            self.consumer_budget * np.clip(simplex, 0, 1)
-        ).astype(np.int64)
-
-    # Core interface -------------------------------------------------------
-    def reset(self, initial_state: Optional[np.ndarray] = None) -> np.ndarray:
-        """Start a rollout from a dataset state (or a provided one)."""
-        if initial_state is not None:
-            state = np.asarray(initial_state, dtype=np.float64)
-            if state.shape != (self.state_dim,):
-                raise ValueError(
-                    f"state shape {state.shape} != ({self.state_dim},)"
-                )
-            self._state = state.copy()
-        else:
-            self._state = self.dataset.sample_states(1, self._rng)[0].copy()
-        self._steps_in_rollout = 0
-        return self._state.copy()
-
-    def step(
-        self, allocation: np.ndarray
-    ) -> Tuple[np.ndarray, float, bool]:
-        """Apply m(k) through the model; returns (s(k+1), r(k+1), done).
-
-        ``done`` becomes True when the rollout-length budget is exhausted
-        ("one episode before resetting the predictive model").
-        """
-        if self._state is None:
-            raise RuntimeError("call reset() before step()")
-        allocation = np.asarray(allocation, dtype=np.float64)
-        if allocation.shape != (self.action_dim,):
-            raise ValueError(
-                f"allocation shape {allocation.shape} != ({self.action_dim},)"
-            )
-        if allocation.sum() > self.consumer_budget + 1e-9:
-            raise ValueError(
-                f"allocation {allocation} exceeds budget {self.consumer_budget}"
-            )
-        next_state = np.maximum(
-            np.asarray(self.model.predict(self._state, allocation)), 0.0
-        )
-        reward = reward_eq1(next_state)
-        self._state = next_state
-        self._steps_in_rollout += 1
-        self.total_steps += 1
-        done = self._steps_in_rollout >= self.rollout_length
-        return next_state.copy(), reward, done
-
-    def step_simplex(
-        self, simplex: np.ndarray
-    ) -> Tuple[np.ndarray, float, bool]:
-        """Step with a softmax-actor output."""
-        return self.step(self.allocation_from_simplex(simplex))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ModelEnv(budget={self.consumer_budget}, "
-            f"rollout={self.rollout_length}, steps={self.total_steps})"
-        )
+__all__ = ["BatchedModelEnv"]
 
 
 class BatchedModelEnv:
@@ -137,9 +34,10 @@ class BatchedModelEnv:
     synthetic episodes always have equal length).
 
     Determinism contract: for ``batch_size=1`` the RNG draws and model
-    forwards are call-for-call identical to :class:`ModelEnv`, so K=1
-    trajectories are byte-identical to the serial environment under the
-    same seed (pinned by tests/core/test_batched_model_env.py).
+    forwards are call-for-call identical to the one-rollout environment
+    this class replaced (kept as tests/core/reference_model_env.py), so
+    K=1 trajectories are byte-identical to it under the same seed (pinned
+    by tests/core/test_batched_model_env.py).
     """
 
     def __init__(
@@ -175,7 +73,7 @@ class BatchedModelEnv:
     def action_dim(self) -> int:
         return self.model.action_dim
 
-    # Action mapping (same contract as the serial env, row-wise) ------------
+    # Action mapping (same contract as the real env, row-wise) --------------
     def allocation_from_simplex_batch(
         self, simplexes: np.ndarray
     ) -> np.ndarray:

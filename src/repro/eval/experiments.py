@@ -112,7 +112,7 @@ def build_training_env(seed: int, dataset: str = "msd") -> MicroserviceEnv:
     training environment inside each collector process from an
     :class:`~repro.rl.distributed.EnvSpec` recipe — a ``"module:callable"``
     string plus keyword params — so this must stay a *module-level*
-    callable taking only picklable arguments (reprolint P101): use
+    callable taking only picklable arguments: use
     ``EnvSpec.make("repro.eval.experiments:build_training_env",
     dataset="msd")``.  Replicas are untraced: each worker's transition
     block carries its own deterministic bookkeeping instead.

@@ -38,8 +38,10 @@ ingested (no out-of-order partial state, no silent loss).
 
 Process safety: the worker entry point :func:`run_collect_episode` is
 module-level and its payload is a plain dict of scalars, strings and
-numpy arrays — no live RNG generators, tracers, sinks or open handles
-(reprolint P101–P104).
+numpy arrays — no live RNG generators, tracers, sinks or open handles;
+``tests/core/test_agent_distributed.py`` pickles real payloads across a
+process pool and compares the merge byte for byte with the in-process
+schedule.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ COLLECT_MODES = ("serial", "logical", "physical")
 def resolve_workers(workers: int) -> int:
     """Resolve a worker-count knob: ``0`` auto-detects ``os.cpu_count()``.
 
-    Mirrors ``repro lint --jobs`` (and now ``repro experiments
-    --workers 0``): an unknown CPU count falls back to 1.
+    Shared with ``repro experiments --workers 0``: an unknown CPU count
+    falls back to 1.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 = auto), got {workers}")

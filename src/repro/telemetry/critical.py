@@ -181,8 +181,7 @@ def _reconcile(durations: List[float], makespan: float) -> List[float]:
         d = math.nextafter(
             d, math.inf if total < makespan else -math.inf
         )
-    durations[j] = d
-    return durations
+    return durations[:j] + [d] + durations[j + 1:]
 
 
 def _hop_stages(

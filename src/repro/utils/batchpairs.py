@@ -12,18 +12,16 @@ arguments.  This module makes the pairing *explicit*::
     def predict_batch(self, states, actions):
         ...
 
-Declaring the pair buys three layers of enforcement:
+Declaring the pair buys two layers of enforcement:
 
-- **Static** — reprolint's B1 family reads the decorator from source
-  (never importing runtime code) and verifies the serial twin exists
-  (B101), the signatures align modulo the leading batch axis (B102), and
-  at least one test references the batched side (B103).
 - **Runtime** — while the sanitizer is active (``REPRO_SANITIZE=1``),
   every call through a registered batch function is routed through a
   guard that hashes array arguments (mutation across the boundary raises)
   and checks dtype stability (silent float32/float64 drift raises).
 - **Registry** — :func:`registered_pairs` lets tests enumerate every
-  declared pair and drive serial-vs-batch equivalence sweeps generically.
+  declared pair and drive serial-vs-batch equivalence sweeps generically;
+  ``tests/core/test_batch_pair_registry.py`` resolves both twins of every
+  pair and names the test that pins its row-k equality.
 
 The guard hook is deliberately indirect: this module never imports
 ``repro.analysis`` (``repro.utils`` sits at the bottom of the layer DAG);
@@ -84,8 +82,9 @@ def batched_pair(serial_name: str) -> Callable:
 
     ``serial_name`` is the *simple* name of the serial function in the
     same scope (same class for methods, same module for free functions);
-    reprolint resolves and checks it statically, so a typo here fails CI
-    rather than silently registering an unpaired function.
+    ``tests/core/test_batch_pair_registry.py`` resolves it on the imported
+    module, so a typo here fails tier-1 rather than silently registering
+    an unpaired function.
     """
     require(
         isinstance(serial_name, str) and serial_name.isidentifier(),

@@ -133,8 +133,6 @@ class TestConfig:
             disable = []
             baseline = "base.json"
             exclude = []
-            sim_packages = ["lib.sim"]
-            step_entrypoints = ["tick"]
             hotpath_roots = ["tick"]
 
             [tool.reprolint.layers]
@@ -157,6 +155,15 @@ class TestConfig:
         assert "hotpath_roots" in str(excinfo.value)  # the accepted set
         assert lint_main(["--root", str(tmp_path), str(tmp_path)]) == 2
         assert "hotpath_root" in capsys.readouterr().err
+
+        # Keys the E1 family read are gone with it: plain unknown keys.
+        for key in ("sim_packages", "step_entrypoints"):
+            pyproject.write_text(src(f"""
+                [tool.reprolint]
+                {key} = ["tick"]
+            """), encoding="utf-8")
+            with pytest.raises(ValueError, match=f"unknown .*'{key}'"):
+                load_config(tmp_path)
 
         pyproject.write_text(src("""
             [tool.reprolint]
@@ -283,11 +290,17 @@ class TestCli:
         assert "P001" in capsys.readouterr().out
 
     def test_unknown_disable_rule_is_usage_error(self, tmp_path, capsys):
-        # V101/W103 were rule ids once; a removed id is an unknown id.
-        for rule in ("Z999", "V101", "W103"):
+        # These were rule ids once; a removed id is an unknown id.
+        for rule in ("Z999", "V101", "W103", "T101", "E102", "P104", "B101"):
             assert lint_main(["--root", str(tmp_path),
                               "--disable", rule, str(tmp_path)]) == 2
             assert "unknown rule" in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main(["--root", str(tmp_path), "--jobs", "2", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert lint_main([str(tmp_path / "nope"),
@@ -299,8 +312,8 @@ class TestCli:
         out = capsys.readouterr().out
         for rule in ("D101", "D102", "D201", "S101", "S102", "S103",
                      "A101", "A102", "A103", "P001",
-                     "R101", "R102", "R103", "T101", "T102", "T103",
-                     "E101", "E102", "L101"):
+                     "R101", "R102", "R103", "L101",
+                     "N101", "N102", "N103", "U101"):
             assert rule in out
 
     def test_disable_flag_drops_family(self, tmp_path, capsys):

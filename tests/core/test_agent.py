@@ -89,7 +89,7 @@ class TestModelTraining:
 
     def test_build_model_env_requires_model(self, agent):
         with pytest.raises(RuntimeError, match="train_model"):
-            agent.build_model_env()
+            agent.build_batched_model_env()
 
 
 class TestPolicyTraining:

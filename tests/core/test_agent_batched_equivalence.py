@@ -17,6 +17,7 @@ from repro.core.agent import MirasAgent
 from repro.telemetry.profile import PhaseProfiler
 
 from tests.conftest import make_msd_env
+from tests.core.reference_model_env import ModelEnv
 from tests.core.test_agent import tiny_config
 
 
@@ -35,7 +36,13 @@ def _prepared_agent(seed=3, profiler=None, **config_overrides):
 def _reference_serial_train_policy(agent):
     """The pre-batching ``train_policy`` loop (historical implementation)."""
     cfg = agent.config.policy
-    model_env = agent.build_model_env()
+    model_env = ModelEnv(
+        agent.refined_model,
+        agent.dataset,
+        consumer_budget=agent.env.consumer_budget,
+        rollout_length=cfg.rollout_length,
+        rng=agent._rngs["model-env"].fork(f"n{len(agent.dataset)}"),
+    )
     returns = []
     best_return = -np.inf
     stale = 0

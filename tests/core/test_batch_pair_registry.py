@@ -95,6 +95,14 @@ def _trained_model(seed=3):
     return model
 
 
+def _resolve(module_name, qualname):
+    """``module.Class.attr`` looked up on the imported module, or None."""
+    target = importlib.import_module(module_name)
+    for part in qualname.split("."):
+        target = getattr(target, part, None)
+    return target
+
+
 class TestRegistryCompleteness:
     def test_registry_equals_the_expected_table(self):
         importlib.import_module("repro.sim")  # registers the sim-side pairs
@@ -109,10 +117,21 @@ class TestRegistryCompleteness:
     def test_every_pair_names_an_existing_equivalence_test(self):
         for key, (_, test_ref) in EXPECTED_PAIRS.items():
             module_name, _, qualname = test_ref.partition(":")
-            target = importlib.import_module(module_name)
-            for part in qualname.split("."):
-                target = getattr(target, part, None)
-            assert callable(target), f"{key}: no such test {test_ref}"
+            assert callable(
+                _resolve(module_name, qualname)
+            ), f"{key}: no such test {test_ref}"
+
+    def test_both_twins_of_every_pair_exist(self):
+        """A typo in ``@batched_pair("serial")`` registers a pair whose
+        serial twin is not there; nothing else would notice."""
+        importlib.import_module("repro.sim")
+        pairs = registered_pairs()
+        for key in EXPECTED_PAIRS:
+            pair = pairs[key]
+            for qualname in (pair.serial_qualname, pair.batch_qualname):
+                assert callable(
+                    _resolve(pair.module, qualname)
+                ), f"{key}: {pair.module}.{qualname} does not resolve"
 
     def test_registry_records_scope_correctly(self):
         pair = registered_pairs()["repro.core.reward.reward_eq1"]

@@ -1,5 +1,6 @@
 """Batched synthetic-rollout engine: K=1 byte-identity vs the serial
-:class:`ModelEnv`, batch shapes, and validation errors.
+:class:`ModelEnv` it replaced (tests/core/reference_model_env.py), batch
+shapes, and validation errors.
 
 The determinism contract under test: ``BatchedModelEnv`` with
 ``batch_size=1`` draws the same RNG values and runs the same (1, n)
@@ -12,9 +13,11 @@ import pytest
 
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
-from repro.core.model_env import BatchedModelEnv, ModelEnv
+from repro.core.model_env import BatchedModelEnv
 from repro.core.refinement import RefinedModel
 from repro.utils.rng import RngStream
+
+from tests.core.reference_model_env import ModelEnv
 
 
 def _build_fixture():

@@ -10,6 +10,8 @@ from repro.rl.ddpg import DDPGConfig
 
 from tests.conftest import make_msd_env
 
+ALLOCATION = np.array([[4.0, 4.0, 3.0, 3.0]])
+
 
 @pytest.fixture(scope="module")
 def trained_model_env():
@@ -29,7 +31,7 @@ def trained_model_env():
     agent = MirasAgent(make_msd_env(seed=44), config, seed=44)
     agent.collect_real_interactions(40, random_fraction=1.0)
     agent.train_model()
-    return agent.build_model_env()
+    return agent.build_batched_model_env()
 
 
 class TestModelEnvWithLearntModel:
@@ -39,7 +41,7 @@ class TestModelEnvWithLearntModel:
         steps = 0
         done = False
         while not done:
-            _, _, done = env.step(np.array([4.0, 4.0, 3.0, 3.0]))
+            _, _, done = env.step(ALLOCATION)
             steps += 1
         assert steps == 6
 
@@ -47,28 +49,28 @@ class TestModelEnvWithLearntModel:
         env = trained_model_env
         env.reset()
         for _ in range(6):
-            env.step(np.array([4.0, 4.0, 3.0, 3.0]))
+            env.step(ALLOCATION)
         env.reset()
-        _, _, done = env.step(np.array([4.0, 4.0, 3.0, 3.0]))
+        _, _, done = env.step(ALLOCATION)
         assert not done
 
     def test_states_match_dataset_dimensionality(self, trained_model_env):
         state = trained_model_env.reset()
-        assert state.shape == (4,)
+        assert state.shape == (1, 4)
         assert np.all(state >= 0)
 
     def test_model_env_rejects_budget_violation(self, trained_model_env):
         trained_model_env.reset()
         with pytest.raises(ValueError, match="budget"):
-            trained_model_env.step(np.array([10.0, 10.0, 10.0, 10.0]))
+            trained_model_env.step(np.array([[10.0, 10.0, 10.0, 10.0]]))
 
     def test_simplex_path_consistent_with_manual(self, trained_model_env):
         env = trained_model_env
-        simplex = np.array([0.4, 0.3, 0.2, 0.1])
-        manual = env.allocation_from_simplex(simplex)
-        assert manual.sum() <= env.consumer_budget
-        env.reset(np.array([10.0, 5.0, 3.0, 2.0]))
-        state_a, _, _ = env.step_simplex(simplex)
-        env.reset(np.array([10.0, 5.0, 3.0, 2.0]))
-        state_b, _, _ = env.step(manual)
-        assert np.allclose(state_a, state_b)
+        simplex = np.array([[0.4, 0.3, 0.2, 0.1]])
+        executed = env.allocation_from_simplex_batch(simplex)
+        manual = np.floor(env.consumer_budget * simplex)
+        assert np.array_equal(executed, manual)
+        assert executed.sum() <= env.consumer_budget
+        env.reset()
+        state, _, _ = env.step(executed)
+        assert state.shape == (1, 4)

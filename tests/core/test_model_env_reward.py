@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
-from repro.core.model_env import ModelEnv
+from repro.core.model_env import BatchedModelEnv
 from repro.core.reward import cumulative_discounted_reward, reward_eq1
 from repro.utils.rng import RngStream
 
@@ -20,7 +20,9 @@ def model_env(rng):
         dataset.add(w, m, np.maximum(w + 1.0 - 2.0 * m, 0.0))
     model = EnvironmentModel(2, 2, hidden_sizes=(16,), rng=rng.fork("m"))
     model.fit(dataset, epochs=20)
-    return ModelEnv(model, dataset, consumer_budget=10, rollout_length=5, rng=rng)
+    return BatchedModelEnv(
+        model, dataset, consumer_budget=10, rollout_length=5, rng=rng
+    )
 
 
 class TestRewardFunctions:
@@ -50,21 +52,17 @@ class TestRewardFunctions:
 class TestModelEnv:
     def test_reset_samples_dataset_state(self, model_env):
         state = model_env.reset()
-        assert state.shape == (2,)
+        assert state.shape == (1, 2)
         assert np.all(state >= 0)
-
-    def test_reset_with_explicit_state(self, model_env):
-        state = model_env.reset(np.array([7.0, 3.0]))
-        assert np.array_equal(state, [7.0, 3.0])
 
     def test_step_before_reset_raises(self, model_env):
         with pytest.raises(RuntimeError, match="reset"):
-            model_env.step(np.array([1.0, 1.0]))
+            model_env.step(np.array([[1.0, 1.0]]))
 
     def test_step_returns_reward_consistent_with_eq1(self, model_env):
-        model_env.reset(np.array([10.0, 10.0]))
-        next_state, reward, done = model_env.step(np.array([2.0, 2.0]))
-        assert reward == pytest.approx(reward_eq1(next_state))
+        model_env.reset()
+        next_state, reward, done = model_env.step(np.array([[2.0, 2.0]]))
+        assert reward[0] == pytest.approx(reward_eq1(next_state[0]))
         assert not done
 
     def test_done_after_rollout_length(self, model_env):
@@ -72,28 +70,32 @@ class TestModelEnv:
         done = False
         steps = 0
         while not done:
-            _, _, done = model_env.step(np.array([2.0, 2.0]))
+            _, _, done = model_env.step(np.array([[2.0, 2.0]]))
             steps += 1
         assert steps == 5
 
     def test_budget_enforced(self, model_env):
         model_env.reset()
         with pytest.raises(ValueError, match="budget"):
-            model_env.step(np.array([8.0, 8.0]))
+            model_env.step(np.array([[8.0, 8.0]]))
 
     def test_simplex_step(self, model_env):
         model_env.reset()
-        next_state, reward, done = model_env.step_simplex(np.array([0.5, 0.5]))
-        assert next_state.shape == (2,)
+        next_state, reward, done = model_env.step(
+            model_env.allocation_from_simplex_batch(np.array([[0.5, 0.5]]))
+        )
+        assert next_state.shape == (1, 2)
 
     def test_allocation_from_simplex(self, model_env):
-        allocation = model_env.allocation_from_simplex(np.array([0.7, 0.3]))
-        assert allocation.tolist() == [7, 3]
+        allocation = model_env.allocation_from_simplex_batch(
+            np.array([[0.7, 0.3]])
+        )
+        assert allocation.tolist() == [[7, 3]]
         with pytest.raises(ValueError):
-            model_env.allocation_from_simplex(np.array([0.7, 0.7]))
+            model_env.allocation_from_simplex_batch(np.array([[0.7, 0.7]]))
 
     def test_states_never_negative(self, model_env):
-        model_env.reset(np.array([0.0, 0.0]))
+        model_env.reset()
         for _ in range(5):
-            state, _, _ = model_env.step(np.array([5.0, 5.0]))
+            state, _, _ = model_env.step(np.array([[5.0, 5.0]]))
             assert np.all(state >= 0)

@@ -72,6 +72,13 @@ class TestReconcile:
         out = _reconcile(durations, makespan)
         assert math.fsum(out) == makespan
 
+    def test_argument_is_left_unchanged(self):
+        durations = [0.1] * 10
+        makespan = math.nextafter(math.fsum(durations), math.inf)
+        out = _reconcile(durations, makespan)
+        assert out != durations
+        assert durations == [0.1] * 10
+
     def test_residual_below_largest_ulp_is_absorbed(self):
         """The round-to-even tie case: a residual smaller than the
         largest element's ulp must still reach bitwise equality."""
