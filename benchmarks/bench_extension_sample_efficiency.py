@@ -71,12 +71,20 @@ def test_sample_efficiency_curves(benchmark):
         [
             interactions,
             result.rewards("miras")[i],
+            result.real_windows("miras")[i],
             result.rewards("modelfree")[i],
+            result.real_windows("modelfree")[i],
         ]
         for i, interactions in enumerate(result.interactions("miras"))
     ]
     emit(format_table(
-        ["real interactions", "MIRAS eval reward", "model-free eval reward"],
+        [
+            "real interactions",
+            "MIRAS eval reward",
+            "MIRAS real windows (steps + resets)",
+            "model-free eval reward",
+            "model-free real windows (steps + resets)",
+        ],
         rows,
         title="Sample efficiency: burst-episode reward vs real interactions "
               "(MSD)",

@@ -24,12 +24,17 @@ writes ``BENCH_training.json`` at the repository root:
   byte-equality checks: logical N-worker vs logical 1-worker, and
   physical vs logical.  The >= 2x speedup gate is enforced only when
   ``os.cpu_count() >= 4`` (a one-core container cannot exhibit process
-  parallelism; equality is still gated everywhere).
+  parallelism; equality is still gated everywhere).  It also counts
+  the ``run_window`` calls one logical pass makes — an exact count —
+  as ``windows_simulated`` / ``windows_per_collected_step``: every
+  episode runs on a fresh replica whose reset is free, so collecting a
+  step should cost one simulated window.
 
 ``--check`` exits non-zero when the batched speedup falls below 3x,
 the parallel runner's JSON differs from the serial runner's, the
-distributed merges are not byte-identical, or (on >= 4-core hosts)
-physical collection is below the 2x floor.
+distributed merges are not byte-identical, collection simulates more
+than 1.1 windows per collected step, or (on >= 4-core hosts) physical
+collection is below the 2x floor.
 
 Run:  PYTHONPATH=src python benchmarks/run_training_bench.py --check
 """
@@ -62,6 +67,7 @@ from repro.rl.distributed import (
     episode_plan,
     policy_payload,
 )
+from repro.sim.system import MicroserviceWorkflowSystem
 from repro.utils.rng import RngStream
 
 #: Gate: batched rollout generation must be at least this much faster.
@@ -73,6 +79,10 @@ SPEEDUP_FLOOR = 3.0
 #: no parallelism to measure; byte-equality is still gated there).
 DISTRIBUTED_SPEEDUP_FLOOR = 2.0
 DISTRIBUTED_MIN_CPUS = 4
+
+#: Gate: simulated windows per collected step (an exact count).  Resets
+#: on fresh episode replicas are free, so the expected value is 1.0.
+WINDOWS_PER_STEP_CEILING = 1.1
 
 ARTIFACT = "BENCH_training.json"
 
@@ -243,6 +253,24 @@ def _blocks_equal(a: list, b: list) -> bool:
     return True
 
 
+def _count_windows(run):
+    """``run()``'s result and the ``run_window`` calls this process made."""
+    run_window = MicroserviceWorkflowSystem.run_window
+    windows = 0
+
+    def counting_run_window(system):
+        nonlocal windows
+        windows += 1
+        return run_window(system)
+
+    MicroserviceWorkflowSystem.run_window = counting_run_window
+    try:
+        result = run()
+    finally:
+        MicroserviceWorkflowSystem.run_window = run_window
+    return result, windows
+
+
 def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
     spec = EnvSpec.make(
         "repro.eval.experiments:build_training_env", dataset="msd"
@@ -262,7 +290,10 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
     for _ in range(repeats):
         elapsed, logical_blocks = collect("logical", 1)
         logical_s = min(logical_s, elapsed)
-        _, logical_n_blocks = collect("logical", workers)
+        # The untimed in-process pass doubles as the window count.
+        (_, logical_n_blocks), windows = _count_windows(
+            lambda: collect("logical", workers)
+        )
         elapsed, physical_blocks = collect("physical", workers)
         physical_s = min(physical_s, elapsed)
 
@@ -273,6 +304,9 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
         "workers": workers,
         "logical_steps_per_second": steps / logical_s,
         "physical_steps_per_second": steps / physical_s,
+        "windows_simulated": windows,
+        "windows_per_collected_step": windows / steps,
+        "windows_per_step_ceiling": WINDOWS_PER_STEP_CEILING,
         "speedup": logical_s / physical_s,
         "speedup_floor": DISTRIBUTED_SPEEDUP_FLOOR,
         "gate_enforced": cpu_count >= DISTRIBUTED_MIN_CPUS,
@@ -373,6 +407,10 @@ def main(argv=None) -> int:
         f"(floor {DISTRIBUTED_SPEEDUP_FLOOR}x, {gate_note}), merges "
         + ("match" if distributed["logical_match"]
            and distributed["physical_matches_logical"] else "DIFFER")
+        + f", {distributed['windows_simulated']} windows simulated for "
+        f"{distributed['collect_steps']} steps "
+        f"({distributed['windows_per_collected_step']:.2f} per step, "
+        f"ceiling {WINDOWS_PER_STEP_CEILING})"
     )
 
     failures = []
@@ -390,6 +428,12 @@ def main(argv=None) -> int:
     if not distributed["physical_matches_logical"]:
         failures.append(
             "physical collection differs from the logical interleave"
+        )
+    if distributed["windows_per_collected_step"] > WINDOWS_PER_STEP_CEILING:
+        failures.append(
+            f"collection simulates "
+            f"{distributed['windows_per_collected_step']:.2f} windows per "
+            f"collected step, above the {WINDOWS_PER_STEP_CEILING} ceiling"
         )
     if (
         distributed["gate_enforced"]

@@ -154,10 +154,12 @@ def evaluate_allocator(
     scenario: BurstScenario,
     steps: int,
 ) -> EvalResult:
-    """Drain, inject the burst, then run ``steps`` allocator-controlled windows.
+    """Reset, inject the burst, then run ``steps`` allocator-controlled windows.
 
     The allocator must already be prepared (trained); this call only binds
-    it to ``env`` and runs the evaluation protocol.
+    it to ``env`` and runs the evaluation protocol.  The reset drains
+    until no request is waiting (WIP is then what is in service); on a
+    fresh ``env`` it costs no window, so exactly ``steps`` are simulated.
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")

@@ -30,12 +30,27 @@ class SampleEfficiencyResult:
     """Learning curves keyed by agent name.
 
     ``curves[name]`` is a list of (real_interactions, eval_reward) points.
+    ``reset_windows[name]`` runs parallel to it: the real windows the
+    agent's environment had spent draining in ``reset()`` by the time
+    that checkpoint's interactions were collected (the evaluation
+    episodes run on the same system, so clearing up after one is charged
+    to the next slice).
     """
 
     curves: Dict[str, List[tuple]] = field(default_factory=dict)
+    reset_windows: Dict[str, List[int]] = field(default_factory=dict)
 
     def interactions(self, name: str) -> List[int]:
         return [point[0] for point in self.curves[name]]
+
+    def real_windows(self, name: str) -> List[int]:
+        """Real windows consumed per checkpoint: interactions + resets."""
+        return [
+            steps + resets
+            for steps, resets in zip(
+                self.interactions(name), self.reset_windows[name]
+            )
+        ]
 
     def rewards(self, name: str) -> List[float]:
         return [point[1] for point in self.curves[name]]
@@ -88,7 +103,10 @@ def sample_efficiency_curves(
     """
     if checkpoints < 1:
         raise ValueError(f"checkpoints must be >= 1, got {checkpoints}")
-    result = SampleEfficiencyResult(curves={"miras": [], "modelfree": []})
+    result = SampleEfficiencyResult(
+        curves={"miras": [], "modelfree": []},
+        reset_windows={"miras": [], "modelfree": []},
+    )
     total_budget = config.steps_per_iteration * config.iterations
     slice_size = max(1, total_budget // checkpoints)
 
@@ -101,6 +119,7 @@ def sample_efficiency_curves(
             slice_size, random_fraction=1.0 if checkpoint == 0 else 0.0
         )
         consumed += slice_size
+        result.reset_windows["miras"].append(miras_env.reset_windows)
         agent.train_model()
         agent.train_policy()
         reward = _evaluate_greedy(
@@ -139,6 +158,7 @@ def sample_efficiency_curves(
                 mf_agent.update()
             state = next_state
         consumed += slice_size
+        result.reset_windows["modelfree"].append(mf_env.reset_windows)
         reward = _evaluate_greedy(
             mf_env, mf_agent.act_greedy, eval_steps, eval_burst_scale
         )

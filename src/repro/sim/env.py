@@ -48,6 +48,9 @@ class MicroserviceEnv:
         check_positive("consumer_budget", self.consumer_budget)
         self.steps_taken = 0
         self.episodes = 0
+        #: Real windows spent draining in :meth:`reset` — with
+        #: ``steps_taken``, every real window this environment consumed.
+        self.reset_windows = 0
 
     # Dimensions ------------------------------------------------------------
     @property
@@ -119,8 +122,17 @@ class MicroserviceEnv:
         return self.system.wip_vector()
 
     def reset(self, max_windows: int = 40) -> np.ndarray:
-        """Drain WIP to ~0 (the paper's episode reset) and return the state."""
-        self.system.drain(max_windows=max_windows)
+        """The paper's episode reset: drain, then the uniform allocation.
+
+        The drain ends with no request waiting in any queue (unless it
+        hit ``max_windows``), so the returned state is the WIP still in
+        service, not necessarily zero.  A system with nothing waiting —
+        a freshly built one, say — is not over-provisioned at all and
+        the reset costs no window.  (Under ``scale_down_mode="kill"``
+        stepping down to the uniform allocation can put requests that
+        were in service back in their queue.)
+        """
+        self.reset_windows += self.system.drain(max_windows=max_windows)
         self.system.apply_allocation(self.uniform_allocation())
         self.episodes += 1
         return self.observe()

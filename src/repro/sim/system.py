@@ -403,21 +403,28 @@ class MicroserviceWorkflowSystem:
     def drain(
         self,
         max_windows: int = 40,
-        target_wip: float = 0.0,
         consumers_per_service: Optional[int] = None,
     ) -> int:
-        """The paper's "reset": over-provision until WIP is (near) zero.
+        """The paper's "reset": over-provision until nothing is waiting.
 
         "'Reset' means to provision sufficient consumers of each
-        microservice to reduce WIP close to 0" (Section VI-A3).  Returns the
-        number of windows the drain took.  The previous allocation is *not*
-        restored — callers apply a fresh one, as the RL loop does.
+        microservice to reduce WIP close to 0" (Section VI-A3).  The
+        drain ends once no request is waiting in any queue; the WIP
+        that remains is in service, which is the floor over-provisioning
+        can reach (exact zero is a coin flip under background arrivals).
+        Returns the number of windows the drain took — 0, with the
+        allocation left untouched, when nothing was waiting to begin
+        with — and gives up after ``max_windows``.  The previous
+        allocation is *not* restored — callers apply a fresh one, as the
+        RL loop does.
         """
         if consumers_per_service is None:
             consumers_per_service = self.config.resolved_drain_consumers(
                 self.ensemble.num_task_types
             )
         check_positive("consumers_per_service", consumers_per_service)
+        if not self._requests_waiting():
+            return 0
         drain_allocation = np.full(
             self.ensemble.num_task_types, consumers_per_service, dtype=np.int64
         )
@@ -426,9 +433,15 @@ class MicroserviceWorkflowSystem:
         while windows < max_windows:
             self.run_window()
             windows += 1
-            if float(self.wip_vector().sum()) <= target_wip:
+            if not self._requests_waiting():
                 break
         return windows
+
+    def _requests_waiting(self) -> bool:
+        """True while any microservice queue holds an undelivered request."""
+        return any(
+            ms.queue.ready_count for ms in self.microservices.values()
+        )
 
     # Conservation / sanity ------------------------------------------------
     def conservation_ok(self) -> bool:

@@ -32,9 +32,11 @@ def tiny_config():
 class TestResultContainer:
     def test_curve_accessors(self):
         result = SampleEfficiencyResult(
-            curves={"a": [(10, -5.0), (20, -3.0)]}
+            curves={"a": [(10, -5.0), (20, -3.0)]},
+            reset_windows={"a": [1, 4]},
         )
         assert result.interactions("a") == [10, 20]
+        assert result.real_windows("a") == [11, 24]
         assert result.rewards("a") == [-5.0, -3.0]
         assert result.final_reward("a") == -3.0
         assert result.auc("a") == pytest.approx(-4.0)
@@ -55,6 +57,9 @@ class TestCurves:
         assert len(result.interactions("miras")) == 2
         for name in result.curves:
             assert all(np.isfinite(r) for r in result.rewards(name))
+            resets = result.reset_windows[name]
+            assert len(resets) == 2
+            assert 0 <= resets[0] <= resets[1]
 
     def test_invalid_checkpoints(self):
         with pytest.raises(ValueError):

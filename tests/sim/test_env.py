@@ -84,11 +84,19 @@ class TestBudgetEnforcement:
 
 
 class TestResetStep:
-    def test_reset_drains_to_zero(self):
+    def test_reset_leaves_nothing_waiting(self):
         env = make_msd_env()
         env.system.inject_burst({"Type1": 40})
         state = env.reset()
-        assert float(state.sum()) == 0.0
+        services = env.system.microservices.values()
+        assert all(ms.queue.ready_count == 0 for ms in services)
+        # What is left is in service, on a consumer that is busy or
+        # finishing its last task after the step down to uniform.
+        assert float(state.sum()) <= sum(
+            ms.busy_consumers + len(ms.draining) for ms in services
+        )
+        assert env.system.conservation_ok()
+        assert 1 <= env.reset_windows < 40
         assert env.episodes == 1
 
     def test_step_returns_consistent_observation(self):
