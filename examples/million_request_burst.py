@@ -7,8 +7,8 @@ The serial substrate keeps one Python object per request (61 MB per
 traces, equal metrics snapshots — on a numpy struct-of-arrays request
 pool (19 MB per 100,000) with batched queue operations: the burst
 below is injected as whole arrays, ten times faster, and entire windows
-are replayed vectorised when the fast-path preconditions hold (see
-docs/SIMULATOR.md).
+are replayed vectorised where the replay can reproduce them (see
+docs/SIMULATOR.md, "The vectorised window fast path").
 
 This example injects 1,000,000 workflow requests (3.25 million tasks)
 as a single MSD burst and runs windows until the burst drains, printing
@@ -25,11 +25,12 @@ from repro.sim import BatchedWorkflowSystem, SystemConfig
 from repro.workflows import build_msd_ensemble
 
 # Allocations are weighted toward the upstream services (Ingest,
-# Preprocess) so downstream queues accumulate backlogs: the vectorised
-# window replay only consumes each queue's start-of-window prefix, so a
-# perfectly balanced pipeline keeps downstream queues near-empty and
-# forces the exact fallback every window (docs/SIMULATOR.md,
-# "Fast-path preconditions").
+# Preprocess) so downstream queues accumulate backlogs: a replayed
+# chain consumes only what its queue held when the slice began, so a
+# perfectly balanced pipeline — downstream consumers waiting on an
+# empty queue for the next upstream completion — falls back to the
+# exact tier every window (docs/SIMULATOR.md, "What still forces the
+# exact tier").
 FULL = dict(
     consumer_budget=8192,
     window_length=240.0,

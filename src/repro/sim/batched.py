@@ -25,32 +25,67 @@ Two execution tiers:
 1. **Exact tier** — the typed event loop pops one event at a time and
    drives :class:`repro.sim.microservice.BatchedMicroservice` executors.
    Always available; handles tracing, scaling, faults, arrivals.
-2. **Vectorised window replay** (the fast path) — when a window is a
-   pure processing race (only task-finish events pending, no tracing, no
-   draining consumers), the whole window is re-simulated arithmetically:
-   per-microservice completion chains with block-prefetched service
-   draws, then one global merge that replays dependency routing, queue
-   counters and metrics with numpy.  Any condition the replay cannot
-   reproduce exactly (a queue runs dry, a completion-time tie, a publish
-   into a microservice with idle consumers) *aborts before any state
-   mutation* — the RNG prefetch rolls back, the popped events are
-   re-inserted, and the exact tier runs the window instead.
+2. **Vectorised window replay** (the fast path) — whenever no tracer or
+   profiler is attached and no callback event (arrival process, chaos
+   injector) is pending, the window is re-simulated arithmetically, one
+   time slice of bounded work after another: per-microservice chains
+   take every due row — task finishes, consumer start-ups, the last
+   task of a terminating consumer — against the queue's start-of-slice
+   contents with block-prefetched service draws, then one global merge
+   replays dependency routing, queue counters and metrics with numpy.
+   Any condition the replay cannot reproduce exactly (a completion-time
+   tie, a publish into a microservice whose queue ran dry or that holds
+   an idle consumer) *aborts the slice before any state mutation* — the
+   RNG prefetch rolls back, the popped rows are re-inserted, and the
+   exact tier finishes the window from the last committed slice.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Tuple
+import math
+from array import array
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from repro.sim.events import TypedEventLoop
-from repro.sim.microservice import BatchedMicroservice
+from repro.sim.events import EVENT_FINISH, TypedEventLoop
+from repro.sim.microservice import _BUSY, _IDLE, _STOPPED, BatchedMicroservice
 from repro.sim.requests import RequestPool
 from repro.sim.system import MicroserviceWorkflowSystem
 from repro.sim.tds import CompiledDependencyTable, TaskDependencyService
 
 __all__ = ["BatchedWorkflowSystem", "BatchedInvoker"]
+
+#: Expected task completions one replayed time slice is sized for
+#: (:meth:`BatchedWorkflowSystem._slice_ends`).  The merge holds a few
+#: dozen arrays of that length, so this bounds a replayed window's
+#: footprint; every cut re-parks the in-flight tasks, so smaller slices
+#: cost wall-clock (docs/PERFORMANCE.md has the measured trade-off).
+_SLICE_COMPLETIONS = 16384
+
+
+class _Chain(NamedTuple):
+    """One microservice's replayed slice (:meth:`BatchedWorkflowSystem._chain`)."""
+
+    #: Per completion, in chain order: its time and the task's workflow.
+    times: np.ndarray
+    workflows: np.ndarray
+    #: Times of the start-ups replayed, and of the events that
+    #: dispatched nothing (a consumer stopped or found the queue empty).
+    ready_times: List[float]
+    quiet_times: List[float]
+    #: Tasks taken off the queue.
+    pops: int
+    #: Final ``(task, start, busy time, tasks completed)`` per slot touched.
+    slots: Dict[int, Tuple[int, float, float, int]]
+    #: ``(finish time, slot, start)`` of tasks in service past the end,
+    #: and their pool rows.
+    parked: List[Tuple[float, int, float]]
+    parked_tasks: List[int]
+    #: Slots that end idle (the queue ran dry) / stopped (were draining).
+    idle: List[int]
+    stopped: List[int]
 
 
 class BatchedInvoker:
@@ -159,8 +194,9 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
     Construction, control surface and observations are inherited; only
     the substrate (:meth:`_build_substrate`) and the window advance
     (:meth:`_advance_window`) differ.  ``fast_windows`` / ``fast_aborts``
-    count vectorised replays and their fallbacks, so benchmarks and
-    tests can assert the fast path actually engaged.
+    count vectorised replays and their fallbacks (``fast_abort_reasons``
+    says why), ``fast_ineligible_reasons`` the windows never attempted,
+    so benchmarks and tests can assert the fast path actually engaged.
 
     API deltas (documented in docs/SIMULATOR.md): :meth:`submit` and
     :meth:`inject_burst` return integer pool row indices instead of
@@ -206,6 +242,8 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         self.fast_aborts = 0
         #: Abort tallies by reason (diagnostics; see docs/SIMULATOR.md).
         self.fast_abort_reasons: Dict[str, int] = {}
+        #: Why windows were not attempted at all, by reason.
+        self.fast_ineligible_reasons: Dict[str, int] = {}
         self._build_fast_tables()
 
     def _execute_finish(self, ms_index: int, slot: int) -> None:
@@ -332,38 +370,56 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         table = self.table
         num_w = table.num_workflow_types
         num_t = table.num_task_types
-        max_tasks = table.max_tasks
         #: (workflow type, global task index) -> local index (-1 absent).
-        self._local_mat = np.full((num_w, num_t), -1, dtype=np.int64)
-        #: (workflow type, local index) -> number of successors.
-        self._succ_cnt_mat = np.zeros((num_w, max_tasks), dtype=np.int64)
-        #: Per workflow type: successor edges flattened in DAG edge
-        #: order, with CSR-style offsets per local index.
-        self._edges_local: List[np.ndarray] = []
-        self._edges_global: List[np.ndarray] = []
-        self._edge_ptr: List[np.ndarray] = []
+        self._local_mat = np.full((num_w, num_t), -1, dtype=np.int16)
+        # One CSR over node = workflow type * max_tasks + local index:
+        # successor edges in DAG edge order, so expanding completions in
+        # rank order yields publishes in exactly the serial order.
+        ptr = [0]
+        locs: List[int] = []
+        globs: List[int] = []
+        joins: List[bool] = []
+        #: feeds[p, w, g]: workflow type w has the edge p -> g.
+        self._feeds = np.zeros((num_t, num_w, num_t), dtype=bool)
         for w in range(num_w):
             self._local_mat[w] = table.local_of_task[w]
-            locs: List[int] = []
-            globs: List[int] = []
-            ptr = [0]
-            for succs in table.successors[w]:
-                for s_local, s_global in succs:
-                    locs.append(s_local)
-                    globs.append(s_global)
+            for local in range(table.max_tasks):
+                if local < table.size[w]:
+                    g = int(table.task_of_local[w][local])
+                    for s_local, s_global in table.successors[w][local]:
+                        locs.append(s_local)
+                        globs.append(s_global)
+                        joins.append(bool(table.pred_counts[w][s_local] > 1))
+                        self._feeds[g, w, s_global] = True
                 ptr.append(len(locs))
-            self._edges_local.append(np.array(locs, dtype=np.int64))
-            self._edges_global.append(np.array(globs, dtype=np.int64))
-            edge_ptr = np.array(ptr, dtype=np.int64)
-            self._edge_ptr.append(edge_ptr)
-            self._succ_cnt_mat[w, : table.size[w]] = np.diff(edge_ptr)
-        #: Strictly larger than any per-completion successor count, so
-        #: ``rank * K + edge`` orders publishes lexicographically.
-        self._edge_key_base = int(self._succ_cnt_mat.max()) + 1
+        self._edge_ptr = np.array(ptr, dtype=np.int64)
+        self._edge_local = np.array(locs, dtype=np.int16)
+        self._edge_global = np.array(globs, dtype=np.int32)
+        #: Edge targets an AND-join (more than one predecessor).
+        self._edge_join = np.array(joins, dtype=bool)
+        #: Task-type-level graph (union over workflow types): each
+        #: service's predecessors, and a sinks-first service order (DFS
+        #: post-order over successors).
+        type_edges = self._feeds.any(axis=1)
+        self._type_preds: List[List[int]] = [
+            np.nonzero(type_edges[:, g])[0].tolist() for g in range(num_t)
+        ]
+        self._sinks_first: List[int] = []
+        seen: set = set()
+
+        def visit(g: int) -> None:
+            if g not in seen:
+                seen.add(g)
+                for s in np.nonzero(type_edges[g])[0].tolist():
+                    visit(s)
+                self._sinks_first.append(g)
+
+        for g in range(num_t):
+            visit(g)
 
     def _advance_window(self, end: float) -> None:
         if self._fast_window_ok():
-            if self._try_fast_window(end):
+            if all(self._try_fast_slice(stop) for stop in self._slice_ends(end)):
                 self.fast_windows += 1
                 return
             self.fast_aborts += 1
@@ -371,296 +427,424 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
 
     def _fast_window_ok(self) -> bool:
         """Static preconditions of the vectorised replay (docs/SIMULATOR.md)."""
-        if self.tracer.enabled or self.profiler.enabled:
-            return False
-        if not self.loop.only_finish_events_pending:
-            return False
-        for ms in self._services:
-            if ms.draining:
-                return False
-        return True
+        if self.tracer.enabled:
+            reason = "tracing"
+        elif self.profiler.enabled:
+            reason = "profiling"
+        elif self.loop.callbacks_pending:
+            reason = "callbacks-pending"
+        else:
+            return True
+        self.fast_ineligible_reasons[reason] = (
+            self.fast_ineligible_reasons.get(reason, 0) + 1
+        )
+        return False
 
-    def _try_fast_window(self, end: float) -> bool:
-        """Attempt one vectorised window; True if committed.
+    def _slice_ends(self, end: float) -> List[float]:
+        """Cut the window into time slices of bounded expected work.
+
+        A slice is replayed and committed like a short window, so the
+        cuts are unobservable; they bound the merge's temporaries (peak
+        memory) by the completions to expect: per microservice no more
+        than its backlog, nor than its working consumers turn over at
+        the mean service time.
+        """
+        start = self.loop.now
+        span = end - start
+
+        def expected(ms: BatchedMicroservice) -> float:
+            backlog = len(ms.fifo) + ms.unacked
+            working = min(len(ms.order) + len(ms.draining), backlog)
+            return min(
+                backlog, working * span / ms.task_type.mean_service_time
+            )
+
+        work = math.fsum(expected(ms) for ms in self._services)
+        slices = int(work / _SLICE_COMPLETIONS) + 1
+        return [start + k * span / slices for k in range(1, slices)] + [end]
+
+    def _try_fast_slice(self, end: float) -> bool:
+        """Attempt one vectorised time slice; True if committed.
 
         All abort conditions are detected before any state mutation
-        other than RNG prefetch consumption (rolled back) and the
-        popped due events (re-inserted), so an abort leaves the system
-        exactly as the exact tier expects it.
+        other than RNG prefetch consumption (rolled back) and the popped
+        due rows (re-inserted), so an abort leaves the system exactly as
+        the exact tier expects it.
         """
         loop = self.loop
-        due = loop.pop_due_finish_events(end)
-        if not due:
-            loop.commit_fast_window(end, 0, 0)
+        live, dropped = loop.pop_due_rows(end)
+        if not live:
+            loop.commit_fast_window(end, 0, 0, dropped)
             return True
-        per_ms: Dict[int, List[Tuple[float, int, int]]] = {}
-        for event_time, seq, ms_i, slot in due:
-            per_ms.setdefault(ms_i, []).append((event_time, seq, slot))
-
-        # Phase 1: per-microservice completion chains (pure; only the
-        # RNG prefetch advances, guarded by rollback marks).
+        due: Dict[int, List[Tuple[float, int]]] = {}
+        for when, _seq, _kind, ms_i, slot in live:
+            due.setdefault(ms_i, []).append((when, slot))
         marks: Dict[int, Tuple] = {}
-        chains: Dict[int, Tuple[List[float], List[int], List[int], List[float], int]] = {}
-        parked: List[Tuple[int, int, float, float, int]] = []
 
-        def _rollback(reason: str) -> None:
+        def abort(reason: str) -> bool:
             self.fast_abort_reasons[reason] = (
                 self.fast_abort_reasons.get(reason, 0) + 1
             )
-            for m_i, mark in marks.items():
-                self._services[m_i].prefetch.rollback(mark)
-            for row in due:
-                loop.push_finish_event(row[0], row[1], row[2], row[3])
-            return None
+            for ms_i, mark in marks.items():
+                self._services[ms_i].prefetch.rollback(mark)
+            loop.push_rows(live + dropped)
+            return False
 
-        for ms_i, events in per_ms.items():
-            ms = self._services[ms_i]
-            fixed = ms._fixed_service
-            if fixed is None:
-                marks[ms_i] = ms.prefetch.begin()
-            depth = len(ms.fifo)
-            prefix = ms.fifo.peek_prefix(depth)
-            pops = 0
-            local_heap = list(events)
-            heapq.heapify(local_heap)
-            local_cur: Dict[int, int] = {}
-            local_start: Dict[int, float] = {}
-            comps_t: List[float] = []
-            comps_slot: List[int] = []
-            comps_task: List[int] = []
-            comps_start: List[float] = []
-            tie = 1 << 60  # new events order after initial seqs on ties
-            while local_heap:
-                event_time, _tb, slot = heapq.heappop(local_heap)
-                cur = local_cur.get(slot)
-                if cur is None:
-                    cur = ms.current_task[slot]
-                    start = ms.processing_started[slot]
-                else:
-                    start = local_start[slot]
-                comps_t.append(event_time)
-                comps_slot.append(slot)
-                comps_task.append(cur)
-                comps_start.append(start)
-                if pops == depth:
-                    # Queue ran dry: the next dispatch would depend on
-                    # mid-window arrivals — only the exact tier orders
-                    # those correctly.
-                    _rollback("starvation")
-                    return False
-                nxt = int(prefix[pops])
-                pops += 1
-                if fixed is not None:
-                    service_time = fixed
-                else:
-                    service_time = ms.prefetch.lognormal(ms._mu, ms._sigma)
-                finish_time = event_time + service_time
-                local_cur[slot] = nxt
-                local_start[slot] = event_time
-                if finish_time <= end:
-                    tie += 1
-                    heapq.heappush(local_heap, (finish_time, tie, slot))
-                else:
-                    parked.append((ms_i, slot, event_time, finish_time, nxt))
-            chains[ms_i] = (comps_t, comps_slot, comps_task, comps_start, pops)
+        # Phase 1: per-microservice completion chains, sinks first (pure;
+        # only the RNG prefetch advances, guarded by rollback marks).
+        chains: Dict[int, _Chain] = {}
+        #: Services a publish may not reach, with the abort it would cause.
+        closed: Dict[int, str] = {}
+        for g in self._sinks_first:
+            ms = self._services[g]
+            reason = None
+            if g in due:
+                if ms._fixed_service is None:
+                    marks[g] = ms.prefetch.begin()
+                chains[g] = chain = self._chain(ms, due[g], end)
+                if chain.idle:
+                    reason = "starvation"
+            if reason is None and ms.has_idle():
+                reason = "publish-into-idle"
+            if reason is not None:
+                closed[g] = reason
+                # Give up before chaining an upstream service whose
+                # completions would land here.
+                for p in self._type_preds[g]:
+                    if p in due and p not in chains and self._feeds_now(p, due[p])[g]:
+                        return abort(reason)
 
         # Phase 2: global merge (still read-only w.r.t. system state).
-        ms_ids = sorted(chains)
-        times = np.concatenate(
-            [np.asarray(chains[m][0], dtype=np.float64) for m in ms_ids]
-        )
-        n = times.size
-        sorted_times = np.sort(times)
-        if sorted_times.size > 1 and np.any(
-            sorted_times[1:] == sorted_times[:-1]
-        ):
-            # Completion-time tie: serial breaks it by seq; the merge
-            # cannot, so replay exactly.
-            _rollback("time-tie")
-            return False
-        type_arr = np.concatenate(
-            [np.full(len(chains[m][0]), m, dtype=np.int64) for m in ms_ids]
-        )
-        task_arr = np.concatenate(
-            [np.asarray(chains[m][2], dtype=np.int64) for m in ms_ids]
-        )
-        order = np.argsort(times, kind="stable")
-        times_g = times[order]
-        type_g = type_arr[order]
-        task_g = task_arr[order]
-
-        pool = self.pool
-        wf_g = pool.task_workflow[task_g]
-        w_g = pool.wf_type[wf_g].astype(np.int64)
-        local_g = self._local_mat[w_g, type_g]
-
-        # Abort: double completion (exact tier raises the real error).
-        if pool.wf_task_done[wf_g, local_g].any():
-            _rollback("double-completion")
-            return False
-        done_key = wf_g * self.table.max_tasks + local_g
-        if np.unique(done_key).size != n:
-            _rollback("double-completion")
-            return False
-
-        # Successor-edge expansion, in (completion rank, edge) order.
-        pub_wf_parts: List[np.ndarray] = []
-        pub_local_parts: List[np.ndarray] = []
-        pub_global_parts: List[np.ndarray] = []
-        pub_key_parts: List[np.ndarray] = []
-        pub_rank_parts: List[np.ndarray] = []
-        key_base = self._edge_key_base
-        for w in np.unique(w_g):
-            mask = w_g == w
-            loc = local_g[mask]
-            ranks = np.nonzero(mask)[0]
-            ptr = self._edge_ptr[w]
-            starts = ptr[loc]
-            cnts = ptr[loc + 1] - starts
-            total = int(cnts.sum())
-            if total == 0:
-                continue
-            rep = np.repeat(np.arange(loc.size), cnts)
-            offsets = np.arange(total) - np.repeat(np.cumsum(cnts) - cnts, cnts)
-            edge_idx = starts[rep] + offsets
-            pub_wf_parts.append(wf_g[mask][rep])
-            pub_local_parts.append(self._edges_local[w][edge_idx])
-            pub_global_parts.append(self._edges_global[w][edge_idx])
-            pub_key_parts.append(ranks[rep] * key_base + offsets)
-            pub_rank_parts.append(ranks[rep])
-        if pub_wf_parts:
-            pub_wf = np.concatenate(pub_wf_parts)
-            pub_local = np.concatenate(pub_local_parts)
-            pub_global = np.concatenate(pub_global_parts)
-            pub_key = np.concatenate(pub_key_parts)
-            pub_rank = np.concatenate(pub_rank_parts)
-        else:
-            pub_wf = pub_local = pub_global = pub_key = pub_rank = np.empty(
-                0, dtype=np.int64
-            )
-
-        # AND-join countdown, computed without mutating the pool: the
-        # k-th decrement (in global publish order) of a counter at v0
-        # triggers the publish exactly when k == v0.
-        v0 = pool.wf_pred_remaining[pub_wf, pub_local].astype(np.int64)
-        group = pub_wf * self.table.max_tasks + pub_local
-        sort_idx = np.lexsort((pub_key, group))
-        group_s = group[sort_idx]
-        if group_s.size:
-            new_group = np.empty(group_s.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = group_s[1:] != group_s[:-1]
-            group_pos = np.nonzero(new_group)[0]
-            sizes = np.diff(np.append(group_pos, group_s.size))
-            cum = np.arange(group_s.size) - np.repeat(group_pos, sizes)
-            v0_s = v0[sort_idx]
-            if np.any(cum + 1 > v0_s):  # counter would underflow
-                _rollback("join-underflow")
-                return False
-            trig = sort_idx[cum + 1 == v0_s]
-            trig = trig[np.argsort(pub_key[trig])]
-        else:
-            trig = np.empty(0, dtype=np.int64)
-        new_types = pub_global[trig]
-        new_wfs = pub_wf[trig]
-        new_times = times_g[pub_rank[trig]]
-
-        # Abort: a publish into a microservice with an idle consumer
-        # would dispatch immediately — a cross-service cascade the
-        # per-service chains above did not simulate.
-        target_types = np.unique(new_types)
-        for g in target_types:
-            if self._services[g].has_idle():
-                _rollback("publish-into-idle")
-                return False
-
-        # Workflow completions: the rank at which a workflow's done
-        # count reaches its size.
-        wf_sort = np.lexsort((np.arange(n), wf_g))
-        wf_s = wf_g[wf_sort]
-        new_wf = np.empty(n, dtype=bool)
-        new_wf[0] = True
-        new_wf[1:] = wf_s[1:] != wf_s[:-1]
-        wf_pos = np.nonzero(new_wf)[0]
-        wf_sizes = np.diff(np.append(wf_pos, n))
-        wf_cum = np.arange(n) - np.repeat(wf_pos, wf_sizes)
-        complete_mask = (
-            pool.wf_done_count[wf_s] + wf_cum + 1 == pool.wf_total_tasks[wf_s]
-        )
-        complete_ranks = np.sort(wf_sort[complete_mask])
-        comp_wfs = wf_g[complete_ranks]
-        comp_times = times_g[complete_ranks]
+        merged = self._merge(chains)
+        if merged is None:
+            # Two events share a timestamp: serial breaks the tie by
+            # seq; the merge cannot, so replay exactly.
+            return abort("time-tie")
+        times, types, wfs, seqs = merged
+        routed = None
+        if times.size:
+            routed = self._route(times, types, wfs, closed)
+            if isinstance(routed, str):
+                return abort(routed)
 
         # ---- Commit (no aborts past this point) -------------------------
-        seq0 = loop._seq_next
-        # Per-microservice queue/consumer state.
-        for ms_i in ms_ids:
-            ms = self._services[ms_i]
-            comps_t, comps_slot, _tasks, comps_start, pops = chains[ms_i]
-            popped = ms.fifo.peek_prefix(pops)
-            pool.task_deliveries[popped] += 1
-            ms.fifo.consume(pops)
-            completed_here = len(comps_t)
-            ms.unacked += pops - completed_here
-            ms.acked_total += completed_here
-            ms.tasks_completed += completed_here
-            busy_time = ms.slot_busy_time
-            slot_done = ms.slot_tasks_completed
-            for event_time, slot, start in zip(comps_t, comps_slot, comps_start):
-                # Left-fold in completion order: bit-identical to the
-                # serial per-event accumulation.
-                busy_time[slot] += event_time - start
-                slot_done[slot] += 1
-            marks.pop(ms_i, None)
-        # In-flight tasks at the window boundary: re-insert their finish
-        # events with the seq the serial loop would have assigned (one
-        # schedule per completion, in completion order).
-        if parked:
-            starts = np.array([p[2] for p in parked], dtype=np.float64)
-            seqs = seq0 + np.searchsorted(times_g, starts)
-            for (ms_i, slot, start, finish_time, task), seq in zip(
-                parked, seqs.tolist()
-            ):
-                loop.push_finish_event(finish_time, seq, ms_i, slot)
-                ms = self._services[ms_i]
-                ms.current_task[slot] = task
-                ms.processing_started[slot] = start
-                ms.pending_token[slot] = seq
-        # Dependency bookkeeping.
-        pool.wf_task_done[wf_g, local_g] = 1
-        if pub_wf.size:
-            np.subtract.at(pool.wf_pred_remaining, (pub_wf, pub_local), 1)
-        np.add.at(pool.wf_done_count, wf_g, 1)
-        reads = n + int(self._succ_cnt_mat[w_g, local_g].sum())
-        self.tds.account_reads(reads)
-        # Publishes, in global trigger order, grouped per target queue.
-        if new_types.size:
-            new_tasks = pool.add_tasks(
-                new_types.astype(np.int32), new_wfs, new_times
+        self._commit_chains(chains, seqs)
+        loop.commit_fast_window(
+            end,
+            times.size + sum(len(c.ready_times) for c in chains.values()),
+            sum(chain.pops for chain in chains.values()),
+            dropped,
+        )
+        # The pool may grow below: let go of the replay's scratch first.
+        del live, due, chains, merged, seqs
+        if routed is not None:
+            self._commit_routing(times, types, wfs, routed)
+        return True
+
+    def _feeds_now(self, p: int, events: List[Tuple[float, int]]) -> np.ndarray:
+        """Task types a completion at service ``p`` is likely to publish
+        to in this slice: the successors, within their own workflow
+        type, of the tasks its due consumers hold and of the head of its
+        queue — as much of it as a whole slice is sized to complete.
+        Only the early give-up reads this; the publishes that do happen
+        are checked after the merge."""
+        ms = self._services[p]
+        pool = self.pool
+        tasks = np.concatenate((
+            np.asarray(
+                [ms.current_task[slot] for _when, slot in events], dtype=np.int64
+            ),
+            ms.fifo.peek_prefix(min(len(ms.fifo), _SLICE_COMPLETIONS)),
+        ))
+        present = np.bincount(
+            pool.wf_type[pool.task_workflow[tasks[tasks >= 0]]],
+            minlength=self.table.num_workflow_types,
+        )
+        return self._feeds[p][present > 0].any(axis=0)
+
+    @staticmethod
+    def _chain(
+        ms: BatchedMicroservice, events: List[Tuple[float, int]], end: float
+    ) -> "_Chain":
+        """Replay one microservice's due rows against its queue.
+
+        Every due row — a task finish or a consumer start-up — is taken
+        in time order; the slot it frees pops the next queued task,
+        draws its service time and either finishes again inside the
+        slice or parks past ``end``.  A draining slot stops instead, and
+        once the start-of-slice queue is used up slots go idle: the
+        queue *ran dry*, which holds only if nothing is published here
+        during the slice (the caller checks after the merge).
+        """
+        fixed = ms._fixed_service
+        draw, mu, sigma = ms.prefetch.lognormal, ms._mu, ms._sigma
+        depth = len(ms.fifo)
+        draining = set(ms.draining)
+        # Per-slot state: (task, start, busy time, tasks completed), the
+        # task numbered chain-locally — in-flight tasks first, then the
+        # queue prefix in pop order; -1 for a consumer without one.
+        slots: Dict[int, Tuple[int, float, float, int]] = {}
+        in_flight: List[int] = []
+        for _when, slot in events:
+            task = ms.current_task[slot]
+            if task >= 0:
+                in_flight.append(task)
+                task = len(in_flight) - 1
+            slots[slot] = (
+                task, ms.processing_started[slot],
+                ms.slot_busy_time[slot], ms.slot_tasks_completed[slot],
             )
-            for g in target_types:
-                mask = new_types == g
-                self._services[g].publish_many(new_tasks[mask])
+        base = len(in_flight)
+        pops = 0
+        # Typed arrays, not lists: a window completes tens of thousands
+        # of tasks, and these two are all that grows with them.
+        comp_times = array("d")
+        comp_tasks = array("q")
+        ready_times: List[float] = []
+        quiet_times: List[float] = []
+        parked: List[Tuple[float, int, float]] = []
+        parked_tasks: List[int] = []
+        idle: List[int] = []
+        stopped: List[int] = []
+        heap = events
+        heapq.heapify(heap)
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
+        while heap:
+            now, slot = heap[0]
+            task, start, busy, done = slots[slot]
+            if task >= 0:
+                comp_times.append(now)
+                comp_tasks.append(task)
+                # Left-fold per slot, in completion order: bit-identical
+                # to the serial per-event accumulation.
+                busy += now - start
+                done += 1
+            else:
+                ready_times.append(now)
+            if pops == depth or slot in draining:
+                (stopped if slot in draining else idle).append(slot)
+                slots[slot] = (-1, start, busy, done)
+                quiet_times.append(now)
+                heappop(heap)
+                continue
+            finish = now + (fixed if fixed is not None else draw(mu, sigma))
+            slots[slot] = (base + pops, now, busy, done)
+            if finish <= end:
+                heapreplace(heap, (finish, slot))
+            else:
+                heappop(heap)
+                parked.append((finish, slot, now))
+                parked_tasks.append(base + pops)
+            pops += 1
+        rows = np.concatenate(
+            (np.asarray(in_flight, dtype=np.int64), ms.fifo.peek_prefix(pops))
+        )
+        return _Chain(
+            np.frombuffer(comp_times, dtype=np.float64),
+            ms.pool.task_workflow[rows[np.frombuffer(comp_tasks, dtype=np.int64)]],
+            ready_times, quiet_times, pops, slots,
+            parked, rows[parked_tasks].tolist(), idle, stopped,
+        )
+
+    def _merge(self, chains: Dict[int, "_Chain"]):
+        """Every chain's completions in global time order.
+
+        Returns ``(times, types, workflows, seqs)`` — the first three per
+        completion, the last the sequence numbers of each chain's parked
+        finishes — or ``None`` when two events share a timestamp.
+        """
+        ids = sorted(chains)
+        counts = [chains[g].times.size for g in ids]
+        n = sum(counts)
+        stamps = np.concatenate(
+            [chains[g].times for g in ids]
+            + [np.asarray(chains[g].ready_times, dtype=np.float64) for g in ids]
+        )
+        order = np.argsort(stamps)
+        event_times = stamps[order]
+        if (event_times[1:] == event_times[:-1]).any():
+            return None
+        # A parked finish takes the seq the serial loop would have
+        # assigned: the rank of its dispatching event among all events
+        # that dispatched (one that stops a consumer or finds the queue
+        # empty schedules nothing).
+        quiet_times = np.sort(np.concatenate(
+            [np.asarray(chains[g].quiet_times, dtype=np.float64) for g in ids]
+        ))
+        seqs = {}
+        for g in ids:
+            starts = [start for _finish, _slot, start in chains[g].parked]
+            seqs[g] = (
+                self.loop._seq_next
+                + np.searchsorted(event_times, starts)
+                - np.searchsorted(quiet_times, starts)
+            ).tolist()
+        order = order[order < n]  # completions only, still in time order
+        types = np.repeat(np.asarray(ids, dtype=np.int16), counts)[order]
+        workflows = np.concatenate([chains[g].workflows for g in ids])[order]
+        return stamps[order], types, workflows, seqs
+
+    def _route(self, times, types, wfs, closed: Dict[int, str]):
+        """Dependency routing of the merged completions, pool untouched.
+
+        Returns the abort reason, or what :meth:`_commit_routing` applies.
+        """
+        pool = self.pool
+        wtypes = pool.wf_type[wfs]
+        locals_ = self._local_mat[wtypes, types]
+        # Abort: double completion (exact tier raises the real error).
+        keys = np.sort(wfs * self.table.max_tasks + locals_)
+        if (
+            pool.wf_task_done[wfs, locals_].any()
+            or (keys[1:] == keys[:-1]).any()
+        ):
+            return "double-completion"
+        del keys
+        pub_rank, edges = self._expand_edges(wtypes, locals_)
+        pub_wf = wfs[pub_rank]
+        pub_local = self._edge_local[edges]
+        trig = self._fired(pub_wf, pub_local, edges)
+        if trig is None:
+            return "join-underflow"
+        new_types = self._edge_global[edges[trig]]
+        # Abort: a publish into a microservice that ran dry, or that
+        # holds an idle consumer, would dispatch at once — a
+        # cross-service cascade the per-service chains did not simulate.
+        targets = np.nonzero(
+            np.bincount(new_types, minlength=len(self._services))
+        )[0].tolist()
+        for g in targets:
+            if g in closed:
+                return closed[g]
+        return (
+            locals_, pub_wf, pub_local,
+            targets, new_types, pub_wf[trig], times[pub_rank[trig]],
+        )
+
+    def _expand_edges(self, wtypes, locals_):
+        """Successor edges of each completion, in (rank, edge) order:
+        the completion's rank and the edge's CSR index, per edge."""
+        nodes = wtypes * self.table.max_tasks + locals_
+        first = self._edge_ptr[nodes]
+        fanout = self._edge_ptr[nodes + 1] - first
+        pub_rank = np.repeat(np.arange(nodes.size), fanout)
+        edges = np.arange(pub_rank.size) - np.repeat(
+            np.cumsum(fanout) - fanout - first, fanout
+        )
+        return pub_rank, edges
+
+    def _fired(self, pub_wf, pub_local, edges):
+        """Which successor edges trigger their publish (indices, in
+        publish order), or ``None`` if an AND-join counter underflows.
+
+        Computed without mutating the pool: the k-th decrement (in
+        publish order) of a counter at v0 triggers the publish exactly
+        when k == v0.  A target with one predecessor is decremented
+        once, so only joins need grouping.
+        """
+        v0 = self.pool.wf_pred_remaining[pub_wf, pub_local]
+        kth = np.ones(edges.size, dtype=np.int64)
+        join = np.nonzero(self._edge_join[edges])[0]
+        if join.size:
+            group = pub_wf[join] * self.table.max_tasks + pub_local[join]
+            by_group = np.argsort(group, kind="stable")
+            group = group[by_group]
+            heads = np.nonzero(
+                np.concatenate(([True], group[1:] != group[:-1]))
+            )[0]
+            sizes = np.diff(np.append(heads, group.size))
+            kth[join[by_group]] = (
+                np.arange(group.size) - np.repeat(heads, sizes) + 1
+            )
+        if (kth > v0).any():
+            return None
+        return np.nonzero(kth == v0)[0]
+
+    def _commit_chains(
+        self, chains: Dict[int, "_Chain"], seqs: Dict[int, List[int]]
+    ) -> None:
+        """Queue and consumer state of every replayed microservice."""
+        rows = []  # finish events of the tasks in service past the end
+        for ms_i, chain in chains.items():
+            ms = self._services[ms_i]
+            self.pool.task_deliveries[ms.fifo.peek_prefix(chain.pops)] += 1
+            ms.fifo.consume(chain.pops)
+            completed = chain.times.size
+            ms.unacked += chain.pops - completed
+            ms.acked_total += completed
+            ms.tasks_completed += completed
+            for slot, (_task, start, busy, done) in chain.slots.items():
+                ms.processing_started[slot] = start
+                ms.slot_busy_time[slot] = busy
+                ms.slot_tasks_completed[slot] = done
+            for slot in chain.idle:
+                ms.state[slot] = _IDLE
+                ms.current_task[slot] = ms.pending_token[slot] = -1
+                heapq.heappush(ms._idle_heap, slot)
+            if chain.stopped:
+                gone = set(chain.stopped)
+                ms.draining = [s for s in ms.draining if s not in gone]
+                for slot in chain.stopped:
+                    ms.state[slot] = _STOPPED
+                    ms.current_task[slot] = ms.pending_token[slot] = -1
+                    ms.cluster.release(ms.node[slot])
+            for (finish, slot, _start), task, seq in zip(
+                chain.parked, chain.parked_tasks, seqs[ms_i]
+            ):
+                ms.state[slot] = _BUSY
+                ms.current_task[slot] = task
+                ms.pending_token[slot] = seq
+                rows.append((finish, seq, EVENT_FINISH, ms_i, slot))
+        self.loop.push_rows(rows)
+
+    def _commit_routing(self, times, types, wfs, routed) -> None:
+        """Dependency bookkeeping, publishes and window metrics."""
+        locals_, pub_wf, pub_local, targets, new_types, new_wfs, new_times = (
+            routed
+        )
+        pool = self.pool
+        pool.wf_task_done[wfs, locals_] = 1
+        np.subtract.at(pool.wf_pred_remaining, (pub_wf, pub_local), 1)
+        # One successors query per completion, one predecessors query
+        # per successor edge.
+        self.tds.account_reads(wfs.size + pub_wf.size)
+        # Publishes, in global trigger order, grouped per target queue.
+        if targets:
+            new_tasks = pool.add_tasks(new_types, new_wfs, new_times)
+            for g in targets:
+                self._services[g].publish_many(new_tasks[new_types == g])
         # Window metrics.
-        type_counts = np.bincount(type_g, minlength=len(self._task_names))
+        type_counts = np.bincount(types, minlength=len(self._task_names))
         for g in np.nonzero(type_counts)[0]:
             name = self._task_names[g]
             self._window_task_completions[name] = (
                 self._window_task_completions.get(name, 0)
                 + int(type_counts[g])
             )
-        # Workflow completions, in completion order.
-        if comp_wfs.size:
-            pool.wf_completion[comp_wfs] = comp_times
-            self.invoker.completed_total += comp_wfs.size
-            for wfi in comp_wfs.tolist():
+        # Workflow completions, in completion order: a workflow finishes
+        # at the rank of its last completion here if that brings its
+        # done count to its size.
+        by_wf = np.argsort(wfs, kind="stable")
+        wf_sorted = wfs[by_wf]
+        last = np.nonzero(
+            np.concatenate((wf_sorted[1:] != wf_sorted[:-1], [True]))
+        )[0]
+        seen = wf_sorted[last]
+        pool.wf_done_count[seen] += np.diff(last, prepend=-1)
+        finished = np.sort(
+            by_wf[last[pool.wf_done_count[seen] == pool.wf_total_tasks[seen]]]
+        )
+        if finished.size:
+            done_wfs = wfs[finished]
+            pool.wf_completion[done_wfs] = times[finished]
+            self.invoker.completed_total += finished.size
+            for wfi in done_wfs.tolist():
                 self._on_batched_workflow_complete(wfi)
-        loop.commit_fast_window(end, n, n)
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BatchedWorkflowSystem({self.ensemble.name!r}, "
             f"t={self.loop.now:.0f}s, window={self.window_index}, "
-            f"fast={self.fast_windows})"
+            f"fast={self.fast_windows}, aborts={self.fast_abort_reasons}, "
+            f"ineligible={self.fast_ineligible_reasons})"
         )

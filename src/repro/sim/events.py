@@ -8,7 +8,9 @@ fixed seed.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 from typing import Callable, List, Optional, Set, Tuple
 
 from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler
@@ -211,11 +213,11 @@ class TypedEventLoop:
     shared by every kind, so a batched run schedules the same ``seq``
     values as the serial run it mirrors.
 
-    The loop additionally tracks how many callback/ready events are
-    pending and whether any cancellation is outstanding — the
-    preconditions the vectorised window fast path of
-    :class:`repro.sim.batched.BatchedWorkflowSystem` checks before it
-    bypasses the heap (see docs/SIMULATOR.md).
+    The loop additionally counts pending callback events: the
+    vectorised window replay of
+    :class:`repro.sim.batched.BatchedWorkflowSystem` can reproduce typed
+    rows but not an opaque callback, so it bypasses the heap only while
+    none is pending (see docs/SIMULATOR.md).
     """
 
     def __init__(
@@ -231,7 +233,6 @@ class TypedEventLoop:
         self._seq_next = 0
         self._processed = 0
         self._cancelled: Set[int] = set()
-        self._ready_pending = 0
         self._callback_pending = 0
         self._on_finish: Optional[Callable[[int, int], None]] = None
         self._on_ready: Optional[Callable[[int, int], None]] = None
@@ -263,19 +264,9 @@ class TypedEventLoop:
         return self._processed
 
     @property
-    def only_finish_events_pending(self) -> bool:
-        """True when the heap holds nothing but live task-finish events.
-
-        This is the fast-path gate: no arrival/chaos callbacks, no
-        consumer activations, and no cancelled rows awaiting lazy
-        removal — every pending row is a ``(ms, slot)`` finish whose
-        timing the vectorised window replay can reproduce exactly.
-        """
-        return (
-            self._callback_pending == 0
-            and self._ready_pending == 0
-            and not self._cancelled
-        )
+    def callbacks_pending(self) -> int:
+        """Callback rows on the heap (arrivals, chaos), cancelled included."""
+        return self._callback_pending
 
     # Scheduling --------------------------------------------------------
     def schedule(
@@ -313,7 +304,6 @@ class TypedEventLoop:
         """Schedule a consumer-ready event; returns its cancellation token."""
         seq = self._seq_next
         self._seq_next = seq + 1
-        self._ready_pending += 1
         heapq.heappush(
             self._heap, (self._now + delay, seq, EVENT_READY, ms_index, slot)
         )
@@ -348,16 +338,13 @@ class TypedEventLoop:
             event_time, seq, kind, a, b = heapq.heappop(heap)
             if seq in cancelled:
                 cancelled.discard(seq)
-                if kind == EVENT_READY:
-                    self._ready_pending -= 1
-                elif kind == EVENT_CALLBACK:
+                if kind == EVENT_CALLBACK:
                     self._callback_pending -= 1
                 continue
             self._now = event_time
             if kind == EVENT_FINISH:
                 self._on_finish(a, b)
             elif kind == EVENT_READY:
-                self._ready_pending -= 1
                 self._on_ready(a, b)
             else:
                 self._callback_pending -= 1
@@ -372,37 +359,53 @@ class TypedEventLoop:
         return executed
 
     # Fast-path surface --------------------------------------------------
-    # The vectorised window replay (repro.sim.batched) pops every due
-    # finish event, re-simulates the window arithmetically, and commits
-    # the result back through these three methods.  They are only legal
-    # while ``only_finish_events_pending`` holds — the caller checks.
-    def pop_due_finish_events(
-        self, when: float
-    ) -> List[Tuple[float, int, int, int]]:
-        """Pop all finish events with timestamp <= ``when``, heap-ordered."""
+    # The vectorised window replay (repro.sim.batched) takes every due
+    # row off the heap, re-simulates them arithmetically and either
+    # commits the result or puts the rows back untouched.
+    def pop_due_rows(self, when: float) -> Tuple[List[tuple], List[tuple]]:
+        """Pop every row with timestamp <= ``when``: ``(live, cancelled)``.
+
+        Only the heap changes — the cancelled set moves at
+        :meth:`commit_fast_window` — so an aborted replay is undone by
+        :meth:`push_rows` alone.
+        """
         heap = self._heap
-        due: List[Tuple[float, int, int, int]] = []
-        while heap and heap[0][0] <= when:
-            event_time, seq, _kind, ms_index, slot = heapq.heappop(heap)
-            due.append((event_time, seq, ms_index, slot))
-        return due
+        # A sorted list is a valid heap, and sorting once is cheaper
+        # than popping what is usually most of it row by row.
+        heap.sort()
+        cut = bisect.bisect_right(heap, (when, math.inf))
+        due = heap[:cut]
+        del heap[:cut]
+        cancelled = self._cancelled
+        if not cancelled:
+            return due, []
+        return (
+            [row for row in due if row[1] not in cancelled],
+            [row for row in due if row[1] in cancelled],
+        )
 
-    def push_finish_event(
-        self, when: float, seq: int, ms_index: int, slot: int
+    def push_rows(self, rows: List[tuple]) -> None:
+        """Insert ``(time, seq, kind, a, b)`` rows whose seq is already
+        assigned: what :meth:`pop_due_rows` took (an aborted replay) or
+        the finish events a committed one leaves in flight."""
+        self._heap.extend(rows)
+        heapq.heapify(self._heap)
+
+    def commit_fast_window(
+        self, when: float, executed: int, dispatches: int, dropped: List[tuple]
     ) -> None:
-        """Re-insert a finish event with an explicit sequence number."""
-        heapq.heappush(self._heap, (when, seq, EVENT_FINISH, ms_index, slot))
-
-    def commit_fast_window(self, when: float, executed: int, seqs: int) -> None:
         """Advance clock and counters for a vectorised window replay.
 
-        ``executed`` events were replayed arithmetically and ``seqs``
-        sequence numbers consumed — exactly what the exact loop would
-        have popped and allocated event by event.
+        ``executed`` finish and ready events were replayed
+        arithmetically, ``dispatches`` sequence numbers consumed and the
+        ``dropped`` cancelled rows discarded — exactly what the exact
+        loop would have run, allocated and skipped event by event.
         """
         self._now = when
         self._processed += executed
-        self._seq_next += seqs
+        self._seq_next += dispatches
+        for row in dropped:
+            self._cancelled.discard(row[1])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TypedEventLoop(now={self._now:.3f}, pending={self.pending})"

@@ -65,7 +65,10 @@ class Microservice:
     ``(ordinal, consumer)`` holding exactly the IDLE consumers.  Every
     way out of IDLE — dispatch, scale-down, crash — takes that first
     one, so the heap needs no lazy invalidation; and ``consumer.state``
-    is assigned nowhere outside this class.
+    is assigned nowhere outside this class.  ``_starting`` is the same
+    heap for the scale-down victim search; consumers leave STARTING in
+    any order (start-up delays are random), so its stale heads are
+    dropped when it is next looked at.
     """
 
     def __init__(
@@ -105,6 +108,7 @@ class Microservice:
         self.queue.subscribe(self._dispatch)
         self.consumers: List[Consumer] = []
         self._idle: List[Tuple[int, Consumer]] = []
+        self._starting: List[Tuple[int, Consumer]] = []
         #: Busy consumers finishing their last task before exiting
         #: (Terminating pods); they no longer count toward the allocation.
         self.draining: List[Consumer] = []
@@ -137,6 +141,7 @@ class Microservice:
         node = self.cluster.place()
         consumer = Consumer(self, node)
         self.consumers.append(consumer)
+        heapq.heappush(self._starting, (consumer.trace_id, consumer))
         self.consumers_started += 1
         low, high = self.startup_delay_range
         delay = float(self.rng.uniform(low, high)) if high > 0 else 0.0
@@ -257,9 +262,11 @@ class Microservice:
             )
 
     def _pick_victim(self) -> Consumer:
-        for consumer in self.consumers:
-            if consumer.state is ConsumerState.STARTING:
-                return consumer
+        starting = self._starting
+        while starting and starting[0][1].state is not ConsumerState.STARTING:
+            heapq.heappop(starting)
+        if starting:
+            return starting[0][1]
         if self._idle:
             return self._idle[0][1]
         return self.consumers[-1]  # newest busy consumer

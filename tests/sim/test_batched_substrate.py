@@ -365,10 +365,214 @@ class TestFastPath:
             for _ in range(8):
                 system.run_window()
                 snaps.append(substrate_snapshot(system))
-            return snaps
+            return system, snaps
 
-        serial, batched = run_both(scenario)
+        (_, serial), (batched_sys, batched) = run_both(scenario)
+        assert batched_sys.fast_windows == 0
+        assert batched_sys.fast_abort_reasons["time-tie"] > 0
         assert_window_snapshots_equal(serial, batched)
+
+    # One named case per event class the replay takes (each fails at the
+    # parent of the change that made them replay events: fast_windows).
+    def test_burst_while_every_consumer_is_starting(self):
+        """READY rows are replayed: the first window is a fast one."""
+
+        def scenario(cls):
+            system = cls(
+                build_msd_ensemble(), SystemConfig(consumer_budget=40), seed=37
+            )
+            system.apply_allocation([40, 0, 0, 0])
+            system.inject_burst({"Type1": 300, "Type2": 100})
+            system.run_window()
+            return system, substrate_snapshot(system)
+
+        (_, serial), (batched_sys, batched) = run_both(scenario)
+        assert batched_sys.microservices["Ingest"].tasks_completed > 100
+        assert (batched_sys.fast_windows, batched_sys.fast_aborts) == (1, 0)
+        assert serial == batched
+
+    def test_queue_that_empties_with_nothing_upstream(self):
+        """Consumers end idle; the idle order decides the next dispatch
+        (a burst smaller than the pool) and the next scale-down victim."""
+
+        def scenario(cls):
+            system = cls(
+                build_msd_ensemble(), SystemConfig(consumer_budget=12), seed=41
+            )
+            system.apply_allocation([12, 0, 0, 0])
+            system.inject_burst({"Type1": 30})
+            snaps = []
+            for k in range(4):
+                if k == 2:
+                    system.inject_burst({"Type2": 5})  # 5 of 12 idle slots
+                if k == 3:
+                    system.apply_allocation([6, 0, 0, 0])  # idle victims
+                system.run_window()
+                snaps.append(substrate_snapshot(system))
+            return system, snaps
+
+        (_, serial), (batched_sys, batched) = run_both(scenario)
+        assert batched_sys.fast_windows == 4
+        ingest = batched[1]["microservices"]["Ingest"]
+        assert {c["state"] for c in ingest["consumers"]} == {"idle"}, (
+            "the queue must have run dry"
+        )
+        assert_window_snapshots_equal(serial, batched)
+
+    def test_terminating_consumers_finish_inside_a_replayed_window(self):
+        """Drain-mode scale-down: STOPPED, slot released, order kept."""
+
+        def scenario(cls):
+            system = cls(
+                build_msd_ensemble(), SystemConfig(consumer_budget=24), seed=43
+            )
+            system.apply_allocation([24, 0, 0, 0])
+            system.inject_burst({"Type1": 400})
+            snaps = [None]
+            system.run_window()
+            system.apply_allocation([4, 0, 0, 0])  # 20 busy consumers drain
+            draining = len(system.microservices["Ingest"].draining)
+            for _ in range(2):
+                system.run_window()
+                snaps.append(substrate_snapshot(system))
+            return system, draining, snaps
+
+        (_, _, serial), (batched_sys, draining, batched) = run_both(scenario)
+        assert draining == 20
+        assert not batched_sys.microservices["Ingest"].draining
+        assert batched_sys.fast_windows == 3
+        assert batched_sys.cluster.total_used == 4
+        assert_window_snapshots_equal(serial, batched)
+
+    @pytest.mark.parametrize("kills", ["starting", "busy"])
+    def test_cancelled_rows_due_in_the_window(self, kills):
+        """Kill-while-starting and kill-mode busy kills leave cancelled
+        rows on the heap; the replay drops them like the loop does."""
+
+        def scenario(cls):
+            system = cls(
+                build_msd_ensemble(),
+                SystemConfig(consumer_budget=24, scale_down_mode="kill"),
+                seed=47,
+            )
+            system.apply_allocation([24, 0, 0, 0])
+            if kills == "starting":
+                system.apply_allocation([8, 0, 0, 0])
+            system.inject_burst({"Type1": 400})
+            snaps = []
+            for k in range(3):
+                if k == 1 and kills == "busy":
+                    system.apply_allocation([8, 0, 0, 0])
+                pending = system.loop.pending
+                system.run_window()
+                snaps.append(substrate_snapshot(system))
+            return system, pending, snaps
+
+        (serial_sys, pending_s, serial), (batched_sys, pending_b, batched) = (
+            run_both(scenario)
+        )
+        ingest = batched_sys.microservices["Ingest"]
+        assert (ingest.consumers_killed_starting, ingest.consumers_killed_busy) == (
+            (16, 0) if kills == "starting" else (0, 16)
+        )
+        assert pending_s == pending_b
+        assert serial_sys.loop.pending == batched_sys.loop.pending
+        assert not batched_sys.loop._cancelled
+        assert batched_sys.fast_windows == 3
+        assert_window_snapshots_equal(serial, batched)
+
+    @pytest.mark.parametrize(
+        "downstream, reason",
+        [(0, None), (3, "starvation"), (-3, "publish-into-idle")],
+    )
+    def test_publish_into_a_dry_or_idle_service_aborts(self, downstream, reason):
+        """With no consumer downstream a publish only queues (replayed);
+        into start-ups due on an empty queue it is ``starvation``, into
+        idle consumers ``publish-into-idle`` — and a system that aborted
+        equals one that never attempted."""
+
+        def build(cls):
+            system = cls(
+                build_msd_ensemble(), SystemConfig(consumer_budget=12), seed=53
+            )
+            if downstream < 0:  # consumers already idle when the burst lands
+                system.apply_allocation([0, -downstream, 0, 0])
+                system.run_window()
+            system.apply_allocation([6, abs(downstream), 0, 0])
+            system.inject_burst({"Type1": 40})
+            return system
+
+        def loop_state(system):
+            for ms in system.microservices.values():
+                ms.prefetch.sync()
+            return (
+                sorted(system.loop._heap),
+                set(system.loop._cancelled),
+                system.loop._seq_next,
+                [
+                    ms.rng.generator.bit_generator.state
+                    for ms in system.microservices.values()
+                ],
+            )
+
+        attempted = build(BatchedWorkflowSystem)
+        untouched = build(BatchedWorkflowSystem)
+        before = substrate_snapshot(untouched)
+        committed = all(
+            attempted._try_fast_slice(stop)
+            for stop in attempted._slice_ends(attempted.loop.now + 30.0)
+        )
+        assert committed == (reason is None)
+        assert attempted.fast_abort_reasons == ({reason: 1} if reason else {})
+        if reason:
+            assert substrate_snapshot(attempted) == before
+            assert loop_state(attempted) == loop_state(untouched)
+        serial = build(MicroserviceWorkflowSystem)
+        batched = build(BatchedWorkflowSystem)
+        for system in (serial, batched):
+            system.run_window()
+        assert batched.fast_aborts == (1 if reason else 0)
+        assert substrate_snapshot(serial) == substrate_snapshot(batched)
+
+    def test_cyclic_type_graph_is_checked_after_the_merge(self):
+        """W1: A -> B, W2: B -> A.  No service order chains every
+        predecessor last, so the early give-up cannot cover B -> A and
+        the publish into A's start-ups is caught after the merge."""
+        from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
+
+        ensemble = WorkflowEnsemble(
+            name="cyclic",
+            task_types=[TaskType("A", 5.0, cv=0.5), TaskType("B", 5.0, cv=0.5)],
+            workflow_types=[
+                WorkflowType("W1", edges=[("A", "B")]),
+                WorkflowType("W2", edges=[("B", "A")]),
+            ],
+        )
+
+        def scenario(cls):
+            system = cls(ensemble, SystemConfig(consumer_budget=4), seed=61)
+            system.apply_allocation([2, 2])
+            system.inject_burst({"W2": 40})
+            system.run_window()
+            return system, substrate_snapshot(system)
+
+        (_, serial), (batched_sys, batched) = run_both(scenario)
+        assert batched_sys._sinks_first == [1, 0]
+        assert batched_sys.fast_abort_reasons == {"starvation": 1}
+        assert serial == batched
+
+    def test_arrival_process_makes_every_window_ineligible(self):
+        """An attached PoissonArrivalProcess always has its next arrival
+        pending, a callback the replay cannot see into."""
+        system = BatchedWorkflowSystem(
+            build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=59
+        )
+        PoissonArrivalProcess(MSD_BACKGROUND_RATES).attach(system)
+        system.apply_allocation([4, 4, 3, 3])
+        for _ in range(5):
+            system.run_window()
+        assert system.fast_ineligible_reasons == {"callbacks-pending": 5}
+        assert (system.fast_windows, system.fast_aborts) == (0, 0)
 
 
 class TestBatchedApi:

@@ -1,10 +1,13 @@
-"""The serial microservice's idle index and the per-event call budget.
+"""The serial microservice's consumer indexes and the per-event call budget.
 
 ``Microservice._dispatch`` takes "the first idle consumer in list order"
-from a heap keyed by birth ordinal instead of scanning ``consumers``.
-The first test keeps the scan as a brute-force oracle and checks every
-single pick against it at C = 512 under random scaling (both scale-down
-modes), crashes and bursts — and the whole run against the batched twin.
+from a heap keyed by birth ordinal instead of scanning ``consumers``,
+and ``_pick_victim`` finds the first starting one the same way.  The
+first test keeps both scans as brute-force oracles and checks every
+single dispatch pick and every scale-down victim against them at
+C = 512 under random scaling (both scale-down modes, often two
+allocations back to back), crashes and bursts — and the whole run
+against the batched twin.
 The second pins what one simulated event costs in interpreter calls, an
 exact count, so a bookkeeping walk creeping back into the hot path fails
 here rather than in a wall-clock benchmark.
@@ -46,6 +49,7 @@ class DispatchOracle:
 
     def __init__(self, system):
         self.picks = 0
+        self.removals = 0
         self.in_flight = {}
         for ms in system.microservices.values():
             self._watch(ms)
@@ -76,6 +80,30 @@ class DispatchOracle:
         queue.consume = scanning_consume
         queue.ack = checking_ack
         queue.nack = checking_nack
+
+        pick_victim = ms._pick_victim
+
+        def scanning_pick_victim():
+            """Scale-down order: first starting, else first idle, else
+            the newest (busy) consumer — each by a scan of the pool."""
+            victim = pick_victim()
+
+            def first(state):
+                return next((c for c in ms.consumers if c.state is state), None)
+
+            expected = (
+                first(ConsumerState.STARTING)
+                or first(ConsumerState.IDLE)
+                or ms.consumers[-1]
+            )
+            assert victim is expected, (
+                f"{ms.name}: removed consumer {victim.trace_id}, the scan "
+                f"says {expected.trace_id}"
+            )
+            self.removals += 1
+            return victim
+
+        ms._pick_victim = scanning_pick_victim
 
     def check(self, service, tag, first_idle):
         assert first_idle.current_tag == tag, (
@@ -133,6 +161,7 @@ def test_every_pick_is_the_first_idle_consumer(mode):
     serial, checker = drive(MicroserviceWorkflowSystem, mode, 21, oracle=True)
     checker.check_in_flight()
     assert checker.picks > 5_000, "scenario must actually dispatch"
+    assert checker.removals > 1_000, "scenario must actually scale down"
     batched, _ = drive(BatchedWorkflowSystem, mode, 21)
     for window, (a, b) in enumerate(zip(serial, batched)):
         assert a == b, f"snapshot diverged at window {window}"
