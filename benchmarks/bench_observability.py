@@ -4,7 +4,7 @@ cost of having telemetry compiled in but switched off.
 Not a paper figure — these guard the observability subsystem's two
 performance contracts (docs/OBSERVABILITY.md):
 
-- the **NULL path** (disabled tracer/profiler) must stay within the 2%
+- the **NULL path** (disabled tracer) must stay within the 2%
   overhead budget against ``bench_substrate_throughput``'s untraced
   window throughput — gated by ``run_observability_bench.py --check``,
 - the **enabled path** (MetricsSink tee, aggregation replay, Prometheus
@@ -17,7 +17,6 @@ from repro.sim.system import MicroserviceWorkflowSystem, SystemConfig
 from repro.telemetry import (
     MemorySink,
     MetricsSink,
-    NULL_PROFILER,
     NULL_TRACER,
     Tracer,
     aggregate_trace,
@@ -31,13 +30,12 @@ from repro.workload.bursts import MSD_BACKGROUND_RATES
 GUARD_BATCH = 10_000
 
 
-def _loaded_system(tracer=None, profiler=None):
+def _loaded_system(tracer=None):
     system = MicroserviceWorkflowSystem(
         build_msd_ensemble(),
         SystemConfig(consumer_budget=14),
         seed=0,
         tracer=tracer,
-        profiler=profiler,
     )
     PoissonArrivalProcess(MSD_BACKGROUND_RATES).attach(system)
     system.inject_burst({"Type1": 200, "Type2": 100, "Type3": 100})
@@ -102,20 +100,6 @@ def test_disabled_tracer_guard(benchmark):
         for _ in range(GUARD_BATCH):
             if tracer.enabled:
                 hits += 1  # pragma: no cover - tracer is disabled
-        return hits
-
-    assert benchmark(guards) == 0
-
-
-def test_disabled_profiler_guard(benchmark):
-    """Cost of ``if profiler.enabled:`` at an instrumented site, per batch."""
-    profiler = NULL_PROFILER
-
-    def guards():
-        hits = 0
-        for _ in range(GUARD_BATCH):
-            if profiler.enabled:
-                hits += 1  # pragma: no cover - profiler is disabled
         return hits
 
     assert benchmark(guards) == 0

@@ -63,23 +63,6 @@ class ModelFreeDDPGAllocator(Allocator):
         self.agent: Optional[DDPGAgent] = None
         self.episode_returns: List[float] = []
 
-    def _maybe_inject_burst(
-        self, env: MicroserviceEnv, state: np.ndarray, rng: RngStream
-    ) -> np.ndarray:
-        if self.burst_probability <= 0 or self.burst_scale <= 0:
-            return state
-        if float(rng.uniform()) >= self.burst_probability:
-            return state
-        total = int(rng.uniform(0.0, self.burst_scale * env.consumer_budget))
-        if total == 0:
-            return state
-        names = env.system.ensemble.workflow_names()
-        shares = rng.generator.dirichlet(np.ones(len(names)))
-        env.system.inject_burst(
-            {n: int(round(total * s)) for n, s in zip(names, shares)}
-        )
-        return env.observe()
-
     def prepare(self, env: MicroserviceEnv) -> None:
         """Train with exactly ``training_steps`` real interactions."""
         self.bind(env)
@@ -88,15 +71,19 @@ class ModelFreeDDPGAllocator(Allocator):
             env.state_dim, env.action_dim, config=self.config, rng=rng
         )
         burst_rng = rng.fork("bursts")
-        state = env.reset()
-        state = self._maybe_inject_burst(env, state, burst_rng)
+        env.reset()
+        state = env.inject_random_burst(
+            burst_rng, self.burst_probability, self.burst_scale
+        )
         episode_return = 0.0
         for step in range(self.training_steps):
             if step > 0 and step % self.reset_interval == 0:
                 self.episode_returns.append(episode_return)
                 episode_return = 0.0
-                state = env.reset()
-                state = self._maybe_inject_burst(env, state, burst_rng)
+                env.reset()
+                state = env.inject_random_burst(
+                    burst_rng, self.burst_probability, self.burst_scale
+                )
                 self.agent.refresh_perturbation()
             simplex = self.agent.act(state, explore=True)
             executed = env.allocation_from_simplex(simplex)

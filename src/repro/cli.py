@@ -13,7 +13,7 @@
     python -m repro metrics runs/trace-msd --serve 9090
     python -m repro slo runs/trace-msd --specs slo.toml
     python -m repro critical runs/trace-msd --top 5
-    python -m repro bench report --append
+    python -m repro bench report
     python -m repro profile run --dataset msd --output runs/prof-msd
     python -m repro profile report runs/prof-msd
 
@@ -33,10 +33,9 @@ objectives from a TOML/JSON spec file against a trace and exits nonzero
 on violation; ``critical`` attributes each request's end-to-end latency
 to causal stages (queue / startup / retry / service) and ranks the
 bottlenecks; ``bench report`` summarizes the root ``BENCH_*.json``
-artifacts into one table (``--append`` records a dated row in
-``BENCH_TRAJECTORY.jsonl``); ``profile run`` is ``trace`` with the
-phase profiler on (adds ``profile.json``); ``profile report`` renders a
-saved phase tree (docs/OBSERVABILITY.md).
+artifacts into one table; ``profile run`` is ``trace`` with the phase
+profiler installed around the run (adds ``profile.json``); ``profile
+report`` renders a saved phase tree (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -229,10 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--root", default=".",
         help="directory holding the BENCH_*.json files",
     )
-    bench_report.add_argument(
-        "--append", action="store_true",
-        help="append a dated summary row to BENCH_TRAJECTORY.jsonl",
-    )
     bench_report.add_argument("--json", action="store_true",
                               help="print the summary as JSON")
 
@@ -296,9 +291,8 @@ def _cmd_train(args) -> int:
 
     from repro.core.agent import MirasAgent
     from repro.core.persistence import save_agent
-    from repro.eval.experiments import dataset_preset, make_env
+    from repro.eval.experiments import dataset_preset, preset_env
     from repro.rl.distributed import EnvSpec
-    from repro.sim.system import SystemConfig
 
     preset = dataset_preset(args.dataset)
     config = (
@@ -316,12 +310,7 @@ def _cmd_train(args) -> int:
         config = replace(
             config, policy=replace(config.policy, **policy_overrides)
         )
-    env = make_env(
-        preset["builder"](),
-        config=SystemConfig(consumer_budget=preset["budget"]),
-        seed=args.seed,
-        background_rates=preset["rates"],
-    )
+    env = preset_env(args.dataset, args.seed)
     env_spec = EnvSpec.make(
         "repro.eval.experiments:build_training_env", dataset=args.dataset
     )
@@ -338,17 +327,12 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     from repro.baselines.miras_alloc import MirasAllocator
     from repro.core.persistence import load_agent
-    from repro.eval.experiments import dataset_preset
-    from repro.eval.runner import evaluate_allocator, make_env
-    from repro.sim.system import SystemConfig
+    from repro.eval.experiments import dataset_preset, preset_env
+    from repro.eval.runner import evaluate_allocator
 
-    preset = dataset_preset(args.dataset)
-    scenario = _scenario(preset, args.burst)
-    env = make_env(
-        preset["builder"](),
-        config=SystemConfig(consumer_budget=preset["budget"]),
-        seed=args.seed,
-        background_rates=dict(scenario.background_rates),
+    scenario = _scenario(dataset_preset(args.dataset), args.burst)
+    env = preset_env(
+        args.dataset, args.seed, dict(scenario.background_rates)
     )
     agent = load_agent(args.agent, env)
     result = evaluate_allocator(
@@ -380,17 +364,12 @@ def _make_allocator(name: str):
 
 
 def _cmd_simulate(args) -> int:
-    from repro.eval.experiments import dataset_preset
-    from repro.eval.runner import evaluate_allocator, make_env
-    from repro.sim.system import SystemConfig
+    from repro.eval.experiments import dataset_preset, preset_env
+    from repro.eval.runner import evaluate_allocator
 
-    preset = dataset_preset(args.dataset)
-    scenario = _scenario(preset, args.burst)
-    env = make_env(
-        preset["builder"](),
-        config=SystemConfig(consumer_budget=preset["budget"]),
-        seed=args.seed,
-        background_rates=dict(scenario.background_rates),
+    scenario = _scenario(dataset_preset(args.dataset), args.burst)
+    env = preset_env(
+        args.dataset, args.seed, dict(scenario.background_rates)
     )
     result = evaluate_allocator(
         _make_allocator(args.allocator), env, scenario, args.steps
@@ -472,12 +451,12 @@ def _traced_run(args, profile: bool) -> int:
     ``metrics.prom`` into the run directory; with ``profile=True`` also
     ``profile.json`` (the one artifact outside the determinism contract).
     """
+    from contextlib import nullcontext
     from pathlib import Path
 
     import repro
-    from repro.eval.experiments import dataset_preset
-    from repro.eval.runner import make_env
-    from repro.sim.system import SystemConfig
+    from repro.eval import runner
+    from repro.eval.experiments import dataset_preset, preset_env
     from repro.telemetry import (
         JsonlSink,
         MetricsSink,
@@ -493,7 +472,6 @@ def _traced_run(args, profile: bool) -> int:
 
     outdir = Path(args.output)
     prog = "profile run" if profile else "trace"
-    profiler = PhaseProfiler() if profile else None
     sink = MetricsSink(JsonlSink(outdir / "trace.jsonl"))
     preset = dataset_preset(args.dataset)
     config_snapshot = {
@@ -502,10 +480,12 @@ def _traced_run(args, profile: bool) -> int:
         "consumer_budget": preset["budget"],
         "seed": args.seed,
     }
-    with Tracer(sink) as tracer:
+    # The profiler wraps the layer boundaries (telemetry.profile.BOUNDARIES)
+    # for the duration of the run; nothing below is told about it.
+    with Tracer(sink) as tracer, (
+        PhaseProfiler() if profile else nullcontext()
+    ) as profiler:
         if args.mode == "simulate":
-            from repro.eval.runner import evaluate_allocator
-
             scenario = _scenario(preset, args.burst)
             config_snapshot.update(
                 allocator=args.allocator, burst=args.burst, steps=args.steps
@@ -515,15 +495,14 @@ def _traced_run(args, profile: bool) -> int:
                 f"--allocator {args.allocator} --burst {args.burst} "
                 f"--steps {args.steps} --seed {args.seed}"
             )
-            env = make_env(
-                preset["builder"](),
-                config=SystemConfig(consumer_budget=preset["budget"]),
-                seed=args.seed,
-                background_rates=dict(scenario.background_rates),
+            env = preset_env(
+                args.dataset,
+                args.seed,
+                dict(scenario.background_rates),
                 tracer=tracer,
-                profiler=profiler,
             )
-            result = evaluate_allocator(
+            # Through the module, so an installed wrapper is the one called.
+            result = runner.evaluate_allocator(
                 _make_allocator(args.allocator), env, scenario, args.steps
             )
             print(
@@ -539,14 +518,7 @@ def _traced_run(args, profile: bool) -> int:
                 f"{prog} --dataset {args.dataset} --mode train "
                 f"--iterations {args.iterations} --seed {args.seed}"
             )
-            env = make_env(
-                preset["builder"](),
-                config=SystemConfig(consumer_budget=preset["budget"]),
-                seed=args.seed,
-                background_rates=preset["rates"],
-                tracer=tracer,
-                profiler=profiler,
-            )
+            env = preset_env(args.dataset, args.seed, tracer=tracer)
             agent = MirasAgent(env, preset["fast_config"](), seed=args.seed)
             agent.iterate(iterations=args.iterations, verbose=True)
     manifest = RunManifest(
@@ -713,7 +685,6 @@ def _cmd_bench(args) -> int:
     from pathlib import Path
 
     from repro.eval.reporting import format_table
-    from repro.telemetry import wall_time_now
 
     root = Path(args.root)
     artifacts = sorted(root.glob("BENCH_*.json"))
@@ -737,12 +708,6 @@ def _cmd_bench(args) -> int:
             ["benchmark", "metric", "value"], rows,
             title=f"Benchmark artifacts under {root.resolve()}",
         ))
-    if args.append:
-        row = {"wall_time": wall_time_now(), "benchmarks": summary}
-        trajectory = root / "BENCH_TRAJECTORY.jsonl"
-        with trajectory.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-        print(f"trajectory row appended to {trajectory}", file=sys.stderr)
     return 0
 
 

@@ -38,9 +38,8 @@ from repro.rl.distributed import (
     policy_payload,
 )
 from repro.sim.env import MicroserviceEnv
-from repro.telemetry.profile import PhaseProfiler
 from repro.telemetry.tracer import Tracer
-from repro.utils.rng import RngStream, spawn_rngs
+from repro.utils.rng import spawn_rngs
 
 __all__ = ["MirasAgent", "IterationResult"]
 
@@ -70,7 +69,6 @@ class MirasAgent:
         config: Optional[MirasConfig] = None,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        profiler: Optional[PhaseProfiler] = None,
         env_spec: Optional[EnvSpec] = None,
     ):
         self.env = env
@@ -87,9 +85,6 @@ class MirasAgent:
         #: Telemetry tracer; inherits the environment's system tracer so a
         #: traced system automatically gets training-loop scalars too.
         self.tracer = tracer if tracer is not None else env.system.tracer
-        #: Phase profiler; likewise inherited from the system so one
-        #: profiler covers simulation dispatch and training phases.
-        self.profiler = profiler if profiler is not None else env.system.profiler
         self._rngs = spawn_rngs(
             seed, ["collect", "model", "refine", "model-env", "ddpg"]
         )
@@ -101,7 +96,6 @@ class MirasAgent:
             learning_rate=self.config.model.learning_rate,
             rng=self._rngs["model"],
             tracer=self.tracer,
-            profiler=self.profiler,
         )
         self.ddpg = DDPGAgent(
             env.state_dim,
@@ -109,7 +103,6 @@ class MirasAgent:
             config=self.config.policy.ddpg,
             rng=self._rngs["ddpg"],
             tracer=self.tracer,
-            profiler=self.profiler,
         )
         self.refined_model: Optional[Union[RefinedModel, EnvironmentModel]] = None
         self.results: List[IterationResult] = []
@@ -131,8 +124,11 @@ class MirasAgent:
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
         rng = self._rngs["collect"].fork(f"steps-{len(self.dataset)}")
-        state = self.env.reset()
-        state = self._maybe_inject_burst(state, rng)
+        cfg = self.config
+        self.env.reset()
+        state = self.env.inject_random_burst(
+            rng, cfg.collect_burst_probability, cfg.collect_burst_scale
+        )
         added = 0
         # Transitions are buffered and bulk-inserted via store_batch.  The
         # replay buffer is only *read* during collection when an exploring
@@ -156,8 +152,10 @@ class MirasAgent:
 
         for step in range(steps):
             if step > 0 and step % self.config.reset_interval == 0:
-                state = self.env.reset()
-                state = self._maybe_inject_burst(state, rng)
+                self.env.reset()
+                state = self.env.inject_random_burst(
+                    rng, cfg.collect_burst_probability, cfg.collect_burst_scale
+                )
                 flush()
                 self.ddpg.refresh_perturbation()
             if float(rng.uniform()) < random_fraction:
@@ -259,34 +257,6 @@ class MirasAgent:
         self._episodes_collected += len(plan)
         return added
 
-    def _maybe_inject_burst(
-        self, state: np.ndarray, rng: RngStream
-    ) -> np.ndarray:
-        """Occasionally start a collection episode with a request burst.
-
-        Keeps the dataset (and hence the environment model and policy)
-        covering the high-WIP regime that the Section VI-D evaluation
-        bursts will drive the system into.
-        """
-        cfg = self.config
-        if cfg.collect_burst_probability <= 0 or cfg.collect_burst_scale <= 0:
-            return state
-        if float(rng.uniform()) >= cfg.collect_burst_probability:
-            return state
-        total = int(
-            rng.uniform(0.0, cfg.collect_burst_scale * self.env.consumer_budget)
-        )
-        if total == 0:
-            return state
-        names = self.env.system.ensemble.workflow_names()
-        shares = rng.generator.dirichlet(np.ones(len(names)))
-        counts = {
-            name: int(round(total * share))
-            for name, share in zip(names, shares)
-        }
-        self.env.system.inject_burst(counts)
-        return self.env.observe()
-
     # --- Phase 2: model training --------------------------------------------
     def train_model(self) -> float:
         """Fit f̂_Φ on D (Eq. 2) and rebuild the refined model.
@@ -305,7 +275,6 @@ class MirasAgent:
                 percentile=self.config.model.refinement_percentile,
                 rng=self._rngs["refine"].fork(f"n{len(self.dataset)}"),
                 tracer=self.tracer,
-                profiler=self.profiler,
             )
         else:
             self.refined_model = self.model
@@ -350,8 +319,7 @@ class MirasAgent:
         stop = False
         while not stop and rollouts_run < cfg.rollouts_per_iteration:
             k = min(cfg.rollout_batch, cfg.rollouts_per_iteration - rollouts_run)
-            with self.profiler.phase("agent/rollout_batch"):
-                episode_returns = self._run_rollout_batch(model_env, k)
+            episode_returns = self._run_rollout_batch(model_env, k)
             # Patience bookkeeping consumes episodes in rollout order, as
             # if they had finished one at a time.
             for episode_return in episode_returns:
@@ -404,17 +372,8 @@ class MirasAgent:
         and reflect burst handling, not just steady-state behaviour.
         """
         steps = steps or self.config.eval_steps
-        state = self.env.reset()
-        if self.config.eval_burst_scale > 0:
-            names = self.env.system.ensemble.workflow_names()
-            per_type = int(
-                self.config.eval_burst_scale
-                * self.env.consumer_budget
-                / len(names)
-            )
-            if per_type > 0:
-                self.env.system.inject_burst({n: per_type for n in names})
-                state = self.env.observe()
+        self.env.reset()
+        state = self.env.inject_even_burst(self.config.eval_burst_scale)
         total_reward = 0.0
         wip_sums = []
         response_times: List[float] = []
@@ -458,25 +417,19 @@ class MirasAgent:
             random_fraction = (
                 self.config.initial_random_fraction if len(self.results) == 0 else 0.0
             )
-            # Once-per-iteration phases: no ``enabled`` guard needed, the
-            # disabled profiler hands back a shared no-op context manager.
-            with self.profiler.phase("agent/collect"):
-                if self.config.policy.collect_mode == "serial":
-                    self.collect_real_interactions(
-                        self.config.steps_per_iteration,
-                        random_fraction=random_fraction,
-                    )
-                else:
-                    self.collect_distributed(
-                        self.config.steps_per_iteration,
-                        random_fraction=random_fraction,
-                    )
-            with self.profiler.phase("agent/train_model"):
-                model_loss = self.train_model()
-            with self.profiler.phase("agent/train_policy"):
-                rollouts, mean_return = self.train_policy()
-            with self.profiler.phase("agent/evaluate"):
-                result = self.evaluate()
+            if self.config.policy.collect_mode == "serial":
+                self.collect_real_interactions(
+                    self.config.steps_per_iteration,
+                    random_fraction=random_fraction,
+                )
+            else:
+                self.collect_distributed(
+                    self.config.steps_per_iteration,
+                    random_fraction=random_fraction,
+                )
+            model_loss = self.train_model()
+            rollouts, mean_return = self.train_policy()
+            result = self.evaluate()
             result.model_loss = model_loss
             result.policy_rollouts = rollouts
             result.policy_mean_return = mean_return

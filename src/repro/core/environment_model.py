@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.dataset import TransitionDataset
 from repro.nn import MLP, Adam, MeanSquaredError
-from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream, fallback_stream
@@ -55,7 +54,6 @@ class EnvironmentModel:
         log_space: bool = True,
         predict_delta: bool = True,
         tracer: Optional[Tracer] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ):
         check_positive("state_dim", state_dim)
         check_positive("action_dim", action_dim)
@@ -75,7 +73,6 @@ class EnvironmentModel:
         self.loss = MeanSquaredError()
         self._rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Lifetime epoch counter (the `step` of model/epoch_loss metrics).
         self.epochs_trained = 0
         in_dim = state_dim + action_dim
@@ -130,17 +127,6 @@ class EnvironmentModel:
         environment model incrementally with newly collected training
         data").
         """
-        if self.profiler.enabled:
-            with self.profiler.phase("model/fit"):
-                return self._fit(dataset, epochs, batch_size)
-        return self._fit(dataset, epochs, batch_size)
-
-    def _fit(
-        self,
-        dataset: TransitionDataset,
-        epochs: int,
-        batch_size: int,
-    ) -> List[float]:
         check_positive("epochs", epochs)
         states, actions, next_states = dataset.arrays()
         x = self._encode_inputs(states, actions)
@@ -158,22 +144,19 @@ class EnvironmentModel:
         batch_rng = self._rng.fork(f"epochs-{self.optimizer.iterations}")
         n = x_n.shape[0]
         for _ in range(epochs):
-            # Per-epoch granularity is cheap: the disabled profiler hands
-            # back a shared no-op context manager.
-            with self.profiler.phase("model/epoch"):
-                order = batch_rng.permutation(n)
-                losses = []
-                for start in range(0, n, batch_size):
-                    idx = order[start : start + batch_size]
-                    losses.append(
-                        self.network.train_batch(
-                            x_n[idx],
-                            y_n[idx],
-                            optimizer=self.optimizer,
-                            loss=self.loss,
-                        )
+            order = batch_rng.permutation(n)
+            losses = []
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                losses.append(
+                    self.network.train_batch(
+                        x_n[idx],
+                        y_n[idx],
+                        optimizer=self.optimizer,
+                        loss=self.loss,
                     )
-                epoch_loss = float(np.mean(losses))
+                )
+            epoch_loss = float(np.mean(losses))
             history.append(epoch_loss)
             self.epochs_trained += 1
             if self.tracer.enabled:
@@ -227,17 +210,13 @@ class EnvironmentModel:
         """Batched one-step prediction for a ``(K, state_dim)`` block.
 
         Same computation as :meth:`predict` on a 2-D batch — one network
-        forward for all K rollouts — split out so the synthetic-rollout
-        engine's hot path shows up under its own profiler phase.
+        forward for all K rollouts.
         """
         states = np.asarray(states, dtype=np.float64)
         if states.ndim != 2:
             raise ValueError(
                 f"expected a (K, state_dim) batch, got shape {states.shape}"
             )
-        if self.profiler.enabled:
-            with self.profiler.phase("model/predict_batch"):
-                return self.predict(states, actions)
         return self.predict(states, actions)
 
     def rollout(

@@ -136,6 +136,7 @@ def load_agent(
             agent.dataset,
             percentile=config.model.refinement_percentile,
             rng=agent._rngs["refine"].fork(f"n{len(agent.dataset)}"),
+            tracer=agent.tracer,
         )
     elif agent.model.trained:
         agent.refined_model = agent.model

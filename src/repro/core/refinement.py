@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
-from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream, fallback_stream
@@ -44,7 +43,6 @@ class RefinedModel:
         omega: np.ndarray,
         rng: Optional[RngStream] = None,
         tracer: Optional[Tracer] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ):
         tau = np.asarray(tau, dtype=np.float64)
         omega = np.asarray(omega, dtype=np.float64)
@@ -63,7 +61,6 @@ class RefinedModel:
         self.omega = omega
         self._rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Count of Lend–Giveback activations (for tests/ablation).
         self.lend_count = 0
         #: Sum of |refined - raw| corrections (the lend–giveback delta).
@@ -78,7 +75,6 @@ class RefinedModel:
         rng: Optional[RngStream] = None,
         tau_floor: float = 1.0,
         tracer: Optional[Tracer] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ) -> "RefinedModel":
         """Initialise tau/omega by "simple statistical analysis" over D.
 
@@ -90,9 +86,7 @@ class RefinedModel:
         tau, omega = dataset.wip_percentiles(percentile)
         tau = np.maximum(tau, tau_floor)
         omega = np.maximum(omega, tau + tau_floor)
-        return cls(
-            model, tau, omega, rng=rng, tracer=tracer, profiler=profiler
-        )
+        return cls(model, tau, omega, rng=rng, tracer=tracer)
 
     @property
     def state_dim(self) -> int:
@@ -111,12 +105,6 @@ class RefinedModel:
         assembled into ŝ(k+1) (above-threshold dimensions use the raw
         model).  The output is clamped at 0 in every dimension.
         """
-        if self.profiler.enabled:
-            with self.profiler.phase("refine/predict"):
-                return self._predict(state, action)
-        return self._predict(state, action)
-
-    def _predict(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
         if state.ndim != 1:
@@ -147,9 +135,6 @@ class RefinedModel:
                 f"state/action batch sizes differ: "
                 f"{states.shape[0]} vs {actions.shape[0]}"
             )
-        if self.profiler.enabled:
-            with self.profiler.phase("model/predict_batch"):
-                return self._predict_rows(states, actions)
         return self._predict_rows(states, actions)
 
     def _predict_rows(
@@ -169,11 +154,7 @@ class RefinedModel:
             rho = self._rng.uniform(low, high, size=rows.size)
             lent = states[rows].copy()
             lent[:, j] += rho  # Lend
-            if self.profiler.enabled:
-                with self.profiler.phase("refine/lend"):
-                    predicted = self.model.predict(lent, actions[rows])
-            else:
-                predicted = self.model.predict(lent, actions[rows])
+            predicted = self.model.predict(lent, actions[rows])
             giveback = np.maximum(predicted[:, j] - rho, 0.0)  # Giveback
             refined[rows, j] = giveback
             self.lend_count += int(rows.size)

@@ -48,6 +48,7 @@ __all__ = [
     "Fig5Result",
     "build_training_env",
     "dataset_preset",
+    "preset_env",
     "experiment_fig5_model_accuracy",
     "experiment_fig6_training_trace",
     "experiment_fig7_msd_comparison",
@@ -94,13 +95,19 @@ def dataset_preset(name: str) -> dict:
         ) from None
 
 
-def _training_env(name: str, seed: int, tracer=None) -> MicroserviceEnv:
+def preset_env(
+    name: str, seed: int, background_rates=None, tracer=None
+) -> MicroserviceEnv:
+    """The preset's ensemble at its paper budget; ``background_rates``
+    replaces the preset's training rates (a burst scenario's)."""
     preset = dataset_preset(name)
+    if background_rates is None:
+        background_rates = preset["rates"]
     return make_env(
         preset["builder"](),
         config=SystemConfig(consumer_budget=preset["budget"]),
         seed=seed,
-        background_rates=preset["rates"],
+        background_rates=background_rates,
         tracer=tracer,
     )
 
@@ -117,7 +124,7 @@ def build_training_env(seed: int, dataset: str = "msd") -> MicroserviceEnv:
     dataset="msd")``.  Replicas are untraced: each worker's transition
     block carries its own deterministic bookkeeping instead.
     """
-    return _training_env(dataset, seed)
+    return preset_env(dataset, seed)
 
 
 def _collect_random_dataset(
@@ -226,7 +233,7 @@ def experiment_fig5_model_accuracy(
     -out trace) is identical.
     """
     preset = dataset_preset(dataset)
-    env = _training_env(dataset, seed, tracer=tracer)
+    env = preset_env(dataset, seed, tracer=tracer)
     rng = RngStream("fig5", np.random.SeedSequence(seed))
 
     train_data, _ = _collect_random_dataset(
@@ -285,7 +292,7 @@ def experiment_fig6_training_trace(
     shape (converges within the configured iterations).
     """
     preset = dataset_preset(dataset)
-    env = _training_env(dataset, seed, tracer=tracer)
+    env = preset_env(dataset, seed, tracer=tracer)
     config = config or preset["fast_config"]()
     agent = MirasAgent(env, config, seed=seed)
     agent.iterate(verbose=verbose)
@@ -310,7 +317,7 @@ def _build_comparison_allocators(
     (MIRAS) training environment only — baseline training runs stay
     untraced so the comparison traces one system per cell.
     """
-    train_env = _training_env(dataset, seed, tracer=tracer)
+    train_env = preset_env(dataset, seed, tracer=tracer)
     miras_agent = MirasAgent(train_env, config, seed=seed)
     miras_agent.iterate()
     total_interactions = config.steps_per_iteration * config.iterations
@@ -333,7 +340,7 @@ def _build_comparison_allocators(
         seed=seed + 1,
         burst_probability=0.0,
     )
-    modelfree.prepare(_training_env(dataset, seed + 1))
+    modelfree.prepare(preset_env(dataset, seed + 1))
 
     monad = MonadAllocator()
     monad.fit_from_dataset(train_env, miras_agent.dataset)
@@ -428,7 +435,7 @@ def ablation_refinement(
     1 targets) and on the complementary set.
     """
     preset = dataset_preset(dataset)
-    env = _training_env(dataset, seed, tracer=tracer)
+    env = preset_env(dataset, seed, tracer=tracer)
     rng = RngStream("ablate-refine", np.random.SeedSequence(seed))
     train_data, _ = _collect_random_dataset(
         env, collect_steps, rng.fork("ablate-refine/train")
@@ -491,7 +498,7 @@ def ablation_exploration_noise(
     base_config = config or preset["fast_config"]()
     out: Dict[str, Dict[str, float]] = {}
     for mode in ("parameter", "action-gaussian"):
-        env = _training_env(dataset, seed, tracer=tracer)
+        env = preset_env(dataset, seed, tracer=tracer)
         mode_config = MirasConfig(
             model=base_config.model,
             policy=type(base_config.policy)(

@@ -16,7 +16,6 @@ import numpy as np
 from repro.baselines.base import Allocator
 from repro.sim.env import MicroserviceEnv
 from repro.sim.system import MicroserviceWorkflowSystem, SystemConfig
-from repro.telemetry.profile import PhaseProfiler
 from repro.telemetry.tracer import Tracer
 from repro.workflows.dag import WorkflowEnsemble
 from repro.workload.arrivals import PoissonArrivalProcess
@@ -131,7 +130,6 @@ def make_env(
     seed: int = 0,
     background_rates: Optional[Dict[str, float]] = None,
     tracer: Optional[Tracer] = None,
-    profiler: Optional[PhaseProfiler] = None,
     window_hooks: Optional[Sequence[Callable]] = None,
 ) -> MicroserviceEnv:
     """Build a system + Poisson background workload + env in one call."""
@@ -140,7 +138,6 @@ def make_env(
         config,
         seed=seed,
         tracer=tracer,
-        profiler=profiler,
         window_hooks=window_hooks,
     )
     if background_rates:

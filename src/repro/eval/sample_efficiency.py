@@ -71,12 +71,7 @@ def _evaluate_greedy(
 ) -> float:
     """Aggregated reward of a greedy policy over one burst episode."""
     env.reset()
-    if burst_scale > 0:
-        names = env.system.ensemble.workflow_names()
-        per_type = int(burst_scale * env.consumer_budget / len(names))
-        if per_type:
-            env.system.inject_burst({n: per_type for n in names})
-    state = env.observe()
+    state = env.inject_even_burst(burst_scale)
     total = 0.0
     for _ in range(steps):
         simplex = act_greedy(state)

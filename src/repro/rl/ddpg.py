@@ -29,7 +29,6 @@ from repro.rl.noise import (
     project_to_simplex_batch,
 )
 from repro.rl.replay import ReplayBuffer
-from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream, fallback_stream
@@ -102,14 +101,12 @@ class DDPGAgent:
         config: Optional[DDPGConfig] = None,
         rng: Optional[RngStream] = None,
         tracer: Optional[Tracer] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ):
         self.config = config or DDPGConfig()
         if rng is None:
             rng = fallback_stream("ddpg")
         self.rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.state_dim = state_dim
         self.action_dim = action_dim
         cfg = self.config
@@ -133,12 +130,7 @@ class DDPGAgent:
             reward_scale=cfg.reward_scale,
             rng=rng.fork("critic"),
         )
-        self.replay = ReplayBuffer(
-            cfg.buffer_capacity,
-            state_dim,
-            action_dim,
-            profiler=self.profiler,
-        )
+        self.replay = ReplayBuffer(cfg.buffer_capacity, state_dim, action_dim)
 
         self.param_noise = AdaptiveParameterNoise(
             initial_sigma=cfg.param_noise_sigma, delta=cfg.param_noise_delta
@@ -294,12 +286,6 @@ class DDPGAgent:
         ``mean_q`` is the batch mean of Q(s, mu(s)) in reward units under
         the just-updated critic and the policy *before* its step.
         """
-        if self.profiler.enabled:
-            with self.profiler.phase("ddpg/update"):
-                return self._update()
-        return self._update()
-
-    def _update(self) -> Tuple[float, float]:
         cfg = self.config
         if len(self.replay) == 0:
             raise RuntimeError("cannot update with an empty replay buffer")

@@ -225,32 +225,6 @@ def _actor_from_payload(payload: Dict, rng: RngStream) -> Actor:
     return actor
 
 
-def _maybe_inject_burst(
-    env, rng: RngStream, probability: float, scale: float
-) -> np.ndarray:
-    """Episode-start burst injection (the collection-coverage device).
-
-    Same draw schedule as the serial collector's burst hook, fed from
-    the episode stream so coverage of the high-WIP regime survives the
-    move to distributed collection.
-    """
-    state = env.observe()
-    if probability <= 0 or scale <= 0:
-        return state
-    if float(rng.uniform()) >= probability:
-        return state
-    total = int(rng.uniform(0.0, scale * env.consumer_budget))
-    if total == 0:
-        return state
-    names = env.system.ensemble.workflow_names()
-    shares = rng.generator.dirichlet(np.ones(len(names)))
-    counts = {
-        name: int(round(total * share)) for name, share in zip(names, shares)
-    }
-    env.system.inject_burst(counts)
-    return env.observe()
-
-
 def run_collect_episode(spec: Dict) -> Dict:
     """Run one collection episode; module-level so pools can import it.
 
@@ -290,11 +264,8 @@ def run_collect_episode(spec: Dict) -> Dict:
         noise = GaussianActionNoise(sigma=payload["action_noise_sigma"])
 
     env.reset()
-    state = _maybe_inject_burst(
-        env,
-        rng.fork("burst"),
-        spec["burst_probability"],
-        spec["burst_scale"],
+    state = env.inject_random_burst(
+        rng.fork("burst"), spec["burst_probability"], spec["burst_scale"]
     )
     explore_rng = rng.fork("explore")
     steps = spec["steps"]

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 
@@ -20,17 +19,10 @@ class ReplayBuffer:
     index — important because DDPG samples every update step.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        state_dim: int,
-        action_dim: int,
-        profiler: Optional[PhaseProfiler] = None,
-    ):
+    def __init__(self, capacity: int, state_dim: int, action_dim: int):
         check_positive("capacity", capacity)
         check_positive("state_dim", state_dim)
         check_positive("action_dim", action_dim)
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.capacity = capacity
         self.state_dim = state_dim
         self.action_dim = action_dim
@@ -136,12 +128,6 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int, rng: RngStream) -> Dict[str, np.ndarray]:
         """Uniformly sample a batch (with replacement when undersized)."""
-        if self.profiler.enabled:
-            with self.profiler.phase("replay/sample"):
-                return self._sample(batch_size, rng)
-        return self._sample(batch_size, rng)
-
-    def _sample(self, batch_size: int, rng: RngStream) -> Dict[str, np.ndarray]:
         if self._size == 0:
             raise RuntimeError("cannot sample from an empty replay buffer")
         check_positive("batch_size", batch_size)

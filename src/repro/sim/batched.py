@@ -25,10 +25,10 @@ Two execution tiers:
 1. **Exact tier** — the typed event loop pops one event at a time and
    drives :class:`repro.sim.microservice.BatchedMicroservice` executors.
    Always available; handles tracing, scaling, faults, arrivals.
-2. **Vectorised window replay** (the fast path) — whenever no tracer or
-   profiler is attached and no callback event (arrival process, chaos
-   injector) is pending, the window is re-simulated arithmetically, one
-   time slice of bounded work after another: per-microservice chains
+2. **Vectorised window replay** (the fast path) — whenever no tracer is
+   attached and no callback event (arrival process, chaos injector) is
+   pending, the window is re-simulated arithmetically, one time slice
+   of bounded work after another: per-microservice chains
    take every due row — task finishes, consumer start-ups, the last
    task of a terminating consumer — against the queue's start-of-slice
    contents with block-prefetched service draws, then one global merge
@@ -205,7 +205,7 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
 
     # Substrate wiring ----------------------------------------------------
     def _build_substrate(self) -> None:
-        self.loop = TypedEventLoop(profiler=self.profiler)
+        self.loop = TypedEventLoop()
         self.table = self.tds.table
         self.pool = RequestPool(self.table.max_tasks)
         self.microservices: Dict[str, BatchedMicroservice] = {}
@@ -429,8 +429,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         """Static preconditions of the vectorised replay (docs/SIMULATOR.md)."""
         if self.tracer.enabled:
             reason = "tracing"
-        elif self.profiler.enabled:
-            reason = "profiling"
         elif self.loop.callbacks_pending:
             reason = "callbacks-pending"
         else:

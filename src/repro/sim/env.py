@@ -137,6 +137,36 @@ class MicroserviceEnv:
         self.episodes += 1
         return self.observe()
 
+    def inject_random_burst(
+        self, rng: RngStream, probability: float, scale: float
+    ) -> np.ndarray:
+        """Occasionally start a collection episode with a request burst.
+
+        With ``probability``, up to ``scale * C`` requests split over the
+        workflow types by a Dirichlet draw (draw order: gate, total,
+        split).  Keeps the dataset — and hence the environment model and
+        policy — covering the high-WIP regime the Section VI-D evaluation
+        bursts drive the system into.  Returns the state afterwards.
+        """
+        if probability > 0 and scale > 0 and float(rng.uniform()) < probability:
+            total = int(rng.uniform(0.0, scale * self.consumer_budget))
+            if total:
+                names = self.system.ensemble.workflow_names()
+                shares = rng.generator.dirichlet(np.ones(len(names)))
+                self.system.inject_burst(
+                    {n: int(round(total * s)) for n, s in zip(names, shares)}
+                )
+        return self.observe()
+
+    def inject_even_burst(self, scale: float) -> np.ndarray:
+        """The deterministic evaluation burst: ``scale * C`` requests split
+        evenly over the workflow types.  Returns the state afterwards."""
+        names = self.system.ensemble.workflow_names()
+        per_type = int(scale * self.consumer_budget / len(names))
+        if per_type > 0:
+            self.system.inject_burst({n: per_type for n in names})
+        return self.observe()
+
     def step(
         self, allocation: np.ndarray
     ) -> Tuple[np.ndarray, float, WindowObservation]:

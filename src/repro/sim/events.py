@@ -13,8 +13,6 @@ import heapq
 import math
 from typing import Callable, List, Optional, Set, Tuple
 
-from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler
-
 __all__ = [
     "EventLoop",
     "EventHandle",
@@ -24,9 +22,6 @@ __all__ = [
     "EVENT_READY",
     "EVENT_CALLBACK",
 ]
-
-#: Phase name under which event dispatch is attributed when profiling.
-DISPATCH_PHASE = "sim/dispatch"
 
 #: Typed-event kinds of :class:`TypedEventLoop`.  Integer tags instead of
 #: closures keep the hot path free of per-event allocation: a task-finish
@@ -56,11 +51,7 @@ class EventLoop:
     the controller acts, then the world advances by one window.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        profiler: Optional[PhaseProfiler] = None,
-    ):
+    def __init__(self, start_time: float = 0.0):
         self._now = start_time
         # Rows: (when, seq, handle, callback, args).  ``seq`` is unique,
         # so tuple comparison never reaches the payload.
@@ -69,10 +60,6 @@ class EventLoop:
         ] = []
         self._seq_next = 0
         self._processed = 0
-        #: Phase profiler attributing dispatch time; the disabled
-        #: NULL_PROFILER by default, so the untraced hot path pays one
-        #: attribute read and a branch per run_until call (not per event).
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
 
     @property
     def now(self) -> float:
@@ -130,23 +117,6 @@ class EventLoop:
         valve for tests; exceeding it raises ``RuntimeError`` (it would mean
         a runaway self-scheduling loop).
         """
-        # Drop cancelled events sitting at the head of the heap before
-        # entering the dispatch phase: they execute nothing, so their
-        # removal should cost neither a tuple unpack nor profiler
-        # attribution.  (Events are never scheduled in the past, so this
-        # cannot consume anything a backwards run_until should reject.)
-        heap = self._heap
-        while heap and heap[0][0] <= when and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        # Only attribute the dispatch phase when something will actually
-        # dispatch: after the drain above, a due head is non-cancelled.
-        # A cancelled-only (or empty) window just advances the clock.
-        if self.profiler.enabled and heap and heap[0][0] <= when:
-            with self.profiler.phase(DISPATCH_PHASE):
-                return self._run_until(when, max_events)
-        return self._run_until(when, max_events)
-
-    def _run_until(self, when: float, max_events: Optional[int]) -> int:
         if when < self._now:
             raise ValueError(
                 f"cannot run backwards (when={when!r}, now={self._now!r})"
@@ -220,11 +190,7 @@ class TypedEventLoop:
     none is pending (see docs/SIMULATOR.md).
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        profiler: Optional[PhaseProfiler] = None,
-    ):
+    def __init__(self, start_time: float = 0.0):
         self._now = start_time
         # Rows: (when, seq, kind, a, b).  ``seq`` is unique, so tuple
         # comparison never reaches the payload and a callback with its
@@ -236,7 +202,6 @@ class TypedEventLoop:
         self._callback_pending = 0
         self._on_finish: Optional[Callable[[int, int], None]] = None
         self._on_ready: Optional[Callable[[int, int], None]] = None
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
 
     def bind_executors(
         self,
@@ -321,12 +286,6 @@ class TypedEventLoop:
         ``(time, seq)`` order, cancelled rows are dropped without
         counting, and ``max_events`` guards against runaway loops.
         """
-        if self.profiler.enabled and self._heap and self._heap[0][0] <= when:
-            with self.profiler.phase(DISPATCH_PHASE):
-                return self._run_until(when, max_events)
-        return self._run_until(when, max_events)
-
-    def _run_until(self, when: float, max_events: Optional[int]) -> int:
         if when < self._now:
             raise ValueError(
                 f"cannot run backwards (when={when!r}, now={self._now!r})"

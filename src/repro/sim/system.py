@@ -25,7 +25,6 @@ from repro.sim.metrics import (
 from repro.sim.microservice import Microservice
 from repro.sim.requests import TaskRequest, WorkflowRequest
 from repro.sim.tds import TaskDependencyService
-from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.rng import RngStream, spawn_rngs
 from repro.utils.validation import check_positive
@@ -115,18 +114,12 @@ class MicroserviceWorkflowSystem:
         config: Optional[SystemConfig] = None,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        profiler: Optional[PhaseProfiler] = None,
         window_hooks: Optional[
             Sequence[Callable[[WindowObservation], None]]
         ] = None,
     ):
         self.ensemble = ensemble
         self.config = config or SystemConfig()
-        #: Phase profiler shared with the event loop (and, via
-        #: MirasAgent, the training stack); the disabled NULL_PROFILER by
-        #: default.  Profiler output is wall-clock measurement and lives
-        #: outside the trace-determinism contract.
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: Telemetry tracer shared by every component of this system;
         #: defaults to the disabled NULL_TRACER (near-zero overhead).
         #: Timestamps come from the simulation clock, never wall time
@@ -188,7 +181,7 @@ class MicroserviceWorkflowSystem:
         streams in the same ``ensemble.task_types`` order — fork order,
         not fork label, determines stream identity.
         """
-        self.loop = EventLoop(profiler=self.profiler)
+        self.loop = EventLoop()
         self.microservices: Dict[str, Microservice] = {}
         for task_type in self.ensemble.task_types:
             self.microservices[task_type.name] = Microservice(

@@ -22,7 +22,8 @@ The observability layer of docs/OBSERVABILITY.md:
 - :mod:`repro.telemetry.server` — stdlib Prometheus exposition endpoint
   (``repro metrics --serve``),
 - :mod:`repro.telemetry.profile` — the hierarchical phase profiler
-  (wall/CPU time per phase; outside the determinism contract).
+  (wall/CPU time per layer boundary, installed around a run by
+  ``repro profile run``; outside the determinism contract).
 
 Typical use (the tracer is a context manager — the sink is flushed and
 closed on exit, including exceptional exit)::
@@ -76,7 +77,6 @@ from repro.telemetry.fleet import (
     write_fleet,
 )
 from repro.telemetry.profile import (
-    NULL_PROFILER,
     PROFILE_VERSION,
     PhaseProfiler,
     read_profile,
@@ -145,7 +145,6 @@ __all__ = [
     "write_metrics",
     "PROFILE_VERSION",
     "PhaseProfiler",
-    "NULL_PROFILER",
     "render_profile",
     "write_profile",
     "read_profile",

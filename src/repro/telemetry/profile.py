@@ -1,11 +1,16 @@
 """Hierarchical phase profiler: where did the wall/CPU time go?
 
 A :class:`PhaseProfiler` attributes real (wall and CPU) time to a tree
-of named *phases* — event-loop dispatch, model-fit epochs, DDPG update
-steps, replay sampling, Lend–Giveback refinement — via a context
-manager (``with profiler.phase("model/fit"):``) or a decorator
-(``@profiler.profiled("ddpg/update")``).  Each tree node records call
-counts, cumulative time, and self time (cumulative minus children).
+of named *phases*.  Nothing in the program knows about it: used as a
+context manager (``with PhaseProfiler() as profiler:``) it wraps every
+layer boundary listed in :data:`BOUNDARIES` — ``nn.forward`` under
+``rl.update`` under ``core.train_policy``, ``sim.dispatch`` under
+``sim.run_window`` under ``sim.env_step`` — for the duration of the
+block and puts every original back on exit, so a profiled run executes
+the same code as an unprofiled one plus one wrapper per boundary call.
+``with profiler.phase("name"):`` times any other block under the
+current phase.  Each tree node records call counts, cumulative time,
+and self time (cumulative minus children).
 
 **Determinism boundary.**  Profiling is *measurement of the machine*,
 not of the simulation: its clock reads are real, so profiler output is
@@ -13,37 +18,88 @@ explicitly excluded from the trace-determinism contract, exactly like
 ``wall_time`` in the run manifest.  The two clock reads below are the
 sanctioned wall-clock sites (reprolint D102 suppressed); nothing from
 this module may ever be written into a trace record.  The determinism
-tests pin the other direction too: enabling a profiler does not change
-trace bytes.
-
-**Zero cost when off.**  Instrumented hot paths guard with
-``if profiler.enabled:`` against the shared :data:`NULL_PROFILER`
-singleton — the disabled cost is one attribute read and a branch, the
-same budget discipline as :data:`~repro.telemetry.tracer.NULL_TRACER`.
+tests pin the other direction too: a profiled run writes the same
+trace, weights, replay and dataset bytes.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "PROFILE_VERSION",
     "PROFILE_FILENAME",
+    "BOUNDARIES",
     "PhaseNode",
     "PhaseProfiler",
-    "NULL_PROFILER",
     "render_profile",
     "write_profile",
     "read_profile",
 ]
 
 #: Bumped whenever the profile.json document changes shape.
-PROFILE_VERSION = 1
+PROFILE_VERSION = 2
 
 PROFILE_FILENAME = "profile.json"
+
+#: The layer boundaries an installed profiler wraps: ``("module:qualname",
+#: phase)``.  Targets are strings resolved at install time, so this
+#: module imports nothing above it.  Two targets share a phase when they
+#: are the same boundary (``act``/``act_batch``).  A function is listed
+#: under the module whose global its callers read.
+BOUNDARIES: List[Tuple[str, str]] = [
+    ("repro.nn.network:MLP.forward", "nn.forward"),
+    ("repro.nn.network:MLP.backward", "nn.backward"),
+    ("repro.nn.network:MLP.train_batch", "nn.train_batch"),
+    ("repro.nn.network:MLP.input_gradient", "nn.input_gradient"),
+    ("repro.rl.ddpg:soft_update", "nn.soft_update"),
+    ("repro.rl.ddpg:DDPGAgent.act", "rl.act"),
+    ("repro.rl.ddpg:DDPGAgent.act_batch", "rl.act"),
+    ("repro.rl.ddpg:DDPGAgent.update", "rl.update"),
+    ("repro.rl.ddpg:DDPGAgent.store_batch", "rl.store"),
+    ("repro.rl.ddpg:DDPGAgent.refresh_perturbation", "rl.refresh_perturbation"),
+    ("repro.rl.replay:ReplayBuffer.sample", "rl.replay_sample"),
+    ("repro.rl.distributed:run_collect_episode", "rl.collect.episode"),
+    ("repro.rl.distributed:EnvSpec.build", "rl.collect.episode_env_build"),
+    ("repro.core.agent:MirasAgent.iterate", "core.iterate"),
+    ("repro.core.agent:MirasAgent.collect_real_interactions", "core.collect"),
+    ("repro.core.agent:MirasAgent.collect_distributed", "core.collect"),
+    ("repro.core.agent:MirasAgent.train_model", "core.train_model"),
+    ("repro.core.agent:MirasAgent.train_policy", "core.train_policy"),
+    ("repro.core.agent:MirasAgent.evaluate", "core.evaluate"),
+    ("repro.core.environment_model:EnvironmentModel.fit", "core.model_fit"),
+    ("repro.core.refinement:RefinedModel.from_dataset", "core.refine_build"),
+    ("repro.core.refinement:RefinedModel.predict_batch", "core.predict_batch"),
+    ("repro.core.model_env:BatchedModelEnv.step", "core.model_env_step"),
+    ("repro.core.dataset:TransitionDataset.add", "core.dataset_add"),
+    ("repro.eval.runner:evaluate_allocator", "eval.evaluate_allocator"),
+    ("repro.sim.env:MicroserviceEnv.step", "sim.env_step"),
+    ("repro.sim.env:MicroserviceEnv.reset", "sim.env_reset"),
+    ("repro.sim.system:MicroserviceWorkflowSystem.run_window", "sim.run_window"),
+    (
+        "repro.sim.system:MicroserviceWorkflowSystem.apply_allocation",
+        "sim.apply_allocation",
+    ),
+    ("repro.sim.system:MicroserviceWorkflowSystem.inject_burst", "sim.inject_burst"),
+    ("repro.sim.batched:BatchedWorkflowSystem.inject_burst", "sim.inject_burst"),
+    ("repro.sim.events:EventLoop.run_until", "sim.dispatch"),
+    ("repro.sim.events:TypedEventLoop.run_until", "sim.dispatch"),
+    ("repro.baselines.static_alloc:UniformAllocator.allocate", "baselines.allocate"),
+    (
+        "repro.baselines.static_alloc:ProportionalToWipAllocator.allocate",
+        "baselines.allocate",
+    ),
+    ("repro.baselines.drs:DrsAllocator.allocate", "baselines.allocate"),
+    ("repro.baselines.heft:HeftAllocator.allocate", "baselines.allocate"),
+    ("repro.baselines.autoscaler:HpaAllocator.allocate", "baselines.allocate"),
+    ("repro.telemetry.metrics:MetricsSink.write", "telemetry.sink_write"),
+    ("repro.telemetry.sinks:MemorySink.write", "telemetry.sink_write"),
+]
 
 
 def _wall_clock() -> float:
@@ -54,6 +110,21 @@ def _wall_clock() -> float:
 def _cpu_clock() -> float:
     """Sanctioned CPU-clock read for profiling (not simulation data)."""
     return time.process_time()
+
+
+def _resolve(target: str) -> Tuple[object, str, object]:
+    """``"module:Owner.attr"`` -> ``(owner, attr, raw)``.
+
+    ``raw`` is read through ``vars(owner)`` so a classmethod/staticmethod
+    is seen as such and an inherited attribute is an error, not a wrap
+    installed on the wrong class.
+    """
+    module, _, qualname = target.partition(":")
+    *owners, attr = qualname.split(".")
+    owner = importlib.import_module(module)
+    for name in owners:
+        owner = getattr(owner, name)
+    return owner, attr, vars(owner)[attr]
 
 
 class PhaseNode:
@@ -131,61 +202,55 @@ class _Phase:
         self.profiler._pop(wall, cpu)
 
 
-class _NoopPhase:
-    """Shared do-nothing context manager for the disabled profiler."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopPhase":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NOOP_PHASE = _NoopPhase()
-
-
 class PhaseProfiler:
     """Collects a self-time/cumulative phase tree.
 
-    Parameters
-    ----------
-    enabled:
-        ``False`` builds a disabled profiler whose :meth:`phase` returns
-        a shared no-op context manager.  Instrumented code should still
-        guard with ``if profiler.enabled:`` to skip even that call on
-        hot paths.
+    ``with PhaseProfiler() as profiler:`` wraps every :data:`BOUNDARIES`
+    entry for the block (class attributes, so every instance — existing
+    or built inside the block — is covered) and restores the originals
+    on exit, also when the block raises.  Only one profiler can be
+    installed at a time.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.root = PhaseNode("total")
         self._stack: List[PhaseNode] = [self.root]
+        self._installed: List[Tuple[object, str, object]] = []
+
+    # Installing -----------------------------------------------------------
+    def __enter__(self) -> "PhaseProfiler":
+        # Resolve everything before touching anything, so a stale entry
+        # fails with nothing wrapped; so does a second install, which
+        # finds the first boundary already wrapped.
+        resolved = [(*_resolve(target), name) for target, name in BOUNDARIES]
+        for owner, attr, raw, name in resolved:
+            kind = type(raw) if isinstance(raw, (classmethod, staticmethod)) else None
+            function = raw.__func__ if kind else raw
+            if hasattr(function, "__phase__"):
+                raise RuntimeError("a PhaseProfiler is already installed")
+            wrapper = self._wrap(function, name)
+            setattr(owner, attr, kind(wrapper) if kind else wrapper)
+            self._installed.append((owner, attr, raw))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        while self._installed:
+            owner, attr, raw = self._installed.pop()
+            setattr(owner, attr, raw)
+
+    def _wrap(self, function: Callable, name: str) -> Callable:
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            with self.phase(name):
+                return function(*args, **kwargs)
+
+        wrapper.__phase__ = name
+        return wrapper
 
     # Recording ------------------------------------------------------------
-    def phase(self, name: str):
+    def phase(self, name: str) -> _Phase:
         """Context manager timing one phase nested under the current one."""
-        if not self.enabled:
-            return _NOOP_PHASE
         return _Phase(self, name)
-
-    def profiled(self, name: str) -> Callable:
-        """Decorator form of :meth:`phase`."""
-
-        def decorate(func: Callable) -> Callable:
-            def wrapper(*args, **kwargs):
-                if not self.enabled:
-                    return func(*args, **kwargs)
-                with _Phase(self, name):
-                    return func(*args, **kwargs)
-
-            wrapper.__name__ = getattr(func, "__name__", name)
-            wrapper.__doc__ = func.__doc__
-            wrapper.__wrapped__ = func
-            return wrapper
-
-        return decorate
 
     def _push(self, name: str) -> None:
         node = self._stack[-1].child(name)
@@ -223,15 +288,7 @@ class PhaseProfiler:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PhaseProfiler(enabled={self.enabled}, "
-            f"phases={len(self.root.children)})"
-        )
-
-
-#: Shared disabled profiler used as the default by every instrumented
-#: component.  Never record into it.
-NULL_PROFILER = PhaseProfiler(enabled=False)
+        return f"PhaseProfiler(phases={len(self.root.children)})"
 
 
 def render_profile(

@@ -21,11 +21,9 @@ from tests.core.reference_model_env import ModelEnv
 from tests.core.test_agent import tiny_config
 
 
-def _prepared_agent(seed=3, profiler=None, **config_overrides):
+def _prepared_agent(seed=3, **config_overrides):
     config = tiny_config(**config_overrides)
-    agent = MirasAgent(
-        make_msd_env(seed=seed), config, seed=seed, profiler=profiler
-    )
+    agent = MirasAgent(make_msd_env(seed=seed), config, seed=seed)
     agent.collect_real_interactions(
         agent.config.steps_per_iteration, random_fraction=1.0
     )
@@ -136,12 +134,12 @@ class TestLargerBatches:
         assert rollouts == 3
 
     def test_profiler_records_batched_phases(self):
-        profiler = PhaseProfiler(enabled=True)
-        agent = _prepared_agent(seed=7, profiler=profiler)
-        agent.train_policy()
-        rollout_node = profiler.node("agent/rollout_batch")
-        assert rollout_node is not None
-        assert rollout_node.calls >= 1
-        predict_node = rollout_node.children.get("model/predict_batch")
+        agent = _prepared_agent(seed=7)
+        with PhaseProfiler() as profiler:
+            agent.train_policy()
+        step_node = profiler.node("core.train_policy", "core.model_env_step")
+        assert step_node is not None
+        assert step_node.calls >= 1
+        predict_node = step_node.children.get("core.predict_batch")
         assert predict_node is not None
         assert predict_node.calls >= 1

@@ -121,6 +121,28 @@ class TestAgentRoundtrip:
         loaded.iterate(iterations=1)
         assert len(loaded.results) == 2
 
+    def test_loaded_agent_refinement_reports_to_the_env_tracer(self, tmp_path):
+        """The rebuilt RefinedModel must carry the traced env's tracer:
+        every lend of a post-reload ``train_policy`` is counted."""
+        from repro.eval.runner import make_env
+        from repro.sim.system import SystemConfig
+        from repro.telemetry import MemorySink, Tracer
+        from repro.workflows import build_msd_ensemble
+
+        save_agent(tmp_path / "agent", trained_agent())
+        tracer = Tracer(MemorySink())
+        env = make_env(
+            build_msd_ensemble(), SystemConfig(consumer_budget=14),
+            seed=55, tracer=tracer,
+        )
+        loaded = load_agent(tmp_path / "agent", env)
+        loaded.train_policy()
+        assert loaded.refined_model.lend_count > 0
+        assert (
+            tracer.counters.get("refinement/lends")
+            == loaded.refined_model.lend_count
+        )
+
     def test_optimizer_state_round_trip_bit_exact(self, tmp_path):
         """A reloaded agent's next gradient step equals the never-saved
         agent's, byte for byte, on all three optimised networks."""

@@ -7,7 +7,7 @@ actor step that forwards again, and two more forwards for ``mean_q``.
 
 :class:`ReferenceDDPGAgent` is a real :class:`DDPGAgent` (so acting,
 exploration, replay and every RNG draw are the production code) whose
-``_update`` runs the historical arithmetic on :class:`RefMLP` mirrors and
+``update`` runs the historical arithmetic on :class:`RefMLP` mirrors and
 then copies the learnt weights back into the production networks.
 """
 
@@ -213,7 +213,7 @@ class ReferenceDDPGAgent(DDPGAgent):
         q = network.forward(self.critic.normalize_states(states), aux=actions)
         return q * self.critic.reward_scale
 
-    def _update(self) -> Tuple[float, float]:
+    def update(self) -> Tuple[float, float]:
         cfg = self.config
         actor, critic = self.actor, self.critic
         batch = self.replay.sample(cfg.batch_size, self.rng)

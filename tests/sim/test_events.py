@@ -121,8 +121,7 @@ class TestSafetyValve:
 
 
 class TestCancelledHandleAccounting:
-    """Cancelled handles must be invisible: not executed, not counted,
-    and not attributed to the dispatch profiler phase."""
+    """Cancelled handles must be invisible: not executed, not counted."""
 
     def test_processed_ignores_cancelled_events(self):
         loop = EventLoop()
@@ -135,40 +134,8 @@ class TestCancelledHandleAccounting:
         assert executed == 1
         assert loop.processed == 1
         assert not keep.cancelled
-
-    def test_cancelled_only_window_skips_dispatch_phase(self):
-        from repro.telemetry.profile import PhaseProfiler
-
-        profiler = PhaseProfiler(enabled=True)
-        loop = EventLoop(profiler=profiler)
-        loop.schedule(1.0, lambda: None).cancel()
-        loop.schedule(2.0, lambda: None).cancel()
-        executed = loop.run_until(3.0)
-        assert executed == 0
         assert loop.now == 3.0
         assert loop.pending == 0
-        assert profiler.node("sim/dispatch") is None
-
-    def test_real_event_still_enters_dispatch_phase(self):
-        from repro.telemetry.profile import PhaseProfiler
-
-        profiler = PhaseProfiler(enabled=True)
-        loop = EventLoop(profiler=profiler)
-        loop.schedule(0.5, lambda: None).cancel()
-        loop.schedule(1.0, lambda: None)
-        assert loop.run_until(3.0) == 1
-        node = profiler.node("sim/dispatch")
-        assert node is not None
-        assert node.calls == 1
-
-    def test_empty_window_skips_dispatch_phase(self):
-        from repro.telemetry.profile import PhaseProfiler
-
-        profiler = PhaseProfiler(enabled=True)
-        loop = EventLoop(profiler=profiler)
-        loop.schedule(5.0, lambda: None)  # beyond the horizon
-        assert loop.run_until(3.0) == 0
-        assert profiler.node("sim/dispatch") is None
 
     def test_cancelled_mid_heap_skipped_during_dispatch(self):
         loop = EventLoop()

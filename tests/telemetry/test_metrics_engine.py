@@ -315,7 +315,7 @@ class TestAggregator:
         assert ewma["value"] == pytest.approx(0.3 * 2.0 + 0.7 * 4.0)
 
 
-def _traced_run(profiler=None, windows=4, seed=11):
+def _traced_run(windows=4, seed=11):
     """A short traced MSD run; returns (memory_sink, metrics_sink)."""
     memory = MemorySink()
     sink = MetricsSink(downstream=memory)
@@ -325,7 +325,6 @@ def _traced_run(profiler=None, windows=4, seed=11):
         seed=seed,
         background_rates={"Type1": 0.5, "Type2": 0.3, "Type3": 0.2},
         tracer=Tracer(sink),
-        profiler=profiler,
     )
     env.reset()
     env.system.inject_burst({"Type1": 40, "Type2": 20, "Type3": 20})

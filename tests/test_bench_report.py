@@ -1,4 +1,4 @@
-"""`repro bench report` tests: artifact summary table and trajectory."""
+"""`repro bench report` tests: artifact summary table and JSON."""
 
 import json
 
@@ -43,20 +43,6 @@ class TestBenchReport:
         assert summary["beta"]["budget_pct"] == 2.0
         # Non-numeric leaves (environment strings) are excluded.
         assert "env.python" not in summary["alpha"]
-
-    def test_append_writes_dated_trajectory_rows(self, tmp_path, capsys):
-        root = self._artifacts(tmp_path)
-        for _ in range(2):
-            assert main(["bench", "report", "--root", str(root),
-                         "--append"]) == 0
-        trajectory = root / "BENCH_TRAJECTORY.jsonl"
-        lines = trajectory.read_text().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            row = json.loads(line)
-            assert set(row) == {"wall_time", "benchmarks"}
-            assert row["benchmarks"]["alpha"]["speedup"] == 4.5
-            assert row["wall_time"]  # ISO stamp from wall_time_now()
 
     def test_missing_artifacts_exit_nonzero(self, tmp_path, capsys):
         assert main(["bench", "report", "--root", str(tmp_path)]) == 1
