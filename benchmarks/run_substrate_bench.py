@@ -7,25 +7,25 @@ absolute tasks/second and burst-injection seconds for every scenario:
 - **paper scale** (consumer budget 14, MSD burst) — informational; the
   batched substrate pays its per-window overhead on tiny windows.
 - **production scale** (consumer budget 4096, tens of thousands of
-  workflows, one balanced allocation) — the parity gate.  Both loaded
-  windows of this scenario run on each substrate's *exact tier*: the
+  workflows, one balanced allocation) — the parity gate: batched
+  tasks/s must be at least ``PARITY_FLOOR`` of serial tasks/s.  The
   balanced pipeline feeds every downstream service while its consumers
-  are still starting or already idle, so the vectorised replay gives up
-  (cheaply, before chaining the upstream service; the abort reasons are
-  reported) and the pair compares one event kernel with the other.  The
-  gate is parity: batched tasks/s must be at least ``PARITY_FLOOR`` of
-  serial tasks/s.  Until the serial microservice got an idle index this
-  was a ">= 10x" gate — whose denominator was the serial substrate's
-  O(consumers) dispatch scan, not anything the arrays did;
-  docs/PERFORMANCE.md has the before/after numbers.
-- **closed loop** (the same 4,096 consumers under
-  ``ProportionalToWipAllocator`` through ``evaluate_allocator``, 30 s
-  windows, 24k-workflow burst) — the keep-criterion of the batched
-  substrate: the replay must take at least ``LOADED_SHARE_FLOOR`` of the
+  are still starting or already idle, the cascade the replay takes
+  stage by stage; the share of loaded windows replayed is reported
+  with the ratio.  (Until the serial microservice got an idle index
+  this was a ">= 10x" gate — whose denominator was the serial
+  substrate's O(consumers) dispatch scan, not anything the arrays did;
+  docs/PERFORMANCE.md has the before/after numbers.)
+- **closed loop** and **closed loop, steady** (the same 4,096 consumers
+  under ``ProportionalToWipAllocator`` through ``evaluate_allocator``,
+  30 s windows; a 24k-workflow burst, and an 8k-workflow burst under
+  Poisson background arrivals — the shapes of ``sim_prod_burst`` and
+  ``sim_prod_steady``) — the keep-criterion of the batched substrate:
+  on each the replay must take at least ``LOADED_SHARE_FLOOR`` of the
   *loaded* windows (those completing at least one task) and the batched
   substrate must finish the run at least ``CLOSED_LOOP_FLOOR`` times
   faster than the serial one, with equal snapshots at the end.
-  ``--check`` exits non-zero if any of the three gates fails; CI runs
+  ``--check`` exits non-zero if any of the five gates fails; CI runs
   that.
 - **million-request demo** (``--million``) — batched substrate only: a
   one-million-workflow MSD burst, reported as tasks/second.
@@ -60,6 +60,7 @@ from repro.sim import (
     substrate_snapshot,
 )
 from repro.workflows import build_msd_ensemble
+from repro.workload import PoissonArrivalProcess
 from repro.workload.bursts import BurstScenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -67,13 +68,15 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_substrate.json"
 
 #: The CI gate: on the production-scale scenario the batched substrate's
 #: throughput must be at least this share of the serial substrate's.
-#: Measured 0.87-0.99 on the sizing host (docs/PERFORMANCE.md); the
-#: margin is for shared CI runners.  .github/workflows/ci.yml runs
+#: Measured 3.7-4.2 on the sizing host since the replay takes the
+#: balanced cascade (0.87-1.27 while both loaded windows ran on the
+#: exact tiers, docs/PERFORMANCE.md); the floor was left where it was.  .github/workflows/ci.yml runs
 #: ``--check``.
 PARITY_FLOOR = 0.7
 #: The closed-loop gates (ROADMAP: what keeps the batched substrate):
 #: share of loaded windows the replay must take, and how much faster
-#: than the serial substrate the run must be.  Measured 6/6 and 2.5-3x.
+#: than the serial substrate the run must be.  Measured 5/5 and 3.3-4.4x
+#: on the pure burst, 20/20 and 3.4-3.6x under background arrivals.
 LOADED_SHARE_FLOOR = 0.5
 CLOSED_LOOP_FLOOR = 1.5
 
@@ -89,11 +92,7 @@ PRODUCTION_SCALE = dict(
     windows=12,
     burst={"Type1": 20000, "Type2": 10000, "Type3": 10000},
 )
-# Weighted toward upstream services so downstream backlogs accumulate
-# and the vectorised window replay engages (a balanced pipeline keeps
-# downstream consumers waiting on empty queues, and a publish into one
-# of those sends the window to the exact tier — see docs/SIMULATOR.md,
-# "What still forces the exact tier").
+# Weighted toward upstream services, where the burst lands.
 MILLION_SCALE = dict(
     consumer_budget=8192,
     window_length=240.0,
@@ -107,6 +106,13 @@ CLOSED_LOOP = dict(
     windows=16,
     burst={"Type1": 12000, "Type2": 6000, "Type3": 6000},
 )
+CLOSED_LOOP_STEADY = dict(
+    consumer_budget=4096,
+    window_length=30.0,
+    windows=20,
+    burst={"Type1": 4000, "Type2": 2000, "Type3": 2000},
+    rates={"Type1": 3.0, "Type2": 3.0, "Type3": 2.0},
+)
 QUICK_SCALE = dict(
     consumer_budget=256,
     window_length=60.0,
@@ -115,16 +121,47 @@ QUICK_SCALE = dict(
 )
 
 
-def build(cls, scale, seed=0):
-    ensemble = build_msd_ensemble()
+class LoadedWindows:
+    """Window hook: of the windows that completed a task, which ones the
+    vectorised replay took (none on the serial substrate)."""
+
+    def __init__(self):
+        self.system = None
+        self.replayed = []
+        self._fast_seen = 0
+
+    def __call__(self, observation):
+        fast = getattr(self.system, "fast_windows", 0)
+        if observation.task_completions:
+            self.replayed.append(fast > self._fast_seen)
+        self._fast_seen = fast
+
+    def tally(self):
+        return {
+            "loaded_windows": len(self.replayed),
+            "loaded_fast_windows": sum(self.replayed),
+        }
+
+
+def build_system(cls, scale, seed=0):
+    """A system of ``scale`` with its loaded-window tally attached."""
+    loaded = LoadedWindows()
     system = cls(
-        ensemble,
+        build_msd_ensemble(),
         SystemConfig(
             consumer_budget=scale["consumer_budget"],
             window_length=scale["window_length"],
         ),
         seed=seed,
+        window_hooks=[loaded],
     )
+    loaded.system = system
+    return system, loaded
+
+
+def build(cls, scale, seed=0):
+    system, loaded = build_system(cls, scale, seed)
+    ensemble = system.ensemble
     allocation = scale.get("allocation")
     if allocation is None:
         per_service = max(
@@ -133,12 +170,12 @@ def build(cls, scale, seed=0):
         allocation = [per_service] * ensemble.num_task_types
     system.apply_allocation(allocation)
     system.inject_burst(scale["burst"])
-    return system
+    return system, loaded
 
 
 def run_one(cls, scale):
     build_start = time.perf_counter()
-    system = build(cls, scale)
+    system, loaded = build(cls, scale)
     start = time.perf_counter()
     for _ in range(scale["windows"]):
         system.run_window()
@@ -153,6 +190,7 @@ def run_one(cls, scale):
         "build_seconds": build_seconds,
         "seconds": elapsed,
         "tasks_per_second": tasks / elapsed if elapsed else float("inf"),
+        **loaded.tally(),
         **replay_tally(system),
     }
 
@@ -192,7 +230,8 @@ def run_pair(name, scale):
         f"{batched['tasks_per_second']:,.0f} tasks/s "
         f"(burst injected in {batched['build_seconds']:.3f}s; "
         f"fast windows {batched['fast_windows']}/{scale['windows']}, "
-        f"aborts {batched['fast_abort_reasons']}, "
+        f"{batched['loaded_fast_windows']}/{batched['loaded_windows']} of "
+        f"the loaded ones, aborts {batched['fast_abort_reasons']}, "
         f"ineligible {batched['fast_ineligible_reasons']})"
     )
     if serial["tasks_completed"] != batched["tasks_completed"]:
@@ -208,36 +247,25 @@ def run_pair(name, scale):
         "scenario": {k: v for k, v in scale.items()},
         "serial": serial,
         "batched": batched,
+        "loaded_fast_window_share": (
+            batched["loaded_fast_windows"] / batched["loaded_windows"]
+        ),
         "batched_over_serial": ratio,
     }
 
 
 def run_closed_loop_one(cls, scale):
-    """One ``evaluate_allocator`` run under the WIP-proportional controller."""
-    loaded = []  # per window that completed a task: was it replayed?
-    fast_seen = 0
-
-    def tally(observation):
-        nonlocal fast_seen
-        fast = getattr(system, "fast_windows", 0)
-        if observation.task_completions:
-            loaded.append(fast > fast_seen)
-        fast_seen = fast
-
-    system = cls(
-        build_msd_ensemble(),
-        SystemConfig(
-            consumer_budget=scale["consumer_budget"],
-            window_length=scale["window_length"],
-        ),
-        seed=0,
-        window_hooks=[tally],
-    )
+    """One ``evaluate_allocator`` run under the WIP-proportional
+    controller, Poisson background attached when the scale has rates."""
+    system, loaded = build_system(cls, scale)
+    rates = scale.get("rates", {})
+    if rates:
+        PoissonArrivalProcess(rates).attach(system)
     start = time.perf_counter()
     evaluate_allocator(
         ProportionalToWipAllocator(),
         MicroserviceEnv(system),
-        BurstScenario("closed-loop", scale["burst"], {}),
+        BurstScenario("closed-loop", scale["burst"], rates),
         scale["windows"],
     )
     elapsed = time.perf_counter() - start
@@ -246,13 +274,12 @@ def run_closed_loop_one(cls, scale):
             ms.tasks_completed for ms in system.microservices.values()
         ),
         "seconds": elapsed,
-        "loaded_windows": len(loaded),
-        "loaded_fast_windows": sum(loaded),
+        **loaded.tally(),
         **replay_tally(system),
     }
 
 
-def run_closed_loop(scale):
+def run_closed_loop(name, scale):
     runs = {"serial": [], "batched": []}
     for _ in range(ROUNDS):
         serial_system, run = run_closed_loop_one(MicroserviceWorkflowSystem, scale)
@@ -261,15 +288,15 @@ def run_closed_loop(scale):
         runs["batched"].append(run)
     if substrate_snapshot(serial_system) != substrate_snapshot(batched_system):
         raise AssertionError(
-            "[closed_loop] substrate_snapshot mismatch between serial and "
-            "batched — equivalence is broken, the comparison is meaningless"
+            f"[{name}] substrate_snapshot mismatch between serial and "
+            f"batched — equivalence is broken, the comparison is meaningless"
         )
     serial = min(runs["serial"], key=lambda r: r["seconds"])
     batched = min(runs["batched"], key=lambda r: r["seconds"])
     share = batched["loaded_fast_windows"] / batched["loaded_windows"]
     ratio = serial["seconds"] / batched["seconds"]
     print(
-        f"[closed_loop] serial {serial['seconds']:.2f}s, batched "
+        f"[{name}] serial {serial['seconds']:.2f}s, batched "
         f"{batched['seconds']:.2f}s = {ratio:.2f}x; replayed "
         f"{batched['loaded_fast_windows']}/{batched['loaded_windows']} loaded "
         f"windows ({batched['fast_windows']}/{scale['windows']} of all), "
@@ -288,8 +315,8 @@ def run_closed_loop(scale):
 def assert_snapshot_equivalence():
     """Paper-scale snapshot equality — cheap, runs on every invocation."""
     scale = dict(PAPER_SCALE, windows=8)
-    serial = build(MicroserviceWorkflowSystem, scale)
-    batched = build(BatchedWorkflowSystem, scale)
+    serial, _ = build(MicroserviceWorkflowSystem, scale)
+    batched, _ = build(BatchedWorkflowSystem, scale)
     for _ in range(scale["windows"]):
         serial.run_window()
         batched.run_window()
@@ -305,7 +332,7 @@ def run_million():
     scale = MILLION_SCALE
     total = sum(scale["burst"].values())
     print(f"[million] injecting {total:,} workflow requests ...", flush=True)
-    system = build(BatchedWorkflowSystem, scale)
+    system, _ = build(BatchedWorkflowSystem, scale)
     start = time.perf_counter()
     windows = 0
     while system.invoker.completed_total < total and windows < scale["windows"]:
@@ -342,8 +369,9 @@ def main(argv=None) -> int:
         action="store_true",
         help=(
             f"exit 1 unless production-scale batched throughput is >= "
-            f"{PARITY_FLOOR}x serial and the closed-loop run replays >= "
-            f"{LOADED_SHARE_FLOOR} of its loaded windows >= "
+            f"{PARITY_FLOOR}x serial and both closed-loop runs (pure "
+            f"burst, burst under Poisson arrivals) replay >= "
+            f"{LOADED_SHARE_FLOOR} of their loaded windows >= "
             f"{CLOSED_LOOP_FLOOR}x faster than serial"
         ),
     )
@@ -375,23 +403,26 @@ def main(argv=None) -> int:
         "closed_loop_floor": CLOSED_LOOP_FLOOR,
         "paper_scale": run_pair("paper", PAPER_SCALE),
         "production_scale": run_pair("production", PRODUCTION_SCALE),
-        "closed_loop": run_closed_loop(CLOSED_LOOP),
+        "closed_loop": run_closed_loop("closed_loop", CLOSED_LOOP),
+        "closed_loop_steady": run_closed_loop(
+            "closed_loop_steady", CLOSED_LOOP_STEADY
+        ),
     }
     if args.million:
         results["million_requests"] = run_million()
 
-    closed_loop = results["closed_loop"]
     gates = {
         f"production-scale batched throughput >= {PARITY_FLOOR}x serial": (
             results["production_scale"]["batched_over_serial"] >= PARITY_FLOOR
         ),
-        f"closed-loop share of loaded windows replayed >= {LOADED_SHARE_FLOOR}": (
-            closed_loop["loaded_fast_window_share"] >= LOADED_SHARE_FLOOR
-        ),
-        f"closed-loop batched run >= {CLOSED_LOOP_FLOOR}x faster than serial": (
-            closed_loop["batched_over_serial"] >= CLOSED_LOOP_FLOOR
-        ),
     }
+    for name in ("closed_loop", "closed_loop_steady"):
+        gates[
+            f"{name} share of loaded windows replayed >= {LOADED_SHARE_FLOOR}"
+        ] = results[name]["loaded_fast_window_share"] >= LOADED_SHARE_FLOOR
+        gates[
+            f"{name} batched run >= {CLOSED_LOOP_FLOOR}x faster than serial"
+        ] = results[name]["batched_over_serial"] >= CLOSED_LOOP_FLOOR
     results["gate_passed"] = all(gates.values())
     OUTPUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {OUTPUT_PATH}")

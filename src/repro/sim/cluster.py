@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = ["Node", "Cluster", "CapacityError"]
@@ -87,6 +89,32 @@ class Cluster:
                 "event.placement", node=best.node_id, used=best.used
             )
         return best
+
+    def place_many(self, count: int) -> List[Node]:
+        """``count`` placements at once: the nodes :meth:`place` would
+        have returned, call by call.
+
+        Least-loaded placement takes the free slots in ``(level, node
+        id)`` order — node ``i`` offers levels ``used_i, used_i + 1, ...``
+        — so the first ``count`` of them, sorted, are the placements.
+        """
+        if self._tracer.enabled:  # one placement record per container
+            return [self.place() for _ in range(count)]
+        nodes = self.nodes
+        slots = np.sort(np.concatenate([
+            np.arange(node.used, min(node.capacity, node.used + count))
+            * len(nodes) + index
+            for index, node in enumerate(nodes)
+        ]))[:count]
+        if slots.size < count:
+            raise CapacityError(
+                f"cluster full: {self.total_used}/{self.total_capacity} slots "
+                f"used, {count} requested"
+            )
+        chosen = slots % len(nodes)
+        for node, placed in zip(nodes, np.bincount(chosen, minlength=len(nodes))):
+            node.used += int(placed)
+        return [nodes[index] for index in chosen.tolist()]
 
     def release(self, node: Node) -> None:
         """Free one slot previously obtained from :meth:`place`."""

@@ -132,6 +132,8 @@ class Consumer:
         self.processing_started_at: float = 0.0
         #: Handle to the pending activation or finish event (for kills).
         self.pending_event: Optional[EventHandle] = None
+        #: Entered in the microservice's busy index (crash victim search).
+        self.busy_indexed = False
         # Lifetime counters.
         self.tasks_completed = 0
         self.busy_time = 0.0

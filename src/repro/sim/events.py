@@ -21,6 +21,7 @@ __all__ = [
     "EVENT_FINISH",
     "EVENT_READY",
     "EVENT_CALLBACK",
+    "EVENT_ARRIVAL",
 ]
 
 #: Typed-event kinds of :class:`TypedEventLoop`.  Integer tags instead of
@@ -29,6 +30,8 @@ __all__ = [
 EVENT_FINISH = 0
 EVENT_READY = 1
 EVENT_CALLBACK = 2
+#: The next request of one registered arrival stream (payload: its index).
+EVENT_ARRIVAL = 3
 
 
 class EventHandle:
@@ -168,14 +171,16 @@ class TypedEventHandle:
 class TypedEventLoop:
     """Deterministic event loop over typed ``(time, seq, kind, a, b)`` rows.
 
-    Drop-in for :class:`EventLoop` on the batched substrate.  Two hot
+    Drop-in for :class:`EventLoop` on the batched substrate.  The hot
     event kinds — task finish (:data:`EVENT_FINISH`) and consumer ready
-    (:data:`EVENT_READY`) — carry ``(microservice index, consumer slot)``
-    integer payloads and dispatch through two executors bound once at
-    construction, so the per-event cost is a heap pop plus one call: no
-    closure allocation, no handle object.  Arbitrary callbacks
-    (:data:`EVENT_CALLBACK`, used by arrival processes and the chaos
-    injector) ride the same heap.
+    (:data:`EVENT_READY`), carrying ``(microservice index, consumer
+    slot)``, and the next request of a Poisson arrival stream
+    (:data:`EVENT_ARRIVAL`, carrying the stream's index) — are integer
+    payloads dispatched through executors bound once at construction, so
+    the per-event cost is a heap pop plus one call: no closure
+    allocation, no handle object.  Arbitrary callbacks
+    (:data:`EVENT_CALLBACK`, used by the chaos injector and the
+    non-Poisson arrival processes) ride the same heap.
 
     Determinism contract (identical to :class:`EventLoop`): ties in time
     break by insertion order ``seq``; cancelled events are skipped
@@ -202,15 +207,18 @@ class TypedEventLoop:
         self._callback_pending = 0
         self._on_finish: Optional[Callable[[int, int], None]] = None
         self._on_ready: Optional[Callable[[int, int], None]] = None
+        self._on_arrival: Optional[Callable[[int], None]] = None
 
     def bind_executors(
         self,
         on_finish: Callable[[int, int], None],
         on_ready: Callable[[int, int], None],
+        on_arrival: Callable[[int], None],
     ) -> None:
-        """Install the two typed-event executors (once, at wiring time)."""
+        """Install the typed-event executors (once, at wiring time)."""
         self._on_finish = on_finish
         self._on_ready = on_ready
+        self._on_arrival = on_arrival
 
     # Introspection -----------------------------------------------------
     @property
@@ -230,7 +238,8 @@ class TypedEventLoop:
 
     @property
     def callbacks_pending(self) -> int:
-        """Callback rows on the heap (arrivals, chaos), cancelled included."""
+        """Callback rows on the heap (chaos, non-Poisson arrival
+        processes), cancelled included."""
         return self._callback_pending
 
     # Scheduling --------------------------------------------------------
@@ -265,12 +274,28 @@ class TypedEventLoop:
         )
         return seq
 
-    def schedule_ready(self, delay: float, ms_index: int, slot: int) -> int:
-        """Schedule a consumer-ready event; returns its cancellation token."""
+    def schedule_ready_many(
+        self, delays: List[float], ms_index: int, first_slot: int
+    ) -> int:
+        """One consumer-ready event per delay, for consecutive slots, in
+        one heap rebuild; returns the first cancellation token (slot
+        ``first_slot + k`` holds ``first + k``, as if scheduled one by
+        one)."""
+        first = self._seq_next
+        now = self._now
+        self.push_rows([
+            (now + delay, first + k, EVENT_READY, ms_index, first_slot + k)
+            for k, delay in enumerate(delays)
+        ])
+        self._seq_next = first + len(delays)
+        return first
+
+    def schedule_arrival(self, delay: float, stream: int) -> int:
+        """Schedule the next request of arrival stream ``stream``."""
         seq = self._seq_next
         self._seq_next = seq + 1
         heapq.heappush(
-            self._heap, (self._now + delay, seq, EVENT_READY, ms_index, slot)
+            self._heap, (self._now + delay, seq, EVENT_ARRIVAL, stream, 0)
         )
         return seq
 
@@ -305,6 +330,8 @@ class TypedEventLoop:
                 self._on_finish(a, b)
             elif kind == EVENT_READY:
                 self._on_ready(a, b)
+            elif kind == EVENT_ARRIVAL:
+                self._on_arrival(a)
             else:
                 self._callback_pending -= 1
                 a(*b)
@@ -346,7 +373,7 @@ class TypedEventLoop:
     def push_rows(self, rows: List[tuple]) -> None:
         """Insert ``(time, seq, kind, a, b)`` rows whose seq is already
         assigned: what :meth:`pop_due_rows` took (an aborted replay) or
-        the finish events a committed one leaves in flight."""
+        the finish and arrival events a committed one leaves pending."""
         self._heap.extend(rows)
         heapq.heapify(self._heap)
 
@@ -355,7 +382,7 @@ class TypedEventLoop:
     ) -> None:
         """Advance clock and counters for a vectorised window replay.
 
-        ``executed`` finish and ready events were replayed
+        ``executed`` finish, ready and arrival events were replayed
         arithmetically, ``dispatches`` sequence numbers consumed and the
         ``dropped`` cancelled rows discarded — exactly what the exact
         loop would have run, allocated and skipped event by event.

@@ -26,6 +26,7 @@ queue and a set of consumers subscribing to the queue to handle requests"
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.cluster import Cluster
@@ -68,7 +69,11 @@ class Microservice:
     is assigned nowhere outside this class.  ``_starting`` is the same
     heap for the scale-down victim search; consumers leave STARTING in
     any order (start-up delays are random), so its stale heads are
-    dropped when it is next looked at.
+    dropped when it is next looked at.  ``_busy`` serves
+    :meth:`crash_one` the same way: a consumer is entered at a dispatch
+    unless it is in already (``Consumer.busy_indexed``), and heads that
+    are no longer busy members of ``consumers`` are dropped at the next
+    crash.
     """
 
     def __init__(
@@ -109,6 +114,7 @@ class Microservice:
         self.consumers: List[Consumer] = []
         self._idle: List[Tuple[int, Consumer]] = []
         self._starting: List[Tuple[int, Consumer]] = []
+        self._busy: List[Tuple[int, Consumer]] = []
         #: Busy consumers finishing their last task before exiting
         #: (Terminating pods); they no longer count toward the allocation.
         self.draining: List[Consumer] = []
@@ -230,11 +236,7 @@ class Microservice:
         the usual start-up latency.  Returns False when there is
         nothing to crash.
         """
-        victim: Optional[Consumer] = None
-        for consumer in self.consumers:
-            if consumer.state is ConsumerState.BUSY:
-                victim = consumer
-                break
+        victim = self._first_busy()
         if victim is None:
             if not self._idle:
                 return False
@@ -260,6 +262,38 @@ class Microservice:
                 consumer_id=consumer.trace_id,
                 mode=mode,
             )
+
+    def _index_busy(self, consumer: Consumer) -> None:
+        """Enter ``consumer`` in the crash-victim index.
+
+        Only a crash reads the index, so nothing else lets go of the
+        entries of consumers that have stopped since: drop them here
+        once they outnumber the live ones, or a long run would keep
+        every consumer it ever started.
+        """
+        busy = self._busy
+        if len(busy) > 2 * (len(self.consumers) + len(self.draining)) + 16:
+            busy[:] = [
+                entry for entry in busy
+                if entry[1].state is not ConsumerState.STOPPED
+            ]
+            heapq.heapify(busy)
+        consumer.busy_indexed = True
+        heapq.heappush(busy, (consumer.trace_id, consumer))
+
+    def _first_busy(self) -> Optional[Consumer]:
+        """The first busy consumer in ``consumers`` order, if any."""
+        busy = self._busy
+        while busy:
+            consumer = busy[0][1]
+            if (
+                consumer.state is ConsumerState.BUSY
+                and consumer not in self.draining
+            ):
+                return consumer
+            heapq.heappop(busy)
+            consumer.busy_indexed = False
+        return None
 
     def _pick_victim(self) -> Consumer:
         starting = self._starting
@@ -287,6 +321,8 @@ class Microservice:
             tag, request = item
             now = self.loop.now
             consumer.state = ConsumerState.BUSY
+            if not consumer.busy_indexed:
+                self._index_busy(consumer)
             consumer.current_tag = tag
             consumer.current_request = request
             consumer.processing_started_at = now
@@ -432,11 +468,14 @@ class BatchedMicroservice:
 
     - slots are appended in increasing order and removals preserve
       order, so ``order`` (the live-consumer list) is always sorted —
-      "first starting/idle consumer in list order" becomes a min-heap
-      pop, and the serial kill fallback ``consumers[-1]`` is
+      "first starting/idle/busy consumer in list order" becomes a
+      min-heap head, and the serial kill fallback ``consumers[-1]`` is
       ``order[-1]``;
-    - the idle/starting heaps use lazy invalidation: entries whose slot
-      state moved on are discarded at pop time;
+    - ``_idle_heap`` holds exactly the idle slots (every way out of
+      idle takes the first one, as on the serial twin); the starting
+      and busy heaps use lazy invalidation: heads whose slot moved on
+      are discarded when next looked at, and a slot enters the busy
+      heap at a dispatch unless it is in already (``_busy_indexed``);
     - service-time and startup draws interleave on the per-microservice
       stream exactly as serially, via :class:`PrefetchStream`.
     """
@@ -501,6 +540,8 @@ class BatchedMicroservice:
         self.draining: List[int] = []
         self._idle_heap: List[int] = []
         self._starting_heap: List[int] = []
+        self._busy_heap: List[int] = []
+        self._busy_indexed: List[bool] = []
         # Lifetime counters (names match the serial twin).
         self.tasks_completed = 0
         self.consumers_killed_busy = 0
@@ -521,37 +562,51 @@ class BatchedMicroservice:
         """Adjust the consumer pool to exactly ``target`` containers."""
         if target < 0:
             raise ValueError(f"consumer count must be >= 0, got {target}")
-        while self.allocated < target:
-            self._start_consumer()
+        if self.allocated < target:
+            self._start_consumers(target - self.allocated)
         while self.allocated > target:
             self._remove_one_consumer()
 
-    def _start_consumer(self) -> None:
-        node = self.cluster.place()
-        slot = self.consumers_started
-        self.state.append(_STARTING)
-        self.created_at.append(self.loop.now)
-        self.current_task.append(-1)
-        self.processing_started.append(0.0)
-        self.slot_busy_time.append(0.0)
-        self.slot_tasks_completed.append(0)
-        self.node.append(node)
-        self.pending_token.append(-1)
-        self.order.append(slot)
-        heapq.heappush(self._starting_heap, slot)
-        self.consumers_started += 1
+    def _start_consumers(self, count: int) -> None:
+        """Start ``count`` containers in one block: the placements,
+        start-up draws, ready events and ``seq`` numbers of that many
+        single starts on the serial twin."""
+        if self.tracer.enabled and count > 1:
+            # Placement and start records interleave container by container.
+            for _ in range(count):
+                self._start_consumers(1)
+            return
+        nodes = self.cluster.place_many(count)
+        first = self.consumers_started
+        slots = range(first, first + count)
         low, high = self.startup_delay_range
-        delay = self.prefetch.uniform(low, high) if high > 0 else 0.0
-        self.pending_token[slot] = self.loop.schedule_ready(
-            delay, self.index, slot
+        delays = (
+            self.prefetch.uniform_block(low, high, count)
+            if high > 0
+            else [0.0] * count
         )
+        token = self.loop.schedule_ready_many(delays, self.index, first)
+        self.state.extend([_STARTING] * count)
+        self.created_at.extend([self.loop.now] * count)
+        self.current_task.extend([-1] * count)
+        self.processing_started.extend([0.0] * count)
+        self.slot_busy_time.extend([0.0] * count)
+        self.slot_tasks_completed.extend([0] * count)
+        self.node.extend(nodes)
+        self.pending_token.extend(range(token, token + count))
+        self._busy_indexed.extend([False] * count)
+        self.order.extend(slots)
+        # New slots exceed every slot born before: appended in order
+        # they keep the heap a heap.
+        self._starting_heap.extend(slots)
+        self.consumers_started += count
         if self.tracer.enabled:
             self.tracer.emit(
                 "event.consumer_start",
                 service=self.name,
-                consumer_id=slot,
-                node=node.node_id,
-                startup_delay=delay,
+                consumer_id=first,
+                node=nodes[0].node_id,
+                startup_delay=delays[0],
             )
 
     def on_ready(self, slot: int) -> None:
@@ -577,7 +632,7 @@ class BatchedMicroservice:
         if state == _BUSY and self.scale_down_mode == "drain":
             # Graceful termination: finish the in-flight task, then exit.
             # The consumer leaves the allocation count immediately.
-            self.order.remove(victim)
+            self.order.pop()  # the newest consumer: _pick_victim's fallback
             self.draining.append(victim)
             self._trace_stop(victim, "drain")
             return
@@ -592,9 +647,17 @@ class BatchedMicroservice:
             self._trace_stop(victim, "kill")
         else:
             self._trace_stop(victim, "idle")
+        self._stop_now(victim)
+
+    def _stop_now(self, victim: int) -> None:
+        """Hard-stop a live consumer and free its slot.
+
+        A busy victim's in-flight request is redelivered (never lost);
+        the elapsed processing is wasted.  An idle victim is always the
+        first idle consumer, the head of the idle heap.
+        """
+        state = self.state[victim]
         if state == _BUSY:
-            # Kill mode: the in-flight request is redelivered; elapsed
-            # work is wasted.
             task = self.current_task[victim]
             require(task >= 0, "busy consumer has no in-flight request")
             elapsed = self.loop.now - self.processing_started[victim]
@@ -602,30 +665,34 @@ class BatchedMicroservice:
             self._nack(task)
             self.current_task[victim] = -1
             self.consumers_killed_busy += 1
+        elif state == _IDLE:
+            first_idle = heapq.heappop(self._idle_heap)
+            require(first_idle == victim,
+                    "idle victim is not the first idle consumer")
         self.state[victim] = _STOPPED
-        self.order.remove(victim)
+        del self.order[bisect_left(self.order, victim)]  # sorted: no scan
         self.cluster.release(self.node[victim])
 
     def _pick_victim(self) -> int:
-        victim = self._peek_live(self._starting_heap, _STARTING)
-        if victim < 0:
-            victim = self._peek_live(self._idle_heap, _IDLE)
-        if victim < 0:
-            victim = self.order[-1]  # newest busy consumer
-        return victim
+        starting = self._starting_heap
+        while starting and self.state[starting[0]] != _STARTING:
+            heapq.heappop(starting)
+        if starting:
+            return starting[0]
+        if self._idle_heap:
+            return self._idle_heap[0]
+        return self.order[-1]  # newest busy consumer
 
-    def _peek_live(self, heap: List[int], state: str) -> int:
-        """Smallest slot in ``heap`` still in ``state`` (lazy cleanup)."""
-        while heap and self.state[heap[0]] != state:
-            heapq.heappop(heap)
-        return heap[0] if heap else -1
-
-    def _pop_idle(self) -> int:
-        heap = self._idle_heap
-        while heap:
-            slot = heapq.heappop(heap)
-            if self.state[slot] == _IDLE:
+    def _first_busy(self) -> int:
+        """The first busy slot in ``order``, or -1 (a terminating
+        consumer is busy, but no longer a member)."""
+        busy = self._busy_heap
+        while busy:
+            slot = busy[0]
+            if self.state[slot] == _BUSY and slot not in self.draining:
                 return slot
+            heapq.heappop(busy)
+            self._busy_indexed[slot] = False
         return -1
 
     def crash_one(self) -> bool:
@@ -634,16 +701,11 @@ class BatchedMicroservice:
         Batched twin of :meth:`Microservice.crash_one`, with identical
         victim choice and event order.
         """
-        victim = -1
-        for state in (_BUSY, _IDLE):
-            for slot in self.order:
-                if self.state[slot] == state:
-                    victim = slot
-                    break
-            if victim >= 0:
-                break
+        victim = self._first_busy()
         if victim < 0:
-            return False
+            if not self._idle_heap:
+                return False
+            victim = self._idle_heap[0]
         if self.tracer.enabled:
             self.tracer.emit(
                 "event.fault", fault="consumer_crash", target=self.name
@@ -652,19 +714,9 @@ class BatchedMicroservice:
         if token >= 0:
             self.loop.cancel(token)
             self.pending_token[victim] = -1
-        if self.state[victim] == _BUSY:
-            task = self.current_task[victim]
-            require(task >= 0, "busy consumer has no in-flight request")
-            elapsed = self.loop.now - self.processing_started[victim]
-            self.pool.task_wasted_work[task] += elapsed
-            self._nack(task)
-            self.current_task[victim] = -1
-            self.consumers_killed_busy += 1
-        self.state[victim] = _STOPPED
-        self.order.remove(victim)
-        self.cluster.release(self.node[victim])
+        self._stop_now(victim)
         # Replacement container (restores the allocation m_j).
-        self._start_consumer()
+        self._start_consumers(1)
         return True
 
     def _trace_stop(self, slot: int, mode: str) -> None:
@@ -720,15 +772,17 @@ class BatchedMicroservice:
         fifo = self.fifo
         pool = self.pool
         loop = self.loop
-        while len(fifo):
-            slot = self._pop_idle()
-            if slot < 0:
-                return
+        idle = self._idle_heap
+        while idle and len(fifo):
+            slot = heapq.heappop(idle)
             task = fifo.pop()
             pool.task_deliveries[task] += 1
             pool.task_started_at[task] = loop.now
             self.unacked += 1
             self.state[slot] = _BUSY
+            if not self._busy_indexed[slot]:
+                self._busy_indexed[slot] = True
+                heapq.heappush(self._busy_heap, slot)
             self.current_task[slot] = task
             self.processing_started[slot] = loop.now
             if self._fixed_service is not None:
@@ -788,7 +842,7 @@ class BatchedMicroservice:
 
     def has_idle(self) -> bool:
         """True when at least one consumer is idle right now."""
-        return self._peek_live(self._idle_heap, _IDLE) >= 0
+        return bool(self._idle_heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

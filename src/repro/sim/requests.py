@@ -213,11 +213,13 @@ class RequestPool:
         arrival_window: int,
         pred_counts: np.ndarray,
     ) -> int:
-        """Append ``count`` identical workflow rows; returns the first index.
+        """Append ``count`` workflow rows; returns the first index.
 
         Row ``k`` matches what the ``k``-th serial :meth:`add_workflow`
-        call would have written (burst submissions share their type,
-        arrival time and window).
+        call would have written.  Burst submissions share their type,
+        arrival time and window (scalars, one ``pred_counts`` row); a
+        replayed slice's arrivals pass per-row arrays and a
+        ``(count, max_tasks)`` ``pred_counts`` matrix.
         """
         first = self.num_workflows
         end = first + count
@@ -228,7 +230,7 @@ class RequestPool:
         self.wf_total_tasks[first:end] = total_tasks
         self.wf_done_count[first:end] = 0
         self.wf_arrival_window[first:end] = arrival_window
-        self.wf_pred_remaining[first:end, :pred_counts.size] = pred_counts
+        self.wf_pred_remaining[first:end, :pred_counts.shape[-1]] = pred_counts
         self.wf_task_done[first:end, :] = 0
         self.num_workflows = end
         return first

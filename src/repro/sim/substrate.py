@@ -31,15 +31,17 @@ class PrefetchStream:
 
     The serial microservice draws one lognormal per dispatch and one
     uniform per container start **from the same stream**, interleaved in
-    event order.  This facade reproduces that draw sequence exactly
-    while amortising numpy call overhead:
+    event order (and a Poisson arrival stream one exponential per
+    request from its own).  This facade reproduces that draw sequence
+    exactly while amortising numpy call overhead:
 
-    - draws of one kind are served from a prefetched block
-      (``tolist()``-ed once, so takes are plain Python floats),
-    - switching kinds (lognormal -> uniform or back) *resyncs* first:
-      the generator rewinds to the saved pre-block state and re-draws
-      exactly the consumed count, leaving it bit-identical to that many
-      scalar draws,
+    - lognormal and exponential draws are served from a prefetched
+      block (``tolist()``-ed once, so takes are plain Python floats),
+    - a change of kind or parameters, and the uniforms of a scale-up
+      (:meth:`uniform_block`: their count is known, so they are drawn
+      directly), *resync* first: the generator rewinds to the saved
+      pre-block state and re-draws exactly the consumed count, leaving
+      it bit-identical to that many scalar draws,
     - :meth:`begin` / :meth:`rollback` bracket a speculative window: on
       rollback the generator and buffer return to the marked position,
       so an aborted vectorised window consumes nothing.
@@ -79,11 +81,11 @@ class PrefetchStream:
         self._pos += 1
         return value
 
-    def uniform(self, low: float, high: float) -> float:
-        """One uniform draw, bit-identical to the scalar path."""
-        if self._kind != "uniform" or self._a != low or self._b != high:
+    def exponential(self, scale: float) -> float:
+        """One exponential draw, bit-identical to the scalar path."""
+        if self._kind != "exponential" or self._a != scale:
             self.sync()
-            self._kind, self._a, self._b = "uniform", low, high
+            self._kind, self._a, self._b = "exponential", scale, 0.0
             self._fill()
         elif self._pos >= len(self._buf):
             self._fill()
@@ -91,13 +93,22 @@ class PrefetchStream:
         self._pos += 1
         return value
 
+    def uniform_block(self, low: float, high: float, count: int) -> List[float]:
+        """``count`` uniform draws in one call, bit-identical to that
+        many scalar ones (a scale-up starts its consumers together)."""
+        self.sync()
+        return self._gen.uniform(low, high, count).tolist()
+
+    def _sized(self, count: int):
+        """``count`` draws of the current kind (numpy consumes the bit
+        generator exactly as that many scalar draws would)."""
+        if self._kind == "lognormal":
+            return self._gen.lognormal(self._a, self._b, count)
+        return self._gen.exponential(self._a, count)
+
     def _fill(self) -> None:
         self._pre_block_state = self._gen.bit_generator.state
-        if self._kind == "lognormal":
-            block = self._gen.lognormal(self._a, self._b, self._block)
-        else:
-            block = self._gen.uniform(self._a, self._b, self._block)
-        self._buf = block.tolist()
+        self._buf = self._sized(self._block).tolist()
         self._pos = 0
 
     # Position management ------------------------------------------------
@@ -107,10 +118,7 @@ class PrefetchStream:
         if self._buf and self._pos < len(self._buf):
             self._gen.bit_generator.state = self._pre_block_state
             if self._pos:
-                if self._kind == "lognormal":
-                    self._gen.lognormal(self._a, self._b, self._pos)
-                else:
-                    self._gen.uniform(self._a, self._b, self._pos)
+                self._sized(self._pos)
         self._buf = []
         self._pos = 0
         self._kind = None
@@ -173,7 +181,8 @@ def substrate_snapshot(system) -> Dict[str, Any]:
     per-microservice queues (contents included), consumer tables,
     lifetime counters, cluster placement, TDS read accounting, the full
     window-observation history, the delay tracker, and every RNG
-    stream's bit-generator state.  A serial
+    stream's bit-generator state (registered Poisson arrival streams
+    included).  A serial
     :class:`repro.sim.system.MicroserviceWorkflowSystem` and a batched
     :class:`repro.sim.batched.BatchedWorkflowSystem` built from the same
     seed and driven through the same scenario return **equal**
@@ -195,6 +204,8 @@ def substrate_snapshot(system) -> Dict[str, Any]:
 
     if batched:
         pool = system.pool
+        for stream in system._arrivals:
+            stream.prefetch.sync()
         for name, ms in system.microservices.items():
             ready = [
                 (
@@ -405,4 +416,5 @@ def substrate_snapshot(system) -> Dict[str, Any]:
             name: _rng_state(stream)
             for name, stream in sorted(system._rngs.items())
         },
+        "arrival_rngs": [_rng_state(rng) for rng in system._arrival_rngs],
     }

@@ -164,6 +164,8 @@ class MicroserviceWorkflowSystem:
         self._window_task_completions: Dict[str, int] = {}
         self._arrival_window_of: Dict[int, int] = {}
         self._arrival_callbacks: List[Callable[[WorkflowRequest], None]] = []
+        #: Streams registered through :meth:`add_arrival_stream`, in order.
+        self._arrival_rngs: List[RngStream] = []
         # Run-local request ids for trace records: the invoker's global
         # request_id counter differs between same-seed runs in one
         # process, which would break trace byte-reproducibility.
@@ -206,6 +208,31 @@ class MicroserviceWorkflowSystem:
     def workload_rng(self) -> RngStream:
         """Seeded stream for arrival processes attached to this system."""
         return self._rngs["workload"]
+
+    def add_arrival_stream(
+        self, process, workflow_type: str, rate: float, rng: RngStream
+    ) -> None:
+        """Start one Poisson request stream on behalf of ``process``.
+
+        ``workflow_type`` requests arrive ``rate`` per second, the gaps
+        drawn from ``rng`` one exponential at a time.  Each arrival is
+        one event: it submits the request, counts it in
+        ``process.submitted`` and schedules its successor; once
+        ``process.active`` is false the pending arrival fires as a no-op
+        and the stream ends.  The batched substrate overrides this with
+        a typed event row — same draws, same ``seq`` numbers.
+        """
+        self._arrival_rngs.append(rng)
+        scale = 1.0 / rate
+        loop = self.loop
+
+        def fire() -> None:
+            if process.active:
+                self.submit(workflow_type)
+                process.submitted += 1
+                loop.schedule(float(rng.exponential(scale)), fire)
+
+        loop.schedule(float(rng.exponential(scale)), fire)
 
     def submit(self, workflow_type: str) -> WorkflowRequest:
         """Submit one workflow request now (used by arrival processes)."""

@@ -12,7 +12,6 @@ from abc import ABC, abstractmethod
 from typing import Mapping, Optional
 
 from repro.sim.system import MicroserviceWorkflowSystem
-from repro.utils.rng import RngStream
 from repro.workload.trace import ArrivalTrace
 
 __all__ = [
@@ -73,27 +72,15 @@ class PoissonArrivalProcess(ArrivalProcess):
         for workflow_type, rate in self.rates.items():
             system.ensemble.workflow(workflow_type)  # validate the name
             if rate > 0:
-                rng = system.workload_rng.fork(f"poisson/{workflow_type}")
-                self._schedule_next(system, workflow_type, rate, rng)
-
-    def _schedule_next(
-        self,
-        system: MicroserviceWorkflowSystem,
-        workflow_type: str,
-        rate: float,
-        rng: RngStream,
-    ) -> None:
-        delay = float(rng.exponential(1.0 / rate))
-        system.loop.schedule(
-            delay,
-            lambda: self._fire(system, workflow_type, rate, rng),
-        )
-
-    def _fire(self, system, workflow_type, rate, rng) -> None:
-        if not self.active:
-            return
-        self._submit(workflow_type)
-        self._schedule_next(system, workflow_type, rate, rng)
+                # The system owns the stream's events: a callback chain on
+                # the serial substrate, typed rows the window replay can
+                # pre-draw on the batched one.
+                system.add_arrival_stream(
+                    self,
+                    workflow_type,
+                    rate,
+                    system.workload_rng.fork(f"poisson/{workflow_type}"),
+                )
 
 
 class DeterministicArrivalProcess(ArrivalProcess):

@@ -23,7 +23,8 @@ from repro.sim import (
 )
 from repro.telemetry import JsonlSink, Tracer
 from repro.workflows import build_ligo_ensemble, build_msd_ensemble
-from repro.workload import PoissonArrivalProcess
+from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
+from repro.workload import DeterministicArrivalProcess, PoissonArrivalProcess
 from repro.workload.bursts import MSD_BACKGROUND_RATES
 
 SUBSTRATES = (MicroserviceWorkflowSystem, BatchedWorkflowSystem)
@@ -32,6 +33,14 @@ SUBSTRATES = (MicroserviceWorkflowSystem, BatchedWorkflowSystem)
 def run_both(scenario, **kwargs):
     """Run ``scenario(cls, **kwargs)`` on both substrates; return results."""
     return [scenario(cls, **kwargs) for cls in SUBSTRATES]
+
+
+def arrival_rng_states(system):
+    """Generator state of every registered arrival stream, the batched
+    substrate's unconsumed prefetch handed back first."""
+    for stream in getattr(system, "_arrivals", ()):
+        stream.prefetch.sync()
+    return [rng.generator.bit_generator.state for rng in system._arrival_rngs]
 
 
 def assert_window_snapshots_equal(serial, batched):
@@ -264,6 +273,46 @@ class TestArrivalEquivalence:
         serial, batched = run_both(scenario)
         assert_window_snapshots_equal(serial, batched)
 
+    def test_typed_arrival_rows_take_the_callbacks_seqs(self):
+        """A Poisson stream is a callback chain on the serial loop and
+        typed rows on the batched one: same ``seq`` numbers, same
+        ``processed`` count, same draws — executed row by row, replayed,
+        and once the process is stopped (its pending row fires as a
+        counted no-op and schedules nothing)."""
+
+        def scenario(cls, exact):
+            system = cls(
+                build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=67
+            )
+            process = PoissonArrivalProcess(
+                {"Type1": 0.7, "Type2": 0.0, "Type3": 0.2}
+            ).attach(system)
+            system.apply_allocation([4, 4, 3, 3])
+            states = []
+            for window in range(6):
+                if window == 4:
+                    process.stop()
+                if exact:  # the event loop alone: no replay
+                    system.loop.run_until(system.loop.now + 30.0)
+                else:
+                    system.run_window()
+                states.append((
+                    system.loop._seq_next, system.loop.processed,
+                    system.loop.pending, process.submitted,
+                    arrival_rng_states(system),
+                ))
+            return system, states
+
+        _, serial = scenario(MicroserviceWorkflowSystem, exact=False)
+        _, executed = scenario(BatchedWorkflowSystem, exact=True)
+        replaying, replayed = scenario(BatchedWorkflowSystem, exact=False)
+        assert serial == executed == replayed
+        assert replaying.fast_windows == 6
+        assert serial[3][3] == serial[5][3] > 0, "stop() must end the stream"
+        # Two streams stopped: two no-op events, no seq taken for them.
+        assert serial[5][1] - serial[3][1] >= 2
+        assert not replaying.loop.callbacks_pending
+
     def test_drain_procedure(self):
         """The paper's reset (over-provision until WIP ~ 0) matches."""
 
@@ -310,8 +359,10 @@ class TestFastPath:
     def test_fast_path_aborts_fall_back_exactly(self):
         """A window the replay cannot handle falls back with no residue.
 
-        Small allocation + draining queues forces starvation aborts;
-        equivalence must survive the rollback/re-run cycle.
+        Zero start-up delays make the first window's ready events tie;
+        equivalence must survive the rollback/re-run cycle, and the
+        windows after it — a small allocation running dry, stage by
+        stage — are replayed.
         """
 
         def scenario(cls):
@@ -329,15 +380,14 @@ class TestFastPath:
             return system, snaps
 
         (_, serial), (batched_sys, batched) = run_both(scenario)
-        assert batched_sys.fast_aborts > 0, (
+        assert batched_sys.fast_abort_reasons == {"time-tie": 1}, (
             "scenario must exercise the abort/fallback path"
         )
+        assert batched_sys.fast_windows == 19
         assert_window_snapshots_equal(serial, batched)
 
     def test_fixed_service_times_always_fall_back(self):
         """cv = 0 workloads tie on completion times: replay must refuse."""
-        from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
-
         ensemble = WorkflowEnsemble(
             name="fixed",
             task_types=[
@@ -481,17 +531,16 @@ class TestFastPath:
         assert batched_sys.fast_windows == 3
         assert_window_snapshots_equal(serial, batched)
 
-    @pytest.mark.parametrize(
-        "downstream, reason",
-        [(0, None), (3, "starvation"), (-3, "publish-into-idle")],
-    )
-    def test_publish_into_a_dry_or_idle_service_aborts(self, downstream, reason):
-        """With no consumer downstream a publish only queues (replayed);
-        into start-ups due on an empty queue it is ``starvation``, into
-        idle consumers ``publish-into-idle`` — and a system that aborted
-        equals one that never attempted."""
+    @pytest.mark.parametrize("downstream", [0, 3, -3])
+    def test_publish_into_a_dry_or_idle_service_replays(self, downstream):
+        """Ingest's completions publish to Preprocess mid-window: with no
+        consumer there they only queue; with start-ups due on an empty
+        queue (3) or consumers already idle (-3) each lands on the lowest
+        free slot at its own timestamp.  All of it is replayed — and the
+        idle order it leaves decides the next dispatch (a burst smaller
+        than the pool) and the next scale-down victims."""
 
-        def build(cls):
+        def scenario(cls):
             system = cls(
                 build_msd_ensemble(), SystemConfig(consumer_budget=12), seed=53
             )
@@ -500,6 +549,48 @@ class TestFastPath:
                 system.run_window()
             system.apply_allocation([6, abs(downstream), 0, 0])
             system.inject_burst({"Type1": 40})
+            snaps = []
+            for k in range(4):
+                if k == 2:
+                    system.inject_burst({"Type2": 3})  # 3 of 6 idle slots
+                if k == 3:
+                    system.apply_allocation([2, 1, 0, 0])  # idle victims
+                system.run_window()
+                snaps.append(substrate_snapshot(system))
+            return system, snaps
+
+        (_, serial), (batched_sys, batched) = run_both(scenario)
+        assert batched_sys.fast_aborts == 0
+        assert batched_sys.fast_windows == batched_sys.window_index
+        preprocess = batched[0]["microservices"]["Preprocess"]
+        assert (preprocess["counters"]["tasks_completed"] > 10) == (
+            downstream != 0
+        ), "the cascade must have run inside the first window"
+        assert_window_snapshots_equal(serial, batched)
+
+    def test_an_aborted_slice_leaves_no_residue(self):
+        """``cv=0`` and zero start-up delays under Poisson arrivals: the
+        burst's events tie, which is found after arrivals were pre-drawn
+        and every chain has run —
+        and the system equals one that never attempted: heap, cancelled
+        set, ``seq`` counter, pool, every RNG state (the arrival
+        streams' included)."""
+        ensemble = WorkflowEnsemble(
+            name="fixed",
+            task_types=[TaskType("A", 4.0, cv=0.0), TaskType("B", 6.0, cv=0.5)],
+            workflow_types=[WorkflowType("W", edges=[("A", "B")])],
+        )
+
+        def build(cls):
+            system = cls(
+                ensemble,
+                SystemConfig(consumer_budget=8, startup_delay_range=(0.0, 0.0)),
+                seed=71,
+            )
+            PoissonArrivalProcess({"W": 0.5}).attach(system)
+            system.apply_allocation([4, 4])
+            system.inject_burst({"W": 30})
+            system.apply_allocation([2, 4])  # cancelled rows on the heap
             return system
 
         def loop_state(system):
@@ -509,37 +600,32 @@ class TestFastPath:
                 sorted(system.loop._heap),
                 set(system.loop._cancelled),
                 system.loop._seq_next,
+                system.pool.num_workflows,
                 [
                     ms.rng.generator.bit_generator.state
                     for ms in system.microservices.values()
                 ],
+                arrival_rng_states(system),
             )
 
         attempted = build(BatchedWorkflowSystem)
         untouched = build(BatchedWorkflowSystem)
         before = substrate_snapshot(untouched)
-        committed = all(
-            attempted._try_fast_slice(stop)
-            for stop in attempted._slice_ends(attempted.loop.now + 30.0)
-        )
-        assert committed == (reason is None)
-        assert attempted.fast_abort_reasons == ({reason: 1} if reason else {})
-        if reason:
-            assert substrate_snapshot(attempted) == before
-            assert loop_state(attempted) == loop_state(untouched)
+        assert not attempted._try_fast_slice(attempted.loop.now + 30.0)
+        assert attempted.fast_abort_reasons == {"time-tie": 1}
+        assert substrate_snapshot(attempted) == before
+        assert loop_state(attempted) == loop_state(untouched)
         serial = build(MicroserviceWorkflowSystem)
         batched = build(BatchedWorkflowSystem)
         for system in (serial, batched):
             system.run_window()
-        assert batched.fast_aborts == (1 if reason else 0)
+        assert batched.fast_aborts == 1
         assert substrate_snapshot(serial) == substrate_snapshot(batched)
 
-    def test_cyclic_type_graph_is_checked_after_the_merge(self):
-        """W1: A -> B, W2: B -> A.  No service order chains every
-        predecessor last, so the early give-up cannot cover B -> A and
-        the publish into A's start-ups is caught after the merge."""
-        from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
-
+    def test_cyclic_type_graph_is_statically_ineligible(self):
+        """W1: A -> B, W2: B -> A.  No stage order chains every service
+        after the ones that publish to it, which is decided once, when
+        the tables are built: every window runs on the exact tier."""
         ensemble = WorkflowEnsemble(
             name="cyclic",
             task_types=[TaskType("A", 5.0, cv=0.5), TaskType("B", 5.0, cv=0.5)],
@@ -553,25 +639,67 @@ class TestFastPath:
             system = cls(ensemble, SystemConfig(consumer_budget=4), seed=61)
             system.apply_allocation([2, 2])
             system.inject_burst({"W2": 40})
-            system.run_window()
+            for _ in range(2):
+                system.run_window()
             return system, substrate_snapshot(system)
 
         (_, serial), (batched_sys, batched) = run_both(scenario)
-        assert batched_sys._sinks_first == [1, 0]
-        assert batched_sys.fast_abort_reasons == {"starvation": 1}
+        assert batched_sys._stage_order is None
+        assert batched_sys.fast_ineligible_reasons == {"type-cycle": 2}
+        assert (batched_sys.fast_windows, batched_sys.fast_aborts) == (0, 0)
         assert serial == batched
 
+    def test_poisson_arrivals_are_replayed(self):
+        """Poisson streams are typed rows: every window of a run under
+        background arrivals is replayed, requests landing on free
+        consumers mid-window included."""
+
+        def scenario(cls):
+            system = cls(
+                build_msd_ensemble(), SystemConfig(consumer_budget=40), seed=59
+            )
+            PoissonArrivalProcess(
+                {name: 20 * rate for name, rate in MSD_BACKGROUND_RATES.items()}
+            ).attach(system)
+            system.apply_allocation([10, 10, 10, 10])
+            snaps = []
+            for _ in range(5):
+                system.run_window()
+                snaps.append(substrate_snapshot(system))
+            return system, snaps
+
+        (_, serial), (batched_sys, batched) = run_both(scenario)
+        assert batched_sys.invoker.completed_total > 50
+        assert not batched_sys.fast_ineligible_reasons
+        assert (batched_sys.fast_windows, batched_sys.fast_aborts) == (5, 0)
+        assert_window_snapshots_equal(serial, batched)
+
     def test_arrival_process_makes_every_window_ineligible(self):
-        """An attached PoissonArrivalProcess always has its next arrival
-        pending, a callback the replay cannot see into."""
+        """An arrival process that is not Poisson (deterministic, MMPP,
+        trace) schedules Python callbacks: its next arrival is always
+        pending, and the replay cannot see into it."""
         system = BatchedWorkflowSystem(
             build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=59
         )
-        PoissonArrivalProcess(MSD_BACKGROUND_RATES).attach(system)
+        DeterministicArrivalProcess({"Type1": 7.0}).attach(system)
         system.apply_allocation([4, 4, 3, 3])
         for _ in range(5):
             system.run_window()
         assert system.fast_ineligible_reasons == {"callbacks-pending": 5}
+        assert (system.fast_windows, system.fast_aborts) == (0, 0)
+
+    def test_chaos_injector_makes_every_window_ineligible(self):
+        """The injector's next fault is a pending callback too."""
+        system = BatchedWorkflowSystem(
+            build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=59
+        )
+        system.apply_allocation([4, 4, 3, 3])
+        system.inject_burst({"Type1": 50})
+        injector = ChaosInjector(system, consumer_crash_rate=0.01).start()
+        for _ in range(3):
+            system.run_window()
+        injector.stop()
+        assert system.fast_ineligible_reasons == {"callbacks-pending": 3}
         assert (system.fast_windows, system.fast_aborts) == (0, 0)
 
 

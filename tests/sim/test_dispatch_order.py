@@ -2,12 +2,12 @@
 
 ``Microservice._dispatch`` takes "the first idle consumer in list order"
 from a heap keyed by birth ordinal instead of scanning ``consumers``,
-and ``_pick_victim`` finds the first starting one the same way.  The
-first test keeps both scans as brute-force oracles and checks every
-single dispatch pick and every scale-down victim against them at
-C = 512 under random scaling (both scale-down modes, often two
-allocations back to back), crashes and bursts — and the whole run
-against the batched twin.
+``_pick_victim`` finds the first starting one the same way, and
+``crash_one`` the first busy one.  The first test keeps the three scans
+as brute-force oracles and checks every single dispatch pick, every
+scale-down victim and every crash victim against them at C = 512 under
+random scaling (both scale-down modes, often two allocations back to
+back), crashes and bursts — and the whole run against the batched twin.
 The second pins what one simulated event costs in interpreter calls, an
 exact count, so a bookkeeping walk creeping back into the hot path fails
 here rather than in a wall-clock benchmark.
@@ -50,6 +50,7 @@ class DispatchOracle:
     def __init__(self, system):
         self.picks = 0
         self.removals = 0
+        self.crashes = 0
         self.in_flight = {}
         for ms in system.microservices.values():
             self._watch(ms)
@@ -81,16 +82,15 @@ class DispatchOracle:
         queue.ack = checking_ack
         queue.nack = checking_nack
 
-        pick_victim = ms._pick_victim
+        pick_victim, crash_one = ms._pick_victim, ms.crash_one
+
+        def first(state):
+            return next((c for c in ms.consumers if c.state is state), None)
 
         def scanning_pick_victim():
             """Scale-down order: first starting, else first idle, else
             the newest (busy) consumer — each by a scan of the pool."""
             victim = pick_victim()
-
-            def first(state):
-                return next((c for c in ms.consumers if c.state is state), None)
-
             expected = (
                 first(ConsumerState.STARTING)
                 or first(ConsumerState.IDLE)
@@ -103,7 +103,22 @@ class DispatchOracle:
             self.removals += 1
             return victim
 
+        def scanning_crash_one():
+            """Crash order: the first busy consumer, else the first idle
+            one — each by a scan of the pool, taken before the crash."""
+            expected = first(ConsumerState.BUSY) or first(ConsumerState.IDLE)
+            crashed = crash_one()
+            assert crashed == (expected is not None)
+            if crashed:
+                assert expected.state is ConsumerState.STOPPED, (
+                    f"{ms.name}: the crash spared consumer "
+                    f"{expected.trace_id}, the one the scan picks"
+                )
+                self.crashes += 1
+            return crashed
+
         ms._pick_victim = scanning_pick_victim
+        ms.crash_one = scanning_crash_one
 
     def check(self, service, tag, first_idle):
         assert first_idle.current_tag == tag, (
@@ -162,6 +177,7 @@ def test_every_pick_is_the_first_idle_consumer(mode):
     checker.check_in_flight()
     assert checker.picks > 5_000, "scenario must actually dispatch"
     assert checker.removals > 1_000, "scenario must actually scale down"
+    assert checker.crashes > 10, "scenario must actually crash consumers"
     batched, _ = drive(BatchedWorkflowSystem, mode, 21)
     for window, (a, b) in enumerate(zip(serial, batched)):
         assert a == b, f"snapshot diverged at window {window}"

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.sim.events import EventLoop
+from repro.sim.events import (
+    EVENT_ARRIVAL,
+    EVENT_FINISH,
+    EVENT_READY,
+    EventLoop,
+    TypedEventLoop,
+)
 
 
 class TestScheduling:
@@ -147,3 +153,42 @@ class TestCancelledHandleAccounting:
         assert loop.run_until(5.0) == 2
         assert seen == ["a", "c"]
         assert loop.processed == 2
+
+
+class TestTypedRows:
+    """The typed loop's rows: kinds share one ``seq`` counter."""
+
+    def make_loop(self):
+        loop = TypedEventLoop()
+        seen = []
+        loop.bind_executors(
+            lambda ms, slot: seen.append(("finish", ms, slot)),
+            lambda ms, slot: seen.append(("ready", ms, slot)),
+            lambda stream: seen.append(("arrival", stream)),
+        )
+        return loop, seen
+
+    def test_ready_block_takes_consecutive_seqs(self):
+        loop, seen = self.make_loop()
+        assert loop.schedule_finish(0.5, 7, 0) == 0
+        assert loop.schedule_ready_many([3.0, 1.0, 2.0, 1.0], 2, 10) == 1
+        assert loop.schedule_arrival(0.1, 0) == 5
+        assert sorted(loop._heap) == [
+            (0.1, 5, EVENT_ARRIVAL, 0, 0),
+            (0.5, 0, EVENT_FINISH, 7, 0),
+            (1.0, 2, EVENT_READY, 2, 11),
+            (1.0, 4, EVENT_READY, 2, 13),
+            (2.0, 3, EVENT_READY, 2, 12),
+            (3.0, 1, EVENT_READY, 2, 10),
+        ]
+        loop.cancel(4)
+        assert loop.run_until(1.0) == 3
+        assert seen == [("arrival", 0), ("finish", 7, 0), ("ready", 2, 11)]
+
+    def test_arrival_rows_are_executed_and_are_not_callbacks(self):
+        loop, seen = self.make_loop()
+        loop.schedule_arrival(2.0, 5)
+        loop.schedule_ready_many([1.0, 1.0], 3, 0)
+        assert loop.callbacks_pending == 0
+        assert loop.run_until(2.0) == 3
+        assert seen == [("ready", 3, 0), ("ready", 3, 1), ("arrival", 5)]

@@ -201,3 +201,33 @@ class TestScaleDownKill:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="scale_down_mode"):
             build(scale_down_mode="nuke")
+
+
+class TestCrashVictimIndex:
+    @pytest.mark.parametrize("mode", ["drain", "kill"])
+    def test_index_lets_go_of_stopped_consumers(self, mode):
+        """Only a crash reads the busy index; a run without one must not
+        keep every consumer it ever started."""
+        loop, _, ms, _ = build(mean=1.0, scale_down_mode=mode, capacity=400)
+        for round_ in range(60):
+            publish(ms, 20)
+            ms.scale_to(10)
+            loop.run_until(loop.now + 0.5)  # ten busy
+            ms.scale_to(0)
+            loop.run_until(loop.now + 5.0)
+        assert ms.consumers_started == 600
+        assert len(ms._busy) <= 2 * 10 + 16 + 1
+
+    def test_crash_takes_the_first_busy_member(self):
+        """Stopped, idle-again and terminating consumers ahead of it in
+        the index are skipped."""
+        loop, _, ms, _ = build(mean=10.0, cv=0.0)
+        ms.scale_to(4)
+        loop.run_until(0.0)
+        publish(ms, 4)  # consumers 0-3 busy
+        loop.run_until(10.0)  # all four finish: idle again
+        publish(ms, 2)  # 0 and 1 busy
+        ms.scale_to(3)  # removes idle consumer 2
+        assert ms.crash_one()
+        assert [c.trace_id for c in ms.consumers] == [1, 3, 4]
+        assert ms.consumers[0].state is ConsumerState.BUSY

@@ -87,14 +87,19 @@ class TestPrefetchStream:
         """Switching draw kinds mid-stream matches the scalar sequence."""
         scalar, prefetched = make_stream(seed=2), make_stream(seed=2)
         stream = PrefetchStream(prefetched, block=8)
-        pattern = ["l", "l", "u", "l", "u", "u", "l"] * 10
+        pattern = ["l", "l", "u", "l", "e", "u", "u", "e", "e", "l"] * 10
         for kind in pattern:
             if kind == "l":
                 expected = float(scalar.generator.lognormal(2.0, 0.3))
                 got = stream.lognormal(2.0, 0.3)
-            else:
-                expected = float(scalar.generator.uniform(5.0, 10.0))
-                got = stream.uniform(5.0, 10.0)
+            elif kind == "e":
+                expected = float(scalar.generator.exponential(0.25))
+                got = stream.exponential(0.25)
+            else:  # a scale-up of three containers
+                expected = [
+                    float(scalar.generator.uniform(5.0, 10.0)) for _ in range(3)
+                ]
+                got = stream.uniform_block(5.0, 10.0, 3)
             assert got == expected
 
     def test_parameter_change_resyncs(self):
@@ -226,6 +231,28 @@ class TestRequestPool:
         np.testing.assert_array_equal(
             serial.wf_pred_remaining[:50], batch.wf_pred_remaining[:50]
         )
+
+    def test_add_workflows_per_row_matches_serial(self):
+        """A replayed slice's arrivals: per-row types, times and
+        predecessor counts."""
+        preds = np.array([[0, 1, 2], [0, 1, 0]], dtype=np.int16)
+        sizes = np.array([3, 2], dtype=np.int32)
+        types = np.array([1, 0, 0, 1, 1], dtype=np.int64)
+        times = np.array([0.5, 1.25, 2.0, 2.5, 7.0])
+        serial, batch = RequestPool(3, capacity=2), RequestPool(3, capacity=2)
+        for w, t in zip(types.tolist(), times.tolist()):
+            serial.add_workflow(w, t, int(sizes[w]), 4, preds[w][:sizes[w]])
+        assert batch.add_workflows(5, types, times, sizes[types], 4, preds[types]) == 0
+        for name in ("wf_type", "wf_arrival", "wf_total_tasks",
+                     "wf_done_count", "wf_arrival_window", "wf_task_done"):
+            np.testing.assert_array_equal(
+                getattr(serial, name)[:5], getattr(batch, name)[:5]
+            )
+        for row, w in enumerate(types.tolist()):
+            np.testing.assert_array_equal(
+                serial.wf_pred_remaining[row, :sizes[w]],
+                batch.wf_pred_remaining[row, :sizes[w]],
+            )
 
     def test_add_tasks_matches_serial(self):
         serial, batch = RequestPool(2, capacity=2), RequestPool(2, capacity=2)

@@ -116,6 +116,22 @@ class TestCluster:
         with pytest.raises(CapacityError, match="full"):
             cluster.place()
 
+    @pytest.mark.parametrize("used", [(0, 0, 0), (5, 1, 3), (2, 9, 2), (7, 7, 6)])
+    def test_place_many_is_that_many_placements(self, used):
+        """Same nodes in the same order as ``place()`` call by call,
+        from level and uneven loads, up to the last free slot."""
+        one_by_one = Cluster(num_nodes=3, node_capacity=10)
+        at_once = Cluster(num_nodes=3, node_capacity=10)
+        for cluster in (one_by_one, at_once):
+            for node, count in zip(cluster.nodes, used):
+                node.used = count
+        for count in (1, 4, 0, one_by_one.total_free - 5):
+            expected = [one_by_one.place().node_id for _ in range(count)]
+            assert [n.node_id for n in at_once.place_many(count)] == expected
+            assert at_once.load_by_node() == one_by_one.load_by_node()
+        with pytest.raises(CapacityError, match="full"):
+            at_once.place_many(1)
+
     def test_release_frees_slot(self):
         cluster = Cluster(num_nodes=1, node_capacity=1)
         node = cluster.place()
