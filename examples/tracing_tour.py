@@ -126,8 +126,13 @@ def main():
         print(f"fault injections: "
               f"{[(r['fault'], r['target']) for r in faults]}")
 
+        # One fold (aggregate_trace) feeds every table of the report;
+        # the records themselves only supply the training curves.
         print()
-        print(render_report(records, title="Tracing tour (MSD, seed 7)"))
+        print(render_report(
+            aggregate_trace(records).snapshot(), records,
+            title="Tracing tour (MSD, seed 7)",
+        ))
 
         reloaded = read_manifest(outdir)
         print(f"\nmanifest round-trip ok: "

@@ -8,34 +8,22 @@
     python -m repro model-accuracy --dataset ligo
     python -m repro experiments --experiments fig5,fig6 --workers 4
     python -m repro trace --dataset msd --output runs/trace-msd
-    python -m repro report runs/trace-msd
-    python -m repro metrics runs/trace-msd --format prom
-    python -m repro metrics runs/trace-msd --serve 9090
-    python -m repro slo runs/trace-msd --specs slo.toml
-    python -m repro critical runs/trace-msd --top 5
-    python -m repro bench report
-    python -m repro profile run --dataset msd --output runs/prof-msd
-    python -m repro profile report runs/prof-msd
+    python -m repro report runs/trace-msd --validate
+    python -m repro report runs/trace-msd --format prom
 
 ``train`` runs Algorithm 2; ``evaluate`` deploys a saved agent on a paper
 burst scenario; ``simulate`` runs a heuristic allocator (no learning);
 ``model-accuracy`` reproduces the Fig. 5 protocol; ``experiments`` maps
 figure/ablation cells over worker processes with label-derived per-cell
 seeds (results are byte-identical for any ``--workers``); ``trace`` reruns a
-simulation or training run with telemetry on, writing a JSONL trace, a
-run manifest, and aggregated metrics; ``report`` summarizes such a trace
-into utilization, queue-depth, container-lifecycle, and training-curve
-tables (``--json`` for machine-readable output); ``metrics`` replays a
-trace through the streaming aggregation engine (text, JSON, or
-Prometheus exposition output — ``--serve PORT`` exposes it at a
-``GET /metrics`` HTTP endpoint instead); ``slo`` evaluates declarative
-objectives from a TOML/JSON spec file against a trace and exits nonzero
-on violation; ``critical`` attributes each request's end-to-end latency
-to causal stages (queue / startup / retry / service) and ranks the
-bottlenecks; ``bench report`` summarizes the root ``BENCH_*.json``
-artifacts into one table; ``profile run`` is ``trace`` with the phase
-profiler installed around the run (adds ``profile.json``); ``profile
-report`` renders a saved phase tree (docs/OBSERVABILITY.md).
+simulation or training run with telemetry and the phase profiler on,
+writing a JSONL trace, a run manifest, aggregated metrics and the phase
+tree; ``report`` is how such a run is read back: it loads the trace once,
+folds it once, and prints the utilization, queue-depth,
+container-lifecycle and training-curve tables plus the saved phase tree
+(``--format json|prom`` emits the bytes of ``metrics.json`` /
+``metrics.prom`` instead, ``--output DIR`` writes both files);
+``lint`` runs reprolint (docs/OBSERVABILITY.md, docs/LINTING.md).
 """
 
 from __future__ import annotations
@@ -145,108 +133,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = sub.add_parser(
-        "trace", help="run a traced simulation/training run (JSONL + manifest)"
+        "trace",
+        help="run a traced, profiled simulation/training run "
+             "(trace + manifest + metrics + profile)",
     )
-    _add_trace_options(trace)
+    _add_dataset(trace)
+    trace.add_argument("--mode", choices=("simulate", "train"),
+                       default="simulate")
+    trace.add_argument(
+        "--allocator",
+        choices=("uniform", "wip", "stream", "heft", "hpa", "oracle"),
+        default="uniform",
+        help="allocator for --mode simulate",
+    )
+    trace.add_argument("--burst", type=int, default=0,
+                       help="burst scenario index for --mode simulate")
+    trace.add_argument("--steps", type=int, default=30,
+                       help="control windows for --mode simulate")
+    trace.add_argument("--iterations", type=int, default=1,
+                       help="Algorithm 2 iterations for --mode train")
+    trace.add_argument("--seed", type=int, default=0)
+    trace.add_argument("--output", required=True,
+                       help="run directory for trace.jsonl + manifest.json")
 
     report = sub.add_parser(
-        "report", help="summarize a trace file or run directory"
+        "report", help="read back a traced run (tables, metrics, phase tree)"
     )
     report.add_argument("path",
-                        help="trace.jsonl file or directory containing one")
+                        help="trace.jsonl file or run directory containing one")
     report.add_argument("--validate", action="store_true",
                         help="check every record against its schema")
-    report.add_argument("--json", action="store_true",
-                        help="emit the summaries as one JSON document")
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="aggregate a trace into counters/gauges/histograms",
+    report.add_argument(
+        "--format", choices=("text", "json", "prom"), default="text",
+        help="text tables, or the bytes of metrics.json / metrics.prom",
     )
-    metrics.add_argument(
-        "path", help="trace.jsonl file or run directory containing one"
-    )
-    metrics.add_argument("--format", choices=("text", "json", "prom"),
-                         default="text")
-    metrics.add_argument("--validate", action="store_true",
-                         help="check every record against its schema")
-    metrics.add_argument(
+    report.add_argument(
         "--output", default=None,
         help="also write metrics.json + metrics.prom into this directory",
     )
-    metrics.add_argument(
-        "--serve", type=int, default=None, metavar="PORT",
-        help="serve the aggregates at http://127.0.0.1:PORT/metrics "
-             "(Prometheus exposition 0.0.4) instead of printing them",
-    )
-
-    slo = sub.add_parser(
-        "slo",
-        help="evaluate SLO objectives against a trace (nonzero on failure)",
-    )
-    slo.add_argument(
-        "path", help="trace.jsonl file or run directory containing one"
-    )
-    slo.add_argument(
-        "--specs", required=True,
-        help="objectives file: TOML ([[tool.repro.slo.objectives]]) "
-             "or JSON ({\"objectives\": [...]})",
-    )
-    slo.add_argument("--top", type=int, default=3,
-                     help="bottlenecks quoted in violation 'why' fields")
-    slo.add_argument(
-        "--no-critical", action="store_true",
-        help="skip the critical-path analysis behind the 'why' fields",
-    )
-    slo.add_argument("--json", action="store_true",
-                     help="print the slo_report.json document instead")
-    slo.add_argument("--output", default=None,
-                     help="also write slo_report.json into this directory")
-
-    critical = sub.add_parser(
-        "critical",
-        help="critical-path latency attribution for a traced run",
-    )
-    critical.add_argument(
-        "path", help="trace.jsonl file or run directory containing one"
-    )
-    critical.add_argument("--top", type=int, default=5,
-                          help="bottleneck rows to show")
-    critical.add_argument("--json", action="store_true",
-                          help="print the canonical JSON document instead")
-    critical.add_argument("--output", default=None,
-                          help="also write critical.json into this directory")
-
-    bench = sub.add_parser(
-        "bench", help="benchmark artifact reports"
-    )
-    bsub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_report = bsub.add_parser(
-        "report", help="summarize the root BENCH_*.json artifacts"
-    )
-    bench_report.add_argument(
-        "--root", default=".",
-        help="directory holding the BENCH_*.json files",
-    )
-    bench_report.add_argument("--json", action="store_true",
-                              help="print the summary as JSON")
-
-    profile = sub.add_parser(
-        "profile", help="phase-profiled runs and profile reports"
-    )
-    psub = profile.add_subparsers(dest="profile_command", required=True)
-    profile_run = psub.add_parser(
-        "run", help="a traced run with the phase profiler on"
-    )
-    _add_trace_options(profile_run)
-    profile_report = psub.add_parser(
-        "report", help="render a saved profile.json phase tree"
-    )
-    profile_report.add_argument(
-        "path", help="profile.json file or run directory containing one"
-    )
-    profile_report.add_argument("--max-depth", type=int, default=None,
-                                help="truncate the tree at this depth")
 
     # `lint` forwards everything to repro.analysis (handled in main()
     # before parsing, because argparse.REMAINDER drops leading options);
@@ -262,28 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_dataset(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", choices=("msd", "ligo"), default="msd")
-
-
-def _add_trace_options(parser: argparse.ArgumentParser) -> None:
-    """Options shared by ``trace`` and ``profile run``."""
-    _add_dataset(parser)
-    parser.add_argument("--mode", choices=("simulate", "train"),
-                        default="simulate")
-    parser.add_argument(
-        "--allocator",
-        choices=("uniform", "wip", "stream", "heft", "hpa", "oracle"),
-        default="uniform",
-        help="allocator for --mode simulate",
-    )
-    parser.add_argument("--burst", type=int, default=0,
-                        help="burst scenario index for --mode simulate")
-    parser.add_argument("--steps", type=int, default=30,
-                        help="control windows for --mode simulate")
-    parser.add_argument("--iterations", type=int, default=1,
-                        help="Algorithm 2 iterations for --mode train")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", required=True,
-                        help="run directory for trace.jsonl + manifest.json")
 
 
 def _cmd_train(args) -> int:
@@ -441,17 +343,9 @@ def _cmd_experiments(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    return _traced_run(args, profile=False)
-
-
-def _traced_run(args, profile: bool) -> int:
-    """Shared body of ``trace`` and ``profile run``.
-
-    Writes ``trace.jsonl``, ``manifest.json``, ``metrics.json`` and
-    ``metrics.prom`` into the run directory; with ``profile=True`` also
-    ``profile.json`` (the one artifact outside the determinism contract).
-    """
-    from contextlib import nullcontext
+    """Writes ``trace.jsonl``, ``manifest.json``, ``metrics.json``,
+    ``metrics.prom`` and ``profile.json`` (the one artifact outside the
+    determinism contract) into the run directory."""
     from pathlib import Path
 
     import repro
@@ -463,16 +357,15 @@ def _traced_run(args, profile: bool) -> int:
         PhaseProfiler,
         RunManifest,
         Tracer,
-        render_profile,
         wall_time_now,
         write_manifest,
         write_metrics,
         write_profile,
     )
+    from repro.telemetry.sinks import TRACE_FILENAME
 
     outdir = Path(args.output)
-    prog = "profile run" if profile else "trace"
-    sink = MetricsSink(JsonlSink(outdir / "trace.jsonl"))
+    sink = MetricsSink(JsonlSink(outdir / TRACE_FILENAME))
     preset = dataset_preset(args.dataset)
     config_snapshot = {
         "dataset": args.dataset,
@@ -482,16 +375,14 @@ def _traced_run(args, profile: bool) -> int:
     }
     # The profiler wraps the layer boundaries (telemetry.profile.BOUNDARIES)
     # for the duration of the run; nothing below is told about it.
-    with Tracer(sink) as tracer, (
-        PhaseProfiler() if profile else nullcontext()
-    ) as profiler:
+    with Tracer(sink) as tracer, PhaseProfiler() as profiler:
         if args.mode == "simulate":
             scenario = _scenario(preset, args.burst)
             config_snapshot.update(
                 allocator=args.allocator, burst=args.burst, steps=args.steps
             )
             command = (
-                f"{prog} --dataset {args.dataset} --mode simulate "
+                f"trace --dataset {args.dataset} --mode simulate "
                 f"--allocator {args.allocator} --burst {args.burst} "
                 f"--steps {args.steps} --seed {args.seed}"
             )
@@ -501,7 +392,7 @@ def _traced_run(args, profile: bool) -> int:
                 dict(scenario.background_rates),
                 tracer=tracer,
             )
-            # Through the module, so an installed wrapper is the one called.
+            # Through the module, so the installed wrapper is the one called.
             result = runner.evaluate_allocator(
                 _make_allocator(args.allocator), env, scenario, args.steps
             )
@@ -515,7 +406,7 @@ def _traced_run(args, profile: bool) -> int:
 
             config_snapshot.update(iterations=args.iterations)
             command = (
-                f"{prog} --dataset {args.dataset} --mode train "
+                f"trace --dataset {args.dataset} --mode train "
                 f"--iterations {args.iterations} --seed {args.seed}"
             )
             env = preset_env(args.dataset, args.seed, tracer=tracer)
@@ -532,194 +423,69 @@ def _traced_run(args, profile: bool) -> int:
         counters=dict(tracer.counters),
         wall_time=wall_time_now(),
     )
-    manifest_path = write_manifest(outdir, manifest)
-    metrics_path = write_metrics(outdir, sink)
-    print(f"trace: {outdir / 'trace.jsonl'} "
+    print(f"trace: {outdir / TRACE_FILENAME} "
           f"({tracer.records_written} records)")
-    print(f"manifest: {manifest_path}")
-    print(f"metrics: {metrics_path}")
-    if profiler is not None:
-        profile_path = write_profile(outdir, profiler)
-        print(f"profile: {profile_path}\n")
-        print(render_profile(profiler))
+    print(f"manifest: {write_manifest(outdir, manifest)}")
+    print(f"metrics: {write_metrics(outdir, sink)}")
+    print(f"profile: {write_profile(outdir, profiler)}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    from pathlib import Path
-
-    from repro.telemetry import load_trace, read_manifest, render_report
-    from repro.telemetry.manifest import MANIFEST_FILENAME
-
-    path = Path(args.path)
-    records = load_trace(path, validate=args.validate)
-    if args.json:
-        import json
-
-        from repro.telemetry import report_json
-
-        print(json.dumps(report_json(records), sort_keys=True, indent=2))
-        return 0
-    print(render_report(records, title=f"Trace report: {args.path}"))
-    manifest_path = (path if path.is_dir() else path.parent) / MANIFEST_FILENAME
-    if manifest_path.exists():
-        manifest = read_manifest(manifest_path)
-        print(
-            f"\nrun {manifest.run_name!r}: seed {manifest.seed}, "
-            f"repro {manifest.package_version}, "
-            f"schema v{manifest.schema_version}, "
-            f"command `repro {manifest.command}`"
-        )
-    return 0
-
-
-def _cmd_metrics(args) -> int:
+    """The one reader of a finished run: load once, fold once."""
     from pathlib import Path
 
     from repro.telemetry import (
         aggregate_trace,
         load_trace,
-        render_metrics,
+        read_manifest,
+        read_profile,
+        render_profile,
+        render_report,
         snapshot_to_json,
         write_metrics,
     )
+    from repro.telemetry.manifest import MANIFEST_FILENAME
+    from repro.telemetry.profile import PROFILE_FILENAME
 
-    records = load_trace(Path(args.path), validate=args.validate)
+    path = Path(args.path)
+    run_dir = path if path.is_dir() else path.parent
+    # The run directory is outside input: a missing or malformed file is
+    # a one-line error, not a traceback.
+    try:
+        records = load_trace(path, validate=args.validate)
+        manifest = profile = None
+        if (run_dir / MANIFEST_FILENAME).exists():
+            manifest = read_manifest(run_dir)
+        if (run_dir / PROFILE_FILENAME).exists():
+            profile = read_profile(run_dir)
+    except FileNotFoundError:
+        print(f"repro report: no trace.jsonl under {args.path}",
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"repro report: {exc}", file=sys.stderr)
+        return 2
     sink = aggregate_trace(records)
     if args.output:
         target = write_metrics(args.output, sink)
         print(f"metrics written to {target.parent}", file=sys.stderr)
-    if args.serve is not None:
-        from repro.telemetry import MetricsServer
-
-        server = MetricsServer(sink.to_prometheus, port=args.serve)
-        host, port = server.address
-        print(f"serving metrics at http://{host}:{port}/metrics "
-              f"(Ctrl-C to stop)", file=sys.stderr)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
-        return 0
     if args.format == "json":
         print(snapshot_to_json(sink.snapshot()), end="")
     elif args.format == "prom":
         print(sink.to_prometheus(), end="")
     else:
-        print(render_metrics(sink.snapshot()))
-    return 0
-
-
-def _cmd_slo(args) -> int:
-    from pathlib import Path
-
-    from repro.telemetry import (
-        aggregate_trace,
-        analyze_trace,
-        evaluate_slos,
-        load_trace,
-        load_slo_specs,
-        render_slo_result,
-        slo_report_json,
-        write_slo_report,
-    )
-
-    specs = load_slo_specs(args.specs)
-    records = load_trace(Path(args.path))
-    sink = aggregate_trace(records)
-    critical = None if args.no_critical else analyze_trace(records)
-    result = evaluate_slos(specs, sink.snapshot(), critical=critical)
-    if args.output:
-        target = write_slo_report(args.output, result)
-        print(f"slo report written to {target}", file=sys.stderr)
-    if args.json:
-        print(slo_report_json(result), end="")
-    else:
-        print(render_slo_result(result))
-    return 0 if result.passed else 1
-
-
-def _cmd_critical(args) -> int:
-    from pathlib import Path
-
-    from repro.telemetry import (
-        analyze_trace,
-        critical_report_json,
-        load_trace,
-        render_critical,
-    )
-    from repro.telemetry.critical import CRITICAL_FILENAME
-
-    report = analyze_trace(load_trace(Path(args.path)))
-    document = critical_report_json(report, top_k=args.top)
-    if args.output:
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        target = outdir / CRITICAL_FILENAME
-        target.write_text(document, encoding="utf-8")
-        print(f"critical report written to {target}", file=sys.stderr)
-    if args.json:
-        print(document, end="")
-    else:
-        print(render_critical(report, top_k=args.top))
-    return 0
-
-
-def _flatten_bench(value, prefix=""):
-    """Dotted-path numeric leaves of one BENCH_*.json document."""
-    out = {}
-    if isinstance(value, dict):
-        for key in sorted(value):
-            out.update(_flatten_bench(value[key], f"{prefix}{key}."))
-    elif isinstance(value, bool):
-        out[prefix[:-1]] = float(value)
-    elif isinstance(value, (int, float)):
-        out[prefix[:-1]] = float(value)
-    return out
-
-
-def _cmd_bench(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.eval.reporting import format_table
-
-    root = Path(args.root)
-    artifacts = sorted(root.glob("BENCH_*.json"))
-    if not artifacts:
-        print(f"no BENCH_*.json artifacts under {root}", file=sys.stderr)
-        return 1
-    summary = {}
-    for artifact in artifacts:
-        name = artifact.stem.replace("BENCH_", "")
-        document = json.loads(artifact.read_text(encoding="utf-8"))
-        summary[name] = _flatten_bench(document)
-    if args.json:
-        print(json.dumps(summary, sort_keys=True, indent=2))
-    else:
-        rows = [
-            [name, metric, f"{value:.6g}"]
-            for name in sorted(summary)
-            for metric, value in sorted(summary[name].items())
-        ]
-        print(format_table(
-            ["benchmark", "metric", "value"], rows,
-            title=f"Benchmark artifacts under {root.resolve()}",
-        ))
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    if args.profile_command == "run":
-        return _traced_run(args, profile=True)
-    from pathlib import Path
-
-    from repro.telemetry import read_profile, render_profile
-
-    document = read_profile(Path(args.path))
-    print(render_profile(document, max_depth=args.max_depth))
+        title = f"Trace report: {args.path}"
+        if manifest is not None:
+            title += (
+                f"\nrun {manifest.run_name!r}: seed {manifest.seed}, "
+                f"repro {manifest.package_version}, "
+                f"schema v{manifest.schema_version}, "
+                f"command `repro {manifest.command}`"
+            )
+        print(render_report(sink.snapshot(), records, title=title))
+        if profile is not None:
+            print("\n" + render_profile(profile))
     return 0
 
 
@@ -758,11 +524,6 @@ _COMMANDS = {
     "experiments": _cmd_experiments,
     "trace": _cmd_trace,
     "report": _cmd_report,
-    "metrics": _cmd_metrics,
-    "slo": _cmd_slo,
-    "critical": _cmd_critical,
-    "bench": _cmd_bench,
-    "profile": _cmd_profile,
 }
 
 

@@ -171,9 +171,8 @@ def _execute_cell(
     if telemetry_dir is None:
         result = EXPERIMENTS[experiment](seed=seed, **dict(params))
     else:
-        from repro.telemetry.fleet import TRACE_FILENAME
         from repro.telemetry.metrics import MetricsSink, write_metrics
-        from repro.telemetry.sinks import JsonlSink
+        from repro.telemetry.sinks import TRACE_FILENAME, JsonlSink
         from repro.telemetry.tracer import Tracer
 
         cell_dir = Path(telemetry_dir) / cell.label

@@ -272,8 +272,8 @@ class MicroserviceWorkflowSystem:
         )
         if self.tracer.enabled:
             # Emitted before successor publishes, so a task's span always
-            # precedes the publish records it triggers — the ordering
-            # repro.telemetry.critical leans on when walking chains.
+            # precedes the publish records it triggers; metrics._on_task_span
+            # folds it into the queue-wait / retry / wasted-work families.
             self.tracer.emit(
                 "event.task_span",
                 service=name,

@@ -5,25 +5,20 @@ The observability layer of docs/OBSERVABILITY.md:
 - :mod:`repro.telemetry.tracer` — the :class:`Tracer` every instrumented
   component emits through (simulation-clock timestamps, no-op by default),
 - :mod:`repro.telemetry.sinks` — record destinations (null / in-memory /
-  JSONL file),
+  JSONL file) and :func:`load_trace`, which reads the file back,
 - :mod:`repro.telemetry.records` — the record-kind registry and schemas,
 - :mod:`repro.telemetry.manifest` — per-run provenance documents,
-- :mod:`repro.telemetry.report` — trace file → summary tables (the
-  ``repro report`` CLI),
-- :mod:`repro.telemetry.metrics` — streaming aggregation into counters,
-  gauges, EWMAs and histograms, with JSON and Prometheus exposition
-  (the ``repro metrics`` CLI),
-- :mod:`repro.telemetry.slo` — declarative SLO conformance: objectives
-  from TOML/JSON evaluated against metrics snapshots (``repro slo``),
-- :mod:`repro.telemetry.critical` — trace-driven critical-path latency
-  attribution with an exact-sum invariant (``repro critical``),
+- :mod:`repro.telemetry.metrics` — the one fold: streaming aggregation
+  into counters, gauges, EWMAs and histograms, live
+  (:class:`MetricsSink`) or replayed (:func:`aggregate_trace`), with
+  JSON and Prometheus exposition,
+- :mod:`repro.telemetry.report` — the tables ``repro report`` prints,
+  read off that fold's snapshot,
 - :mod:`repro.telemetry.fleet` — deterministic merge of per-cell traces
   from parallel runs (worker-count independent),
-- :mod:`repro.telemetry.server` — stdlib Prometheus exposition endpoint
-  (``repro metrics --serve``),
 - :mod:`repro.telemetry.profile` — the hierarchical phase profiler
   (wall/CPU time per layer boundary, installed around a run by
-  ``repro profile run``; outside the determinism contract).
+  ``repro trace``; outside the determinism contract).
 
 Typical use (the tracer is a context manager — the sink is flushed and
 closed on exit, including exceptional exit)::
@@ -54,20 +49,9 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     MetricsSink,
     SNAPSHOT_VERSION,
-    aggregate_run,
     aggregate_trace,
-    render_metrics,
     snapshot_to_json,
     write_metrics,
-)
-from repro.telemetry.critical import (
-    CRITICAL_VERSION,
-    CriticalPathReport,
-    RequestAttribution,
-    analyze_run,
-    analyze_trace,
-    critical_report_json,
-    render_critical,
 )
 from repro.telemetry.fleet import (
     FLEET_VERSION,
@@ -83,31 +67,13 @@ from repro.telemetry.profile import (
     render_profile,
     write_profile,
 )
-from repro.telemetry.report import (
-    consumer_summary,
+from repro.telemetry.report import render_report, training_curves
+from repro.telemetry.sinks import (
+    JsonlSink,
+    MemorySink,
+    NullSink,
+    Sink,
     load_trace,
-    queue_summary,
-    render_report,
-    report_json,
-    training_curves,
-    utilization_summary,
-)
-from repro.telemetry.server import (
-    PROMETHEUS_CONTENT_TYPE,
-    MetricsServer,
-    serve_metrics,
-)
-from repro.telemetry.sinks import JsonlSink, MemorySink, NullSink, Sink
-from repro.telemetry.slo import (
-    SLO_REPORT_VERSION,
-    SloResult,
-    SloSpec,
-    SloVerdict,
-    evaluate_slos,
-    load_slo_specs,
-    render_slo_result,
-    slo_report_json,
-    write_slo_report,
 )
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
@@ -128,48 +94,23 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "load_trace",
-    "utilization_summary",
-    "queue_summary",
-    "consumer_summary",
     "training_curves",
-    "report_json",
     "render_report",
     "SNAPSHOT_VERSION",
     "MetricsRegistry",
     "MetricsAggregator",
     "MetricsSink",
     "aggregate_trace",
-    "aggregate_run",
     "snapshot_to_json",
-    "render_metrics",
     "write_metrics",
     "PROFILE_VERSION",
     "PhaseProfiler",
     "render_profile",
     "write_profile",
     "read_profile",
-    "SLO_REPORT_VERSION",
-    "SloSpec",
-    "SloVerdict",
-    "SloResult",
-    "load_slo_specs",
-    "evaluate_slos",
-    "slo_report_json",
-    "write_slo_report",
-    "render_slo_result",
-    "CRITICAL_VERSION",
-    "CriticalPathReport",
-    "RequestAttribution",
-    "analyze_trace",
-    "analyze_run",
-    "critical_report_json",
-    "render_critical",
     "FLEET_VERSION",
     "FleetMerge",
     "discover_cells",
     "merge_fleet",
     "write_fleet",
-    "PROMETHEUS_CONTENT_TYPE",
-    "MetricsServer",
-    "serve_metrics",
 ]

@@ -24,12 +24,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
+from repro.telemetry.metrics import MetricsSink, snapshot_to_json
+from repro.telemetry.sinks import TRACE_FILENAME, load_trace
+
 __all__ = [
     "FLEET_VERSION",
     "FLEET_MANIFEST_FILENAME",
     "FLEET_METRICS_FILENAME",
     "FLEET_EXPOSITION_FILENAME",
-    "TRACE_FILENAME",
     "FleetMerge",
     "discover_cells",
     "merge_fleet",
@@ -43,16 +45,13 @@ FLEET_MANIFEST_FILENAME = "fleet_manifest.json"
 FLEET_METRICS_FILENAME = "fleet_metrics.json"
 FLEET_EXPOSITION_FILENAME = "fleet_metrics.prom"
 
-#: Per-cell trace file name the parallel runner writes.
-TRACE_FILENAME = "trace.jsonl"
-
 
 @dataclass
 class FleetMerge:
     """The merged view over every cell of one parallel run."""
 
-    #: The merged :class:`~repro.telemetry.metrics.MetricsSink`.
-    sink: object
+    #: Every cell's records, folded in label order.
+    sink: MetricsSink
     #: Per-cell bookkeeping rows, in sorted label order.
     cells: List[Dict] = field(default_factory=list)
 
@@ -92,9 +91,6 @@ def discover_cells(root: Union[str, Path]) -> List[Tuple[str, Path]]:
 
 def merge_fleet(root: Union[str, Path]) -> FleetMerge:
     """Replay every cell trace, in label order, into one metrics sink."""
-    from repro.telemetry.metrics import MetricsSink
-    from repro.telemetry.report import load_trace
-
     sink = MetricsSink()
     merge = FleetMerge(sink=sink)
     for label, trace_path in discover_cells(root):
@@ -115,8 +111,6 @@ def merge_fleet(root: Union[str, Path]) -> FleetMerge:
 
 def write_fleet(root: Union[str, Path], merge: FleetMerge) -> Path:
     """Write the merged snapshot, exposition and manifest into ``root``."""
-    from repro.telemetry.metrics import snapshot_to_json
-
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / FLEET_METRICS_FILENAME).write_text(

@@ -42,9 +42,7 @@ __all__ = [
     "MetricsAggregator",
     "MetricsSink",
     "aggregate_trace",
-    "aggregate_run",
     "snapshot_to_json",
-    "render_metrics",
     "write_metrics",
     "RESPONSE_TIME_BUCKETS",
     "STARTUP_LATENCY_BUCKETS",
@@ -190,16 +188,13 @@ class Histogram:
     when next read), so
     :meth:`quantile` is *exact*, not a bucket interpolation.  At
     simulation scale (at most ~10^5 observations per run) the memory cost
-    is negligible; pass ``track_values=False`` to fall back to
-    bucket-boundary quantile estimates for unbounded streams.
+    is negligible.
     """
 
     __slots__ = ("buckets", "counts", "sum", "count", "_values", "_sorted")
     kind = "histogram"
 
-    def __init__(
-        self, buckets: Sequence[float], track_values: bool = True
-    ):
+    def __init__(self, buckets: Sequence[float]):
         buckets = tuple(float(b) for b in buckets)
         if not buckets:
             raise ValueError("histogram needs at least one bucket bound")
@@ -212,7 +207,7 @@ class Histogram:
         self.counts = [0] * (len(buckets) + 1)
         self.sum = 0.0
         self.count = 0
-        self._values: Optional[List[float]] = [] if track_values else None
+        self._values: List[float] = []
         #: Length of the sorted prefix of ``_values``; what :meth:`observe`
         #: appended since the last read lies past it.
         self._sorted = 0
@@ -222,41 +217,25 @@ class Histogram:
         self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
-        if self._values is not None:
-            self._values.append(value)
+        self._values.append(value)
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """The q-quantile (q in [0, 1]) of everything observed so far.
-
-        Exact (nearest-rank on the retained values) when ``track_values``
-        is on; otherwise the upper bound of the bucket containing the
-        rank (conservative for tail quantiles).  Returns 0.0 before any
-        observation.
+        """The q-quantile (q in [0, 1]) of everything observed so far:
+        nearest-rank on the retained values, 0.0 before any observation.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
-        rank = min(int(q * self.count), self.count - 1)
         values = self._values
-        if values is not None:
-            held = len(values)
-            if self._sorted != held:
-                values.sort()
-                self._sorted = held
-            return values[rank]
-        remaining = rank + 1
-        for i, bucket_count in enumerate(self.counts):
-            remaining -= bucket_count
-            if remaining <= 0:
-                if i < len(self.buckets):
-                    return self.buckets[i]
-                return self.buckets[-1]  # +Inf bucket: clamp to last bound
-        return self.buckets[-1]
+        if self._sorted != self.count:
+            values.sort()
+            self._sorted = self.count
+        return values[min(int(q * self.count), self.count - 1)]
 
     def cumulative_counts(self) -> List[int]:
         """Cumulative ``le`` counts, one per bound plus the +Inf bucket."""
@@ -391,12 +370,10 @@ class MetricsRegistry:
         buckets: Sequence[float],
         help_text: str = "",
         labels: Sequence[str] = (),
-        track_values: bool = True,
     ) -> _Family:
         bounds = tuple(buckets)
         return self._register(
-            name, help_text, labels,
-            lambda: Histogram(bounds, track_values=track_values),
+            name, help_text, labels, lambda: Histogram(bounds)
         )
 
     # Export ---------------------------------------------------------------
@@ -764,37 +741,17 @@ class MetricsSink(Sink):
     is what keeps offline replay identical to the live path.
     """
 
-    def __init__(
-        self,
-        downstream: Optional[Sink] = None,
-        aggregator: Optional[MetricsAggregator] = None,
-        snapshot_every: int = 1,
-        window_summary: Optional[Callable[[MetricsAggregator], Dict]] = None,
-    ):
-        if snapshot_every < 0:
-            raise ValueError(
-                f"snapshot_every must be >= 0, got {snapshot_every}"
-            )
+    def __init__(self, downstream: Optional[Sink] = None):
         self.downstream = downstream
-        self.aggregator = aggregator or MetricsAggregator()
-        #: Take a per-window snapshot row every N windows (0 disables).
-        self.snapshot_every = snapshot_every
-        self._window_summary = window_summary or window_summary_row
-        #: One compact row per snapshotted window (see
-        #: :func:`window_summary_row`).
+        self.aggregator = MetricsAggregator()
+        #: One compact row per window (see :func:`window_summary_row`).
         self.window_snapshots: List[Dict] = []
-        self._windows_seen = 0
 
     def write(self, record: Dict) -> None:
         if self.aggregator.observe(record) == "span.window":
-            self._windows_seen += 1
-            if (
-                self.snapshot_every
-                and self._windows_seen % self.snapshot_every == 0
-            ):
-                row = self._window_summary(self.aggregator)
-                row["window"] = record.get("index")
-                self.window_snapshots.append(row)
+            row = window_summary_row(self.aggregator)
+            row["window"] = record.get("index")
+            self.window_snapshots.append(row)
         if self.downstream is not None:
             self.downstream.write(record)
 
@@ -857,61 +814,6 @@ def aggregate_trace(records: Iterable[Mapping]) -> MetricsSink:
     return sink
 
 
-def aggregate_run(path: Union[str, Path]) -> MetricsSink:
-    """Aggregate a run directory (or trace file) offline."""
-    from repro.telemetry.report import load_trace
-
-    return aggregate_trace(load_trace(path))
-
-
-def render_metrics(snapshot: Mapping) -> str:
-    """Human-readable rendering of a snapshot document.
-
-    One line per labeled series: counters and EWMAs show the value,
-    gauges add min/mean/max, histograms show count, mean and the three
-    pinned quantiles.  This is what ``repro metrics`` prints by default.
-    """
-    lines: List[str] = []
-    for name, family in snapshot.get("families", {}).items():
-        kind = family["kind"]
-        header = f"{name} ({kind})"
-        if family.get("help"):
-            header += f" — {family['help']}"
-        lines.append(header)
-        for series in family["series"]:
-            labels = series.get("labels", {})
-            label_text = (
-                "{" + ", ".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())
-                ) + "}"
-                if labels else "(no labels)"
-            )
-            if kind == "histogram":
-                body = (
-                    f"count={series['count']} mean={series['mean']:.3f} "
-                    f"p50={series['p50']:.3f} p95={series['p95']:.3f} "
-                    f"p99={series['p99']:.3f}"
-                )
-            elif kind == "gauge":
-                body = (
-                    f"value={series['value']:.6g} min={series['min']:.6g} "
-                    f"mean={series['mean']:.6g} max={series['max']:.6g} "
-                    f"n={series['observations']}"
-                )
-            elif kind == "ewma":
-                body = (
-                    f"ewma={series['value']:.6g} last={series['last']:.6g} "
-                    f"n={series['observations']}"
-                )
-            else:
-                body = f"value={series['value']:.6g}"
-            lines.append(f"  {label_text:<40} {body}")
-        lines.append("")
-    if not lines:
-        return "(no metric families)"
-    return "\n".join(lines).rstrip("\n")
-
-
 def snapshot_to_json(snapshot: Mapping) -> str:
     """Canonical JSON serialisation of a snapshot document.
 
@@ -921,18 +823,13 @@ def snapshot_to_json(snapshot: Mapping) -> str:
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_metrics(
-    outdir: Union[str, Path],
-    sink: MetricsSink,
-    prometheus: bool = True,
-) -> Path:
-    """Write ``metrics.json`` (and ``metrics.prom``) into a run directory."""
+def write_metrics(outdir: Union[str, Path], sink: MetricsSink) -> Path:
+    """Write ``metrics.json`` and ``metrics.prom`` into a run directory."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     target = outdir / METRICS_FILENAME
     target.write_text(snapshot_to_json(sink.snapshot()), encoding="utf-8")
-    if prometheus:
-        (outdir / EXPOSITION_FILENAME).write_text(
-            sink.to_prometheus(), encoding="utf-8"
-        )
+    (outdir / EXPOSITION_FILENAME).write_text(
+        sink.to_prometheus(), encoding="utf-8"
+    )
     return target

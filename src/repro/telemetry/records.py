@@ -12,7 +12,7 @@ JSON-serialisable dict with a two-field envelope:
 
 The schema registry is the contract between the emitting instrumentation
 (``repro.sim``, ``repro.core``, ``repro.rl``) and the consuming side
-(``repro.telemetry.report``, the ``repro report`` CLI): a record must
+(``repro.telemetry.metrics``, the ``repro report`` CLI): a record must
 carry exactly the envelope plus the registered payload fields.
 """
 
@@ -30,8 +30,8 @@ __all__ = [
 #: Bumped whenever a record schema changes shape; written to the manifest
 #: so downstream tooling can refuse traces it does not understand.
 #: v2: added ``event.task_complete`` (per-task service time).
-#: v3: added ``event.task_span`` (per-task causal span for critical-path
-#: attribution).
+#: v3: added ``event.task_span`` (per-task causal span: queue wait,
+#: retries, wasted work).
 #: v4: added ``span.collect`` (one merged distributed-collection episode).
 SCHEMA_VERSION = 4
 
@@ -85,8 +85,8 @@ RECORD_SCHEMAS: Dict[str, FrozenSet[str]] = {
     # the queue, ``started`` when the final (successful) attempt began
     # processing, ``deliveries`` the delivery attempts, ``wasted`` the
     # processing time lost to interrupted attempts.  ``request_id`` is the
-    # run-local workflow ordinal of ``event.arrival``, which is what lets
-    # repro.telemetry.critical reconstruct per-request causal chains.
+    # run-local workflow ordinal of ``event.arrival``.  Feeds the
+    # queue-wait / retry / wasted-work families of the metrics engine.
     "event.task_span": frozenset({
         "service", "request_id", "published", "started", "deliveries",
         "wasted",

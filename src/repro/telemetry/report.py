@@ -1,172 +1,113 @@
-"""Trace analysis: turn a JSONL trace into summary tables.
+"""How a finished run is read back: the tables ``repro report`` prints.
 
-Consumes the records emitted by the instrumented simulator and training
-loop (schemas in :mod:`repro.telemetry.records`) and produces the three
-summaries the ``repro report`` CLI prints:
+A trace is folded once, by :func:`~repro.telemetry.metrics.aggregate_trace`;
+the snapshot document that fold produces (the bytes of ``metrics.json``)
+already holds every number of the three per-service tables, so they are
+read off it rather than re-derived record by record:
 
 - **per-microservice utilization** — mean WIP, allocation, busy
   consumers, busy/allocated utilization over all windows,
 - **queue depth** — mean/peak ready depth, publishes, redeliveries,
-- **training curves** — one row per iteration of Algorithm 2 (model
-  loss, eval reward, parameter-noise sigma, ...), the textual Fig. 6.
+- **container lifecycle** — starts, readies, stops, mean start-up latency.
 
-All functions take a list of record dicts, so they work on a loaded
-trace file, a :class:`~repro.telemetry.sinks.MemorySink`, or any slice.
+The one table the snapshot does not hold is the per-step **training
+curves** (it keeps the last value and an EWMA per metric, not the
+series), so :func:`training_curves` folds those from the records.
+``tests/telemetry/reference_report.py`` keeps the record-by-record folds
+as the oracle the tables are pinned against.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
-
-from repro.telemetry.records import validate_record
+from typing import Dict, List, Mapping, Optional, Sequence
 
 __all__ = [
-    "load_trace",
-    "utilization_summary",
-    "queue_summary",
-    "consumer_summary",
+    "utilization_table",
+    "queue_table",
+    "lifecycle_table",
     "training_curves",
-    "report_json",
     "render_report",
 ]
 
 
-def load_trace(
-    path: Union[str, Path], validate: bool = False
-) -> List[Dict]:
-    """Read a JSONL trace file (or a run directory holding ``trace.jsonl``).
-
-    With ``validate=True`` every record is checked against its registered
-    schema — useful in tests and when ingesting traces from older runs.
-    """
-    path = Path(path)
-    if path.is_dir():
-        path = path / "trace.jsonl"
-    records: List[Dict] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{line_no}: invalid JSON ({exc})"
-                ) from exc
-            if validate:
-                validate_record(record)
-            records.append(record)
-    return records
+def _series(snapshot: Mapping, family: str) -> List[Dict]:
+    return snapshot.get("families", {}).get(family, {}).get("series", [])
 
 
-def _windows(records: Sequence[Dict]) -> List[Dict]:
-    return [r for r in records if r.get("kind") == "span.window"]
+def _by_label(snapshot: Mapping, family: str, label: str) -> Dict[str, Dict]:
+    """One single-label family's series, keyed by the label's value."""
+    return {s["labels"][label]: s for s in _series(snapshot, family)}
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+def _total(snapshot: Mapping, family: str) -> int:
+    """``value`` summed over a family's series, to the nearest integer."""
+    return round(sum(s["value"] for s in _series(snapshot, family)))
 
 
-def utilization_summary(records: Sequence[Dict]) -> Dict[str, Dict[str, float]]:
+def _stat(series: Mapping[str, Dict], name: str, field: str) -> float:
+    """``field`` of the series labeled ``name``; 0.0 where none was observed."""
+    return series[name][field] if name in series else 0.0
+
+
+def utilization_table(snapshot: Mapping) -> Dict[str, Dict[str, float]]:
     """Per-microservice means over all windows.
 
     Returns ``{service: {mean_wip, mean_allocation, mean_busy,
     utilization}}`` where utilization is busy consumers divided by
     allocated consumers, averaged over windows with a non-zero
-    allocation.
+    allocation (the rule of ``MetricsAggregator._on_window``).
     """
-    windows = _windows(records)
-    services: List[str] = []
-    for window in windows:
-        for name in window["wip"]:
-            if name not in services:
-                services.append(name)
-    summary: Dict[str, Dict[str, float]] = {}
-    for name in services:
-        wip = [float(w["wip"].get(name, 0)) for w in windows]
-        alloc = [float(w["allocation"].get(name, 0)) for w in windows]
-        busy = [float(w["busy"].get(name, 0)) for w in windows]
-        ratios = [b / a for b, a in zip(busy, alloc) if a > 0]
-        summary[name] = {
-            "mean_wip": _mean(wip),
-            "mean_allocation": _mean(alloc),
-            "mean_busy": _mean(busy),
-            "utilization": _mean(ratios),
+    wip = _by_label(snapshot, "repro_wip", "service")
+    allocation = _by_label(snapshot, "repro_allocation", "service")
+    busy = _by_label(snapshot, "repro_busy_consumers", "service")
+    utilization = _by_label(snapshot, "repro_utilization", "service")
+    return {
+        name: {
+            "mean_wip": wip[name]["mean"],
+            "mean_allocation": _stat(allocation, name, "mean"),
+            "mean_busy": _stat(busy, name, "mean"),
+            "utilization": _stat(utilization, name, "mean"),
         }
-    return summary
+        for name in wip
+    }
 
 
-def queue_summary(records: Sequence[Dict]) -> Dict[str, Dict[str, float]]:
-    """Per-queue depth statistics and publish/redeliver totals."""
-    windows = _windows(records)
-    summary: Dict[str, Dict[str, float]] = {}
-    for window in windows:
-        for name, depth in window["queue_ready"].items():
-            stats = summary.setdefault(
-                name,
-                {"mean_depth": 0.0, "peak_depth": 0.0,
-                 "publishes": 0, "redeliveries": 0, "_depths": []},
-            )
-            stats["_depths"].append(float(depth))
-    for record in records:
-        kind = record.get("kind")
-        if kind == "event.publish":
-            stats = summary.setdefault(
-                record["queue"],
-                {"mean_depth": 0.0, "peak_depth": 0.0,
-                 "publishes": 0, "redeliveries": 0, "_depths": []},
-            )
-            stats["publishes"] += 1
-        elif kind == "event.redeliver":
-            stats = summary.setdefault(
-                record["queue"],
-                {"mean_depth": 0.0, "peak_depth": 0.0,
-                 "publishes": 0, "redeliveries": 0, "_depths": []},
-            )
-            stats["redeliveries"] += 1
-    for stats in summary.values():
-        depths = stats.pop("_depths")
-        stats["mean_depth"] = _mean(depths)
-        stats["peak_depth"] = max(depths) if depths else 0.0
-    return summary
+def queue_table(snapshot: Mapping) -> Dict[str, Dict[str, float]]:
+    """Per-queue window-boundary depth and publish/redeliver totals."""
+    ready = _by_label(snapshot, "repro_queue_ready", "service")
+    publishes = _by_label(snapshot, "repro_publishes_total", "queue")
+    redeliveries = _by_label(snapshot, "repro_redeliveries_total", "queue")
+    return {
+        name: {
+            "mean_depth": _stat(ready, name, "mean"),
+            "peak_depth": _stat(ready, name, "max"),
+            "publishes": _stat(publishes, name, "value"),
+            "redeliveries": _stat(redeliveries, name, "value"),
+        }
+        for name in sorted({*ready, *publishes, *redeliveries})
+    }
 
 
-def consumer_summary(records: Sequence[Dict]) -> Dict[str, Dict[str, float]]:
+def lifecycle_table(snapshot: Mapping) -> Dict[str, Dict[str, float]]:
     """Per-microservice container-lifecycle statistics.
 
-    ``mean_startup_latency`` is measured over ``event.consumer_ready``
-    records — the observed creation-to-first-consume delay the paper
-    reports as 5–10 s on Kubernetes.
+    ``mean_startup_latency`` is the observed creation-to-first-consume
+    delay the paper reports as 5–10 s on Kubernetes; ``stopped`` sums
+    every stop mode (drain / kill / cancel-starting / idle / drained).
     """
-    summary: Dict[str, Dict[str, float]] = {}
-    latencies: Dict[str, List[float]] = {}
-    for record in records:
-        kind = record.get("kind")
-        if kind not in (
-            "event.consumer_start", "event.consumer_ready",
-            "event.consumer_stop",
-        ):
-            continue
-        name = record["service"]
-        stats = summary.setdefault(
-            name, {"started": 0, "ready": 0, "stopped": 0,
-                   "mean_startup_latency": 0.0},
-        )
-        if kind == "event.consumer_start":
-            stats["started"] += 1
-        elif kind == "event.consumer_ready":
-            stats["ready"] += 1
-            latencies.setdefault(name, []).append(
-                float(record["startup_latency"])
-            )
-        else:
-            stats["stopped"] += 1
-    for name, stats in summary.items():
-        stats["mean_startup_latency"] = _mean(latencies.get(name, []))
-    return summary
+    startup = _by_label(snapshot, "repro_startup_latency_seconds", "service")
+    table: Dict[str, Dict[str, float]] = {}
+    for series in _series(snapshot, "repro_consumer_events_total"):
+        service = series["labels"]["service"]
+        event = series["labels"]["event"]
+        if service not in table:
+            table[service] = {
+                "started": 0.0, "ready": 0.0, "stopped": 0.0,
+                "mean_startup_latency": _stat(startup, service, "mean"),
+            }
+        column = {"start": "started", "ready": "ready"}.get(event, "stopped")
+        table[service][column] += series["value"]
+    return table
 
 
 def training_curves(records: Sequence[Dict]) -> Dict[str, Dict[int, float]]:
@@ -186,48 +127,32 @@ def training_curves(records: Sequence[Dict]) -> Dict[str, Dict[int, float]]:
     return curves
 
 
-def report_json(records: Sequence[Dict]) -> Dict:
-    """Machine-readable form of the report (``repro report --json``).
-
-    The same four summaries :func:`render_report` prints as tables, plus
-    the record/window totals, as one JSON-serialisable document.  Metric
-    steps become string keys (JSON objects cannot have int keys) but keep
-    their numeric order when sorted by ``int(step)``.
-    """
-    windows = _windows(records)
-    curves = training_curves(records)
-    return {
-        "records": len(records),
-        "windows": len(windows),
-        "sim_time_end": float(windows[-1]["end"]) if windows else None,
-        "utilization": utilization_summary(records),
-        "queues": queue_summary(records),
-        "consumers": consumer_summary(records),
-        "training_curves": {
-            name: {str(step): series[step] for step in sorted(series)}
-            for name, series in curves.items()
-        },
-    }
-
-
 def render_report(
-    records: Sequence[Dict], title: Optional[str] = None
+    snapshot: Mapping,
+    records: Sequence[Dict] = (),
+    title: Optional[str] = None,
 ) -> str:
-    """Render the full textual report (what ``repro report`` prints)."""
+    """Render the textual report (what ``repro report`` prints).
+
+    ``snapshot`` is the document of ``aggregate_trace(records).snapshot()``
+    (or a live ``MetricsSink.snapshot()``); ``records`` supply the
+    training curves only.
+    """
     from repro.eval.reporting import format_table
 
     sections: List[str] = []
     if title:
         sections.append(title)
 
-    windows = _windows(records)
+    total = _total(snapshot, "repro_records_total")
+    windows = _total(snapshot, "repro_windows_total")
     sections.append(
-        f"{len(records)} records, {len(windows)} windows, "
-        f"sim time {windows[-1]['end']:.0f}s" if windows
-        else f"{len(records)} records, no window spans"
+        f"{total} records, {windows} windows, "
+        f"sim time {_total(snapshot, 'repro_sim_time_seconds')}s" if windows
+        else f"{total} records, no window spans"
     )
 
-    util = utilization_summary(records)
+    util = utilization_table(snapshot)
     if util:
         sections.append(format_table(
             ["microservice", "mean WIP", "mean alloc", "mean busy", "util"],
@@ -239,7 +164,7 @@ def render_report(
             title="Per-microservice utilization",
         ))
 
-    queues = queue_summary(records)
+    queues = queue_table(snapshot)
     if queues:
         sections.append(format_table(
             ["queue", "mean depth", "peak depth", "publishes", "redeliveries"],
@@ -251,7 +176,7 @@ def render_report(
             title="Queue depth",
         ))
 
-    consumers = consumer_summary(records)
+    consumers = lifecycle_table(snapshot)
     if consumers:
         sections.append(format_table(
             ["microservice", "started", "ready", "stopped", "mean startup (s)"],

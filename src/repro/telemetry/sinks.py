@@ -13,7 +13,15 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-__all__ = ["Sink", "NullSink", "MemorySink", "JsonlSink"]
+from repro.telemetry.records import validate_record
+
+__all__ = [
+    "TRACE_FILENAME", "Sink", "NullSink", "MemorySink", "JsonlSink",
+    "load_trace",
+]
+
+#: The trace file of a run directory.
+TRACE_FILENAME = "trace.jsonl"
 
 
 class Sink:
@@ -100,3 +108,36 @@ class JsonlSink(Sink):
         if self._file is not None:
             self._file.close()
             self._file = None
+
+
+def load_trace(
+    path: Union[str, Path], validate: bool = False
+) -> List[Dict]:
+    """Read back what :class:`JsonlSink` wrote: a trace file, or a run
+    directory holding ``trace.jsonl``.
+
+    With ``validate=True`` every record is checked against its registered
+    schema.  A line that is not JSON, or fails the check, raises
+    ``ValueError`` naming ``<file>:<line>``.
+    """
+    path = Path(path)
+    if path.is_dir():
+        path = path / TRACE_FILENAME
+    records: List[Dict] = []
+    with path.open("r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if validate:
+                    validate_record(record)
+            except ValueError as exc:
+                reason = (
+                    f"invalid JSON ({exc})"
+                    if isinstance(exc, json.JSONDecodeError) else exc
+                )
+                raise ValueError(f"{path}:{line_no}: {reason}") from exc
+            records.append(record)
+    return records

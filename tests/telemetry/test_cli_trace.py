@@ -74,9 +74,35 @@ class TestTraceReportRoundTrip:
         out = capsys.readouterr().out
         assert "Per-microservice utilization" in out
 
-    def test_report_missing_trace_fails(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["report", str(tmp_path / "nope")])
+    def test_report_missing_trace_fails(self, tmp_path, capsys):
+        """Outside input: exit 2 and one line on stderr, no traceback —
+        for a missing path and for a directory without a trace."""
+        for path in (tmp_path / "nope", tmp_path):
+            assert main(["report", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"repro report: no trace.jsonl under {path}\n"
+            )
+
+    @pytest.mark.parametrize("content,flags,message", [
+        ('{"kind":"metric"}\nnot json\n', [],
+         "trace.jsonl:2: invalid JSON"),
+        ('{"kind":"event.nope","t":0}\n', ["--validate"],
+         "trace.jsonl:1: unknown record kind 'event.nope'"),
+        ('\n{"kind":"event.publish","t":0,"queue":"Ingest"}\n',
+         ["--validate"], "trace.jsonl:2: event.publish record payload"),
+    ], ids=["malformed-line", "unknown-kind", "schema-violation"])
+    def test_report_bad_trace_is_a_one_line_error(
+        self, tmp_path, capsys, content, flags, message
+    ):
+        (tmp_path / "trace.jsonl").write_text(content)
+        assert main(["report", str(tmp_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro report: {tmp_path}")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestTraceTrainMode(object):

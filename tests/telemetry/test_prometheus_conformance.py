@@ -110,7 +110,7 @@ class TestTrailingNewline:
         trace.write_text(
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         )
-        assert main(["metrics", str(tmp_path), "--format", "prom"]) == 0
+        assert main(["report", str(tmp_path), "--format", "prom"]) == 0
         out = capsys.readouterr().out
         assert out.endswith("\n") and not out.endswith("\n\n")
         assert "repro_response_time_seconds_bucket" in out

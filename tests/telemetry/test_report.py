@@ -1,14 +1,24 @@
-"""Trace-analysis tests over synthetic records."""
+"""Report tests: the snapshot-derived tables against hand-computed values
+on synthetic records, and against the record-by-record folds they
+replaced (:mod:`tests.telemetry.reference_report`) on every kind of
+trace the repo pins."""
 
 import pytest
 
-from repro.telemetry import (
-    consumer_summary,
-    load_trace,
-    queue_summary,
-    render_report,
-    training_curves,
-    utilization_summary,
+from repro.telemetry import load_trace, render_report, training_curves
+from repro.telemetry.report import (
+    lifecycle_table,
+    queue_table,
+    utilization_table,
+)
+
+from tests.telemetry import reference_report
+from tests.telemetry.test_metrics_golden_pin import evaluate_cell, fault_cell
+from tests.telemetry.test_report_edges import (
+    MIXED_TIMESTAMPS,
+    TRAIN_ONLY,
+    WINDOWLESS,
+    snapshot_of,
 )
 
 
@@ -60,7 +70,7 @@ RECORDS = [
 
 class TestSummaries:
     def test_utilization_summary(self):
-        summary = utilization_summary(RECORDS)
+        summary = utilization_table(snapshot_of(RECORDS))
         assert set(summary) == {"Ingest", "Analyze"}
         ingest = summary["Ingest"]
         assert ingest["mean_wip"] == pytest.approx(6.0)
@@ -72,7 +82,7 @@ class TestSummaries:
         assert summary["Analyze"]["utilization"] == pytest.approx(0.5)
 
     def test_queue_summary(self):
-        summary = queue_summary(RECORDS)
+        summary = queue_table(snapshot_of(RECORDS))
         ingest = summary["Ingest"]
         assert ingest["publishes"] == 2
         assert ingest["redeliveries"] == 1
@@ -81,7 +91,7 @@ class TestSummaries:
         assert summary["Analyze"]["publishes"] == 0
 
     def test_consumer_summary(self):
-        summary = consumer_summary(RECORDS)
+        summary = lifecycle_table(snapshot_of(RECORDS))
         ingest = summary["Ingest"]
         assert ingest["started"] == 1
         assert ingest["ready"] == 2
@@ -95,24 +105,58 @@ class TestSummaries:
         assert "unstepped" not in curves
 
     def test_empty_records(self):
-        assert utilization_summary([]) == {}
-        assert queue_summary([]) == {}
-        assert consumer_summary([]) == {}
+        snapshot = snapshot_of([])
+        assert utilization_table(snapshot) == {}
+        assert queue_table(snapshot) == {}
+        assert lifecycle_table(snapshot) == {}
         assert training_curves([]) == {}
+
+
+#: Every trace shape the repo pins: the three golden-pin cells (full
+#: simulator runs, the last with crashes, redeliveries and kill-path
+#: stops), the hand-written records above, and the degenerate traces of
+#: test_report_edges.py.
+ORACLE_INPUTS = {
+    "golden-msd": lambda: evaluate_cell("msd", 11).downstream.records,
+    "golden-ligo": lambda: evaluate_cell("ligo", 12).downstream.records,
+    "golden-faults": lambda: fault_cell().downstream.records,
+    "synthetic": lambda: RECORDS,
+    "windowless": lambda: WINDOWLESS,
+    "train-only": lambda: TRAIN_ONLY,
+    "null-timestamps": lambda: MIXED_TIMESTAMPS,
+    "empty": lambda: [],
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_tables_equal_the_record_folds(name):
+    """One fold: every cell the report reads off the aggregator's
+    snapshot is the float the record-by-record fold computed — ``==``,
+    not ``approx`` (rows compare as dicts: the snapshot sorts them)."""
+    records = ORACLE_INPUTS[name]()
+    snapshot = snapshot_of(records)
+    assert utilization_table(snapshot) == (
+        reference_report.utilization_summary(records)
+    )
+    assert queue_table(snapshot) == reference_report.queue_summary(records)
+    assert lifecycle_table(snapshot) == (
+        reference_report.consumer_summary(records)
+    )
 
 
 class TestRenderReport:
     def test_sections_present(self):
-        text = render_report(RECORDS, title="synthetic")
+        text = render_report(snapshot_of(RECORDS), RECORDS, title="synthetic")
         assert "synthetic" in text
-        assert "2 windows" in text
+        assert f"{len(RECORDS)} records, 2 windows, sim time 90s" in text
         assert "Per-microservice utilization" in text
         assert "Queue depth" in text
         assert "Container lifecycle" in text
         assert "Training curves" in text
 
     def test_metrics_only_trace(self):
-        text = render_report([r for r in RECORDS if r["kind"] == "metric"])
+        records = [r for r in RECORDS if r["kind"] == "metric"]
+        text = render_report(snapshot_of(records), records)
         assert "no window spans" in text
         assert "Training curves" in text
         assert "Queue depth" not in text
@@ -141,11 +185,11 @@ class TestLoadTrace:
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"kind":"metric"}\nnot json\n')
-        with pytest.raises(ValueError, match=":2"):
+        with pytest.raises(ValueError, match=":2: invalid JSON"):
             load_trace(path)
 
     def test_validate_flag_rejects_bad_records(self, tmp_path):
         self.write(tmp_path / "trace.jsonl", [{"kind": "event.nope", "t": 0}])
         assert len(load_trace(tmp_path)) == 1  # lenient by default
-        with pytest.raises(ValueError, match="unknown record kind"):
+        with pytest.raises(ValueError, match=":1: unknown record kind"):
             load_trace(tmp_path, validate=True)

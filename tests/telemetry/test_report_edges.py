@@ -1,17 +1,21 @@
 """Report edge cases: empty traces, windowless traces, train-only
-traces, and records whose ``t`` is null (unstepped training metrics)."""
+traces, and records whose ``t`` is null (unstepped training metrics).
 
-import json
+The three traces below are also inputs of the oracle comparison in
+test_report.py."""
 
 import pytest
 
-from repro.telemetry import load_trace, render_report
-from repro.telemetry.report import (
-    consumer_summary,
-    queue_summary,
-    report_json,
+from repro.telemetry import (
+    aggregate_trace,
+    load_trace,
+    render_report,
     training_curves,
-    utilization_summary,
+)
+from repro.telemetry.report import (
+    lifecycle_table,
+    queue_table,
+    utilization_table,
 )
 
 
@@ -29,26 +33,39 @@ TRAIN_ONLY = [
     _metric("ddpg/sigma", 0.2),  # unstepped: excluded from curves
 ]
 
+#: Event records only — e.g. a run that never completed a window.
+WINDOWLESS = [
+    {"kind": "event.arrival", "t": 0.5, "workflow": "Type1",
+     "request_id": 1},
+    {"kind": "event.publish", "t": 0.5, "queue": "Ingest", "depth": 1},
+    {"kind": "event.consumer_start", "t": 1.0, "service": "Ingest",
+     "consumer_id": 7, "node": "node-0", "startup_delay": 8.0},
+    {"kind": "event.consumer_ready", "t": 9.0, "service": "Ingest",
+     "consumer_id": 7, "startup_latency": 8.0},
+]
+
+#: ``t: null`` is legal (training metrics before a clock is bound).
+MIXED_TIMESTAMPS = [
+    _metric("model/epoch_loss", 3.0, 0),
+    {"kind": "event.arrival", "t": 2.0, "workflow": "Type1",
+     "request_id": 1},
+]
+
+
+def snapshot_of(records):
+    return aggregate_trace(records).snapshot()
+
 
 class TestEmptyTrace:
     def test_summaries_are_empty(self):
-        assert utilization_summary([]) == {}
-        assert queue_summary([]) == {}
-        assert consumer_summary([]) == {}
+        snapshot = snapshot_of([])
+        assert utilization_table(snapshot) == {}
+        assert queue_table(snapshot) == {}
+        assert lifecycle_table(snapshot) == {}
         assert training_curves([]) == {}
 
     def test_render_report_mentions_no_windows(self):
-        text = render_report([])
-        assert "0 records, no window spans" in text
-
-    def test_report_json_shape(self):
-        document = report_json([])
-        assert document["records"] == 0
-        assert document["windows"] == 0
-        assert document["sim_time_end"] is None
-        assert document["utilization"] == {}
-        assert document["training_curves"] == {}
-        json.dumps(document)  # serialisable
+        assert "0 records, no window spans" in render_report(snapshot_of([]))
 
     def test_load_trace_empty_file(self, tmp_path):
         (tmp_path / "trace.jsonl").write_text("")
@@ -69,48 +86,33 @@ class TestEmptyTrace:
 
 
 class TestWindowlessTrace:
-    """Event records only — e.g. a run that never completed a window."""
-
-    EVENTS = [
-        {"kind": "event.arrival", "t": 0.5, "workflow": "Type1",
-         "request_id": 1},
-        {"kind": "event.publish", "t": 0.5, "queue": "Ingest", "depth": 1},
-        {"kind": "event.consumer_start", "t": 1.0, "service": "Ingest",
-         "consumer_id": 7, "node": "node-0", "startup_delay": 8.0},
-        {"kind": "event.consumer_ready", "t": 9.0, "service": "Ingest",
-         "consumer_id": 7, "startup_latency": 8.0},
-    ]
-
     def test_events_match_registered_schemas(self):
         from repro.telemetry.records import validate_record
 
-        for record in self.EVENTS:
+        for record in WINDOWLESS:
             validate_record(record)
 
     def test_utilization_empty_without_windows(self):
-        assert utilization_summary(self.EVENTS) == {}
+        assert utilization_table(snapshot_of(WINDOWLESS)) == {}
 
     def test_queue_and_consumer_summaries_still_work(self):
-        queues = queue_summary(self.EVENTS)
+        snapshot = snapshot_of(WINDOWLESS)
+        queues = queue_table(snapshot)
         assert queues["Ingest"]["publishes"] == 1
         assert queues["Ingest"]["mean_depth"] == 0.0
         assert queues["Ingest"]["peak_depth"] == 0.0
 
-        consumers = consumer_summary(self.EVENTS)
+        consumers = lifecycle_table(snapshot)
         assert consumers["Ingest"]["started"] == 1
         assert consumers["Ingest"]["ready"] == 1
         assert consumers["Ingest"]["mean_startup_latency"] == 8.0
 
-    def test_report_json_has_null_sim_time(self):
-        document = report_json(self.EVENTS)
-        assert document["windows"] == 0
-        assert document["sim_time_end"] is None
-        assert document["records"] == len(self.EVENTS)
-
     def test_render_report_does_not_crash(self):
-        text = render_report(self.EVENTS, title="windowless")
+        text = render_report(
+            snapshot_of(WINDOWLESS), WINDOWLESS, title="windowless"
+        )
         assert "windowless" in text
-        assert "no window spans" in text
+        assert f"{len(WINDOWLESS)} records, no window spans" in text
 
 
 class TestTrainOnlyTrace:
@@ -120,15 +122,8 @@ class TestTrainOnlyTrace:
         assert curves["train/eval_reward"] == {0: -12.5}
         assert "ddpg/sigma" not in curves
 
-    def test_report_json_stringifies_steps(self):
-        document = report_json(TRAIN_ONLY)
-        assert document["training_curves"]["model/epoch_loss"] == {
-            "0": 4.0, "1": 2.0,
-        }
-        json.dumps(document)
-
     def test_render_report_shows_curves_only(self):
-        text = render_report(TRAIN_ONLY)
+        text = render_report(snapshot_of(TRAIN_ONLY), TRAIN_ONLY)
         assert "Training curves" in text
         assert "model/epoch_loss" in text
         assert "utilization" not in text.lower()
@@ -139,21 +134,11 @@ class TestTrainOnlyTrace:
 
 
 class TestNullTimestamps:
-    """``t: null`` is legal (training metrics before a clock is bound)."""
-
-    def test_report_json_with_mixed_timestamps(self):
-        records = [
-            _metric("model/epoch_loss", 3.0, 0),
-            {"kind": "event.arrival", "t": 2.0, "workflow": "Type1",
-             "request_id": 1},
-        ]
-        document = report_json(records)
-        assert document["records"] == 2
-        assert document["training_curves"]["model/epoch_loss"] == {"0": 3.0}
+    def test_render_report_with_mixed_timestamps(self):
+        text = render_report(snapshot_of(MIXED_TIMESTAMPS), MIXED_TIMESTAMPS)
+        assert "2 records, no window spans" in text
+        assert "model/epoch_loss" in text
 
     def test_metrics_aggregation_accepts_null_t(self):
-        from repro.telemetry import aggregate_trace
-
-        sink = aggregate_trace([_metric("model/epoch_loss", 3.0, 0)])
-        families = sink.aggregator.snapshot()["families"]
+        families = snapshot_of(MIXED_TIMESTAMPS[:1])["families"]
         assert families["repro_training_metric"]["series"][0]["value"] == 3.0

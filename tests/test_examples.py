@@ -36,7 +36,6 @@ class TestExamples:
             "capacity_planning.py",
             "tracing_tour.py",
             "million_request_burst.py",
-            "slo_tour.py",
         } <= present
 
     def test_infrastructure_tour_runs(self, capsys):
@@ -53,14 +52,6 @@ class TestExamples:
         assert "Per-microservice utilization" in out
         assert "Training curves" in out
         assert "manifest round-trip ok: True" in out
-
-    def test_slo_tour_runs(self, capsys):
-        run_example("slo_tour.py")
-        out = capsys.readouterr().out
-        assert "SLO conformance:" in out
-        assert "live and replayed slo_report.json identical: True" in out
-        assert "exact-sum invariant: ok" in out
-        assert "critical-path bottlenecks" in out
 
     def test_million_request_burst_quick(self, capsys):
         run_example("million_request_burst.py", argv=["--quick"])

@@ -1,6 +1,9 @@
 """Public-API surface tests: everything advertised in __all__ resolves."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +53,25 @@ def test_version():
     import repro
 
     assert repro.__version__ == "1.0.0"
+
+
+def test_import_repro_loads_no_network_or_config_stack():
+    """``import repro`` runs in every process the repo starts — each
+    spawned collector and sweep worker included — so what it drags in is
+    start-up cost paid per process.  An HTTP endpoint once pulled
+    ``http.server`` (and with it ``email``, ``ssl``, ``socketserver``)
+    into all of them; nothing a run needs lives in these modules."""
+    import repro
+
+    heavy = ["http.server", "http.client", "ssl", "email.utils",
+             "socketserver", "tomllib"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; "
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
