@@ -56,7 +56,11 @@ def main():
     budget = 16
     rates = {"Screen": 0.10, "CallPipeline": 0.05, "Reannotate": 0.04}
     print(f"Custom ensemble: {ensemble!r}")
-    demand = ensemble.service_demand(rates)
+    # Each task of a workflow is visited once per request (AND-join DAG).
+    demand = {t.name: 0.0 for t in ensemble.task_types}
+    for workflow in ensemble.workflow_types:
+        for task in workflow.tasks:
+            demand[task] += rates[workflow.name] * ensemble.task(task).mean_service_time
     print("Steady-state demand (consumer-seconds/second):")
     for task, load in demand.items():
         print(f"  {task:14s} {load:.2f}")

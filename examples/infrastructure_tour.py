@@ -16,12 +16,15 @@ Run:  python examples/infrastructure_tour.py
 import numpy as np
 
 from repro.sim import MicroserviceWorkflowSystem, SystemConfig
-from repro.workflows import build_msd_ensemble, render_ensemble
+from repro.workflows import build_msd_ensemble
 
 
 def main():
     ensemble = build_msd_ensemble()
-    print(render_ensemble(ensemble))
+    print(f"Ensemble {ensemble.name!r}: tasks {list(ensemble.task_names())}")
+    for workflow in ensemble.workflow_types:
+        edges = ", ".join(f"{up}->{down}" for up, down in workflow.edges)
+        print(f"  {workflow.name}: {edges or ', '.join(workflow.tasks)}")
     system = MicroserviceWorkflowSystem(
         ensemble,
         SystemConfig(consumer_budget=14, scale_down_mode="kill"),
@@ -67,8 +70,7 @@ def main():
     print(f"  request conservation holds: {system.conservation_ok()}")
 
     # --- Cluster state -----------------------------------------------------
-    print(f"\nCluster load by node: {system.cluster.load_by_node()} "
-          f"(least-loaded placement keeps imbalance <= 1)")
+    print(f"\nCluster load by node: {system.cluster.load_by_node()}")
     print(f"TDS reads per replica: {system.tds.read_distribution()}")
 
 

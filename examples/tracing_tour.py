@@ -135,8 +135,7 @@ def main():
         ))
 
         reloaded = read_manifest(outdir)
-        print(f"\nmanifest round-trip ok: "
-              f"{reloaded.deterministic_dict() == manifest.deterministic_dict()}")
+        print(f"\nmanifest round-trip ok: {reloaded == manifest}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ Quickstart::
 
     from repro import quickstart_msd_agent
     agent, env = quickstart_msd_agent()
-    print(agent.training_trace())
+    print([r.eval_reward for r in agent.results])
 """
 
 from repro.core import MirasAgent, MirasConfig

@@ -18,7 +18,6 @@ from repro.baselines.autoscaler import HpaAllocator
 from repro.baselines.oracle import OracleAllocator
 from repro.baselines.base import (
     Allocator,
-    TaskInflowEstimator,
     largest_remainder_allocation,
 )
 from repro.baselines.drs import DrsAllocator, erlang_c, mmc_expected_number
@@ -33,7 +32,6 @@ from repro.baselines.static_alloc import (
 
 __all__ = [
     "Allocator",
-    "TaskInflowEstimator",
     "largest_remainder_allocation",
     "DrsAllocator",
     "erlang_c",

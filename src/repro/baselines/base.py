@@ -20,7 +20,6 @@ from repro.sim.metrics import WindowObservation
 __all__ = [
     "Allocator",
     "largest_remainder_allocation",
-    "TaskInflowEstimator",
     "TaskArrivalRateEstimator",
 ]
 
@@ -55,72 +54,12 @@ def largest_remainder_allocation(
     return allocation
 
 
-class TaskInflowEstimator:
-    """EWMA estimate of per-microservice request inflow (requests/second).
-
-    Within one window, conservation gives
-    ``inflow_j = completions_j + (w_j(end) - w_j(start))``; dividing by the
-    window length yields a rate.  An EWMA smooths the heavy per-window
-    randomness the paper highlights.
-    """
-
-    def __init__(self, num_services: int, window_length: float, alpha: float = 0.5):
-        if num_services < 1:
-            raise ValueError(f"num_services must be >= 1, got {num_services}")
-        if window_length <= 0:
-            raise ValueError(
-                f"window_length must be positive, got {window_length!r}"
-            )
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-        self.num_services = num_services
-        self.window_length = window_length
-        self.alpha = alpha
-        self._rates = np.zeros(num_services)
-        self._prev_wip: Optional[np.ndarray] = None
-        self._initialized = False
-
-    def update(
-        self,
-        wip: np.ndarray,
-        observation: WindowObservation,
-        task_names,
-    ) -> np.ndarray:
-        """Fold one window's observation in; returns the current estimate."""
-        wip = np.asarray(wip, dtype=np.float64)
-        completions = np.array(
-            [observation.task_completions.get(name, 0) for name in task_names],
-            dtype=np.float64,
-        )
-        if self._prev_wip is None:
-            inflow = completions  # no delta available on the first window
-        else:
-            inflow = np.maximum(completions + (wip - self._prev_wip), 0.0)
-        rates = inflow / self.window_length
-        if self._initialized:
-            self._rates = self.alpha * rates + (1 - self.alpha) * self._rates
-        else:
-            self._rates = rates
-            self._initialized = True
-        self._prev_wip = wip.copy()
-        return self._rates.copy()
-
-    @property
-    def rates(self) -> np.ndarray:
-        return self._rates.copy()
-
-    def reset(self) -> None:
-        self._rates = np.zeros(self.num_services)
-        self._prev_wip = None
-        self._initialized = False
-
-
 class TaskArrivalRateEstimator:
     """EWMA estimate of per-queue *arrival* rates (requests/second).
 
-    Unlike :class:`TaskInflowEstimator`, this measures only messages
-    published to each queue — the quantity a steady-state queueing model
-    (DRS) provisions for.  Accumulated backlog does not enter the
+    Measures only messages published to each queue — the quantity a
+    steady-state queueing model (DRS) provisions for.  Accumulated
+    backlog does not enter the
     estimate, which is precisely why DRS "does not react responsively to
     condition changes" (Section VI-D): after a burst window passes, the
     rate estimate decays even though the backlog remains.

@@ -23,11 +23,7 @@ from repro.core.environment_model import EnvironmentModel
 from repro.core.model_env import BatchedModelEnv
 from repro.core.persistence import load_agent, save_agent
 from repro.core.refinement import RefinedModel
-from repro.core.reward import (
-    reward_eq1,
-    reward_eq1_batch,
-    cumulative_discounted_reward,
-)
+from repro.core.reward import reward_eq1, reward_eq1_batch
 
 __all__ = [
     "MirasAgent",
@@ -43,5 +39,4 @@ __all__ = [
     "BatchedModelEnv",
     "reward_eq1",
     "reward_eq1_batch",
-    "cumulative_discounted_reward",
 ]

@@ -222,37 +222,36 @@ class MirasAgent:
         )
         added = 0
 
-        def ingest(run: List[TransitionBlock]) -> None:
+        def ingest(block: TransitionBlock) -> None:
             nonlocal added
-            for block in run:
-                for row in range(block.steps):
-                    self.dataset.add(
-                        block.states[row],
-                        block.executed[row].astype(np.float64),
-                        block.next_states[row],
-                    )
-                self.ddpg.store_batch(
-                    block.states,
-                    block.executed / self.env.consumer_budget,
-                    block.rewards,
-                    block.next_states,
+            for row in range(block.steps):
+                self.dataset.add(
+                    block.states[row],
+                    block.executed[row].astype(np.float64),
+                    block.next_states[row],
                 )
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "span.collect",
-                        lane=block.lane,
-                        episode=block.episode,
-                        steps=block.steps,
-                        reward=block.episode_return,
-                        sim_time=block.sim_time_end,
-                    )
-                added += block.steps
+            self.ddpg.store_batch(
+                block.states,
+                block.executed / self.env.consumer_budget,
+                block.rewards,
+                block.next_states,
+            )
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    "span.collect",
+                    lane=block.lane,
+                    episode=block.episode,
+                    steps=block.steps,
+                    reward=block.episode_return,
+                    sim_time=block.sim_time_end,
+                )
+            added += block.steps
 
         collector.collect(
             policy_payload(self.ddpg),
             plan,
             random_fraction=random_fraction,
-            on_flush=ingest,
+            on_block=ingest,
         )
         self._episodes_collected += len(plan)
         return added
@@ -510,10 +509,6 @@ class MirasAgent:
         self.ddpg.critic.target_network.load_state_dict(
             snapshot["critic_target"]
         )
-
-    def training_trace(self) -> List[float]:
-        """Aggregated evaluation rewards per iteration (Fig. 6 series)."""
-        return [r.eval_reward for r in self.results]
 
     def act(self, state: np.ndarray) -> np.ndarray:
         """Greedy integer allocation for deployment."""

@@ -1,15 +1,14 @@
 """The interaction dataset D.
 
 "D is the collected training data set, the element of which is tuple
-(s(k), a(k), s(k+1))" (Section IV-C1).  The dataset owns the input/output
-normalisation statistics the environment model trains with, and the
+(s(k), a(k), s(k+1))" (Section IV-C1).  The dataset owns the
 per-dimension WIP percentiles the Lend–Giveback refinement needs
 (Algorithm 1's tau_j and omega_j).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -72,22 +71,7 @@ class TransitionDataset:
             np.stack(self._next_states),
         )
 
-    def inputs_targets(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Model-ready (x, y): x = s || a (Section IV-C1), y = s'."""
-        states, actions, next_states = self.arrays()
-        return np.concatenate([states, actions], axis=1), next_states
-
     # Statistics -----------------------------------------------------------------
-    def normalization(self) -> Dict[str, np.ndarray]:
-        """Mean/std for inputs and targets (std floored at 1e-6)."""
-        x, y = self.inputs_targets()
-        return {
-            "x_mean": x.mean(axis=0),
-            "x_std": np.maximum(x.std(axis=0), 1e-6),
-            "y_mean": y.mean(axis=0),
-            "y_std": np.maximum(y.std(axis=0), 1e-6),
-        }
-
     def wip_percentiles(self, p: float) -> Tuple[np.ndarray, np.ndarray]:
         """Algorithm 1's thresholds: (tau, omega) per WIP dimension.
 
@@ -120,17 +104,6 @@ class TransitionDataset:
             target = test if i in test_idx else train
             target.add(self._states[i], self._actions[i], self._next_states[i])
         return train, test
-
-    def minibatches(
-        self, batch_size: int, rng: RngStream
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Shuffled (x, y) minibatches covering one epoch."""
-        check_positive("batch_size", batch_size)
-        x, y = self.inputs_targets()
-        order = rng.permutation(len(self))
-        for start in range(0, len(self), batch_size):
-            idx = order[start : start + batch_size]
-            yield x[idx], y[idx]
 
     def sample_states(self, count: int, rng: RngStream) -> np.ndarray:
         """Random states from D (model-env episode starts)."""

@@ -37,9 +37,6 @@ from repro.utils.validation import check_positive
 
 __all__ = ["EnvironmentModel"]
 
-#: Cap on predicted log1p(WIP): e^15 ~ 3.3M requests, far beyond any run.
-_LOG_CAP = 15.0
-
 
 class EnvironmentModel:
     """MLP dynamics model in log-state space with z-score normalisation."""
@@ -51,8 +48,6 @@ class EnvironmentModel:
         hidden_sizes: Sequence[int] = (20, 20, 20),
         learning_rate: float = 1e-3,
         rng: Optional[RngStream] = None,
-        log_space: bool = True,
-        predict_delta: bool = True,
         tracer: Optional[Tracer] = None,
     ):
         check_positive("state_dim", state_dim)
@@ -61,8 +56,6 @@ class EnvironmentModel:
             rng = fallback_stream("env-model")
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.log_space = log_space
-        self.predict_delta = predict_delta
         self.network = MLP(
             [state_dim + action_dim, *hidden_sizes, state_dim],
             hidden_activation="relu",
@@ -86,8 +79,7 @@ class EnvironmentModel:
 
     # Encoding --------------------------------------------------------------
     def _encode_state(self, states: np.ndarray) -> np.ndarray:
-        states = np.maximum(np.asarray(states, dtype=np.float64), 0.0)
-        return np.log1p(states) if self.log_space else states
+        return np.log1p(np.maximum(np.asarray(states, dtype=np.float64), 0.0))
 
     def _encode_inputs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return np.concatenate(
@@ -98,20 +90,14 @@ class EnvironmentModel:
     def _encode_targets(
         self, states: np.ndarray, next_states: np.ndarray
     ) -> np.ndarray:
-        if self.predict_delta:
-            return np.asarray(next_states, dtype=np.float64) - np.asarray(
-                states, dtype=np.float64
-            )
-        return self._encode_state(next_states)
+        return np.asarray(next_states, dtype=np.float64) - np.asarray(
+            states, dtype=np.float64
+        )
 
     def _decode_prediction(
         self, states: np.ndarray, raw: np.ndarray
     ) -> np.ndarray:
-        if self.predict_delta:
-            return np.maximum(np.asarray(states, dtype=np.float64) + raw, 0.0)
-        if self.log_space:
-            return np.expm1(np.clip(raw, 0.0, _LOG_CAP))
-        return np.maximum(raw, 0.0)
+        return np.maximum(np.asarray(states, dtype=np.float64) + raw, 0.0)
 
     # Training --------------------------------------------------------------
     def fit(

@@ -15,6 +15,11 @@ A saved agent directory contains:
   with fresh optimisers,
 - ``results.json`` — per-iteration training diagnostics.
 
+Saving is atomic per file: everything is written to a sibling staging
+directory first and only then moved into place with ``os.replace``, so a
+save that is killed or raises part-way leaves the previous checkpoint
+exactly as it was — never new weights beside an old replay buffer.
+
 Loading reconstructs a fully functional agent bound to a caller-provided
 environment (the environment itself — a live simulation — is not
 serialised; bind to any system with matching dimensions).
@@ -24,6 +29,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import shutil
 from pathlib import Path
 from typing import Union
 
@@ -65,8 +72,22 @@ def config_from_dict(data: dict) -> MirasConfig:
 def save_agent(directory: Union[str, Path], agent: MirasAgent) -> Path:
     """Write a trained agent to ``directory`` (created if needed)."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    staging = directory.with_name(directory.name + ".saving")
+    shutil.rmtree(staging, ignore_errors=True)  # left by a killed save
+    staging.mkdir(parents=True)
+    try:
+        _write_agent(staging, agent)
+        if directory.exists():
+            for path in staging.iterdir():
+                os.replace(path, directory / path.name)
+        else:
+            os.replace(staging, directory)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return directory
 
+
+def _write_agent(directory: Path, agent: MirasAgent) -> None:
     (directory / "config.json").write_text(
         json.dumps(config_to_dict(agent.config), indent=2, default=list)
     )
@@ -99,7 +120,6 @@ def save_agent(directory: Union[str, Path], agent: MirasAgent) -> Path:
     (directory / "results.json").write_text(
         json.dumps([dataclasses.asdict(r) for r in agent.results], indent=2)
     )
-    return directory
 
 
 def load_agent(

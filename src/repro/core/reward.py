@@ -7,13 +7,11 @@ starting from the current time window".
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.utils.batchpairs import batched_pair
 
-__all__ = ["reward_eq1", "reward_eq1_batch", "cumulative_discounted_reward"]
+__all__ = ["reward_eq1", "reward_eq1_batch"]
 
 
 def reward_eq1(wip: np.ndarray) -> float:
@@ -37,15 +35,3 @@ def reward_eq1_batch(wip: np.ndarray) -> np.ndarray:
     if np.any(wip < 0):
         raise ValueError("WIP must be non-negative")
     return 1.0 - wip.sum(axis=1)
-
-
-def cumulative_discounted_reward(rewards: Sequence[float], gamma: float) -> float:
-    """R(k) = sum_t gamma^(t-k) r(t) over a finite trajectory."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
-    total = 0.0
-    discount = 1.0
-    for reward in rewards:
-        total += discount * reward
-        discount *= gamma
-    return total

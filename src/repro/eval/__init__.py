@@ -32,12 +32,6 @@ from repro.eval.sample_efficiency import (
     SampleEfficiencyResult,
     sample_efficiency_curves,
 )
-from repro.eval.capacity import (
-    expected_steady_state_wip,
-    minimum_stable_allocation,
-    per_task_arrival_rates,
-    recommended_budget,
-)
 from repro.eval.parallel import (
     ExperimentCell,
     default_cells,
@@ -46,12 +40,10 @@ from repro.eval.parallel import (
     run_cells,
     write_results,
 )
-from repro.eval.replication import ReplicatedComparison, replicate_comparison
 from repro.eval.reporting import (
     format_comparison,
     format_series_table,
     format_table,
-    write_series_csv,
 )
 
 __all__ = [
@@ -71,15 +63,8 @@ __all__ = [
     "format_table",
     "format_series_table",
     "format_comparison",
-    "write_series_csv",
     "SampleEfficiencyResult",
     "sample_efficiency_curves",
-    "per_task_arrival_rates",
-    "minimum_stable_allocation",
-    "recommended_budget",
-    "expected_steady_state_wip",
-    "ReplicatedComparison",
-    "replicate_comparison",
     "ExperimentCell",
     "default_cells",
     "derive_cell_seed",

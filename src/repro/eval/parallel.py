@@ -27,13 +27,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.eval.experiments import EXPERIMENTS
+from repro.utils.pool import ordered_pool_map
 from repro.utils.rng import derive_stream_seed
 
 __all__ = [
@@ -225,10 +225,9 @@ def run_cells(
     if workers == 1 or len(specs) <= 1:
         payloads = [_execute_cell(spec) for spec in specs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # executor.map yields in *input* order no matter which worker
-            # finishes first — completion order cannot leak into results.
-            payloads = list(pool.map(_execute_cell, specs))
+        payloads = list(ordered_pool_map(
+            _execute_cell, specs, workers, [f"cell {label}" for label in labels]
+        ))
     if telemetry is not None:
         from repro.telemetry.fleet import merge_fleet, write_fleet
 

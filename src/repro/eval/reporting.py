@@ -1,16 +1,13 @@
-"""ASCII and CSV reporting in the shape the paper presents its results."""
+"""ASCII reporting in the shape the paper presents its results."""
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence
 
 __all__ = [
     "format_table",
     "format_series_table",
     "format_comparison",
-    "write_series_csv",
 ]
 
 
@@ -87,33 +84,6 @@ def format_comparison(
             row.append(getattr(result, metric)())
         rows.append(row)
     return format_table(headers, rows, title=title)
-
-
-def write_series_csv(
-    path: Union[str, Path],
-    series: Mapping[str, Sequence[float]],
-    index_name: str = "step",
-) -> Path:
-    """Write equal-length series as CSV (one column per series).
-
-    This is the machine-readable counterpart of
-    :func:`format_series_table` — e.g. for re-plotting a figure's data
-    with external tooling.
-    """
-    names = list(series)
-    if not names:
-        raise ValueError("no series given")
-    lengths = {len(series[name]) for name in names}
-    if len(lengths) != 1:
-        raise ValueError(f"series lengths differ: {sorted(lengths)}")
-    (length,) = lengths
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([index_name, *names])
-        for step in range(length):
-            writer.writerow([step, *[series[name][step] for name in names]])
-    return path
 
 
 def _fmt(cell) -> str:

@@ -98,20 +98,6 @@ class EvalResult:
         )
         return weighted / total_completions
 
-    def final_response_time(self, tail: int = 5) -> float:
-        """Mean response time over the last ``tail`` windows (recovery level)."""
-        tail_records = [r for r in self.records[-tail:] if r.completions > 0]
-        if not tail_records:
-            return 0.0
-        return float(np.mean([r.mean_response_time for r in tail_records]))
-
-    def drain_step(self, threshold: float = 10.0) -> Optional[int]:
-        """First step at which total WIP fell to ``threshold`` or below."""
-        for record in self.records:
-            if record.wip_sum <= threshold:
-                return record.step
-        return None
-
     def total_completions(self) -> int:
         return sum(r.completions for r in self.records)
 

@@ -55,14 +55,6 @@ class SampleEfficiencyResult:
     def rewards(self, name: str) -> List[float]:
         return [point[1] for point in self.curves[name]]
 
-    def final_reward(self, name: str) -> float:
-        return self.curves[name][-1][1]
-
-    def auc(self, name: str) -> float:
-        """Mean eval reward across checkpoints (area-under-curve proxy)."""
-        return float(np.mean(self.rewards(name)))
-
-
 def _evaluate_greedy(
     env: MicroserviceEnv,
     act_greedy,

@@ -11,12 +11,9 @@ and soft target-network updates.
 
 from repro.nn.activations import (
     Activation,
-    LeakyReLU,
     Linear,
     ReLU,
-    Sigmoid,
     Softmax,
-    Tanh,
     get_activation,
 )
 from repro.nn.initializers import (
@@ -26,29 +23,22 @@ from repro.nn.initializers import (
     uniform_init,
 )
 from repro.nn.layers import Dense
-from repro.nn.losses import HuberLoss, Loss, MeanSquaredError, get_loss
+from repro.nn.losses import Loss, MeanSquaredError
 from repro.nn.network import MLP, soft_update
 from repro.nn.serialization import load_mlp, save_mlp
-from repro.nn.optimizers import SGD, Adam, Optimizer, get_optimizer
+from repro.nn.optimizers import Adam, Optimizer
 
 __all__ = [
     "Activation",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
     "Softmax",
     "Linear",
     "get_activation",
     "Dense",
     "Loss",
     "MeanSquaredError",
-    "HuberLoss",
-    "get_loss",
     "Optimizer",
-    "SGD",
     "Adam",
-    "get_optimizer",
     "MLP",
     "soft_update",
     "save_mlp",

@@ -15,9 +15,6 @@ import numpy as np
 __all__ = [
     "Activation",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
     "Softmax",
     "Linear",
     "get_activation",
@@ -55,52 +52,6 @@ class ReLU(Activation):
         return grad_y * (z > 0.0)
 
 
-class LeakyReLU(Activation):
-    """Leaky ReLU; avoids dead units in small networks."""
-
-    name = "leaky_relu"
-
-    def __init__(self, negative_slope: float = 0.01):
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be >= 0")
-        self.negative_slope = negative_slope
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.where(z > 0.0, z, self.negative_slope * z)
-
-    def backward(self, grad_y, z, y):
-        return grad_y * np.where(z > 0.0, 1.0, self.negative_slope)
-
-
-class Tanh(Activation):
-    """Hyperbolic tangent."""
-
-    name = "tanh"
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.tanh(z)
-
-    def backward(self, grad_y, z, y):
-        return grad_y * (1.0 - y * y)
-
-
-class Sigmoid(Activation):
-    """Logistic sigmoid."""
-
-    name = "sigmoid"
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-
-    def backward(self, grad_y, z, y):
-        return grad_y * y * (1.0 - y)
-
-
 class Softmax(Activation):
     """Row-wise softmax.
 
@@ -136,12 +87,12 @@ class Linear(Activation):
 
 
 _REGISTRY = {
-    cls.name: cls for cls in (ReLU, LeakyReLU, Tanh, Sigmoid, Softmax, Linear)
+    cls.name: cls for cls in (ReLU, Softmax, Linear)
 }
 
 
 def get_activation(name: str) -> Activation:
-    """Look up an activation by name (``relu``, ``tanh``, ``softmax``, ...)."""
+    """Look up an activation by name (``relu``, ``softmax``, ``linear``)."""
     try:
         return _REGISTRY[name]()
     except KeyError:

@@ -10,7 +10,7 @@ __all__ = ["glorot_uniform", "he_uniform", "uniform_init", "constant_init"]
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: RngStream) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation — good default for tanh/softmax."""
+    """Glorot/Xavier uniform initialisation — good default for softmax."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 

@@ -7,7 +7,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["Loss", "MeanSquaredError", "HuberLoss", "get_loss"]
+__all__ = ["Loss", "MeanSquaredError"]
 
 
 class Loss(ABC):
@@ -40,35 +40,3 @@ class MeanSquaredError(Loss):
         grad = 2.0 * diff / diff.size
         return loss, grad
 
-
-class HuberLoss(Loss):
-    """Huber loss — robust alternative for critic training."""
-
-    name = "huber"
-
-    def __init__(self, delta: float = 1.0):
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta!r}")
-        self.delta = delta
-
-    def __call__(self, prediction, target):
-        self._check(prediction, target)
-        diff = prediction - target
-        abs_diff = np.abs(diff)
-        quadratic = np.minimum(abs_diff, self.delta)
-        linear = abs_diff - quadratic
-        loss = float(np.mean(0.5 * quadratic**2 + self.delta * linear))
-        grad = np.clip(diff, -self.delta, self.delta) / diff.size
-        return loss, grad
-
-
-_REGISTRY = {"mse": MeanSquaredError, "huber": HuberLoss}
-
-
-def get_loss(name: str) -> Loss:
-    """Look up a loss by name (``mse`` or ``huber``)."""
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown loss {name!r}; known: {known}") from None

@@ -1,7 +1,7 @@
 """Gradient-descent optimisers.
 
 The optimisers operate on lists of (parameter, gradient) array pairs,
-keeping per-entry state (momentum / Adam moments) keyed by position.
+keeping per-entry state (Adam moments) keyed by position.
 :class:`repro.nn.network.MLP` supplies its whole flat arena as *one* entry,
 ``(params, grads, segment_bounds)``, so a step is a dozen in-place ufunc
 calls per network; any other list of same-shaped ``(param, grad)`` arrays
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.utils.validation import isclose_zero
 
-__all__ = ["Optimizer", "SGD", "Adam", "get_optimizer"]
+__all__ = ["Optimizer", "Adam"]
 
 #: Entries are ``(param, grad)`` or ``(param, grad, segment_bounds)``.
 ParamGrads = List[tuple]
@@ -130,36 +130,6 @@ class Optimizer(ABC):
             )
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    name = "sgd"
-
-    def __init__(
-        self,
-        learning_rate: float = 1e-2,
-        momentum: float = 0.0,
-        grad_clip: float = 0.0,
-    ):
-        super().__init__(learning_rate, grad_clip)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {momentum!r}")
-        self.momentum = momentum
-
-    def _update(self, index, param, grad, work, spare):
-        step = np.multiply(grad, self.learning_rate, out=work)
-        if self.momentum:
-            state = self._state.get(index)
-            if state is None:
-                state = self._state[index] = {"velocity": np.zeros_like(param)}
-            velocity = state["velocity"]
-            velocity *= self.momentum
-            velocity -= step
-            param += velocity
-        else:
-            param -= step
-
-
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba) — default for all networks here."""
 
@@ -216,14 +186,3 @@ class Adam(Optimizer):
                 param, self.learning_rate * self.weight_decay, out=work
             )
 
-
-_REGISTRY = {"sgd": SGD, "adam": Adam}
-
-
-def get_optimizer(name: str, **kwargs) -> Optimizer:
-    """Look up an optimiser by name (``sgd`` or ``adam``)."""
-    try:
-        return _REGISTRY[name](**kwargs)
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown optimizer {name!r}; known: {known}") from None

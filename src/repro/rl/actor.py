@@ -102,10 +102,6 @@ class Actor:
         """Actions for a ``(K, state_dim)`` block; row k matches :meth:`act`."""
         return self.actions(self.normalize(states), network)
 
-    def act_target(self, states: np.ndarray) -> np.ndarray:
-        """Target-network actions mu'(s) for critic bootstrapping."""
-        return self.actions(self.normalize(states), self.target_network)
-
     def policy_gradient_step(
         self,
         features: np.ndarray,
@@ -132,15 +128,6 @@ class Actor:
         scale = (1.0 - self.output_mixing) / actions.shape[0]
         self.network.backward(-dq_da * scale)
         self.optimizer.step(self.network.params_and_grads())
-
-    def apply_policy_gradient(
-        self, states: np.ndarray, dq_da: np.ndarray
-    ) -> None:
-        """:meth:`policy_gradient_step` for a precomputed ``dq_da`` (the
-        critic's dQ/da at a = mu(s)) on raw states."""
-        self.policy_gradient_step(
-            self.normalize(np.atleast_2d(states)), lambda _: dq_da
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Actor({self.network!r})"

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn import MLP, Adam, HuberLoss, MeanSquaredError
+from repro.nn import MLP, Adam, MeanSquaredError
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_positive
 
@@ -31,7 +31,6 @@ class Critic:
         learning_rate: float = 1e-3,
         state_scale: float = 100.0,
         reward_scale: float = 100.0,
-        loss: str = "mse",
         rng: Optional[RngStream] = None,
     ):
         check_positive("state_dim", state_dim)
@@ -57,35 +56,21 @@ class Critic:
         )
         self.target_network = self.network.clone()
         self.optimizer = Adam(learning_rate, grad_clip=1.0)
-        self.loss = HuberLoss() if loss == "huber" else MeanSquaredError()
+        self.loss = MeanSquaredError()
 
     def normalize_states(self, states: np.ndarray) -> np.ndarray:
         """Same log compression as the actor (see Actor.normalize)."""
         states = np.asarray(states, dtype=np.float64)
         return np.log1p(np.maximum(states, 0.0)) / np.log1p(self.state_scale)
 
-    # Each public method takes raw states; its ``*_features`` twin takes
-    # states already through :meth:`normalize_states`, so a caller that
-    # feeds several networks normalises once (DDPGAgent's update).
-    def q_values(
-        self, states: np.ndarray, actions: np.ndarray, target: bool = False
-    ) -> np.ndarray:
-        """Q(s, a) for a batch; scaled back to reward units."""
-        return self.q_features(self.normalize_states(states), actions, target)
-
+    # Every method below takes states already through
+    # :meth:`normalize_states`, so a caller that feeds several networks
+    # normalises once (DDPGAgent's update).
     def q_features(
         self, features: np.ndarray, actions: np.ndarray, target: bool = False
     ) -> np.ndarray:
         network = self.target_network if target else self.network
         return network.forward(features, aux=actions) * self.reward_scale
-
-    def train_batch(
-        self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
-    ) -> float:
-        """One TD-regression step toward ``targets`` (reward units)."""
-        return self.train_features(
-            self.normalize_states(states), actions, targets
-        )
 
     def train_features(
         self, features: np.ndarray, actions: np.ndarray, targets: np.ndarray
@@ -98,19 +83,12 @@ class Critic:
         self.optimizer.step(self.network.params_and_grads())
         return value
 
-    def action_gradient(
-        self, states: np.ndarray, actions: np.ndarray
-    ) -> np.ndarray:
-        """dQ/da at the given (s, a) — the policy-gradient ingredient."""
-        return self.network.input_gradient(
-            self.normalize_states(states), aux=actions, wrt="aux"
-        )
-
     def q_and_action_gradient(
         self, features: np.ndarray, actions: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(Q(s, a), dQ/da)`` from one forward: Q in reward units, the
-        gradient in network-output units (as :meth:`action_gradient`)."""
+        gradient dQ/da (the policy-gradient ingredient) in network-output
+        units."""
         dq_da = self.network.input_gradient(features, aux=actions, wrt="aux")
         return self.network.output * self.reward_scale, dq_da
 

@@ -5,7 +5,7 @@ one core.  This module splits *transition collection* from *learning*
 (the DRPC argument: centralised RL provisioners don't scale): N collector
 workers each run whole real-environment episodes against their own
 environment replica, and ship the resulting **transition blocks** back to
-the learner over a merge-on-flush channel that feeds the shared replay
+the learner, which ingests them in episode order into the shared replay
 buffer via ``add_batch``.
 
 Topology and determinism contract (docs/PERFORMANCE.md):
@@ -19,10 +19,11 @@ Topology and determinism contract (docs/PERFORMANCE.md):
   :func:`repro.utils.rng.derive_stream_seed`: the environment replica
   seed, the exploration stream, the burst draws.  Worker identity,
   scheduling and completion order never feed entropy.
-- Blocks are merged in **episode order** (the logical round-robin
-  interleave), regardless of which worker produced them or when.  The
-  replay buffer's ``add_batch`` is exactly equivalent to sequential
-  adds, so flush batching cannot change the final buffer state.
+- Blocks are ingested in **episode order** (the logical round-robin
+  interleave), regardless of which worker produced them or when: both
+  executors (``map`` and the process pool's ``map``) yield in input
+  order, and :meth:`DistributedCollector.collect` checks each block
+  against the plan.
 
 Together these pin the engine's output to the logical schedule: for any
 worker count K — including physical process pools — the collected
@@ -32,9 +33,12 @@ throughput; *logical* mode executes the same schedule in-process and is
 the CI-checkable determinism witness.
 
 Abort semantics: workers are fail-fast.  If an episode raises, the
-exception propagates to the learner after the pool is shut down; exactly
-the contiguous episode-order prefix that already flushed remains
-ingested (no out-of-order partial state, no silent loss).
+exception propagates to the learner after the pool is shut down; a
+worker process that dies surfaces as
+:class:`repro.utils.pool.WorkerDied` naming the first episode that did
+not come back.  Either way exactly the contiguous episode-order prefix
+before it remains ingested (no out-of-order partial state, no silent
+loss).
 
 Process safety: the worker entry point :func:`run_collect_episode` is
 module-level and its payload is a plain dict of scalars, strings and
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 import importlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -60,6 +63,7 @@ from repro.rl.noise import (
     OrnsteinUhlenbeckNoise,
     project_to_simplex,
 )
+from repro.utils.pool import ordered_pool_map
 from repro.utils.rng import RngStream, derive_stream_seed
 from repro.utils.validation import check_in_range, check_positive
 
@@ -68,7 +72,6 @@ __all__ = [
     "EnvSpec",
     "EpisodeTask",
     "TransitionBlock",
-    "MergeOnFlushChannel",
     "DistributedCollector",
     "episode_plan",
     "policy_payload",
@@ -342,72 +345,14 @@ class TransitionBlock:
         )
 
 
-class MergeOnFlushChannel:
-    """Reorders worker blocks into episode order and flushes in rounds.
-
-    Workers may hand blocks back in any order; the channel buffers them
-    and calls ``on_flush`` with the maximal contiguous episode-order run
-    once at least ``flush_interval`` episodes are ready (and once more at
-    :meth:`finish` for the remainder).  Because downstream ingestion is
-    batch-equals-sequential (``ReplayBuffer.add_batch``), the flush
-    cadence is a throughput knob, never a semantics knob.
-    """
-
-    def __init__(
-        self,
-        start: int,
-        flush_interval: int,
-        on_flush: Callable[[List[TransitionBlock]], None],
-    ):
-        check_positive("flush_interval", flush_interval)
-        self._next = start
-        self._flush_interval = flush_interval
-        self._on_flush = on_flush
-        self._pending: Dict[int, TransitionBlock] = {}
-        self.flushed = 0
-
-    def push(self, block: TransitionBlock) -> None:
-        if block.episode < self._next or block.episode in self._pending:
-            raise ValueError(
-                f"episode {block.episode} already merged or pending"
-            )
-        self._pending[block.episode] = block
-        ready = 0
-        while self._next + ready in self._pending:
-            ready += 1
-        if ready >= self._flush_interval:
-            self._flush(ready)
-
-    def _flush(self, count: int) -> None:
-        run = [self._pending.pop(self._next + i) for i in range(count)]
-        self._next += count
-        self.flushed += count
-        self._on_flush(run)
-
-    def finish(self) -> None:
-        """Flush the remaining contiguous run; a gap is a hard error."""
-        ready = 0
-        while self._next + ready in self._pending:
-            ready += 1
-        if ready:
-            self._flush(ready)
-        if self._pending:
-            missing = self._next
-            raise RuntimeError(
-                f"merge channel finished with a gap at episode {missing}; "
-                f"pending: {sorted(self._pending)}"
-            )
-
-
 class DistributedCollector:
     """Executes an episode plan over N workers and merges the blocks.
 
     ``mode='logical'`` runs the fixed round-robin interleave in-process;
-    ``mode='physical'`` fans the same plan over a ``ProcessPoolExecutor``
-    (``pool.map`` — input order, so completion order can't leak).  Both
-    modes flush through the same :class:`MergeOnFlushChannel` with a
-    ``workers``-wide round, and both produce byte-identical merged
-    output for any worker count.
+    ``mode='physical'`` fans the same plan over a process pool
+    (:func:`repro.utils.pool.ordered_pool_map`).  Both yield blocks in
+    plan order and both produce byte-identical merged output for any
+    worker count.
     """
 
     def __init__(
@@ -452,45 +397,44 @@ class DistributedCollector:
         payload: Dict,
         plan: Sequence[EpisodeTask],
         random_fraction: float = 0.0,
-        on_flush: Optional[Callable[[List[TransitionBlock]], None]] = None,
+        on_block: Optional[Callable[[TransitionBlock], None]] = None,
     ) -> List[TransitionBlock]:
         """Run every episode of ``plan``; returns blocks in episode order.
 
-        ``on_flush`` receives each merged contiguous run as it becomes
-        available (the actor/learner hand-off point); the full ordered
-        list is also returned for callers that want it whole.
+        ``on_block`` receives each block as the executor yields it (the
+        actor/learner hand-off point), after it was checked to be the
+        next planned episode; the full ordered list is also returned for
+        callers that want it whole.  A plan that does not arrive whole
+        and in order is a hard error, never a silently gapped dataset.
         """
-        if not plan:
-            return []
         merged: List[TransitionBlock] = []
-
-        def _ingest(run: List[TransitionBlock]) -> None:
-            merged.extend(run)
-            if on_flush is not None:
-                on_flush(run)
-
-        channel = MergeOnFlushChannel(
-            start=plan[0].episode,
-            flush_interval=self.workers,
-            on_flush=_ingest,
-        )
         specs = [
             self._episode_spec(task, payload, random_fraction)
             for task in plan
         ]
-        for result in self._run_specs(specs):
-            channel.push(TransitionBlock.from_payload(result))
-        channel.finish()
+        # Results first: zip then runs the executor to its end (and the
+        # pool's shutdown) before it stops.
+        for result, task in zip(self._run_specs(specs), plan):
+            block = TransitionBlock.from_payload(result)
+            if block.episode != task.episode:
+                raise RuntimeError(
+                    f"collection out of order: got episode {block.episode}, "
+                    f"expected {task.episode}"
+                )
+            merged.append(block)
+            if on_block is not None:
+                on_block(block)
+        if len(merged) < len(plan):
+            raise RuntimeError(
+                f"collection ended with a gap at episode "
+                f"{plan[len(merged)].episode}"
+            )
         return merged
 
     def _run_specs(self, specs: List[Dict]) -> Iterable[Dict]:
         if self.mode == "logical" or self.workers == 1 or len(specs) <= 1:
             return map(run_collect_episode, specs)
-        return self._run_pool(specs)
-
-    def _run_pool(self, specs: List[Dict]) -> Iterable[Dict]:
-        # pool.map yields in *input* order no matter which worker finishes
-        # first; an episode failure raises here after the pool winds down
-        # (fail-fast abort — only the already-flushed prefix was ingested).
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            yield from pool.map(run_collect_episode, specs)
+        return ordered_pool_map(
+            run_collect_episode, specs, self.workers,
+            [f"episode {spec['episode']}" for spec in specs],
+        )

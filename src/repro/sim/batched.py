@@ -213,15 +213,13 @@ class BatchedInvoker:
             raise KeyError(f"unknown workflow type {workflow_type!r}") from None
 
     # Submission ------------------------------------------------------------
-    def submit(self, workflow_type: str, arrival_window: int) -> int:
+    def submit(self, workflow_type: str) -> int:
         """Steps 1–2 of Fig. 1; returns the workflow's pool row index."""
         w = self.workflow_index(workflow_type)
         table = self.table
         pool = self.pool
         now = self.loop.now
-        wfi = pool.add_workflow(
-            w, now, table.size[w], arrival_window, table.pred_counts[w]
-        )
+        wfi = pool.add_workflow(w, now, table.size[w], table.pred_counts[w])
         self.submitted_total += 1
         self.tds.account_reads(1)  # entry-tasks query
         for _local, g in table.entries[w]:
@@ -371,11 +369,10 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
 
     def submit(self, workflow_type: str) -> int:
         """Submit one workflow request now; returns its pool row index."""
-        wfi = self.invoker.submit(workflow_type, self.window_index)
+        wfi = self.invoker.submit(workflow_type)
         self._window_arrivals[workflow_type] = (
             self._window_arrivals.get(workflow_type, 0) + 1
         )
-        self.delay_tracker.record_arrival(self.window_index, workflow_type)
         if self.tracer.enabled:
             self._trace_request_ids[wfi] = self._requests_traced
             self.tracer.emit(
@@ -417,8 +414,7 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
                 continue
             now = self.loop.now
             first = pool.add_workflows(
-                remaining, w, now, table.size[w], self.window_index,
-                table.pred_counts[w],
+                remaining, w, now, table.size[w], table.pred_counts[w]
             )
             wfis = np.arange(first, first + remaining, dtype=np.int64)
             self.invoker.submitted_total += remaining
@@ -430,9 +426,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
                 self._services[g].publish_many(tis)
             self._window_arrivals[workflow_type] = (
                 self._window_arrivals.get(workflow_type, 0) + remaining
-            )
-            self.delay_tracker.record_arrivals(
-                remaining, self.window_index, workflow_type
             )
             requests.extend(wfis.tolist())
         return requests
@@ -469,9 +462,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         delay = float(pool.wf_completion[wfi] - pool.wf_arrival[wfi])
         self._window_response_times.append(delay)
         self._window_response_by_type.setdefault(wf_type, []).append(delay)
-        self.delay_tracker.record_completion(
-            int(pool.wf_arrival_window[wfi]), wf_type, delay
-        )
         if self.tracer.enabled:
             self.tracer.emit(
                 "event.workflow_complete",
@@ -720,7 +710,7 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         )[by_stream]
         first = self.pool.add_workflows(
             stamps.size, wtypes, stamps, self._wf_size[wtypes],
-            self.window_index, self._pred_mat[wtypes],
+            self._pred_mat[wtypes],
         )
         return _Arrivals(
             stamps, by_stream, wtypes,
@@ -1114,9 +1104,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
                 name = stream.workflow_type
                 self._window_arrivals[name] = (
                     self._window_arrivals.get(name, 0) + count
-                )
-                self.delay_tracker.record_arrivals(
-                    count, self.window_index, name
                 )
 
     def _commit_routing(self, times, types, wfs, locals_, decrements) -> None:

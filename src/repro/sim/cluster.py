@@ -72,10 +72,6 @@ class Cluster:
     def total_used(self) -> int:
         return sum(node.used for node in self.nodes)
 
-    @property
-    def total_free(self) -> int:
-        return self.total_capacity - self.total_used
-
     def place(self) -> Node:
         """Allocate one slot on the least-loaded node (ties: lowest id)."""
         best = min(self.nodes, key=lambda n: (n.used, n.node_id))
@@ -127,11 +123,6 @@ class Cluster:
     def load_by_node(self) -> Dict[int, int]:
         """Used slots per node (for load-balance assertions)."""
         return {node.node_id: node.used for node in self.nodes}
-
-    def imbalance(self) -> int:
-        """Max minus min used slots across nodes; <= 1 under least-loaded."""
-        used = [node.used for node in self.nodes]
-        return max(used) - min(used)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -16,12 +16,9 @@ import itertools
 import math
 from typing import Optional, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 from repro.sim.events import EventHandle
 from repro.sim.queueing import DeliveryTag
 from repro.sim.requests import TaskRequest
-from repro.utils.batchpairs import batched_pair
 from repro.utils.validation import isclose_zero
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -31,8 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = [
     "Consumer",
     "ConsumerState",
-    "sample_service_time",
-    "sample_service_times",
     "lognormal_params",
     "service_time_params",
 ]
@@ -80,39 +75,6 @@ def service_time_params(
     return None, mu, sigma
 
 
-def sample_service_time(mean: float, cv: float, rng) -> float:
-    """Sample a lognormal service time with the given mean and CV.
-
-    The paper: "the processing time of each microservice is not fixed, due
-    to variant sizes of input data".  A lognormal is the standard heavy-ish
-    tailed model for such task durations.  ``cv=0`` degenerates to the mean.
-    """
-    fixed, mu, sigma = service_time_params(mean, cv)
-    if fixed is not None:
-        return fixed
-    return float(rng.lognormal(mean=mu, sigma=sigma))
-
-
-@batched_pair("sample_service_time")
-def sample_service_times(batch: int, mean: float, cv: float, rng) -> np.ndarray:
-    """``batch`` lognormal service times in one draw; shape ``(batch,)``.
-
-    Draw ``k`` is bit-identical to the ``k``-th serial
-    :func:`sample_service_time` call on the same stream, and the
-    generator state afterwards matches ``batch`` serial draws exactly
-    (numpy's sized draws consume the bit generator identically to the
-    same number of scalar draws) — the property the batched substrate's
-    prefetching relies on.  ``cv=0`` degenerates to the mean and, like
-    the serial path, draws nothing.
-    """
-    if batch < 0:
-        raise ValueError(f"batch must be non-negative, got {batch}")
-    fixed, mu, sigma = service_time_params(mean, cv)
-    if fixed is not None:
-        return np.full(batch, mean, dtype=np.float64)
-    return rng.lognormal(mean=mu, sigma=sigma, size=batch)
-
-
 class Consumer:
     """One container processing task requests for a single microservice."""
 
@@ -137,11 +99,6 @@ class Consumer:
         # Lifetime counters.
         self.tasks_completed = 0
         self.busy_time = 0.0
-
-    @property
-    def is_active(self) -> bool:
-        """True while the consumer occupies a cluster slot."""
-        return self.state is not ConsumerState.STOPPED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

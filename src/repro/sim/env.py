@@ -177,12 +177,6 @@ class MicroserviceEnv:
         self.steps_taken += 1
         return observation.wip.copy(), observation.reward, observation
 
-    def step_simplex(
-        self, simplex: np.ndarray
-    ) -> Tuple[np.ndarray, float, WindowObservation]:
-        """Step with a softmax-actor output instead of integer counts."""
-        return self.step(self.allocation_from_simplex(simplex))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MicroserviceEnv({self.system.ensemble.name!r}, "

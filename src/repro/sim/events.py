@@ -113,12 +113,10 @@ class EventLoop:
         heapq.heappush(self._heap, (when, seq, handle, callback, args))
         return handle
 
-    def run_until(self, when: float, max_events: Optional[int] = None) -> int:
+    def run_until(self, when: float) -> int:
         """Execute all events with timestamp <= ``when``; advance the clock.
 
-        Returns the number of events executed.  ``max_events`` is a safety
-        valve for tests; exceeding it raises ``RuntimeError`` (it would mean
-        a runaway self-scheduling loop).
+        Returns the number of events executed.
         """
         if when < self._now:
             raise ValueError(
@@ -136,10 +134,6 @@ class EventLoop:
             callback(*args)
             executed += 1
             self._processed += 1
-            if max_events is not None and executed > max_events:
-                raise RuntimeError(
-                    f"exceeded max_events={max_events} before reaching t={when}"
-                )
         self._now = when
         return executed
 
@@ -304,12 +298,12 @@ class TypedEventLoop:
         self._cancelled.add(token)
 
     # Execution ---------------------------------------------------------
-    def run_until(self, when: float, max_events: Optional[int] = None) -> int:
+    def run_until(self, when: float) -> int:
         """Execute all events with timestamp <= ``when``; advance the clock.
 
         Semantics match :meth:`EventLoop.run_until`: events fire in
-        ``(time, seq)`` order, cancelled rows are dropped without
-        counting, and ``max_events`` guards against runaway loops.
+        ``(time, seq)`` order and cancelled rows are dropped without
+        counting.
         """
         if when < self._now:
             raise ValueError(
@@ -337,10 +331,6 @@ class TypedEventLoop:
                 a(*b)
             executed += 1
             self._processed += 1
-            if max_events is not None and executed > max_events:
-                raise RuntimeError(
-                    f"exceeded max_events={max_events} before reaching t={when}"
-                )
         self._now = when
         return executed
 

@@ -129,7 +129,6 @@ class RequestPool:
         self.wf_completion = np.full(capacity, np.nan, dtype=np.float64)
         self.wf_total_tasks = np.empty(capacity, dtype=np.int32)
         self.wf_done_count = np.empty(capacity, dtype=np.int32)
-        self.wf_arrival_window = np.empty(capacity, dtype=np.int32)
         self.wf_pred_remaining = np.empty(
             (capacity, max_tasks_per_workflow), dtype=np.int16
         )
@@ -153,7 +152,7 @@ class RequestPool:
         new_cap = max(needed, 2 * capacity)
         for name in (
             "wf_type", "wf_arrival", "wf_completion", "wf_total_tasks",
-            "wf_done_count", "wf_arrival_window",
+            "wf_done_count",
         ):
             old = getattr(self, name)
             new = np.empty(new_cap, dtype=old.dtype)
@@ -186,7 +185,6 @@ class RequestPool:
         workflow_type: int,
         arrival_time: float,
         total_tasks: int,
-        arrival_window: int,
         pred_counts: np.ndarray,
     ) -> int:
         """Append one workflow row; returns its index (run-local ordinal)."""
@@ -197,7 +195,6 @@ class RequestPool:
         self.wf_completion[i] = np.nan
         self.wf_total_tasks[i] = total_tasks
         self.wf_done_count[i] = 0
-        self.wf_arrival_window[i] = arrival_window
         self.wf_pred_remaining[i, :pred_counts.size] = pred_counts
         self.wf_task_done[i, :] = 0
         self.num_workflows = i + 1
@@ -210,14 +207,13 @@ class RequestPool:
         workflow_type: int,
         arrival_time: float,
         total_tasks: int,
-        arrival_window: int,
         pred_counts: np.ndarray,
     ) -> int:
         """Append ``count`` workflow rows; returns the first index.
 
         Row ``k`` matches what the ``k``-th serial :meth:`add_workflow`
-        call would have written.  Burst submissions share their type,
-        arrival time and window (scalars, one ``pred_counts`` row); a
+        call would have written.  Burst submissions share their type and
+        arrival time (scalars, one ``pred_counts`` row); a
         replayed slice's arrivals pass per-row arrays and a
         ``(count, max_tasks)`` ``pred_counts`` matrix.
         """
@@ -229,7 +225,6 @@ class RequestPool:
         self.wf_completion[first:end] = np.nan
         self.wf_total_tasks[first:end] = total_tasks
         self.wf_done_count[first:end] = 0
-        self.wf_arrival_window[first:end] = arrival_window
         self.wf_pred_remaining[first:end, :pred_counts.shape[-1]] = pred_counts
         self.wf_task_done[first:end, :] = 0
         self.num_workflows = end

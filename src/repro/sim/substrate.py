@@ -397,20 +397,6 @@ def substrate_snapshot(system) -> Dict[str, Any]:
             },
             "healthy": system.tds.healthy_count,
         },
-        "delay_tracker": {
-            "arrived": {
-                f"{w}:{t}": count
-                for (w, t), count in sorted(
-                    system.delay_tracker._arrived.items()
-                )
-            },
-            "delays": {
-                f"{w}:{t}": list(delays)
-                for (w, t), delays in sorted(
-                    system.delay_tracker._delays.items()
-                )
-            },
-        },
         "history": [_observation_dict(o) for o in system.history],
         "rngs": {
             name: _rng_state(stream)

@@ -18,7 +18,6 @@ from repro.sim.cluster import Cluster
 from repro.sim.events import EventLoop
 from repro.sim.invoker import WorkflowInvoker
 from repro.sim.metrics import (
-    DelayByArrivalWindow,
     WindowObservation,
     reward_from_wip,
 )
@@ -155,14 +154,12 @@ class MicroserviceWorkflowSystem:
         self.tracer.bind_clock(lambda: loop.now)
 
         self.window_index = 0
-        self.delay_tracker = DelayByArrivalWindow()
         self.history: List[WindowObservation] = []
         self._window_arrivals: Dict[str, int] = {}
         self._window_completions: Dict[str, int] = {}
         self._window_response_times: List[float] = []
         self._window_response_by_type: Dict[str, List[float]] = {}
         self._window_task_completions: Dict[str, int] = {}
-        self._arrival_window_of: Dict[int, int] = {}
         self._arrival_callbacks: List[Callable[[WorkflowRequest], None]] = []
         #: Streams registered through :meth:`add_arrival_stream`, in order.
         self._arrival_rngs: List[RngStream] = []
@@ -240,8 +237,6 @@ class MicroserviceWorkflowSystem:
         self._window_arrivals[workflow_type] = (
             self._window_arrivals.get(workflow_type, 0) + 1
         )
-        self._arrival_window_of[request.request_id] = self.window_index
-        self.delay_tracker.record_arrival(self.window_index, workflow_type)
         if self.tracer.enabled:
             self._trace_request_ids[request.request_id] = self._requests_traced
             self.tracer.emit(
@@ -295,9 +290,6 @@ class MicroserviceWorkflowSystem:
         delay = request.response_time()
         self._window_response_times.append(delay)
         self._window_response_by_type.setdefault(wf_type, []).append(delay)
-        arrival_window = self._arrival_window_of.pop(request.request_id, None)
-        if arrival_window is not None:
-            self.delay_tracker.record_completion(arrival_window, wf_type, delay)
         if self.tracer.enabled:
             self.tracer.emit(
                 "event.workflow_complete",

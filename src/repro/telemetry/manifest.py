@@ -76,16 +76,6 @@ class RunManifest:
         """Plain-dict form (what gets serialised)."""
         return dataclasses.asdict(self)
 
-    def deterministic_dict(self) -> Dict:
-        """Manifest dict with the nondeterministic fields removed.
-
-        This is the object two same-seed runs must agree on exactly.
-        """
-        data = self.to_dict()
-        for key in NONDETERMINISTIC_FIELDS:
-            data.pop(key, None)
-        return data
-
     @classmethod
     def from_dict(cls, data: Dict) -> "RunManifest":
         """Rebuild a manifest from its serialised form."""

@@ -616,10 +616,6 @@ class MetricsAggregator:
             fold(self, record)
         return kind
 
-    def observe_many(self, records: Iterable[Mapping]) -> None:
-        for record in records:
-            self.observe(record)
-
     def _on_arrival(self, record: Mapping) -> None:
         self._arrivals[record["workflow"]].inc()
 

@@ -277,9 +277,6 @@ class PhaseProfiler:
                 return None
         return node
 
-    def total_wall(self) -> float:
-        return sum(c.wall for c in self.root.children.values())
-
     def to_dict(self) -> Dict:
         """The profile.json document."""
         return {

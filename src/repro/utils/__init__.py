@@ -1,24 +1,22 @@
-"""Shared utilities: seeded RNG streams, validation, running statistics,
-and the serial/batch pair registry."""
+"""Shared utilities: seeded RNG streams, validation and the serial/batch
+pair registry."""
 
 from repro.utils.batchpairs import (
     BatchPair,
     batched_pair,
     registered_pairs,
 )
+from repro.utils.pool import WorkerDied, ordered_pool_map
 from repro.utils.rng import (
     ReproducibilityWarning,
     RngStream,
     fallback_stream,
     spawn_rngs,
 )
-from repro.utils.summary import RunningStats, ewma
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
-    check_probability,
-    check_type,
     isclose_zero,
     require,
 )
@@ -27,17 +25,15 @@ __all__ = [
     "BatchPair",
     "batched_pair",
     "registered_pairs",
+    "WorkerDied",
+    "ordered_pool_map",
     "RngStream",
     "ReproducibilityWarning",
     "spawn_rngs",
     "fallback_stream",
-    "RunningStats",
-    "ewma",
     "check_in_range",
     "check_non_negative",
     "check_positive",
-    "check_probability",
-    "check_type",
     "isclose_zero",
     "require",
 ]

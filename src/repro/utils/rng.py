@@ -86,17 +86,11 @@ class RngStream:
     def lognormal(self, mean: float = 0.0, sigma: float = 1.0, size=None):
         return self.generator.lognormal(mean, sigma, size)
 
-    def poisson(self, lam: float = 1.0, size=None):
-        return self.generator.poisson(lam, size)
-
     def integers(self, low: int, high: int, size=None):
         return self.generator.integers(low, high, size)
 
     def choice(self, a, size=None, replace: bool = True, p=None):
         return self.generator.choice(a, size=size, replace=replace, p=p)
-
-    def shuffle(self, x) -> None:
-        self.generator.shuffle(x)
 
     def permutation(self, x):
         return self.generator.permutation(x)

@@ -6,14 +6,12 @@ configuration propagate into the simulator or the learning code.
 
 from __future__ import annotations
 
-from typing import Any, Tuple, Type, Union
+from typing import Tuple
 
 __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_probability",
-    "check_type",
     "isclose_zero",
     "require",
 ]
@@ -57,11 +55,6 @@ def check_in_range(
     return value
 
 
-def check_probability(name: str, value: float) -> float:
-    """Require ``value`` in [0, 1]."""
-    return check_in_range(name, value, 0.0, 1.0)
-
-
 def isclose_zero(value: float, eps: float = ZERO_EPS) -> bool:
     """True when ``abs(value) <= eps``.
 
@@ -81,17 +74,3 @@ def require(condition: bool, message: str) -> None:
     """
     if not condition:
         raise RuntimeError(f"internal invariant violated: {message}")
-
-
-def check_type(
-    name: str, value: Any, expected: Union[Type, Tuple[Type, ...]]
-) -> Any:
-    """Require ``isinstance(value, expected)``; return value for chaining."""
-    if not isinstance(value, expected):
-        exp = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " | ".join(t.__name__ for t in expected)
-        )
-        raise TypeError(f"{name} must be {exp}, got {type(value).__name__}")
-    return value

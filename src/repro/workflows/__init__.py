@@ -14,11 +14,6 @@ from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
 from repro.workflows.generator import random_ensemble
 from repro.workflows.ligo import build_ligo_ensemble
 from repro.workflows.msd import build_msd_ensemble
-from repro.workflows.render import (
-    render_dependency_table,
-    render_ensemble,
-    render_workflow,
-)
 
 __all__ = [
     "TaskType",
@@ -27,7 +22,4 @@ __all__ = [
     "build_msd_ensemble",
     "build_ligo_ensemble",
     "random_ensemble",
-    "render_workflow",
-    "render_dependency_table",
-    "render_ensemble",
 ]

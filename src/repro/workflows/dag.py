@@ -11,7 +11,7 @@ signal").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -130,20 +130,6 @@ class WorkflowType:
         """Tasks in a deterministic topological order."""
         return tuple(self._order)
 
-    def critical_path_length(self, service_times: Mapping[str, float]) -> float:
-        """Length of the longest path weighted by mean service times.
-
-        Used by the HEFT baseline (upward ranks) and by capacity planning in
-        the examples.
-        """
-        longest: Dict[str, float] = {}
-        for task in reversed(self._order):
-            succ_best = max(
-                (longest[s] for s in self._successors[task]), default=0.0
-            )
-            longest[task] = service_times[task] + succ_best
-        return max(longest[t] for t in self.entry_tasks)
-
     def _check_task(self, task: str) -> None:
         if task not in self.tasks:
             raise KeyError(f"task {task!r} not in workflow {self.name!r}")
@@ -230,22 +216,6 @@ class WorkflowEnsemble:
 
     def mean_service_times(self) -> Dict[str, float]:
         return {t.name: t.mean_service_time for t in self.task_types}
-
-    def service_demand(self, arrival_rates: Mapping[str, float]) -> Dict[str, float]:
-        """Expected consumer-seconds per second demanded of each task type.
-
-        ``arrival_rates`` maps workflow-type name to its request rate; each
-        task in a workflow is visited exactly once per request (AND-join DAG),
-        so demand is ``sum_i rate_i * mean_service_time_j`` over workflows
-        containing task ``j``.  The baselines use this for capacity planning.
-        """
-        demand = {t.name: 0.0 for t in self.task_types}
-        for wf in self.workflow_types:
-            rate = arrival_rates.get(wf.name, 0.0)
-            check_non_negative(f"arrival rate for {wf.name!r}", rate)
-            for task in wf.tasks:
-                demand[task] += rate * self.task(task).mean_service_time
-        return demand
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -48,11 +48,6 @@ class BurstScenario:
                     f"rate for {workflow_type!r} must be >= 0, got {rate!r}"
                 )
 
-    @property
-    def total_burst_requests(self) -> int:
-        return sum(self.burst.values())
-
-
 #: Background Poisson rates (requests/second per workflow type), calibrated
 #: so steady-state demand occupies a meaningful fraction of the consumer
 #: budget (C=14 for MSD, C=30 for LIGO) without the bursts.

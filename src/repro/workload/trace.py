@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Mapping, Tuple, Union
 
-from repro.utils.rng import RngStream
-
 __all__ = ["ArrivalTrace"]
 
 
@@ -28,37 +26,6 @@ class ArrivalTrace:
             if not workflow_type:
                 raise ValueError("workflow type must be non-empty")
             last = time
-
-    @classmethod
-    def poisson(
-        cls,
-        rates: Mapping[str, float],
-        horizon: float,
-        rng: RngStream,
-    ) -> "ArrivalTrace":
-        """Pre-sample a Poisson trace over ``[0, horizon)``.
-
-        Unlike the live :class:`PoissonArrivalProcess`, the trace is fixed
-        up-front, so competing allocators can be evaluated on identical
-        arrivals.
-        """
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon!r}")
-        events: List[Tuple[float, str]] = []
-        for workflow_type, rate in rates.items():
-            if rate < 0:
-                raise ValueError(f"rate for {workflow_type!r} must be >= 0")
-            if rate == 0:
-                continue
-            t = 0.0
-            stream = rng.fork(f"trace/{workflow_type}")
-            while True:
-                t += float(stream.exponential(1.0 / rate))
-                if t >= horizon:
-                    break
-                events.append((t, workflow_type))
-        events.sort(key=lambda e: e[0])
-        return cls(events)
 
     def counts(self) -> Mapping[str, int]:
         """Total arrivals per workflow type."""

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.base import (
     Allocator,
     TaskArrivalRateEstimator,
-    TaskInflowEstimator,
     largest_remainder_allocation,
 )
 from repro.sim.metrics import WindowObservation
@@ -99,25 +98,6 @@ class TestTaskArrivalRateEstimator:
             TaskArrivalRateEstimator(1, 0.0)
         with pytest.raises(ValueError):
             TaskArrivalRateEstimator(1, 30.0, alpha=0.0)
-
-
-class TestTaskInflowEstimator:
-    def test_uses_completions_plus_wip_delta(self):
-        estimator = TaskInflowEstimator(1, window_length=30.0, alpha=1.0)
-        estimator.update(
-            np.array([10.0]), make_observation(completions={"A": 5}), ("A",)
-        )
-        rates = estimator.update(
-            np.array([16.0]), make_observation(completions={"A": 6}), ("A",)
-        )
-        # inflow = 6 completed + (16 - 10) queued growth = 12 over 30 s.
-        assert rates[0] == pytest.approx(12 / 30)
-
-    def test_negative_inflow_clamped(self):
-        estimator = TaskInflowEstimator(1, window_length=30.0, alpha=1.0)
-        estimator.update(np.array([10.0]), make_observation(), ("A",))
-        rates = estimator.update(np.array([0.0]), make_observation(), ("A",))
-        assert rates[0] == 0.0
 
 
 class TestAllocatorBudgetGuard:

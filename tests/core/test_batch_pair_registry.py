@@ -64,12 +64,6 @@ EXPECTED_PAIRS = {
     "repro.sim.microservice.BatchedMicroservice.publish": (
         "publish_many",
         f"{_SIM}:TestPublishMany.test_matches_serial_publishes"),
-    "repro.sim.metrics.DelayByArrivalWindow.record_arrival": (
-        "record_arrivals",
-        f"{_SIM}:TestRecordArrivals.test_matches_serial_calls"),
-    "repro.sim.consumer.sample_service_time": (
-        "sample_service_times",
-        f"{_SIM}:TestServiceTimeSampling.test_batch_matches_serial_draws"),
     "repro.sim.queueing.IndexFifo.push": (
         "push_many",
         f"{_SIM}:TestIndexFifo.test_push_many_matches_serial_pushes"),

@@ -48,27 +48,12 @@ class TestViews:
         assert actions.shape == (10, 2)
         assert next_states.shape == (10, 3)
 
-    def test_inputs_targets_concatenation(self):
-        dataset = filled(5)
-        x, y = dataset.inputs_targets()
-        states, actions, next_states = dataset.arrays()
-        assert np.array_equal(x, np.concatenate([states, actions], axis=1))
-        assert np.array_equal(y, next_states)
-
     def test_empty_raises(self):
         with pytest.raises(RuntimeError, match="empty"):
             TransitionDataset(3, 2).arrays()
 
 
 class TestStatistics:
-    def test_normalization_keys_and_floor(self):
-        dataset = TransitionDataset(2, 1)
-        for _ in range(5):
-            dataset.add(np.array([1.0, 2.0]), np.array([3.0]), np.array([1.0, 2.0]))
-        norm = dataset.normalization()
-        assert np.all(norm["x_std"] >= 1e-6)  # constant columns floored
-        assert norm["x_mean"].shape == (3,)
-
     def test_wip_percentiles_ordered(self):
         dataset = filled(100)
         tau, omega = dataset.wip_percentiles(20.0)
@@ -93,11 +78,6 @@ class TestSplitAndBatches:
     def test_split_too_small(self, rng):
         with pytest.raises(RuntimeError):
             filled(1).split(0.5, rng)
-
-    def test_minibatches_cover_epoch(self, rng):
-        dataset = filled(10)
-        total = sum(x.shape[0] for x, _ in dataset.minibatches(3, rng))
-        assert total == 10
 
     def test_sample_states(self, rng):
         states = filled(10).sample_states(5, rng)

@@ -92,7 +92,7 @@ class TestDeltaParameterisation:
         beyond the training range — the property bursts rely on."""
         dataset = linear_dynamics_dataset()
         delta_model = EnvironmentModel(
-            2, 2, hidden_sizes=(32, 32), rng=rng.fork("d"), predict_delta=True
+            2, 2, hidden_sizes=(32, 32), rng=rng.fork("d")
         )
         delta_model.fit(dataset, epochs=60)
         w = np.array([500.0, 500.0])  # 5x the training range

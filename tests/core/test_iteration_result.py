@@ -63,11 +63,6 @@ class TestTrainingBookkeeping:
             assert result.eval_mean_wip >= 0
             assert result.eval_mean_response_time >= 0
 
-    def test_training_trace_matches_results(self, agent):
-        assert agent.training_trace() == [
-            r.eval_reward for r in agent.results
-        ]
-
     def test_iterate_extends_rather_than_resets(self, agent):
         before = len(agent.results)
         agent.iterate(iterations=1)

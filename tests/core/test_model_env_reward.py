@@ -6,7 +6,7 @@ import pytest
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
 from repro.core.model_env import BatchedModelEnv
-from repro.core.reward import cumulative_discounted_reward, reward_eq1
+from repro.core.reward import reward_eq1
 from repro.utils.rng import RngStream
 
 
@@ -35,18 +35,6 @@ class TestRewardFunctions:
     def test_eq1_rejects_negative_wip(self):
         with pytest.raises(ValueError):
             reward_eq1(np.array([-1.0]))
-
-    def test_cumulative_discounted(self):
-        assert cumulative_discounted_reward([1.0, 1.0, 1.0], 0.5) == pytest.approx(
-            1.75
-        )
-
-    def test_cumulative_gamma_zero_is_first_reward(self):
-        assert cumulative_discounted_reward([3.0, 99.0], 0.0) == 3.0
-
-    def test_cumulative_invalid_gamma(self):
-        with pytest.raises(ValueError):
-            cumulative_discounted_reward([1.0], 1.5)
 
 
 class TestModelEnv:

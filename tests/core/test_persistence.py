@@ -165,8 +165,9 @@ class TestAgentRoundtrip:
         model_x = data.normal(size=(8, agent.model.network.in_dim))
         model_y = data.normal(size=(8, agent.model.network.out_dim))
         for twin in (agent, loaded):
-            twin.ddpg.critic.train_batch(states, actions, targets)
-            twin.ddpg.actor.apply_policy_gradient(states, dq_da)
+            critic, actor = twin.ddpg.critic, twin.ddpg.actor
+            critic.train_features(critic.normalize_states(states), actions, targets)
+            actor.policy_gradient_step(actor.normalize(states), lambda _: dq_da)
             twin.model.network.train_batch(
                 model_x, model_y, optimizer=twin.model.optimizer
             )
@@ -189,3 +190,44 @@ class TestAgentRoundtrip:
         assert loaded.ddpg.actor.network.get_flat().tobytes() == (
             agent.ddpg.actor.network.get_flat().tobytes()
         )
+
+    def test_interrupted_save_leaves_the_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """A save that dies at ``replay.npz`` — after the networks were
+        written — must not leave new weights beside the old replay buffer
+        and optimiser state."""
+        agent = trained_agent()
+        target = save_agent(tmp_path / "agent", agent)
+        before = {path.name: path.read_bytes() for path in target.iterdir()}
+        reference = load_agent(target, make_msd_env(seed=99))
+
+        agent.ddpg.update()  # new weights, new optimiser moments
+        real_savez = np.savez
+
+        def savez(path, **arrays):
+            if str(path).endswith("replay.npz"):
+                raise OSError("disk full")
+            real_savez(path, **arrays)
+
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_agent(target, agent)
+        monkeypatch.undo()
+
+        assert [path.name for path in tmp_path.iterdir()] == ["agent"]
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+        loaded = load_agent(target, make_msd_env(seed=99))
+        assert loaded.ddpg.actor.network.get_flat().tobytes() == (
+            reference.ddpg.actor.network.get_flat().tobytes()
+        )
+        for pick in (
+            lambda a: a.ddpg.replay.state_dict(),
+            lambda a: a.ddpg.actor.optimizer.state_dict(),
+            lambda a: a.ddpg.critic.optimizer.state_dict(),
+            lambda a: a.model.optimizer.state_dict(),
+        ):
+            for key, value in pick(reference).items():
+                assert np.asarray(pick(loaded)[key]).tobytes() == (
+                    np.asarray(value).tobytes()
+                ), key

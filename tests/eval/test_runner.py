@@ -68,11 +68,6 @@ class TestEvaluateAllocator:
             sum(result.reward_series())
         )
 
-    def test_drain_step(self):
-        result = self._run(steps=12)
-        drain = result.drain_step(threshold=5.0)
-        assert drain is None or 0 <= drain < 12
-
     def test_mean_response_time_weighted(self):
         result = EvalResult("x", "y")
         result.records = [
@@ -87,20 +82,6 @@ class TestEvaluateAllocator:
 
     def test_mean_response_time_empty(self):
         assert EvalResult("x", "y").mean_response_time() == 0.0
-
-    def test_final_response_time_uses_tail_with_completions(self):
-        result = EvalResult("x", "y")
-        result.records = [
-            StepRecord(i, 0, 0, mean_response_time=float(10 * i),
-                       completions=1 if i != 4 else 0,
-                       allocation=np.zeros(1))
-            for i in range(5)
-        ]
-        # Tail of 3 -> steps 2,3,4; step 4 had no completions -> mean(20,30).
-        assert result.final_response_time(tail=3) == pytest.approx(25.0)
-
-    def test_final_response_time_empty_tail(self):
-        assert EvalResult("x", "y").final_response_time() == 0.0
 
     def test_per_type_series_present(self):
         result = self._run(steps=10)

@@ -38,8 +38,6 @@ class TestResultContainer:
         assert result.interactions("a") == [10, 20]
         assert result.real_windows("a") == [11, 24]
         assert result.rewards("a") == [-5.0, -3.0]
-        assert result.final_reward("a") == -3.0
-        assert result.auc("a") == pytest.approx(-4.0)
 
 
 class TestCurves:

@@ -55,7 +55,7 @@ class TestMirasOnMsd:
 
     def test_quickstart_helper(self):
         agent, env = quickstart_msd_agent(seed=33)
-        assert agent.training_trace()
+        assert agent.results
         assert env.system.conservation_ok()
 
 

@@ -6,13 +6,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.nn import MLP, SGD, Adam, load_mlp, save_mlp, soft_update
+from repro.nn import MLP, Adam, load_mlp, save_mlp, soft_update
 from repro.utils.rng import spawn_rngs
 
 from tests.rl.reference_ddpg import (
     RefAdam,
     RefMLP,
-    RefSGD,
     full_backward_input_gradient,
     ref_soft_update,
 )
@@ -143,14 +142,11 @@ class TestOptimizerSteps:
         ("adam", dict(learning_rate=3e-3), 0.0),
         ("adam", dict(learning_rate=3e-3), 1.0),
         ("adam", dict(learning_rate=3e-3, weight_decay=1e-2), 0.05),
-        ("sgd", dict(learning_rate=1e-2), 0.0),
-        ("sgd", dict(learning_rate=1e-2), 0.05),
-        ("sgd", dict(learning_rate=1e-2, momentum=0.9), 1.0),
     ]
 
     @pytest.mark.parametrize("kind,kwargs,clip", CASES)
     def test_bitwise_agreement(self, kind, kwargs, clip):
-        production, reference = {"adam": (Adam, RefAdam), "sgd": (SGD, RefSGD)}[kind]
+        production, reference = {"adam": (Adam, RefAdam)}[kind]
         net = make_net()
         listed = RefMLP(net)  # same weights as separate arrays
         historical = RefMLP(net)

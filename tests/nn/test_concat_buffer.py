@@ -18,7 +18,7 @@ def layer_rng():
 
 class TestConcatBuffer:
     def test_forward_bitwise_equals_concatenate(self, layer_rng):
-        layer = Dense(3, 4, aux_dim=2, activation="tanh", rng=layer_rng)
+        layer = Dense(3, 4, aux_dim=2, activation="relu", rng=layer_rng)
         x = layer_rng.normal(size=(5, 3))
         aux = layer_rng.normal(size=(5, 2))
         out = layer.forward(x, aux)
@@ -48,7 +48,7 @@ class TestConcatBuffer:
         assert out.tobytes() == expected.tobytes()
 
     def test_gradients_bitwise_equal_concatenate_path(self, layer_rng):
-        layer = Dense(3, 2, aux_dim=2, activation="tanh", rng=layer_rng)
+        layer = Dense(3, 2, aux_dim=2, activation="relu", rng=layer_rng)
         x = layer_rng.normal(size=(4, 3))
         aux = layer_rng.normal(size=(4, 2))
         grad_y = layer_rng.normal(size=(4, 2))

@@ -162,30 +162,6 @@ class RefAdam:
                 param -= self.learning_rate * self.weight_decay * param
 
 
-class RefSGD:
-    """Allocating SGD (optional momentum), same clipping as RefAdam."""
-
-    _clip = RefAdam._clip
-
-    def __init__(self, learning_rate, momentum=0.0, grad_clip=0.0):
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.grad_clip = grad_clip
-        self._velocity = {}
-
-    def step(self, params_and_grads):
-        if self.grad_clip:
-            params_and_grads = self._clip(params_and_grads)
-        for index, (param, grad) in enumerate(params_and_grads):
-            if self.momentum:
-                velocity = self._velocity.setdefault(index, np.zeros_like(param))
-                velocity *= self.momentum
-                velocity -= self.learning_rate * grad
-                param += velocity
-            else:
-                param -= self.learning_rate * grad
-
-
 class ReferenceDDPGAgent(DDPGAgent):
     """Production agent around the historical update arithmetic."""
 

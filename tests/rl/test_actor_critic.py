@@ -44,7 +44,8 @@ class TestActor:
 
     def test_target_network_starts_identical(self, actor, rng):
         states = rng.uniform(0, 100, size=(3, 4))
-        assert np.allclose(actor.act_batch(states), actor.act_target(states))
+        target = actor.actions(actor.normalize(states), actor.target_network)
+        assert np.allclose(actor.act_batch(states), target)
 
     def test_policy_gradient_moves_toward_higher_q(self, actor, rng):
         """Ascending a fixed dQ/da direction should raise that action dim."""
@@ -53,13 +54,13 @@ class TestActor:
         direction[:, 2] = 1.0  # pretend Q increases with a[2]
         before = actor.act_batch(states)[:, 2].mean()
         for _ in range(100):
-            actor.apply_policy_gradient(states, direction)
+            actor.policy_gradient_step(actor.normalize(states), lambda _: direction)
         after = actor.act_batch(states)[:, 2].mean()
         assert after > before
 
     def test_policy_gradient_shape_check(self, actor):
         with pytest.raises(ValueError):
-            actor.apply_policy_gradient(np.zeros((2, 4)), np.zeros((3, 4)))
+            actor.policy_gradient_step(np.zeros((2, 4)), lambda _: np.zeros((3, 4)))
 
     def test_invalid_mixing(self, rng):
         with pytest.raises(ValueError):
@@ -68,30 +69,29 @@ class TestActor:
 
 class TestCritic:
     def test_q_value_shape(self, critic, rng):
-        q = critic.q_values(
-            rng.uniform(0, 100, size=(5, 4)), np.full((5, 4), 0.25)
-        )
+        features = critic.normalize_states(rng.uniform(0, 100, size=(5, 4)))
+        q = critic.q_features(features, np.full((5, 4), 0.25))
         assert q.shape == (5, 1)
 
     def test_train_batch_reduces_loss(self, critic, rng):
         states = rng.uniform(0, 100, size=(64, 4))
+        features = critic.normalize_states(states)
         actions = rng.generator.dirichlet(np.ones(4), size=64)
         targets = -states.sum(axis=1, keepdims=True) / 10.0
-        first = critic.train_batch(states, actions, targets)
+        first = critic.train_features(features, actions, targets)
         for _ in range(300):
-            last = critic.train_batch(states, actions, targets)
+            last = critic.train_features(features, actions, targets)
         assert last < first
 
     def test_action_gradient_shape(self, critic, rng):
-        grad = critic.action_gradient(
-            rng.uniform(0, 100, size=(5, 4)), np.full((5, 4), 0.25)
-        )
+        features = critic.normalize_states(rng.uniform(0, 100, size=(5, 4)))
+        _, grad = critic.q_and_action_gradient(features, np.full((5, 4), 0.25))
         assert grad.shape == (5, 4)
 
     def test_action_gradient_matches_numeric(self, critic, rng):
-        states = rng.uniform(0, 100, size=(2, 4))
+        features = critic.normalize_states(rng.uniform(0, 100, size=(2, 4)))
         actions = np.full((2, 4), 0.25)
-        analytic = critic.action_gradient(states, actions)
+        _, analytic = critic.q_and_action_gradient(features, actions)
         eps = 1e-6
         for i in range(2):
             for j in range(4):
@@ -100,19 +100,19 @@ class TestCritic:
                 down = actions.copy()
                 down[i, j] -= eps
                 numeric = (
-                    critic.q_values(states, up).sum()
-                    - critic.q_values(states, down).sum()
+                    critic.q_features(features, up).sum()
+                    - critic.q_features(features, down).sum()
                 ) / (2 * eps) / critic.reward_scale
                 assert analytic[i, j] == pytest.approx(numeric, abs=1e-5)
 
     def test_target_network_lags_training(self, critic, rng):
-        states = rng.uniform(0, 100, size=(32, 4))
+        features = critic.normalize_states(rng.uniform(0, 100, size=(32, 4)))
         actions = np.full((32, 4), 0.25)
-        before = critic.q_values(states, actions, target=True)
+        before = critic.q_features(features, actions, target=True)
         for _ in range(50):
-            critic.train_batch(states, actions, np.full((32, 1), -5.0))
-        after_target = critic.q_values(states, actions, target=True)
-        after_online = critic.q_values(states, actions)
+            critic.train_features(features, actions, np.full((32, 1), -5.0))
+        after_target = critic.q_features(features, actions, target=True)
+        after_online = critic.q_features(features, actions)
         assert np.allclose(before, after_target)  # target never updated here
         assert not np.allclose(after_online, after_target)
 

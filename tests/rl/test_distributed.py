@@ -9,7 +9,6 @@ from repro.rl.distributed import (
     COLLECT_MODES,
     DistributedCollector,
     EnvSpec,
-    MergeOnFlushChannel,
     TransitionBlock,
     episode_plan,
     policy_payload,
@@ -145,55 +144,6 @@ def block(episode, steps=1):
     )
 
 
-class TestMergeOnFlushChannel:
-    def test_flushes_contiguous_runs_in_episode_order(self):
-        flushed = []
-        channel = MergeOnFlushChannel(
-            start=0, flush_interval=2,
-            on_flush=lambda run: flushed.extend(b.episode for b in run),
-        )
-        channel.push(block(1))
-        assert flushed == []  # episode 0 still missing
-        channel.push(block(2))
-        assert flushed == []
-        channel.push(block(0))
-        assert flushed == [0, 1, 2]
-        channel.finish()
-        assert channel.flushed == 3
-
-    def test_finish_flushes_short_remainder(self):
-        flushed = []
-        channel = MergeOnFlushChannel(
-            start=4, flush_interval=8,
-            on_flush=lambda run: flushed.extend(b.episode for b in run),
-        )
-        channel.push(block(4))
-        channel.push(block(5))
-        assert flushed == []
-        channel.finish()
-        assert flushed == [4, 5]
-
-    def test_finish_with_gap_is_a_hard_error(self):
-        channel = MergeOnFlushChannel(
-            start=0, flush_interval=4, on_flush=lambda run: None
-        )
-        channel.push(block(0))
-        channel.push(block(2))  # episode 1 lost
-        with pytest.raises(RuntimeError, match="gap at episode 1"):
-            channel.finish()
-
-    def test_duplicate_and_stale_episodes_rejected(self):
-        channel = MergeOnFlushChannel(
-            start=0, flush_interval=1, on_flush=lambda run: None
-        )
-        channel.push(block(0))  # flushes immediately
-        with pytest.raises(ValueError, match="already merged"):
-            channel.push(block(0))
-        channel.push(block(2))
-        with pytest.raises(ValueError, match="already merged"):
-            channel.push(block(2))
-
-
 class TestRunCollectEpisode:
     def test_same_spec_reproduces_the_block_bitwise(self):
         a = run_collect_episode(make_episode_spec())
@@ -238,17 +188,17 @@ class TestDistributedCollector:
             burst_probability=0.3, burst_scale=5.0,
         )
         plan = episode_plan(steps, 10, lanes=4, root_seed=21)
-        flushed = []
+        handed_over = []
         merged = collector.collect(
             policy_payload(ddpg), plan, random_fraction=0.5,
-            on_flush=flushed.extend,
+            on_block=handed_over.append,
         )
-        return merged, flushed
+        return merged, handed_over
 
     def test_blocks_arrive_in_episode_order(self):
-        merged, flushed = self.collect(workers=3)
+        merged, handed_over = self.collect(workers=3)
         assert [b.episode for b in merged] == [0, 1, 2, 3]
-        assert [b.episode for b in flushed] == [0, 1, 2, 3]
+        assert [b.episode for b in handed_over] == [0, 1, 2, 3]
 
     def test_worker_count_never_changes_the_merge(self):
         one, _ = self.collect(workers=1)
@@ -260,6 +210,25 @@ class TestDistributedCollector:
             assert np.array_equal(a.executed, b.executed)
             assert np.array_equal(a.rewards, b.rewards)
             assert np.array_equal(a.next_states, b.next_states)
+
+    @pytest.mark.parametrize("lost, message", [
+        (1, "got episode 2, expected 1"), (3, "gap at episode 3"),
+    ])
+    def test_a_lost_episode_is_a_hard_error(self, lost, message):
+        """An executor that drops an episode: the prefix before it is
+        handed over, then collect() raises instead of merging a gap."""
+        collector = DistributedCollector(make_spec(dataset="msd"))
+        collector._run_specs = lambda specs: (
+            vars(block(spec["episode"]))
+            for spec in specs if spec["episode"] != lost
+        )
+        handed_over = []
+        with pytest.raises(RuntimeError, match=message):
+            collector.collect(
+                {}, episode_plan(40, 10, lanes=4, root_seed=21),
+                on_block=handed_over.append,
+            )
+        assert [b.episode for b in handed_over] == list(range(lost))
 
     def test_empty_plan_is_a_noop(self):
         collector = DistributedCollector(make_spec(dataset="msd"))

@@ -118,13 +118,16 @@ def test_mean_q_is_policy_q_before_the_actor_step():
     _, mean_q = agent.update()
 
     # Replay the critic half of the update on the twin, then measure.
-    next_actions = probe.actor.act_target(batch["next_states"])
-    next_q = probe.critic.q_values(batch["next_states"], next_actions, target=True)
-    probe.critic.train_batch(
-        states, batch["actions"], batch["rewards"] + probe.config.gamma * next_q
+    actor, critic = probe.actor, probe.critic
+    features = critic.normalize_states(states)
+    next_features = critic.normalize_states(batch["next_states"])
+    next_actions = actor.actions(next_features, actor.target_network)
+    next_q = critic.q_features(next_features, next_actions, target=True)
+    critic.train_features(
+        features, batch["actions"], batch["rewards"] + probe.config.gamma * next_q
     )
     expected = float(
-        np.mean(probe.critic.q_values(states, probe.actor.act_batch(states)))
+        np.mean(critic.q_features(features, actor.act_batch(states)))
     )
     assert mean_q == expected
 
@@ -132,14 +135,13 @@ def test_mean_q_is_policy_q_before_the_actor_step():
 def test_policy_step_leaves_critic_weight_gradients_alone():
     agent = build(DDPGAgent, "parameter", 0.02, traced=False)
     batch = agent.replay.sample(16, agent.rng)
-    agent.critic.train_batch(
-        batch["states"], batch["actions"], batch["rewards"]
-    )
+    features = agent.critic.normalize_states(batch["states"])
+    agent.critic.train_features(features, batch["actions"], batch["rewards"])
     before = agent.critic.network.grads.copy()
-    dq_da = agent.critic.action_gradient(
-        batch["states"], agent.actor.act_batch(batch["states"])
+    agent.actor.policy_gradient_step(
+        features,
+        lambda actions: agent.critic.q_and_action_gradient(features, actions)[1],
     )
-    agent.actor.apply_policy_gradient(batch["states"], dq_da)
     assert agent.critic.network.grads.tobytes() == before.tobytes()
 
 

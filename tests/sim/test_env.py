@@ -108,12 +108,6 @@ class TestResetStep:
         assert np.array_equal(observation.wip, state)
         assert env.steps_taken == 1
 
-    def test_step_simplex(self):
-        env = make_msd_env()
-        env.reset()
-        state, reward, _ = env.step_simplex(np.full(4, 0.25))
-        assert state.shape == (4,)
-
     def test_observe_does_not_advance_time(self):
         env = make_msd_env()
         before = env.system.loop.now

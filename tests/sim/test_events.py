@@ -98,16 +98,6 @@ class TestCancellation:
 
 
 class TestSafetyValve:
-    def test_max_events_raises_on_runaway(self):
-        loop = EventLoop()
-
-        def rescheduling():
-            loop.schedule(0.0, rescheduling)
-
-        loop.schedule(0.0, rescheduling)
-        with pytest.raises(RuntimeError, match="max_events"):
-            loop.run_until(1.0, max_events=100)
-
     def test_counters(self):
         loop = EventLoop()
         loop.schedule(1.0, lambda: None)

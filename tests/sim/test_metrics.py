@@ -1,13 +1,9 @@
-"""Tests for window metrics and delay attribution."""
+"""Tests for window metrics."""
 
 import numpy as np
 import pytest
 
-from repro.sim.metrics import (
-    DelayByArrivalWindow,
-    WindowObservation,
-    reward_from_wip,
-)
+from repro.sim.metrics import WindowObservation, reward_from_wip
 
 
 def make_observation(wip, response_times=(), completions=None):
@@ -36,9 +32,7 @@ class TestWindowObservation:
         observation = make_observation(
             [1, 2], completions={"A": 3, "B": 2}
         )
-        observation.arrivals = {"A": 4}
         assert observation.total_completions == 5
-        assert observation.total_arrivals == 4
 
     def test_mean_response_time(self):
         observation = make_observation([0], response_times=[10.0, 20.0])
@@ -46,48 +40,3 @@ class TestWindowObservation:
 
     def test_mean_response_time_empty_is_zero(self):
         assert make_observation([0]).mean_response_time() == 0.0
-
-
-class TestDelayByArrivalWindow:
-    def test_unknown_window_returns_none(self):
-        tracker = DelayByArrivalWindow()
-        assert tracker.mean_delay(0, "A") is None
-
-    def test_arrived_but_unfinished_returns_none(self):
-        tracker = DelayByArrivalWindow()
-        tracker.record_arrival(0, "A")
-        assert tracker.mean_delay(0, "A") is None
-        assert tracker.completion_fraction(0, "A") == 0.0
-
-    def test_mean_over_completions(self):
-        tracker = DelayByArrivalWindow()
-        tracker.record_arrival(0, "A")
-        tracker.record_arrival(0, "A")
-        tracker.record_completion(0, "A", 10.0)
-        tracker.record_completion(0, "A", 30.0)
-        assert tracker.mean_delay(0, "A") == pytest.approx(20.0)
-        assert tracker.completion_fraction(0, "A") == 1.0
-
-    def test_attribution_is_by_arrival_window(self):
-        """d_i(k) averages delays of requests *arriving* in window k
-        (Section II-B), regardless of when they complete."""
-        tracker = DelayByArrivalWindow()
-        tracker.record_arrival(0, "A")
-        tracker.record_arrival(5, "A")
-        tracker.record_completion(0, "A", 100.0)  # finished much later
-        tracker.record_completion(5, "A", 10.0)
-        assert tracker.mean_delay(0, "A") == pytest.approx(100.0)
-        assert tracker.mean_delay(5, "A") == pytest.approx(10.0)
-
-    def test_delay_vector_with_nans(self):
-        tracker = DelayByArrivalWindow()
-        tracker.record_arrival(0, "A")
-        tracker.record_completion(0, "A", 5.0)
-        vector = tracker.delay_vector(0, ("A", "B"))
-        assert vector[0] == pytest.approx(5.0)
-        assert np.isnan(vector[1])
-
-    def test_negative_delay_rejected(self):
-        tracker = DelayByArrivalWindow()
-        with pytest.raises(ValueError):
-            tracker.record_completion(0, "A", -1.0)

@@ -2,17 +2,13 @@
 
 Each registered serial/batch pair (``push``/``push_many``,
 ``publish``/``publish_many``, ``add_workflow``/``add_workflows``,
-``add_task``/``add_tasks``, ``sample_service_time``/``sample_service_times``,
-``record_arrival``/``record_arrivals``, ``entry_tasks`` et al./
-``account_reads``) is exercised against its serial twin here; the
+``add_task``/``add_tasks``, ``entry_tasks`` et al./``account_reads``) is exercised against its serial twin here; the
 system-level equivalence suite is tests/sim/test_batched_substrate.py.
 """
 
 import numpy as np
 import pytest
 
-from repro.sim.consumer import sample_service_time, sample_service_times
-from repro.sim.metrics import DelayByArrivalWindow
 from repro.sim.queueing import IndexFifo
 from repro.sim.requests import RequestPool
 from repro.sim.substrate import PrefetchStream
@@ -136,21 +132,6 @@ class TestPrefetchStream:
             assert stream.lognormal(1.0, 0.5) == expected
 
 
-class TestServiceTimeSampling:
-    def test_batch_matches_serial_draws(self):
-        serial, batch = make_stream(seed=6), make_stream(seed=6)
-        expected = [
-            sample_service_time(12.0, 0.4, serial) for _ in range(64)
-        ]
-        got = sample_service_times(64, 12.0, 0.4, batch)
-        assert got.tolist() == expected
-
-    def test_zero_cv_is_deterministic(self):
-        assert sample_service_times(4, 7.0, 0.0, make_stream()).tolist() == [
-            7.0
-        ] * 4
-
-
 class TestAccountReads:
     def test_matches_sequential_reads_all_healthy(self):
         ensemble = build_msd_ensemble()
@@ -220,11 +201,11 @@ class TestRequestPool:
         preds = np.array([0, 1, 2], dtype=np.int16)
         serial, batch = RequestPool(3, capacity=2), RequestPool(3, capacity=2)
         for _ in range(50):
-            serial.add_workflow(1, 10.0, 3, 4, preds)
-        batch.add_workflows(50, 1, 10.0, 3, 4, preds)
+            serial.add_workflow(1, 10.0, 3, preds)
+        batch.add_workflows(50, 1, 10.0, 3, preds)
         assert serial.num_workflows == batch.num_workflows == 50
         for name in ("wf_type", "wf_arrival", "wf_total_tasks",
-                     "wf_done_count", "wf_arrival_window"):
+                     "wf_done_count"):
             np.testing.assert_array_equal(
                 getattr(serial, name)[:50], getattr(batch, name)[:50]
             )
@@ -241,10 +222,10 @@ class TestRequestPool:
         times = np.array([0.5, 1.25, 2.0, 2.5, 7.0])
         serial, batch = RequestPool(3, capacity=2), RequestPool(3, capacity=2)
         for w, t in zip(types.tolist(), times.tolist()):
-            serial.add_workflow(w, t, int(sizes[w]), 4, preds[w][:sizes[w]])
-        assert batch.add_workflows(5, types, times, sizes[types], 4, preds[types]) == 0
+            serial.add_workflow(w, t, int(sizes[w]), preds[w][:sizes[w]])
+        assert batch.add_workflows(5, types, times, sizes[types], preds[types]) == 0
         for name in ("wf_type", "wf_arrival", "wf_total_tasks",
-                     "wf_done_count", "wf_arrival_window", "wf_task_done"):
+                     "wf_done_count", "wf_task_done"):
             np.testing.assert_array_equal(
                 getattr(serial, name)[:5], getattr(batch, name)[:5]
             )
@@ -275,24 +256,6 @@ class TestRequestPool:
             np.zeros(3, dtype=np.int32), np.zeros(3, dtype=np.int64), times
         )
         np.testing.assert_array_equal(pool.task_published_at[:3], times)
-
-
-class TestRecordArrivals:
-    def test_matches_serial_calls(self):
-        serial, batch = DelayByArrivalWindow(), DelayByArrivalWindow()
-        for _ in range(9):
-            serial.record_arrival(2, "Type1")
-        batch.record_arrivals(9, 2, "Type1")
-        assert serial._arrived == batch._arrived
-
-    def test_zero_count_is_a_noop(self):
-        tracker = DelayByArrivalWindow()
-        tracker.record_arrivals(0, 1, "Type1")
-        assert (1, "Type1") not in tracker._arrived
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            DelayByArrivalWindow().record_arrivals(-1, 0, "Type1")
 
 
 class TestPublishMany:

@@ -154,16 +154,6 @@ class TestDrain:
         windows = system.drain(max_windows=2)
         assert windows == 2  # gave up at the cap
 
-    def test_delay_tracker_attribution(self):
-        system = make_system(startup_delay_range=(0.0, 0.0))
-        system.apply_allocation([3, 3, 3, 3])
-        system.submit("Type1")
-        for _ in range(10):
-            system.run_window()
-        delay = system.delay_tracker.mean_delay(0, "Type1")
-        assert delay is not None and delay > 0
-        assert system.delay_tracker.completion_fraction(0, "Type1") == 1.0
-
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):

@@ -80,15 +80,6 @@ class TestPhaseTree:
         assert profiler.node("a", "nope") is None
         assert profiler.node("nope") is None
 
-    def test_total_wall_sums_roots(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("a"):
-            pass
-        with profiler.phase("b"):
-            pass
-        expected = profiler.node("a").wall + profiler.node("b").wall
-        assert profiler.total_wall() == pytest.approx(expected)
-
 
 def _installed():
     """What ``vars(owner)[attr]`` holds right now, per boundary."""

@@ -33,7 +33,6 @@ class TestExamples:
             "ligo_model_accuracy.py",
             "custom_workflow.py",
             "save_and_deploy.py",
-            "capacity_planning.py",
             "tracing_tour.py",
             "million_request_burst.py",
         } <= present

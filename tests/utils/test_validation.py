@@ -6,8 +6,6 @@ from repro.utils.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
-    check_probability,
-    check_type,
     isclose_zero,
     require,
 )
@@ -46,28 +44,6 @@ class TestCheckInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             check_in_range("x", 2.0, 0.0, 1.0)
-
-
-class TestCheckProbability:
-    def test_accepts_half(self):
-        assert check_probability("p", 0.5) == 0.5
-
-    @pytest.mark.parametrize("value", [-0.1, 1.1])
-    def test_rejects_outside_unit_interval(self, value):
-        with pytest.raises(ValueError):
-            check_probability("p", value)
-
-
-class TestCheckType:
-    def test_accepts_matching_type(self):
-        assert check_type("x", 5, int) == 5
-
-    def test_accepts_tuple_of_types(self):
-        assert check_type("x", 5.0, (int, float)) == 5.0
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="x must be int"):
-            check_type("x", "five", int)
 
 
 class TestIscloseZero:

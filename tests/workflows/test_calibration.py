@@ -21,7 +21,13 @@ LIGO_BUDGET = 30
 
 
 def total_demand(ensemble, rates):
-    return sum(ensemble.service_demand(rates).values())
+    """Consumer-seconds demanded per second: every task of a workflow is
+    visited once per request (AND-join DAG)."""
+    service = ensemble.mean_service_times()
+    return sum(
+        rate * sum(service[t] for t in ensemble.workflow(wf).tasks)
+        for wf, rate in rates.items()
+    )
 
 
 class TestSteadyStateHeadroom:

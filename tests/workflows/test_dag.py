@@ -76,11 +76,6 @@ class TestWorkflowType:
         for up, down in wf.edges:
             assert order.index(up) < order.index(down)
 
-    def test_critical_path_length(self):
-        wf = WorkflowType("W", edges=[("A", "B"), ("A", "C")])
-        times = {"A": 1.0, "B": 5.0, "C": 2.0}
-        assert wf.critical_path_length(times) == 6.0
-
 
 class TestWorkflowEnsemble:
     def _tasks(self, *names):
@@ -132,26 +127,6 @@ class TestWorkflowEnsemble:
             ensemble.task_index("Z")
         with pytest.raises(KeyError):
             ensemble.workflow_index("Z")
-
-    def test_service_demand(self):
-        ensemble = WorkflowEnsemble(
-            "E",
-            [TaskType("A", 2.0), TaskType("B", 3.0)],
-            [
-                WorkflowType("W1", edges=[("A", "B")]),
-                WorkflowType("W2", edges=[], tasks=["A"]),
-            ],
-        )
-        demand = ensemble.service_demand({"W1": 0.5, "W2": 1.0})
-        assert demand["A"] == pytest.approx(0.5 * 2.0 + 1.0 * 2.0)
-        assert demand["B"] == pytest.approx(0.5 * 3.0)
-
-    def test_service_demand_rejects_negative_rate(self):
-        ensemble = WorkflowEnsemble(
-            "E", self._tasks("A"), [WorkflowType("W", edges=[], tasks=["A"])]
-        )
-        with pytest.raises(ValueError):
-            ensemble.service_demand({"W": -1.0})
 
 
 class TestRandomGenerator:
