@@ -14,23 +14,30 @@ and writes ``BENCH_observability.json`` at the repository root:
   guard per record it would emit) and both timings come from the same
   process/machine, so the ratio transfers across hardware in a way raw
   throughput numbers do not.
-- ``aggregation_over_emission`` — what folding a record into the live
-  aggregates costs, in units of what emitting it into a ``MemorySink``
-  costs: ``(traced_metrics_tee - traced_memory) / (traced_memory -
-  untraced)``.  Both terms are telemetry's own work, so the ratio moves
-  neither with the host nor with the simulator's speed.  (Until the
-  exact-tier event kernel halved the window, the gate was
-  ``aggregation_overhead_pct <= 50``: tee over memory, whose
-  denominator is mostly simulator.  50 % of that window was 2.06x the
-  emission cost; the budget below is the same allowance, restated.)
-- enabled-path overheads against the untraced run — each percentage
-  with the microseconds per window it stands for, because the window
-  they divide by is the simulator's to shrink — and the offline
-  aggregation throughput, reported informationally.
+- ``enabled_overhead_pct.traced_metrics_tee`` — what a user who leaves
+  the program's own configuration on, ``Tracer(MetricsSink(MemorySink()))``,
+  pays per window over the untraced run.  This is the **gated** enabled
+  cost.  (Until PR 24 the gate was ``aggregation_over_emission <= 2.0``,
+  the fold's cost in units of the emission's: a ratio of two of
+  telemetry's own costs, which rose from 1.39x to 1.7x on a change that
+  made *both* cheaper, because the denominator fell faster.)  Ceiling
+  and measurement: on the 2-core sizing host the per-record fold of the
+  parent read +139 % (committed artifact) and +130 % (re-run); with the
+  per-window fold eighteen quiet runs (six of this script, twelve of its
+  timing loop alone) spread +79 % ... +95 % around the committed +89 %,
+  and three runs inside one noisy minute read +55 %, +119 %, +142 %.  ``TEE_BUDGET_PCT`` = 115 sits 20 points above
+  the quiet spread and 15 below the parent.
+- the same cost split in two, per window and **per record** —
+  ``emission_us_per_record`` (memory-sink trace over untraced) and
+  ``aggregation_us_per_record`` (tee over memory-sink) — plus the
+  profiled configuration and the offline aggregation throughput,
+  reported informationally.  Each percentage comes with the
+  microseconds it stands for, because the window they divide by is the
+  simulator's to shrink.
 
 ``--check`` exits non-zero when ``noop_overhead_pct`` exceeds the 2%
-budget, or ``aggregation_over_emission`` the 2.0x budget, that
-docs/OBSERVABILITY.md promises — this is the CI gate.
+budget, or ``enabled_overhead_pct.traced_metrics_tee`` the 115% ceiling,
+that docs/OBSERVABILITY.md promises — this is the CI gate.
 
 Run:  PYTHONPATH=src python benchmarks/run_observability_bench.py --check
 """
@@ -60,17 +67,19 @@ from repro.workload.bursts import MSD_BACKGROUND_RATES
 #: The documented ceiling for the disabled path (docs/OBSERVABILITY.md).
 BUDGET_PCT = 2.0
 
-#: The documented ceiling for live aggregation: folding a record may
-#: cost at most this many times what emitting it into memory costs.
-AGGREGATION_BUDGET_RATIO = 2.0
+#: The documented ceiling for the enabled path a user leaves on: a
+#: window under ``Tracer(MetricsSink(MemorySink()))`` may cost at most
+#: this much more than the untraced window (module docstring: how it
+#: was set).
+TEE_BUDGET_PCT = 115.0
 
 ARTIFACT = "BENCH_observability.json"
 
 GUARD_LOOP = 20_000
 
 #: Default best-of count: enough that every configuration's minimum comes
-#: from a quiet phase of the host (on the 2-core sizing host 20 repeats
-#: spread the gated aggregation ratio over 37-48 %, 50 over 36-40 %).
+#: from a quiet phase of the host (the module docstring has the spread of
+#: the gated tee overhead at this count).
 REPEATS = 50
 
 
@@ -168,12 +177,11 @@ def run_benchmark(windows: int, repeats: int) -> dict:
             "traced_metrics_tee": metrics_s / windows,
             "traced_profiled": profiled_s / windows,
         },
-        "aggregation_budget_ratio": AGGREGATION_BUDGET_RATIO,
-        "aggregation_over_emission": (
-            (metrics_s - traced_s) / (traced_s - baseline_s)
-        ),
-        "aggregation_overhead_pct": (metrics_s / traced_s - 1.0) * 100.0,
+        "tee_budget_pct": TEE_BUDGET_PCT,
+        "emission_us_per_window": (traced_s - baseline_s) / windows * 1e6,
+        "emission_us_per_record": (traced_s - baseline_s) / len(records) * 1e6,
         "aggregation_us_per_window": (metrics_s - traced_s) / windows * 1e6,
+        "aggregation_us_per_record": (metrics_s - traced_s) / len(records) * 1e6,
         "enabled_overhead_pct": {
             "traced_memory": (traced_s / baseline_s - 1.0) * 100.0,
             "traced_metrics_tee": (metrics_s / baseline_s - 1.0) * 100.0,
@@ -214,7 +222,7 @@ def main(argv=None) -> int:
         help="where to write the JSON artifact",
     )
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if the no-op or the aggregation "
+                        help="exit 1 if the no-op or the metrics-tee "
                              "overhead exceeds its budget")
     args = parser.parse_args(argv)
 
@@ -235,24 +243,30 @@ def main(argv=None) -> int:
           f"(budget {BUDGET_PCT}%)")
     for name, pct in result["enabled_overhead_pct"].items():
         extra_us = result["enabled_overhead_us_per_window"][name]
+        budget = f" (budget +{TEE_BUDGET_PCT:.0f}%)" * (
+            name == "traced_metrics_tee"
+        )
         print(f"enabled overhead [{name}]: {pct:+.1f}% = "
-              f"{extra_us:+.0f} us/window")
-    print(f"aggregation: {result['aggregation_over_emission']:.2f}x the "
-          f"emission cost (budget {AGGREGATION_BUDGET_RATIO}x) = "
+              f"{extra_us:+.0f} us/window{budget}")
+    print(f"of which emission: "
+          f"{result['emission_us_per_window']:+.0f} us/window = "
+          f"{result['emission_us_per_record']:.2f} us/record; aggregation: "
           f"{result['aggregation_us_per_window']:+.0f} us/window = "
-          f"{result['aggregation_overhead_pct']:+.1f}% on a memory-sink "
-          f"trace")
+          f"{result['aggregation_us_per_record']:.2f} us/record")
     rps = result["aggregation"]["records_per_second"]
     if rps:
         print(f"aggregation throughput: {rps:,.0f} records/s")
 
+    gated = (
+        ("noop_overhead_pct", result["noop_overhead_pct"], BUDGET_PCT),
+        ("enabled_overhead_pct.traced_metrics_tee",
+         result["enabled_overhead_pct"]["traced_metrics_tee"],
+         TEE_BUDGET_PCT),
+    )
     failures = [
-        f"FAIL: {name} {result[name]:.3f} exceeds the budget of {budget}"
-        for name, budget in (
-            ("noop_overhead_pct", BUDGET_PCT),
-            ("aggregation_over_emission", AGGREGATION_BUDGET_RATIO),
-        )
-        if args.check and result[name] > budget
+        f"FAIL: {name} {value:.3f} exceeds the budget of {budget}"
+        for name, value, budget in gated
+        if args.check and value > budget
     ]
     for failure in failures:
         print(failure, file=sys.stderr)

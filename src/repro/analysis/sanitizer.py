@@ -107,7 +107,7 @@ class SanitizerState:
 state = SanitizerState()
 
 _original_fork = None
-_original_emit = None
+_original_write = None
 
 
 def sanitize_requested() -> bool:
@@ -122,7 +122,7 @@ def is_active() -> bool:
 
 def activate() -> None:
     """Install the runtime checks (idempotent)."""
-    global _original_fork, _original_emit
+    global _original_fork, _original_write
     if is_active():
         return
 
@@ -137,10 +137,10 @@ def activate() -> None:
 
     state.reset()
     _original_fork = RngStream.fork
-    _original_emit = Tracer.emit
+    _original_write = Tracer.write
 
     original_fork = _original_fork
-    original_emit = _original_emit
+    original_write = _original_write
 
     def checked_fork(self, label):
         seen = getattr(self, _FORKED_ATTR, None)
@@ -162,10 +162,10 @@ def activate() -> None:
         state.fork_names[child.name] += 1
         return child
 
-    def checked_emit(self, kind, **fields):
+    def checked_write(self, record):
+        # ``Tracer.write`` is the one door to the sink (``emit`` and
+        # ``metric`` go through it), so patching it checks every record.
         if self.enabled:
-            record = {"kind": kind, "t": self.now()}
-            record.update(fields)
             try:
                 validate_record(record)
             except ValueError as exc:
@@ -174,7 +174,7 @@ def activate() -> None:
                     f"emit-schema violation: {exc}"
                 ) from exc
             state.records_validated += 1
-        return original_emit(self, kind, **fields)
+        return original_write(self, record)
 
     def array_fingerprint(value):
         """(dtype, shape, content hash) for ndarrays; None otherwise."""
@@ -236,13 +236,13 @@ def activate() -> None:
         return result
 
     RngStream.fork = checked_fork
-    Tracer.emit = checked_emit
+    Tracer.write = checked_write
     batchpairs.set_runtime_guard(batch_pair_guard)
 
 
 def deactivate() -> None:
     """Remove the runtime checks and forget per-stream registries."""
-    global _original_fork, _original_emit
+    global _original_fork, _original_write
     if not is_active():
         return
 
@@ -251,10 +251,10 @@ def deactivate() -> None:
     from repro.utils.rng import RngStream
 
     RngStream.fork = _original_fork
-    Tracer.emit = _original_emit
+    Tracer.write = _original_write
     batchpairs.clear_runtime_guard()
     _original_fork = None
-    _original_emit = None
+    _original_write = None
 
 
 class sanitized:

@@ -237,14 +237,14 @@ class MirasAgent:
                 block.next_states,
             )
             if self.tracer.enabled:
-                self.tracer.emit(
-                    "span.collect",
-                    lane=block.lane,
-                    episode=block.episode,
-                    steps=block.steps,
-                    reward=block.episode_return,
-                    sim_time=block.sim_time_end,
-                )
+                self.tracer.write({
+                    "kind": "span.collect", "t": None,
+                    "lane": block.lane,
+                    "episode": block.episode,
+                    "steps": block.steps,
+                    "reward": block.episode_return,
+                    "sim_time": block.sim_time_end,
+                })
             added += block.steps
 
         collector.collect(

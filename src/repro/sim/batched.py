@@ -375,11 +375,11 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         )
         if self.tracer.enabled:
             self._trace_request_ids[wfi] = self._requests_traced
-            self.tracer.emit(
-                "event.arrival",
-                workflow=workflow_type,
-                request_id=self._requests_traced,
-            )
+            self.tracer.write({
+                "kind": "event.arrival", "t": None,
+                "workflow": workflow_type,
+                "request_id": self._requests_traced,
+            })
             self._requests_traced += 1
         return wfi
 
@@ -440,17 +440,17 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         if self.tracer.enabled:
             # Same emit point as the serial substrate's _on_task_complete:
             # after event.task_complete, before successor publishes.
-            self.tracer.emit(
-                "event.task_span",
-                service=name,
-                request_id=self._trace_request_ids.get(
+            self.tracer.write({
+                "kind": "event.task_span", "t": None,
+                "service": name,
+                "request_id": self._trace_request_ids.get(
                     int(pool.task_workflow[task]), -1
                 ),
-                published=float(pool.task_published_at[task]),
-                started=float(pool.task_started_at[task]),
-                deliveries=int(pool.task_deliveries[task]),
-                wasted=float(pool.task_wasted_work[task]),
-            )
+                "published": float(pool.task_published_at[task]),
+                "started": float(pool.task_started_at[task]),
+                "deliveries": int(pool.task_deliveries[task]),
+                "wasted": float(pool.task_wasted_work[task]),
+            })
         self.invoker.handle_task_completion(task, now)
 
     def _on_batched_workflow_complete(self, wfi: int) -> None:
@@ -463,12 +463,12 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         self._window_response_times.append(delay)
         self._window_response_by_type.setdefault(wf_type, []).append(delay)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.workflow_complete",
-                workflow=wf_type,
-                request_id=self._trace_request_ids.pop(wfi, -1),
-                response_time=delay,
-            )
+            self.tracer.write({
+                "kind": "event.workflow_complete", "t": None,
+                "workflow": wf_type,
+                "request_id": self._trace_request_ids.pop(wfi, -1),
+                "response_time": delay,
+            })
 
     # Vectorised window replay ---------------------------------------------
     def _build_fast_tables(self) -> None:

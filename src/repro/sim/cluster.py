@@ -81,9 +81,10 @@ class Cluster:
             )
         best.allocate()
         if self._tracer.enabled:
-            self._tracer.emit(
-                "event.placement", node=best.node_id, used=best.used
-            )
+            self._tracer.write({
+                "kind": "event.placement", "t": None,
+                "node": best.node_id, "used": best.used,
+            })
         return best
 
     def place_many(self, count: int) -> List[Node]:
@@ -116,9 +117,10 @@ class Cluster:
         """Free one slot previously obtained from :meth:`place`."""
         node.release()
         if self._tracer.enabled:
-            self._tracer.emit(
-                "event.release", node=node.node_id, used=node.used
-            )
+            self._tracer.write({
+                "kind": "event.release", "t": None,
+                "node": node.node_id, "used": node.used,
+            })
 
     def load_by_node(self) -> Dict[int, int]:
         """Used slots per node (for load-balance assertions)."""

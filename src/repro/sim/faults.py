@@ -105,9 +105,10 @@ class ChaosInjector:
             tds.fail_server(victim)
             self.outages_injected += 1
             if self.system.tracer.enabled:
-                self.system.tracer.emit(
-                    "event.fault", fault="tds_outage", target=victim
-                )
+                self.system.tracer.write({
+                    "kind": "event.fault", "t": None,
+                    "fault": "tds_outage", "target": victim,
+                })
             self.system.loop.schedule(
                 self.tds_outage_duration, self._recover, victim
             )
@@ -116,9 +117,10 @@ class ChaosInjector:
     def _recover(self, server_id: int) -> None:
         self.system.tds.recover_server(server_id)
         if self.system.tracer.enabled:
-            self.system.tracer.emit(
-                "event.fault", fault="tds_recover", target=server_id
-            )
+            self.system.tracer.write({
+                "kind": "event.fault", "t": None,
+                "fault": "tds_recover", "target": server_id,
+            })
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -155,13 +155,13 @@ class Microservice:
             delay, self._on_started, consumer
         )
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.consumer_start",
-                service=self.name,
-                consumer_id=consumer.trace_id,
-                node=node.node_id,
-                startup_delay=delay,
-            )
+            self.tracer.write({
+                "kind": "event.consumer_start", "t": None,
+                "service": self.name,
+                "consumer_id": consumer.trace_id,
+                "node": node.node_id,
+                "startup_delay": delay,
+            })
 
     def _on_started(self, consumer: Consumer) -> None:
         if consumer.state is not ConsumerState.STARTING:
@@ -170,12 +170,12 @@ class Microservice:
         heapq.heappush(self._idle, (consumer.trace_id, consumer))
         consumer.pending_event = None
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.consumer_ready",
-                service=self.name,
-                consumer_id=consumer.trace_id,
-                startup_latency=self.loop.now - consumer.created_at,
-            )
+            self.tracer.write({
+                "kind": "event.consumer_ready", "t": None,
+                "service": self.name,
+                "consumer_id": consumer.trace_id,
+                "startup_latency": self.loop.now - consumer.created_at,
+            })
         self._dispatch()
 
     def _remove_one_consumer(self) -> None:
@@ -242,9 +242,10 @@ class Microservice:
                 return False
             victim = self._idle[0][1]
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.fault", fault="consumer_crash", target=self.name
-            )
+            self.tracer.write({
+                "kind": "event.fault", "t": None,
+                "fault": "consumer_crash", "target": self.name,
+            })
         if victim.pending_event is not None:
             victim.pending_event.cancel()
             victim.pending_event = None
@@ -256,12 +257,12 @@ class Microservice:
     def _trace_stop(self, consumer: Consumer, mode: str) -> None:
         """Emit a container-removal event (no-op when tracing is off)."""
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.consumer_stop",
-                service=self.name,
-                consumer_id=consumer.trace_id,
-                mode=mode,
-            )
+            self.tracer.write({
+                "kind": "event.consumer_stop", "t": None,
+                "service": self.name,
+                "consumer_id": consumer.trace_id,
+                "mode": mode,
+            })
 
     def _index_busy(self, consumer: Consumer) -> None:
         """Enter ``consumer`` in the crash-victim index.
@@ -349,11 +350,11 @@ class Microservice:
         consumer.tasks_completed += 1
         consumer.busy_time += service_time
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.task_complete",
-                service=self.name,
-                service_time=service_time,
-            )
+            self.tracer.write({
+                "kind": "event.task_complete", "t": None,
+                "service": self.name,
+                "service_time": service_time,
+            })
         consumer.current_tag = None
         consumer.current_request = None
         consumer.pending_event = None
@@ -601,13 +602,13 @@ class BatchedMicroservice:
         self._starting_heap.extend(slots)
         self.consumers_started += count
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.consumer_start",
-                service=self.name,
-                consumer_id=first,
-                node=nodes[0].node_id,
-                startup_delay=delays[0],
-            )
+            self.tracer.write({
+                "kind": "event.consumer_start", "t": None,
+                "service": self.name,
+                "consumer_id": first,
+                "node": nodes[0].node_id,
+                "startup_delay": delays[0],
+            })
 
     def on_ready(self, slot: int) -> None:
         """Consumer-ready event executor (start-up delay elapsed)."""
@@ -617,12 +618,12 @@ class BatchedMicroservice:
         self.pending_token[slot] = -1
         heapq.heappush(self._idle_heap, slot)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.consumer_ready",
-                service=self.name,
-                consumer_id=slot,
-                startup_latency=self.loop.now - self.created_at[slot],
-            )
+            self.tracer.write({
+                "kind": "event.consumer_ready", "t": None,
+                "service": self.name,
+                "consumer_id": slot,
+                "startup_latency": self.loop.now - self.created_at[slot],
+            })
         self._dispatch()
 
     def _remove_one_consumer(self) -> None:
@@ -707,9 +708,10 @@ class BatchedMicroservice:
                 return False
             victim = self._idle_heap[0]
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.fault", fault="consumer_crash", target=self.name
-            )
+            self.tracer.write({
+                "kind": "event.fault", "t": None,
+                "fault": "consumer_crash", "target": self.name,
+            })
         token = self.pending_token[victim]
         if token >= 0:
             self.loop.cancel(token)
@@ -722,12 +724,12 @@ class BatchedMicroservice:
     def _trace_stop(self, slot: int, mode: str) -> None:
         """Emit a container-removal event (no-op when tracing is off)."""
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.consumer_stop",
-                service=self.name,
-                consumer_id=slot,
-                mode=mode,
-            )
+            self.tracer.write({
+                "kind": "event.consumer_stop", "t": None,
+                "service": self.name,
+                "consumer_id": slot,
+                "mode": mode,
+            })
 
     # Queue side ----------------------------------------------------------
     def publish(self, task: int) -> None:
@@ -735,9 +737,10 @@ class BatchedMicroservice:
         self.fifo.push(task)
         self.published_total += 1
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.publish", queue=self.name, depth=self.wip
-            )
+            self.tracer.write({
+                "kind": "event.publish", "t": None,
+                "queue": self.name, "depth": self.wip,
+            })
         self._dispatch()
 
     @batched_pair("publish")
@@ -761,9 +764,10 @@ class BatchedMicroservice:
         self.fifo.push_front(task)
         self.redelivered_total += 1
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.redeliver", queue=self.name, depth=self.wip
-            )
+            self.tracer.write({
+                "kind": "event.redeliver", "t": None,
+                "queue": self.name, "depth": self.wip,
+            })
         self._dispatch()
 
     # Processing ----------------------------------------------------------
@@ -806,11 +810,11 @@ class BatchedMicroservice:
         self.slot_tasks_completed[slot] += 1
         self.slot_busy_time[slot] += service_time
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.task_complete",
-                service=self.name,
-                service_time=service_time,
-            )
+            self.tracer.write({
+                "kind": "event.task_complete", "t": None,
+                "service": self.name,
+                "service_time": service_time,
+            })
         self.current_task[slot] = -1
         self.pending_token[slot] = -1
         self.tasks_completed += 1

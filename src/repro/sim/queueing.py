@@ -63,9 +63,10 @@ class AckQueue:
         self._ready.append(request)
         self.published_total += 1
         if self._tracer.enabled:
-            self._tracer.emit(
-                "event.publish", queue=self.name, depth=self.depth
-            )
+            self._tracer.write({
+                "kind": "event.publish", "t": None,
+                "queue": self.name, "depth": self.depth,
+            })
         self._notify()
 
     def subscribe(self, callback: Callable[[], None]) -> None:
@@ -113,9 +114,10 @@ class AckQueue:
         self._ready.appendleft(request)
         self.redelivered_total += 1
         if self._tracer.enabled:
-            self._tracer.emit(
-                "event.redeliver", queue=self.name, depth=self.depth
-            )
+            self._tracer.write({
+                "kind": "event.redeliver", "t": None,
+                "queue": self.name, "depth": self.depth,
+            })
         self._notify()
         return request
 

@@ -150,8 +150,7 @@ class MicroserviceWorkflowSystem:
         # snapshot, so burst injections between windows are attributed
         # to the window that observes them.
         self._published_snapshot = {name: 0 for name in self.microservices}
-        loop = self.loop
-        self.tracer.bind_clock(lambda: loop.now)
+        self.tracer.bind_clock(self.loop)
 
         self.window_index = 0
         self.history: List[WindowObservation] = []
@@ -239,11 +238,11 @@ class MicroserviceWorkflowSystem:
         )
         if self.tracer.enabled:
             self._trace_request_ids[request.request_id] = self._requests_traced
-            self.tracer.emit(
-                "event.arrival",
-                workflow=workflow_type,
-                request_id=self._requests_traced,
-            )
+            self.tracer.write({
+                "kind": "event.arrival", "t": None,
+                "workflow": workflow_type,
+                "request_id": self._requests_traced,
+            })
             self._requests_traced += 1
         return request
 
@@ -267,19 +266,19 @@ class MicroserviceWorkflowSystem:
         )
         if self.tracer.enabled:
             # Emitted before successor publishes, so a task's span always
-            # precedes the publish records it triggers; metrics._on_task_span
+            # precedes the publish records it triggers; metrics._fold_task_spans
             # folds it into the queue-wait / retry / wasted-work families.
-            self.tracer.emit(
-                "event.task_span",
-                service=name,
-                request_id=self._trace_request_ids.get(
+            self.tracer.write({
+                "kind": "event.task_span", "t": None,
+                "service": name,
+                "request_id": self._trace_request_ids.get(
                     task_request.workflow.request_id, -1
                 ),
-                published=task_request.published_at,
-                started=task_request.started_at,
-                deliveries=task_request.deliveries,
-                wasted=task_request.wasted_work,
-            )
+                "published": task_request.published_at,
+                "started": task_request.started_at,
+                "deliveries": task_request.deliveries,
+                "wasted": task_request.wasted_work,
+            })
         self.invoker.handle_task_completion(task_request, now)
 
     def _on_workflow_complete(self, request: WorkflowRequest) -> None:
@@ -291,14 +290,14 @@ class MicroserviceWorkflowSystem:
         self._window_response_times.append(delay)
         self._window_response_by_type.setdefault(wf_type, []).append(delay)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "event.workflow_complete",
-                workflow=wf_type,
-                request_id=self._trace_request_ids.pop(
+            self.tracer.write({
+                "kind": "event.workflow_complete", "t": None,
+                "workflow": wf_type,
+                "request_id": self._trace_request_ids.pop(
                     request.request_id, -1
                 ),
-                response_time=delay,
-            )
+                "response_time": delay,
+            })
 
     # Control surface --------------------------------------------------------
     def apply_allocation(self, allocation: Sequence[int]) -> None:
@@ -377,31 +376,21 @@ class MicroserviceWorkflowSystem:
         )
         self.history.append(observation)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "span.window",
-                index=self.window_index,
-                start=start,
-                end=end,
-                reward=observation.reward,
-                wip={n: ms.wip for n, ms in self.microservices.items()},
-                allocation={
-                    n: ms.allocated for n, ms in self.microservices.items()
-                },
-                busy={
-                    n: ms.busy_consumers
-                    for n, ms in self.microservices.items()
-                },
-                starting={
-                    n: ms.starting_consumers
-                    for n, ms in self.microservices.items()
-                },
-                queue_ready={
-                    n: ms.queue.ready_count
-                    for n, ms in self.microservices.items()
-                },
-                arrivals=sum(self._window_arrivals.values()),
-                completions=sum(self._window_completions.values()),
-            )
+            services = self.microservices.items()
+            self.tracer.write({
+                "kind": "span.window", "t": None,
+                "index": self.window_index,
+                "start": start,
+                "end": end,
+                "reward": observation.reward,
+                "wip": {n: ms.wip for n, ms in services},
+                "allocation": {n: ms.allocated for n, ms in services},
+                "busy": {n: ms.busy_consumers for n, ms in services},
+                "starting": {n: ms.starting_consumers for n, ms in services},
+                "queue_ready": {n: ms.queue.ready_count for n, ms in services},
+                "arrivals": sum(self._window_arrivals.values()),
+                "completions": sum(self._window_completions.values()),
+            })
         self.window_index += 1
         self._window_arrivals = {}
         self._window_completions = {}

@@ -7,14 +7,16 @@ response time, queue depth, startup latency, per-service WIP and
 utilization, training-loss EWMAs).  It is fed two ways:
 
 - **live** — a :class:`MetricsSink` composes with any other sink
-  (``Tracer(MetricsSink(JsonlSink(...)))``) and aggregates every record
-  as it is written,
+  (``Tracer(MetricsSink(JsonlSink(...)))``) and aggregates what it is
+  written a control window at a time (always before anything is read:
+  see :class:`MetricsSink`),
 - **offline** — :func:`aggregate_trace` replays an existing
-  ``trace.jsonl`` through the *same* aggregator code path.
+  ``trace.jsonl`` through the *same* sink.
 
-Because both paths consume the identical record dicts, the live and
-post-hoc numbers are equal **by construction** — the determinism tests
-pin byte-identical JSON snapshots.  Nothing in this module reads a
+Because both paths write the identical record dicts to the same
+:meth:`MetricsSink.write`, the live and post-hoc numbers are equal **by
+construction** — the determinism tests pin byte-identical JSON
+snapshots.  Nothing in this module reads a
 clock or an RNG: every aggregate is a pure function of the record
 stream, so same-seed runs produce identical snapshots.
 
@@ -26,7 +28,9 @@ Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`).
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_right
+from collections import deque
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -89,7 +93,21 @@ QUEUE_WAIT_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, 900.0,
 )
 
+#: Records a :class:`MetricsSink` queues before it folds them regardless:
+#: bounds the queue of a trace with no windows (a ``metric``-only
+#: training run).
+PENDING_LIMIT = 4096
+
 LabelValue = Tuple[str, ...]
+
+
+def _running_sum(start: float, values: Iterable[float]) -> float:
+    """``start + v0 + v1 + ...`` added left to right, one rounding per
+    term: what a ``+=`` per observation gives, and what the byte pins
+    cover.  Builtin ``sum`` (compensated since Python 3.12),
+    ``math.fsum`` and numpy's pairwise sum all round differently.
+    """
+    return deque(accumulate(values, initial=start), maxlen=1)[0]
 
 
 class Counter:
@@ -132,6 +150,15 @@ class Gauge:
             self.max = value
         self.total += value
         self.observations += 1
+
+    def set_many(self, values: Sequence[float]) -> None:
+        """:meth:`set` for each of ``values`` (at least one), in order."""
+        values = list(map(float, values))
+        self.value = values[-1]
+        self.min = min(self.min, min(values))
+        self.max = max(self.max, max(values))
+        self.total = _running_sum(self.total, values)
+        self.observations += len(values)
 
     @property
     def mean(self) -> float:
@@ -182,16 +209,17 @@ class Ewma:
 class Histogram:
     """Fixed-bucket histogram with exact quantile readout.
 
-    Bucket counts (cumulative, Prometheus-style ``le`` semantics with an
-    implicit +Inf bucket) serve the exposition format; alongside them the
-    histogram keeps every observation (appended by :meth:`observe`, sorted
-    when next read), so
+    The histogram *is* the list of its observations: observing appends,
+    and everything read off it is settled when next read — the new tail
+    joins the sum in observation order (see :func:`_running_sum`), then
+    the list is sorted.  Bucket counts (Prometheus-style ``le`` semantics
+    with an implicit +Inf bucket) are positions in the sorted list, and
     :meth:`quantile` is *exact*, not a bucket interpolation.  At
     simulation scale (at most ~10^5 observations per run) the memory cost
     is negligible.
     """
 
-    __slots__ = ("buckets", "counts", "sum", "count", "_values", "_sorted")
+    __slots__ = ("buckets", "_values", "_sum", "_settled")
     kind = "histogram"
 
     def __init__(self, buckets: Sequence[float]):
@@ -203,21 +231,37 @@ class Histogram:
         if len(set(buckets)) != len(buckets):
             raise ValueError(f"bucket bounds must be unique: {buckets}")
         self.buckets = buckets
-        #: Per-bucket (non-cumulative) counts; the +Inf bucket is last.
-        self.counts = [0] * (len(buckets) + 1)
-        self.sum = 0.0
-        self.count = 0
         self._values: List[float] = []
-        #: Length of the sorted prefix of ``_values``; what :meth:`observe`
-        #: appended since the last read lies past it.
-        self._sorted = 0
+        self._sum = 0.0
+        #: Length of the prefix of ``_values`` that is sorted and summed;
+        #: what was observed since the last read lies past it, in order.
+        self._settled = 0
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
         self._values.append(value)
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record ``values`` in observation order."""
+        self._values += values
+
+    def _settle(self) -> List[float]:
+        """Every observation, sorted, with :attr:`sum` caught up."""
+        values = self._values
+        if self._settled != len(values):
+            fresh = islice(values, self._settled, None)
+            self._sum = _running_sum(self._sum, map(float, fresh))
+            values.sort()
+            self._settled = len(values)
+        return values
+
+    @property
+    def count(self) -> int:
+        return len(self._values)
+
+    @property
+    def sum(self) -> float:
+        self._settle()
+        return self._sum
 
     @property
     def mean(self) -> float:
@@ -229,27 +273,30 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
+        values = self._settle()
+        if not values:
             return 0.0
-        values = self._values
-        if self._sorted != self.count:
-            values.sort()
-            self._sorted = self.count
-        return values[min(int(q * self.count), self.count - 1)]
+        return float(values[min(int(q * len(values)), len(values) - 1)])
 
     def cumulative_counts(self) -> List[int]:
         """Cumulative ``le`` counts, one per bound plus the +Inf bucket."""
-        out: List[int] = []
-        running = 0
-        for c in self.counts:
-            running += c
-            out.append(running)
-        return out
+        values = self._settle()
+        return [bisect_right(values, bound) for bound in self.buckets] + [
+            len(values)
+        ]
+
+    @property
+    def counts(self) -> List[int]:
+        """Per-bucket (non-cumulative) counts; the +Inf bucket is last."""
+        cumulative = self.cumulative_counts()
+        return [
+            count - below for count, below in zip(cumulative, [0] + cumulative)
+        ]
 
     def state(self) -> Dict:
         return {
             "buckets": list(self.buckets),
-            "counts": list(self.counts),
+            "counts": self.counts,
             "sum": self.sum,
             "count": self.count,
             "mean": self.mean,
@@ -420,7 +467,7 @@ class MetricsRegistry:
             for key in sorted(family.children):
                 metric = family.children[key]
                 labels = _format_labels(family.label_names, key)
-                if isinstance(metric, Histogram):
+                if family.kind == "histogram":
                     cumulative = metric.cumulative_counts()
                     for bound, count in zip(metric.buckets, cumulative):
                         le = _format_labels(
@@ -468,16 +515,29 @@ def _escape_label(value: str) -> str:
     )
 
 
+def _grouped(records: Iterable[Mapping], label: str, field: str) -> Dict:
+    """``record[field]`` of every record, as one list per ``record[label]``
+    in stream order."""
+    groups: Dict = {}
+    for record in records:
+        key = record[label]
+        try:
+            groups[key].append(record[field])
+        except KeyError:
+            groups[key] = [record[field]]
+    return groups
+
+
 class MetricsAggregator:
     """Streams trace records into the registry — the metric catalogue.
 
     One aggregator instance serves both the live path (wrapped in a
     :class:`MetricsSink`) and the offline path (:func:`aggregate_trace`);
-    the dispatch below is the single definition of how raw records map to
-    aggregates.  It is compiled as records arrive: a ``kind`` resolves,
-    in one lookup, to its ``repro_records_total`` child and its fold, and
-    a fold reaches labeled children through ``family[raw]`` instead of a
-    ``labels()`` call per record.
+    the folds below are the single definition of how raw records map to
+    aggregates.  A fold takes the records of its kind as a list, hoists
+    its family and label lookups out of the per-record work, and reaches
+    labeled children through ``family[raw]`` instead of a ``labels()``
+    call per record.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -593,128 +653,173 @@ class MetricsAggregator:
         #: Every response time of the run, in fold order past the prefix
         #: that :func:`window_summary_row` sorted at the last row.
         self._response_merged: List[float] = []
-        #: kind -> (its ``repro_records_total`` child, its fold or None).
-        self._dispatch: Dict[str, Tuple[Counter, Optional[Callable]]] = {}
 
     # Dispatch -------------------------------------------------------------
-    def observe(self, record: Mapping) -> Optional[str]:
-        """Fold one trace record into the aggregates; returns its kind."""
-        kind = record.get("kind")
-        try:
-            seen, fold = self._dispatch[kind]
-        except (KeyError, TypeError):
-            if not isinstance(kind, str):
-                return None
-            seen, fold = self._dispatch[kind] = (
-                self._records.labels(kind), self._HANDLERS.get(kind)
-            )
-        seen.value += 1.0  # inc() minus the call: one per record
-        t = record.get("t")
-        if t is not None:
-            self._sim_time[()].set(t)
-        if fold is not None:
-            fold(self, record)
-        return kind
+    def observe(self, record: Mapping) -> None:
+        """Fold one trace record into the aggregates."""
+        self.observe_many((record,))
 
-    def _on_arrival(self, record: Mapping) -> None:
-        self._arrivals[record["workflow"]].inc()
+    def observe_many(self, records: Iterable[Mapping]) -> None:
+        """Fold ``records`` into the aggregates, as if one at a time.
 
-    def _on_workflow_complete(self, record: Mapping) -> None:
-        workflow = record["workflow"]
-        self._completions[workflow].inc()
-        response_time = float(record["response_time"])
-        self._response[workflow].observe(response_time)
-        self._response_merged.append(response_time)
+        One pass carries the clock gauge and partitions the records **by
+        fold**, each part in stream order; then every fold runs once over
+        its part.  By fold and not by kind, because a gauge keeps the
+        last value and a running mean: ``event.placement`` and
+        ``event.release`` both set ``repro_node_slots_used``, so they
+        share a fold and stay interleaved.  Everything else two folds
+        share is an integer-valued counter (``repro_consumer_events_total``,
+        ``repro_records_total``), which no order can move.
+        """
+        handlers = self._HANDLERS
+        part_of: Dict[str, List[Mapping]] = {}  # kind -> its fold's part
+        parts: Dict[Optional[Callable], Tuple[List[Mapping], List[str]]] = {}
+        times: List[float] = []
+        for record in records:
+            try:
+                part_of[record["kind"]].append(record)
+            except (KeyError, TypeError):
+                kind = record.get("kind")
+                if not isinstance(kind, str):
+                    continue
+                part, kinds = parts.setdefault(handlers.get(kind), ([], []))
+                kinds.append(kind)
+                part.append(record)
+                part_of[kind] = part
+            try:
+                t = record["t"]
+            except KeyError:
+                continue
+            if t is not None:
+                times.append(t)
+        if times:
+            self._sim_time[()].set_many(times)
+        seen = self._records
+        for fold, (part, kinds) in parts.items():
+            if len(kinds) == 1:
+                seen[kinds[0]].inc(len(part))
+            else:
+                for record in part:
+                    seen[record["kind"]].inc()
+            if fold is not None:
+                fold(self, part)
 
-    def _on_publish(self, record: Mapping) -> None:
-        queue = record["queue"]
-        self._publishes[queue].inc()
-        self._queue_depth[queue].observe(record["depth"])
+    def _fold_arrivals(self, records: List[Mapping]) -> None:
+        for record in records:
+            self._arrivals[record["workflow"]].inc()
 
-    def _on_redeliver(self, record: Mapping) -> None:
-        self._redeliveries[record["queue"]].inc()
+    def _fold_workflow_completions(self, records: List[Mapping]) -> None:
+        by_workflow = _grouped(records, "workflow", "response_time")
+        for workflow, response_times in by_workflow.items():
+            response_times = list(map(float, response_times))
+            self._completions[workflow].inc(len(response_times))
+            self._response[workflow].observe_many(response_times)
+            self._response_merged += response_times
 
-    def _on_consumer_start(self, record: Mapping) -> None:
-        self._consumer_events[record["service"], "start"].inc()
+    def _fold_publishes(self, records: List[Mapping]) -> None:
+        for queue, depths in _grouped(records, "queue", "depth").items():
+            self._publishes[queue].inc(len(depths))
+            self._queue_depth[queue].observe_many(depths)
 
-    def _on_consumer_ready(self, record: Mapping) -> None:
-        service = record["service"]
-        self._consumer_events[service, "ready"].inc()
-        self._startup[service].observe(record["startup_latency"])
+    def _fold_redeliveries(self, records: List[Mapping]) -> None:
+        for record in records:
+            self._redeliveries[record["queue"]].inc()
 
-    def _on_consumer_stop(self, record: Mapping) -> None:
-        self._consumer_events[
-            record["service"], f"stop_{record['mode']}"
-        ].inc()
+    def _fold_consumer_starts(self, records: List[Mapping]) -> None:
+        for record in records:
+            self._consumer_events[record["service"], "start"].inc()
 
-    def _on_task_complete(self, record: Mapping) -> None:
-        self._service_time[record["service"]].observe(
-            record["service_time"]
-        )
+    def _fold_consumer_readies(self, records: List[Mapping]) -> None:
+        for record in records:
+            service = record["service"]
+            self._consumer_events[service, "ready"].inc()
+            self._startup[service].observe(record["startup_latency"])
 
-    def _on_task_span(self, record: Mapping) -> None:
-        service = record["service"]
-        self._queue_wait[service].observe(
-            record["started"] - record["published"]
-        )
-        retries = record["deliveries"] - 1
-        if retries > 0:
-            self._task_retries[service].inc(retries)
-        wasted = record["wasted"]
-        if wasted > 0:
-            self._wasted_work[service].inc(wasted)
+    def _fold_consumer_stops(self, records: List[Mapping]) -> None:
+        for record in records:
+            self._consumer_events[
+                record["service"], f"stop_{record['mode']}"
+            ].inc()
 
-    def _on_fault(self, record: Mapping) -> None:
-        self._faults[record["fault"]].inc()
+    def _fold_task_completions(self, records: List[Mapping]) -> None:
+        by_service = _grouped(records, "service", "service_time")
+        for service, service_times in by_service.items():
+            self._service_time[service].observe_many(service_times)
 
-    def _on_placement(self, record: Mapping) -> None:
-        self._node_used[record["node"]].set(record["used"])
+    def _fold_task_spans(self, records: List[Mapping]) -> None:
+        waits: Dict[str, List[float]] = {}
+        for record in records:
+            service = record["service"]
+            wait = record["started"] - record["published"]
+            try:
+                waits[service].append(wait)
+            except KeyError:
+                waits[service] = [wait]
+            if record["deliveries"] > 1:
+                self._task_retries[service].inc(record["deliveries"] - 1)
+            if record["wasted"] > 0:
+                self._wasted_work[service].inc(record["wasted"])
+        for service, service_waits in waits.items():
+            self._queue_wait[service].observe_many(service_waits)
 
-    def _on_window(self, record: Mapping) -> None:
-        self._windows[()].inc()
-        self._window_reward[()].set(record["reward"])
-        allocation = record["allocation"]
-        busy = record["busy"]
-        for service, wip in record["wip"].items():
-            self._wip[service].set(wip)
-        for service, count in allocation.items():
-            self._allocation[service].set(count)
-        for service, count in busy.items():
-            self._busy[service].set(count)
-            allocated = allocation.get(service, 0)
-            if allocated:
-                self._utilization[service].set(count / allocated)
-        for service, depth in record["queue_ready"].items():
-            self._queue_ready[service].set(depth)
+    def _fold_faults(self, records: List[Mapping]) -> None:
+        for record in records:
+            self._faults[record["fault"]].inc()
 
-    def _on_collect(self, record: Mapping) -> None:
-        lane = f"lane{record['lane']}"
-        self._collect_episodes[lane].inc()
-        self._collect_steps[lane].inc(record["steps"])
-        self._collect_return[lane].set(record["reward"])
+    def _fold_node_slots(self, records: List[Mapping]) -> None:
+        for record in records:
+            self._node_used[record["node"]].set(record["used"])
 
-    def _on_metric(self, record: Mapping) -> None:
-        name = record["name"]
-        value = record["value"]
-        self._training_last[name].set(value)
-        self._training_ewma[name].update(value)
+    def _fold_windows(self, records: List[Mapping]) -> None:
+        for record in records:
+            self._windows[()].inc()
+            self._window_reward[()].set(record["reward"])
+            allocation = record["allocation"]
+            busy = record["busy"]
+            for service, wip in record["wip"].items():
+                self._wip[service].set(wip)
+            for service, count in allocation.items():
+                self._allocation[service].set(count)
+            for service, count in busy.items():
+                self._busy[service].set(count)
+                allocated = allocation.get(service, 0)
+                if allocated:
+                    self._utilization[service].set(count / allocated)
+            for service, depth in record["queue_ready"].items():
+                self._queue_ready[service].set(depth)
 
+    def _fold_collects(self, records: List[Mapping]) -> None:
+        for record in records:
+            lane = f"lane{record['lane']}"
+            self._collect_episodes[lane].inc()
+            self._collect_steps[lane].inc(record["steps"])
+            self._collect_return[lane].set(record["reward"])
+
+    def _fold_metrics(self, records: List[Mapping]) -> None:
+        for record in records:
+            name = record["name"]
+            value = record["value"]
+            self._training_last[name].set(value)
+            self._training_ewma[name].update(value)
+
+    #: kind -> the fold over that kind's records.  Kinds naming one fold
+    #: are folded together, interleaved (see :meth:`observe_many`).
     _HANDLERS: Dict[str, Callable] = {
-        "event.arrival": _on_arrival,
-        "event.workflow_complete": _on_workflow_complete,
-        "event.publish": _on_publish,
-        "event.redeliver": _on_redeliver,
-        "event.consumer_start": _on_consumer_start,
-        "event.consumer_ready": _on_consumer_ready,
-        "event.consumer_stop": _on_consumer_stop,
-        "event.task_complete": _on_task_complete,
-        "event.task_span": _on_task_span,
-        "event.fault": _on_fault,
-        "event.placement": _on_placement,
-        "event.release": _on_placement,
-        "span.window": _on_window,
-        "span.collect": _on_collect,
-        "metric": _on_metric,
+        "event.arrival": _fold_arrivals,
+        "event.workflow_complete": _fold_workflow_completions,
+        "event.publish": _fold_publishes,
+        "event.redeliver": _fold_redeliveries,
+        "event.consumer_start": _fold_consumer_starts,
+        "event.consumer_ready": _fold_consumer_readies,
+        "event.consumer_stop": _fold_consumer_stops,
+        "event.task_complete": _fold_task_completions,
+        "event.task_span": _fold_task_spans,
+        "event.fault": _fold_faults,
+        "event.placement": _fold_node_slots,
+        "event.release": _fold_node_slots,
+        "span.window": _fold_windows,
+        "span.collect": _fold_collects,
+        "metric": _fold_metrics,
     }
 
     # Export ---------------------------------------------------------------
@@ -726,7 +831,7 @@ class MetricsAggregator:
 
 
 class MetricsSink(Sink):
-    """A sink that aggregates every record, then forwards it downstream.
+    """A sink that aggregates what it is written, then forwards it downstream.
 
     This is the live half of the engine: wrap any real sink
     (``MetricsSink(JsonlSink(path))``) — or nothing at all, for
@@ -735,21 +840,49 @@ class MetricsSink(Sink):
     ``system.run_window()`` emits at every window boundary: deriving the
     hook from the record stream (rather than a callback on the system)
     is what keeps offline replay identical to the live path.
+
+    **When aggregates are current.**  :meth:`write` only queues a
+    record; the queue is folded, in order, when a ``span.window`` record
+    arrives (its summary row reads the aggregates), when it reaches
+    ``PENDING_LIMIT`` records, and before every read —
+    :attr:`aggregator`, :meth:`snapshot`, :meth:`to_prometheus`.  So a
+    reader never sees a stale aggregate and never calls a flush, and
+    *when* the folds ran cannot change a byte: the fold is order
+    preserving.  A record the fold cannot read (a registered kind
+    missing a payload field) raises there, not at its ``write``.
     """
 
     def __init__(self, downstream: Optional[Sink] = None):
         self.downstream = downstream
-        self.aggregator = MetricsAggregator()
-        #: One compact row per window (see :func:`window_summary_row`).
+        self._aggregator = MetricsAggregator()
+        self._pending: List[Dict] = []
+        #: One compact row per window (see :func:`window_summary_row`);
+        #: a row is appended as its window record is written.
         self.window_snapshots: List[Dict] = []
 
+    @property
+    def aggregator(self) -> MetricsAggregator:
+        """The aggregates of everything written so far."""
+        if self._pending:
+            self._fold()
+        return self._aggregator
+
+    def _fold(self) -> None:
+        pending, self._pending = self._pending, []
+        self._aggregator.observe_many(pending)
+
     def write(self, record: Dict) -> None:
-        if self.aggregator.observe(record) == "span.window":
+        pending = self._pending
+        pending.append(record)
+        if record.get("kind") == "span.window":
             row = window_summary_row(self.aggregator)
             row["window"] = record.get("index")
             self.window_snapshots.append(row)
-        if self.downstream is not None:
-            self.downstream.write(record)
+        elif len(pending) >= PENDING_LIMIT:
+            self._fold()
+        downstream = self.downstream
+        if downstream is not None:
+            downstream.write(record)
 
     def flush(self) -> None:
         if self.downstream is not None:

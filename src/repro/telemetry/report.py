@@ -55,7 +55,7 @@ def utilization_table(snapshot: Mapping) -> Dict[str, Dict[str, float]]:
     Returns ``{service: {mean_wip, mean_allocation, mean_busy,
     utilization}}`` where utilization is busy consumers divided by
     allocated consumers, averaged over windows with a non-zero
-    allocation (the rule of ``MetricsAggregator._on_window``).
+    allocation (the rule of ``MetricsAggregator._fold_windows``).
     """
     wip = _by_label(snapshot, "repro_wip", "service")
     allocation = _by_label(snapshot, "repro_allocation", "service")

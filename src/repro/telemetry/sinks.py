@@ -79,8 +79,8 @@ class MemorySink(Sink):
 class JsonlSink(Sink):
     """Writes one JSON object per line to a file (the trace format).
 
-    Keys are written in insertion order (the envelope first), values with
-    ``json.dumps`` defaults plus ``sort_keys=False`` — re-running the same
+    Keys are written in insertion order (the envelope first), compact,
+    values as ``json.dumps`` writes them by default — re-running the same
     seeded experiment byte-reproduces the file.
     """
 
@@ -88,14 +88,16 @@ class JsonlSink(Sink):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file: Optional = self.path.open("w", encoding="utf-8")
+        # One encoder for the sink's life: ``json.dumps`` with non-default
+        # separators builds a new ``JSONEncoder`` on every call.
+        self._encode = json.JSONEncoder(separators=(",", ":")).encode
         self.records_written = 0
 
     def write(self, record: Dict) -> None:
         """Serialise and append one record line."""
         if self._file is None:
             raise RuntimeError(f"sink for {self.path} is closed")
-        self._file.write(json.dumps(record, separators=(",", ":")))
-        self._file.write("\n")
+        self._file.write(self._encode(record) + "\n")
         self.records_written += 1
 
     def flush(self) -> None:

@@ -37,15 +37,15 @@ def fresh_tracer():
 class TestActivation:
     def test_activate_and_deactivate_restore_methods(self):
         original_fork = RngStream.fork
-        original_emit = Tracer.emit
+        original_write = Tracer.write
         sanitizer.activate()
         assert sanitizer.is_active()
         assert RngStream.fork is not original_fork
-        assert Tracer.emit is not original_emit
+        assert Tracer.write is not original_write
         sanitizer.deactivate()
         assert not sanitizer.is_active()
         assert RngStream.fork is original_fork
-        assert Tracer.emit is original_emit
+        assert Tracer.write is original_write
 
     def test_activate_is_idempotent(self):
         sanitizer.activate()

@@ -4,14 +4,18 @@ import json
 
 import pytest
 
+from repro.sim.events import EventLoop, TypedEventLoop
 from repro.telemetry import (
     NULL_TRACER,
+    RECORD_SCHEMAS,
     JsonlSink,
     MemorySink,
     NullSink,
     Tracer,
     validate_record,
 )
+
+from tests.telemetry.test_records import make_record
 
 
 class TestDisabledTracer:
@@ -58,6 +62,36 @@ class TestEnabledTracer:
         }
         for record in sink.records:
             validate_record(record)
+
+    @pytest.mark.parametrize("loop_class", [EventLoop, TypedEventLoop])
+    def test_a_bound_loop_is_the_clock(self, loop_class):
+        """The system binds its event loop, not a callable: ``t`` is the
+        loop's time as a float, and the record written is the dict the
+        site built, stamped in place."""
+        sink = MemorySink()
+        tracer = Tracer(sink, clock=lambda: 7.0)
+        loop = loop_class()
+        tracer.bind_clock(loop)
+        loop.run_until(12)  # an int: the trace still says 12.0
+        record = {"kind": "event.publish", "t": None, "queue": "Ingest", "depth": 1}
+        tracer.write(record)
+        assert sink.records[0] is record
+        assert list(record.items()) == [
+            ("kind", "event.publish"), ("t", 12.0),
+            ("queue", "Ingest"), ("depth", 1),
+        ]
+        assert type(record["t"]) is float
+        assert tracer.now() == record["t"]
+        assert tracer.records_written == 1
+        later = 3.5
+        tracer.bind_clock(lambda: later)  # a callable bound later wins again
+        assert tracer.now() == later
+
+    def test_binding_a_loop_leaves_the_null_tracer_clean(self):
+        NULL_TRACER.bind_clock(EventLoop())
+        NULL_TRACER.write({"kind": "event.publish", "t": None, "queue": "x", "depth": 1})
+        assert NULL_TRACER.now() is None
+        assert NULL_TRACER.records_written == 0
 
     def test_metric_record_shape(self):
         sink = MemorySink()
@@ -108,6 +142,23 @@ class TestJsonlSink:
         assert first == {
             "kind": "event.publish", "t": 1.0, "queue": "Ingest", "depth": 1,
         }
+
+    def test_lines_are_the_bytes_json_dumps_wrote(self, tmp_path):
+        """The sink holds one encoder; until PR 24 it called
+        ``json.dumps(record, separators=(",", ":"))`` per record."""
+        records = [make_record(kind) for kind in sorted(RECORD_SCHEMAS)]
+        records.append({
+            "kind": "metric", "t": None, "name": "caf\u00e9/\u03bb \"q\"",
+            "value": float("inf"), "step": None,
+        })
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(path) as sink:
+            for record in records:
+                sink.write(record)
+        assert path.read_bytes() == "".join(
+            json.dumps(record, separators=(",", ":")) + "\n"
+            for record in records
+        ).encode("utf-8")
 
     def test_close_is_idempotent_and_blocks_writes(self, tmp_path):
         sink = JsonlSink(tmp_path / "trace.jsonl")
