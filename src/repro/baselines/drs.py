@@ -135,24 +135,30 @@ class DrsAllocator(Allocator):
             )
 
         # Step 3: greedy marginal-gain spending of the remaining budget.
+        # E[N] at m_j and at m_j + 1 per service; a unit changes one m_j,
+        # so only that service's next value is recomputed.
         remaining = self.budget - int(allocation.sum())
+        service_rates = self._service_rates
         current_en = np.array(
             [
                 mmc_expected_number(r, s, int(m))
-                for r, s, m in zip(rates, self._service_rates, allocation)
+                for r, s, m in zip(rates, service_rates, allocation)
+            ]
+        )
+        next_en = np.array(
+            [
+                mmc_expected_number(r, s, int(m) + 1)
+                for r, s, m in zip(rates, service_rates, allocation)
             ]
         )
         for _ in range(remaining):
-            gains = np.empty(self.num_services)
-            next_en = np.empty(self.num_services)
-            for j in range(self.num_services):
-                next_en[j] = mmc_expected_number(
-                    rates[j], self._service_rates[j], int(allocation[j]) + 1
-                )
-                gains[j] = current_en[j] - next_en[j]
+            gains = current_en - next_en
             best = int(np.argmax(gains))
             if gains[best] <= 0:
                 break  # nothing left to improve; keep spare capacity idle
             allocation[best] += 1
             current_en[best] = next_en[best]
+            next_en[best] = mmc_expected_number(
+                rates[best], service_rates[best], int(allocation[best]) + 1
+            )
         return self._check(allocation)

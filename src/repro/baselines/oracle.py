@@ -51,9 +51,11 @@ class OracleAllocator(Allocator):
         work = np.zeros(ensemble.num_task_types)
         for name, microservice in self._system.microservices.items():
             j = ensemble.task_index(name)
-            queue = microservice.queue
             # Peek at ready + unacked requests (oracle privilege).
-            requests = list(queue._ready) + list(queue._unacked.values())
+            requests = (
+                list(microservice._ready)
+                + list(microservice._unacked.values())
+            )
             for task_request in requests:
                 workflow = ensemble.workflow(
                     task_request.workflow.workflow_type

@@ -5,10 +5,11 @@ Zookeeper, RabbitMQ, Docker and Kubernetes — Section V) with a faithful
 discrete-event model:
 
 - :mod:`repro.sim.events` — simulation clock and event heap,
-- :mod:`repro.sim.queueing` — RabbitMQ-style queues with ack/redelivery,
+- :mod:`repro.sim.queueing` — queue types (delivery tags, index FIFO),
 - :mod:`repro.sim.tds` — the replicated Task Dependency Service,
 - :mod:`repro.sim.cluster` — nodes, container placement, start-up latency,
-- :mod:`repro.sim.microservice` — queue + consumer-pool microservices,
+- :mod:`repro.sim.microservice` — queue + consumer-pool microservices
+  (RabbitMQ-style ack/redelivery),
 - :mod:`repro.sim.invoker` — the workflow invoker of Fig. 1,
 - :mod:`repro.sim.system` — the full system facade with 30 s time windows,
 - :mod:`repro.sim.env` — the RL-style reset/step interface used by MIRAS,
@@ -23,7 +24,7 @@ from repro.sim.events import EventLoop, TypedEventLoop
 from repro.sim.faults import ChaosInjector, crash_one_consumer
 from repro.sim.metrics import WindowObservation
 from repro.sim.microservice import BatchedMicroservice
-from repro.sim.queueing import AckQueue, DeliveryTag, IndexFifo
+from repro.sim.queueing import DeliveryTag, IndexFifo
 from repro.sim.requests import RequestPool, TaskRequest, WorkflowRequest
 from repro.sim.substrate import PrefetchStream, substrate_snapshot
 from repro.sim.system import MicroserviceWorkflowSystem, SystemConfig
@@ -38,7 +39,6 @@ __all__ = [
     "TypedEventLoop",
     "ChaosInjector",
     "crash_one_consumer",
-    "AckQueue",
     "DeliveryTag",
     "IndexFifo",
     "TaskRequest",

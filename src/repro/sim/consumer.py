@@ -1,7 +1,7 @@
 """Consumer containers (Docker-container analog).
 
-A consumer subscribes to its microservice's queue, processes one task
-request at a time, and acks on completion.  The lifecycle mirrors what the
+A consumer takes task requests from its microservice's queue, processes
+one at a time, and acks on completion.  The lifecycle mirrors what the
 paper measured on Kubernetes: "it usually takes 5 to 10 seconds for
 Kubernetes to generate a new container or destroy an existing container" —
 new consumers spend a start-up delay before their first consume, and a
@@ -50,11 +50,13 @@ def lognormal_params(mean: float, cv: float) -> Tuple[float, float]:
     Shared by the serial and batched service-time samplers so both
     parameterise the distribution with bit-identical doubles.
     """
-    if mean <= 0:
+    if not mean > 0:
         raise ValueError(f"mean service time must be positive, got {mean!r}")
-    if cv < 0:
+    if not cv >= 0:
         raise ValueError(f"cv must be non-negative, got {cv!r}")
     sigma_sq = math.log(1.0 + cv * cv)
+    if not math.isfinite(sigma_sq):  # cv * cv overflowed: draws would be NaN
+        raise ValueError(f"cv too large for a lognormal, got {cv!r}")
     mu = math.log(mean) - sigma_sq / 2.0
     return mu, math.sqrt(sigma_sq)
 

@@ -35,12 +35,14 @@ EVENT_ARRIVAL = 3
 
 
 class EventHandle:
-    """Handle to a scheduled event; allows O(1) cancellation."""
+    """Handle to a scheduled event; allows O(1) cancellation.
 
-    __slots__ = ("cancelled",)
+    ``cancelled`` starts as the class attribute, so making a handle (one
+    per event) runs no Python ``__init__``; only :meth:`cancel` gives an
+    instance its own value.  A handle lives while its row is pending.
+    """
 
-    def __init__(self):
-        self.cancelled = False
+    cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -52,6 +54,13 @@ class EventLoop:
     The loop does not run free — callers advance it explicitly with
     :meth:`run_until`, which matches the paper's time-window structure:
     the controller acts, then the world advances by one window.
+
+    A row is ``(when, seq, handle, callback, args)``.  The serial
+    :class:`repro.sim.microservice.Microservice` pushes its task-finish
+    rows onto ``_heap`` itself, one per dispatched task, with exactly
+    what :meth:`schedule` would make (the next ``seq``, a fresh
+    :class:`EventHandle`, ``when = now + service time``): the row layout,
+    ``_now``, ``_heap`` and ``_seq_next`` are that contract.
     """
 
     def __init__(self, start_time: float = 0.0):
@@ -88,7 +97,10 @@ class EventLoop:
         a hot scheduler (one finish event per dispatched task) free of a
         closure allocation and an extra call per event.
         """
-        if delay < 0:
+        # Every guard is written ``not x >= y``: a NaN fails it, where
+        # ``x < y`` would let it onto the heap (a NaN row never comes due
+        # and blocks every row behind it).
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         # schedule_at's push, not a call to it: this runs once per event.
         handle = EventHandle()
@@ -103,7 +115,7 @@ class EventLoop:
         self, when: float, callback: Callable[..., None], *args
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if when < self._now:
+        if not when >= self._now:
             raise ValueError(
                 f"cannot schedule into the past (when={when!r}, now={self._now!r})"
             )
@@ -118,7 +130,7 @@ class EventLoop:
 
         Returns the number of events executed.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise ValueError(
                 f"cannot run backwards (when={when!r}, now={self._now!r})"
             )
@@ -241,7 +253,7 @@ class TypedEventLoop:
         self, delay: float, callback: Callable[..., None], *args
     ) -> TypedEventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         return self.schedule_at(self._now + delay, callback, *args)
 
@@ -249,7 +261,7 @@ class TypedEventLoop:
         self, when: float, callback: Callable[..., None], *args
     ) -> TypedEventHandle:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if when < self._now:
+        if not when >= self._now:
             raise ValueError(
                 f"cannot schedule into the past (when={when!r}, now={self._now!r})"
             )
@@ -305,7 +317,7 @@ class TypedEventLoop:
         ``(time, seq)`` order and cancelled rows are dropped without
         counting.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise ValueError(
                 f"cannot run backwards (when={when!r}, now={self._now!r})"
             )

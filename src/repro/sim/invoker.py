@@ -15,13 +15,16 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.sim.events import EventLoop
-from repro.sim.queueing import AckQueue
 from repro.sim.requests import TaskRequest, WorkflowRequest
 from repro.sim.tds import TaskDependencyService
 
 __all__ = ["WorkflowInvoker"]
 
 WorkflowCompletionCallback = Callable[[WorkflowRequest], None]
+
+#: Puts one task request on its task type's queue
+#: (:meth:`repro.sim.microservice.Microservice.publish`).
+Publish = Callable[[TaskRequest], None]
 
 
 class WorkflowInvoker:
@@ -30,16 +33,18 @@ class WorkflowInvoker:
     Routing is resolved once, at construction, from the TDS's compiled
     dependency table: per workflow type its size and entry tasks, per
     ``(workflow type, task)`` the successors with the predecessors each
-    waits for — every task already paired with its queue.  The hot path
-    is then dictionary lookups; each TDS read is still accounted where
-    the query it stands for used to be made.
+    waits for — every task already paired with its queue's ``publish``
+    (``publishers``, by task type).  The hot path
+    is then dictionary lookups; every TDS read the queries stood for is
+    still accounted, one ``account_reads`` call per submission and per
+    completion.
     """
 
     def __init__(
         self,
         loop: EventLoop,
         tds: TaskDependencyService,
-        queues: Dict[str, AckQueue],
+        publishers: Dict[str, Publish],
         on_workflow_complete: Optional[WorkflowCompletionCallback] = None,
     ):
         self.loop = loop
@@ -49,17 +54,17 @@ class WorkflowInvoker:
         self.completed_total = 0
         table = tds.table
         # A task type without a queue is reported when something is
-        # published to it, not here: ``queues.get`` leaves ``None``.
+        # published to it, not here: ``publishers.get`` leaves ``None``.
         self._entries = {
             w_name: (
                 table.size[w],
-                tuple((t, queues.get(t)) for t in table.entry_names[w]),
+                tuple((t, publishers.get(t)) for t in table.entry_names[w]),
             )
             for w, w_name in enumerate(table.workflow_names)
         }
         self._routes = {
             key: tuple(
-                (successor, predecessors, queues.get(successor))
+                (successor, predecessors, publishers.get(successor))
                 for successor, predecessors in route
             )
             for key, route in table.routes.items()
@@ -74,39 +79,26 @@ class WorkflowInvoker:
             raise KeyError(
                 f"unknown workflow type {workflow_type!r}"
             ) from None
-        request = WorkflowRequest(
-            workflow_type=workflow_type,
-            arrival_time=self.loop.now,
-            total_tasks=total_tasks,
-        )
+        now = self.loop.now
+        request = WorkflowRequest(workflow_type, now, total_tasks)
         self.submitted_total += 1
         self.tds.account_reads(1)  # entry-tasks query
-        for task, queue in entries:
-            self._publish(request, task, queue)
+        for task, publish in entries:
+            if publish is None:
+                raise _no_queue(task, workflow_type)
+            publish(TaskRequest(task, request, now))
         return request
-
-    def _publish(
-        self,
-        workflow_request: WorkflowRequest,
-        task: str,
-        queue: Optional[AckQueue],
-    ) -> None:
-        if queue is None:
-            raise KeyError(
-                f"no queue for task type {task!r} (workflow "
-                f"{workflow_request.workflow_type!r})"
-            )
-        queue.publish(
-            TaskRequest(
-                task_type=task,
-                workflow=workflow_request,
-                published_at=self.loop.now,
-            )
-        )
 
     # Completion routing ------------------------------------------------------
     def handle_task_completion(self, task_request: TaskRequest, now: float) -> None:
-        """Step 4 of Fig. 1: publish ready successors; detect completion."""
+        """Step 4 of Fig. 1: publish ready successors; detect completion.
+
+        The TDS reads are the successors query plus one predecessors
+        query (the AND-join check) per successor, accounted in one
+        ``account_reads`` call: a publish never touches the TDS, so the
+        replica set cannot change between them, and the quorum check
+        of the first read decides all of them either way.
+        """
         workflow_request = task_request.workflow
         task = task_request.task_type
         completed = workflow_request.completed_tasks
@@ -117,14 +109,13 @@ class WorkflowInvoker:
             )
         completed.add(task)
 
-        account_read = self.tds.account_reads
-        account_read(1)  # successors query
-        for successor, predecessors, queue in self._routes[
-            workflow_request.workflow_type, task
-        ]:
-            account_read(1)  # predecessors query (AND-join check)
+        route = self._routes[workflow_request.workflow_type, task]
+        self.tds.account_reads(1 + len(route))
+        for successor, predecessors, publish in route:
             if completed.issuperset(predecessors):
-                self._publish(workflow_request, successor, queue)
+                if publish is None:
+                    raise _no_queue(successor, workflow_request.workflow_type)
+                publish(TaskRequest(successor, workflow_request, now))
 
         if len(completed) == workflow_request.total_tasks:
             workflow_request.completion_time = now
@@ -137,3 +128,9 @@ class WorkflowInvoker:
             f"WorkflowInvoker(submitted={self.submitted_total}, "
             f"completed={self.completed_total})"
         )
+
+
+def _no_queue(task: str, workflow_type: str) -> KeyError:
+    return KeyError(
+        f"no queue for task type {task!r} (workflow {workflow_type!r})"
+    )

@@ -21,18 +21,30 @@ queue and a set of consumers subscribing to the queue to handle requests"
   Either way the allocation m_j drops to the target at once, so the
   consumer-budget constraint stays enforced ("In all following experiments
   we make sure that the constraints are enforced").
+
+The request queue is the RabbitMQ analog, with its acknowledgement
+mechanism ("to guarantee that task requests ... do not get lost in the
+system"), and each microservice owns its own: a publish appends, and a
+dispatch hands the oldest ready message to a consumer under a fresh
+delivery tag, keeping it *unacked*.  A finish acks it, and it leaves for
+good.  A consumer killed mid-processing nacks it instead, which requeues
+it at the **front**, so redelivery preserves ordering.  WIP ("work-in-
+progress", the paper's state signal) is ready + unacked; ``ms.queue`` is
+a read-only view of those counts.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from bisect import bisect_left
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.cluster import Cluster
 from repro.sim.consumer import Consumer, ConsumerState, service_time_params
-from repro.sim.events import EventLoop, TypedEventLoop
-from repro.sim.queueing import AckQueue, IndexFifo
+from repro.sim.events import EventHandle, EventLoop, TypedEventLoop
+from repro.sim.queueing import DeliveryTag, IndexFifo, QueueError
 from repro.sim.requests import RequestPool, TaskRequest
 from repro.sim.substrate import PrefetchStream
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -41,13 +53,21 @@ from repro.utils.rng import RngStream
 from repro.utils.validation import require
 from repro.workflows.dag import TaskType
 
-__all__ = ["Microservice", "BatchedMicroservice", "BatchedQueueView"]
+__all__ = [
+    "Microservice", "QueueView", "BatchedMicroservice", "BatchedQueueView",
+]
 
 #: Called with (task_request, completion_time) when a task finishes.
 TaskCompletionCallback = Callable[[TaskRequest, float], None]
 
 #: Called with (task_index, completion_time) on the batched substrate.
 BatchedTaskCompletionCallback = Callable[[int, float], None]
+
+
+def _unknown_tag(tag: DeliveryTag) -> QueueError:
+    """What settling a tag that is not unacked (twice, or never) raises."""
+    return QueueError(f"unknown or already-settled delivery tag {tag}")
+
 
 # Consumer lifecycle states of the batched substrate, as the same strings
 # serial ``ConsumerState.value`` yields — snapshots compare directly.
@@ -98,6 +118,8 @@ class Microservice:
                 f"got {scale_down_mode!r}"
             )
         self.task_type = task_type
+        #: The task type's name, which is also the queue's.
+        self.name = task_type.name
         self.loop = loop
         self.cluster = cluster
         self.rng = rng
@@ -109,8 +131,18 @@ class Microservice:
         self._fixed_service, self._mu, self._sigma = service_time_params(
             task_type.mean_service_time, task_type.cv
         )
-        self.queue = AckQueue(task_type.name, tracer=self.tracer)
-        self.queue.subscribe(self._dispatch)
+        #: The stream's own draw, bound once: the same draws as
+        #: ``rng.lognormal(mu, sigma)``, one call instead of two.
+        self._lognormal = rng.generator.lognormal
+        # The queue (module docstring): ready messages oldest first, and
+        # the delivered ones by delivery tag until they are settled.
+        self._ready: Deque[TaskRequest] = deque()
+        self._unacked: Dict[DeliveryTag, TaskRequest] = {}
+        self._tags = itertools.count(1)
+        self.published_total = 0
+        self.acked_total = 0
+        self.redelivered_total = 0
+        self.queue = QueueView(self)
         self.consumers: List[Consumer] = []
         self._idle: List[Tuple[int, Consumer]] = []
         self._starting: List[Tuple[int, Consumer]] = []
@@ -123,10 +155,6 @@ class Microservice:
         self.consumers_killed_busy = 0
         self.consumers_killed_starting = 0
         self.consumers_started = 0
-
-    @property
-    def name(self) -> str:
-        return self.task_type.name
 
     # Scaling -------------------------------------------------------------
     @property
@@ -215,7 +243,7 @@ class Microservice:
                     "busy consumer has no in-flight request")
             elapsed = self.loop.now - victim.processing_started_at
             victim.current_request.wasted_work += elapsed
-            self.queue.nack(victim.current_tag)
+            self._nack(victim.current_tag)
             victim.current_tag = None
             victim.current_request = None
             self.consumers_killed_busy += 1
@@ -306,21 +334,67 @@ class Microservice:
             return self._idle[0][1]
         return self.consumers[-1]  # newest busy consumer
 
+    # Queue ---------------------------------------------------------------
+    def publish(self, request: TaskRequest) -> None:
+        """Append a task request to the queue and dispatch it if a
+        consumer is idle (push delivery)."""
+        if request.task_type != self.name:
+            raise QueueError(
+                f"request for task {request.task_type!r} published to "
+                f"queue {self.name!r}"
+            )
+        self._ready.append(request)
+        self.published_total += 1
+        if self.tracer.enabled:
+            self.tracer.write({
+                "kind": "event.publish", "t": None,
+                "queue": self.name, "depth": self.wip,
+            })
+        self._dispatch()
+
+    def _nack(self, tag: DeliveryTag) -> None:
+        """Negative-acknowledge: requeue at the front for redelivery."""
+        request = self._unacked.pop(tag, None)
+        if request is None:
+            raise _unknown_tag(tag)
+        self._ready.appendleft(request)
+        self.redelivered_total += 1
+        if self.tracer.enabled:
+            self.tracer.write({
+                "kind": "event.redeliver", "t": None,
+                "queue": self.name, "depth": self.wip,
+            })
+        self._dispatch()
+
     # Processing ------------------------------------------------------------
     def _dispatch(self) -> None:
         """Hand ready messages to idle consumers (push delivery).
 
         Oldest message to first idle consumer, until either runs out;
-        with nobody idle or nothing ready it returns at once.
+        with nobody idle or nothing ready it returns at once.  Each
+        delivery moves the message to the unacked map under a fresh tag,
+        and the consumer's finish row goes straight onto the event heap
+        — the row :meth:`EventLoop.schedule` would push (next ``seq``,
+        fresh handle, ``now + service time``), without its delay guard:
+        a valid :class:`TaskType` never yields a negative or NaN time.
         """
         idle = self._idle
-        while idle:
-            item = self.queue.consume()
-            if item is None:
-                return
+        ready = self._ready
+        if not (idle and ready):
+            return
+        loop = self.loop
+        heap = loop._heap
+        now = loop._now
+        unacked = self._unacked
+        tags = self._tags
+        fixed = self._fixed_service
+        on_finished = self._on_finished
+        while idle and ready:
             consumer = heapq.heappop(idle)[1]
-            tag, request = item
-            now = self.loop.now
+            request = ready.popleft()
+            request.deliveries += 1
+            tag = next(tags)
+            unacked[tag] = request
             consumer.state = ConsumerState.BUSY
             if not consumer.busy_indexed:
                 self._index_busy(consumer)
@@ -328,24 +402,37 @@ class Microservice:
             consumer.current_request = request
             consumer.processing_started_at = now
             request.started_at = now
-            service_time = self._fixed_service
-            if service_time is None:
-                service_time = float(
-                    self.rng.lognormal(mean=self._mu, sigma=self._sigma)
-                )
-            consumer.pending_event = self.loop.schedule(
-                service_time, self._on_finished, consumer
-            )
+            if fixed is None:
+                when = now + self._lognormal(self._mu, self._sigma)
+            else:
+                when = now + fixed
+            handle = consumer.pending_event = EventHandle()
+            seq = loop._seq_next
+            loop._seq_next = seq + 1
+            heapq.heappush(heap, (when, seq, handle, on_finished, (consumer,)))
 
     def _on_finished(self, consumer: Consumer) -> None:
         if consumer.state is not ConsumerState.BUSY:
             return  # killed before finishing; nack already handled it
-        require(consumer.current_tag is not None,
-                "finished consumer has no delivery tag")
-        require(consumer.current_request is not None,
-                "finished consumer has no in-flight request")
-        request = self.queue.ack(consumer.current_tag)
-        now = self.loop.now
+        tag = consumer.current_tag
+        request = consumer.current_request
+        if tag is None:
+            raise RuntimeError(
+                "internal invariant violated: "
+                "finished consumer has no delivery tag"
+            )
+        if request is None:
+            raise RuntimeError(
+                "internal invariant violated: "
+                "finished consumer has no in-flight request"
+            )
+        # The ack: the delivery leaves the unacked map for good.
+        try:
+            del self._unacked[tag]
+        except KeyError:
+            raise _unknown_tag(tag) from None
+        self.acked_total += 1
+        now = self.loop._now
         service_time = now - consumer.processing_started_at
         consumer.tasks_completed += 1
         consumer.busy_time += service_time
@@ -369,13 +456,14 @@ class Microservice:
             consumer.state = ConsumerState.IDLE
             heapq.heappush(self._idle, (consumer.trace_id, consumer))
         self.on_task_complete(request, now)
-        self._dispatch()
+        if self._ready:
+            self._dispatch()
 
     # Introspection -----------------------------------------------------------
     @property
     def wip(self) -> int:
         """Work-in-progress w_j: queued + in-processing requests."""
-        return self.queue.depth
+        return len(self._ready) + len(self._unacked)
 
     @property
     def busy_consumers(self) -> int:
@@ -392,8 +480,60 @@ class Microservice:
         )
 
 
+class QueueView:
+    """Read-only counts of a :class:`Microservice`'s queue: ``ms.queue``.
+
+    What the system's window accounting, the conservation checks and the
+    tests read, the same surface as :class:`BatchedQueueView` on the
+    batched substrate.
+    """
+
+    __slots__ = ("_ms",)
+
+    def __init__(self, ms: Microservice):
+        self._ms = ms
+
+    @property
+    def published_total(self) -> int:
+        return self._ms.published_total
+
+    @property
+    def acked_total(self) -> int:
+        return self._ms.acked_total
+
+    @property
+    def redelivered_total(self) -> int:
+        return self._ms.redelivered_total
+
+    @property
+    def ready_count(self) -> int:
+        """Messages waiting in the queue."""
+        return len(self._ms._ready)
+
+    @property
+    def unacked_count(self) -> int:
+        """Messages delivered to a consumer but not yet settled."""
+        return len(self._ms._unacked)
+
+    @property
+    def depth(self) -> int:
+        """Work-in-progress: waiting + being processed (the paper's w_j)."""
+        return self._ms.wip
+
+    def conservation_ok(self) -> bool:
+        """published == acked + ready + unacked (no message ever lost)."""
+        ms = self._ms
+        return ms.published_total == ms.acked_total + ms.wip
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"QueueView({self._ms.name!r}, ready={self.ready_count}, "
+            f"unacked={self.unacked_count})"
+        )
+
+
 class BatchedQueueView:
-    """:class:`repro.sim.queueing.AckQueue`-shaped introspection facade.
+    """:class:`QueueView` of a :class:`BatchedMicroservice`.
 
     The batched microservice keeps its queue as an :class:`IndexFifo`
     plus plain counters; this view exposes the same read-only surface

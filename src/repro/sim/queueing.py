@@ -1,32 +1,26 @@
-"""Message queue with acknowledgement semantics (RabbitMQ analog).
+"""Queue types of the two substrates.
 
 The paper: "We employ an acknowledgement mechanism between RabbitMQ message
 queues and consumers to guarantee that task requests (and the workflows they
-belong to) do not get lost in the system."  This module reproduces the
-contract a consumer sees:
-
-- ``consume()`` hands out the oldest ready message with a delivery tag and
-  moves it to the *unacked* set,
-- ``ack(tag)`` removes it permanently,
-- ``nack(tag)`` (consumer died mid-processing, e.g. a scale-down kill)
-  requeues the message at the **front** so redelivery preserves ordering.
-
-WIP ("work-in-progress", the paper's state signal) is ready + unacked.
+belong to) do not get lost in the system."  Each microservice owns its
+queue and implements that contract itself (publish, delivery, ack, nack
+with front-of-queue redelivery): the serial
+:class:`repro.sim.microservice.Microservice` on a deque of request
+objects, each delivery under a :data:`DeliveryTag`, settling an unknown
+tag raising :class:`QueueError`; the batched
+:class:`repro.sim.microservice.BatchedMicroservice` on an
+:class:`IndexFifo`.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.sim.requests import TaskRequest
-from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.batchpairs import batched_pair
 
-__all__ = ["AckQueue", "DeliveryTag", "QueueError", "IndexFifo"]
+__all__ = ["DeliveryTag", "QueueError", "IndexFifo"]
 
 DeliveryTag = int
 
@@ -35,128 +29,10 @@ class QueueError(RuntimeError):
     """Raised on protocol violations (double ack, unknown tag, ...)."""
 
 
-class AckQueue:
-    """FIFO task-request queue with unacked-message tracking."""
-
-    def __init__(self, name: str, tracer: Optional[Tracer] = None):
-        if not name:
-            raise ValueError("queue name must be non-empty")
-        self.name = name
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._ready: Deque[TaskRequest] = deque()
-        self._unacked: Dict[DeliveryTag, TaskRequest] = {}
-        self._tags = itertools.count(1)
-        self._subscribers: List[Callable[[], None]] = []
-        # Lifetime counters for metrics / conservation checks.
-        self.published_total = 0
-        self.acked_total = 0
-        self.redelivered_total = 0
-
-    # Publishing --------------------------------------------------------
-    def publish(self, request: TaskRequest) -> None:
-        """Append a task request and wake subscribers."""
-        if request.task_type != self.name:
-            raise QueueError(
-                f"request for task {request.task_type!r} published to "
-                f"queue {self.name!r}"
-            )
-        self._ready.append(request)
-        self.published_total += 1
-        if self._tracer.enabled:
-            self._tracer.write({
-                "kind": "event.publish", "t": None,
-                "queue": self.name, "depth": self.depth,
-            })
-        self._notify()
-
-    def subscribe(self, callback: Callable[[], None]) -> None:
-        """Register a callback fired after every publish/requeue.
-
-        The microservice uses this to wake idle consumers, mirroring
-        RabbitMQ's push delivery.
-        """
-        self._subscribers.append(callback)
-
-    def _notify(self) -> None:
-        # No copy: subscription happens at wiring time (the owning
-        # microservice's constructor), never from inside a callback.
-        for callback in self._subscribers:
-            callback()
-
-    # Consumption -------------------------------------------------------
-    def consume(self) -> Optional[Tuple[DeliveryTag, TaskRequest]]:
-        """Pop the oldest ready message; ``None`` when the queue is empty.
-
-        The message stays in the unacked set until :meth:`ack` or
-        :meth:`nack`.
-        """
-        if not self._ready:
-            return None
-        request = self._ready.popleft()
-        request.deliveries += 1
-        tag = next(self._tags)
-        self._unacked[tag] = request
-        return tag, request
-
-    def ack(self, tag: DeliveryTag) -> TaskRequest:
-        """Acknowledge successful processing; the message leaves the system."""
-        request = self._unacked.pop(tag, None)
-        if request is None:
-            raise QueueError(f"unknown or already-settled delivery tag {tag}")
-        self.acked_total += 1
-        return request
-
-    def nack(self, tag: DeliveryTag) -> TaskRequest:
-        """Negative-acknowledge: requeue at the front for redelivery."""
-        request = self._unacked.pop(tag, None)
-        if request is None:
-            raise QueueError(f"unknown or already-settled delivery tag {tag}")
-        self._ready.appendleft(request)
-        self.redelivered_total += 1
-        if self._tracer.enabled:
-            self._tracer.write({
-                "kind": "event.redeliver", "t": None,
-                "queue": self.name, "depth": self.depth,
-            })
-        self._notify()
-        return request
-
-    # Introspection ------------------------------------------------------
-    @property
-    def ready_count(self) -> int:
-        """Messages waiting in the queue."""
-        return len(self._ready)
-
-    @property
-    def unacked_count(self) -> int:
-        """Messages delivered to a consumer but not yet settled."""
-        return len(self._unacked)
-
-    @property
-    def depth(self) -> int:
-        """Work-in-progress: waiting + being processed (the paper's w_j)."""
-        return len(self._ready) + len(self._unacked)
-
-    def conservation_ok(self) -> bool:
-        """published == acked + ready + unacked (no message ever lost)."""
-        return self.published_total == (
-            self.acked_total + self.ready_count + self.unacked_count
-        )
-
-    def __len__(self) -> int:
-        return self.depth
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AckQueue({self.name!r}, ready={self.ready_count}, "
-            f"unacked={self.unacked_count})"
-        )
-
-
 class IndexFifo:
     """FIFO of integer task indices on a flat numpy buffer.
 
-    The batched substrate's replacement for :class:`AckQueue`'s deque of
+    The batched substrate's replacement for the serial queue's deque of
     request objects: the queue holds ``int64`` indices into a
     :class:`repro.sim.requests.RequestPool`, stored contiguously between
     a moving ``head`` and ``tail``.  Dequeues advance ``head`` (O(1),

@@ -22,7 +22,7 @@ _request_ids = itertools.count()
 _task_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkflowRequest:
     """One submitted workflow instance.
 
@@ -67,7 +67,7 @@ class WorkflowRequest:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRequest:
     """One task of one workflow instance, queued at a microservice."""
 

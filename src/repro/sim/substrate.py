@@ -290,7 +290,7 @@ def substrate_snapshot(system) -> Dict[str, Any]:
                     int(request.deliveries),
                     float(request.wasted_work),
                 )
-                for request in ms.queue._ready
+                for request in ms._ready
             ]
             consumers = []
             for consumer in ms.consumers:

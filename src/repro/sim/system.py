@@ -195,7 +195,7 @@ class MicroserviceWorkflowSystem:
         self.invoker = WorkflowInvoker(
             self.loop,
             self.tds,
-            {name: ms.queue for name, ms in self.microservices.items()},
+            {name: ms.publish for name, ms in self.microservices.items()},
             on_workflow_complete=self._on_workflow_complete,
         )
 

@@ -10,6 +10,7 @@ signal").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -42,6 +43,14 @@ class TaskType:
             raise ValueError("task type name must be non-empty")
         check_positive("mean_service_time", self.mean_service_time)
         check_non_negative("cv", self.cv)
+        # Finite too: then no service time drawn is NaN or negative, and
+        # a microservice may push its finish rows straight onto the
+        # event heap, past the loop's own delay guard.
+        for name, value in (
+            ("mean_service_time", self.mean_service_time), ("cv", self.cv)
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class WorkflowType:

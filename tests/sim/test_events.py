@@ -9,6 +9,7 @@ from repro.sim.events import (
     EventLoop,
     TypedEventLoop,
 )
+from repro.utils.validation import isclose_zero
 
 
 class TestScheduling:
@@ -78,6 +79,41 @@ class TestScheduling:
         loop.run_until(5.0)
         with pytest.raises(ValueError):
             loop.run_until(4.0)
+
+
+class TestNanGuards:
+    """NaN fails every guard: ``delay < 0`` is False for it, and a NaN
+    row never satisfies ``when >= row time``, so it would stall the heap
+    — the rows behind it would never fire."""
+
+    @pytest.mark.parametrize("cls", [EventLoop, TypedEventLoop])
+    def test_nan_delay_rejected(self, cls):
+        loop = cls()
+        with pytest.raises(ValueError, match="into the past"):
+            loop.schedule(float("nan"), lambda: None)
+
+    @pytest.mark.parametrize("cls", [EventLoop, TypedEventLoop])
+    def test_nan_time_rejected(self, cls):
+        loop = cls()
+        with pytest.raises(ValueError, match="into the past"):
+            loop.schedule_at(float("nan"), lambda: None)
+
+    @pytest.mark.parametrize("cls", [EventLoop, TypedEventLoop])
+    def test_run_until_nan_rejected(self, cls):
+        loop = cls()
+        with pytest.raises(ValueError, match="run backwards"):
+            loop.run_until(float("nan"))
+        assert isclose_zero(loop.now)  # the clock did not become NaN
+
+    def test_valid_events_still_fire_after_a_rejected_nan(self):
+        loop = EventLoop()
+        seen = []
+        with pytest.raises(ValueError):
+            loop.schedule(float("nan"), lambda: seen.append("nan"))
+        loop.schedule(1.0, lambda: seen.append("b"))
+        loop.schedule(0.5, lambda: seen.append("a"))
+        assert loop.run_until(10.0) == 2
+        assert seen == ["a", "b"]
 
 
 class TestCancellation:

@@ -1,11 +1,11 @@
 """Direct tests of the workflow invoker's routing logic."""
 
+from collections import deque
+
 import pytest
 
 from repro.sim.events import EventLoop
 from repro.sim.invoker import WorkflowInvoker
-from repro.sim.queueing import AckQueue
-from repro.sim.requests import TaskRequest
 from repro.sim.tds import TaskDependencyService
 from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
 
@@ -21,23 +21,24 @@ def build_invoker(edges, tasks=(), without_queue=()):
         [WorkflowType("W", edges=edges, tasks=tasks)],
     )
     loop = EventLoop()
+    # Each queue is a bare deque: the invoker only ever publishes.
     queues = {
-        n: AckQueue(n) for n in ensemble.task_names() if n not in without_queue
+        n: deque() for n in ensemble.task_names() if n not in without_queue
     }
     completed = []
     invoker = WorkflowInvoker(
         loop,
         TaskDependencyService(ensemble),
-        queues,
+        {n: queue.append for n, queue in queues.items()},
         on_workflow_complete=completed.append,
     )
     return loop, invoker, queues, completed
 
 
 def finish(invoker, queue, now=0.0):
-    """Consume + complete the next task in a queue."""
-    tag, request = queue.consume()
-    queue.ack(tag)
+    """Take the next task out of a queue and complete it (these queues
+    have no consumer side; a microservice would deliver and ack it)."""
+    request = queue.popleft()
     invoker.handle_task_completion(request, now)
     return request
 
@@ -46,14 +47,14 @@ class TestRouting:
     def test_entry_task_published_on_submit(self):
         loop, invoker, queues, _ = build_invoker([("A", "B")])
         invoker.submit("W")
-        assert queues["A"].depth == 1
-        assert queues["B"].depth == 0
+        assert len(queues["A"]) == 1
+        assert len(queues["B"]) == 0
 
     def test_successor_published_after_completion(self):
         loop, invoker, queues, _ = build_invoker([("A", "B")])
         invoker.submit("W")
         finish(invoker, queues["A"])
-        assert queues["B"].depth == 1
+        assert len(queues["B"]) == 1
 
     def test_and_join_waits_for_all_predecessors(self):
         loop, invoker, queues, _ = build_invoker(
@@ -61,16 +62,16 @@ class TestRouting:
         )
         invoker.submit("W")
         finish(invoker, queues["A"])
-        assert queues["C"].depth == 0  # B not done yet
+        assert len(queues["C"]) == 0  # B not done yet
         finish(invoker, queues["B"])
-        assert queues["C"].depth == 1
+        assert len(queues["C"]) == 1
 
     def test_fork_publishes_all_branches(self):
         loop, invoker, queues, _ = build_invoker([("A", "B"), ("A", "C")])
         invoker.submit("W")
         finish(invoker, queues["A"])
-        assert queues["B"].depth == 1
-        assert queues["C"].depth == 1
+        assert len(queues["B"]) == 1
+        assert len(queues["C"]) == 1
 
     def test_completion_callback_and_time(self):
         loop, invoker, queues, completed = build_invoker([("A", "B")])
@@ -107,5 +108,5 @@ class TestRouting:
             [("A", "C"), ("B", "C")], tasks=("A", "B", "C")
         )
         invoker.submit("W")
-        assert queues["A"].depth == 1
-        assert queues["B"].depth == 1
+        assert len(queues["A"]) == 1
+        assert len(queues["B"]) == 1

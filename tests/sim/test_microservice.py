@@ -40,7 +40,7 @@ def publish(ms, count=1):
     for _ in range(count):
         wf = WorkflowRequest(workflow_type="W", arrival_time=0.0, total_tasks=1)
         req = TaskRequest(task_type="A", workflow=wf, published_at=0.0)
-        ms.queue.publish(req)
+        ms.publish(req)
         requests.append(req)
     return requests
 
@@ -75,6 +75,16 @@ class TestSampleServiceTime:
             reference_service_time(0.0, 0.5, rng)
         with pytest.raises(ValueError):
             reference_service_time(1.0, -0.5, rng)
+
+    @pytest.mark.parametrize(
+        "mean, cv",
+        # 1e200 is finite, but cv * cv overflows: sigma would be inf and
+        # the draws NaN.
+        [(float("nan"), 0.5), (1.0, float("nan")), (1.0, 1e200)],
+    )
+    def test_args_that_would_draw_nan_rejected(self, mean, cv):
+        with pytest.raises(ValueError):
+            service_time_params(mean, cv)
 
 
 class TestScaling:

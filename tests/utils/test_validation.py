@@ -29,6 +29,10 @@ class TestCheckNonNegative:
         with pytest.raises(ValueError, match="non-negative"):
             check_non_negative("x", -1e-9)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            check_non_negative("x", float("nan"))
+
 
 class TestCheckInRange:
     def test_inclusive_bounds_accept_endpoints(self):

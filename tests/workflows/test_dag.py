@@ -26,6 +26,21 @@ class TestTaskType:
         with pytest.raises(ValueError):
             TaskType("A", 1.0, cv=-0.1)
 
+    @pytest.mark.parametrize(
+        "mean, cv",
+        [
+            (float("nan"), 0.5),
+            (float("inf"), 0.5),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_service_time_parameters(self, mean, cv):
+        # A microservice pushes its finish rows straight onto the event
+        # heap, trusting every drawn service time to be a finite number.
+        with pytest.raises(ValueError):
+            TaskType("A", mean, cv=cv)
+
 
 class TestWorkflowType:
     def test_chain_entry_and_exit(self):
