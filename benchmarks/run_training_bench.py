@@ -67,6 +67,7 @@ from repro.rl.distributed import (
     episode_plan,
     policy_payload,
 )
+from repro.sim.env import allocation_from_simplex
 from repro.sim.system import MicroserviceWorkflowSystem
 from repro.utils.rng import RngStream
 
@@ -158,7 +159,7 @@ def _time_serial_rollouts(transitions: int, rollout_length: int) -> float:
         done = False
         while not done:
             simplex = agent.act(state, explore=True)
-            executed = env.allocation_from_simplex_batch(simplex[np.newaxis])
+            executed = allocation_from_simplex(simplex[np.newaxis], BUDGET)
             next_states, rewards, done = env.step(executed)
             agent.store(
                 state, executed[0] / BUDGET, rewards[0], next_states[0]
@@ -181,7 +182,7 @@ def _time_batched_rollouts(
         done = False
         while not done:
             simplexes = agent.act_batch(states, explore=True)
-            executed = env.allocation_from_simplex_batch(simplexes)
+            executed = allocation_from_simplex(simplexes, BUDGET)
             next_states, rewards, done = env.step(executed)
             agent.store_batch(states, executed / BUDGET, rewards, next_states)
             states = next_states

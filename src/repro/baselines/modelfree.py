@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.baselines.base import Allocator
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
-from repro.sim.env import MicroserviceEnv
+from repro.sim.env import MicroserviceEnv, allocation_from_simplex
 from repro.sim.metrics import WindowObservation
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
@@ -86,7 +86,9 @@ class ModelFreeDDPGAllocator(Allocator):
                 )
                 self.agent.refresh_perturbation()
             simplex = self.agent.act(state, explore=True)
-            executed = env.allocation_from_simplex(simplex)
+            executed = allocation_from_simplex(
+                simplex[np.newaxis], env.consumer_budget
+            )[0]
             next_state, reward, _ = env.step(executed)
             self.agent.store(
                 state, executed / env.consumer_budget, reward, next_state

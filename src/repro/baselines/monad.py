@@ -136,7 +136,7 @@ class MonadAllocator(Allocator):
         total = float(m.sum())
         if total <= self.budget:
             return m
-        return self.budget * project_to_simplex(m / self.budget)
+        return self.budget * project_to_simplex((m / self.budget)[np.newaxis])[0]
 
     def allocate(
         self,

@@ -23,7 +23,7 @@ from repro.core.environment_model import EnvironmentModel
 from repro.core.model_env import BatchedModelEnv
 from repro.core.persistence import load_agent, save_agent
 from repro.core.refinement import RefinedModel
-from repro.core.reward import reward_eq1, reward_eq1_batch
+from repro.core.reward import reward_eq1
 
 __all__ = [
     "MirasAgent",
@@ -38,5 +38,4 @@ __all__ = [
     "load_agent",
     "BatchedModelEnv",
     "reward_eq1",
-    "reward_eq1_batch",
 ]

@@ -37,7 +37,7 @@ from repro.rl.distributed import (
     episode_plan,
     policy_payload,
 )
-from repro.sim.env import MicroserviceEnv
+from repro.sim.env import MicroserviceEnv, allocation_from_simplex
 from repro.telemetry.tracer import Tracer
 from repro.utils.rng import spawn_rngs
 
@@ -109,7 +109,9 @@ class MirasAgent:
 
     # --- Phase 1: real-environment data collection -----------------------
     def _simplex_to_executed(self, simplex: np.ndarray) -> np.ndarray:
-        return self.env.allocation_from_simplex(simplex)
+        return allocation_from_simplex(
+            simplex[np.newaxis], self.env.consumer_budget
+        )[0]
 
     def collect_real_interactions(
         self, steps: int, random_fraction: float = 0.0
@@ -286,8 +288,14 @@ class MirasAgent:
         """The vectorised synthetic environment (K parallel rollouts)."""
         if self.refined_model is None:
             raise RuntimeError("train_model() must run before policy training")
+        model = self.refined_model
+        if not isinstance(model, RefinedModel):
+            # Refinement disabled: a zero boundary lends nothing, so the
+            # synthetic environment steps the raw f̂_Φ.
+            zero = np.zeros(model.state_dim)
+            model = RefinedModel(model, zero, zero, rng=self._rngs["refine"])
         return BatchedModelEnv(
-            self.refined_model,
+            model,
             self.dataset,
             consumer_budget=self.env.consumer_budget,
             rollout_length=self.config.policy.rollout_length,
@@ -347,7 +355,9 @@ class MirasAgent:
         done = False
         while not done:
             simplexes = self.ddpg.act_batch(states, explore=True)
-            executed = model_env.allocation_from_simplex_batch(simplexes)
+            executed = allocation_from_simplex(
+                simplexes, model_env.consumer_budget
+            )
             next_states, rewards, done = model_env.step(executed)
             self.ddpg.store_batch(
                 states,

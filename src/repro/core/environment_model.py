@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.dataset import TransitionDataset
 from repro.nn import MLP, Adam, MeanSquaredError
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_positive
 
@@ -168,7 +167,11 @@ class EnvironmentModel:
 
     # Prediction -------------------------------------------------------------
     def predict(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        """One-step prediction ŝ(k+1) = f̂_Φ(s(k), a(k)); batch or single."""
+        """One-step prediction ŝ(k+1) = f̂_Φ(s(k), a(k)) for a ``(K, ·)`` block.
+
+        One network forward for all K rows; a 1-D state is a batch of one
+        and gives a 1-D prediction.
+        """
         state = np.asarray(state, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
         single = state.ndim == 1
@@ -188,22 +191,6 @@ class EnvironmentModel:
         y = y_n * self._norm["y_std"] + self._norm["y_mean"]
         decoded = self._decode_prediction(state2, y)
         return decoded[0] if single else decoded
-
-    @batched_pair("predict")
-    def predict_batch(
-        self, states: np.ndarray, actions: np.ndarray
-    ) -> np.ndarray:
-        """Batched one-step prediction for a ``(K, state_dim)`` block.
-
-        Same computation as :meth:`predict` on a 2-D batch — one network
-        forward for all K rollouts.
-        """
-        states = np.asarray(states, dtype=np.float64)
-        if states.ndim != 2:
-            raise ValueError(
-                f"expected a (K, state_dim) batch, got shape {states.shape}"
-            )
-        return self.predict(states, actions)
 
     def rollout(
         self, initial_state: np.ndarray, actions: np.ndarray

@@ -10,14 +10,13 @@ axis: K rollouts advance through one model call per step.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.dataset import TransitionDataset
-from repro.core.environment_model import EnvironmentModel
 from repro.core.refinement import RefinedModel
-from repro.core.reward import reward_eq1_batch
+from repro.core.reward import reward_eq1
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_positive
 
@@ -42,7 +41,7 @@ class BatchedModelEnv:
 
     def __init__(
         self,
-        model: Union[EnvironmentModel, RefinedModel],
+        model: RefinedModel,
         dataset: TransitionDataset,
         consumer_budget: int,
         rollout_length: int = 25,
@@ -72,25 +71,6 @@ class BatchedModelEnv:
     @property
     def action_dim(self) -> int:
         return self.model.action_dim
-
-    # Action mapping (same contract as the real env, row-wise) --------------
-    def allocation_from_simplex_batch(
-        self, simplexes: np.ndarray
-    ) -> np.ndarray:
-        """``m_j = floor(C * a_j)`` applied to every row."""
-        simplexes = np.asarray(simplexes, dtype=np.float64)
-        if simplexes.ndim != 2 or simplexes.shape[1] != self.action_dim:
-            raise ValueError(
-                f"simplex batch shape {simplexes.shape} != "
-                f"(K, {self.action_dim})"
-            )
-        if np.any(simplexes < -1e-9) or np.any(
-            np.abs(simplexes.sum(axis=1) - 1.0) > 1e-6
-        ):
-            raise ValueError(f"not a probability simplex: {simplexes}")
-        return np.floor(
-            self.consumer_budget * np.clip(simplexes, 0, 1)
-        ).astype(np.int64)
 
     # Core interface -------------------------------------------------------
     def reset(self, batch_size: Optional[int] = None) -> np.ndarray:
@@ -125,7 +105,7 @@ class BatchedModelEnv:
             np.asarray(self.model.predict_batch(self._states, allocations)),
             0.0,
         )
-        rewards = reward_eq1_batch(next_states)
+        rewards = reward_eq1(next_states)
         self._states = next_states
         self._steps_in_rollout += 1
         self.total_steps += next_states.shape[0]

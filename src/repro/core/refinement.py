@@ -27,7 +27,6 @@ import numpy as np
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream, fallback_stream
 
 __all__ = ["RefinedModel"]
@@ -97,51 +96,26 @@ class RefinedModel:
         return self.model.action_dim
 
     # Prediction -------------------------------------------------------------
-    def predict(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        """Refined one-step prediction (single state only).
+    def predict(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Refined one-step predictions for a ``(K, state_dim)`` block.
 
-        Follows Algorithm 1 line by line: an independent Lend–Giveback
-        per below-threshold dimension, then the per-dimension results are
-        assembled into ŝ(k+1) (above-threshold dimensions use the raw
-        model).  The output is clamped at 0 in every dimension.
+        Algorithm 1 dimension-major: one raw-model forward for all K rows,
+        then one lend forward per below-threshold *dimension* covering
+        every affected row, with that dimension's uniform draws taken
+        together.  At K=1 this is the per-dimension draw order of the
+        one-state algorithm.  Above-threshold dimensions use the raw
+        model; the output is clamped at 0 in every dimension.  A 1-D
+        state is a batch of one and gives a 1-D prediction.
         """
-        state = np.asarray(state, dtype=np.float64)
-        action = np.asarray(action, dtype=np.float64)
-        if state.ndim != 1:
-            raise ValueError(
-                "RefinedModel.predict takes one state at a time "
-                f"(got shape {state.shape})"
-            )
-        return self._predict_rows(
-            state[np.newaxis], np.atleast_2d(action)
-        )[0]
-
-    @batched_pair("predict")
-    def predict_batch(
-        self, states: np.ndarray, actions: np.ndarray
-    ) -> np.ndarray:
-        """Refined predictions for a ``(K, state_dim)`` batch of states.
-
-        One batched raw-model forward plus one lend forward per
-        below-threshold *dimension* (covering every affected rollout row
-        at once), instead of K * dims batch-of-1 forwards.  For K=1 the
-        sequence of model forwards and uniform draws is identical to
-        :meth:`predict`, so trajectories are bit-for-bit the same.
-        """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        states = np.asarray(states, dtype=np.float64)
+        single = states.ndim == 1
+        states = np.atleast_2d(states)
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         if states.shape[0] != actions.shape[0]:
             raise ValueError(
                 f"state/action batch sizes differ: "
                 f"{states.shape[0]} vs {actions.shape[0]}"
             )
-        return self._predict_rows(states, actions)
-
-    def _predict_rows(
-        self, states: np.ndarray, actions: np.ndarray
-    ) -> np.ndarray:
-        """Algorithm 1 over rows: dimension-major, matching the serial
-        per-dimension draw order when there is a single row."""
         base = np.asarray(self.model.predict(states, actions))
         refined = np.maximum(base, 0.0)
         for j in range(self.state_dim):
@@ -163,7 +137,11 @@ class RefinedModel:
             )
             if self.tracer.enabled:
                 self.tracer.count("refinement/lends", int(rows.size))
-        return refined
+        return refined[0] if single else refined
+
+    def predict_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """:meth:`predict` under the name the synthetic environment calls."""
+        return self.predict(states, actions)
 
     def rollout(
         self, initial_state: np.ndarray, actions: np.ndarray

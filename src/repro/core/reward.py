@@ -9,29 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.batchpairs import batched_pair
-
-__all__ = ["reward_eq1", "reward_eq1_batch"]
+__all__ = ["reward_eq1"]
 
 
-def reward_eq1(wip: np.ndarray) -> float:
-    """Eq. (1): one minus the aggregate work-in-progress."""
-    wip = np.asarray(wip, dtype=np.float64)
-    if np.any(wip < 0):
-        raise ValueError(f"WIP must be non-negative, got {wip}")
-    return 1.0 - float(wip.sum())
+def reward_eq1(wip: np.ndarray) -> np.ndarray:
+    """Eq. (1) over a ``(K, state_dim)`` block of WIP; returns ``(K,)``.
 
-
-@batched_pair("reward_eq1")
-def reward_eq1_batch(wip: np.ndarray) -> np.ndarray:
-    """Eq. (1) over a ``(K, state_dim)`` batch; returns ``(K,)`` rewards.
-
-    Row ``k`` equals ``reward_eq1(wip[k])`` bit-for-bit (the axis-1 sum
-    reduces each row in the same order as the flat sum of one row).
+    Pass one state as a ``(1, state_dim)`` batch.  Row ``k`` equals one minus the
+    flat sum of ``wip[k]`` bit-for-bit (the axis-1 sum reduces each row in
+    the same order).
     """
     wip = np.asarray(wip, dtype=np.float64)
     if wip.ndim != 2:
         raise ValueError(f"expected a (K, state_dim) batch, got {wip.shape}")
-    if np.any(wip < 0):
-        raise ValueError("WIP must be non-negative")
+    if not np.all(wip >= 0):
+        raise ValueError(f"WIP must be non-negative, got {wip}")
     return 1.0 - wip.sum(axis=1)

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.agent import MirasAgent
 from repro.core.config import MirasConfig
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
-from repro.sim.env import MicroserviceEnv
+from repro.sim.env import MicroserviceEnv, allocation_from_simplex
 from repro.utils.rng import RngStream
 
 __all__ = ["SampleEfficiencyResult", "sample_efficiency_curves"]
@@ -67,7 +67,9 @@ def _evaluate_greedy(
     total = 0.0
     for _ in range(steps):
         simplex = act_greedy(state)
-        allocation = env.allocation_from_simplex(simplex)
+        allocation = allocation_from_simplex(
+            simplex[np.newaxis], env.consumer_budget
+        )[0]
         state, reward, _ = env.step(allocation)
         total += reward
     return total
@@ -136,7 +138,9 @@ def sample_efficiency_curves(
             if step > 0 and step % config.reset_interval == 0:
                 state = mf_env.reset()
             simplex = mf_agent.act(state, explore=True)
-            executed = mf_env.allocation_from_simplex(simplex)
+            executed = allocation_from_simplex(
+                simplex[np.newaxis], mf_env.consumer_budget
+            )[0]
             next_state, reward, _ = mf_env.step(executed)
             mf_agent.store(
                 state, executed / mf_env.consumer_budget, reward, next_state

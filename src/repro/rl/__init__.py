@@ -18,7 +18,6 @@ from repro.rl.noise import (
     GaussianActionNoise,
     OrnsteinUhlenbeckNoise,
     project_to_simplex,
-    project_to_simplex_batch,
 )
 from repro.rl.replay import ReplayBuffer
 
@@ -32,5 +31,4 @@ __all__ = [
     "GaussianActionNoise",
     "OrnsteinUhlenbeckNoise",
     "project_to_simplex",
-    "project_to_simplex_batch",
 ]

@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.nn import MLP, Adam
-from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_positive
 
@@ -83,24 +82,18 @@ class Actor:
         uniform = 1.0 / self.action_dim
         return (1.0 - self.output_mixing) * actions + self.output_mixing * uniform
 
-    def act(self, state: np.ndarray, network: Optional[MLP] = None) -> np.ndarray:
-        """Action for one state; optionally through a perturbed network."""
-        network = network or self.network
-        action = network.predict(self.normalize(np.atleast_2d(state)))[0]
-        return self._mix(action)
+    def act(
+        self, states: np.ndarray, network: Optional[MLP] = None
+    ) -> np.ndarray:
+        """Actions for a ``(K, state_dim)`` block in one forward, optionally
+        through a perturbed network; one state is a batch of one."""
+        return self.actions(self.normalize(states), network)
 
     def actions(
         self, features: np.ndarray, network: Optional[MLP] = None
     ) -> np.ndarray:
         """Actions for already-:meth:`normalize`-d states (one forward)."""
         return self._mix((network or self.network).forward(features))
-
-    @batched_pair("act")
-    def act_batch(
-        self, states: np.ndarray, network: Optional[MLP] = None
-    ) -> np.ndarray:
-        """Actions for a ``(K, state_dim)`` block; row k matches :meth:`act`."""
-        return self.actions(self.normalize(states), network)
 
     def policy_gradient_step(
         self,

@@ -25,12 +25,10 @@ from repro.rl.noise import (
     AdaptiveParameterNoise,
     GaussianActionNoise,
     OrnsteinUhlenbeckNoise,
-    project_to_simplex,
-    project_to_simplex_batch,
+    repair_action_noise,
 )
 from repro.rl.replay import ReplayBuffer
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_in_range, check_positive
 
@@ -184,51 +182,30 @@ class DDPGAgent:
         states = self.replay.sample_states(
             min(self.config.batch_size, len(self.replay)), self.rng
         )
-        clean = self.actor.act_batch(states)
-        noisy = self.actor.act_batch(states, network=self._perturbed_network)
+        clean = self.actor.act(states)
+        noisy = self.actor.act(states, network=self._perturbed_network)
         distance = AdaptiveParameterNoise.action_distance(clean, noisy)
         self.param_noise.adapt(distance)
         return distance
 
     # Acting ------------------------------------------------------------------
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
-        """Simplex action for one state (with exploration when asked)."""
-        state = np.asarray(state, dtype=np.float64)
-        if not explore or self.config.exploration == "none":
-            return self.actor.act(state)
-        self.exploration_actions += 1
+        """Simplex action for one state: a batch of one through :meth:`_act`."""
+        return self._act(state, explore)[0]
 
-        if self.config.exploration == "parameter":
-            if self.refresh_due():
-                self.refresh_perturbation()
-                self.adapt_parameter_noise()
-            self._acts_since_perturb += 1
-            return self.actor.act(state, network=self._perturbed_network)
-
-        # Action-space noise: perturb, count violations, repair by projection.
-        clean = self.actor.act(state)
-        noisy = clean + self.action_noise.sample(self.action_dim, self.rng)
-        if np.any(noisy < 0) or abs(float(noisy.sum()) - 1.0) > 1e-6:
-            self.constraint_violations += 1
-            noisy = project_to_simplex(noisy)
-        return noisy
-
-    @batched_pair("act")
-    def act_batch(
-        self, states: np.ndarray, explore: bool = True
-    ) -> np.ndarray:
+    def _act(self, states: np.ndarray, explore: bool = True) -> np.ndarray:
         """Simplex actions for a ``(K, state_dim)`` block in one forward.
 
-        The exploration bookkeeping mirrors :meth:`act` applied K times
-        with one shared decision point: the perturbed network refreshes
-        when the *first* row of the block would have triggered it, then
-        all K rows ride the same perturbation (one perturbed-weight
-        forward per rollout set).  For K=1 the counter updates, RNG
-        draws, and network forwards are identical to :meth:`act`.
+        Exploration bookkeeping has one decision point per block: the
+        perturbed network refreshes when the *first* row would have
+        triggered it, then all K rows ride the same perturbation (one
+        perturbed-weight forward per rollout set).  Action-space noise
+        perturbs every row and projects each violating row back onto the
+        simplex.
         """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         if not explore or self.config.exploration == "none":
-            return self.actor.act_batch(states)
+            return self.actor.act(states)
         k = states.shape[0]
         self.exploration_actions += k
 
@@ -237,24 +214,17 @@ class DDPGAgent:
                 self.refresh_perturbation()
                 self.adapt_parameter_noise()
             self._acts_since_perturb += k
-            return self.actor.act_batch(
-                states, network=self._perturbed_network
-            )
+            return self.actor.act(states, network=self._perturbed_network)
 
-        # Action-space noise: perturb rows, count violations, repair each
-        # violating row by projection.
-        clean = self.actor.act_batch(states)
-        noisy = clean + self.action_noise.sample_batch(
-            k, self.action_dim, self.rng
+        noisy, violations = repair_action_noise(
+            self.actor.act(states), self.action_noise, self.rng
         )
-        bad = np.nonzero(
-            np.any(noisy < 0, axis=1)
-            | (np.abs(noisy.sum(axis=1) - 1.0) > 1e-6)
-        )[0]
-        if bad.size:
-            self.constraint_violations += int(bad.size)
-            noisy[bad] = project_to_simplex_batch(noisy[bad])
+        self.constraint_violations += violations
         return noisy
+
+    def act_batch(self, states: np.ndarray, explore: bool = True) -> np.ndarray:
+        """Simplex actions for a ``(K, state_dim)`` block (see :meth:`_act`)."""
+        return self._act(states, explore)
 
     def act_greedy(self, state: np.ndarray) -> np.ndarray:
         """Deterministic policy action (evaluation mode)."""

@@ -61,7 +61,7 @@ from repro.rl.actor import Actor
 from repro.rl.noise import (
     GaussianActionNoise,
     OrnsteinUhlenbeckNoise,
-    project_to_simplex,
+    repair_action_noise,
 )
 from repro.utils.pool import ordered_pool_map
 from repro.utils.rng import RngStream, derive_stream_seed
@@ -236,6 +236,9 @@ def run_collect_episode(spec: Dict) -> Dict:
     stochastic draw comes from the two spec seeds, so the same spec
     yields the same block in any process.
     """
+    # repro.rl sits below repro.sim; the env the spec builds is a sim env.
+    from repro.sim.env import allocation_from_simplex
+
     env = EnvSpec(spec["env_factory"], spec["env_params"]).build(
         seed=spec["env_seed"]
     )
@@ -280,17 +283,12 @@ def run_collect_episode(spec: Dict) -> Dict:
     next_states = np.empty((steps, env.state_dim), dtype=np.float64)
     for step in range(steps):
         if random_fraction > 0 and float(explore_rng.uniform()) < random_fraction:
-            simplex = explore_rng.generator.dirichlet(np.ones(action_dim))
-        elif exploration == "parameter":
-            simplex = actor.act(state, network=network)
-        elif exploration == "none":
-            simplex = actor.act(state)
+            simplex = explore_rng.generator.dirichlet(np.ones(action_dim))[np.newaxis]
         else:
-            clean = actor.act(state)
-            simplex = clean + noise.sample(action_dim, explore_rng)
-            if np.any(simplex < 0) or abs(float(simplex.sum()) - 1.0) > 1e-6:
-                simplex = project_to_simplex(simplex)
-        action = env.allocation_from_simplex(simplex)
+            simplex = actor.act(state[np.newaxis], network=network)
+            if noise is not None:
+                simplex, _ = repair_action_noise(simplex, noise, explore_rng)
+        action = allocation_from_simplex(simplex, env.consumer_budget)[0]
         next_state, reward, _ = env.step(action)
         states[step] = state
         executed[step] = action

@@ -15,9 +15,10 @@ agent must apply to make its noisy action executable at all — the
 
 from __future__ import annotations
 
+from typing import Tuple, Union
+
 import numpy as np
 
-from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 
@@ -26,42 +27,52 @@ __all__ = [
     "OrnsteinUhlenbeckNoise",
     "AdaptiveParameterNoise",
     "project_to_simplex",
-    "project_to_simplex_batch",
+    "repair_action_noise",
 ]
 
 
-def project_to_simplex(vector: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex.
+def project_to_simplex(vectors: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean projection of a ``(K, dim)`` block onto the
+    probability simplex.
 
     Algorithm of Duchi et al. (2008).  Used to repair constraint-violating
-    noisy actions so the system can still execute them.
-    """
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {vector.shape}")
-    sorted_desc = np.sort(vector)[::-1]
-    cumulative = np.cumsum(sorted_desc) - 1.0
-    indices = np.arange(1, vector.size + 1)
-    candidates = sorted_desc - cumulative / indices
-    rho = np.nonzero(candidates > 0)[0][-1]
-    theta = cumulative[rho] / (rho + 1.0)
-    return np.maximum(vector - theta, 0.0)
-
-
-@batched_pair("project_to_simplex")
-def project_to_simplex_batch(vectors: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`project_to_simplex` for a ``(K, dim)`` batch.
-
-    Applies the scalar projection per row (violating rows are rare, so
-    this is not a hot path) — each row is bit-identical to the serial
-    repair an unbatched agent would perform.
+    noisy actions so the system can still execute them.  Every row is
+    projected on its own, so row ``k`` does not depend on the others.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
-        raise ValueError(f"expected a 2-D batch, got shape {vectors.shape}")
-    if vectors.shape[0] == 0:
-        return vectors.copy()
-    return np.stack([project_to_simplex(row) for row in vectors])
+        raise ValueError(f"expected a (K, dim) block, got shape {vectors.shape}")
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError(f"cannot project non-finite vectors: {vectors}")
+    sorted_desc = np.sort(vectors, axis=1)[:, ::-1]
+    cumulative = np.cumsum(sorted_desc, axis=1) - 1.0
+    indices = np.arange(1, vectors.shape[1] + 1)
+    candidates = sorted_desc - cumulative / indices
+    # The last positive candidate (0 if rounding left none: the largest
+    # coordinate then carries all the mass).
+    rho = np.max(np.where(candidates > 0, indices - 1, 0), axis=1)
+    theta = cumulative[np.arange(vectors.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(vectors - theta[:, np.newaxis], 0.0)
+
+
+def repair_action_noise(
+    clean: np.ndarray,
+    noise: Union[GaussianActionNoise, OrnsteinUhlenbeckNoise],
+    rng: RngStream,
+) -> Tuple[np.ndarray, int]:
+    """Action-space exploration: perturb a ``(K, dim)`` block of actions,
+    count the rows that left the simplex, and project those back.
+
+    Returns ``(actions, violations)`` — the violations are the paper's
+    "invalid exploration".
+    """
+    noisy = clean + noise.sample(clean.shape[0], clean.shape[1], rng)
+    bad = np.nonzero(
+        np.any(noisy < 0, axis=1) | (np.abs(noisy.sum(axis=1) - 1.0) > 1e-6)
+    )[0]
+    if bad.size:
+        noisy[bad] = project_to_simplex(noisy[bad])
+    return noisy, int(bad.size)
 
 
 class GaussianActionNoise:
@@ -71,18 +82,11 @@ class GaussianActionNoise:
         check_positive("sigma", sigma)
         self.sigma = sigma
 
-    def sample(self, action_dim: int, rng: RngStream) -> np.ndarray:
-        return rng.normal(0.0, self.sigma, size=action_dim)
-
-    @batched_pair("sample")
-    def sample_batch(
-        self, batch: int, action_dim: int, rng: RngStream
-    ) -> np.ndarray:
+    def sample(self, batch: int, action_dim: int, rng: RngStream) -> np.ndarray:
         """I.i.d. noise for K rollouts in one draw; ``(K, action_dim)``.
 
-        For ``batch=1`` this consumes the bit generator exactly like
-        :meth:`sample` (numpy draws ``size=(1, d)`` and ``size=d``
-        identically), so batched K=1 exploration matches serial.
+        numpy draws ``size=(1, d)`` and ``size=d`` identically, so a batch
+        of one consumes the bit generator like a single action's draw.
         """
         check_positive("batch", batch)
         return rng.normal(0.0, self.sigma, size=(batch, action_dim))
@@ -111,7 +115,20 @@ class OrnsteinUhlenbeckNoise:
         self.dt = dt
         self._state = np.zeros(action_dim)
 
-    def sample(self, action_dim: int, rng: RngStream) -> np.ndarray:
+    def sample(self, batch: int, action_dim: int, rng: RngStream) -> np.ndarray:
+        """The next step of the process as a ``(1, action_dim)`` block.
+
+        The OU process is a *temporal* correlation over one rollout's
+        steps; K parallel rollouts sharing one OU state would correlate
+        across rollouts instead, so only a batch of one is defined.
+        """
+        check_positive("batch", batch)
+        if batch != 1:
+            raise ValueError(
+                "OrnsteinUhlenbeckNoise is temporally correlated per "
+                "rollout and cannot drive a rollout batch; use "
+                "rollout_batch=1 or gaussian/parameter exploration"
+            )
         if action_dim != self.action_dim:
             raise ValueError(
                 f"noise built for dim {self.action_dim}, asked for {action_dim}"
@@ -121,27 +138,7 @@ class OrnsteinUhlenbeckNoise:
             size=self.action_dim
         )
         self._state = self._state + drift + diffusion
-        return self._state.copy()
-
-    @batched_pair("sample")
-    def sample_batch(
-        self, batch: int, action_dim: int, rng: RngStream
-    ) -> np.ndarray:
-        """Batched sampling is only defined for a single rollout.
-
-        The OU process is a *temporal* correlation over one rollout's
-        steps; K parallel rollouts sharing one OU state would correlate
-        across rollouts instead.  ``batch=1`` delegates to :meth:`sample`
-        (preserving serial bit-identity); larger batches are an error.
-        """
-        check_positive("batch", batch)
-        if batch != 1:
-            raise ValueError(
-                "OrnsteinUhlenbeckNoise is temporally correlated per "
-                "rollout and cannot drive a rollout batch; use "
-                "rollout_batch=1 or gaussian/parameter exploration"
-            )
-        return self.sample(action_dim, rng)[np.newaxis]
+        return self._state[np.newaxis].copy()
 
     def reset(self) -> None:
         self._state = np.zeros(self.action_dim)

@@ -4,9 +4,8 @@ Maps the paper's Section IV-B definitions onto a ``reset``/``step`` API:
 
 - **state** s(k) = w(k), the WIP vector (fully observable at window ends),
 - **action** a(k) = m(k), the consumer allocation, constrained to
-  ``sum_j m_j <= C``; the softmax-actor convenience
-  :meth:`MicroserviceEnv.allocation_from_simplex` applies the paper's
-  ``m_j = floor(C * a_j)`` mapping,
+  ``sum_j m_j <= C``; :func:`allocation_from_simplex` applies the
+  paper's ``m_j = floor(C * a_j)`` mapping to softmax-actor outputs,
 - **reward** r(k) = 1 - sum_j w_j(k) (Eq. 1).
 
 One environment step is one real control window — the "tens of seconds, or
@@ -24,11 +23,33 @@ from repro.sim.system import MicroserviceWorkflowSystem
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 
-__all__ = ["MicroserviceEnv", "ConstraintViolation"]
+__all__ = ["MicroserviceEnv", "ConstraintViolation", "allocation_from_simplex"]
 
 
 class ConstraintViolation(ValueError):
     """Raised when an allocation exceeds the consumer budget C."""
+
+
+def allocation_from_simplex(
+    simplexes: np.ndarray, consumer_budget: int
+) -> np.ndarray:
+    """The paper's ``m_j = floor(C * a_j)`` (§IV-D), row by row.
+
+    Maps a ``(K, J)`` block of softmax outputs to consumer counts; one
+    action is a batch of one.  Because every row sums to one, the floors
+    always satisfy the budget.
+    """
+    simplexes = np.asarray(simplexes, dtype=np.float64)
+    if simplexes.ndim != 2:
+        raise ValueError(
+            f"expected a (K, J) block of simplexes, got {simplexes.shape}"
+        )
+    if not (
+        np.all(simplexes >= -1e-9)
+        and np.all(np.abs(simplexes.sum(axis=1) - 1.0) <= 1e-6)
+    ):
+        raise ValueError(f"not a probability simplex: {simplexes}")
+    return np.floor(consumer_budget * np.clip(simplexes, 0, 1)).astype(np.int64)
 
 
 class MicroserviceEnv:
@@ -64,29 +85,12 @@ class MicroserviceEnv:
         return self.system.ensemble.num_task_types
 
     # Action helpers -----------------------------------------------------------
-    def allocation_from_simplex(self, simplex: np.ndarray) -> np.ndarray:
-        """The paper's mapping ``m_j = floor(C * a_j)`` from a softmax output.
-
-        Because the inputs sum to one, the floors always satisfy the budget.
-        """
-        simplex = np.asarray(simplex, dtype=np.float64)
-        if simplex.shape != (self.action_dim,):
-            raise ValueError(
-                f"simplex action has shape {simplex.shape}, expected "
-                f"({self.action_dim},)"
-            )
-        if np.any(simplex < -1e-9) or abs(float(simplex.sum()) - 1.0) > 1e-6:
-            raise ValueError(
-                f"action is not a probability simplex: {simplex} "
-                f"(sum={simplex.sum()!r})"
-            )
-        allocation = np.floor(self.consumer_budget * np.clip(simplex, 0, 1))
-        return allocation.astype(np.int64)
-
     def random_allocation(self, rng: RngStream) -> np.ndarray:
         """A uniformly random feasible allocation (for data collection)."""
         simplex = rng.generator.dirichlet(np.ones(self.action_dim))
-        return self.allocation_from_simplex(simplex)
+        return allocation_from_simplex(
+            simplex[np.newaxis], self.consumer_budget
+        )[0]
 
     def uniform_allocation(self) -> np.ndarray:
         """Budget split evenly (remainder to the lowest indices)."""

@@ -1,15 +1,14 @@
-"""Serial/batch pair registry: the contract behind ``predict_batch`` et al.
+"""Serial/batch pair registry: the contract behind ``publish_many`` et al.
 
-The vectorised hot paths (PR 5's BatchedModelEnv, the batched DDPG act
-path) rely on a family of *serial/batch pairs*: a scalar function
-(``predict``, ``act``, ``reward_eq1``, ``sample``) and a batched twin
-(``predict_batch``, ...) that must agree bit-for-bit row by row.  That
-equivalence is easy to break silently — a dtype promotion in one twin, an
-in-place tweak of a shared input, a signature drift that reorders
-arguments.  This module makes the pairing *explicit*::
+The batched simulator substrate relies on a family of *serial/batch
+pairs*: a scalar method (``publish``, ``push``, ``add_task``) and a
+batched twin (``publish_many``, ...) that must agree bit-for-bit row by
+row.  That equivalence is easy to break silently — a dtype promotion in
+one twin, an in-place tweak of a shared input, a signature drift that
+reorders arguments.  This module makes the pairing *explicit*::
 
-    @batched_pair("predict")
-    def predict_batch(self, states, actions):
+    @batched_pair("push")
+    def push_many(self, values):
         ...
 
 Declaring the pair buys two layers of enforcement:
@@ -27,7 +26,7 @@ The guard hook is deliberately indirect: this module never imports
 ``repro.analysis`` (``repro.utils`` sits at the bottom of the layer DAG);
 instead the sanitizer installs a callable via :func:`set_runtime_guard`
 on activation and clears it on deactivation.  With no guard installed the
-wrapper is a single global read — negligible against a network forward.
+wrapper is a single global read.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Kept in ``tests/`` as the K=1 oracle the production
 :class:`repro.core.model_env.BatchedModelEnv` is held to: one rollout,
 one ``(n,)`` state, one ``model.predict`` per step.  The class below is
-the former ``repro.core.model_env.ModelEnv`` verbatim;
+the former ``repro.core.model_env.ModelEnv`` verbatim, and
+:func:`reward_eq1` the one-state reward it called, as it stood in
+``repro.core.reward`` before that became a function over ``(K, n)``;
 tests/core/test_batched_model_env.py and
 tests/core/test_agent_batched_equivalence.py require byte-identical
 trajectories, weights and replay contents from the batched engine at
@@ -17,9 +19,16 @@ import numpy as np
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
 from repro.core.refinement import RefinedModel
-from repro.core.reward import reward_eq1
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_positive
+
+
+def reward_eq1(wip: np.ndarray) -> float:
+    """Eq. (1): one minus the aggregate work-in-progress."""
+    wip = np.asarray(wip, dtype=np.float64)
+    if np.any(wip < 0):
+        raise ValueError(f"WIP must be non-negative, got {wip}")
+    return 1.0 - float(wip.sum())
 
 
 class ModelEnv:

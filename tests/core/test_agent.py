@@ -87,6 +87,24 @@ class TestModelTraining:
         agent.train_model()
         assert agent.refined_model is agent.model
 
+    def test_refinement_disabled_trains_policy_on_the_raw_model(self):
+        config = tiny_config(
+            model=ModelConfig(hidden_sizes=(8,), epochs=3, refinement_enabled=False)
+        )
+        agent = MirasAgent(make_msd_env(seed=14), config, seed=14)
+        agent.collect_real_interactions(20, random_fraction=1.0)
+        agent.train_model()
+        env = agent.build_batched_model_env()
+        states = env.reset(3)
+        allocations = np.full((3, 4), 3.0)
+        next_states, _, _ = env.step(allocations)
+        raw = np.maximum(agent.model.predict(states, allocations), 0.0)
+        assert next_states.tobytes() == raw.tobytes()
+        assert env.model.lend_count == 0
+        agent.collect_real_interactions(1)  # a new dataset size: a new env stream
+        rollouts, _ = agent.train_policy()
+        assert rollouts >= 1
+
     def test_build_model_env_requires_model(self, agent):
         with pytest.raises(RuntimeError, match="train_model"):
             agent.build_batched_model_env()

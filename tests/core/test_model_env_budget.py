@@ -7,6 +7,7 @@ import pytest
 from repro.core.agent import MirasAgent
 from repro.core.config import MirasConfig, ModelConfig, PolicyConfig
 from repro.rl.ddpg import DDPGConfig
+from repro.sim.env import allocation_from_simplex
 
 from tests.conftest import make_msd_env
 
@@ -67,7 +68,7 @@ class TestModelEnvWithLearntModel:
     def test_simplex_path_consistent_with_manual(self, trained_model_env):
         env = trained_model_env
         simplex = np.array([[0.4, 0.3, 0.2, 0.1]])
-        executed = env.allocation_from_simplex_batch(simplex)
+        executed = allocation_from_simplex(simplex, env.consumer_budget)
         manual = np.floor(env.consumer_budget * simplex)
         assert np.array_equal(executed, manual)
         assert executed.sum() <= env.consumer_budget

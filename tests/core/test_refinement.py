@@ -86,11 +86,11 @@ class TestPrediction:
             out = refined.predict(state, np.array([5.0, 5.0]))
             assert np.all(out >= 0)
 
-    def test_batch_input_rejected(self, rng):
+    def test_mismatched_batch_rejected(self, rng):
         model, dataset = make_model_and_data(rng)
         refined = RefinedModel.from_dataset(model, dataset, rng=rng)
-        with pytest.raises(ValueError, match="one state"):
-            refined.predict(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="batch sizes differ"):
+            refined.predict(np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_below_threshold_mask(self, rng):
         model, dataset = make_model_and_data(rng)

@@ -21,20 +21,20 @@ def critic(rng):
 class TestActor:
     def test_action_is_distribution(self, actor, rng):
         for _ in range(20):
-            action = actor.act(rng.uniform(0, 500, size=4))
+            action = actor.act(rng.uniform(0, 500, size=(1, 4)))[0]
             assert action.sum() == pytest.approx(1.0)
             assert np.all(action >= 0)
 
     def test_output_mixing_keeps_actions_off_corners(self, rng):
         actor = Actor(4, 4, hidden_sizes=(8,), output_mixing=0.1, rng=rng)
-        action = actor.act(np.array([1000.0, 0, 0, 0]))
+        action = actor.act(np.array([[1000.0, 0, 0, 0]]))[0]
         assert np.all(action >= 0.1 / 4 - 1e-12)
 
     def test_batch_matches_single(self, actor, rng):
         states = rng.uniform(0, 100, size=(3, 4))
-        batch = actor.act_batch(states)
+        batch = actor.act(states)
         for i in range(3):
-            assert np.allclose(batch[i], actor.act(states[i]))
+            assert np.allclose(batch[i], actor.act(states[i : i + 1])[0])
 
     def test_normalize_is_log_compressed(self, actor):
         small = actor.normalize(np.zeros((1, 4)))
@@ -45,17 +45,17 @@ class TestActor:
     def test_target_network_starts_identical(self, actor, rng):
         states = rng.uniform(0, 100, size=(3, 4))
         target = actor.actions(actor.normalize(states), actor.target_network)
-        assert np.allclose(actor.act_batch(states), target)
+        assert np.allclose(actor.act(states), target)
 
     def test_policy_gradient_moves_toward_higher_q(self, actor, rng):
         """Ascending a fixed dQ/da direction should raise that action dim."""
         states = rng.uniform(0, 50, size=(16, 4))
         direction = np.zeros((16, 4))
         direction[:, 2] = 1.0  # pretend Q increases with a[2]
-        before = actor.act_batch(states)[:, 2].mean()
+        before = actor.act(states)[:, 2].mean()
         for _ in range(100):
             actor.policy_gradient_step(actor.normalize(states), lambda _: direction)
-        after = actor.act_batch(states)[:, 2].mean()
+        after = actor.act(states)[:, 2].mean()
         assert after > before
 
     def test_policy_gradient_shape_check(self, actor):

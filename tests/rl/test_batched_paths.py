@@ -1,7 +1,8 @@
-"""Batched RL primitives: ``ReplayBuffer.add_batch``, batched noise
-sampling, ``project_to_simplex_batch`` and ``DDPGAgent.act_batch``.
+"""Batched RL primitives: ``ReplayBuffer.add_batch``, noise sampling,
+``project_to_simplex`` and ``DDPGAgent.act_batch``.
 
-Every K=1 path is pinned *bitwise* against its serial counterpart —
+Every K=1 path is pinned *bitwise* against its serial counterpart (the
+pre-change serial bodies in tests/rl/reference_serial_policy.py) —
 these are the building blocks the batched rollout engine's determinism
 contract rests on.
 """
@@ -14,10 +15,11 @@ from repro.rl.noise import (
     GaussianActionNoise,
     OrnsteinUhlenbeckNoise,
     project_to_simplex,
-    project_to_simplex_batch,
 )
 from repro.rl.replay import ReplayBuffer
 from repro.utils.rng import RngStream
+
+from tests.rl import reference_serial_policy as reference
 
 
 def _transitions(n, rng, state_dim=3, action_dim=3):
@@ -95,52 +97,54 @@ class TestBatchedNoise:
     def test_gaussian_k1_bitwise_equals_serial(self):
         a = RngStream("n", np.random.SeedSequence(4))
         b = RngStream("n", np.random.SeedSequence(4))
-        noise = GaussianActionNoise(sigma=0.3)
-        serial = noise.sample(3, a)
-        batched = noise.sample_batch(1, 3, b)
+        serial = reference.ReferenceGaussianActionNoise(sigma=0.3).sample(3, a)
+        batched = GaussianActionNoise(sigma=0.3).sample(1, 3, b)
         assert batched.shape == (1, 3)
         assert serial.tobytes() == batched[0].tobytes()
 
     def test_ou_k1_bitwise_equals_serial(self):
         a = RngStream("n", np.random.SeedSequence(4))
         b = RngStream("n", np.random.SeedSequence(4))
-        serial_noise = OrnsteinUhlenbeckNoise(3, sigma=0.3)
+        serial_noise = reference.ReferenceOrnsteinUhlenbeckNoise(3, sigma=0.3)
         batched_noise = OrnsteinUhlenbeckNoise(3, sigma=0.3)
         for _ in range(5):  # OU carries state across calls
             serial = serial_noise.sample(3, a)
-            batched = batched_noise.sample_batch(1, 3, b)
+            batched = batched_noise.sample(1, 3, b)
             assert serial.tobytes() == batched[0].tobytes()
 
     def test_ou_rejects_k_above_one(self, rng):
         noise = OrnsteinUhlenbeckNoise(3, sigma=0.3)
         with pytest.raises(ValueError, match="rollout_batch"):
-            noise.sample_batch(2, 3, rng)
+            noise.sample(2, 3, rng)
 
     def test_project_batch_rows_bitwise_equal_serial(self, rng):
         vectors = rng.normal(size=(6, 4))
-        batched = project_to_simplex_batch(vectors)
+        batched = project_to_simplex(vectors)
         for row, projected in zip(vectors, batched):
-            assert project_to_simplex(row).tobytes() == projected.tobytes()
+            expected = reference.project_to_simplex(row)
+            assert expected.tobytes() == projected.tobytes()
 
     def test_project_batch_empty(self):
-        out = project_to_simplex_batch(np.empty((0, 4)))
+        out = project_to_simplex(np.empty((0, 4)))
         assert out.shape == (0, 4)
 
 
 def _twin_agents(exploration="parameter", seed=0, **overrides):
-    def build():
+    """(serial oracle, today's agent) on the same seed."""
+
+    def build(cls):
         config = DDPGConfig(
             hidden_sizes=(16, 16),
             batch_size=8,
             exploration=exploration,
             **overrides,
         )
-        return DDPGAgent(
+        return cls(
             3, 3, config=config,
             rng=RngStream("t", np.random.SeedSequence(seed)),
         )
 
-    return build(), build()
+    return build(reference.ReferenceDDPGAgent), build(DDPGAgent)
 
 
 class TestActBatch:
@@ -171,7 +175,7 @@ class TestActBatch:
         assert a1.tobytes() == a2[0].tobytes()
 
     def test_batch_rows_are_simplexes(self):
-        agent, _ = _twin_agents()
+        _, agent = _twin_agents()
         states = np.abs(
             RngStream("s", np.random.SeedSequence(9)).normal(size=(12, 3))
         )

@@ -147,12 +147,12 @@ class TestReplayCheckpoint:
 
 class TestProjectToSimplex:
     def test_already_on_simplex_unchanged(self):
-        v = np.array([0.2, 0.3, 0.5])
+        v = np.array([[0.2, 0.3, 0.5]])
         assert np.allclose(project_to_simplex(v), v)
 
     def test_output_is_valid_distribution(self, rng):
         for _ in range(100):
-            v = rng.normal(size=5)
+            v = rng.normal(size=(1, 5))
             p = project_to_simplex(v)
             assert p.sum() == pytest.approx(1.0)
             assert np.all(p >= 0)
@@ -160,43 +160,48 @@ class TestProjectToSimplex:
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_projection_properties(self, raw):
-        v = np.array(raw)
+        v = np.array([raw])
         p = project_to_simplex(v)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(p >= -1e-12)
 
     def test_preserves_order(self):
         v = np.array([3.0, 1.0, 2.0])
-        p = project_to_simplex(v)
+        p = project_to_simplex(v[np.newaxis])[0]
         assert p[0] >= p[2] >= p[1]
 
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            project_to_simplex(np.zeros((2, 2)))
+    def test_rejects_non_block_shapes(self):
+        for shape in ((2,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="block"):
+                project_to_simplex(np.zeros(shape))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            project_to_simplex(np.array([[0.2, 0.8], [np.nan, 0.5]]))
 
 
 class TestActionNoise:
     def test_gaussian_scale(self, rng):
         noise = GaussianActionNoise(sigma=0.5)
-        samples = np.stack([noise.sample(4, rng) for _ in range(5000)])
+        samples = noise.sample(5000, 4, rng)
         assert abs(samples.std() - 0.5) < 0.05
 
     def test_ou_is_temporally_correlated(self, rng):
         noise = OrnsteinUhlenbeckNoise(action_dim=1, theta=0.1, sigma=0.2)
-        series = np.array([noise.sample(1, rng)[0] for _ in range(2000)])
+        series = np.array([noise.sample(1, 1, rng)[0, 0] for _ in range(2000)])
         lag1 = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert lag1 > 0.5  # strongly correlated, unlike white noise
 
     def test_ou_reset(self, rng):
         noise = OrnsteinUhlenbeckNoise(action_dim=2)
-        noise.sample(2, rng)
+        noise.sample(1, 2, rng)
         noise.reset()
         assert np.array_equal(noise._state, np.zeros(2))
 
     def test_ou_dim_mismatch(self, rng):
         noise = OrnsteinUhlenbeckNoise(action_dim=2)
         with pytest.raises(ValueError):
-            noise.sample(3, rng)
+            noise.sample(1, 3, rng)
 
 
 class TestAdaptiveParameterNoise:

@@ -127,7 +127,7 @@ def test_mean_q_is_policy_q_before_the_actor_step():
         features, batch["actions"], batch["rewards"] + probe.config.gamma * next_q
     )
     expected = float(
-        np.mean(critic.q_features(features, actor.act_batch(states)))
+        np.mean(critic.q_features(features, actor.act(states)))
     )
     assert mean_q == expected
 

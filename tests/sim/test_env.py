@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.env import ConstraintViolation
+from repro.sim.env import ConstraintViolation, allocation_from_simplex
 
 from tests.conftest import make_msd_env
 
@@ -27,7 +27,7 @@ class TestActionMapping:
     def test_floor_mapping_matches_paper(self):
         env = make_msd_env()
         simplex = np.array([0.5, 0.25, 0.15, 0.10])
-        allocation = env.allocation_from_simplex(simplex)
+        allocation = allocation_from_simplex(simplex[np.newaxis], 14)[0]
         assert np.array_equal(allocation, np.floor(14 * simplex))
 
     def test_floor_never_exceeds_budget(self):
@@ -35,7 +35,7 @@ class TestActionMapping:
         rng = env.system.workload_rng.fork("t")
         for _ in range(200):
             simplex = rng.generator.dirichlet(np.ones(4))
-            allocation = env.allocation_from_simplex(simplex)
+            allocation = allocation_from_simplex(simplex[np.newaxis], 14)[0]
             assert allocation.sum() <= 14
             assert np.all(allocation >= 0)
 
@@ -46,18 +46,25 @@ class TestActionMapping:
     def test_floor_budget_property(self, raw):
         env = make_msd_env()
         simplex = np.array(raw) / np.sum(raw)
-        allocation = env.allocation_from_simplex(simplex)
+        allocation = allocation_from_simplex(
+            simplex[np.newaxis], env.consumer_budget
+        )[0]
         assert int(allocation.sum()) <= env.consumer_budget
 
     def test_non_simplex_rejected(self):
-        env = make_msd_env()
         with pytest.raises(ValueError, match="simplex"):
-            env.allocation_from_simplex(np.array([0.5, 0.5, 0.5, 0.5]))
+            allocation_from_simplex(np.array([[0.5, 0.5, 0.5, 0.5]]), 14)
+
+    def test_nan_simplex_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            allocation_from_simplex(np.array([[np.nan, 0.25, 0.25, 0.25]]), 14)
 
     def test_wrong_shape_rejected(self):
         env = make_msd_env()
         with pytest.raises(ValueError):
-            env.allocation_from_simplex(np.array([1.0]))
+            allocation_from_simplex(np.array([1.0]), 14)  # not a (K, J) block
+        with pytest.raises(ValueError):
+            env.step(allocation_from_simplex(np.array([[1.0]]), 14)[0])
 
     def test_random_allocation_feasible(self):
         env = make_msd_env()

@@ -29,9 +29,6 @@ _ENTRY_POINT = re.compile(r"^[\w.]+:[\w.]+$")
 # covers its methods.  Two-sided: a row that became reachable, or whose
 # definition is gone, fails.
 SCHEDULED = {
-    "repro.core.reward.reward_eq1":
-        "ROADMAP item 4: tests/core/reference_model_env.py, an oracle kept "
-        "verbatim, imports the serial twin of reward_eq1_batch",
     "repro.rl.critic.Critic.normalize_states":
         "ROADMAP item 4: tests/rl/reference_ddpg.py, an oracle kept "
         "verbatim, calls it",
