@@ -4,9 +4,9 @@ cost of having telemetry compiled in but switched off.
 Not a paper figure — these guard the observability subsystem's two
 performance contracts (docs/OBSERVABILITY.md):
 
-- the **NULL path** (disabled tracer) must stay within the 2%
-  overhead budget against ``bench_substrate_throughput``'s untraced
-  window throughput — gated by ``run_observability_bench.py --check``,
+- the **NULL path** (disabled tracer) must stay cheap per
+  instrumentation site — gated in ns per site by
+  ``run_observability_bench.py --check``,
 - the **enabled path** (MetricsSink tee, aggregation replay, Prometheus
   rendering) should be cheap enough to leave on for any traced run.
 """

@@ -439,7 +439,7 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         )
         if self.tracer.enabled:
             # Same emit point as the serial substrate's _on_task_complete:
-            # after event.task_complete, before successor publishes.
+            # before successor publishes.
             self.tracer.write({
                 "kind": "event.task_span", "t": None,
                 "service": name,

@@ -436,12 +436,6 @@ class Microservice:
         service_time = now - consumer.processing_started_at
         consumer.tasks_completed += 1
         consumer.busy_time += service_time
-        if self.tracer.enabled:
-            self.tracer.write({
-                "kind": "event.task_complete", "t": None,
-                "service": self.name,
-                "service_time": service_time,
-            })
         consumer.current_tag = None
         consumer.current_request = None
         consumer.pending_event = None
@@ -949,12 +943,6 @@ class BatchedMicroservice:
         service_time = now - self.processing_started[slot]
         self.slot_tasks_completed[slot] += 1
         self.slot_busy_time[slot] += service_time
-        if self.tracer.enabled:
-            self.tracer.write({
-                "kind": "event.task_complete", "t": None,
-                "service": self.name,
-                "service_time": service_time,
-            })
         self.current_task[slot] = -1
         self.pending_token[slot] = -1
         self.tasks_completed += 1

@@ -741,26 +741,26 @@ class MetricsAggregator:
                 record["service"], f"stop_{record['mode']}"
             ].inc()
 
-    def _fold_task_completions(self, records: List[Mapping]) -> None:
-        by_service = _grouped(records, "service", "service_time")
-        for service, service_times in by_service.items():
-            self._service_time[service].observe_many(service_times)
-
     def _fold_task_spans(self, records: List[Mapping]) -> None:
-        waits: Dict[str, List[float]] = {}
+        # A span is written the instant its task finishes, so
+        # ``t - started`` is the successful attempt's processing time.
+        by_service: Dict[str, Tuple[List[float], List[float]]] = {}
         for record in records:
             service = record["service"]
-            wait = record["started"] - record["published"]
+            started = record["started"]
             try:
-                waits[service].append(wait)
+                times, waits = by_service[service]
             except KeyError:
-                waits[service] = [wait]
+                times, waits = by_service[service] = ([], [])
+            times.append(record["t"] - started)
+            waits.append(started - record["published"])
             if record["deliveries"] > 1:
                 self._task_retries[service].inc(record["deliveries"] - 1)
             if record["wasted"] > 0:
                 self._wasted_work[service].inc(record["wasted"])
-        for service, service_waits in waits.items():
-            self._queue_wait[service].observe_many(service_waits)
+        for service, (times, waits) in by_service.items():
+            self._service_time[service].observe_many(times)
+            self._queue_wait[service].observe_many(waits)
 
     def _fold_faults(self, records: List[Mapping]) -> None:
         for record in records:
@@ -803,7 +803,8 @@ class MetricsAggregator:
             self._training_ewma[name].update(value)
 
     #: kind -> the fold over that kind's records.  Kinds naming one fold
-    #: are folded together, interleaved (see :meth:`observe_many`).
+    #: are folded together, interleaved (see :meth:`observe_many`).  A
+    #: kind with none (a v4 trace's ``event.task_complete``) is counted.
     _HANDLERS: Dict[str, Callable] = {
         "event.arrival": _fold_arrivals,
         "event.workflow_complete": _fold_workflow_completions,
@@ -812,7 +813,6 @@ class MetricsAggregator:
         "event.consumer_start": _fold_consumer_starts,
         "event.consumer_ready": _fold_consumer_readies,
         "event.consumer_stop": _fold_consumer_stops,
-        "event.task_complete": _fold_task_completions,
         "event.task_span": _fold_task_spans,
         "event.fault": _fold_faults,
         "event.placement": _fold_node_slots,

@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 #: Bumped whenever the profile.json document changes shape.
-PROFILE_VERSION = 2
+#: v3: added ``boundary_ns``, the profiler's own cost per boundary call.
+PROFILE_VERSION = 3
 
 PROFILE_FILENAME = "profile.json"
 
@@ -278,9 +279,11 @@ class PhaseProfiler:
         return node
 
     def to_dict(self) -> Dict:
-        """The profile.json document."""
+        """The profile.json document, with the profiler's own cost per
+        boundary call measured as it is written."""
         return {
             "profile_version": PROFILE_VERSION,
+            "boundary_ns": _boundary_cost_ns(),
             "tree": self.root.to_dict(),
         }
 
@@ -288,20 +291,41 @@ class PhaseProfiler:
         return f"PhaseProfiler(phases={len(self.root.children)})"
 
 
+def _boundary_cost_ns(calls: int = 1000) -> float:
+    """Nanoseconds one boundary call adds, measured now: ``calls`` calls
+    of a no-op wrapped the way :data:`BOUNDARIES` entries are, over as
+    many of the bare no-op, each side the best of five interleaved runs."""
+    def noop():
+        pass
+
+    best = {}
+    for function in (noop, PhaseProfiler()._wrap(noop, "calibration")) * 5:
+        start = _wall_clock()
+        for _ in range(calls):
+            function()
+        elapsed = _wall_clock() - start
+        best[function] = min(best.get(function, elapsed), elapsed)
+    bare, wrapped = best.values()
+    return (wrapped - bare) / calls * 1e9
+
+
+def _total_calls(node: PhaseNode) -> int:
+    return node.calls + sum(_total_calls(c) for c in node.children.values())
+
+
 def render_profile(
-    source: Union[PhaseProfiler, PhaseNode, Dict],
-    max_depth: Optional[int] = None,
+    source: Union[PhaseProfiler, Dict], max_depth: Optional[int] = None
 ) -> str:
     """Render the phase tree as an indented text report.
 
-    Accepts a profiler, a tree root, or a loaded profile.json document.
+    Accepts a profiler or a loaded profile.json document; one that
+    states the profiler's cost per boundary call (v3) ends with what
+    that cost comes to over the tree's calls.
     """
     if isinstance(source, PhaseProfiler):
-        root = source.root
-    elif isinstance(source, PhaseNode):
-        root = source
-    else:
-        root = PhaseNode.from_dict(source["tree"])
+        source = source.to_dict()
+    root = PhaseNode.from_dict(source["tree"])
+    boundary_ns = source.get("boundary_ns")
     lines = [
         f"{'phase':<40} {'calls':>8} {'wall (s)':>10} "
         f"{'self (s)':>10} {'cpu (s)':>10}"
@@ -323,6 +347,12 @@ def render_profile(
         visit(root.children[name], 0)
     if len(lines) == 2:
         lines.append("(no phases recorded)")
+    if boundary_ns is not None:
+        calls = _total_calls(root)
+        lines.append(
+            f"profiler cost: {boundary_ns:.0f} ns per boundary call x {calls} "
+            f"calls = {boundary_ns * calls / 1e9:.4f} s of the wall time above"
+        )
     return "\n".join(lines)
 
 

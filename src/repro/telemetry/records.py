@@ -33,7 +33,9 @@ __all__ = [
 #: v3: added ``event.task_span`` (per-task causal span: queue wait,
 #: retries, wasted work).
 #: v4: added ``span.collect`` (one merged distributed-collection episode).
-SCHEMA_VERSION = 4
+#: v5: dropped ``event.task_complete``: its ``service_time`` is the
+#: ``t - started`` of the ``event.task_span`` written at the same instant.
+SCHEMA_VERSION = 5
 
 #: Fields present on every record regardless of kind.
 ENVELOPE_FIELDS: FrozenSet[str] = frozenset({"kind", "t"})
@@ -76,17 +78,14 @@ RECORD_SCHEMAS: Dict[str, FrozenSet[str]] = {
         "service", "consumer_id", "startup_latency",
     }),
     "event.consumer_stop": frozenset({"service", "consumer_id", "mode"}),
-    # A task finishing on a consumer; ``service_time`` is the processing
-    # time of this attempt (wasted work from killed attempts excluded).
-    # Feeds the per-service service-time histograms of the metrics engine.
-    "event.task_complete": frozenset({"service", "service_time"}),
     # The full causal span of one task of one workflow request, emitted at
     # completion (record ``t``): ``published`` is when the request entered
     # the queue, ``started`` when the final (successful) attempt began
     # processing, ``deliveries`` the delivery attempts, ``wasted`` the
     # processing time lost to interrupted attempts.  ``request_id`` is the
     # run-local workflow ordinal of ``event.arrival``.  Feeds the
-    # queue-wait / retry / wasted-work families of the metrics engine.
+    # service-time (``t - started``) / queue-wait / retry / wasted-work
+    # families of the metrics engine.
     "event.task_span": frozenset({
         "service", "request_id", "published", "started", "deliveries",
         "wasted",

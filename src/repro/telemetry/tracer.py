@@ -9,8 +9,8 @@ Design constraints (docs/OBSERVABILITY.md):
 - **Off-by-default-cheap.**  Components default to :data:`NULL_TRACER`,
   whose :attr:`Tracer.enabled` is False.  Hot paths guard emission with
   ``if tracer.enabled:`` so the disabled cost is one attribute read and a
-  branch — measured at < 2% on the simulator window benchmark
-  (``benchmarks/bench_substrate_throughput.py``).
+  branch per site — gated in ns per site by
+  ``benchmarks/run_observability_bench.py``.
 - **Flat records.**  Every emission is one dict matching a schema in
   :mod:`repro.telemetry.records`; sinks own serialisation.
 """

@@ -15,8 +15,9 @@ TDS outages at random instants) or scripted replica outages inside a
 window — the case that pins the one-call ``account_reads`` against the
 per-read round robin.  Both systems run traced and must agree on
 :func:`repro.sim.substrate.substrate_snapshot` after every window and on
-every trace record; an untraced production run must reach the same
-snapshots.
+every trace record (the oracle's v4 trace against the v4 view of the
+system's, :func:`tests.telemetry.schema_v4.as_v4`); an untraced
+production run must reach the same snapshots.
 """
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.workload import PoissonArrivalProcess
 
 from tests.sim.reference_serial import ReferenceSerialSystem
 from tests.sim.test_replay_differential import build_fixed_ensemble
+from tests.telemetry.schema_v4 import as_v4
 
 SCENARIOS = 24
 
@@ -158,7 +160,8 @@ def test_serial_path_equals_reference(seed):
     assert len(serial) == len(reference)
     for window, (a, b) in enumerate(zip(serial, reference)):
         assert a == b, f"scenario {seed}: snapshot diverged at window {window}"
-    assert records == reference_records, f"scenario {seed}: traces differ"
+    # The oracle writes schema v4; the system writes v5.
+    assert as_v4(records) == reference_records, f"scenario {seed}: traces differ"
     untraced, _ = run(MicroserviceWorkflowSystem, seed, traced=False)
     assert untraced == serial, f"scenario {seed}: tracing changed the run"
 

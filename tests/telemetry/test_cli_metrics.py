@@ -173,3 +173,4 @@ class TestProfileRun:
         out = capsys.readouterr().out
         assert "sim.dispatch" in out
         assert "calls" in out
+        assert "ns per boundary call x" in out

@@ -6,8 +6,10 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.telemetry import load_trace, read_manifest
+from repro.telemetry import JsonlSink, load_trace, read_manifest, write_manifest
 from repro.telemetry.records import SCHEMA_VERSION
+
+from tests.telemetry.schema_v4 import as_v4
 
 
 class TestParser:
@@ -67,6 +69,34 @@ class TestTraceReportRoundTrip:
         assert "Container lifecycle" in out
         assert "seed 1000" in out
         assert f"schema v{SCHEMA_VERSION}" in out
+
+    def test_report_reads_a_v4_trace(self, run_dir, tmp_path, capsys):
+        """A trace written before v5, ``event.task_complete`` and all:
+        its service times fold off the spans to the v5 run's series, and
+        the header names the schema the trace was written under."""
+        records = load_trace(run_dir)
+        v4_records = as_v4(records)
+        assert len(v4_records) > len(records)
+        v4_dir = tmp_path / "trace-v4"
+        with JsonlSink(v4_dir / "trace.jsonl") as sink:
+            for record in v4_records:
+                sink.write(record)
+        manifest = read_manifest(run_dir)
+        manifest.schema_version = 4
+        write_manifest(v4_dir, manifest)
+
+        assert main(["report", str(v4_dir)]) == 0
+        assert "schema v4," in capsys.readouterr().out
+
+        def service_times(path):
+            assert main(["report", str(path), "--format", "json"]) == 0
+            families = json.loads(capsys.readouterr().out)["families"]
+            return families["repro_service_time_seconds"]
+
+        v5 = service_times(run_dir)
+        assert v5["series"] and service_times(v4_dir) == v5
+        live = json.loads((run_dir / "metrics.json").read_text())
+        assert live["families"]["repro_service_time_seconds"] == v5
 
     def test_report_accepts_explicit_file_path(self, run_dir, capsys):
         code = main(["report", str(run_dir / "trace.jsonl")])

@@ -3,14 +3,21 @@
 ``MetricsSink`` queues what it is written and folds a window's worth at
 once, one list fold per kind (``MetricsAggregator.observe_many``); until
 PR 24 it folded each record as it arrived.  The per-record fold is kept
-in :mod:`tests.telemetry.reference_fold`.  Generated streams — all 15
+in :mod:`tests.telemetry.reference_fold`.  Generated streams — all 14
 kinds, placements and releases interleaved on shared nodes, retries and
 wasted work, unstamped prefixes, tails after the last window, times that
 run backwards the way a fleet merge's do — and the real traces of the
 ten ``sim_paper_traced`` seed-7 cells must fold to the same
 ``metrics.json``, ``metrics.prom`` and window series by ``==``, wherever
 the batch side is read and however its queue is cut.
+
+The oracle folds schema v4, whose ``event.task_complete`` carried each
+task's service time; it is fed :func:`tests.telemetry.schema_v4.as_v4`
+of the v5 stream, and the two agree on everything but the two things the
+dropped record moved (:func:`v5_view`).
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -36,6 +43,7 @@ from repro.telemetry import (
 )
 
 from tests.telemetry.reference_fold import ReferenceSink
+from tests.telemetry.schema_v4 import as_v4
 
 SERVICES = ("Ingest", "Align", "Call", "Merge")
 WORKFLOWS = ("Type1", "Type2", "Type3")
@@ -107,8 +115,6 @@ def event_record(rng, kind: str) -> dict:
             "consumer_id": whole(rng, 0, 64),
             "mode": pick(rng, STOP_MODES),
         }
-    elif kind == "event.task_complete":
-        payload = {"service": service, "service_time": float(rng.lognormal(1.5, 1.0))}
     elif kind == "event.task_span":
         published = real(rng, 900)
         retried = rng.random() < 0.3
@@ -153,7 +159,7 @@ def event_record(rng, kind: str) -> dict:
 #: release drawn often enough to interleave on a node inside one window.
 EVENT_KINDS = sorted(set(RECORD_SCHEMAS) - {"span.window"})
 EVENT_WEIGHTS = np.array([
-    12 if k in ("event.publish", "event.task_complete", "event.task_span")
+    12 if k in ("event.publish", "event.task_span")
     else 6 if k in ("event.placement", "event.release")
     else 4 if k in ("event.arrival", "event.workflow_complete")
     else 1
@@ -187,7 +193,8 @@ def generated_stream(seed: int) -> list:
     for position, record in enumerate(records):
         if "t" in record or record.get("kind") is None:
             continue
-        if position < unstamped:
+        # A span is written inside the simulator, whose clock is bound.
+        if position < unstamped and record["kind"] != "event.task_span":
             record["t"] = None
             continue
         # Mostly forward; a fleet merge starts each cell's clock again.
@@ -205,11 +212,33 @@ def outputs(sink) -> tuple:
     )
 
 
+def v5_view(folded: tuple) -> tuple:
+    """``outputs`` less exactly what schema v5 moves on purpose: the
+    ``event.task_complete`` series of ``repro_records_total``, and the
+    observation count and mean of the clock gauge those records stamped."""
+    metrics_json, prom, series = folded
+    families = json.loads(metrics_json)["families"]
+    counted = families["repro_records_total"]
+    counted["series"] = [
+        s for s in counted["series"]
+        if s["labels"]["kind"] != "event.task_complete"
+    ]
+    for clock in families["repro_sim_time_seconds"]["series"]:
+        del clock["observations"], clock["mean"]
+    prom = [
+        line for line in prom.splitlines()
+        if not line.startswith('repro_records_total{kind="event.task_complete"} ')
+    ]
+    return families, prom, series
+
+
 def reference_outputs(records) -> tuple:
+    """The record-by-record oracle's ``v5_view`` of the same run: it folds
+    schema v4, so it is fed :func:`as_v4` of the records."""
     sink = ReferenceSink()
-    for record in records:
+    for record in as_v4(records):
         sink.write(record)
-    return outputs(sink)
+    return v5_view(outputs(sink))
 
 
 READS = (
@@ -224,7 +253,7 @@ READS = (
 def test_generated_stream_folds_as_record_by_record(seed, monkeypatch):
     records = generated_stream(seed)
     expected = reference_outputs(records)
-    assert outputs(aggregate_trace(records)) == expected
+    assert v5_view(outputs(aggregate_trace(records))) == expected
     # Reads at random positions, and a queue limit small enough to cut
     # windows — and runs of placements and releases — anywhere.
     rng = np.random.default_rng(1000 + seed)
@@ -235,7 +264,7 @@ def test_generated_stream_folds_as_record_by_record(seed, monkeypatch):
         assert len(sink._pending) < metrics.PENDING_LIMIT
         if rng.random() < 0.03:
             pick(rng, READS)(sink)
-    assert outputs(sink) == expected
+    assert v5_view(outputs(sink)) == expected
 
 
 def test_the_generator_draws_every_kind_and_every_trap():
@@ -259,14 +288,22 @@ def test_a_read_between_two_records_changes_no_later_byte():
     records = generated_stream(99)[:400]
     reference = ReferenceSink()
     read_every_time = MetricsSink()
-    for record in records:
+    # The oracle reads the v4 stream, the sink the v5 one; they are
+    # compared wherever no v4 task_complete is waiting for its span.
+    waiting = 0
+    for record in as_v4(records):
         reference.write(record)
+        if record.get("kind") == "event.task_complete":
+            waiting += 1
+            continue
         read_every_time.write(record)
-        assert outputs(read_every_time) == outputs(reference)
+        waiting -= record.get("kind") == "event.task_span"
+        if not waiting:
+            assert v5_view(outputs(read_every_time)) == v5_view(outputs(reference))
     never_read = MetricsSink()
     for record in records:
         never_read.write(record)
-    assert outputs(never_read) == outputs(reference)
+    assert v5_view(outputs(never_read)) == v5_view(outputs(reference))
 
 
 def test_observe_is_the_one_record_fold():
@@ -314,8 +351,10 @@ def sim_paper_traced_cells(seed: int = 7, steps: int = 40):
 
 
 def test_sim_paper_traced_cells_fold_as_record_by_record():
-    total = 0
+    total = total_v4 = 0
     for live, records in sim_paper_traced_cells():
         total += len(records)
-        assert outputs(live) == reference_outputs(records)
-    assert total == 114_084  # the workload's record count on seed 7
+        total_v4 += len(as_v4(records))
+        assert v5_view(outputs(live)) == reference_outputs(records)
+    assert total == 84_167  # the workload's record count on seed 7
+    assert total_v4 == 114_084  # under schema v4: 29,917 task_complete more

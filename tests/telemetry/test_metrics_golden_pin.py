@@ -15,6 +15,13 @@ keep their pre-change digests, asserted with the historical drain
 (:mod:`tests.sim.reference_drain`) patched back in — nothing but the
 drain moved — next to the digests recorded with the drain as it is now.
 The fault cell never resets and is unchanged.
+
+Schema v5 dropped ``event.task_complete`` on purpose: it carried the
+``t - started`` of the task span written at the same instant.  Every
+digest recorded under v4 is asserted through
+:func:`tests.telemetry.schema_v4.as_v4` — the v5 run's records with the
+v4 records put back, folded offline — so nothing but the dropped record
+moved; next to them are the digests of the v5 run as it is.
 """
 
 import hashlib
@@ -28,9 +35,18 @@ from repro.eval.runner import evaluate_allocator, make_env
 from repro.sim import SystemConfig
 from repro.sim.faults import crash_one_consumer
 from repro.sim.system import MicroserviceWorkflowSystem
-from repro.telemetry import MemorySink, MetricsSink, Tracer, snapshot_to_json
+from repro.telemetry import (
+    MemorySink,
+    MetricsSink,
+    Tracer,
+    aggregate_trace,
+    snapshot_to_json,
+)
 
 from tests.sim.reference_drain import reference_drain
+from tests.telemetry.schema_v4 import as_v4
+
+# Schema v4: asserted through ``as_v4``.
 
 #: Recorded from 4817eec; reproduced under the drain-to-zero reset.
 REFERENCE_DRAIN_SHA256 = {
@@ -44,15 +60,34 @@ GOLDEN_SHA256 = {
     "ligo": "6d5e84613276aba11d4fea32dc5f0c92c6c55157d8ff9bc2203b9c3eb801406a",
     "faults": "1d0dd0c8e6ad0cff66908ba934f78a23b825ff0c30182d03115398580642f3b8",
 }
+#: Schema v5, recorded with parent b41154b: no
+#: ``event.task_complete`` in the record stream, so none in
+#: ``repro_records_total`` and one clock stamp fewer per task in
+#: ``repro_sim_time_seconds``; every histogram and window row as under v4.
+GOLDEN_V5_SHA256 = {
+    "msd": "0b918631087253c8e215cd743b7841f480f2b26bfcf5021c4be73c38b7397bcd",
+    "ligo": "c009ec2f1ab2ef4e4e723425069c2b69204238fa32b3dc94305bdf328acb2f03",
+    "faults": "383f0d8ced216d89e5bfd931ce415f96991dd494d7544a1906ea26120230d900",
+}
 
 
-def digest(sink: MetricsSink) -> str:
+def digest(sink: MetricsSink, records) -> str:
     """sha256 over metrics.json, metrics.prom and the record stream."""
     out = hashlib.sha256()
     out.update(snapshot_to_json(sink.snapshot()).encode())
     out.update(sink.to_prometheus().encode())
-    out.update(json.dumps(sink.downstream.records).encode())
+    out.update(json.dumps(records).encode())
     return out.hexdigest()
+
+
+def live_digest(sink: MetricsSink) -> str:
+    return digest(sink, sink.downstream.records)
+
+
+def v4_digest(sink: MetricsSink) -> str:
+    """The digest the v4 program wrote for the same run."""
+    records = as_v4(sink.downstream.records)
+    return digest(aggregate_trace(records), records)
 
 
 def traced_env(dataset: str, seed: int):
@@ -77,7 +112,9 @@ def evaluate_cell(dataset: str, seed: int) -> MetricsSink:
 
 @pytest.mark.parametrize("dataset,seed", [("msd", 11), ("ligo", 12)])
 def test_evaluate_allocator_cell_matches_recorded_bytes(dataset, seed):
-    assert digest(evaluate_cell(dataset, seed)) == GOLDEN_SHA256[dataset]
+    sink = evaluate_cell(dataset, seed)
+    assert v4_digest(sink) == GOLDEN_SHA256[dataset]
+    assert live_digest(sink) == GOLDEN_V5_SHA256[dataset]
 
 
 @pytest.mark.parametrize("dataset,seed", [("msd", 11), ("ligo", 12)])
@@ -85,9 +122,8 @@ def test_evaluate_allocator_cell_matches_pre_change_bytes_under_reference_drain(
     dataset, seed, monkeypatch
 ):
     monkeypatch.setattr(MicroserviceWorkflowSystem, "drain", reference_drain)
-    assert (
-        digest(evaluate_cell(dataset, seed)) == REFERENCE_DRAIN_SHA256[dataset]
-    )
+    sink = evaluate_cell(dataset, seed)
+    assert v4_digest(sink) == REFERENCE_DRAIN_SHA256[dataset]
 
 
 def fault_cell() -> MetricsSink:
@@ -115,4 +151,5 @@ def test_fault_injected_cell_matches_recorded_bytes():
         "repro_task_retries_total", "repro_wasted_work_seconds",
     ):
         assert families[name]["series"], name
-    assert digest(sink) == GOLDEN_SHA256["faults"]
+    assert v4_digest(sink) == GOLDEN_SHA256["faults"]
+    assert live_digest(sink) == GOLDEN_V5_SHA256["faults"]

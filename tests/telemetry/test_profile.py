@@ -213,6 +213,22 @@ class TestRender:
     def test_empty_profile(self):
         assert "(no phases recorded)" in render_profile(PhaseProfiler())
 
+    def test_document_states_the_profilers_cost(self, tmp_path):
+        """v3 measures what one boundary call adds as the document is
+        written; the report multiplies it by the tree's calls.  A v2
+        document, which has no such figure, renders without the line."""
+        write_profile(tmp_path, TestPersistence()._populated())
+        document = read_profile(tmp_path)
+        assert document["boundary_ns"] > 0
+        text = render_profile(document)
+        assert text.splitlines()[-1] == (
+            f"profiler cost: {document['boundary_ns']:.0f} ns per boundary "
+            f"call x 2 calls = {document['boundary_ns'] * 2 / 1e9:.4f} s of "
+            f"the wall time above"
+        )
+        del document["boundary_ns"]
+        assert "profiler cost" not in render_profile(document)
+
 
 class TestDeterminismBoundary:
     """Installing the profiler must not change what the program does."""

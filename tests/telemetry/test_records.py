@@ -37,7 +37,6 @@ EXAMPLES = {
     "event.consumer_stop": {
         "service": "Ingest", "consumer_id": 2, "mode": "drain",
     },
-    "event.task_complete": {"service": "Ingest", "service_time": 9.5},
     "event.task_span": {
         "service": "Ingest", "request_id": 17, "published": 10.0,
         "started": 12.5, "deliveries": 1, "wasted": 0.0,
@@ -56,6 +55,16 @@ def make_record(kind):
 class TestRegistry:
     def test_schema_version_is_positive_int(self):
         assert isinstance(SCHEMA_VERSION, int) and SCHEMA_VERSION >= 1
+
+    def test_v5_dropped_task_complete(self):
+        """Its service time is the ``t - started`` of the task's span."""
+        assert SCHEMA_VERSION == 5
+        assert "event.task_complete" not in RECORD_SCHEMAS
+        with pytest.raises(ValueError, match="unknown record kind"):
+            validate_record({
+                "kind": "event.task_complete", "t": 30.0,
+                "service": "Ingest", "service_time": 9.5,
+            })
 
     def test_envelope_fields(self):
         assert ENVELOPE_FIELDS == {"kind", "t"}
