@@ -14,9 +14,12 @@ with no telemetry code changed.
   timed window evaluates are counted from the windows of an enabled run
   (``count_sites``; each site writes exactly one record when enabled,
   and ``tests/telemetry/test_noop_sites.py`` pins that count to the
-  guard reads of a disabled run).  The product is reported as
-  ``noop_overhead_us_per_window`` and, informationally, as
-  ``noop_overhead_pct`` of the untraced window.
+  guard reads of a disabled run).
+- ``noop_overhead_us_per_window`` — sites per window times that cost,
+  **gated** too: a change that adds instrumentation sites raises what a
+  disabled window pays at an unchanged cost per site.  It is also
+  reported, informationally, as ``noop_overhead_pct`` of the untraced
+  window.
 - ``tee_us_per_record`` — the **gated** cost of the enabled path a user
   leaves on, ``Tracer(MetricsSink(MemorySink()))``: emission per record
   (memory-sink trace over untraced, per record of the timed windows)
@@ -26,15 +29,17 @@ with no telemetry code changed.
   reported next to it, informationally, with the profiled configuration
   and the offline aggregation throughput.
 
-Ceilings (``NOOP_NS_PER_SITE``, ``TEE_US_PER_RECORD``): ten runs of this
-script on the 2-vCPU sizing host, after schema v5 dropped
-``event.task_complete`` (222 sites per window, was 322), read the guard
-at 17.7-20.1 ns and the tee at 1.24-1.42 us per record (0.66-0.75
-emission plus 0.56-0.69 aggregation); each ceiling sits about a quarter
-above the slowest of the ten.
+Ceilings (``NOOP_NS_PER_SITE``, ``NOOP_US_PER_WINDOW``,
+``TEE_US_PER_RECORD``): ten runs of this script on the 2-vCPU sizing
+host, after schema v5 dropped ``event.task_complete`` (222 sites per
+window, was 322), read the guard at 17.7-20.1 ns and the tee at
+1.24-1.42 us per record (0.66-0.75 emission plus 0.56-0.69
+aggregation); each of those two ceilings sits about a quarter above the
+slowest of the ten.  The window ceiling is the site ceiling times the
+222 sites, rounded down: 5.5 us, against 3.9-4.5 us read.
 
-``--check`` exits non-zero when either reading exceeds its ceiling —
-this is the CI gate.
+``--check`` exits non-zero when any reading exceeds its ceiling — this
+is the CI gate.
 
 Run:  PYTHONPATH=src python benchmarks/run_observability_bench.py --check
 """
@@ -64,6 +69,10 @@ from repro.workload.bursts import MSD_BACKGROUND_RATES
 #: Gate on the disabled path: ns one instrumentation site costs when
 #: telemetry is off (module docstring: how it was set).
 NOOP_NS_PER_SITE = 25.0
+
+#: Gate on the disabled path per window: the sites a window evaluates
+#: times what each costs, so a change that adds sites shows here.
+NOOP_US_PER_WINDOW = 5.5
 
 #: Gate on the enabled path a user leaves on: us the metrics tee costs
 #: per record, emission plus aggregation (module docstring: how it was
@@ -179,6 +188,7 @@ def run_benchmark(windows: int, repeats: int) -> dict:
         "tee_us_per_record": emission_us_per_record + aggregation_us_per_record,
         "tee_us_per_record_ceiling": TEE_US_PER_RECORD,
         "noop_overhead_us_per_window": noop_us_per_window,
+        "noop_overhead_us_per_window_ceiling": NOOP_US_PER_WINDOW,
         "noop_overhead_pct": noop_us_per_window / (baseline_s / windows * 1e6) * 100.0,
         "sites_per_window": sites_per_window,
         "window_seconds": {
@@ -231,9 +241,9 @@ def main(argv=None) -> int:
         help="where to write the JSON artifact",
     )
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if the no-op cost per site or the "
-                             "metrics-tee cost per record exceeds its "
-                             "ceiling")
+                        help="exit 1 if the no-op cost per site or per "
+                             "window, or the metrics-tee cost per record, "
+                             "exceeds its ceiling")
     args = parser.parse_args(argv)
 
     result = run_benchmark(args.windows, args.repeats)
@@ -245,7 +255,8 @@ def main(argv=None) -> int:
     print(f"instrumentation sites/window: {result['sites_per_window']:.0f}")
     print(f"no-op cost: {result['noop_ns_per_site']:.1f} ns/site "
           f"(ceiling {NOOP_NS_PER_SITE} ns) = "
-          f"{result['noop_overhead_us_per_window']:.1f} us/window")
+          f"{result['noop_overhead_us_per_window']:.1f} us/window "
+          f"(ceiling {NOOP_US_PER_WINDOW} us)")
     print(f"metrics tee: {result['tee_us_per_record']:.2f} us/record "
           f"(ceiling {TEE_US_PER_RECORD} us) = emission "
           f"{result['emission_us_per_record']:.2f} + aggregation "
@@ -263,6 +274,7 @@ def main(argv=None) -> int:
 
     gated = (
         ("noop_ns_per_site", NOOP_NS_PER_SITE),
+        ("noop_overhead_us_per_window", NOOP_US_PER_WINDOW),
         ("tee_us_per_record", TEE_US_PER_RECORD),
     )
     failures = [

@@ -433,9 +433,8 @@ class Microservice:
             raise _unknown_tag(tag) from None
         self.acked_total += 1
         now = self.loop._now
-        service_time = now - consumer.processing_started_at
         consumer.tasks_completed += 1
-        consumer.busy_time += service_time
+        consumer.busy_time += now - consumer.processing_started_at
         consumer.current_tag = None
         consumer.current_request = None
         consumer.pending_event = None
@@ -940,9 +939,8 @@ class BatchedMicroservice:
         self.unacked -= 1
         self.acked_total += 1
         now = self.loop.now
-        service_time = now - self.processing_started[slot]
         self.slot_tasks_completed[slot] += 1
-        self.slot_busy_time[slot] += service_time
+        self.slot_busy_time[slot] += now - self.processing_started[slot]
         self.current_task[slot] = -1
         self.pending_token[slot] = -1
         self.tasks_completed += 1

@@ -267,8 +267,7 @@ class MicroserviceWorkflowSystem:
         if self.tracer.enabled:
             # Emitted before successor publishes, so a task's span always
             # precedes the publish records it triggers; metrics._fold_task_spans
-            # folds it into the service-time (t - started), queue-wait,
-            # retry and wasted-work families.
+            # folds it into the service-time / queue-wait / retry / waste families.
             self.tracer.write({
                 "kind": "event.task_span", "t": None,
                 "service": name,

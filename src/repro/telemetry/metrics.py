@@ -742,8 +742,8 @@ class MetricsAggregator:
             ].inc()
 
     def _fold_task_spans(self, records: List[Mapping]) -> None:
-        # A span is written the instant its task finishes, so
-        # ``t - started`` is the successful attempt's processing time.
+        # Written as its task finishes: ``t - started`` is the last attempt's
+        # processing time (none for a span written unstamped, ``t`` None).
         by_service: Dict[str, Tuple[List[float], List[float]]] = {}
         for record in records:
             service = record["service"]
@@ -752,7 +752,8 @@ class MetricsAggregator:
                 times, waits = by_service[service]
             except KeyError:
                 times, waits = by_service[service] = ([], [])
-            times.append(record["t"] - started)
+            if record["t"] is not None:
+                times.append(record["t"] - started)
             waits.append(started - record["published"])
             if record["deliveries"] > 1:
                 self._task_retries[service].inc(record["deliveries"] - 1)

@@ -28,6 +28,7 @@ import functools
 import importlib
 import json
 import time
+import timeit
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -279,34 +280,14 @@ class PhaseProfiler:
         return node
 
     def to_dict(self) -> Dict:
-        """The profile.json document, with the profiler's own cost per
-        boundary call measured as it is written."""
+        """The profile.json document."""
         return {
             "profile_version": PROFILE_VERSION,
-            "boundary_ns": _boundary_cost_ns(),
             "tree": self.root.to_dict(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PhaseProfiler(phases={len(self.root.children)})"
-
-
-def _boundary_cost_ns(calls: int = 1000) -> float:
-    """Nanoseconds one boundary call adds, measured now: ``calls`` calls
-    of a no-op wrapped the way :data:`BOUNDARIES` entries are, over as
-    many of the bare no-op, each side the best of five interleaved runs."""
-    def noop():
-        pass
-
-    best = {}
-    for function in (noop, PhaseProfiler()._wrap(noop, "calibration")) * 5:
-        start = _wall_clock()
-        for _ in range(calls):
-            function()
-        elapsed = _wall_clock() - start
-        best[function] = min(best.get(function, elapsed), elapsed)
-    bare, wrapped = best.values()
-    return (wrapped - bare) / calls * 1e9
 
 
 def _total_calls(node: PhaseNode) -> int:
@@ -318,14 +299,11 @@ def render_profile(
 ) -> str:
     """Render the phase tree as an indented text report.
 
-    Accepts a profiler or a loaded profile.json document; one that
-    states the profiler's cost per boundary call (v3) ends with what
-    that cost comes to over the tree's calls.
+    Accepts a profiler or a loaded profile.json document (v3: with a cost line).
     """
     if isinstance(source, PhaseProfiler):
         source = source.to_dict()
     root = PhaseNode.from_dict(source["tree"])
-    boundary_ns = source.get("boundary_ns")
     lines = [
         f"{'phase':<40} {'calls':>8} {'wall (s)':>10} "
         f"{'self (s)':>10} {'cpu (s)':>10}"
@@ -347,11 +325,11 @@ def render_profile(
         visit(root.children[name], 0)
     if len(lines) == 2:
         lines.append("(no phases recorded)")
-    if boundary_ns is not None:
-        calls = _total_calls(root)
+    if "boundary_ns" in source:
+        ns, calls = source["boundary_ns"], _total_calls(root)
         lines.append(
-            f"profiler cost: {boundary_ns:.0f} ns per boundary call x {calls} "
-            f"calls = {boundary_ns * calls / 1e9:.4f} s of the wall time above"
+            f"profiler cost: {ns:.0f} ns per boundary call x {calls} "
+            f"calls = {ns * calls / 1e9:.4f} s of the wall time above"
         )
     return "\n".join(lines)
 
@@ -367,8 +345,14 @@ def write_profile(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     target = outdir / PROFILE_FILENAME
+    # The profiler's own cost per boundary call, in ns (about 10 ms to
+    # measure): the best of five timings of 1000 calls of a wrapped no-op.
+    noop = PhaseProfiler()._wrap(lambda: None, "calibration")
+    best = min(timeit.repeat(noop, timer=_wall_clock, number=1000))
+    document = profiler.to_dict()
+    document["boundary_ns"] = best / 1000 * 1e9
     target.write_text(
-        json.dumps(profiler.to_dict(), indent=2, sort_keys=True) + "\n",
+        json.dumps(document, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     return target

@@ -7,7 +7,9 @@ draining consumer's last task, ahead of the ``event.release`` +
 and it carried nothing the span does not: ``service_time`` is the span's
 ``t - started``, bit for bit.  :func:`as_v4` puts those records back, so
 what was pinned against v4 (digests, oracles that still emit the record)
-is checked against a v5 run.
+is checked against a v5 run.  A span written before a clock was bound
+(``t`` None) gets none: it has no ``t - started`` to rebuild one from,
+and the v5 fold observes no service time for it either.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def as_v4(records: Iterable[Dict]) -> List[Dict]:
     """``records`` with the ``event.task_complete`` v4 wrote re-inserted."""
     out: List[Dict] = []
     for record in records:
-        if record.get("kind") == "event.task_span":
+        if record.get("kind") == "event.task_span" and record["t"] is not None:
             service = record["service"]
             at = len(out)
             if at >= 2 and _is_drained_pair(out[-2], out[-1], service):

@@ -98,6 +98,32 @@ class TestTraceReportRoundTrip:
         live = json.loads((run_dir / "metrics.json").read_text())
         assert live["families"]["repro_service_time_seconds"] == v5
 
+    def test_report_reads_an_unstamped_span(self, run_dir, tmp_path, capsys):
+        """A schema-valid span written before a clock was bound (``t``
+        None) has no ``t - started``: it still counts as a queue wait,
+        and its service time is left out."""
+        records = load_trace(run_dir)
+        span = next(r for r in records if r["kind"] == "event.task_span")
+        span["t"] = None
+        with JsonlSink(tmp_path / "trace.jsonl") as sink:
+            for record in records:
+                sink.write(record)
+
+        assert main(["report", str(tmp_path), "--validate"]) == 0
+        assert "Per-microservice utilization" in capsys.readouterr().out
+
+        def family(path, name):
+            assert main(["report", str(path), "--format", "json"]) == 0
+            series = json.loads(capsys.readouterr().out)["families"][name]["series"]
+            return {s["labels"]["service"]: s["count"] for s in series}
+
+        name = "repro_service_time_seconds"
+        stamped, unstamped = family(run_dir, name), family(tmp_path, name)
+        stamped[span["service"]] -= 1
+        assert unstamped == stamped
+        name = "repro_queue_wait_seconds"
+        assert family(tmp_path, name) == family(run_dir, name)
+
     def test_report_accepts_explicit_file_path(self, run_dir, capsys):
         code = main(["report", str(run_dir / "trace.jsonl")])
         assert code == 0

@@ -214,10 +214,14 @@ class TestRender:
         assert "(no phases recorded)" in render_profile(PhaseProfiler())
 
     def test_document_states_the_profilers_cost(self, tmp_path):
-        """v3 measures what one boundary call adds as the document is
-        written; the report multiplies it by the tree's calls.  A v2
-        document, which has no such figure, renders without the line."""
-        write_profile(tmp_path, TestPersistence()._populated())
+        """v3 measures what one boundary call costs as the document is
+        written, and only then; the report multiplies it by the tree's
+        calls.  A v2 document, or an in-memory profiler, has no such
+        figure and renders without the line."""
+        profiler = TestPersistence()._populated()
+        assert "boundary_ns" not in profiler.to_dict()
+        assert "profiler cost" not in render_profile(profiler)
+        write_profile(tmp_path, profiler)
         document = read_profile(tmp_path)
         assert document["boundary_ns"] > 0
         text = render_profile(document)
