@@ -29,12 +29,20 @@ writes ``BENCH_training.json`` at the repository root:
   as ``windows_simulated`` / ``windows_per_collected_step``: every
   episode runs on a fresh replica whose reset is free, so collecting a
   step should cost one simulated window.
+- ``update`` — one ``DDPGAgent.update`` at ``msd_fast`` shapes (state
+  and action 4, hidden (128, 128), batch 64): microseconds per update
+  (informational, best of ``--repeats`` passes of 500) and the
+  ``tracemalloc`` peak of one warmed update in bytes, which is
+  machine-independent.  Hidden layers compute in workspaces they own
+  and the optimiser and Polyak steps in preallocated scratch, so what
+  an update still allocates is activation-sized, never arena-sized.
 
 ``--check`` exits non-zero when the batched speedup falls below 3x,
 the parallel runner's JSON differs from the serial runner's, the
 distributed merges are not byte-identical, collection simulates more
-than 1.1 windows per collected step, or (on >= 4-core hosts) physical
-collection is below the 2x floor.
+than 1.1 windows per collected step, a warmed update's allocation peak
+exceeds 256 KiB, or (on >= 4-core hosts) physical collection is below
+the 2x floor.
 
 Run:  PYTHONPATH=src python benchmarks/run_training_bench.py --check
 """
@@ -47,10 +55,12 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.config import MirasConfig
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
 from repro.core.model_env import BatchedModelEnv
@@ -84,6 +94,12 @@ DISTRIBUTED_MIN_CPUS = 4
 #: Gate: simulated windows per collected step (an exact count).  Resets
 #: on fresh episode replicas are free, so the expected value is 1.0.
 WINDOWS_PER_STEP_CEILING = 1.1
+
+#: Gate: tracemalloc peak of one warmed DDPG update at msd_fast shapes
+#: (it read 1.23 MiB while every forward, backward and Polyak step
+#: allocated its temporaries).
+UPDATE_PEAK_CEILING = 256 * 1024
+UPDATES_TIMED = 500
 
 ARTIFACT = "BENCH_training.json"
 
@@ -146,6 +162,13 @@ def _rollout_env(rollout_length: int, batch: int) -> BatchedModelEnv:
         batch_size=batch,
         rng=RngStream("bench-env", np.random.SeedSequence(9)),
     )
+
+
+def _timed(run):
+    """``(wall-clock seconds, run())``."""
+    start = time.perf_counter()
+    result = run()
+    return time.perf_counter() - start, result
 
 
 def _time_serial_rollouts(transitions: int, rollout_length: int) -> float:
@@ -219,14 +242,14 @@ def _bench_parallel(cells: int, workers: int, repeats: int) -> dict:
     parallel_s = float("inf")
     serial_json = parallel_json = None
     for _ in range(repeats):
-        start = time.perf_counter()
-        serial = run_cells(grid, root_seed=0, workers=1)
-        serial_s = min(serial_s, time.perf_counter() - start)
+        elapsed, serial = _timed(lambda: run_cells(grid, root_seed=0, workers=1))
+        serial_s = min(serial_s, elapsed)
         serial_json = results_to_json(serial)
 
-        start = time.perf_counter()
-        parallel = run_cells(grid, root_seed=0, workers=workers)
-        parallel_s = min(parallel_s, time.perf_counter() - start)
+        elapsed, parallel = _timed(
+            lambda: run_cells(grid, root_seed=0, workers=workers)
+        )
+        parallel_s = min(parallel_s, elapsed)
         parallel_json = results_to_json(parallel)
     return {
         "cells": cells,
@@ -286,9 +309,9 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
 
     def collect(mode, n):
         collector = DistributedCollector(spec, workers=n, mode=mode)
-        start = time.perf_counter()
-        blocks = collector.collect(payload, plan, random_fraction=0.5)
-        return time.perf_counter() - start, blocks
+        return _timed(
+            lambda: collector.collect(payload, plan, random_fraction=0.5)
+        )
 
     logical_s = float("inf")
     physical_s = float("inf")
@@ -324,11 +347,62 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
     }
 
 
+def warmed_update_agent(seed: int = 0) -> DDPGAgent:
+    """A DDPG agent at ``msd_fast`` shapes, replay filled, a few updates
+    in: optimiser state, scratch and workspaces already exist."""
+    agent = DDPGAgent(
+        STATE_DIM,
+        ACTION_DIM,
+        config=MirasConfig.msd_fast().policy.ddpg,
+        rng=RngStream("bench-update", np.random.SeedSequence(seed)),
+    )
+    data = RngStream("bench-update-data", np.random.SeedSequence(seed + 1))
+    rows = 4 * agent.config.batch_size
+    actions = data.uniform(0.0, 1.0, size=(rows, ACTION_DIM))
+    agent.store_batch(
+        data.uniform(0.0, 30.0, size=(rows, STATE_DIM)),
+        actions / actions.sum(axis=1, keepdims=True),
+        -data.uniform(0.0, 100.0, size=rows),
+        data.uniform(0.0, 30.0, size=(rows, STATE_DIM)),
+    )
+    for _ in range(3):
+        agent.update()
+    return agent
+
+
+def update_peak_bytes(agent: DDPGAgent) -> int:
+    """``tracemalloc`` peak of one update: every byte it allocates,
+    whether freed before it returns or kept."""
+    tracemalloc.start()
+    try:
+        agent.update()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _bench_update(repeats: int) -> dict:
+    agent = warmed_update_agent()
+    peak = update_peak_bytes(agent)
+    best_s = min(
+        _timed(lambda: [agent.update() for _ in range(UPDATES_TIMED)])[0]
+        for _ in range(repeats)
+    )
+    return {
+        "hidden_sizes": list(agent.config.hidden_sizes),
+        "batch_size": agent.config.batch_size,
+        "updates": UPDATES_TIMED,
+        "us_per_update": best_s / UPDATES_TIMED * 1e6,
+        "peak_bytes": peak,
+        "peak_bytes_ceiling": UPDATE_PEAK_CEILING,
+    }
+
+
 def run_benchmark(transitions: int, rollout_length: int, batch: int,
                   cells: int, workers: int, repeats: int,
                   collect_steps: int, collect_workers: int) -> dict:
     return {
-        "artifact_version": 2,
+        "artifact_version": 3,
         "rollout": _bench_rollouts(
             transitions, rollout_length, batch, repeats
         ),
@@ -336,6 +410,7 @@ def run_benchmark(transitions: int, rollout_length: int, batch: int,
         "distributed": _bench_distributed(
             collect_steps, collect_workers, repeats
         ),
+        "update": _bench_update(repeats),
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -369,7 +444,8 @@ def main(argv=None) -> int:
         help="where to write the JSON artifact",
     )
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 on speedup/equality gate failure")
+                        help="exit 1 on speedup/equality/allocation gate "
+                             "failure")
     args = parser.parse_args(argv)
 
     result = run_benchmark(
@@ -384,6 +460,7 @@ def main(argv=None) -> int:
     rollout = result["rollout"]
     parallel = result["parallel"]
     distributed = result["distributed"]
+    update = result["update"]
     print(f"wrote {args.output}")
     print(
         f"rollout generation: serial "
@@ -418,6 +495,12 @@ def main(argv=None) -> int:
         f"({distributed['windows_per_collected_step']:.2f} per step, "
         f"ceiling {WINDOWS_PER_STEP_CEILING})"
     )
+    print(
+        f"ddpg update (hidden {tuple(update['hidden_sizes'])}, batch "
+        f"{update['batch_size']}): {update['us_per_update']:,.0f} us, "
+        f"allocation peak {update['peak_bytes'] / 1024:,.1f} KiB "
+        f"(ceiling {UPDATE_PEAK_CEILING / 1024:.0f} KiB)"
+    )
 
     failures = []
     if rollout["speedup"] < SPEEDUP_FLOOR:
@@ -440,6 +523,11 @@ def main(argv=None) -> int:
             f"collection simulates "
             f"{distributed['windows_per_collected_step']:.2f} windows per "
             f"collected step, above the {WINDOWS_PER_STEP_CEILING} ceiling"
+        )
+    if update["peak_bytes"] > UPDATE_PEAK_CEILING:
+        failures.append(
+            f"a warmed DDPG update allocates {update['peak_bytes']:,} bytes "
+            f"at peak, above the {UPDATE_PEAK_CEILING:,} ceiling"
         )
     if (
         distributed["gate_enforced"]

@@ -64,13 +64,13 @@ class Softmax(Activation):
     name = "softmax"
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        shifted = z - np.max(z, axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / np.sum(exp, axis=-1, keepdims=True)
+        shifted = z - z.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted, out=shifted)
+        return np.divide(exp, exp.sum(axis=-1, keepdims=True), out=exp)
 
     def backward(self, grad_y, z, y):
         # Jacobian-vector product: dz_i = y_i * (g_i - sum_j g_j y_j)
-        dot = np.sum(grad_y * y, axis=-1, keepdims=True)
+        dot = (grad_y * y).sum(axis=-1, keepdims=True)
         return y * (grad_y - dot)
 
 

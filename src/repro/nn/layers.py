@@ -11,7 +11,8 @@ The layer supports everything MIRAS's networks need:
 
 Inside an :class:`repro.nn.MLP` the four parameter/gradient arrays are
 *views* into the network's flat arena (:meth:`Dense.bind`): write them
-with ``layer.weights[...] = value``, never rebind the attribute.
+with ``layer.weights[...] = value``, never rebind the attribute.  Its
+hidden ReLU layers compute in buffers they own; the last one allocates.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from repro.nn.initializers import (
 from repro.utils.rng import RngStream, fallback_stream
 
 __all__ = ["Dense"]
+
+#: A hidden layer keeps workspaces for this many batch row counts (the
+#: actor alternates acting at K rows and training at B); a new row count
+#: evicts the oldest.
+_WORKSPACE_ROW_COUNTS = 2
 
 _INITIALIZERS = {
     "glorot": glorot_uniform,
@@ -102,6 +108,25 @@ class Dense:
         # it is value-identical to np.concatenate, so outputs are bitwise
         # unchanged.
         self._concat_buf: Optional[np.ndarray] = None
+        # Hidden ReLU layers of an MLP only (it sets this): a y / grad_z
+        # stack per batch row count.  Their output never leaves the MLP;
+        # the last layer's is returned, so it keeps allocating (None).
+        self._workspaces: Optional[Dict[int, np.ndarray]] = None
+        self._grad_buf: Optional[np.ndarray] = None
+
+    def __getstate__(self) -> dict:
+        # Caches and workspaces are scratch, not state: a copy starts bare.
+        caches = dict(_x=None, _z=None, _y=None, _grad_buf=None, _concat_buf=None)
+        bare = None if self._workspaces is None else {}
+        return dict(self.__dict__, **caches, _workspaces=bare)
+
+    def _workspace(self, rows: int) -> np.ndarray:
+        stack = self._workspaces.get(rows)
+        if stack is None:
+            if len(self._workspaces) >= _WORKSPACE_ROW_COUNTS:
+                del self._workspaces[next(iter(self._workspaces))]
+            stack = self._workspaces[rows] = np.empty((2, rows, self.out_dim))
+        return stack
 
     # ------------------------------------------------------------------
     def forward(
@@ -134,8 +159,15 @@ class Dense:
             raise ValueError("layer does not accept an auxiliary input")
 
         self._x = x
-        self._z = x @ self.weights + self.bias
-        self._y = self.activation.forward(self._z)
+        if self._workspaces is None:
+            self._z = x @ self.weights + self.bias
+            self._y = self.activation.forward(self._z)
+        else:  # ReLU in place in this layer's own buffer; backward reads
+            # only y (y > 0 exactly where z > 0, NaN included), so no z.
+            y, self._grad_buf = self._workspace(x.shape[0])
+            np.matmul(x, self.weights, out=y)
+            y += self.bias
+            self._z, self._y = None, np.maximum(y, 0.0, out=y)
         return self._y
 
     def bind(
@@ -155,9 +187,13 @@ class Dense:
         self.grad_weights, self.grad_bias = grad_weights, grad_bias
 
     def _grad_z(self, grad_y: np.ndarray) -> np.ndarray:
-        if self._x is None or self._z is None or self._y is None:
+        if self._x is None or self._y is None:
             raise RuntimeError("backward() called before forward()")
-        return self.activation.backward(grad_y, self._z, self._y)
+        if self._workspaces is None:
+            return self.activation.backward(grad_y, self._z, self._y)
+        # A float mask multiplies faster than a bool one.
+        mask = np.greater(self._y, 0.0, out=self._grad_buf)
+        return np.multiply(grad_y, mask, out=mask)
 
     def _grad_inputs(
         self, grad_z: np.ndarray
@@ -175,7 +211,7 @@ class Dense:
         """
         grad_z = self._grad_z(grad_y)
         np.matmul(self._x.T, grad_z, out=self.grad_weights)
-        np.sum(grad_z, axis=0, out=self.grad_bias)
+        grad_z.sum(axis=0, out=self.grad_bias)
         return self._grad_inputs(grad_z)
 
     def input_backward(

@@ -36,7 +36,7 @@ class MeanSquaredError(Loss):
     def __call__(self, prediction, target):
         self._check(prediction, target)
         diff = prediction - target
-        loss = float(np.mean(diff * diff))
+        loss = float((diff * diff).mean())
         grad = 2.0 * diff / diff.size
         return loss, grad
 

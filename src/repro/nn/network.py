@@ -88,16 +88,17 @@ class MLP:
             activation = output_activation if is_last else hidden_activation
             init = final_init if is_last else "he"
             layer_aux = aux_dim if i == self.aux_layer else 0
-            self.layers.append(
-                Dense(
-                    n_in,
-                    n_out,
-                    activation=activation,
-                    init=init,
-                    aux_dim=layer_aux,
-                    rng=rng.fork(f"layer{i}"),
-                )
+            layer = Dense(
+                n_in,
+                n_out,
+                activation=activation,
+                init=init,
+                aux_dim=layer_aux,
+                rng=rng.fork(f"layer{i}"),
             )
+            if not is_last and activation == "relu":
+                layer._workspaces = {}  # its output never leaves forward()
+            self.layers.append(layer)
         self._bind_arena()
 
     def _bind_arena(self) -> None:
@@ -115,6 +116,8 @@ class MLP:
         #: clipping sums squares per segment so its rounding matches a
         #: list of separate per-layer arrays.
         self.segment_bounds = tuple(bounds)
+        #: ``tau * source`` scratch of :func:`soft_update` into this target.
+        self._polyak: Optional[np.ndarray] = None
         for i, layer in enumerate(self.layers):
             w, b, end = bounds[2 * i : 2 * i + 3]
             shape = layer.weights.shape
@@ -128,9 +131,10 @@ class MLP:
             )
 
     def __getstate__(self) -> dict:
-        # Layer arrays travel by value; the arena is rebuilt on arrival.
+        # Layer arrays travel by value (caches and workspaces stay behind,
+        # see Dense.__getstate__); the arena is rebuilt on arrival.
         state = self.__dict__.copy()
-        del state["params"], state["grads"]
+        del state["params"], state["grads"], state["_polyak"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -153,10 +157,9 @@ class MLP:
         self, x: np.ndarray, aux: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Run a batch through the network, caching for backward()."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        h = _as_batch(x)
         if aux is not None:
-            aux = np.atleast_2d(np.asarray(aux, dtype=np.float64))
-        h = x
+            aux = _as_batch(aux)
         for i, layer in enumerate(self.layers):
             h = layer.forward(h, aux if i == self.aux_layer else None)
         return h
@@ -309,7 +312,16 @@ def soft_update(target: MLP, source: MLP, tau: float) -> None:
     if target.num_params != source.num_params:
         raise ValueError("target and source networks differ in size")
     # In place on the arenas; (1-tau)*t + tau*s rounds exactly like
-    # tau*s + (1-tau)*t (two products, one commutative add).
-    scaled_source = tau * source.params
+    # tau*s + (1-tau)*t (two products, one commutative add).  tau*s goes
+    # to the target's scratch last, so the add reads it while it is hot.
+    if target._polyak is None:
+        target._polyak = np.empty_like(target.params)
     target.params *= 1.0 - tau
-    target.params += scaled_source
+    target.params += np.multiply(source.params, tau, out=target._polyak)
+
+
+def _as_batch(a) -> np.ndarray:
+    """``a`` as a 2-D float64 ndarray, without wrapper calls if it is one."""
+    if type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64:
+        return a
+    return np.atleast_2d(np.asarray(a, dtype=np.float64))

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.validation import isclose_zero
+from repro.utils.validation import check_non_negative, check_positive, isclose_zero
 
 __all__ = ["Optimizer", "Adam"]
 
@@ -29,10 +29,8 @@ class Optimizer(ABC):
     name = "optimizer"
 
     def __init__(self, learning_rate: float = 1e-3, grad_clip: float = 0.0):
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate!r}")
-        if grad_clip < 0:
-            raise ValueError(f"grad_clip must be >= 0, got {grad_clip!r}")
+        check_positive("learning_rate", learning_rate)
+        check_non_negative("grad_clip", grad_clip)
         self.learning_rate = learning_rate
         self.grad_clip = grad_clip
         self._state: Dict[int, Dict[str, np.ndarray]] = {}
@@ -76,11 +74,11 @@ class Optimizer(ABC):
             squared = np.multiply(grad, grad, out=self._scratch[index][0])
             if bounds:
                 squares.extend(
-                    float(np.sum(squared[lo:hi]))
+                    float(squared[lo:hi].sum())
                     for lo, hi in zip(bounds[0], bounds[0][1:])
                 )
             else:
-                squares.append(float(np.sum(squared)))
+                squares.append(float(squared.sum()))
         total = np.sqrt(sum(squares))
         if total <= self.grad_clip or isclose_zero(total):
             return None
@@ -149,10 +147,8 @@ class Adam(Optimizer):
             raise ValueError(f"beta1 must lie in [0, 1), got {beta1!r}")
         if not 0.0 <= beta2 < 1.0:
             raise ValueError(f"beta2 must lie in [0, 1), got {beta2!r}")
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay!r}")
+        check_positive("epsilon", epsilon)
+        check_non_negative("weight_decay", weight_decay)
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon

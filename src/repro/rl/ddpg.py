@@ -30,7 +30,7 @@ from repro.rl.noise import (
 from repro.rl.replay import ReplayBuffer
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.rng import RngStream, fallback_stream
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_in_range, check_non_negative, check_positive
 
 __all__ = ["DDPGConfig", "DDPGAgent"]
 
@@ -78,6 +78,10 @@ class DDPGConfig:
     def __post_init__(self):
         check_in_range("gamma", self.gamma, 0.0, 1.0)
         check_in_range("tau", self.tau, 0.0, 1.0, inclusive=(False, True))
+        check_positive("actor_learning_rate", self.actor_learning_rate)
+        check_positive("critic_learning_rate", self.critic_learning_rate)
+        check_non_negative("actor_weight_decay", self.actor_weight_decay)
+        check_non_negative("entropy_weight", self.entropy_weight)
         check_positive("batch_size", self.batch_size)
         check_positive("buffer_capacity", self.buffer_capacity)
         check_positive("perturb_interval", self.perturb_interval)

@@ -48,6 +48,14 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["learning_rate", "grad_clip", "epsilon", "weight_decay"]
+    )
+    def test_rejects_nan_hyperparams(self, name):
+        # One step with any of these NaN turns every parameter into NaN.
+        with pytest.raises(ValueError, match=name):
+            Adam(**{name: float("nan")})
+
 
 class PlainStep(Optimizer):
     """``param -= lr * grad``: makes the base class's clip factor visible."""

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from benchmarks.run_training_bench import (
+    UPDATE_PEAK_CEILING,
+    update_peak_bytes,
+    warmed_update_agent,
+)
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.utils.rng import RngStream
 
@@ -35,6 +40,29 @@ class TestConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DDPGConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name,bad",
+        [
+            ("actor_learning_rate", 0.0),
+            ("critic_learning_rate", -1e-3),
+            ("entropy_weight", -0.1),
+            ("actor_weight_decay", -1e-3),
+        ],
+    )
+    def test_nan_and_out_of_range_rejected(self, name, bad):
+        for value in (float("nan"), bad):
+            with pytest.raises(ValueError, match=name):
+                DDPGConfig(**{name: value})
+
+
+class TestAllocations:
+    def test_warmed_update_peak_is_under_the_ceiling(self):
+        """Hidden layers, the optimiser and the Polyak step compute in
+        preallocated buffers, so one update allocates activation-sized
+        arrays only, never a parameter-arena-sized one."""
+        agent = warmed_update_agent()
+        assert update_peak_bytes(agent) <= UPDATE_PEAK_CEILING == 256 * 1024
 
 
 class TestActing:
