@@ -1140,12 +1140,20 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         finished = np.sort(
             by_wf[last[pool.wf_done_count[seen] == pool.wf_total_tasks[seen]]]
         )
-        if finished.size:
-            done_wfs = wfs[finished]
-            pool.wf_completion[done_wfs] = times[finished]
-            self.invoker.completed_total += finished.size
-            for wfi in done_wfs.tolist():
-                self._on_batched_workflow_complete(wfi)
+        # _on_batched_workflow_complete as arrays, keys in completion order;
+        # both lists hold one float per workflow, as the per-call path's do.
+        done_wfs = wfs[finished]
+        pool.wf_completion[done_wfs] = times[finished]
+        self.invoker.completed_total += finished.size
+        delays = (pool.wf_completion[done_wfs] - pool.wf_arrival[done_wfs]).tolist()
+        self._window_response_times.extend(delays)
+        wf_types = pool.wf_type[done_wfs]
+        kinds, first = np.unique(wf_types, return_index=True)
+        counts, by_type = self._window_completions, self._window_response_by_type
+        for w in kinds[np.argsort(first)].tolist():
+            name, mine = self.table.workflow_names[w], np.flatnonzero(wf_types == w)
+            counts[name] = counts.get(name, 0) + mine.size
+            by_type.setdefault(name, []).extend(map(delays.__getitem__, mine.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

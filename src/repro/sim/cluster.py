@@ -122,6 +122,18 @@ class Cluster:
                 "node": node.node_id, "used": node.used,
             })
 
+    def release_many(self, nodes: List[Node]) -> None:
+        """:meth:`release` for each of ``nodes``, without a call each
+        unless a tracer wants one release record per container."""
+        if self._tracer.enabled:
+            for node in nodes:
+                self.release(node)
+            return
+        for node in nodes:
+            if node.used <= 0:
+                raise RuntimeError(f"node {node.node_id} has no slot to release")
+            node.used -= 1
+
     def load_by_node(self) -> Dict[int, int]:
         """Used slots per node (for load-balance assertions)."""
         return {node.node_id: node.used for node in self.nodes}

@@ -21,7 +21,7 @@ import numpy as np
 from repro.sim.metrics import WindowObservation
 from repro.sim.system import MicroserviceWorkflowSystem
 from repro.utils.rng import RngStream
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integral, check_positive
 
 __all__ = ["MicroserviceEnv", "ConstraintViolation", "allocation_from_simplex"]
 
@@ -101,13 +101,14 @@ class MicroserviceEnv:
         return allocation
 
     def check_budget(self, allocation: np.ndarray) -> np.ndarray:
-        """Validate ``sum_j m_j <= C``; returns the validated int vector."""
+        """Validate ``sum_j m_j <= C`` of whole counts; returns the int vector."""
         allocation = np.asarray(allocation)
         if allocation.shape != (self.action_dim,):
             raise ValueError(
                 f"allocation has shape {allocation.shape}, expected "
                 f"({self.action_dim},)"
             )
+        check_integral("allocation", allocation)
         if np.any(allocation < 0):
             raise ConstraintViolation(
                 f"negative consumer counts: {allocation}"

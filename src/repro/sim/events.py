@@ -309,6 +309,10 @@ class TypedEventLoop:
         """Cancel a scheduled event by token (lazy removal on pop)."""
         self._cancelled.add(token)
 
+    def cancel_many(self, tokens: List[int]) -> None:
+        """:meth:`cancel` for each of ``tokens``, in one set update."""
+        self._cancelled.update(tokens)
+
     # Execution ---------------------------------------------------------
     def run_until(self, when: float) -> int:
         """Execute all events with timestamp <= ``when``; advance the clock.

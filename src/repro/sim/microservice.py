@@ -602,14 +602,14 @@ class BatchedMicroservice:
 
     - slots are appended in increasing order and removals preserve
       order, so ``order`` (the live-consumer list) is always sorted —
-      "first starting/idle/busy consumer in list order" becomes a
-      min-heap head, and the serial kill fallback ``consumers[-1]`` is
-      ``order[-1]``;
+      "first idle/busy consumer in list order" becomes a min-heap head,
+      and the serial kill fallback ``consumers[-1]`` is ``order[-1]``;
     - ``_idle_heap`` holds exactly the idle slots (every way out of
-      idle takes the first one, as on the serial twin); the starting
-      and busy heaps use lazy invalidation: heads whose slot moved on
-      are discarded when next looked at, and a slot enters the busy
-      heap at a dispatch unless it is in already (``_busy_indexed``);
+      idle takes the first one, as on the serial twin); ``_starting``
+      lists the slots started, ascending, until a scale-down drops the
+      ones no longer starting; the busy heap's heads whose slot moved on
+      are discarded when next looked at, and a slot enters it at a
+      dispatch unless it is in already (``_busy_indexed``);
     - service-time and startup draws interleave on the per-microservice
       stream exactly as serially, via :class:`PrefetchStream`.
     """
@@ -673,7 +673,7 @@ class BatchedMicroservice:
         #: Busy slots finishing their last task before exiting.
         self.draining: List[int] = []
         self._idle_heap: List[int] = []
-        self._starting_heap: List[int] = []
+        self._starting: List[int] = []
         self._busy_heap: List[int] = []
         self._busy_indexed: List[bool] = []
         # Lifetime counters (names match the serial twin).
@@ -698,8 +698,8 @@ class BatchedMicroservice:
             raise ValueError(f"consumer count must be >= 0, got {target}")
         if self.allocated < target:
             self._start_consumers(target - self.allocated)
-        while self.allocated > target:
-            self._remove_one_consumer()
+        elif self.allocated > target:
+            self._remove_consumers(self.allocated - target)
 
     def _start_consumers(self, count: int) -> None:
         """Start ``count`` containers in one block: the placements,
@@ -730,9 +730,8 @@ class BatchedMicroservice:
         self.pending_token.extend(range(token, token + count))
         self._busy_indexed.extend([False] * count)
         self.order.extend(slots)
-        # New slots exceed every slot born before: appended in order
-        # they keep the heap a heap.
-        self._starting_heap.extend(slots)
+        # New slots exceed every slot born before: the list stays sorted.
+        self._starting.extend(slots)
         self.consumers_started += count
         if self.tracer.enabled:
             self.tracer.write({
@@ -759,29 +758,63 @@ class BatchedMicroservice:
             })
         self._dispatch()
 
-    def _remove_one_consumer(self) -> None:
-        """Remove the cheapest consumer: starting > idle > busy."""
-        victim = self._pick_victim()
-        state = self.state[victim]
-        if state == _BUSY and self.scale_down_mode == "drain":
-            # Graceful termination: finish the in-flight task, then exit.
-            # The consumer leaves the allocation count immediately.
-            self.order.pop()  # the newest consumer: _pick_victim's fallback
-            self.draining.append(victim)
-            self._trace_stop(victim, "drain")
-            return
-        token = self.pending_token[victim]
-        if token >= 0:
-            self.loop.cancel(token)
-            self.pending_token[victim] = -1
-        if state == _STARTING:
-            self.consumers_killed_starting += 1
-            self._trace_stop(victim, "cancel-starting")
-        elif state == _BUSY:
-            self._trace_stop(victim, "kill")
-        else:
-            self._trace_stop(victim, "idle")
-        self._stop_now(victim)
+    def _remove_consumers(self, count: int) -> None:
+        """Remove ``count`` consumers in one block: the victims of that
+        many single removals on the serial twin (live starting slots,
+        then idle ones, each lowest first, then busy ones, newest first),
+        with their state changes and, under a tracer, their records in
+        the same order: ``consumer_stop``, ``redeliver`` (kill),
+        ``release``, victim by victim."""
+        state, tokens = self.state, self.pending_token
+        starting = [s for s in self._starting if state[s] == _STARTING]
+        self._starting = starting[count:]
+        victims = starting[:count]
+        starts = len(victims)
+        self.consumers_killed_starting += starts
+        if count > starts:
+            idle = sorted(self._idle_heap)
+            self._idle_heap = idle[count - starts:]  # a sorted list is a heap
+            victims += idle[:count - starts]
+        self.loop.cancel_many([tokens[s] for s in victims[:starts]])
+        for slot in victims:
+            state[slot] = _STOPPED
+            tokens[slot] = -1
+        order = self.order
+        if victims:
+            order = self.order = [s for s in order if state[s] != _STOPPED]
+        cut = len(order) - (count - len(victims))  # then the newest: busy
+        busy = order[cut:][::-1]
+        del order[cut:]
+        modes = (
+            ["cancel-starting"] * starts + ["idle"] * (len(victims) - starts)
+            + [self.scale_down_mode] * len(busy)
+        )
+        removed = victims + busy
+        if self.scale_down_mode == "kill":
+            victims = removed
+        else:  # graceful termination: each finishes its task, then exits
+            self.draining += busy
+        # Traced, each victim takes a step for its records; else busy ones.
+        traced = self.tracer.enabled
+        skip = 0 if traced else len(removed) - len(busy)
+        for slot, mode in zip(removed[skip:], modes[skip:]):
+            if traced:
+                self._trace_stop(slot, mode)
+            if mode == "kill":
+                # The in-flight request is redelivered; its work is wasted.
+                self.loop.cancel(tokens[slot])
+                task = self.current_task[slot]
+                require(task >= 0, "busy consumer has no in-flight request")
+                elapsed = self.loop.now - self.processing_started[slot]
+                self.pool.task_wasted_work[task] += elapsed
+                self._nack(task)
+                self.current_task[slot] = tokens[slot] = -1
+                self.consumers_killed_busy += 1
+                state[slot] = _STOPPED
+            if traced and mode != "drain":
+                self.cluster.release_many([self.node[slot]])
+        if not traced:
+            self.cluster.release_many([self.node[s] for s in victims])
 
     def _stop_now(self, victim: int) -> None:
         """Hard-stop a live consumer and free its slot.
@@ -806,16 +839,6 @@ class BatchedMicroservice:
         self.state[victim] = _STOPPED
         del self.order[bisect_left(self.order, victim)]  # sorted: no scan
         self.cluster.release(self.node[victim])
-
-    def _pick_victim(self) -> int:
-        starting = self._starting_heap
-        while starting and self.state[starting[0]] != _STARTING:
-            heapq.heappop(starting)
-        if starting:
-            return starting[0]
-        if self._idle_heap:
-            return self._idle_heap[0]
-        return self.order[-1]  # newest busy consumer
 
     def _first_busy(self) -> int:
         """The first busy slot in ``order``, or -1 (a terminating

@@ -26,7 +26,7 @@ from repro.sim.requests import TaskRequest, WorkflowRequest
 from repro.sim.tds import TaskDependencyService
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.rng import RngStream, spawn_rngs
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integral, check_positive
 from repro.workflows.dag import WorkflowEnsemble
 
 __all__ = ["SystemConfig", "MicroserviceWorkflowSystem"]
@@ -304,10 +304,10 @@ class MicroserviceWorkflowSystem:
         """Scale every microservice to the given consumer counts m(k).
 
         The vector is indexed by :meth:`WorkflowEnsemble.task_index` order.
-        Raises if any entry is negative or fractional; the consumer-budget
-        constraint is the *allocator's* responsibility (checked by
-        :class:`repro.sim.env.MicroserviceEnv` and the baselines), matching
-        the paper where the policy output layer enforces it.
+        Raises if any entry is negative or not a finite whole number; the
+        consumer-budget constraint is the *allocator's* responsibility
+        (checked by :class:`repro.sim.env.MicroserviceEnv` and the
+        baselines), as the paper's policy output layer enforces it.
         """
         allocation = np.asarray(allocation)
         if allocation.shape != (self.ensemble.num_task_types,):
@@ -315,10 +315,9 @@ class MicroserviceWorkflowSystem:
                 f"allocation has shape {allocation.shape}, expected "
                 f"({self.ensemble.num_task_types},)"
             )
+        check_integral("allocation", allocation)
         if np.any(allocation < 0):
             raise ValueError(f"allocation must be non-negative: {allocation}")
-        if not np.all(allocation == np.floor(allocation)):
-            raise ValueError(f"allocation must be integral: {allocation}")
         for task_name, count in zip(self.ensemble.task_names(), allocation):
             self.microservices[task_name].scale_to(int(count))
 

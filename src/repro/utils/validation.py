@@ -8,7 +8,10 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
 __all__ = [
+    "check_integral",
     "check_positive",
     "check_non_negative",
     "check_in_range",
@@ -53,6 +56,15 @@ def check_in_range(
             f"{name} must lie in {lo_b}{low}, {high}{hi_b}, got {value!r}"
         )
     return value
+
+
+def check_integral(name: str, values: np.ndarray) -> None:
+    """Require whole numbers: a NaN, an infinity or a fraction in
+    ``values`` raises.  Integer arrays pass unexamined."""
+    if values.dtype.kind not in "biu" and not np.all(
+        np.isfinite(values) & (values == np.floor(values))
+    ):
+        raise ValueError(f"{name} must be integral and finite: {values}")
 
 
 def isclose_zero(value: float, eps: float = ZERO_EPS) -> bool:

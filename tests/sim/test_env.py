@@ -89,6 +89,21 @@ class TestBudgetEnforcement:
         env = make_msd_env()
         env.check_budget(np.array([14, 0, 0, 0]))
 
+    @pytest.mark.parametrize("bad", [1.5, np.inf, np.nan])
+    def test_fractional_or_non_finite_rejected(self, bad):
+        # Not floored to [1, 1, 1, 1], and a ValueError, not an
+        # OverflowError from summing an infinity.
+        env = make_msd_env()
+        with pytest.raises(ValueError, match="integral and finite"):
+            env.step(np.array([bad, 1, 1, 1]))
+        assert env.steps_taken == 0
+
+    def test_whole_floats_become_counts(self):
+        env = make_msd_env()
+        allocation = env.check_budget(np.array([2.0, 1.0, 0.0, 3.0]))
+        assert allocation.dtype == np.int64
+        assert allocation.tolist() == [2, 1, 0, 3]
+
 
 class TestResetStep:
     def test_reset_leaves_nothing_waiting(self):

@@ -128,6 +128,13 @@ class TestAllocationValidation:
         with pytest.raises(ValueError, match="integral"):
             system.apply_allocation([1.5, 1, 1, 1])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        system = make_system()
+        with pytest.raises(ValueError, match="integral and finite"):
+            system.apply_allocation([bad, 1, 1, 1])
+        assert system.current_allocation().sum() == 0
+
     def test_current_allocation_reflects_scaling(self):
         system = make_system()
         system.apply_allocation([3, 4, 5, 2])
