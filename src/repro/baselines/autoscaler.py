@@ -15,6 +15,7 @@ service and has no notion of pipeline coupling or future reward.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -57,9 +58,9 @@ class HpaAllocator(Allocator):
     def _on_bind(self, env: MicroserviceEnv) -> None:
         ensemble = env.system.ensemble
         self._task_names = ensemble.task_names()
-        self._service_times = np.array(
-            [ensemble.task(n).mean_service_time for n in self._task_names]
-        )
+        self._service_times = [
+            ensemble.task(n).mean_service_time for n in self._task_names
+        ]
         self._window = env.system.config.window_length
         self._previous = None
 
@@ -71,7 +72,6 @@ class HpaAllocator(Allocator):
         wip: np.ndarray,
         observation: Optional[WindowObservation] = None,
     ) -> np.ndarray:
-        wip = np.asarray(wip, dtype=np.float64)
         if self._previous is None or observation is None:
             # Cold start: uniform split at minimums.
             allocation = largest_remainder_allocation(
@@ -80,34 +80,33 @@ class HpaAllocator(Allocator):
             self._previous = allocation
             return self._check(allocation)
 
-        completions = np.array(
-            [
-                observation.task_completions.get(name, 0)
-                for name in self._task_names
-            ],
-            dtype=np.float64,
-        )
-        current = np.maximum(self._previous, 1)
-        busy_seconds = completions * self._service_times
-        utilization = np.clip(
-            busy_seconds / (current * self._window), 0.0, 1.5
-        )
-        # Back-pressure correction: a deep queue means utilisation alone
-        # understates demand (consumers saturated at 1.0); treat queued
-        # work as extra utilisation pressure, as HPA does with external
-        # queue-length metrics.
-        queue_pressure = wip * self._service_times / (current * self._window)
-        metric = np.maximum(utilization, np.minimum(queue_pressure, 3.0))
+        # Per service, in Python floats (the float64 arithmetic, without
+        # a numpy call per operation).
+        desired = []
+        for w, name, service, previous in zip(
+            np.asarray(wip, dtype=np.float64).tolist(),
+            self._task_names,
+            self._service_times,
+            self._previous.tolist(),
+        ):
+            current = max(previous, 1)
+            capacity = current * self._window
+            busy_seconds = observation.task_completions.get(name, 0) * service
+            utilization = min(max(busy_seconds / capacity, 0.0), 1.5)
+            # Back-pressure correction: a deep queue means utilisation
+            # alone understates demand (consumers saturated at 1.0); treat
+            # queued work as extra utilisation pressure, as HPA does with
+            # external queue-length metrics.
+            queue_pressure = w * service / capacity
+            metric = max(utilization, min(queue_pressure, 3.0))
+            wanted = min(
+                math.ceil(current * metric / self.target_utilization),
+                math.ceil(current * self.scale_up_limit),
+            )
+            desired.append(max(wanted, self.min_replicas))
 
-        desired = np.ceil(current * metric / self.target_utilization)
-        desired = np.minimum(
-            desired, np.ceil(current * self.scale_up_limit)
-        )
-        desired = np.maximum(desired, self.min_replicas)
-
-        total = int(desired.sum())
-        if total <= self.budget:
-            allocation = desired.astype(np.int64)
+        if sum(desired) <= self.budget:
+            allocation = np.array(desired, dtype=np.int64)
         else:
             allocation = largest_remainder_allocation(desired, self.budget)
             allocation = np.maximum(allocation, 0)

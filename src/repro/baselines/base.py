@@ -9,6 +9,7 @@ emit an integer allocation.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from repro.sim.env import MicroserviceEnv
 from repro.sim.metrics import WindowObservation
+from repro.utils.validation import check_integral
 
 __all__ = [
     "Allocator",
@@ -32,7 +34,9 @@ def largest_remainder_allocation(
     Hamilton's largest-remainder method: floor the proportional shares,
     then hand the leftover units to the largest fractional remainders.
     All-zero (or negative-clipped-to-zero) weights fall back to a uniform
-    split.  The result always sums to exactly ``budget``.
+    split; a NaN or infinite weight raises.  The result always sums to
+    exactly ``budget``.  The shares are Python floats, which round as
+    float64 arrays do; the ranking of the remainders is numpy's.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -40,18 +44,20 @@ def largest_remainder_allocation(
     n = weights.size
     if n == 0:
         raise ValueError("weights must be non-empty")
-    total = float(weights.sum())
+    total = float(np.add.reduce(weights))  # weights.sum(), unwrapped
+    if not math.isfinite(total):
+        raise ValueError(f"weights must be finite: {weights}")
     if total <= 0:
         weights = np.ones(n)
         total = float(n)
-    shares = budget * weights / total
-    allocation = np.floor(shares).astype(np.int64)
-    remainder = budget - int(allocation.sum())
+    shares = [budget * w / total for w in weights.tolist()]
+    allocation = [int(share) for share in shares]  # floor: shares are >= 0
+    remainder = budget - sum(allocation)
     if remainder > 0:
-        fractional = shares - allocation
-        for idx in np.argsort(-fractional)[:remainder]:
+        fractional = np.array([s - m for s, m in zip(shares, allocation)])
+        for idx in np.argsort(-fractional)[:remainder].tolist():
             allocation[idx] += 1
-    return allocation
+    return np.array(allocation, dtype=np.int64)
 
 
 class TaskArrivalRateEstimator:
@@ -146,8 +152,15 @@ class Allocator(ABC):
         """Integer allocation for the next window; must satisfy the budget."""
 
     def _check(self, allocation: np.ndarray) -> np.ndarray:
+        allocation = np.asarray(allocation)
+        try:
+            counts = check_integral("allocation", allocation)
+        except ValueError as error:
+            raise RuntimeError(
+                f"{self.name} produced a non-integral allocation {allocation}"
+            ) from error
         allocation = np.asarray(allocation, dtype=np.int64)
-        if np.any(allocation < 0) or int(allocation.sum()) > self.budget:
+        if min(counts) < 0 or sum(counts) > self.budget:
             raise RuntimeError(
                 f"{self.name} produced an infeasible allocation {allocation} "
                 f"(budget {self.budget})"

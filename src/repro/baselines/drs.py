@@ -98,9 +98,9 @@ class DrsAllocator(Allocator):
     def _on_bind(self, env: MicroserviceEnv) -> None:
         ensemble = env.system.ensemble
         self._task_names = ensemble.task_names()
-        self._service_rates = np.array(
-            [1.0 / ensemble.task(n).mean_service_time for n in self._task_names]
-        )
+        self._service_rates = [
+            1.0 / ensemble.task(n).mean_service_time for n in self._task_names
+        ]
         self._estimator = TaskArrivalRateEstimator(
             self.num_services,
             env.system.config.window_length,
@@ -122,12 +122,17 @@ class DrsAllocator(Allocator):
             rates = self._estimator.update(observation, self._task_names)
         else:
             rates = self._estimator.rates
-        rates = np.maximum(rates, self.rate_floor)
+        # J-entry vectors as Python floats: the same float64 arithmetic
+        # without a numpy call per operation.
+        floor = self.rate_floor
+        rates = [max(r, floor) for r in rates.tolist()]
+        service_rates = self._service_rates
 
-        # Step 2: minimum stable allocation.
-        offered = rates / self._service_rates
-        allocation = np.floor(offered).astype(np.int64) + 1
-        if int(allocation.sum()) > self.budget:
+        # Step 2: minimum stable allocation (offered loads are >= 0, so
+        # int() is the floor).
+        offered = [r / s for r, s in zip(rates, service_rates)]
+        allocation = [int(a) + 1 for a in offered]
+        if sum(allocation) > self.budget:
             # Budget cannot even stabilise the estimated load: degrade to
             # offered-load-proportional apportionment (DRS's fallback regime).
             return self._check(
@@ -137,28 +142,25 @@ class DrsAllocator(Allocator):
         # Step 3: greedy marginal-gain spending of the remaining budget.
         # E[N] at m_j and at m_j + 1 per service; a unit changes one m_j,
         # so only that service's next value is recomputed.
-        remaining = self.budget - int(allocation.sum())
-        service_rates = self._service_rates
-        current_en = np.array(
-            [
-                mmc_expected_number(r, s, int(m))
-                for r, s, m in zip(rates, service_rates, allocation)
-            ]
-        )
-        next_en = np.array(
-            [
-                mmc_expected_number(r, s, int(m) + 1)
-                for r, s, m in zip(rates, service_rates, allocation)
-            ]
-        )
+        remaining = self.budget - sum(allocation)
+        current_en = [
+            mmc_expected_number(r, s, m)
+            for r, s, m in zip(rates, service_rates, allocation)
+        ]
+        next_en = [
+            mmc_expected_number(r, s, m + 1)
+            for r, s, m in zip(rates, service_rates, allocation)
+        ]
+        gains = [c - n for c, n in zip(current_en, next_en)]
+        services = range(len(gains))
         for _ in range(remaining):
-            gains = current_en - next_en
-            best = int(np.argmax(gains))
+            best = max(services, key=gains.__getitem__)  # first maximum
             if gains[best] <= 0:
                 break  # nothing left to improve; keep spare capacity idle
             allocation[best] += 1
             current_en[best] = next_en[best]
             next_en[best] = mmc_expected_number(
-                rates[best], service_rates[best], int(allocation[best]) + 1
+                rates[best], service_rates[best], allocation[best] + 1
             )
+            gains[best] = current_en[best] - next_en[best]
         return self._check(allocation)

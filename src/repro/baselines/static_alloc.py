@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.base import Allocator, largest_remainder_allocation
+from repro.sim.env import MicroserviceEnv
 from repro.sim.metrics import WindowObservation
 
 __all__ = ["UniformAllocator", "ProportionalToWipAllocator"]
@@ -22,16 +23,18 @@ class UniformAllocator(Allocator):
 
     name = "uniform"
 
+    def _on_bind(self, env: MicroserviceEnv) -> None:
+        # The split is a constant of the binding; each window gets a copy.
+        self._split = largest_remainder_allocation(
+            np.ones(self.num_services), self.budget
+        ).tolist()
+
     def allocate(
         self,
         wip: np.ndarray,
         observation: Optional[WindowObservation] = None,
     ) -> np.ndarray:
-        return self._check(
-            largest_remainder_allocation(
-                np.ones(self.num_services), self.budget
-            )
-        )
+        return self._check(self._split)
 
 
 class ProportionalToWipAllocator(Allocator):

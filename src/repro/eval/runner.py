@@ -159,7 +159,7 @@ def evaluate_allocator(
         result.records.append(
             StepRecord(
                 step=step,
-                wip_sum=float(wip.sum()),
+                wip_sum=float(np.add.reduce(wip)),  # wip.sum(), unwrapped
                 reward=reward,
                 mean_response_time=observation.mean_response_time(),
                 completions=observation.total_completions,

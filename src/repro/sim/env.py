@@ -44,12 +44,13 @@ def allocation_from_simplex(
         raise ValueError(
             f"expected a (K, J) block of simplexes, got {simplexes.shape}"
         )
+    # Reductions with an initial value: an empty block passes, a NaN fails.
     if not (
-        np.all(simplexes >= -1e-9)
-        and np.all(np.abs(simplexes.sum(axis=1) - 1.0) <= 1e-6)
+        simplexes.min(initial=0.0) >= -1e-9
+        and abs(simplexes.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-6
     ):
         raise ValueError(f"not a probability simplex: {simplexes}")
-    return np.floor(consumer_budget * np.clip(simplexes, 0, 1)).astype(np.int64)
+    return np.floor(consumer_budget * simplexes.clip(0, 1)).astype(np.int64)
 
 
 class MicroserviceEnv:
@@ -108,12 +109,12 @@ class MicroserviceEnv:
                 f"allocation has shape {allocation.shape}, expected "
                 f"({self.action_dim},)"
             )
-        check_integral("allocation", allocation)
-        if np.any(allocation < 0):
+        counts = check_integral("allocation", allocation)
+        if min(counts) < 0:
             raise ConstraintViolation(
                 f"negative consumer counts: {allocation}"
             )
-        total = int(allocation.sum())
+        total = int(sum(counts))
         if total > self.consumer_budget:
             raise ConstraintViolation(
                 f"allocation uses {total} consumers, budget is "

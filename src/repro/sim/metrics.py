@@ -17,12 +17,14 @@ from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["WindowObservation", "reward_from_wip"]
+__all__ = ["WindowObservation"]
 
 
-def reward_from_wip(wip: np.ndarray) -> float:
-    """The paper's reward, Eq. (1): ``r(k) = 1 - sum_j w_j(k)``."""
-    return 1.0 - float(np.sum(wip))
+def _mean(times: List[float]) -> float:
+    """``np.mean``'s reduction and division without its wrapper (0 if empty)."""
+    if not times:
+        return 0.0
+    return float(np.add.reduce(times)) / len(times)
 
 
 @dataclass
@@ -64,16 +66,11 @@ class WindowObservation:
         Returns 0.0 when nothing completed — callers that need to
         distinguish "empty" should check ``total_completions``.
         """
-        if not self.response_times:
-            return 0.0
-        return float(np.mean(self.response_times))
+        return _mean(self.response_times)
 
     def mean_response_time_for(self, workflow_type: str) -> float:
         """Mean response time of one workflow type this window (0 if none)."""
-        times = self.response_times_by_type.get(workflow_type, [])
-        if not times:
-            return 0.0
-        return float(np.mean(times))
+        return _mean(self.response_times_by_type.get(workflow_type, []))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,10 +17,7 @@ import numpy as np
 from repro.sim.cluster import Cluster
 from repro.sim.events import EventLoop
 from repro.sim.invoker import WorkflowInvoker
-from repro.sim.metrics import (
-    WindowObservation,
-    reward_from_wip,
-)
+from repro.sim.metrics import WindowObservation
 from repro.sim.microservice import Microservice
 from repro.sim.requests import TaskRequest, WorkflowRequest
 from repro.sim.tds import TaskDependencyService
@@ -146,6 +143,10 @@ class MicroserviceWorkflowSystem:
             ensemble, replicas=self.config.tds_replicas
         )
         self._build_substrate()
+        # The microservices in task-index order, the order of w(k) and m(k).
+        self._services = [
+            self.microservices[name] for name in ensemble.task_names()
+        ]
         # Publishes already attributed to a window — a persistent
         # snapshot, so burst injections between windows are attributed
         # to the window that observes them.
@@ -310,30 +311,26 @@ class MicroserviceWorkflowSystem:
         baselines), as the paper's policy output layer enforces it.
         """
         allocation = np.asarray(allocation)
-        if allocation.shape != (self.ensemble.num_task_types,):
+        if allocation.shape != (len(self._services),):
             raise ValueError(
                 f"allocation has shape {allocation.shape}, expected "
-                f"({self.ensemble.num_task_types},)"
+                f"({len(self._services)},)"
             )
-        check_integral("allocation", allocation)
-        if np.any(allocation < 0):
+        counts = check_integral("allocation", allocation)
+        if min(counts) < 0:
             raise ValueError(f"allocation must be non-negative: {allocation}")
-        for task_name, count in zip(self.ensemble.task_names(), allocation):
-            self.microservices[task_name].scale_to(int(count))
+        for ms, count in zip(self._services, counts):
+            ms.scale_to(int(count))
 
     def current_allocation(self) -> np.ndarray:
         """Current consumer count per microservice."""
         return np.array(
-            [self.microservices[n].allocated for n in self.ensemble.task_names()],
-            dtype=np.int64,
+            [ms.allocated for ms in self._services], dtype=np.int64
         )
 
     def wip_vector(self) -> np.ndarray:
         """The state w(k): work-in-progress per microservice."""
-        return np.array(
-            [self.microservices[n].wip for n in self.ensemble.task_names()],
-            dtype=np.float64,
-        )
+        return np.array([ms.wip for ms in self._services], dtype=np.float64)
 
     def _advance_window(self, end: float) -> None:
         """Advance simulation time to ``end`` (one window of events).
@@ -345,32 +342,34 @@ class MicroserviceWorkflowSystem:
         self.loop.run_until(end)
 
     def run_window(self) -> WindowObservation:
-        """Advance one control window and return its observation."""
+        """Advance one control window and return its observation.
+
+        The observation takes the window's containers as they are and the
+        system starts fresh ones, so nothing here mutates an observation
+        after it is returned.
+        """
         start = self.loop.now
         end = start + self.config.window_length
         self._advance_window(end)
-        wip = self.wip_vector()
+        wip = [ms.wip for ms in self._services]
         task_publishes = {}
         for name, ms in self.microservices.items():
-            task_publishes[name] = (
-                ms.queue.published_total - self._published_snapshot[name]
-            )
-            self._published_snapshot[name] = ms.queue.published_total
+            published = ms.queue.published_total
+            task_publishes[name] = published - self._published_snapshot[name]
+            self._published_snapshot[name] = published
         observation = WindowObservation(
             index=self.window_index,
             start_time=start,
             end_time=end,
-            wip=wip,
+            wip=np.array(wip, dtype=np.float64),
             allocation=self.current_allocation(),
-            reward=reward_from_wip(wip),
-            arrivals=dict(self._window_arrivals),
-            completions=dict(self._window_completions),
-            response_times=list(self._window_response_times),
-            response_times_by_type={
-                wf: list(times)
-                for wf, times in self._window_response_by_type.items()
-            },
-            task_completions=dict(self._window_task_completions),
+            # Eq. (1); a sum of int counts is exact, as np.sum's was.
+            reward=1.0 - float(sum(wip)),
+            arrivals=self._window_arrivals,
+            completions=self._window_completions,
+            response_times=self._window_response_times,
+            response_times_by_type=self._window_response_by_type,
+            task_completions=self._window_task_completions,
             task_publishes=task_publishes,
         )
         self.history.append(observation)

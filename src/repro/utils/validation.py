@@ -58,13 +58,16 @@ def check_in_range(
     return value
 
 
-def check_integral(name: str, values: np.ndarray) -> None:
+def check_integral(name: str, values: np.ndarray) -> list:
     """Require whole numbers: a NaN, an infinity or a fraction in
-    ``values`` raises.  Integer arrays pass unexamined."""
-    if values.dtype.kind not in "biu" and not np.all(
-        np.isfinite(values) & (values == np.floor(values))
+    ``values`` raises.  Integer arrays pass unexamined.  Returns
+    ``values.tolist()``, for the caller's own checks of a short vector."""
+    counts = values.tolist()
+    if values.dtype.kind not in "biu" and not all(
+        float(c).is_integer() for c in values.flat
     ):
         raise ValueError(f"{name} must be integral and finite: {values}")
+    return counts
 
 
 def isclose_zero(value: float, eps: float = ZERO_EPS) -> bool:

@@ -51,6 +51,11 @@ class TestLargestRemainder:
         with pytest.raises(ValueError):
             largest_remainder_allocation(np.ones(3), -1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            largest_remainder_allocation(np.array([bad, 1.0, 1.0]), 10)
+
     @given(
         st.lists(st.floats(0, 100), min_size=1, max_size=12),
         st.integers(0, 50),
@@ -112,3 +117,38 @@ class TestAllocatorBudgetGuard:
         allocator.bind(make_msd_env())
         with pytest.raises(RuntimeError, match="infeasible"):
             allocator.allocate(np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "allocation",
+        [
+            [1.5, 1, 1, 1],
+            np.array([1.5, 1.0, 1.0, 1.0]),
+            [np.inf, 1, 1, 1],
+            [np.nan, 1, 1, 1],
+        ],
+        ids=["fraction", "fraction-array", "inf", "nan"],
+    )
+    def test_check_rejects_non_integral(self, allocation):
+        class Fractional(Allocator):
+            name = "fractional"
+
+            def allocate(self, wip, observation=None):
+                return self._check(allocation)
+
+        allocator = Fractional()
+        allocator.bind(make_msd_env())
+        with pytest.raises(RuntimeError, match="fractional produced a non-integral"):
+            allocator.allocate(np.zeros(4))
+
+    def test_check_accepts_whole_floats_as_int64(self):
+        class Whole(Allocator):
+            name = "whole"
+
+            def allocate(self, wip, observation=None):
+                return self._check(np.array([4.0, 3.0, 3.0, 4.0]))
+
+        allocator = Whole()
+        allocator.bind(make_msd_env())
+        allocation = allocator.allocate(np.zeros(4))
+        assert allocation.dtype == np.int64
+        assert allocation.tolist() == [4, 3, 3, 4]

@@ -1,9 +1,18 @@
 """Tests for the evaluation runner and result series."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.baselines import (
+    DrsAllocator,
+    HeftAllocator,
+    HpaAllocator,
+    ProportionalToWipAllocator,
+)
 from repro.baselines.static_alloc import UniformAllocator
+from repro.eval.experiments import dataset_preset, preset_env
 from repro.eval.runner import (
     EvalResult,
     StepRecord,
@@ -93,6 +102,60 @@ class TestEvaluateAllocator:
         env = make_env(build_msd_ensemble(), seed=2)
         with pytest.raises(ValueError):
             evaluate_allocator(UniformAllocator(), env, TINY_SCENARIO, 0)
+
+
+#: sha256 of every record of one cell: the first burst of the dataset,
+#: evaluation seed 1000, 30 windows.  Recorded at the commit before the
+#: per-window glue dropped its small-array numpy calls; an optimisation
+#: of the closed loop must leave every one of them unchanged.
+RECORD_DIGESTS = {
+    ("msd", "uniform"): "4a316f96b928cffd60c4a2ae47af6ec1adaa745daaa12addaf632481c9636436",
+    ("msd", "wip"): "5d74506a0b8f99bae3a8c4e1c950033d4093f43fbe7dbb789da55a2a8219fc92",
+    ("msd", "stream"): "6d3e611ec905f2c3d1a10da4444168947af83e5bad2e758c051c32f1638573ef",
+    ("msd", "heft"): "551e773937be2dcd70b0de935ada1bf09400825a640b073504681cce019ec0e0",
+    ("msd", "hpa"): "d7e1e09b301b833b1af5094f639b4bf4d7aa0eef4ab8265afd8a8173dbbabc91",
+    ("ligo", "uniform"): "d736837721ca77e2cb5dc276f8dde7d136f318d605eaf564c085a8ef2454f79c",
+    ("ligo", "wip"): "1f6193b110b27f06a86e624d2eae6552adfeba618f752ec8e8bd4267b150e24f",
+    ("ligo", "stream"): "b6c3cf75db2a3b57f8c2c8fb382b42adc9d1e7dfe277b4cc90440649c91dc26b",
+    ("ligo", "heft"): "f5554ae7e4f6c4964c4791e0660048861bbc965e841a6f98fb776b4b8ce2ad8c",
+    ("ligo", "hpa"): "7b478591625d7cd1e90c9c9f8a95abd7762042931fadec4407659de70817a6b8",
+}
+
+
+def record_digest(result: EvalResult) -> str:
+    """sha256 over each record's values, types and key order included.
+
+    A float's ``repr`` round-trips, so equal digests mean equal bytes.
+    """
+    digest = hashlib.sha256()
+    for r in result.records:
+        digest.update(repr((
+            r.reward,
+            r.wip_sum,
+            r.mean_response_time,
+            r.completions,
+            r.allocation.dtype.str,
+            r.allocation.tolist(),
+            list(r.response_by_type.items()),
+        )).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("dataset, allocator", sorted(RECORD_DIGESTS))
+def test_evaluation_records_are_pinned(dataset, allocator):
+    allocators = {
+        "uniform": UniformAllocator,
+        "wip": ProportionalToWipAllocator,
+        "stream": DrsAllocator,
+        "heft": HeftAllocator,
+        "hpa": HpaAllocator,
+    }
+    scenario = dataset_preset(dataset)["bursts"][0]
+    env = preset_env(
+        dataset, seed=1000, background_rates=dict(scenario.background_rates)
+    )
+    result = evaluate_allocator(allocators[allocator](), env, scenario, 30)
+    assert record_digest(result) == RECORD_DIGESTS[dataset, allocator]
 
 
 class TestComparison:

@@ -91,6 +91,24 @@ class TestWindows:
             1.0 - float(observation.wip.sum())
         )
 
+    def test_an_observation_owns_its_window(self):
+        """run_window hands its containers over; later windows build new
+        ones and leave every earlier observation as it was returned."""
+        system = make_system()
+        PoissonArrivalProcess({"Type1": 0.5, "Type2": 0.3}).attach(system)
+        system.apply_allocation([4, 4, 3, 3])
+        system.inject_burst({"Type1": 10, "Type2": 5})
+        fields = ("arrivals", "completions", "response_times",
+                  "response_times_by_type", "task_completions",
+                  "task_publishes")
+        first = system.run_window()
+        kept = {f: repr(getattr(first, f)) for f in fields}
+        later = [system.run_window() for _ in range(5)]
+        assert sum(o.total_completions for o in later) > 0
+        assert {f: repr(getattr(first, f)) for f in fields} == kept
+        for f in fields:
+            assert all(getattr(o, f) is not getattr(first, f) for o in later)
+
     def test_arrivals_attributed_to_window(self):
         system = make_system()
         PoissonArrivalProcess({"Type1": 0.5}).attach(system)
