@@ -7,46 +7,31 @@ comparison results without failing a single test.  This package walks the
 ``src/repro`` tree with :mod:`ast` and rejects that defect class
 statically, before it costs a training run.
 
-Per-file rule families (see ``docs/LINTING.md`` for the full reference):
+Rule families, each checked one file at a time (see ``docs/LINTING.md``
+for the full reference):
 
 - **D1** — ambient nondeterminism (D101 stdlib/global-numpy randomness,
   D102 wall-clock reads),
 - **D2** — silent seed fallbacks (D201 literal ``SeedSequence`` seeds),
 - **S1** — simulation-invariant hygiene (S101 float equality, S102
   mutable defaults, S103 assert-as-validation),
-- **A1** — public-API consistency in package ``__init__`` files (A101
-  broken exports, A102 missing docstrings, A103 ``__all__`` mismatches).
+- **U1** — stale inline suppressions (U101); P001 marks a file that
+  does not parse.
 
-Cross-module families, consuming the whole-tree
-:class:`~repro.analysis.index.ProjectIndex`:
-
-- **R1** — RNG fork-label provenance (R101 duplicate labels on one
-  parent stream, R102 constant labels in loops, R103 forks in default
-  arguments),
-- **L1** — the import DAG of docs/ARCHITECTURE.md at module scope
-  (L101),
-- **N1** — numeric discipline (N101 mixed float32/float64 provenance,
-  N102 scalar accumulation loops on the hot path, N103 in-place
-  mutation of escaping array parameters).
-
-:mod:`repro.analysis.sanitizer` is the runtime twin of R1 and the only
-check of emitted records against ``RECORD_SCHEMAS``: activated via
-``REPRO_SANITIZE=1`` (or :func:`~repro.analysis.sanitizer.sanitized`),
-it asserts fork-label uniqueness and record-schema validity on the
-running program.
+:mod:`repro.analysis.sanitizer` checks what only the running program
+shows: activated via ``REPRO_SANITIZE=1`` (or
+:func:`~repro.analysis.sanitizer.sanitized`), it asserts fork-label
+uniqueness per parent stream, record-schema validity against
+``RECORD_SCHEMAS`` and the batch-pair contracts.
 
 Run the static pass with ``python -m repro.analysis`` or ``repro lint``.
 Findings can be suppressed inline with ``# reprolint: disable=RULE`` or
-ratcheted via a baseline file (stale entries fail the run);
-configuration lives in ``[tool.reprolint]`` in pyproject.toml.
+ratcheted via a baseline file (stale entries fail the run).
 """
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.config import LintConfig, load_config
-from repro.analysis.crossrules import ProjectChecker, all_project_checkers
 from repro.analysis.engine import AnalysisResult, run_analysis
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.index import ProjectIndex, build_index
 from repro.analysis.rules import Checker, all_checkers, all_rule_ids
 
 __all__ = [
@@ -54,14 +39,8 @@ __all__ = [
     "Baseline",
     "Checker",
     "Finding",
-    "LintConfig",
-    "ProjectChecker",
-    "ProjectIndex",
     "Severity",
     "all_checkers",
-    "all_project_checkers",
     "all_rule_ids",
-    "build_index",
-    "load_config",
     "run_analysis",
 ]

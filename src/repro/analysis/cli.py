@@ -2,15 +2,16 @@
 
 ::
 
-    python -m repro.analysis                      # lint configured paths
+    python -m repro.analysis                      # lint src/repro
     python -m repro.analysis src/repro/sim        # lint specific targets
     python -m repro.analysis --format json        # machine-readable output
-    python -m repro.analysis --format sarif       # SARIF 2.1.0 (CI diffs)
-    python -m repro.analysis --update-baseline    # accept current findings
+    python -m repro.analysis tests --baseline b.json --update-baseline
+                                                  # accept current findings
     python -m repro.analysis --list-rules         # rule reference
 
-Exit codes: 0 = clean, 1 = findings reported, 2 = usage/configuration
-error.  Also mounted as the ``repro lint`` subcommand.
+Paths are reported relative to the working directory, so run from the
+repository root.  Exit codes: 0 = clean, 1 = findings reported, 2 =
+usage error.  Also mounted as the ``repro lint`` subcommand.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.config import load_config
 from repro.analysis.engine import AnalysisResult, run_analysis
 from repro.analysis.rules import all_rule_ids, rule_table
 
 __all__ = ["main", "build_parser"]
+
+#: What a bare run lints, relative to the working directory.
+DEFAULT_PATHS = ["src/repro"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,25 +42,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "paths", nargs="*",
-        help="files or directories to analyse "
-             "(default: [tool.reprolint] paths, else src/repro)",
+        help="files or directories to analyse (default: src/repro)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default: text); sarif emits SARIF 2.1.0 "
-             "for CI code-scanning upload",
-    )
-    parser.add_argument(
-        "--root", default=None,
-        help="project root for config discovery (default: cwd)",
+        "--format", choices=("text", "json"), default="text",
+        help="output format (default: text)",
     )
     parser.add_argument(
         "--baseline", default=None,
-        help="baseline file overriding [tool.reprolint] baseline",
+        help="baseline file waiving known findings (default: none)",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
-        help="write current findings to the baseline file and exit 0",
+        help="write current findings to the --baseline file and exit 0",
     )
     parser.add_argument(
         "--disable", default=None,
@@ -79,31 +76,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule}  [{family}]  {description}")
         return 0
 
-    try:
-        config = load_config(Path(args.root) if args.root else None)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    disable: List[str] = []
     if args.disable:
-        extra = [r.strip() for r in args.disable.split(",") if r.strip()]
+        disable = [r.strip() for r in args.disable.split(",") if r.strip()]
         known = set(all_rule_ids())
-        unknown = [r for r in extra if r not in known]
+        unknown = [r for r in disable if r not in known]
         if unknown:
             print(
                 f"error: unknown rule id(s): {', '.join(unknown)}",
                 file=sys.stderr,
             )
             return 2
-        config.disable = list(config.disable) + extra
 
-    if args.baseline:
-        config.baseline = args.baseline
-    baseline_path = config.baseline_path()
-
-    paths = (
-        [Path(p) for p in args.paths] if args.paths
-        else config.resolved_paths()
-    )
+    paths = [Path(p) for p in (args.paths or DEFAULT_PATHS)]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print(
@@ -113,15 +98,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
+    baseline_path = Path(args.baseline) if args.baseline else None
     if args.update_baseline:
         if baseline_path is None:
-            print(
-                "error: --update-baseline needs --baseline or a "
-                "[tool.reprolint] baseline setting",
-                file=sys.stderr,
-            )
+            print("error: --update-baseline needs --baseline", file=sys.stderr)
             return 2
-        result = run_analysis(paths, config=config)
+        result = run_analysis(paths, disable=disable)
         Baseline.from_findings(result.findings).save(baseline_path)
         print(
             f"baseline updated: {len(result.findings)} finding(s) "
@@ -132,12 +114,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     baseline = (
         Baseline.load(baseline_path) if baseline_path else Baseline.empty()
     )
-    result = run_analysis(paths, config=config, baseline=baseline)
+    result = run_analysis(paths, baseline=baseline, disable=disable)
 
     if args.format == "json":
         print(json.dumps(_to_json(result), indent=2))
-    elif args.format == "sarif":
-        print(json.dumps(_to_sarif(result), indent=2))
     else:
         _print_text(result)
     return result.exit_code
@@ -173,7 +153,8 @@ def _to_json(result: AnalysisResult) -> dict:
 
     Every finding carries its rule ``family`` and a ``status``
     (``reported`` / ``suppressed`` / ``baselined``) so downstream tooling
-    (the baseline ratchet, CI annotations) never re-parses text output.
+    (the baseline ratchet, rule-traffic counts) never re-parses text
+    output.
     """
 
     def annotate(findings, status):
@@ -195,66 +176,6 @@ def _to_json(result: AnalysisResult) -> dict:
         ],
         "checked_files": result.checked_files,
         "exit_code": result.exit_code,
-    }
-
-
-#: SARIF severity levels for reprolint severities.
-_SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
-
-
-def _to_sarif(result: AnalysisResult) -> dict:
-    """SARIF 2.1.0 report (one run, reported findings only).
-
-    Suppressed and baselined findings are emitted with SARIF's
-    ``suppressions`` field set, so code-scanning UIs show them as
-    reviewed rather than open.
-    """
-    rules = [
-        {
-            "id": rule,
-            "shortDescription": {"text": description},
-            "properties": {"family": family},
-        }
-        for rule, family, description in rule_table()
-    ]
-
-    def to_result(finding, suppression_kind=None):
-        entry = {
-            "ruleId": finding.rule,
-            "level": _SARIF_LEVELS.get(finding.severity.value, "warning"),
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": finding.path.replace("\\", "/"),
-                    },
-                    "region": {
-                        "startLine": finding.line,
-                        "startColumn": finding.column,
-                    },
-                },
-            }],
-        }
-        if suppression_kind is not None:
-            entry["suppressions"] = [{"kind": suppression_kind}]
-        return entry
-
-    results = [to_result(f) for f in result.findings]
-    results += [to_result(f, "inSource") for f in result.suppressed]
-    results += [to_result(f, "external") for f in result.baselined]
-    return {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "reprolint",
-                    "rules": rules,
-                },
-            },
-            "columnKind": "unicodeCodePoints",
-            "results": results,
-        }],
     }
 
 

@@ -1,39 +1,34 @@
-"""The reprolint engine: discover, parse, index, check, suppress, baseline.
+"""The reprolint engine: discover, parse, check, suppress, baseline.
 
 :func:`run_analysis` is the single entry point used by both the module CLI
 (``python -m repro.analysis``) and the ``repro lint`` subcommand; tests
 call it directly with synthetic trees.
 
-Two checker tiers run over one parse: per-file rules (D/S/A families)
-see each module in turn, and project rules (R/L/N families) consume the
-whole-tree :class:`~repro.analysis.index.ProjectIndex`, rebuilt from the
-parsed modules on every run.  Findings are sorted before they are
-reported, so checker execution order never shows in a report.
+Every rule (the D1, D2 and S1 families) sees one parsed module at a
+time.  Findings are sorted before they are reported, so checker
+execution order never shows in a report.
 
 After suppression filtering the engine replays every inline
 ``# reprolint: disable`` comment against the *raw* finding set: a
 comment that waives nothing real anymore is reported as U101, the
 inline twin of the stale-baseline failure.  U101 findings are exempt
 from inline suppression (a stale ``disable=all`` must not hide its own
-staleness) but honour ``disable`` config and the baseline like any
-other rule.
+staleness) but honour ``--disable`` and the baseline like any other
+rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.config import LintConfig
-from repro.analysis.crossrules import all_project_checkers
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.index import build_index
 from repro.analysis.project import (
     ModuleInfo,
-    Project,
     discover_files,
+    display_path,
     parse_module,
 )
 from repro.analysis.rules import all_checkers
@@ -63,9 +58,9 @@ class AnalysisResult:
         return 1 if self.findings or self.stale_baseline else 0
 
 
-def _syntax_finding(path: Path, root: Path, error: SyntaxError) -> Finding:
+def _syntax_finding(path: Path, error: SyntaxError) -> Finding:
     return Finding(
-        path=_display(path, root),
+        path=display_path(path),
         line=error.lineno or 1,
         column=(error.offset or 0) or 1,
         rule="P001",
@@ -77,47 +72,39 @@ def _syntax_finding(path: Path, root: Path, error: SyntaxError) -> Finding:
 
 def run_analysis(
     paths: Sequence[Path],
-    config: Optional[LintConfig] = None,
     baseline: Optional[Baseline] = None,
+    disable: Collection[str] = (),
 ) -> AnalysisResult:
-    """Analyse ``paths`` (files or directories) and return the result."""
-    config = config or LintConfig(root=Path.cwd())
-    baseline = baseline or Baseline.empty()
-    excludes = [str(config.root / e) for e in config.exclude]
-    disabled = set(config.disable)
+    """Analyse ``paths`` (files or directories) and return the result.
 
-    files = [
-        f
-        for f in discover_files([Path(p) for p in paths])
-        if not any(str(f.resolve()).startswith(e) for e in excludes)
-    ]
+    Findings of the rule ids in ``disable`` are dropped.  Paths are
+    reported relative to the working directory.
+    """
+    baseline = baseline or Baseline.empty()
+    disabled = set(disable)
 
     result = AnalysisResult()
     modules: List[ModuleInfo] = []
     raw: List[Finding] = []
 
-    for path in files:
+    for path in discover_files([Path(p) for p in paths]):
         result.checked_files += 1
-        module, error = parse_module(path, root=config.root)
+        module, error = parse_module(path)
         if error is not None:
-            raw.append(_syntax_finding(path, config.root, error))
+            raw.append(_syntax_finding(path, error))
             continue
         modules.append(module)
 
-    project = Project(modules)
     for checker in all_checkers():
         for module in modules:
-            raw.extend(checker.check(module, project))
+            raw.extend(checker.check(module))
 
-    index = build_index(project)
-    for project_checker in all_project_checkers():
-        raw.extend(project_checker.check(index, config))
-
+    by_path = {module.display_path: module for module in modules}
     filtered: List[Finding] = []
     for finding in raw:
         if finding.rule in disabled:
             continue
-        module = _module_for(modules, finding.path)
+        module = by_path.get(finding.path)
         if module is not None and _is_suppressed(module, finding):
             result.suppressed.append(finding)
         else:
@@ -177,22 +164,6 @@ def _stale_suppressions(
                     family="U1",
                 ))
     return findings
-
-
-def _display(path: Path, root: Path) -> str:
-    try:
-        return str(path.resolve().relative_to(root.resolve()))
-    except ValueError:
-        return str(path)
-
-
-def _module_for(
-    modules: Sequence[ModuleInfo], display_path: str
-) -> Optional[ModuleInfo]:
-    for module in modules:
-        if module.display_path == display_path:
-            return module
-    return None
 
 
 def _is_suppressed(module: ModuleInfo, finding: Finding) -> bool:

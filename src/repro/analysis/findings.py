@@ -20,11 +20,9 @@ def _family_of(rule: str) -> str:
 
 
 class Severity(enum.Enum):
-    """How bad a finding is; drives exit-code semantics and display."""
+    """How bad a finding is, as displayed; every rule today is an error."""
 
     ERROR = "error"
-    WARNING = "warning"
-    INFO = "info"
 
     def __str__(self) -> str:
         return self.value
@@ -44,7 +42,7 @@ class Finding:
     rule: str = field(compare=True)
     severity: Severity = field(compare=False)
     message: str = field(compare=False)
-    #: Rule family prefix (``D1``, ``R1``, ...; ``P`` for parse failures).
+    #: Rule family prefix (``D1``, ``S1``, ...; ``P`` for parse failures).
     #: Not part of identity — the rule id already implies it.
     family: str = field(default="", compare=False)
 

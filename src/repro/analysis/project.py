@@ -1,8 +1,7 @@
 """Parsed-module model: the unit of analysis reprolint rules operate on.
 
-A :class:`Project` is a set of parsed Python modules indexed by dotted
-module name, so cross-module rules (the A1 API-consistency family) can
-resolve ``from repro.x import y`` re-exports to the definition of ``y``.
+Every checker sees one :class:`ModuleInfo` at a time; no rule looks
+across files.
 """
 
 from __future__ import annotations
@@ -13,18 +12,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-#: Shape of a real rule id (``D102``, ``N101``); anything else in a
+#: Shape of a real rule id (``D102``, ``S101``); anything else in a
 #: disable comment is treated as prose, not a waiver.
 _RULE_ID_RE = re.compile(r"[A-Z]+[0-9]{3}")
 
 __all__ = [
     "ModuleInfo",
-    "Project",
     "discover_files",
-    "module_name_for",
-    "top_level_bindings",
+    "display_path",
     "dotted_name",
-    "receiver_key",
+    "parse_module",
 ]
 
 
@@ -32,39 +29,16 @@ __all__ = [
 class ModuleInfo:
     """One parsed source file."""
 
-    path: Path
-    #: Path as reported in findings (relative to the project root if
-    #: possible, keeping reports machine-independent).
+    #: Path as reported in findings (see :func:`display_path`).
     display_path: str
-    #: Dotted module name (``repro.sim.consumer``); empty when the file
-    #: lies outside any importable package.
-    module: str
     source: str
     tree: ast.Module
     #: 1-based line -> set of rule ids suppressed on that line ("all"
     #: suppresses every rule).
     suppressions: Dict[int, frozenset] = field(default_factory=dict)
 
-    @property
-    def is_package_init(self) -> bool:
-        return self.path.name == "__init__.py"
-
     def lines(self) -> List[str]:
         return self.source.splitlines()
-
-
-class Project:
-    """All modules under analysis, indexed by dotted name."""
-
-    def __init__(self, modules: Iterable[ModuleInfo]):
-        self.modules: List[ModuleInfo] = list(modules)
-        self.by_name: Dict[str, ModuleInfo] = {
-            m.module: m for m in self.modules if m.module
-        }
-
-    def resolve_module(self, dotted: str) -> Optional[ModuleInfo]:
-        """Look up a module by dotted name, if it is under analysis."""
-        return self.by_name.get(dotted)
 
 
 def discover_files(paths: Iterable[Path]) -> List[Path]:
@@ -87,23 +61,20 @@ def discover_files(paths: Iterable[Path]) -> List[Path]:
     return unique
 
 
-def module_name_for(path: Path) -> str:
-    """Dotted module name for ``path``, derived from package structure.
+def display_path(path: Path) -> str:
+    """``path`` relative to the working directory when it lies below it.
 
-    Walks up through directories containing ``__init__.py`` files; returns
-    an empty string for scripts outside any package.
+    Reports and baselines key findings by this string, so a lint run and
+    its ``--update-baseline`` must start in the same directory.
     """
-    path = path.resolve()
-    parts: List[str] = [] if path.name == "__init__.py" else [path.stem]
-    current = path.parent
-    while (current / "__init__.py").exists():
-        parts.append(current.name)
-        current = current.parent
-    return ".".join(reversed(parts))
+    try:
+        return str(path.resolve().relative_to(Path.cwd().resolve()))
+    except ValueError:
+        return str(path)
 
 
 def parse_module(
-    path: Path, root: Optional[Path] = None
+    path: Path,
 ) -> Tuple[Optional[ModuleInfo], Optional[SyntaxError]]:
     """Parse one file; returns ``(module, None)`` or ``(None, error)``."""
     source = path.read_text(encoding="utf-8")
@@ -111,16 +82,8 @@ def parse_module(
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         return None, exc
-    display = str(path)
-    if root is not None:
-        try:
-            display = str(path.resolve().relative_to(root.resolve()))
-        except ValueError:
-            pass
     info = ModuleInfo(
-        path=path,
-        display_path=display,
-        module=module_name_for(path),
+        display_path=display_path(path),
         source=source,
         tree=tree,
         suppressions=_scan_suppressions(source),
@@ -140,67 +103,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def receiver_key(node: ast.AST) -> Optional[str]:
-    """Stable textual key for a call receiver.
-
-    Handles plain Name/Attribute chains (``self._rng``) and one level of
-    constant-string subscripting (``self._rngs["collect"]``); anything
-    more dynamic keys to None so rules can degrade gracefully.
-    """
-    direct = dotted_name(node)
-    if direct is not None:
-        return direct
-    if isinstance(node, ast.Subscript):
-        base = dotted_name(node.value)
-        index = node.slice
-        if base is not None and isinstance(index, ast.Constant) and isinstance(
-            index.value, str
-        ):
-            return f'{base}["{index.value}"]'
-    return None
-
-
-def top_level_bindings(tree: ast.Module) -> Dict[str, ast.AST]:
-    """Names bound at module top level, mapped to their binding node.
-
-    The module/symbol table of the project index and the A1 re-export
-    resolver both build on this.
-    """
-    bindings: Dict[str, ast.AST] = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bindings[node.name] = node
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                for name_node in ast.walk(target):
-                    if isinstance(name_node, ast.Name):
-                        bindings[name_node.id] = node
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name):
-                bindings[node.target.id] = node
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                bindings[alias.asname or alias.name.split(".")[0]] = node
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "__future__":
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bindings[alias.asname or alias.name] = node
-        elif isinstance(node, (ast.If, ast.Try)):
-            # Conditional imports (version / optional-dependency gates).
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Import):
-                    for alias in sub.names:
-                        bindings[alias.asname or alias.name.split(".")[0]] = sub
-                elif isinstance(sub, ast.ImportFrom) and sub.module != "__future__":
-                    for alias in sub.names:
-                        if alias.name != "*":
-                            bindings[alias.asname or alias.name] = sub
-    return bindings
-
-
 def _scan_suppressions(source: str) -> Dict[int, frozenset]:
     """Find ``# reprolint: disable=R1,R2`` comments, keyed by line."""
     result: Dict[int, frozenset] = {}
@@ -216,7 +118,7 @@ def _scan_suppressions(source: str) -> Dict[int, frozenset]:
         if not directive.startswith("disable="):
             continue
         rules = directive[len("disable="):].split()[0]
-        # Only rule-id-shaped tokens (``D102``, ``N101``) or the ``all``
+        # Only rule-id-shaped tokens (``D102``, ``S101``) or the ``all``
         # wildcard count: prose that merely *mentions* ``disable=R1,R2``
         # (docstrings, this very function) must not register waivers —
         # they would instantly go stale under U101.

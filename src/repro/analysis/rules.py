@@ -1,6 +1,6 @@
 """The reprolint rule set.
 
-Four rule families, each tied to a reproduction-fidelity failure mode:
+Three rule families, each tied to a reproduction-fidelity failure mode:
 
 =====  ======================================================================
 D1     Ambient nondeterminism: the ``random`` module, global numpy random
@@ -13,9 +13,6 @@ S1     Simulation-invariant hygiene: exact float equality (S101), mutable
        default arguments (S102), and ``assert``-as-validation (S103) — all
        three change behaviour between environments (``python -O`` strips
        asserts) or between call orders.
-A1     API consistency: ``__all__`` entries must resolve (A101),
-       re-exported symbols must carry docstrings (A102), and public
-       imports in package ``__init__`` files must be exported (A103).
 =====  ======================================================================
 
 Each checker yields :class:`~repro.analysis.findings.Finding` objects; the
@@ -25,15 +22,10 @@ engine applies inline suppressions and the baseline afterwards.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import (
-    ModuleInfo,
-    Project,
-    dotted_name as _dotted_name,
-    top_level_bindings as _top_level_bindings,
-)
+from repro.analysis.project import ModuleInfo, dotted_name as _dotted_name
 
 __all__ = [
     "Checker",
@@ -43,7 +35,6 @@ __all__ = [
     "FloatEqualityChecker",
     "MutableDefaultChecker",
     "AssertChecker",
-    "ApiConsistencyChecker",
     "all_checkers",
     "all_rule_ids",
 ]
@@ -53,13 +44,14 @@ class Checker:
     """Base class: one rule family member with a stable id and severity."""
 
     #: Stable rule identifier (``D101``); referenced by suppressions,
-    #: the baseline, and ``[tool.reprolint]`` disable lists.
+    #: the baseline, and ``--disable``.
     rule_id: str = ""
     #: Family prefix (``D1``) used in docs and reports.
     family: str = ""
     severity: Severity = Severity.ERROR
     description: str = ""
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         """Yield findings for one module."""
         raise NotImplementedError
 
@@ -97,7 +89,6 @@ class AmbientRandomnessChecker(Checker):
 
     rule_id = "D101"
     family = "D1"
-    severity = Severity.ERROR
     description = (
         "ambient randomness (`random` module or global numpy random state) "
         "bypasses the seeded RngStream discipline"
@@ -117,7 +108,7 @@ class AmbientRandomnessChecker(Checker):
         "MT19937",
     }
 
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         aliases = _import_map(module.tree)
         numpy_aliases = {a for a, t in aliases.items() if t == "numpy"}
         np_random_aliases = {
@@ -181,7 +172,6 @@ class WallClockChecker(Checker):
 
     rule_id = "D102"
     family = "D1"
-    severity = Severity.ERROR
     description = (
         "wall-clock reads (time.time, datetime.now, ...) make rollouts "
         "irreproducible; simulated time lives on the event loop"
@@ -197,7 +187,7 @@ class WallClockChecker(Checker):
     }
     _DATETIME_FUNCS = {"now", "utcnow", "today"}
 
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         aliases = _import_map(module.tree)
         time_aliases = {a for a, t in aliases.items() if t == "time"}
         datetime_like = {
@@ -253,14 +243,13 @@ class SeedFallbackChecker(Checker):
 
     rule_id = "D201"
     family = "D2"
-    severity = Severity.ERROR
     description = (
         "RngStream constructed from a literal SeedSequence seed; callers "
         "must pass a stream forked from the experiment seed (or use "
         "repro.utils.rng.fallback_stream, which warns)"
     )
 
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -297,13 +286,12 @@ class FloatEqualityChecker(Checker):
 
     rule_id = "S101"
     family = "S1"
-    severity = Severity.ERROR
     description = (
         "== / != against a float literal; use "
         "repro.utils.validation.isclose_zero or math.isclose"
     )
 
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -327,7 +315,6 @@ class MutableDefaultChecker(Checker):
 
     rule_id = "S102"
     family = "S1"
-    severity = Severity.ERROR
     description = (
         "mutable default argument (list/dict/set) is shared across calls; "
         "default to None and construct inside the function"
@@ -343,7 +330,7 @@ class MutableDefaultChecker(Checker):
             return node.func.id in self._MUTABLE_CALLS
         return False
 
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -364,13 +351,12 @@ class AssertChecker(Checker):
 
     rule_id = "S103"
     family = "S1"
-    severity = Severity.ERROR
     description = (
         "asserts vanish under `python -O`; budget/constraint/invariant "
         "checks must use repro.utils.validation (e.g. require())"
     )
 
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Assert):
                 yield self.finding(
@@ -379,175 +365,6 @@ class AssertChecker(Checker):
                     "`python -O`; raise via repro.utils.validation "
                     "(require/check_*) instead",
                 )
-
-
-class ApiConsistencyChecker(Checker):
-    """A101/A102/A103: ``__all__`` and re-export hygiene in packages.
-
-    This checker owns the whole A1 family and labels each finding with the
-    matching sub-rule id instead of a single ``rule_id``.
-    """
-
-    rule_id = "A101"
-    family = "A1"
-    severity = Severity.ERROR
-    description = (
-        "package __init__ exports must resolve (A101), carry docstrings "
-        "(A102) and be listed in __all__ (A103)"
-    )
-
-    _MAX_CHAIN = 8
-
-    def _finding(
-        self,
-        module: ModuleInfo,
-        node: ast.AST,
-        rule: str,
-        severity: Severity,
-        message: str,
-    ) -> Finding:
-        return Finding(
-            path=module.display_path,
-            line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0) + 1,
-            rule=rule,
-            severity=severity,
-            message=message,
-            family=self.family,
-        )
-
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
-        if not module.is_package_init:
-            return
-        bindings = _top_level_bindings(module.tree)
-        all_node, all_names = _parse_all(module.tree)
-        if all_node is None:
-            return
-
-        for name in all_names:
-            if name not in bindings:
-                yield self._finding(
-                    module, all_node, "A101", Severity.ERROR,
-                    f"`{name}` is listed in __all__ but is neither defined "
-                    "nor imported in this module",
-                )
-                continue
-            origin = _resolve_export(
-                project, module, name, self._MAX_CHAIN
-            )
-            if origin is None:
-                yield self._finding(
-                    module, bindings[name], "A101", Severity.ERROR,
-                    f"re-export `{name}` does not resolve to a definition "
-                    "in its source module",
-                )
-            else:
-                target_module, target_node = origin
-                if (
-                    isinstance(
-                        target_node,
-                        (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                    )
-                    and ast.get_docstring(target_node) is None
-                ):
-                    yield self._finding(
-                        module, bindings[name], "A102", Severity.WARNING,
-                        f"re-exported symbol `{name}` "
-                        f"({target_module.module}.{name}) has no docstring",
-                    )
-
-        exported = set(all_names)
-        for name, node in bindings.items():
-            if name.startswith("_") or name in exported:
-                continue
-            if isinstance(node, (ast.ImportFrom, ast.FunctionDef,
-                                 ast.AsyncFunctionDef, ast.ClassDef)):
-                yield self._finding(
-                    module, node, "A103", Severity.WARNING,
-                    f"public symbol `{name}` in a package __init__ is not "
-                    "listed in __all__; export it or rename with a leading "
-                    "underscore",
-                )
-
-
-def _parse_all(
-    tree: ast.Module,
-) -> Tuple[Optional[ast.AST], List[str]]:
-    """Find the ``__all__`` assignment and its string entries."""
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == "__all__"
-            for t in node.targets
-        ):
-            continue
-        if isinstance(node.value, (ast.List, ast.Tuple)):
-            names = [
-                e.value
-                for e in node.value.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            ]
-            return node, names
-        return node, []
-    return None, []
-
-
-def _resolve_import_module(module: ModuleInfo, node: ast.ImportFrom) -> str:
-    """Absolute dotted module an ImportFrom pulls from."""
-    if node.level == 0:
-        return node.module or ""
-    # Relative import: resolve against this module's package.
-    package_parts = module.module.split(".") if module.module else []
-    if not module.is_package_init and package_parts:
-        package_parts = package_parts[:-1]
-    up = node.level - 1
-    if up:
-        package_parts = package_parts[: len(package_parts) - up]
-    if node.module:
-        package_parts = package_parts + node.module.split(".")
-    return ".".join(package_parts)
-
-
-def _resolve_export(
-    project: Project,
-    module: ModuleInfo,
-    name: str,
-    depth: int,
-) -> Optional[Tuple[ModuleInfo, ast.AST]]:
-    """Follow ``from x import name`` chains to the defining node.
-
-    Returns ``(module, node)`` at the definition, or ``(module, node)`` at
-    the last project-internal hop when the chain leaves the analysed tree
-    (external dependency — treated as resolved).  Returns ``None`` when the
-    chain dead-ends inside the project.
-    """
-    current = module
-    for _ in range(depth):
-        bindings = _top_level_bindings(current.tree)
-        node = bindings.get(name)
-        if node is None:
-            return None
-        if not isinstance(node, ast.ImportFrom):
-            return current, node
-        # Find the original (pre-alias) name for this hop.
-        source_name = name
-        for alias in node.names:
-            if (alias.asname or alias.name) == name:
-                source_name = alias.name
-                break
-        target = _resolve_import_module(current, node)
-        target_module = project.resolve_module(target)
-        if target_module is None:
-            # Maybe `from pkg import submodule` where submodule is a module.
-            as_module = project.resolve_module(f"{target}.{source_name}")
-            if as_module is not None:
-                return as_module, as_module.tree
-            # External module: accept the re-export as resolved.
-            return current, node
-        current = target_module
-        name = source_name
-    return None
 
 
 def all_checkers() -> List[Checker]:
@@ -559,28 +376,20 @@ def all_checkers() -> List[Checker]:
         FloatEqualityChecker(),
         MutableDefaultChecker(),
         AssertChecker(),
-        ApiConsistencyChecker(),
     ]
 
 
 def all_rule_ids() -> List[str]:
-    """Every rule id the engine can emit, for --list-rules and config."""
+    """Every rule id the engine can emit, for --list-rules and --disable."""
     return [rule for rule, _, _ in rule_table()]
 
 
 def rule_table() -> List[Tuple[str, str, str]]:
     """(rule id, family, description) rows for --list-rules output."""
-    from repro.analysis.crossrules import project_rule_rows
-
-    rows: List[Tuple[str, str, str]] = []
-    for checker in all_checkers():
-        if isinstance(checker, ApiConsistencyChecker):
-            rows.append(("A101", "A1", "__all__ entry or re-export does not resolve"))
-            rows.append(("A102", "A1", "re-exported symbol lacks a docstring"))
-            rows.append(("A103", "A1", "public __init__ symbol missing from __all__"))
-        else:
-            rows.append((checker.rule_id, checker.family, checker.description))
-    rows.extend(project_rule_rows())
+    rows = [
+        (checker.rule_id, checker.family, checker.description)
+        for checker in all_checkers()
+    ]
     rows.append(("P001", "P", "file could not be parsed (syntax error)"))
     rows.append((
         "U101", "U1",

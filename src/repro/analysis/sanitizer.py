@@ -1,9 +1,9 @@
 """Runtime sanitizer: contracts asserted on the *running* program.
 
-The static pass proves properties about call sites it can resolve; this
-module checks what only the running program can show:
+The static pass sees one file at a time; this module checks what only
+the running program can show:
 
-- **Fork-label provenance** (static R101): while active, forking the
+- **Fork-label provenance**: while active, forking the
   same label twice from the same parent :class:`~repro.utils.rng.RngStream`
   instance raises :class:`SanitizerError` — two live streams would share
   one hierarchical name, making traces unattributable.  A process-wide
@@ -13,14 +13,14 @@ module checks what only the running program can show:
   :func:`repro.telemetry.records.validate_record` before it reaches the
   sink, so schema drift fails at the emitting call site.  This is the
   only emit-schema check: there is no static twin.
-- **Batch-pair contracts** (static N1): while active, every call
+- **Batch-pair contracts**: while active, every call
   through a function registered with
   :func:`repro.utils.batchpairs.batched_pair` is routed through a guard
   that (a) rejects mixed float32/float64 array arguments, (b) pins the
   floating dtype of the result per pair — silent promotion between calls
   raises, and (c) hashes every array argument before and after the call,
   so in-place mutation leaking across the registered boundary fails at
-  the exact call site the static N103 pass could not prove.
+  the exact call site.
 
 Activation is explicit and reversible::
 
@@ -34,7 +34,7 @@ The test suite activates it per-test via an autouse fixture when
 dedicated matrix entry.  Runtime imports (``repro.utils.rng``,
 ``repro.telemetry``) happen inside :func:`activate`, keeping
 ``repro.analysis`` import-free of runtime packages for the static path —
-the layering rule the L1 family enforces.
+the layering that ``tests/test_layering.py`` enforces.
 """
 
 from __future__ import annotations
@@ -154,8 +154,7 @@ def activate() -> None:
             raise SanitizerError(
                 f"fork-label collision: stream {self.name!r} already "
                 f"forked label {label!r}; the second child would share "
-                f"the name {self.name!r}/{label!r} — qualify the label "
-                "(static rule R101 catches the constant-label cases)"
+                f"the name {self.name!r}/{label!r} — qualify the label"
             )
         seen.add(label)
         child = original_fork(self, label)
@@ -203,8 +202,8 @@ def activate() -> None:
             raise SanitizerError(
                 f"batch-pair dtype mix: {pair.batch_qualname} received "
                 f"arrays of {sorted(float_dtypes)}; arithmetic between "
-                "them promotes silently (static rule N101 catches the "
-                "constant cases) — align the dtypes before the call"
+                "them promotes silently — align the dtypes before the "
+                "call"
             )
         before = [(label, array_fingerprint(a)) for label, a in arrays]
         result = fn(*args, **kwargs)
@@ -215,8 +214,7 @@ def activate() -> None:
                     f"batch-pair mutation: {pair.batch_qualname} "
                     f"modified array argument `{label}` in place; the "
                     "caller's data changed across the registered "
-                    "boundary (static rule N103 catches the provable "
-                    "cases) — operate on a copy"
+                    "boundary — operate on a copy"
                 )
         if isinstance(result, np.ndarray) and np.issubdtype(
             result.dtype, np.floating

@@ -93,7 +93,7 @@ class Tracer:
             return
         loop = self._loop
         # Stamping the caller's dict is the contract (see above).
-        record["t"] = (  # reprolint: disable=N103
+        record["t"] = (
             float(loop._now) if loop is not None else self.now()
         )
         self.sink.write(record)

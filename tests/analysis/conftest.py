@@ -1,7 +1,7 @@
 """Shared helpers for the reprolint tests.
 
 Rules are exercised on synthetic source written into ``tmp_path``; the
-helpers below hide the engine plumbing so each test states only the code
+helper below hides the engine plumbing so each test states only the code
 under analysis and the rule ids it expects.
 """
 
@@ -9,35 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.config import LintConfig
 from repro.analysis.engine import run_analysis
 
 
 @pytest.fixture
-def lint(tmp_path):
+def lint(tmp_path, monkeypatch):
     """Lint one synthetic module; returns the list of findings."""
+    monkeypatch.chdir(tmp_path)
 
-    def _lint(code, filename="sample.py", **config_kwargs):
+    def _lint(code, filename="sample.py"):
         path = tmp_path / filename
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(code, encoding="utf-8")
-        config = LintConfig(root=tmp_path, **config_kwargs)
-        return run_analysis([path], config=config).findings
-
-    return _lint
-
-
-@pytest.fixture
-def lint_package(tmp_path):
-    """Lint a synthetic package given ``{relative_path: source}``."""
-
-    def _lint(files, **config_kwargs):
-        for rel, code in files.items():
-            path = tmp_path / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(code, encoding="utf-8")
-        config = LintConfig(root=tmp_path, **config_kwargs)
-        return run_analysis([tmp_path], config=config).findings
+        return run_analysis([path]).findings
 
     return _lint
 

@@ -1,4 +1,4 @@
-"""The runtime sanitizer: dynamic twin of the static R1/T1 families.
+"""The runtime sanitizer: contracts asserted on the running program.
 
 Checks activation/deactivation hygiene (the patches must always come
 off), fork-label collision detection, emit-schema validation, and the
@@ -205,20 +205,20 @@ class TestBatchPairGuard:
         with sanitized():
             with pytest.raises(SanitizerError, match="dtype mix"):
                 _scale_batch(
-                    np.arange(3, dtype=np.float32),  # reprolint: disable=N101
+                    np.arange(3, dtype=np.float32),
                     np.zeros(1, dtype=np.float64),
                 )
 
     def test_result_dtype_drift_raises(self):
         # The mix is the point: this fixture provokes the guard.
-        xs32 = np.arange(3, dtype=np.float32)  # reprolint: disable=N101
+        xs32 = np.arange(3, dtype=np.float32)
         with sanitized():
             _scale_batch(xs32, False)  # pins float32 for the key
             with pytest.raises(SanitizerError, match="dtype drift"):
                 _scale_batch(xs32, True)
 
     def test_dtype_pin_resets_between_scopes(self):
-        xs32 = np.arange(3, dtype=np.float32)  # reprolint: disable=N101
+        xs32 = np.arange(3, dtype=np.float32)
         with sanitized():
             _scale_batch(xs32, False)
         with sanitized():

@@ -193,11 +193,8 @@ class ReferenceRefinedModel(RefinedModel):
 
 
 # --- The collection worker ---------------------------------------------------
-# run_collect_episode below is verbatim but for one name: its local stream
-# is ``episode_rng``, because reprolint's R101 groups fork labels by the
-# receiver's name and would pair these forks with the production worker's.
-# The names defined here make it resolve to the serial actor, noise and env
-# mapping.
+# run_collect_episode below is verbatim.  The names defined here make it
+# resolve to the serial actor, noise and env mapping.
 
 
 class ReferenceMicroserviceEnv(MicroserviceEnv):
@@ -249,12 +246,12 @@ def run_collect_episode(spec: Dict) -> Dict:
     env = EnvSpec(spec["env_factory"], spec["env_params"]).build(
         seed=spec["env_seed"]
     )
-    episode_rng = RngStream(
+    rng = RngStream(
         f"collect/lane{spec['lane']}/ep{spec['episode']}",
         np.random.SeedSequence(spec["seed"]),
     )
     payload = spec["policy"]
-    actor = _actor_from_payload(payload, episode_rng.fork("actor-init"))
+    actor = _actor_from_payload(payload, rng.fork("actor-init"))
 
     exploration = payload["exploration"]
     network = None
@@ -264,7 +261,7 @@ def run_collect_episode(spec: Dict) -> Dict:
         # boundaries too); sigma is the learner's snapshot — adaptation
         # stays on the learner side, where the replay buffer lives.
         flat = actor.network.get_flat()
-        noisy = flat + episode_rng.fork("perturb").normal(
+        noisy = flat + rng.fork("perturb").normal(
             0.0, payload["param_noise_sigma"], size=flat.shape
         )
         network = actor.network.clone()
@@ -278,9 +275,9 @@ def run_collect_episode(spec: Dict) -> Dict:
 
     env.reset()
     state = env.inject_random_burst(
-        episode_rng.fork("burst"), spec["burst_probability"], spec["burst_scale"]
+        rng.fork("burst"), spec["burst_probability"], spec["burst_scale"]
     )
-    explore_rng = episode_rng.fork("explore")
+    explore_rng = rng.fork("explore")
     steps = spec["steps"]
     random_fraction = spec["random_fraction"]
     action_dim = payload["action_dim"]

@@ -1,33 +1,70 @@
-"""Public-API surface tests: everything advertised in __all__ resolves."""
+"""Public-API surface tests: everything advertised in __all__ resolves,
+is documented, and every public name a package binds is advertised."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.nn",
-    "repro.sim",
-    "repro.workflows",
-    "repro.workload",
-    "repro.rl",
-    "repro.core",
-    "repro.baselines",
-    "repro.eval",
-    "repro.utils",
-    "repro.telemetry",
-]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: ``repro`` and every package under it.
+PACKAGES = ["repro"] + sorted(
+    f"repro.{init.parent.name}" for init in (SRC / "repro").glob("*/__init__.py")
+)
+
+
+def broken_exports(package):
+    """``__all__`` entries the package does not provide."""
+    return [name for name in package.__all__ if not hasattr(package, name)]
+
+
+def undocumented_exports(package):
+    """Exported callables without a docstring."""
+    return [
+        name for name in package.__all__
+        if callable(getattr(package, name, None))
+        and not (getattr(package, name).__doc__ or "").strip()
+    ]
+
+
+def unexported_public_names(init_path):
+    """Public names an ``__init__.py`` defines or imports from a module
+    at top level but leaves out of ``__all__``."""
+    tree = ast.parse(init_path.read_text(encoding="utf-8"))
+    exported, bound = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.ImportFrom, ast.If, ast.Try)):
+            bound.update(
+                alias.asname or alias.name
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.ImportFrom) and sub.module != "__future__"
+                for alias in sub.names
+            )
+    return sorted(n for n in bound - exported
+                  if n.isidentifier() and not n.startswith("_"))
+
+
+def init_path(package_name):
+    return SRC.joinpath(*package_name.split("."), "__init__.py")
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
 def test_all_exports_resolve(package_name):
     package = importlib.import_module(package_name)
     assert hasattr(package, "__all__"), f"{package_name} lacks __all__"
-    for name in package.__all__:
-        assert hasattr(package, name), f"{package_name}.{name} missing"
+    assert broken_exports(package) == []
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
@@ -39,14 +76,40 @@ def test_packages_have_docstrings(package_name):
 def test_public_classes_have_docstrings():
     """Every public class and function exported at package level is
     documented."""
-    undocumented = []
-    for package_name in PACKAGES:
-        package = importlib.import_module(package_name)
-        for name in package.__all__:
-            obj = getattr(package, name)
-            if callable(obj) and not (obj.__doc__ or "").strip():
-                undocumented.append(f"{package_name}.{name}")
+    undocumented = [
+        f"{package_name}.{name}"
+        for package_name in PACKAGES
+        for name in undocumented_exports(importlib.import_module(package_name))
+    ]
     assert not undocumented, undocumented
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+def test_public_names_are_exported(package_name):
+    assert unexported_public_names(init_path(package_name)) == []
+
+
+def test_each_check_catches_its_case(tmp_path, monkeypatch):
+    package = tmp_path / "leaky"
+    package.mkdir()
+    (package / "impl.py").write_text(
+        "def bare():\n    pass\n\n\n"
+        "def kept():\n    \"\"\"Documented.\"\"\"\n"
+    )
+    (package / "__init__.py").write_text(
+        '"""A package with one broken export of each kind."""\n'
+        "from leaky.impl import bare, kept\n"
+        '__all__ = ["bare", "ghost"]\n'
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        leaky = importlib.import_module("leaky")
+        assert broken_exports(leaky) == ["ghost"]
+        assert undocumented_exports(leaky) == ["bare"]
+        assert unexported_public_names(package / "__init__.py") == ["kept"]
+    finally:
+        for name in ("leaky", "leaky.impl"):
+            sys.modules.pop(name, None)
 
 
 def test_version():
