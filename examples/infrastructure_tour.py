@@ -55,9 +55,9 @@ def main():
     # --- Kill semantics: scale a busy service to zero ---------------------
     print("\nScaling Preprocess to zero mid-flight (kill mode):")
     preprocess = system.microservices["Preprocess"]
-    before = preprocess.queue.redelivered_total
+    before = preprocess.redelivered_total
     system.apply_allocation([4, 0, 5, 5])
-    redelivered = preprocess.queue.redelivered_total - before
+    redelivered = preprocess.redelivered_total - before
     print(f"  {redelivered} in-flight request(s) nacked and redelivered "
           f"(none lost)")
 

@@ -21,8 +21,8 @@ for the full reference):
 :mod:`repro.analysis.sanitizer` checks what only the running program
 shows: activated via ``REPRO_SANITIZE=1`` (or
 :func:`~repro.analysis.sanitizer.sanitized`), it asserts fork-label
-uniqueness per parent stream, record-schema validity against
-``RECORD_SCHEMAS`` and the batch-pair contracts.
+uniqueness per parent stream and record-schema validity against
+``RECORD_SCHEMAS``.
 
 Run the static pass with ``python -m repro.analysis`` or ``repro lint``.
 Findings can be suppressed inline with ``# reprolint: disable=RULE`` or

@@ -13,14 +13,6 @@ the running program can show:
   :func:`repro.telemetry.records.validate_record` before it reaches the
   sink, so schema drift fails at the emitting call site.  This is the
   only emit-schema check: there is no static twin.
-- **Batch-pair contracts**: while active, every call
-  through a function registered with
-  :func:`repro.utils.batchpairs.batched_pair` is routed through a guard
-  that (a) rejects mixed float32/float64 array arguments, (b) pins the
-  floating dtype of the result per pair — silent promotion between calls
-  raises, and (c) hashes every array argument before and after the call,
-  so in-place mutation leaking across the registered boundary fails at
-  the exact call site.
 
 Activation is explicit and reversible::
 
@@ -81,11 +73,6 @@ class SanitizerState:
         self.records_validated: int = 0
         #: Collisions/violations raised while active (for reporting).
         self.violations: int = 0
-        #: Guarded batch-pair calls while active, by BatchPair.key.
-        self.pair_calls: Counter = Counter()
-        #: BatchPair.key -> floating result dtype pinned by the first
-        #: guarded call; later drift raises.
-        self.pair_dtypes: dict = {}
         #: Streams whose per-instance label registry we populated, so
         #: reset() can clear them (weakrefs: never prolong lifetimes).
         self._touched: List[weakref.ref] = []
@@ -94,8 +81,6 @@ class SanitizerState:
         self.fork_names.clear()
         self.records_validated = 0
         self.violations = 0
-        self.pair_calls.clear()
-        self.pair_dtypes.clear()
         for ref in self._touched:
             stream = ref()
             if stream is not None and hasattr(stream, _FORKED_ATTR):
@@ -126,13 +111,8 @@ def activate() -> None:
     if is_active():
         return
 
-    import hashlib
-
-    import numpy as np
-
     from repro.telemetry.records import validate_record
     from repro.telemetry.tracer import Tracer
-    from repro.utils import batchpairs
     from repro.utils.rng import RngStream
 
     state.reset()
@@ -175,67 +155,8 @@ def activate() -> None:
             state.records_validated += 1
         return original_write(self, record)
 
-    def array_fingerprint(value):
-        """(dtype, shape, content hash) for ndarrays; None otherwise."""
-        if not isinstance(value, np.ndarray):
-            return None
-        digest = hashlib.blake2b(
-            np.ascontiguousarray(value).tobytes(), digest_size=16
-        ).hexdigest()
-        return str(value.dtype), value.shape, digest
-
-    def batch_pair_guard(pair, fn, args, kwargs):
-        arrays = [
-            (label, value)
-            for label, value in (
-                [(f"arg{i}", a) for i, a in enumerate(args)]
-                + sorted(kwargs.items())
-            )
-            if isinstance(value, np.ndarray)
-        ]
-        float_dtypes = {
-            str(a.dtype) for _, a in arrays
-            if np.issubdtype(a.dtype, np.floating)
-        }
-        if len(float_dtypes) > 1:
-            state.violations += 1
-            raise SanitizerError(
-                f"batch-pair dtype mix: {pair.batch_qualname} received "
-                f"arrays of {sorted(float_dtypes)}; arithmetic between "
-                "them promotes silently — align the dtypes before the "
-                "call"
-            )
-        before = [(label, array_fingerprint(a)) for label, a in arrays]
-        result = fn(*args, **kwargs)
-        for (label, prior), (_, value) in zip(before, arrays):
-            if array_fingerprint(value) != prior:
-                state.violations += 1
-                raise SanitizerError(
-                    f"batch-pair mutation: {pair.batch_qualname} "
-                    f"modified array argument `{label}` in place; the "
-                    "caller's data changed across the registered "
-                    "boundary — operate on a copy"
-                )
-        if isinstance(result, np.ndarray) and np.issubdtype(
-            result.dtype, np.floating
-        ):
-            pinned = state.pair_dtypes.setdefault(
-                pair.key, str(result.dtype)
-            )
-            if str(result.dtype) != pinned:
-                state.violations += 1
-                raise SanitizerError(
-                    f"batch-pair dtype drift: {pair.batch_qualname} "
-                    f"returned {result.dtype} after earlier calls "
-                    f"returned {pinned}; the serial/batch equivalence "
-                    "contract assumes a stable dtype"
-                )
-        state.pair_calls[pair.key] += 1
-        return result
-
     RngStream.fork = checked_fork
     Tracer.write = checked_write
-    batchpairs.set_runtime_guard(batch_pair_guard)
 
 
 def deactivate() -> None:
@@ -245,12 +166,10 @@ def deactivate() -> None:
         return
 
     from repro.telemetry.tracer import Tracer
-    from repro.utils import batchpairs
     from repro.utils.rng import RngStream
 
     RngStream.fork = _original_fork
     Tracer.write = _original_write
-    batchpairs.clear_runtime_guard()
     _original_fork = None
     _original_write = None
 

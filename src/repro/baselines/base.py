@@ -132,7 +132,6 @@ class Allocator(ABC):
 
     def bind(self, env: MicroserviceEnv) -> None:
         """Attach to the environment this allocator will control."""
-        self._env = env
         self.num_services = env.action_dim
         self.budget = env.consumer_budget
         self._on_bind(env)

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset(train)
     train.add_argument("--scale", choices=("fast", "paper"), default="fast")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--iterations", type=int, default=None,
+    train.add_argument("--iterations", type=_count, default=None,
                        help="override the preset's iteration count")
     train.add_argument(
         "--rollout-batch", type=int, default=None,
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="burst scenario index for --mode simulate")
     trace.add_argument("--steps", type=int, default=30,
                        help="control windows for --mode simulate")
-    trace.add_argument("--iterations", type=int, default=1,
+    trace.add_argument("--iterations", type=_count, default=1,
                        help="Algorithm 2 iterations for --mode train")
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--output", required=True,
@@ -182,6 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+def _count(text: str) -> int:
+    """An explicit count: 0 or less is an error, not "the preset's"."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_dataset(parser: argparse.ArgumentParser) -> None:

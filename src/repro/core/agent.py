@@ -380,7 +380,10 @@ class MirasAgent:
         workflow types), so iteration-to-iteration scores are comparable
         and reflect burst handling, not just steady-state behaviour.
         """
-        steps = steps or self.config.eval_steps
+        if steps is None:
+            steps = self.config.eval_steps
+        elif steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
         self.env.reset()
         state = self.env.inject_even_burst(self.config.eval_burst_scale)
         total_reward = 0.0
@@ -417,7 +420,10 @@ class MirasAgent:
         restored at the end, so a noisy late iteration cannot destroy an
         already-good policy.
         """
-        iterations = iterations or self.config.iterations
+        if iterations is None:
+            iterations = self.config.iterations
+        elif iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {iterations}")
         best_reward = max(
             (r.eval_reward for r in self.results), default=-np.inf
         )

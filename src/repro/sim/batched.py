@@ -219,12 +219,11 @@ class BatchedInvoker:
         table = self.table
         pool = self.pool
         now = self.loop.now
-        wfi = pool.add_workflow(w, now, table.size[w], table.pred_counts[w])
+        wfi = pool.add_workflows(1, w, now, table.size[w], table.pred_counts[w])
         self.submitted_total += 1
         self.tds.account_reads(1)  # entry-tasks query
         for _local, g in table.entries[w]:
-            ti = pool.add_task(g, wfi, now)
-            self.services[g].publish(ti)
+            self.services[g].publish_many(pool.add_tasks([g], [wfi], now))
         return wfi
 
     # Completion routing ------------------------------------------------------
@@ -249,8 +248,9 @@ class BatchedInvoker:
             remaining = int(pool.wf_pred_remaining[wfi, s_local]) - 1
             pool.wf_pred_remaining[wfi, s_local] = remaining
             if remaining == 0:
-                ti = pool.add_task(s_g, wfi, self.loop.now)
-                self.services[s_g].publish(ti)
+                self.services[s_g].publish_many(
+                    pool.add_tasks([s_g], [wfi], self.loop.now)
+                )
             elif remaining < 0:  # pragma: no cover - double-completion guard
                 raise RuntimeError(
                     f"AND-join counter underflow for workflow request {wfi}"
@@ -357,6 +357,13 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         self.loop.schedule_arrival(
             stream.prefetch.exponential(stream.scale), len(self._arrivals) - 1
         )
+
+    def rng_streams(self) -> Tuple[Dict[str, RngStream], List[RngStream]]:
+        """As the serial method, each arrival stream's unconsumed
+        prefetch handed back first."""
+        for stream in self._arrivals:
+            stream.prefetch.sync()
+        return super().rng_streams()
 
     def _execute_arrival(self, index: int) -> None:
         stream = self._arrivals[index]
@@ -571,7 +578,7 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         span = end - start
 
         def expected(ms: BatchedMicroservice) -> float:
-            backlog = len(ms.fifo) + ms.unacked
+            backlog = ms.wip
             working = min(len(ms.order) + len(ms.draining), backlog)
             return min(
                 backlog, working * span / ms.task_type.mean_service_time
@@ -769,7 +776,7 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         the slice or parks past ``end``; on an empty queue it goes idle,
         and a draining slot stops.  A publish that finds a slot idle is
         dispatched at its own timestamp to the lowest one — exactly what
-        ``on_finished`` / ``on_ready`` / ``publish`` do event by event.
+        ``on_finished`` / ``on_ready`` / ``publish_many`` do event by event.
         """
         fixed = ms._fixed_service
         draw, mu, sigma = ms.prefetch.lognormal, ms._mu, ms._sigma
@@ -1064,7 +1071,7 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
             tasks = popped.tolist()
             ms.fifo.consume(chain.pops)
             completed = chain.times.size
-            ms.unacked += chain.pops - completed
+            ms.unacked_count += chain.pops - completed
             ms.acked_total += completed
             ms.tasks_completed += completed
             ms._idle_heap = chain.idle

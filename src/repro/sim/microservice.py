@@ -29,8 +29,11 @@ dispatch hands the oldest ready message to a consumer under a fresh
 delivery tag, keeping it *unacked*.  A finish acks it, and it leaves for
 good.  A consumer killed mid-processing nacks it instead, which requeues
 it at the **front**, so redelivery preserves ordering.  WIP ("work-in-
-progress", the paper's state signal) is ready + unacked; ``ms.queue`` is
-a read-only view of those counts.
+progress", the paper's state signal) is ready + unacked.  Both
+microservice classes carry the same read members: the lifetime totals
+``published_total`` / ``acked_total`` / ``redelivered_total``, the
+counts ``ready_count`` / ``unacked_count`` / ``wip`` and
+``conservation_ok()``.
 """
 
 from __future__ import annotations
@@ -48,14 +51,11 @@ from repro.sim.queueing import DeliveryTag, IndexFifo, QueueError
 from repro.sim.requests import RequestPool, TaskRequest
 from repro.sim.substrate import PrefetchStream
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.utils.batchpairs import batched_pair
 from repro.utils.rng import RngStream
 from repro.utils.validation import require
 from repro.workflows.dag import TaskType
 
-__all__ = [
-    "Microservice", "QueueView", "BatchedMicroservice", "BatchedQueueView",
-]
+__all__ = ["Microservice", "BatchedMicroservice"]
 
 #: Called with (task_request, completion_time) when a task finishes.
 TaskCompletionCallback = Callable[[TaskRequest, float], None]
@@ -142,7 +142,6 @@ class Microservice:
         self.published_total = 0
         self.acked_total = 0
         self.redelivered_total = 0
-        self.queue = QueueView(self)
         self.consumers: List[Consumer] = []
         self._idle: List[Tuple[int, Consumer]] = []
         self._starting: List[Tuple[int, Consumer]] = []
@@ -466,121 +465,56 @@ class Microservice:
     def starting_consumers(self) -> int:
         return sum(1 for c in self.consumers if c.state is ConsumerState.STARTING)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Microservice({self.name!r}, consumers={self.allocated}, "
-            f"wip={self.wip})"
-        )
-
-
-class QueueView:
-    """Read-only counts of a :class:`Microservice`'s queue: ``ms.queue``.
-
-    What the system's window accounting, the conservation checks and the
-    tests read, the same surface as :class:`BatchedQueueView` on the
-    batched substrate.
-    """
-
-    __slots__ = ("_ms",)
-
-    def __init__(self, ms: Microservice):
-        self._ms = ms
-
-    @property
-    def published_total(self) -> int:
-        return self._ms.published_total
-
-    @property
-    def acked_total(self) -> int:
-        return self._ms.acked_total
-
-    @property
-    def redelivered_total(self) -> int:
-        return self._ms.redelivered_total
-
     @property
     def ready_count(self) -> int:
         """Messages waiting in the queue."""
-        return len(self._ms._ready)
+        return len(self._ready)
 
     @property
     def unacked_count(self) -> int:
         """Messages delivered to a consumer but not yet settled."""
-        return len(self._ms._unacked)
-
-    @property
-    def depth(self) -> int:
-        """Work-in-progress: waiting + being processed (the paper's w_j)."""
-        return self._ms.wip
+        return len(self._unacked)
 
     def conservation_ok(self) -> bool:
         """published == acked + ready + unacked (no message ever lost)."""
-        ms = self._ms
-        return ms.published_total == ms.acked_total + ms.wip
+        return self.published_total == self.acked_total + self.wip
+
+    def snapshot_rows(self) -> Tuple[list, list, list]:
+        """``(ready, consumers, draining)`` rows of
+        :func:`repro.sim.substrate.substrate_snapshot`, each task keyed
+        by its workflow's request id."""
+
+        def task(request: TaskRequest) -> tuple:
+            return (
+                request.workflow.request_id, float(request.published_at),
+                int(request.deliveries), float(request.wasted_work),
+            )
+
+        def in_service(c: Consumer) -> tuple:
+            return task(c.current_request) + (float(c.processing_started_at),)
+
+        consumers = [
+            {
+                "slot": c.trace_id,
+                "state": c.state.value,
+                "created_at": float(c.created_at),
+                "node": c.node.node_id,
+                "tasks_completed": c.tasks_completed,
+                "busy_time": float(c.busy_time),
+                "task": None if c.current_request is None else in_service(c),
+            }
+            for c in self.consumers
+        ]
+        draining = [
+            {"slot": c.trace_id, "node": c.node.node_id, "task": in_service(c)}
+            for c in self.draining
+        ]
+        return [task(r) for r in self._ready], consumers, draining
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"QueueView({self._ms.name!r}, ready={self.ready_count}, "
-            f"unacked={self.unacked_count})"
-        )
-
-
-class BatchedQueueView:
-    """:class:`QueueView` of a :class:`BatchedMicroservice`.
-
-    The batched microservice keeps its queue as an :class:`IndexFifo`
-    plus plain counters; this view exposes the same read-only surface
-    (``published_total``, ``depth``, ``conservation_ok()``, ...) so code
-    written against ``ms.queue`` — the system's window accounting,
-    conservation checks and tests — works on either substrate.
-    """
-
-    __slots__ = ("_ms",)
-
-    def __init__(self, ms: "BatchedMicroservice"):
-        self._ms = ms
-
-    @property
-    def name(self) -> str:
-        return self._ms.name
-
-    @property
-    def published_total(self) -> int:
-        return self._ms.published_total
-
-    @property
-    def acked_total(self) -> int:
-        return self._ms.acked_total
-
-    @property
-    def redelivered_total(self) -> int:
-        return self._ms.redelivered_total
-
-    @property
-    def ready_count(self) -> int:
-        return len(self._ms.fifo)
-
-    @property
-    def unacked_count(self) -> int:
-        return self._ms.unacked
-
-    @property
-    def depth(self) -> int:
-        return len(self._ms.fifo) + self._ms.unacked
-
-    def conservation_ok(self) -> bool:
-        """published == acked + ready + unacked (no message ever lost)."""
-        return self._ms.published_total == (
-            self._ms.acked_total + self.ready_count + self._ms.unacked
-        )
-
-    def __len__(self) -> int:
-        return self.depth
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BatchedQueueView({self.name!r}, ready={self.ready_count}, "
-            f"unacked={self.unacked_count})"
+            f"Microservice({self.name!r}, consumers={self.allocated}, "
+            f"wip={self.wip})"
         )
 
 
@@ -654,11 +588,10 @@ class BatchedMicroservice:
         )
 
         self.fifo = IndexFifo()
-        self.queue = BatchedQueueView(self)
         self.published_total = 0
         self.acked_total = 0
         self.redelivered_total = 0
-        self.unacked = 0
+        self.unacked_count = 0
         # Per-slot consumer tables (index = slot = birth ordinal).
         self.state: List[str] = []
         self.created_at: List[float] = []
@@ -888,35 +821,29 @@ class BatchedMicroservice:
             })
 
     # Queue side ----------------------------------------------------------
-    def publish(self, task: int) -> None:
-        """Enqueue one task index and wake idle consumers."""
-        self.fifo.push(task)
-        self.published_total += 1
-        if self.tracer.enabled:
-            self.tracer.write({
-                "kind": "event.publish", "t": None,
-                "queue": self.name, "depth": self.wip,
-            })
-        self._dispatch()
-
-    @batched_pair("publish")
     def publish_many(self, tasks) -> None:
-        """Enqueue a batch of task indices, then dispatch once.
+        """Enqueue a block of task indices, then dispatch once.
 
         One dispatch pass after a bulk append pairs messages with idle
         consumers in exactly the order per-message publishes would have
-        (oldest message to lowest idle slot, same draw order), so this
-        is publish-for-publish equivalent to the serial loop — except
-        for per-publish trace events, which is why the burst path only
-        takes it when tracing is off.
+        (oldest message to lowest idle slot, same draw order; a dispatch
+        moves a message from ready to unacked, so the depth each publish
+        record carries is unchanged): a single publish is a block of one.
         """
         self.fifo.push_many(tasks)
         self.published_total += len(tasks)
+        if self.tracer.enabled:
+            wip = self.wip
+            for depth in range(wip - len(tasks) + 1, wip + 1):
+                self.tracer.write({
+                    "kind": "event.publish", "t": None,
+                    "queue": self.name, "depth": depth,
+                })
         self._dispatch()
 
     def _nack(self, task: int) -> None:
         """Redeliver an unacked task at the front of the queue."""
-        self.unacked -= 1
+        self.unacked_count -= 1
         self.fifo.push_front(task)
         self.redelivered_total += 1
         if self.tracer.enabled:
@@ -938,7 +865,7 @@ class BatchedMicroservice:
             task = fifo.pop()
             pool.task_deliveries[task] += 1
             pool.task_started_at[task] = loop.now
-            self.unacked += 1
+            self.unacked_count += 1
             self.state[slot] = _BUSY
             if not self._busy_indexed[slot]:
                 self._busy_indexed[slot] = True
@@ -959,7 +886,7 @@ class BatchedMicroservice:
             return  # killed before finishing; nack already handled it
         task = self.current_task[slot]
         require(task >= 0, "finished consumer has no in-flight request")
-        self.unacked -= 1
+        self.unacked_count -= 1
         self.acked_total += 1
         now = self.loop.now
         self.slot_tasks_completed[slot] += 1
@@ -983,7 +910,7 @@ class BatchedMicroservice:
     @property
     def wip(self) -> int:
         """Work-in-progress w_j: queued + in-processing requests."""
-        return len(self.fifo) + self.unacked
+        return len(self.fifo) + self.unacked_count
 
     @property
     def busy_consumers(self) -> int:
@@ -992,6 +919,53 @@ class BatchedMicroservice:
     @property
     def starting_consumers(self) -> int:
         return sum(1 for s in self.order if self.state[s] == _STARTING)
+
+    @property
+    def ready_count(self) -> int:
+        """Messages waiting in the queue."""
+        return len(self.fifo)
+
+    def conservation_ok(self) -> bool:
+        """published == acked + ready + unacked (no message ever lost)."""
+        return self.published_total == self.acked_total + self.wip
+
+    def snapshot_rows(self) -> Tuple[list, list, list]:
+        """``(ready, consumers, draining)`` rows of
+        :func:`repro.sim.substrate.substrate_snapshot`, each task keyed
+        by its pool workflow row; the prefetch stream is synced first,
+        so the generator state it leaves is the serial one."""
+        pool = self.pool
+        self.prefetch.sync()
+
+        def task(t: int) -> tuple:
+            return (
+                int(pool.task_workflow[t]), float(pool.task_published_at[t]),
+                int(pool.task_deliveries[t]), float(pool.task_wasted_work[t]),
+            )
+
+        def in_service(slot: int) -> tuple:
+            return task(self.current_task[slot]) + (
+                float(self.processing_started[slot]),
+            )
+
+        consumers = [
+            {
+                "slot": slot,
+                "state": self.state[slot],
+                "created_at": float(self.created_at[slot]),
+                "node": self.node[slot].node_id,
+                "tasks_completed": int(self.slot_tasks_completed[slot]),
+                "busy_time": float(self.slot_busy_time[slot]),
+                "task": None if self.current_task[slot] < 0 else in_service(slot),
+            }
+            for slot in self.order
+        ]
+        draining = [
+            {"slot": slot, "node": self.node[slot].node_id,
+             "task": in_service(slot)}
+            for slot in self.draining
+        ]
+        return [task(t) for t in self.fifo.to_list()], consumers, draining
 
     def has_idle(self) -> bool:
         """True when at least one consumer is idle right now."""

@@ -18,8 +18,6 @@ from typing import List
 
 import numpy as np
 
-from repro.utils.batchpairs import batched_pair
-
 __all__ = ["DeliveryTag", "QueueError", "IndexFifo"]
 
 DeliveryTag = int
@@ -75,20 +73,9 @@ class IndexFifo:
         self._head = self._FRONT_SLACK
         self._tail = self._FRONT_SLACK + size
 
-    def push(self, value: int) -> None:
-        """Append one index at the tail."""
-        if self._tail == self._buf.size:
-            self._make_room(1)
-        self._buf[self._tail] = value
-        self._tail += 1
-
-    @batched_pair("push")
     def push_many(self, values) -> None:
-        """Append a batch of indices at the tail, in order.
-
-        Row ``k`` of ``values`` lands exactly where ``k`` serial
-        :meth:`push` calls would have put it.
-        """
+        """Append a block of indices at the tail, in order (a single
+        publish passes a block of one)."""
         values = np.asarray(values, dtype=np.int64)
         n = values.size
         if n == 0:

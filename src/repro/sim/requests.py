@@ -14,8 +14,6 @@ from typing import Optional, Set
 
 import numpy as np
 
-from repro.utils.batchpairs import batched_pair
-
 __all__ = ["WorkflowRequest", "TaskRequest", "RequestPool"]
 
 _request_ids = itertools.count()
@@ -180,27 +178,6 @@ class RequestPool:
             setattr(self, name, new)
 
     # Workflow rows ------------------------------------------------------
-    def add_workflow(
-        self,
-        workflow_type: int,
-        arrival_time: float,
-        total_tasks: int,
-        pred_counts: np.ndarray,
-    ) -> int:
-        """Append one workflow row; returns its index (run-local ordinal)."""
-        i = self.num_workflows
-        self._grow_workflows(i + 1)
-        self.wf_type[i] = workflow_type
-        self.wf_arrival[i] = arrival_time
-        self.wf_completion[i] = np.nan
-        self.wf_total_tasks[i] = total_tasks
-        self.wf_done_count[i] = 0
-        self.wf_pred_remaining[i, :pred_counts.size] = pred_counts
-        self.wf_task_done[i, :] = 0
-        self.num_workflows = i + 1
-        return i
-
-    @batched_pair("add_workflow")
     def add_workflows(
         self,
         count: int,
@@ -211,11 +188,10 @@ class RequestPool:
     ) -> int:
         """Append ``count`` workflow rows; returns the first index.
 
-        Row ``k`` matches what the ``k``-th serial :meth:`add_workflow`
-        call would have written.  Burst submissions share their type and
-        arrival time (scalars, one ``pred_counts`` row); a
-        replayed slice's arrivals pass per-row arrays and a
-        ``(count, max_tasks)`` ``pred_counts`` matrix.
+        A submission passes one row, a burst its shared type and arrival
+        time (scalars, one ``pred_counts`` row); a replayed slice's
+        arrivals pass per-row arrays and a ``(count, max_tasks)``
+        ``pred_counts`` matrix.
         """
         first = self.num_workflows
         end = first + count
@@ -231,26 +207,10 @@ class RequestPool:
         return first
 
     # Task rows ----------------------------------------------------------
-    def add_task(
-        self, task_type: int, workflow: int, published_at: float
-    ) -> int:
-        """Append one task row; returns its index."""
-        i = self.num_tasks
-        self._grow_tasks(i + 1)
-        self.task_type[i] = task_type
-        self.task_workflow[i] = workflow
-        self.task_published_at[i] = published_at
-        self.task_deliveries[i] = 0
-        self.task_wasted_work[i] = 0.0
-        self.task_started_at[i] = 0.0
-        self.num_tasks = i + 1
-        return i
-
-    @batched_pair("add_task")
     def add_tasks(self, task_types, workflows, published_at) -> np.ndarray:
-        """Append a batch of task rows; returns their indices in order.
+        """Append a block of task rows; returns their indices in order.
 
-        ``published_at`` is a scalar (burst submission: one shared
+        ``published_at`` is a scalar (a publish or a burst: one shared
         timestamp) or a per-row array (window replay: each successor is
         published at its trigger's completion time).
         """

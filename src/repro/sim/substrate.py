@@ -194,164 +194,41 @@ def substrate_snapshot(system) -> Dict[str, Any]:
     consumers), which is substrate-independent; completed workflows are
     covered by the response-time history and the delay tracker.
 
-    On a batched system the snapshot first ``sync()``s each prefetch
-    stream, normalising unconsumed prefetch so generator states are
-    comparable (semantically a no-op).
+    Each microservice yields its own rows (``snapshot_rows``) and the
+    system its streams (``rng_streams``); the batched classes ``sync()``
+    their prefetch streams there, normalising unconsumed prefetch so
+    generator states are comparable (semantically a no-op).
     """
-    batched = hasattr(system, "pool")
+    named_rngs, arrival_rngs = system.rng_streams()
     referenced: List[int] = []
-    per_ms_raw: Dict[str, Dict[str, Any]] = {}
-
-    if batched:
-        pool = system.pool
-        for stream in system._arrivals:
-            stream.prefetch.sync()
-        for name, ms in system.microservices.items():
-            ready = [
-                (
-                    int(pool.task_workflow[t]),
-                    float(pool.task_published_at[t]),
-                    int(pool.task_deliveries[t]),
-                    float(pool.task_wasted_work[t]),
-                )
-                for t in ms.fifo.to_list()
-            ]
-            consumers = []
-            for slot in ms.order:
-                task = None
-                current = ms.current_task[slot]
-                if current >= 0:
-                    task = (
-                        int(pool.task_workflow[current]),
-                        float(pool.task_published_at[current]),
-                        int(pool.task_deliveries[current]),
-                        float(pool.task_wasted_work[current]),
-                        float(ms.processing_started[slot]),
-                    )
-                consumers.append({
-                    "slot": slot,
-                    "state": ms.state[slot],
-                    "created_at": float(ms.created_at[slot]),
-                    "node": ms.node[slot].node_id,
-                    "tasks_completed": int(ms.slot_tasks_completed[slot]),
-                    "busy_time": float(ms.slot_busy_time[slot]),
-                    "task": task,
-                })
-            draining = []
-            for slot in ms.draining:
-                current = ms.current_task[slot]
-                draining.append({
-                    "slot": slot,
-                    "node": ms.node[slot].node_id,
-                    "task": (
-                        int(pool.task_workflow[current]),
-                        float(pool.task_published_at[current]),
-                        int(pool.task_deliveries[current]),
-                        float(pool.task_wasted_work[current]),
-                        float(ms.processing_started[slot]),
-                    ),
-                })
-            referenced.extend(r[0] for r in ready)
-            referenced.extend(
-                c["task"][0] for c in consumers if c["task"] is not None
-            )
-            referenced.extend(d["task"][0] for d in draining)
-            ms.prefetch.sync()
-            per_ms_raw[name] = {
-                "ready": ready,
-                "consumers": consumers,
-                "draining": draining,
-                "queue": {
-                    "published": ms.published_total,
-                    "acked": ms.acked_total,
-                    "redelivered": ms.redelivered_total,
-                    "ready": len(ms.fifo),
-                    "unacked": ms.unacked,
-                    "conservation_ok": ms.queue.conservation_ok(),
-                },
-                "counters": {
-                    "tasks_completed": ms.tasks_completed,
-                    "killed_busy": ms.consumers_killed_busy,
-                    "killed_starting": ms.consumers_killed_starting,
-                    "started": ms.consumers_started,
-                },
-                "rng_state": _rng_state(ms.rng),
-            }
-    else:
-        state_names = {
-            "starting": "starting", "idle": "idle",
-            "busy": "busy", "stopped": "stopped",
+    microservices: Dict[str, Dict[str, Any]] = {}
+    for name, ms in system.microservices.items():
+        ready, consumers, draining = ms.snapshot_rows()
+        referenced.extend(r[0] for r in ready)
+        referenced.extend(
+            c["task"][0] for c in consumers if c["task"] is not None
+        )
+        referenced.extend(d["task"][0] for d in draining)
+        microservices[name] = {
+            "ready": ready,
+            "consumers": consumers,
+            "draining": draining,
+            "queue": {
+                "published": ms.published_total,
+                "acked": ms.acked_total,
+                "redelivered": ms.redelivered_total,
+                "ready": ms.ready_count,
+                "unacked": ms.unacked_count,
+                "conservation_ok": ms.conservation_ok(),
+            },
+            "counters": {
+                "tasks_completed": ms.tasks_completed,
+                "killed_busy": ms.consumers_killed_busy,
+                "killed_starting": ms.consumers_killed_starting,
+                "started": ms.consumers_started,
+            },
+            "rng_state": _rng_state(ms.rng),
         }
-        for name, ms in system.microservices.items():
-            ready = [
-                (
-                    request.workflow.request_id,
-                    float(request.published_at),
-                    int(request.deliveries),
-                    float(request.wasted_work),
-                )
-                for request in ms._ready
-            ]
-            consumers = []
-            for consumer in ms.consumers:
-                task = None
-                if consumer.current_request is not None:
-                    request = consumer.current_request
-                    task = (
-                        request.workflow.request_id,
-                        float(request.published_at),
-                        int(request.deliveries),
-                        float(request.wasted_work),
-                        float(consumer.processing_started_at),
-                    )
-                consumers.append({
-                    "slot": consumer.trace_id,
-                    "state": state_names[consumer.state.value],
-                    "created_at": float(consumer.created_at),
-                    "node": consumer.node.node_id,
-                    "tasks_completed": consumer.tasks_completed,
-                    "busy_time": float(consumer.busy_time),
-                    "task": task,
-                })
-            draining = []
-            for consumer in ms.draining:
-                request = consumer.current_request
-                draining.append({
-                    "slot": consumer.trace_id,
-                    "node": consumer.node.node_id,
-                    "task": (
-                        request.workflow.request_id,
-                        float(request.published_at),
-                        int(request.deliveries),
-                        float(request.wasted_work),
-                        float(consumer.processing_started_at),
-                    ),
-                })
-            referenced.extend(r[0] for r in ready)
-            referenced.extend(
-                c["task"][0] for c in consumers if c["task"] is not None
-            )
-            referenced.extend(d["task"][0] for d in draining)
-            per_ms_raw[name] = {
-                "ready": ready,
-                "consumers": consumers,
-                "draining": draining,
-                "queue": {
-                    "published": ms.queue.published_total,
-                    "acked": ms.queue.acked_total,
-                    "redelivered": ms.queue.redelivered_total,
-                    "ready": ms.queue.ready_count,
-                    "unacked": ms.queue.unacked_count,
-                    "conservation_ok": ms.queue.conservation_ok(),
-                },
-                "counters": {
-                    "tasks_completed": ms.tasks_completed,
-                    "killed_busy": ms.consumers_killed_busy,
-                    "killed_starting": ms.consumers_killed_starting,
-                    "started": ms.consumers_started,
-                },
-                "rng_state": _rng_state(ms.rng),
-            }
 
     # Substrate-independent ranks for live workflow instances: both
     # substrates reference the same live set in submission order.
@@ -360,21 +237,15 @@ def substrate_snapshot(system) -> Dict[str, Any]:
     def _rerank(row: Tuple) -> Tuple:
         return (rank[row[0]],) + tuple(row[1:])
 
-    microservices: Dict[str, Dict[str, Any]] = {}
-    for name, raw in per_ms_raw.items():
-        microservices[name] = {
-            "ready": [_rerank(r) for r in raw["ready"]],
-            "consumers": [
-                {**c, "task": None if c["task"] is None else _rerank(c["task"])}
-                for c in raw["consumers"]
-            ],
-            "draining": [
-                {**d, "task": _rerank(d["task"])} for d in raw["draining"]
-            ],
-            "queue": raw["queue"],
-            "counters": raw["counters"],
-            "rng_state": raw["rng_state"],
-        }
+    for entry in microservices.values():
+        entry["ready"] = [_rerank(r) for r in entry["ready"]]
+        entry["consumers"] = [
+            {**c, "task": None if c["task"] is None else _rerank(c["task"])}
+            for c in entry["consumers"]
+        ]
+        entry["draining"] = [
+            {**d, "task": _rerank(d["task"])} for d in entry["draining"]
+        ]
 
     return {
         "loop": {
@@ -400,7 +271,7 @@ def substrate_snapshot(system) -> Dict[str, Any]:
         "history": [_observation_dict(o) for o in system.history],
         "rngs": {
             name: _rng_state(stream)
-            for name, stream in sorted(system._rngs.items())
+            for name, stream in sorted(named_rngs.items())
         },
-        "arrival_rngs": [_rng_state(rng) for rng in system._arrival_rngs],
+        "arrival_rngs": [_rng_state(rng) for rng in arrival_rngs],
     }

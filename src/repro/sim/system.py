@@ -65,10 +65,23 @@ class SystemConfig:
     scale_down_mode: str = "drain"
 
     def __post_init__(self):
-        check_positive("window_length", self.window_length)
+        if not 0 < self.window_length < math.inf:
+            raise ValueError(
+                f"window_length must be positive and finite, "
+                f"got {self.window_length!r}"
+            )
         check_positive("consumer_budget", self.consumer_budget)
         check_positive("num_nodes", self.num_nodes)
         check_positive("tds_replicas", self.tds_replicas)
+        for name in ("node_capacity", "drain_consumers_per_service"):
+            value = getattr(self, name)
+            if value is not None and not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        low, high = self.startup_delay_range
+        if not 0 <= low <= high < math.inf:  # a NaN bound fails too
+            raise ValueError(
+                f"bad startup_delay_range {self.startup_delay_range!r}"
+            )
         if self.scale_down_mode not in ("drain", "kill"):
             raise ValueError(
                 f"scale_down_mode must be 'drain' or 'kill', "
@@ -160,7 +173,6 @@ class MicroserviceWorkflowSystem:
         self._window_response_times: List[float] = []
         self._window_response_by_type: Dict[str, List[float]] = {}
         self._window_task_completions: Dict[str, int] = {}
-        self._arrival_callbacks: List[Callable[[WorkflowRequest], None]] = []
         #: Streams registered through :meth:`add_arrival_stream`, in order.
         self._arrival_rngs: List[RngStream] = []
         # Run-local request ids for trace records: the invoker's global
@@ -205,6 +217,11 @@ class MicroserviceWorkflowSystem:
     def workload_rng(self) -> RngStream:
         """Seeded stream for arrival processes attached to this system."""
         return self._rngs["workload"]
+
+    def rng_streams(self) -> Tuple[Dict[str, RngStream], List[RngStream]]:
+        """The system's named streams and the arrival streams registered
+        through :meth:`add_arrival_stream`, each at its serial position."""
+        return self._rngs, self._arrival_rngs
 
     def add_arrival_stream(
         self, process, workflow_type: str, rate: float, rng: RngStream
@@ -354,7 +371,7 @@ class MicroserviceWorkflowSystem:
         wip = [ms.wip for ms in self._services]
         task_publishes = {}
         for name, ms in self.microservices.items():
-            published = ms.queue.published_total
+            published = ms.published_total
             task_publishes[name] = published - self._published_snapshot[name]
             self._published_snapshot[name] = published
         observation = WindowObservation(
@@ -385,7 +402,7 @@ class MicroserviceWorkflowSystem:
                 "allocation": {n: ms.allocated for n, ms in services},
                 "busy": {n: ms.busy_consumers for n, ms in services},
                 "starting": {n: ms.starting_consumers for n, ms in services},
-                "queue_ready": {n: ms.queue.ready_count for n, ms in services},
+                "queue_ready": {n: ms.ready_count for n, ms in services},
                 "arrivals": sum(self._window_arrivals.values()),
                 "completions": sum(self._window_completions.values()),
             })
@@ -438,16 +455,12 @@ class MicroserviceWorkflowSystem:
 
     def _requests_waiting(self) -> bool:
         """True while any microservice queue holds an undelivered request."""
-        return any(
-            ms.queue.ready_count for ms in self.microservices.values()
-        )
+        return any(ms.ready_count for ms in self.microservices.values())
 
     # Conservation / sanity ------------------------------------------------
     def conservation_ok(self) -> bool:
         """No task request lost anywhere in the system."""
-        return all(
-            ms.queue.conservation_ok() for ms in self.microservices.values()
-        )
+        return all(ms.conservation_ok() for ms in self.microservices.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,11 +1,6 @@
-"""Shared utilities: seeded RNG streams, validation and the serial/batch
-pair registry."""
+"""Shared utilities: seeded RNG streams, validation and the process-pool
+map."""
 
-from repro.utils.batchpairs import (
-    BatchPair,
-    batched_pair,
-    registered_pairs,
-)
 from repro.utils.pool import WorkerDied, ordered_pool_map
 from repro.utils.rng import (
     ReproducibilityWarning,
@@ -22,9 +17,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "BatchPair",
-    "batched_pair",
-    "registered_pairs",
     "WorkerDied",
     "ordered_pool_map",
     "RngStream",

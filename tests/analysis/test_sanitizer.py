@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis import sanitizer
 from repro.analysis.sanitizer import SanitizerError, sanitized
-from repro.utils.batchpairs import batched_pair, registered_pairs
 from repro.telemetry.sinks import MemorySink
 from repro.telemetry.tracer import Tracer
 from repro.utils.rng import RngStream
@@ -145,98 +144,3 @@ class TestEmitValidation:
             tracer.emit("not-a-kind", value=1)  # dropped, not validated
             assert state.records_validated == 0
         assert sink.records == []
-
-
-def _double(x):
-    return 2.0 * x
-
-
-@batched_pair("_double")
-def _double_batch(xs):
-    return 2.0 * xs
-
-
-@batched_pair("_double")
-def _double_batch_inplace(xs):
-    xs *= 2.0
-    return xs
-
-
-def _scale(x, promote):
-    out = 2.0 * x
-    return np.float64(out) if promote else out
-
-
-@batched_pair("_scale")
-def _scale_batch(xs, promotes):
-    out = 2.0 * xs
-    return out.astype(np.float64) if promotes else out
-
-
-class TestBatchPairGuard:
-    """The runtime twin of the B1 family: registered batch functions are
-    routed through a guard that hashes array arguments and pins result
-    dtypes while the sanitizer is active."""
-
-    def test_clean_call_passes_and_counts(self):
-        xs = np.arange(4, dtype=np.float32)
-        with sanitized() as state:
-            out = _double_batch(xs)
-            key = f"{__name__}._double"
-            assert state.pair_calls[key] == 1
-        assert np.array_equal(out, 2.0 * xs)
-
-    def test_guarded_result_matches_unguarded(self):
-        xs = np.linspace(0.0, 1.0, 8, dtype=np.float32)
-        bare = _double_batch(xs)
-        with sanitized():
-            checked = _double_batch(xs)
-        assert np.array_equal(bare, checked)
-        assert bare.dtype == checked.dtype
-
-    def test_argument_mutation_raises(self):
-        xs = np.arange(4, dtype=np.float32)
-        with sanitized() as state:
-            with pytest.raises(SanitizerError, match="batch-pair mutation"):
-                _double_batch_inplace(xs)
-            assert state.violations == 1
-
-    def test_mixed_dtype_arguments_raise(self):
-        with sanitized():
-            with pytest.raises(SanitizerError, match="dtype mix"):
-                _scale_batch(
-                    np.arange(3, dtype=np.float32),
-                    np.zeros(1, dtype=np.float64),
-                )
-
-    def test_result_dtype_drift_raises(self):
-        # The mix is the point: this fixture provokes the guard.
-        xs32 = np.arange(3, dtype=np.float32)
-        with sanitized():
-            _scale_batch(xs32, False)  # pins float32 for the key
-            with pytest.raises(SanitizerError, match="dtype drift"):
-                _scale_batch(xs32, True)
-
-    def test_dtype_pin_resets_between_scopes(self):
-        xs32 = np.arange(3, dtype=np.float32)
-        with sanitized():
-            _scale_batch(xs32, False)
-        with sanitized():
-            # Fresh scope, fresh pin: promoting is fine if consistent.
-            _scale_batch(xs32, True)
-
-    @pytest.mark.no_sanitize  # the point is the guard being absent
-    def test_inactive_sanitizer_passes_straight_through(self):
-        xs = np.arange(4, dtype=np.float32)
-        out = _double_batch_inplace(xs)  # mutation unchecked when off
-        assert out is xs
-
-    def test_registry_records_local_pairs(self):
-        pairs = registered_pairs()
-        key = f"{__name__}._double"
-        assert key in pairs
-        assert pairs[key].batch_name in (
-            "_double_batch",
-            "_double_batch_inplace",
-        )
-        assert f"{__name__}._scale" in pairs

@@ -138,3 +138,12 @@ class TestIterate:
         result = agent.evaluate(steps=3)
         assert np.isfinite(result.eval_reward)
         assert result.eval_mean_wip >= 0
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_explicit_count_below_one_is_rejected(self, agent, count):
+        """0 is not "use the config", and -1 does not run nothing."""
+        with pytest.raises(ValueError, match="iterations"):
+            agent.iterate(iterations=count)
+        with pytest.raises(ValueError, match="steps"):
+            agent.evaluate(steps=count)
+        assert agent.results == [] and len(agent.dataset) == 0

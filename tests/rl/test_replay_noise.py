@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.sanitizer import sanitized
+from repro.core.reward import reward_eq1
 from repro.rl.noise import (
     AdaptiveParameterNoise,
     GaussianActionNoise,
@@ -11,6 +13,7 @@ from repro.rl.noise import (
     project_to_simplex,
 )
 from repro.rl.replay import ReplayBuffer
+from repro.utils.rng import RngStream
 
 
 class TestReplayBuffer:
@@ -202,6 +205,29 @@ class TestActionNoise:
         noise = OrnsteinUhlenbeckNoise(action_dim=2)
         with pytest.raises(ValueError):
             noise.sample(1, 3, rng)
+
+
+class TestGuardedDtypeStability:
+    """The reward's dtype and the OU noise's batch-shape contracts hold
+    with the sanitizer active."""
+
+    @staticmethod
+    def _stream(seed):
+        return RngStream("pairs", np.random.SeedSequence(seed))
+
+    def test_reward_dtype_is_stable_across_calls(self):
+        with sanitized():
+            for wip in (
+                np.arange(9).reshape(3, 3),  # integer WIP counts
+                self._stream(30).uniform(0.0, 0.2, size=(3, 3)),
+            ):
+                assert reward_eq1(wip).dtype == np.float64
+
+    def test_ou_rejects_k_above_one_sanitized(self):
+        noise = OrnsteinUhlenbeckNoise(3, sigma=0.2)
+        with sanitized():
+            with pytest.raises(ValueError, match="rollout_batch"):
+                noise.sample(2, 3, self._stream(32))
 
 
 class TestAdaptiveParameterNoise:

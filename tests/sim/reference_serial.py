@@ -13,8 +13,9 @@ pre-change code verbatim — the queue class (``AckQueue``, less its
 ``handle_task_completion`` and the two request dataclasses — the
 methods as overrides of today's classes (names prefixed; an
 ``__init__`` puts the queue back and points the microservice's own
-queue state at it, which is what ``substrate_snapshot`` reads; nothing
-else touched).  ``ReferenceSerialSystem`` wires them exactly as
+queue state at it, and three properties read the lifetime totals off
+it, which is what ``substrate_snapshot`` reads; nothing else touched).
+``ReferenceSerialSystem`` wires them exactly as
 ``MicroserviceWorkflowSystem._build_substrate`` wires today's classes.
 tests/sim/test_serial_differential.py runs generated scenarios on both
 and requires equal snapshots after every window and equal traces.
@@ -225,9 +226,23 @@ class ReferenceAckQueue:
         )
 
 
+def _kept_on_queue(name: str) -> property:
+    """A lifetime total the reference counts on its queue; the base
+    constructor's zeroing is the one write through the microservice."""
+
+    def zero(self, value: int) -> None:
+        assert value == 0, f"{name} is counted on the queue"
+
+    return property(lambda self: getattr(self.queue, name), zero)
+
+
 class ReferenceMicroservice(Microservice):
     """``Microservice`` with its pre-change dispatch, finish and stop, on
     a :class:`ReferenceAckQueue`."""
+
+    published_total = _kept_on_queue("published_total")
+    acked_total = _kept_on_queue("acked_total")
+    redelivered_total = _kept_on_queue("redelivered_total")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -116,7 +116,7 @@ class TestBurstEquivalence:
                 system.run_window()
                 snaps.append(substrate_snapshot(system))
             redelivered = sum(
-                ms.queue.redelivered_total
+                ms.redelivered_total
                 for ms in system.microservices.values()
             )
             return snaps, redelivered

@@ -67,13 +67,12 @@ class DispatchOracle:
             self._watch(ms)
 
     def _watch(self, ms):
-        queue = ms.queue
         dispatch = ms._dispatch
 
         def scanning_dispatch():
             idle = [c for c in ms.consumers if c.state is ConsumerState.IDLE]
             ready = list(itertools.islice(ms._ready, len(idle)))
-            waiting = queue.ready_count
+            waiting = ms.ready_count
             dispatch()
             for k, consumer in enumerate(idle):
                 if k < len(ready):
@@ -89,7 +88,7 @@ class DispatchOracle:
                         f"{ms.name}: consumer {consumer.trace_id} left idle "
                         f"with no message for it"
                     )
-            assert queue.ready_count == waiting - len(ready)
+            assert ms.ready_count == waiting - len(ready)
 
         ms._dispatch = scanning_dispatch
 
@@ -133,8 +132,8 @@ class DispatchOracle:
 
     def check_every_delivery_seen(self, system):
         delivered = sum(
-            ms.queue.acked_total + ms.queue.redelivered_total
-            + ms.queue.unacked_count
+            ms.acked_total + ms.redelivered_total
+            + ms.unacked_count
             for ms in system.microservices.values()
         )
         assert self.picks == delivered, (

@@ -71,7 +71,7 @@ def loaded(dataset, substrate, mode, background, seed):
 
 def nothing_ready(system):
     return all(
-        ms.queue.ready_count == 0 for ms in system.microservices.values()
+        ms.ready_count == 0 for ms in system.microservices.values()
     )
 
 

@@ -111,7 +111,7 @@ class TestResetStep:
         env.system.inject_burst({"Type1": 40})
         state = env.reset()
         services = env.system.microservices.values()
-        assert all(ms.queue.ready_count == 0 for ms in services)
+        assert all(ms.ready_count == 0 for ms in services)
         # What is left is in service, on a consumer that is busy or
         # finishing its last task after the step down to uniform.
         assert float(state.sum()) <= sum(

@@ -18,12 +18,12 @@ class TestCrashOneConsumer:
         ingest = env.system.microservices["Ingest"]
         assert ingest.busy_consumers == 2
 
-        before_redelivered = ingest.queue.redelivered_total
+        before_redelivered = ingest.redelivered_total
         assert crash_one_consumer(ingest)
-        assert ingest.queue.redelivered_total == before_redelivered + 1
+        assert ingest.redelivered_total == before_redelivered + 1
         assert ingest.allocated == 2  # replacement launched immediately
         env.system.loop.run_until(200.0)
-        assert ingest.queue.conservation_ok()
+        assert ingest.conservation_ok()
         assert env.system.conservation_ok()
 
     def test_crash_with_no_consumers_returns_false(self):

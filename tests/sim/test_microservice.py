@@ -140,7 +140,7 @@ class TestProcessing:
         loop.run_until(6.0)
         assert len(completed) == 3
         assert [r for r, _ in completed] == requests  # FIFO
-        assert ms.queue.conservation_ok()
+        assert ms.conservation_ok()
         assert ms.wip == 0
 
     def test_parallel_consumers_speed_up(self):
@@ -179,7 +179,7 @@ class TestScaleDownDrain:
         loop.run_until(5.0)
         assert len(completed) == 1  # task finished, not redelivered
         assert cluster.total_used == 0
-        assert ms.queue.redelivered_total == 0
+        assert ms.redelivered_total == 0
 
     def test_draining_consumer_takes_no_more_work(self):
         loop, _, ms, completed = build(mean=2.0, scale_down_mode="drain")
@@ -201,13 +201,13 @@ class TestScaleDownKill:
         ms.scale_to(0)
         assert ms.consumers_killed_busy == 1
         assert cluster.total_used == 0
-        assert ms.queue.redelivered_total == 1
+        assert ms.redelivered_total == 1
         assert request.wasted_work == pytest.approx(1.0)
         # Another consumer picks the redelivered request up.
         ms.scale_to(1)
         loop.run_until(10.0)
         assert len(completed) == 1
-        assert ms.queue.conservation_ok()
+        assert ms.conservation_ok()
 
     def test_victim_preference_spares_busy(self):
         loop, _, ms, _ = build(mean=100.0, scale_down_mode="kill")

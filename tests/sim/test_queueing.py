@@ -52,7 +52,7 @@ class TestPublishConsume:
 
     def test_idle_consumer_gets_nothing_from_empty_queue(self):
         loop, ms, _ = serve()
-        assert ms.queue.unacked_count == 0
+        assert ms.unacked_count == 0
         assert loop.pending == 0  # no finish scheduled
         assert ms.busy_consumers == 0
 
@@ -65,9 +65,9 @@ class TestPublishConsume:
         _, ms, _ = serve()
         ms.publish(make_request())
         ms.publish(make_request())
-        assert ms.queue.ready_count == 1
-        assert ms.queue.unacked_count == 1
-        assert ms.queue.depth == 2
+        assert ms.ready_count == 1
+        assert ms.unacked_count == 1
+        assert ms.wip == 2
 
     def test_deliveries_counted(self):
         loop, ms, _ = serve()
@@ -84,8 +84,8 @@ class TestAckNack:
         loop, ms, _ = serve()
         ms.publish(make_request())
         loop.run_until(1.0)
-        assert ms.queue.depth == 0
-        assert ms.queue.acked_total == 1
+        assert ms.wip == 0
+        assert ms.acked_total == 1
 
     def test_double_nack_rejected(self):
         _, ms, _ = serve()
@@ -158,4 +158,4 @@ class TestConservation:
                 ms.crash_one()
             else:
                 loop.run_until(loop.now + 0.5)
-            assert ms.queue.conservation_ok()
+            assert ms.conservation_ok()

@@ -1,8 +1,10 @@
 """Unit tests for the batched-substrate building blocks.
 
-Each registered serial/batch pair (``push``/``push_many``,
-``publish``/``publish_many``, ``add_workflow``/``add_workflows``,
-``add_task``/``add_tasks``, ``entry_tasks`` et al./``account_reads``) is exercised against its serial twin here; the
+Each block operation (``push_many``, ``publish_many``,
+``add_workflows``, ``add_tasks``) is checked row by row: one block
+equals the same rows given as blocks of one, the property the bulk path
+of ``inject_burst`` relies on (the exact tier passes blocks of one).
+``account_reads`` is checked against the serial TDS queries.  The
 system-level equivalence suite is tests/sim/test_batched_substrate.py.
 """
 
@@ -21,26 +23,29 @@ def make_stream(label="test", seed=0):
     return RngStream(label, np.random.SeedSequence(seed))
 
 
+def push(fifo, *values):
+    """Append ``values`` one block of one at a time."""
+    for value in values:
+        fifo.push_many(np.array([value], dtype=np.int64))
+
+
 class TestIndexFifo:
     def test_fifo_order(self):
         fifo = IndexFifo()
-        for i in (5, 3, 9):
-            fifo.push(i)
+        push(fifo, 5, 3, 9)
         assert [fifo.pop() for _ in range(3)] == [5, 3, 9]
         assert len(fifo) == 0
 
     def test_push_front_redelivery_order(self):
         fifo = IndexFifo()
-        fifo.push(1)
-        fifo.push(2)
+        push(fifo, 1, 2)
         fifo.push_front(7)
         assert fifo.to_list() == [7, 1, 2]
 
     def test_push_many_matches_serial_pushes(self):
         serial, batch = IndexFifo(), IndexFifo()
         items = list(range(100, 200))
-        for i in items:
-            serial.push(i)
+        push(serial, *items)
         batch.push_many(np.array(items, dtype=np.int64))
         assert serial.to_list() == batch.to_list() == items
 
@@ -48,7 +53,7 @@ class TestIndexFifo:
         fifo = IndexFifo(capacity=4)
         out = []
         for i in range(1000):
-            fifo.push(i)
+            push(fifo, i)
             if i % 3 == 0:
                 out.append(fifo.pop())
         out.extend(fifo.pop() for _ in range(len(fifo)))
@@ -201,7 +206,7 @@ class TestRequestPool:
         preds = np.array([0, 1, 2], dtype=np.int16)
         serial, batch = RequestPool(3, capacity=2), RequestPool(3, capacity=2)
         for _ in range(50):
-            serial.add_workflow(1, 10.0, 3, preds)
+            serial.add_workflows(1, 1, 10.0, 3, preds)
         batch.add_workflows(50, 1, 10.0, 3, preds)
         assert serial.num_workflows == batch.num_workflows == 50
         for name in ("wf_type", "wf_arrival", "wf_total_tasks",
@@ -222,7 +227,7 @@ class TestRequestPool:
         times = np.array([0.5, 1.25, 2.0, 2.5, 7.0])
         serial, batch = RequestPool(3, capacity=2), RequestPool(3, capacity=2)
         for w, t in zip(types.tolist(), times.tolist()):
-            serial.add_workflow(w, t, int(sizes[w]), preds[w][:sizes[w]])
+            serial.add_workflows(1, w, t, int(sizes[w]), preds[w][:sizes[w]])
         assert batch.add_workflows(5, types, times, sizes[types], preds[types]) == 0
         for name in ("wf_type", "wf_arrival", "wf_total_tasks",
                      "wf_done_count", "wf_task_done"):
@@ -240,7 +245,7 @@ class TestRequestPool:
         types = np.array([0, 1, 0, 1, 1], dtype=np.int32)
         workflows = np.array([0, 0, 1, 1, 2], dtype=np.int64)
         expected = [
-            serial.add_task(int(t), int(w), 5.0)
+            int(serial.add_tasks([t], [w], 5.0)[0])
             for t, w in zip(types, workflows)
         ]
         got = batch.add_tasks(types, workflows, 5.0)
@@ -259,31 +264,43 @@ class TestRequestPool:
 
 
 class TestPublishMany:
-    def test_matches_serial_publishes(self):
-        """``publish_many`` == per-message ``publish`` (untraced path)."""
+    @staticmethod
+    def run(bulk, tracer=None):
         from repro.sim import BatchedWorkflowSystem, SystemConfig
 
-        def run(bulk):
-            system = BatchedWorkflowSystem(
-                build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=41
-            )
-            system.apply_allocation([2, 2, 2, 2])
-            tasks = system.pool.add_tasks(
-                np.zeros(6, dtype=np.int32),
-                np.zeros(6, dtype=np.int64),
-                0.0,
-            )
-            service = system.microservices["Ingest"]
-            if bulk:
-                service.publish_many(tasks)
-            else:
-                for t in tasks.tolist():
-                    service.publish(t)
-            return (
-                service.fifo.to_list(),
-                service.published_total,
-                service.unacked,
-                [service.current_task[s] for s in service.order],
-            )
+        system = BatchedWorkflowSystem(
+            build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=41,
+            tracer=tracer,
+        )
+        system.apply_allocation([2, 2, 2, 2])
+        tasks = system.pool.add_tasks(
+            np.zeros(6, dtype=np.int32),
+            np.zeros(6, dtype=np.int64),
+            0.0,
+        )
+        service = system.microservices["Ingest"]
+        if bulk:
+            service.publish_many(tasks)
+        else:
+            for k in range(tasks.size):
+                service.publish_many(tasks[k:k + 1])
+        return (
+            service.fifo.to_list(),
+            service.published_total,
+            service.unacked_count,
+            [service.current_task[s] for s in service.order],
+        )
 
-        assert run(bulk=True) == run(bulk=False)
+    def test_matches_serial_publishes(self):
+        """One ``publish_many`` block == the same tasks as blocks of one."""
+        assert self.run(bulk=True) == self.run(bulk=False)
+
+    def test_traced_block_writes_one_record_per_task(self):
+        from repro.telemetry import MemorySink, Tracer
+
+        sinks = {bulk: MemorySink() for bulk in (True, False)}
+        states = {bulk: self.run(bulk, Tracer(sinks[bulk])) for bulk in sinks}
+        assert states[True] == states[False]
+        assert sinks[True].records == sinks[False].records
+        assert [r["depth"] for r in sinks[True].records
+                if r["kind"] == "event.publish"] == [1, 2, 3, 4, 5, 6]

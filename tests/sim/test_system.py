@@ -33,6 +33,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             SystemConfig(scale_down_mode="other")
 
+    @pytest.mark.parametrize("field, value", [
+        ("startup_delay_range", (10.0, 5.0)),
+        ("startup_delay_range", (-1.0, 5.0)),
+        ("startup_delay_range", (5.0, float("nan"))),
+        ("node_capacity", 0),
+        ("drain_consumers_per_service", 0),
+        ("window_length", float("inf")),
+    ])
+    def test_rejected_at_construction(self, field, value):
+        """Each was accepted here and failed later: at the system build,
+        at ``reset()``, or (an endless window) never."""
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: value})
+
     def test_node_capacity_covers_drain(self):
         config = SystemConfig(consumer_budget=14)
         capacity = config.resolved_node_capacity(num_task_types=4)
@@ -165,7 +179,7 @@ class TestDrain:
         system.inject_burst({"Type1": 50, "Type2": 30})
         windows = system.drain(max_windows=40)
         services = system.microservices.values()
-        assert all(ms.queue.ready_count == 0 for ms in services)
+        assert all(ms.ready_count == 0 for ms in services)
         # What is left is in service, one request per busy consumer.
         assert float(system.wip_vector().sum()) <= sum(
             ms.busy_consumers for ms in services

@@ -21,6 +21,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--dataset", "hpc"])
 
+    @pytest.mark.parametrize("command", [["train"], ["trace", "--mode", "train"]])
+    def test_iterations_below_one_rejected(self, command, capsys):
+        """``--iterations 0`` used to train the preset's count."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--iterations", "0"])
+        assert exit_info.value.code == 2
+        assert "--iterations: must be >= 1" in capsys.readouterr().err
+
     def test_simulate_allocator_choices(self):
         args = build_parser().parse_args(
             ["simulate", "--allocator", "heft", "--burst", "1"]

@@ -32,9 +32,6 @@ SCHEDULED = {
     "repro.rl.critic.Critic.normalize_states":
         "ROADMAP item 4: tests/rl/reference_ddpg.py, an oracle kept "
         "verbatim, calls it",
-    "repro.utils.batchpairs.registered_pairs":
-        "ROADMAP item 4: 'every pair the repo claims equal' is enumerated "
-        "from the registry",
     "repro.workflows.generator.random_ensemble":
         "ROADMAP item 4: the differential harness draws DAGs",
     "repro.sim.faults.ChaosInjector":
