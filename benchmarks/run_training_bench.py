@@ -19,12 +19,14 @@ writes ``BENCH_training.json`` at the repository root:
   parallelism); the numbers are reported honestly and the gate only
   requires byte-identical output.
 - ``distributed`` — real-environment collection steps/second of the
-  deterministic logical interleave (1 worker) vs the physical process
-  pool (``--collect-workers`` workers), on the same episode plan, plus
-  byte-equality checks: logical N-worker vs logical 1-worker, and
-  physical vs logical.  The >= 2x speedup gate is enforced only when
-  ``os.cpu_count() >= 4`` (a one-core container cannot exhibit process
-  parallelism; equality is still gated everywhere).  It also counts
+  deterministic logical interleave (1 worker) vs physical collection
+  (``--collect-workers`` worker processes plus the learner, which runs
+  its own share of the episodes), on the same LIGO episode plan at the
+  paper's reset interval, plus byte-equality checks: logical N-worker
+  vs logical 1-worker, and physical vs logical.  The speed-up gate is
+  2x on hosts with >= 4 cores and 1.2x on 2-3 cores; a one-core
+  container cannot exhibit process parallelism, so it gates equality
+  only.  It also counts
   the ``run_window`` calls one logical pass makes — an exact count —
   as ``windows_simulated`` / ``windows_per_collected_step``: every
   episode runs on a fresh replica whose reset is free, so collecting a
@@ -41,8 +43,8 @@ writes ``BENCH_training.json`` at the repository root:
 the parallel runner's JSON differs from the serial runner's, the
 distributed merges are not byte-identical, collection simulates more
 than 1.1 windows per collected step, a warmed update's allocation peak
-exceeds 256 KiB, or (on >= 4-core hosts) physical collection is below
-the 2x floor.
+exceeds 256 KiB, or (on hosts with >= 2 cores) physical collection is
+below its floor.
 
 Run:  PYTHONPATH=src python benchmarks/run_training_bench.py --check
 """
@@ -57,6 +59,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
 from repro.core.model_env import BatchedModelEnv
 from repro.core.refinement import RefinedModel
+from repro.eval.experiments import build_training_env
 from repro.eval.parallel import (
     ExperimentCell,
     results_to_json,
@@ -85,11 +89,16 @@ from repro.utils.rng import RngStream
 SPEEDUP_FLOOR = 3.0
 
 #: Gate: physical multi-worker collection must be at least this much
-#: faster than single-worker logical collection — enforced only on
-#: hosts with >= DISTRIBUTED_MIN_CPUS cores (a one-core container has
-#: no parallelism to measure; byte-equality is still gated there).
+#: faster than single-worker logical collection on hosts with >=
+#: DISTRIBUTED_MIN_CPUS cores, and at least DISTRIBUTED_SMALL_HOST_FLOOR
+#: on 2-3 cores (one worker process beside the learner; it reads
+#: 1.2-1.8x on a 2-vCPU host, but 0.8-1.1x while a shared host's second
+#: vCPU is cold or taken, when two CPU-bound processes take as long as
+#: one does twice -- re-run then).  A one-core container has no
+#: parallelism to measure; byte-equality is still gated there.
 DISTRIBUTED_SPEEDUP_FLOOR = 2.0
 DISTRIBUTED_MIN_CPUS = 4
+DISTRIBUTED_SMALL_HOST_FLOOR = 1.2
 
 #: Gate: simulated windows per collected step (an exact count).  Resets
 #: on fresh episode replicas are free, so the expected value is 1.0.
@@ -143,10 +152,11 @@ def _trained_refined_model(seed: int = 0):
     return refined, dataset
 
 
-def _ddpg(seed: int = 0) -> DDPGAgent:
+def _ddpg(seed: int = 0, state_dim: int = STATE_DIM,
+          action_dim: int = ACTION_DIM) -> DDPGAgent:
     return DDPGAgent(
-        STATE_DIM,
-        ACTION_DIM,
+        state_dim,
+        action_dim,
         config=DDPGConfig(hidden_sizes=(32, 32), batch_size=32),
         rng=RngStream("bench-ddpg", np.random.SeedSequence(seed)),
     )
@@ -300,11 +310,24 @@ def _count_windows(run):
     return result, windows
 
 
+def _distributed_floor(cpu_count: int) -> Optional[float]:
+    """The physical-collection speed-up floor on this host (None: ungated)."""
+    if cpu_count >= DISTRIBUTED_MIN_CPUS:
+        return DISTRIBUTED_SPEEDUP_FLOOR
+    if cpu_count >= 2:
+        return DISTRIBUTED_SMALL_HOST_FLOOR
+    return None
+
+
 def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
+    # LIGO at the paper's 25-step episodes: enough work per episode that
+    # the pool's start-up does not dominate (short MSD plans read < 1x).
     spec = EnvSpec.make(
-        "repro.eval.experiments:build_training_env", dataset="msd"
+        "repro.eval.experiments:build_training_env", dataset="ligo"
     )
-    payload = policy_payload(_ddpg())
+    env = build_training_env(seed=0, dataset="ligo")
+    payload = policy_payload(_ddpg(state_dim=env.state_dim,
+                                   action_dim=env.action_dim))
     plan = episode_plan(steps, 25, lanes=4, root_seed=0)
 
     def collect(mode, n):
@@ -327,6 +350,7 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
         physical_s = min(physical_s, elapsed)
 
     cpu_count = os.cpu_count() or 1
+    floor = _distributed_floor(cpu_count)
     return {
         "collect_steps": steps,
         "episodes": len(plan),
@@ -337,8 +361,8 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
         "windows_per_collected_step": windows / steps,
         "windows_per_step_ceiling": WINDOWS_PER_STEP_CEILING,
         "speedup": logical_s / physical_s,
-        "speedup_floor": DISTRIBUTED_SPEEDUP_FLOOR,
-        "gate_enforced": cpu_count >= DISTRIBUTED_MIN_CPUS,
+        "speedup_floor": floor,
+        "gate_enforced": floor is not None,
         "logical_match": _blocks_equal(logical_blocks, logical_n_blocks),
         "physical_matches_logical": _blocks_equal(
             logical_blocks, physical_blocks
@@ -430,12 +454,15 @@ def main(argv=None) -> int:
                         help="quick fig5 cells for the parallel comparison")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes for the parallel comparison")
-    parser.add_argument("--collect-steps", type=int, default=200,
+    parser.add_argument("--collect-steps", type=int, default=1000,
                         help="real-environment steps for the distributed "
                              "collection comparison")
-    parser.add_argument("--collect-workers", type=int, default=4,
+    parser.add_argument("--collect-workers", type=int,
+                        default=max(1, (os.cpu_count() or 1) - 1),
                         help="physical worker processes for the distributed "
-                             "collection comparison")
+                             "collection comparison (the learner runs a "
+                             "share too; default: one per core but the "
+                             "learner's)")
     parser.add_argument("--repeats", type=int, default=2,
                         help="repetitions per configuration (best-of)")
     parser.add_argument(
@@ -478,16 +505,15 @@ def main(argv=None) -> int:
         + ("match" if parallel["parallel_matches_serial"] else "DIFFER")
     )
     gate_note = (
-        "enforced" if distributed["gate_enforced"]
-        else f"not enforced, < {DISTRIBUTED_MIN_CPUS} cpus"
+        f"floor {distributed['speedup_floor']}x" if distributed["gate_enforced"]
+        else "not enforced, 1 cpu"
     )
     print(
         f"distributed collection: logical "
         f"{distributed['logical_steps_per_second']:,.0f} steps/s, physical "
-        f"({distributed['workers']} workers) "
+        f"({distributed['workers']} workers + learner) "
         f"{distributed['physical_steps_per_second']:,.0f} steps/s "
-        f"-> {distributed['speedup']:.2f}x "
-        f"(floor {DISTRIBUTED_SPEEDUP_FLOOR}x, {gate_note}), merges "
+        f"-> {distributed['speedup']:.2f}x ({gate_note}), merges "
         + ("match" if distributed["logical_match"]
            and distributed["physical_matches_logical"] else "DIFFER")
         + f", {distributed['windows_simulated']} windows simulated for "
@@ -531,11 +557,11 @@ def main(argv=None) -> int:
         )
     if (
         distributed["gate_enforced"]
-        and distributed["speedup"] < DISTRIBUTED_SPEEDUP_FLOOR
+        and distributed["speedup"] < distributed["speedup_floor"]
     ):
         failures.append(
             f"distributed speedup {distributed['speedup']:.2f}x is below "
-            f"the {DISTRIBUTED_SPEEDUP_FLOOR}x floor"
+            f"the {distributed['speedup_floor']}x floor"
         )
     if args.check and failures:
         for failure in failures:

@@ -64,9 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--collect-workers", type=int, default=None,
-        help="collector processes for the distributed collect modes "
-             "(0 = auto-detect os.cpu_count(); a pure throughput knob — "
-             "never changes results)",
+        help="collector worker processes for the distributed collect "
+             "modes; physical mode's learner runs a share of the episodes "
+             "too (0 = auto-detect os.cpu_count(); a pure throughput knob "
+             "— never changes results)",
     )
     train.add_argument("--output", default=None,
                        help="directory to save the trained agent to")

@@ -184,8 +184,9 @@ class MirasAgent:
 
         Slices ``steps`` into the fixed logical-interleave episode
         schedule, runs the episodes over ``policy.collect_workers``
-        collectors (in-process for ``logical`` mode, a process pool for
-        ``physical``), and ingests the merged transition blocks in
+        collectors (in-process for ``logical`` mode; for ``physical``,
+        that many worker processes plus this process, which runs a share
+        of the episodes itself), and ingests the merged transition blocks in
         episode order — dataset rows, replay via ``store_batch``, and one
         ``span.collect`` trace record per episode.  The merged result is
         byte-identical for any worker count and either mode; see

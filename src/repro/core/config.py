@@ -79,7 +79,8 @@ class PolicyConfig:
     #: ``physical`` produce byte-identical training state for any worker
     #: count.
     collect_mode: str = "serial"
-    #: Collector processes for the distributed modes (0 auto-detects
+    #: Collector worker processes for the distributed modes; the learner
+    #: runs a share of the episodes too (0 auto-detects
     #: ``os.cpu_count()``).  Never feeds entropy or ordering — a pure
     #: throughput knob.
     collect_workers: int = 1

@@ -2,7 +2,8 @@
 
 Figures 5–8 and the ablations are embarrassingly parallel — every cell
 builds its own system and agent from an explicit seed — so this module
-fans a grid of :class:`ExperimentCell`\\ s over a ``ProcessPoolExecutor``.
+fans a grid of :class:`ExperimentCell`\\ s over worker processes and the
+calling process (:func:`repro.utils.pool.ordered_pool_map`).
 
 Determinism contract (pinned by tests/eval/test_parallel_runner.py):
 
@@ -26,14 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.eval.experiments import EXPERIMENTS
-from repro.utils.pool import ordered_pool_map
+from repro.utils.pool import ordered_pool_map, resolve_workers
 from repro.utils.rng import derive_stream_seed
 
 __all__ = [
@@ -199,21 +199,20 @@ def run_cells(
 ) -> Dict[str, Dict]:
     """Run every cell; returns ``{label: payload}`` in input-cell order.
 
-    ``workers=1`` (or a single cell) runs in-process; larger counts fan
-    out over a ``ProcessPoolExecutor``; ``workers=0`` auto-detects
-    ``os.cpu_count()`` (falling back to 1 when the count is unknown).
-    All paths execute the same ``_execute_cell`` function with the same
-    derived seeds, so the returned mapping is identical regardless of
-    worker count.
+    ``workers=1`` runs every cell in-process; a larger count ``W`` fans
+    the grid over ``W`` worker processes while this process runs its own
+    share, cells ``0, W+1, 2(W+1), …``
+    (:func:`repro.utils.pool.ordered_pool_map`); ``workers=0``
+    auto-detects ``os.cpu_count()`` (falling back to 1 when the count is
+    unknown).  All paths execute the same ``_execute_cell`` function with
+    the same derived seeds, so the returned mapping is identical
+    regardless of worker count.
 
     ``telemetry_dir`` switches on fleet telemetry: per-cell trace and
     metrics capture in the workers, then a sorted-label merge in the
     parent (``fleet_metrics.json``/``.prom`` + ``fleet_manifest.json``).
     """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 (0 = auto), got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
+    workers = resolve_workers(workers)
     labels = [cell.label for cell in cells]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate cell labels in the grid")
@@ -222,7 +221,7 @@ def run_cells(
         (cell.experiment, cell.replicate, cell.params, root_seed, telemetry)
         for cell in cells
     ]
-    if workers == 1 or len(specs) <= 1:
+    if workers == 1:
         payloads = [_execute_cell(spec) for spec in specs]
     else:
         payloads = list(ordered_pool_map(

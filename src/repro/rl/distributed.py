@@ -3,10 +3,10 @@
 The serial trainer alternates real-environment collection and learning on
 one core.  This module splits *transition collection* from *learning*
 (the DRPC argument: centralised RL provisioners don't scale): N collector
-workers each run whole real-environment episodes against their own
-environment replica, and ship the resulting **transition blocks** back to
-the learner, which ingests them in episode order into the shared replay
-buffer via ``add_batch``.
+worker processes and the learner itself each run whole real-environment
+episodes against their own environment replica; the workers ship the
+resulting **transition blocks** back to the learner, which ingests every
+block in episode order into the shared replay buffer via ``add_batch``.
 
 Topology and determinism contract (docs/PERFORMANCE.md):
 
@@ -21,8 +21,8 @@ Topology and determinism contract (docs/PERFORMANCE.md):
   scheduling and completion order never feed entropy.
 - Blocks are ingested in **episode order** (the logical round-robin
   interleave), regardless of which worker produced them or when: both
-  executors (``map`` and the process pool's ``map``) yield in input
-  order, and :meth:`DistributedCollector.collect` checks each block
+  executors (``map`` and ``ordered_pool_map``) yield in input order,
+  and :meth:`DistributedCollector.collect` checks each block
   against the plan.
 
 Together these pin the engine's output to the logical schedule: for any
@@ -32,9 +32,10 @@ byte-identical to the K=1 run.  *Physical* mode buys wall-clock
 throughput; *logical* mode executes the same schedule in-process and is
 the CI-checkable determinism witness.
 
-Abort semantics: workers are fail-fast.  If an episode raises, the
-exception propagates to the learner after the pool is shut down; a
-worker process that dies surfaces as
+Abort semantics: collection is fail-fast.  If an episode raises, in a
+worker or in the learner's own share, the exception propagates to the
+learner once the episodes not yet started are cancelled and the pool is
+shut down; a worker process that dies surfaces as
 :class:`repro.utils.pool.WorkerDied` naming the first episode that did
 not come back.  Either way exactly the contiguous episode-order prefix
 before it remains ingested (no out-of-order partial state, no silent
@@ -51,7 +52,6 @@ schedule.
 from __future__ import annotations
 
 import importlib
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -63,7 +63,7 @@ from repro.rl.noise import (
     OrnsteinUhlenbeckNoise,
     repair_action_noise,
 )
-from repro.utils.pool import ordered_pool_map
+from repro.utils.pool import ordered_pool_map, resolve_workers
 from repro.utils.rng import RngStream, derive_stream_seed
 from repro.utils.validation import check_in_range, check_positive
 
@@ -75,7 +75,6 @@ __all__ = [
     "DistributedCollector",
     "episode_plan",
     "policy_payload",
-    "resolve_workers",
     "run_collect_episode",
 ]
 
@@ -84,19 +83,6 @@ __all__ = [
 #: round-robin interleave schedule in-process; ``physical`` fans the same
 #: schedule over a process pool.
 COLLECT_MODES = ("serial", "logical", "physical")
-
-
-def resolve_workers(workers: int) -> int:
-    """Resolve a worker-count knob: ``0`` auto-detects ``os.cpu_count()``.
-
-    Shared with ``repro experiments --workers 0``: an unknown CPU count
-    falls back to 1.
-    """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 (0 = auto), got {workers}")
-    if workers == 0:
-        return os.cpu_count() or 1
-    return workers
 
 
 @dataclass(frozen=True)
@@ -347,7 +333,8 @@ class DistributedCollector:
     """Executes an episode plan over N workers and merges the blocks.
 
     ``mode='logical'`` runs the fixed round-robin interleave in-process;
-    ``mode='physical'`` fans the same plan over a process pool
+    ``mode='physical'`` fans the same plan over ``workers`` processes
+    while the learner runs its own share of the episodes
     (:func:`repro.utils.pool.ordered_pool_map`).  Both yield blocks in
     plan order and both produce byte-identical merged output for any
     worker count.
@@ -430,7 +417,7 @@ class DistributedCollector:
         return merged
 
     def _run_specs(self, specs: List[Dict]) -> Iterable[Dict]:
-        if self.mode == "logical" or self.workers == 1 or len(specs) <= 1:
+        if self.mode == "logical":
             return map(run_collect_episode, specs)
         return ordered_pool_map(
             run_collect_episode, specs, self.workers,

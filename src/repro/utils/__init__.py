@@ -1,7 +1,7 @@
 """Shared utilities: seeded RNG streams, validation and the process-pool
 map."""
 
-from repro.utils.pool import WorkerDied, ordered_pool_map
+from repro.utils.pool import WorkerDied, ordered_pool_map, resolve_workers
 from repro.utils.rng import (
     ReproducibilityWarning,
     RngStream,
@@ -19,6 +19,7 @@ from repro.utils.validation import (
 __all__ = [
     "WorkerDied",
     "ordered_pool_map",
+    "resolve_workers",
     "RngStream",
     "ReproducibilityWarning",
     "spawn_rngs",

@@ -96,10 +96,14 @@ class TestLogicalByteIdentity:
         )
         assert tracer_one.sink.records == tracer_four.sink.records
 
-    def test_physical_matches_logical(self):
-        """Real process pools replay the same logical interleave."""
-        agent_logical, results_logical, _ = run_training("logical", 2)
-        agent_physical, results_physical, _ = run_training("physical", 2)
+    @pytest.mark.parametrize("collect_workers", [1, 2, 4])
+    def test_physical_matches_logical(self, collect_workers):
+        """Real process pools, the learner running its share, replay the
+        same logical interleave."""
+        agent_logical, results_logical, _ = run_training("logical", 1)
+        agent_physical, results_physical, _ = run_training(
+            "physical", collect_workers
+        )
         assert results_physical == results_logical
         assert_states_equal(
             training_state(agent_physical), training_state(agent_logical)

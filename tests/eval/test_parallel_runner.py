@@ -124,8 +124,6 @@ class TestRunCells:
         """``workers=0`` resolves to ``os.cpu_count()`` (1 when unknown)."""
         import os
 
-        import repro.eval.parallel as parallel_mod
-
         calls = []
         real_cpu_count = os.cpu_count
 
@@ -133,13 +131,13 @@ class TestRunCells:
             calls.append(1)
             return real_cpu_count()
 
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", counting_cpu_count)
+        monkeypatch.setattr(os, "cpu_count", counting_cpu_count)
         auto = run_cells(_fast_cells(1), root_seed=0, workers=0)
         assert calls, "workers=0 must consult os.cpu_count()"
         assert auto == run_cells(_fast_cells(1), root_seed=0, workers=1)
 
         # Unknown CPU count (cpu_count() -> None) falls back to 1 worker.
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         fallback = run_cells(_fast_cells(1), root_seed=0, workers=0)
         assert fallback == auto
 

@@ -3,7 +3,9 @@
 
 Both process paths map through ``repro.utils.pool.ordered_pool_map``:
 the physical collector and the experiment sweep.  Each test SIGKILLs a
-real child mid-map.
+real child mid-map.  The caller runs specs ``0, W+1, 2(W+1), …`` itself,
+so each test first asserts that its fatal spec is one the pool runs, and
+the kill refuses to fire in the test process.
 """
 
 import contextlib
@@ -31,12 +33,26 @@ def bounded(seconds=60.0):
     assert time.monotonic() - started < seconds  # reprolint: disable=D102
 
 
+TEST_PID = os.getpid()
+
+
+def pool_runs(index, workers):
+    """Whether ``ordered_pool_map`` hands spec ``index`` to a worker."""
+    return index % (workers + 1) != 0
+
+
+def kill_this_worker():
+    if os.getpid() == TEST_PID:
+        raise AssertionError("the fatal spec ran in the calling process")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def env_that_dies_at(seed, fatal_seed):
     """EnvSpec factory: the replica of one episode kills its worker, after
     a pause that lets the episodes already in flight come back."""
     if seed == fatal_seed:
         time.sleep(0.3)
-        os.kill(os.getpid(), signal.SIGKILL)
+        kill_this_worker()
     return build_training_env(seed=seed, dataset="msd")
 
 
@@ -44,6 +60,7 @@ def test_killed_collector_worker_names_the_episode_and_keeps_the_prefix():
     config = small_config("physical", 2)
     config.reset_interval = 10
     plan = episode_plan(40, 10, config.policy.collect_lanes, root_seed=7)
+    assert pool_runs(2, config.policy.collect_workers)
     spec = EnvSpec.make(
         f"{__name__}:env_that_dies_at", fatal_seed=plan[2].env_seed
     )
@@ -61,7 +78,7 @@ def test_killed_collector_worker_names_the_episode_and_keeps_the_prefix():
 
 def _fatal_experiment(seed, fatal=False):
     if fatal:
-        os.kill(os.getpid(), signal.SIGKILL)
+        kill_this_worker()
     return {"seed": seed}
 
 
@@ -72,6 +89,7 @@ def test_killed_sweep_worker_names_the_cell(monkeypatch):
         parallel.ExperimentCell.make("fatal", r, {"fatal": r == 1})
         for r in range(3)
     ]
+    assert pool_runs(1, workers=2)
     with bounded(), pytest.raises(
         WorkerDied, match=r"cell fatal\S* is the first"
     ) as info:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import repro.rl.distributed as distributed_mod
+import repro.utils.pool as pool_mod
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.distributed import (
     COLLECT_MODES,
@@ -12,9 +12,9 @@ from repro.rl.distributed import (
     TransitionBlock,
     episode_plan,
     policy_payload,
-    resolve_workers,
     run_collect_episode,
 )
+from repro.utils.pool import resolve_workers
 from repro.utils.rng import RngStream
 
 ENV_FACTORY = "repro.eval.experiments:build_training_env"
@@ -52,11 +52,11 @@ class TestResolveWorkers:
         assert resolve_workers(7) == 7
 
     def test_zero_auto_detects_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(distributed_mod.os, "cpu_count", lambda: 6)
+        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 6)
         assert resolve_workers(0) == 6
 
     def test_unknown_cpu_count_falls_back_to_one(self, monkeypatch):
-        monkeypatch.setattr(distributed_mod.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: None)
         assert resolve_workers(0) == 1
 
     def test_negative_rejected(self):
