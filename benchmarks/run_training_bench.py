@@ -19,11 +19,12 @@ writes ``BENCH_training.json`` at the repository root:
   parallelism); the numbers are reported honestly and the gate only
   requires byte-identical output.
 - ``distributed`` — real-environment collection steps/second of the
-  deterministic logical interleave (1 worker) vs physical collection
-  (``--collect-workers`` worker processes plus the learner, which runs
-  its own share of the episodes), on the same LIGO episode plan at the
-  paper's reset interval, plus byte-equality checks: logical N-worker
-  vs logical 1-worker, and physical vs logical.  The speed-up gate is
+  deterministic logical interleave (zero worker processes, every
+  episode in this one) vs physical collection (``--collect-workers``
+  worker processes plus the learner, which runs its own share of the
+  episodes), on the same LIGO episode plan at the paper's reset
+  interval, plus byte-equality checks: two logical passes, and physical
+  vs logical.  The speed-up gate is
   2x on hosts with >= 4 cores and 1.2x on 2-3 cores; a one-core
   container cannot exhibit process parallelism, so it gates equality
   only.  It also counts
@@ -83,6 +84,7 @@ from repro.rl.distributed import (
 )
 from repro.sim.env import allocation_from_simplex
 from repro.sim.system import MicroserviceWorkflowSystem
+from repro.utils.pool import resolve_workers
 from repro.utils.rng import RngStream
 
 #: Gate: batched rollout generation must be at least this much faster.
@@ -329,24 +331,26 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
     payload = policy_payload(_ddpg(state_dim=env.state_dim,
                                    action_dim=env.action_dim))
     plan = episode_plan(steps, 25, lanes=4, root_seed=0)
+    workers = resolve_workers(workers)  # 0 auto-detects, as for train
 
-    def collect(mode, n):
-        collector = DistributedCollector(spec, workers=n, mode=mode)
+    def collect(n):
+        collector = DistributedCollector(spec, workers=n)
         return _timed(
             lambda: collector.collect(payload, plan, random_fraction=0.5)
         )
 
     logical_s = float("inf")
     physical_s = float("inf")
-    logical_blocks = logical_n_blocks = physical_blocks = None
+    logical_blocks = logical_again_blocks = physical_blocks = None
     for _ in range(repeats):
-        elapsed, logical_blocks = collect("logical", 1)
+        # Logical collection: zero worker processes, all in this one.
+        elapsed, logical_blocks = collect(0)
         logical_s = min(logical_s, elapsed)
-        # The untimed in-process pass doubles as the window count.
-        (_, logical_n_blocks), windows = _count_windows(
-            lambda: collect("logical", workers)
+        # A second, untimed logical pass doubles as the window count.
+        (_, logical_again_blocks), windows = _count_windows(
+            lambda: collect(0)
         )
-        elapsed, physical_blocks = collect("physical", workers)
+        elapsed, physical_blocks = collect(workers)
         physical_s = min(physical_s, elapsed)
 
     cpu_count = os.cpu_count() or 1
@@ -363,7 +367,7 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
         "speedup": logical_s / physical_s,
         "speedup_floor": floor,
         "gate_enforced": floor is not None,
-        "logical_match": _blocks_equal(logical_blocks, logical_n_blocks),
+        "logical_match": _blocks_equal(logical_blocks, logical_again_blocks),
         "physical_matches_logical": _blocks_equal(
             logical_blocks, physical_blocks
         ),
@@ -537,9 +541,7 @@ def main(argv=None) -> int:
     if not parallel["parallel_matches_serial"]:
         failures.append("parallel runner output differs from serial runner")
     if not distributed["logical_match"]:
-        failures.append(
-            "logical multi-worker merge differs from single-worker merge"
-        )
+        failures.append("two logical collection passes differ")
     if not distributed["physical_matches_logical"]:
         failures.append(
             "physical collection differs from the logical interleave"

@@ -57,17 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--collect-mode", choices=("serial", "logical", "physical"),
         default=None,
         help="real-environment collection topology: serial (in-loop), "
-             "logical (fixed interleave schedule in-process, "
-             "deterministic), or physical (collector processes); "
-             "logical and physical are byte-identical for any worker "
-             "count",
+             "logical (fixed interleave schedule on zero worker "
+             "processes, deterministic), or physical (the same schedule "
+             "on collector processes); logical and physical are "
+             "byte-identical for any worker count",
     )
     train.add_argument(
         "--collect-workers", type=int, default=None,
-        help="collector worker processes for the distributed collect "
-             "modes; physical mode's learner runs a share of the episodes "
-             "too (0 = auto-detect os.cpu_count(); a pure throughput knob "
-             "— never changes results)",
+        help="collector worker processes for physical collection; the "
+             "learner runs a share of the episodes too (0 = auto-detect "
+             "os.cpu_count(); a pure throughput knob — never changes "
+             "results)",
     )
     train.add_argument("--output", default=None,
                        help="directory to save the trained agent to")
@@ -117,8 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="cells per experiment")
     experiments.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (0 = auto-detect os.cpu_count()); "
-             "results are byte-identical for any count",
+        help="1 runs every cell in this process; W >= 2 runs W worker "
+             "processes plus this one, which runs a share of the cells "
+             "(0 = auto-detect os.cpu_count()); results are "
+             "byte-identical for any count",
     )
     experiments.add_argument("--seed", type=int, default=0,
                              help="root seed (per-cell seeds derive from it)")

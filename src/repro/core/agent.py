@@ -20,7 +20,7 @@ so critic and actor operate on a consistent simplex-scaled action space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -39,9 +39,20 @@ from repro.rl.distributed import (
 )
 from repro.sim.env import MicroserviceEnv, allocation_from_simplex
 from repro.telemetry.tracer import Tracer
+from repro.utils.pool import resolve_workers
 from repro.utils.rng import spawn_rngs
 
 __all__ = ["MirasAgent", "IterationResult"]
+
+#: At each collection reset, probability of injecting a random request
+#: burst so the dataset covers the high-WIP regime the evaluation bursts
+#: (Section VI-D) will visit.  The paper trains against a live system
+#: whose workload already spans load levels; the emulated background
+#: Poisson alone leaves WIP low, so this restores coverage.
+COLLECT_BURST_PROBABILITY = 0.3
+#: Burst size cap in units of the consumer budget C (total requests drawn
+#: uniformly from [0, scale * C], split randomly across types).
+COLLECT_BURST_SCALE = 20.0
 
 
 @dataclass
@@ -93,7 +104,6 @@ class MirasAgent:
             env.state_dim,
             env.action_dim,
             hidden_sizes=self.config.model.hidden_sizes,
-            learning_rate=self.config.model.learning_rate,
             rng=self._rngs["model"],
             tracer=self.tracer,
         )
@@ -104,7 +114,7 @@ class MirasAgent:
             rng=self._rngs["ddpg"],
             tracer=self.tracer,
         )
-        self.refined_model: Optional[Union[RefinedModel, EnvironmentModel]] = None
+        self.refined_model: Optional[RefinedModel] = None
         self.results: List[IterationResult] = []
 
     # --- Phase 1: real-environment data collection -----------------------
@@ -126,10 +136,9 @@ class MirasAgent:
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
         rng = self._rngs["collect"].fork(f"steps-{len(self.dataset)}")
-        cfg = self.config
         self.env.reset()
         state = self.env.inject_random_burst(
-            rng, cfg.collect_burst_probability, cfg.collect_burst_scale
+            rng, COLLECT_BURST_PROBABILITY, COLLECT_BURST_SCALE
         )
         added = 0
         # Transitions are buffered and bulk-inserted via store_batch.  The
@@ -156,7 +165,7 @@ class MirasAgent:
             if step > 0 and step % self.config.reset_interval == 0:
                 self.env.reset()
                 state = self.env.inject_random_burst(
-                    rng, cfg.collect_burst_probability, cfg.collect_burst_scale
+                    rng, COLLECT_BURST_PROBABILITY, COLLECT_BURST_SCALE
                 )
                 flush()
                 self.ddpg.refresh_perturbation()
@@ -183,14 +192,15 @@ class MirasAgent:
         """Distributed actor/learner collection (repro.rl.distributed).
 
         Slices ``steps`` into the fixed logical-interleave episode
-        schedule, runs the episodes over ``policy.collect_workers``
-        collectors (in-process for ``logical`` mode; for ``physical``,
-        that many worker processes plus this process, which runs a share
-        of the episodes itself), and ingests the merged transition blocks in
-        episode order — dataset rows, replay via ``store_batch``, and one
-        ``span.collect`` trace record per episode.  The merged result is
-        byte-identical for any worker count and either mode; see
-        docs/PERFORMANCE.md for the determinism contract.
+        schedule, runs the episodes on zero worker processes for
+        ``logical`` mode (all in this process) or, for ``physical``, on
+        ``policy.collect_workers`` worker processes plus this process,
+        which runs a share of the episodes itself, and ingests the merged
+        transition blocks in episode order — dataset rows, replay via
+        ``store_batch``, and one ``span.collect`` trace record per
+        episode.  The merged result is byte-identical for any worker count
+        and either mode; see docs/PERFORMANCE.md for the determinism
+        contract.
 
         Unlike the serial collector, exploration runs against a frozen
         snapshot of the actor (one parameter-space perturbation per
@@ -208,13 +218,12 @@ class MirasAgent:
             )
         cfg = self.config
         policy = cfg.policy
-        mode = "physical" if policy.collect_mode == "physical" else "logical"
+        physical = policy.collect_mode == "physical"
         collector = DistributedCollector(
             self.env_spec,
-            workers=policy.collect_workers,
-            mode=mode,
-            burst_probability=cfg.collect_burst_probability,
-            burst_scale=cfg.collect_burst_scale,
+            workers=resolve_workers(policy.collect_workers) if physical else 0,
+            burst_probability=COLLECT_BURST_PROBABILITY,
+            burst_scale=COLLECT_BURST_SCALE,
         )
         plan = episode_plan(
             steps,
@@ -265,21 +274,13 @@ class MirasAgent:
 
         Returns the final-epoch training loss.
         """
-        history = self.model.fit(
+        history = self.model.fit(self.dataset, epochs=self.config.model.epochs)
+        self.refined_model = RefinedModel.from_dataset(
+            self.model,
             self.dataset,
-            epochs=self.config.model.epochs,
-            batch_size=self.config.model.batch_size,
+            rng=self._rngs["refine"].fork(f"n{len(self.dataset)}"),
+            tracer=self.tracer,
         )
-        if self.config.model.refinement_enabled:
-            self.refined_model = RefinedModel.from_dataset(
-                self.model,
-                self.dataset,
-                percentile=self.config.model.refinement_percentile,
-                rng=self._rngs["refine"].fork(f"n{len(self.dataset)}"),
-                tracer=self.tracer,
-            )
-        else:
-            self.refined_model = self.model
         return history[-1]
 
     # --- Phase 3: policy training on the model -----------------------------
@@ -289,14 +290,8 @@ class MirasAgent:
         """The vectorised synthetic environment (K parallel rollouts)."""
         if self.refined_model is None:
             raise RuntimeError("train_model() must run before policy training")
-        model = self.refined_model
-        if not isinstance(model, RefinedModel):
-            # Refinement disabled: a zero boundary lends nothing, so the
-            # synthetic environment steps the raw f̂_Φ.
-            zero = np.zeros(model.state_dim)
-            model = RefinedModel(model, zero, zero, rng=self._rngs["refine"])
         return BatchedModelEnv(
-            model,
+            self.refined_model,
             self.dataset,
             consumer_budget=self.env.consumer_budget,
             rollout_length=self.config.policy.rollout_length,
@@ -416,10 +411,10 @@ class MirasAgent:
     ) -> List[IterationResult]:
         """Run the full iterative procedure; returns per-iteration results.
 
-        With ``config.keep_best_policy`` (default), the actor/critic
-        weights from the iteration with the highest evaluation reward are
-        restored at the end, so a noisy late iteration cannot destroy an
-        already-good policy.
+        The actor/critic weights from the iteration with the highest
+        evaluation reward are restored at the end ("until the policy
+        performs well in real environment", Algorithm 2), so a noisy late
+        iteration cannot destroy an already-good policy.
         """
         if iterations is None:
             iterations = self.config.iterations
@@ -430,9 +425,8 @@ class MirasAgent:
         )
         best_snapshot = None
         for iteration in range(iterations):
-            random_fraction = (
-                self.config.initial_random_fraction if len(self.results) == 0 else 0.0
-            )
+            # Iteration 0 has no useful policy yet: all random actions.
+            random_fraction = 1.0 if len(self.results) == 0 else 0.0
             if self.config.policy.collect_mode == "serial":
                 self.collect_real_interactions(
                     self.config.steps_per_iteration,
@@ -460,12 +454,7 @@ class MirasAgent:
                     f"model_loss={model_loss:.4f} rollouts={rollouts} "
                     f"eval_reward={result.eval_reward:.1f}"
                 )
-            if (
-                self.config.target_eval_reward is not None
-                and result.eval_reward >= self.config.target_eval_reward
-            ):
-                break  # "the policy performs well in real environment"
-        if self.config.keep_best_policy and best_snapshot is not None:
+        if best_snapshot is not None:
             self._restore_policy(best_snapshot)
         return self.results
 
@@ -498,17 +487,14 @@ class MirasAgent:
             self.ddpg.param_noise.sigma,
             step=step,
         )
-        if isinstance(self.refined_model, RefinedModel):
-            self.tracer.metric(
-                "train/refinement_lends",
-                self.refined_model.lend_count,
-                step=step,
-            )
-            self.tracer.metric(
-                "train/refinement_lend_delta",
-                self.refined_model.lend_delta_total,
-                step=step,
-            )
+        self.tracer.metric(
+            "train/refinement_lends", self.refined_model.lend_count, step=step
+        )
+        self.tracer.metric(
+            "train/refinement_lend_delta",
+            self.refined_model.lend_delta_total,
+            step=step,
+        )
 
     def _snapshot_policy(self) -> dict:
         """Copy the actor/critic (and target) weights."""

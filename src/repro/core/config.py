@@ -11,16 +11,12 @@ rollouts; LIGO 2,000 steps/iteration with 10-step rollouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.rl.ddpg import DDPGConfig
 from repro.rl.distributed import COLLECT_MODES
-from repro.utils.validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-)
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["ModelConfig", "PolicyConfig", "MirasConfig"]
 
@@ -30,24 +26,10 @@ class ModelConfig:
     """Environment-model (f̂_Φ) hyper-parameters."""
 
     hidden_sizes: Sequence[int] = (20, 20, 20)
-    learning_rate: float = 1e-3
     epochs: int = 40
-    batch_size: int = 64
-    #: Lend–Giveback percentile p (Algorithm 1): tau = p-pct, omega = (100-p)-pct.
-    refinement_percentile: float = 20.0
-    refinement_enabled: bool = True
 
     def __post_init__(self):
-        check_positive("learning_rate", self.learning_rate)
         check_positive("epochs", self.epochs)
-        check_positive("batch_size", self.batch_size)
-        check_in_range(
-            "refinement_percentile",
-            self.refinement_percentile,
-            0.0,
-            50.0,
-            inclusive=(False, False),
-        )
 
 
 @dataclass
@@ -72,14 +54,14 @@ class PolicyConfig:
     #: interleaving for batched model/actor forwards.
     rollout_batch: int = 1
     #: Real-environment collection topology (repro.rl.distributed):
-    #: ``serial`` is the historical in-loop collector; ``logical``
-    #: executes the fixed round-robin interleave schedule in-process
-    #: (deterministic, CI-pinnable); ``physical`` fans the same schedule
-    #: over collector processes for throughput.  ``logical`` and
-    #: ``physical`` produce byte-identical training state for any worker
-    #: count.
+    #: ``serial`` is the historical in-loop collector; ``logical`` runs
+    #: the fixed round-robin interleave schedule on zero worker processes,
+    #: all in this one (deterministic, CI-pinnable); ``physical`` runs it
+    #: on ``collect_workers`` processes plus this one, for throughput.
+    #: ``logical`` and ``physical`` produce byte-identical training state
+    #: for any worker count.
     collect_mode: str = "serial"
-    #: Collector worker processes for the distributed modes; the learner
+    #: Collector worker processes for ``physical`` collection; the learner
     #: runs a share of the episodes too (0 auto-detects
     #: ``os.cpu_count()``).  Never feeds entropy or ordering — a pure
     #: throughput knob.
@@ -123,28 +105,6 @@ class MirasConfig:
     #: Real-env steps used to evaluate the policy after each iteration
     #: (25 for MSD, 100 for LIGO).
     eval_steps: int = 25
-    #: Fraction of collection steps taken with random actions in the first
-    #: iteration (there is no useful policy yet).
-    initial_random_fraction: float = 1.0
-    #: At each collection reset, probability of injecting a random request
-    #: burst so the dataset covers the high-WIP regime the evaluation
-    #: bursts (Section VI-D) will visit.  The paper trains against a live
-    #: system whose workload already spans load levels; the emulated
-    #: background Poisson alone leaves WIP low, so this restores coverage.
-    collect_burst_probability: float = 0.3
-    #: Burst size cap in units of the consumer budget C (total requests
-    #: drawn uniformly from [0, scale * C], split randomly across types).
-    collect_burst_scale: float = 20.0
-    #: Keep the actor/critic weights from the iteration with the best
-    #: real-environment evaluation ("until the policy performs well in
-    #: real environment", Algorithm 2).  Protects short runs against a
-    #: late policy collapse.
-    keep_best_policy: bool = True
-    #: Optional early stop for the outer loop: Algorithm 2 repeats "until
-    #: the policy performs well in real environment" — iteration stops as
-    #: soon as an evaluation reaches this aggregated reward (None: always
-    #: run the configured number of iterations).
-    target_eval_reward: Optional[float] = None
     #: If > 0, each per-iteration evaluation starts with a request burst of
     #: this many budgets' worth of requests (total = scale * C, split
     #: evenly over workflow types).  Aligns policy selection with the
@@ -157,13 +117,6 @@ class MirasConfig:
         check_positive("reset_interval", self.reset_interval)
         check_positive("iterations", self.iterations)
         check_positive("eval_steps", self.eval_steps)
-        check_in_range(
-            "initial_random_fraction", self.initial_random_fraction, 0.0, 1.0
-        )
-        check_in_range(
-            "collect_burst_probability", self.collect_burst_probability, 0.0, 1.0
-        )
-        check_non_negative("collect_burst_scale", self.collect_burst_scale)
         check_non_negative("eval_burst_scale", self.eval_burst_scale)
 
     # Presets -----------------------------------------------------------------
@@ -243,13 +196,4 @@ class MirasConfig:
             reset_interval=25,
             iterations=6,
             eval_steps=25,
-        )
-
-    def scaled(self, factor: float) -> "MirasConfig":
-        """A copy with all step counts multiplied by ``factor`` (>= minimum 1)."""
-        check_positive("factor", factor)
-        return replace(
-            self,
-            steps_per_iteration=max(1, int(self.steps_per_iteration * factor)),
-            eval_steps=max(1, int(self.eval_steps * factor)),
         )

@@ -13,7 +13,15 @@ A saved agent directory contains:
   training continued after a reload takes the same gradient steps as the
   never-saved agent; directories written before this file existed load
   with fresh optimisers,
-- ``results.json`` — per-iteration training diagnostics.
+- ``results.json`` — per-iteration training diagnostics,
+- ``episodes.json`` — the distributed collector's episode counter, so a
+  reloaded agent's next collection continues the episode indices (and
+  the seed streams derived from them) instead of re-drawing the first
+  iteration's; directories written before this file existed load at 0.
+
+A ``config.json`` written before a setting was retired still loads as
+long as it holds that setting at the one value it now takes; any other
+value, or a key no config ever had, is a ``ValueError`` naming it.
 
 Saving is atomic per file: everything is written to a sibling staging
 directory first and only then moved into place with ``os.replace``, so a
@@ -45,6 +53,30 @@ from repro.sim.env import MicroserviceEnv
 
 __all__ = ["save_agent", "load_agent", "config_to_dict", "config_from_dict"]
 
+#: Settings older ``config.json`` files carry, per section, with the one
+#: value each is now fixed at.
+_RETIRED = {
+    "model": {
+        "learning_rate": 1e-3,
+        "batch_size": 64,
+        "refinement_percentile": 20.0,
+        "refinement_enabled": True,
+    },
+    "policy.ddpg": {
+        "critic_learning_rate": 1e-3,
+        "param_noise_delta": 0.05,
+        "state_scale": 100.0,
+        "output_mixing": 0.02,
+    },
+    "": {
+        "initial_random_fraction": 1.0,
+        "collect_burst_probability": 0.3,
+        "collect_burst_scale": 20.0,
+        "keep_best_policy": True,
+        "target_eval_reward": None,
+    },
+}
+
 
 def _optimizers(agent: MirasAgent) -> dict:
     return {
@@ -59,14 +91,35 @@ def config_to_dict(config: MirasConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+def _fields(cls, data: dict, section: str) -> dict:
+    """``data``'s ``cls`` fields; a retired key at its fixed value is dropped."""
+    known = {field.name for field in dataclasses.fields(cls)}
+    retired = _RETIRED.get(section, {})
+    kwargs = {}
+    for key, value in data.items():
+        name = f"{section}.{key}" if section else key
+        if key in known:
+            kwargs[key] = value
+        elif key not in retired:
+            raise ValueError(f"config has an unknown key {name!r}")
+        elif value != retired[key]:
+            raise ValueError(
+                f"config sets the retired key {name!r} to {value!r}; "
+                f"it is fixed at {retired[key]!r}"
+            )
+    return kwargs
+
+
 def config_from_dict(data: dict) -> MirasConfig:
-    """Inverse of :func:`config_to_dict`."""
-    data = dict(data)
-    model = ModelConfig(**data.pop("model"))
-    policy_data = dict(data.pop("policy"))
-    ddpg = DDPGConfig(**policy_data.pop("ddpg"))
-    policy = PolicyConfig(ddpg=ddpg, **policy_data)
-    return MirasConfig(model=model, policy=policy, **data)
+    """Inverse of :func:`config_to_dict`, older ``config.json`` dicts too."""
+    kwargs = _fields(MirasConfig, data, "")
+    kwargs["model"] = ModelConfig(**_fields(ModelConfig, data["model"], "model"))
+    policy = _fields(PolicyConfig, data["policy"], "policy")
+    policy["ddpg"] = DDPGConfig(
+        **_fields(DDPGConfig, policy["ddpg"], "policy.ddpg")
+    )
+    kwargs["policy"] = PolicyConfig(**policy)
+    return MirasConfig(**kwargs)
 
 
 def save_agent(directory: Union[str, Path], agent: MirasAgent) -> Path:
@@ -120,6 +173,9 @@ def _write_agent(directory: Path, agent: MirasAgent) -> None:
     (directory / "results.json").write_text(
         json.dumps([dataclasses.asdict(r) for r in agent.results], indent=2)
     )
+    (directory / "episodes.json").write_text(
+        json.dumps({"episodes_collected": agent._episodes_collected})
+    )
 
 
 def load_agent(
@@ -150,16 +206,13 @@ def load_agent(
     with np.load(directory / "environment_model_norm.npz") as norm:
         agent.model._norm = {key: norm[key].copy() for key in norm.files}
     agent.model.trained = True
-    if len(agent.dataset) and config.model.refinement_enabled:
+    if len(agent.dataset):
         agent.refined_model = RefinedModel.from_dataset(
             agent.model,
             agent.dataset,
-            percentile=config.model.refinement_percentile,
             rng=agent._rngs["refine"].fork(f"n{len(agent.dataset)}"),
             tracer=agent.tracer,
         )
-    elif agent.model.trained:
-        agent.refined_model = agent.model
 
     agent.ddpg.actor.network = load_mlp(directory / "actor.npz")
     agent.ddpg.actor.target_network = load_mlp(directory / "actor_target.npz")
@@ -193,5 +246,10 @@ def load_agent(
         agent.results = [
             IterationResult(**entry)
             for entry in json.loads(results_path.read_text())
+        ]
+    episodes_path = directory / "episodes.json"
+    if episodes_path.exists():
+        agent._episodes_collected = json.loads(episodes_path.read_text())[
+            "episodes_collected"
         ]
     return agent

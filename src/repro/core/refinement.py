@@ -77,7 +77,9 @@ class RefinedModel:
     ) -> "RefinedModel":
         """Initialise tau/omega by "simple statistical analysis" over D.
 
-        ``tau_floor`` keeps the boundary region non-empty when the dataset
+        ``percentile`` is Algorithm 1's Lend–Giveback p (20, the one value
+        MIRAS uses): tau is each WIP column's p-th percentile, omega its
+        (100-p)-th.  ``tau_floor`` keeps the boundary region non-empty when the dataset
         is dominated by zero-WIP samples (the p-percentile of a mostly-zero
         column is 0, which would disable the refinement exactly where the
         paper needs it — at w_j ~ 0).

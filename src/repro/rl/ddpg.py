@@ -49,7 +49,6 @@ class DDPGConfig:
 
     hidden_sizes: Sequence[int] = (256, 256, 256)
     actor_learning_rate: float = 1e-4
-    critic_learning_rate: float = 1e-3
     gamma: float = 0.95
     tau: float = 0.01
     batch_size: int = 64
@@ -57,14 +56,10 @@ class DDPGConfig:
     #: 'parameter' (MIRAS), 'action-gaussian', 'action-ou', or 'none'.
     exploration: str = "parameter"
     param_noise_sigma: float = 0.05
-    param_noise_delta: float = 0.05
     action_noise_sigma: float = 0.15
-    state_scale: float = 100.0
     #: Rewards are divided by this before critic regression; sized for the
     #: burst regime where |r| reaches a few thousand (Eq. 1 at high WIP).
     reward_scale: float = 500.0
-    #: Actor uniform output mixing (see repro.rl.actor.Actor).
-    output_mixing: float = 0.02
     #: Decoupled weight decay on the actor (prevents logit saturation).
     actor_weight_decay: float = 1e-3
     #: Entropy bonus on the actor objective (ascend Q + beta * H(a)).
@@ -79,7 +74,6 @@ class DDPGConfig:
         check_in_range("gamma", self.gamma, 0.0, 1.0)
         check_in_range("tau", self.tau, 0.0, 1.0, inclusive=(False, True))
         check_positive("actor_learning_rate", self.actor_learning_rate)
-        check_positive("critic_learning_rate", self.critic_learning_rate)
         check_non_negative("actor_weight_decay", self.actor_weight_decay)
         check_non_negative("entropy_weight", self.entropy_weight)
         check_positive("batch_size", self.batch_size)
@@ -118,24 +112,20 @@ class DDPGAgent:
             action_dim,
             hidden_sizes=cfg.hidden_sizes,
             learning_rate=cfg.actor_learning_rate,
-            state_scale=cfg.state_scale,
             rng=rng.fork("actor"),
-            output_mixing=cfg.output_mixing,
             weight_decay=cfg.actor_weight_decay,
         )
         self.critic = Critic(
             state_dim,
             action_dim,
             hidden_sizes=cfg.hidden_sizes,
-            learning_rate=cfg.critic_learning_rate,
-            state_scale=cfg.state_scale,
             reward_scale=cfg.reward_scale,
             rng=rng.fork("critic"),
         )
         self.replay = ReplayBuffer(cfg.buffer_capacity, state_dim, action_dim)
 
         self.param_noise = AdaptiveParameterNoise(
-            initial_sigma=cfg.param_noise_sigma, delta=cfg.param_noise_delta
+            initial_sigma=cfg.param_noise_sigma
         )
         self._perturbed_network: Optional[MLP] = None
         self._acts_since_perturb = 0
@@ -270,7 +260,7 @@ class DDPGAgent:
         next_states = batch["next_states"]
 
         # Actor and critic normalise states identically (same log1p map,
-        # same cfg.state_scale), so do it once; each (network, weights,
+        # same default state_scale), so do it once; each (network, weights,
         # input) triple below is then forwarded exactly once.
         features = self.actor.normalize(states)
         next_features = self.actor.normalize(next_states)

@@ -20,17 +20,18 @@ Topology and determinism contract (docs/PERFORMANCE.md):
   seed, the exploration stream, the burst draws.  Worker identity,
   scheduling and completion order never feed entropy.
 - Blocks are ingested in **episode order** (the logical round-robin
-  interleave), regardless of which worker produced them or when: both
-  executors (``map`` and ``ordered_pool_map``) yield in input order,
-  and :meth:`DistributedCollector.collect` checks each block
-  against the plan.
+  interleave), regardless of which worker produced them or when:
+  ``ordered_pool_map`` yields in input order, and
+  :meth:`DistributedCollector.collect` checks each block against the
+  plan.
 
 Together these pin the engine's output to the logical schedule: for any
-worker count K — including physical process pools — the collected
-dataset, replay contents, traces and downstream training are
-byte-identical to the K=1 run.  *Physical* mode buys wall-clock
-throughput; *logical* mode executes the same schedule in-process and is
-the CI-checkable determinism witness.
+worker count K the collected dataset, replay contents, traces and
+downstream training are byte-identical to the K=0 run.  *Logical*
+collection is that run: zero worker processes, every episode in this
+one, the CI-checkable determinism witness.  *Physical* collection runs
+the same schedule on K >= 1 worker processes plus this one, for
+wall-clock throughput.
 
 Abort semantics: collection is fail-fast.  If an episode raises, in a
 worker or in the learner's own share, the exception propagates to the
@@ -63,9 +64,13 @@ from repro.rl.noise import (
     OrnsteinUhlenbeckNoise,
     repair_action_noise,
 )
-from repro.utils.pool import ordered_pool_map, resolve_workers
+from repro.utils.pool import ordered_pool_map
 from repro.utils.rng import RngStream, derive_stream_seed
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import (
+    check_in_range,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = [
     "COLLECT_MODES",
@@ -80,8 +85,8 @@ __all__ = [
 
 #: Collection topologies ``PolicyConfig.collect_mode`` accepts.  ``serial``
 #: is the historical in-loop path; ``logical`` executes the fixed
-#: round-robin interleave schedule in-process; ``physical`` fans the same
-#: schedule over a process pool.
+#: round-robin interleave schedule on zero worker processes; ``physical``
+#: runs the same schedule on worker processes and the learner.
 COLLECT_MODES = ("serial", "logical", "physical")
 
 
@@ -191,8 +196,6 @@ def policy_payload(ddpg) -> Dict:
         "state_dim": int(ddpg.state_dim),
         "action_dim": int(ddpg.action_dim),
         "hidden_sizes": tuple(int(h) for h in cfg.hidden_sizes),
-        "state_scale": float(cfg.state_scale),
-        "output_mixing": float(cfg.output_mixing),
         "exploration": str(cfg.exploration),
         "param_noise_sigma": float(ddpg.param_noise.sigma),
         "action_noise_sigma": float(cfg.action_noise_sigma),
@@ -206,9 +209,7 @@ def _actor_from_payload(payload: Dict, rng: RngStream) -> Actor:
         payload["state_dim"],
         payload["action_dim"],
         hidden_sizes=payload["hidden_sizes"],
-        state_scale=payload["state_scale"],
         rng=rng,
-        output_mixing=payload["output_mixing"],
     )
     actor.network.load_state_dict(payload["actor_weights"])
     return actor
@@ -332,30 +333,24 @@ class TransitionBlock:
 class DistributedCollector:
     """Executes an episode plan over N workers and merges the blocks.
 
-    ``mode='logical'`` runs the fixed round-robin interleave in-process;
-    ``mode='physical'`` fans the same plan over ``workers`` processes
-    while the learner runs its own share of the episodes
-    (:func:`repro.utils.pool.ordered_pool_map`).  Both yield blocks in
-    plan order and both produce byte-identical merged output for any
-    worker count.
+    ``workers`` counts worker processes: the learner runs its own share
+    of the episodes beside them (:func:`repro.utils.pool.ordered_pool_map`),
+    and ``0`` — logical collection — runs every episode in this process.
+    Blocks arrive in plan order, and the merged output is byte-identical
+    for any worker count.
     """
 
     def __init__(
         self,
         env_spec: EnvSpec,
-        workers: int = 1,
-        mode: str = "logical",
+        workers: int = 0,
         burst_probability: float = 0.0,
         burst_scale: float = 0.0,
     ):
-        if mode not in ("logical", "physical"):
-            raise ValueError(
-                f"mode must be 'logical' or 'physical', got {mode!r}"
-            )
+        check_non_negative("workers", workers)
         check_in_range("burst_probability", burst_probability, 0.0, 1.0)
         self.env_spec = env_spec
-        self.workers = resolve_workers(workers)
-        self.mode = mode
+        self.workers = workers
         self.burst_probability = burst_probability
         self.burst_scale = burst_scale
 
@@ -417,8 +412,6 @@ class DistributedCollector:
         return merged
 
     def _run_specs(self, specs: List[Dict]) -> Iterable[Dict]:
-        if self.mode == "logical":
-            return map(run_collect_episode, specs)
         return ordered_pool_map(
             run_collect_episode, specs, self.workers,
             [f"episode {spec['episode']}" for spec in specs],

@@ -49,9 +49,6 @@ class SystemConfig:
         Container start-up latency bounds (paper measured 5–10 s).
     tds_replicas:
         TDS ensemble size (paper: 3 Zookeeper nodes).
-    drain_consumers_per_service:
-        Consumers per microservice during :meth:`MicroserviceWorkflowSystem.drain`;
-        ``None`` chooses ``consumer_budget`` (aggressive over-provisioning).
     """
 
     window_length: float = 30.0
@@ -60,7 +57,6 @@ class SystemConfig:
     node_capacity: Optional[int] = None
     startup_delay_range: tuple = (5.0, 10.0)
     tds_replicas: int = 3
-    drain_consumers_per_service: Optional[int] = None
     #: "drain" (graceful, Kubernetes-like) or "kill" (immediate + nack).
     scale_down_mode: str = "drain"
 
@@ -73,10 +69,10 @@ class SystemConfig:
         check_positive("consumer_budget", self.consumer_budget)
         check_positive("num_nodes", self.num_nodes)
         check_positive("tds_replicas", self.tds_replicas)
-        for name in ("node_capacity", "drain_consumers_per_service"):
-            value = getattr(self, name)
-            if value is not None and not value >= 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.node_capacity is not None and not self.node_capacity >= 1:
+            raise ValueError(
+                f"node_capacity must be >= 1, got {self.node_capacity!r}"
+            )
         low, high = self.startup_delay_range
         if not 0 <= low <= high < math.inf:  # a NaN bound fails too
             raise ValueError(
@@ -91,27 +87,25 @@ class SystemConfig:
     def resolved_drain_consumers(self, num_task_types: int) -> int:
         """Per-service consumer count used by the drain ("reset").
 
-        Default: three budgets' worth spread across the services —
-        "sufficient consumers of each microservice" without exploding the
-        cluster for ensembles with many task types.
+        Three budgets' worth spread across the services — "sufficient
+        consumers of each microservice" without exploding the cluster for
+        ensembles with many task types.
         """
-        if self.drain_consumers_per_service is not None:
-            return self.drain_consumers_per_service
         return max(2, math.ceil(3 * self.consumer_budget / num_task_types))
 
     def resolved_node_capacity(self, num_task_types: int) -> int:
         """Slots per node, with drain headroom when not set explicitly.
 
-        30% headroom covers gracefully-draining consumers that still hold
-        a slot while their replacement allocation spins up.
+        The drain's total (at least three budgets) is the peak; 30%
+        headroom covers gracefully-draining consumers that still hold a
+        slot while their replacement allocation spins up.
         """
         if self.node_capacity is not None:
             return self.node_capacity
         drain_total = (
             self.resolved_drain_consumers(num_task_types) * num_task_types
         )
-        peak = max(self.consumer_budget, drain_total)
-        return math.ceil(1.3 * peak / self.num_nodes) + 1
+        return math.ceil(1.3 * drain_total / self.num_nodes) + 1
 
 
 class MicroserviceWorkflowSystem:
@@ -416,11 +410,7 @@ class MicroserviceWorkflowSystem:
             hook(observation)
         return observation
 
-    def drain(
-        self,
-        max_windows: int = 40,
-        consumers_per_service: Optional[int] = None,
-    ) -> int:
+    def drain(self, max_windows: int = 40) -> int:
         """The paper's "reset": over-provision until nothing is waiting.
 
         "'Reset' means to provision sufficient consumers of each
@@ -434,15 +424,12 @@ class MicroserviceWorkflowSystem:
         allocation is *not* restored — callers apply a fresh one, as the
         RL loop does.
         """
-        if consumers_per_service is None:
-            consumers_per_service = self.config.resolved_drain_consumers(
-                self.ensemble.num_task_types
-            )
-        check_positive("consumers_per_service", consumers_per_service)
         if not self._requests_waiting():
             return 0
         drain_allocation = np.full(
-            self.ensemble.num_task_types, consumers_per_service, dtype=np.int64
+            self.ensemble.num_task_types,
+            self.config.resolved_drain_consumers(self.ensemble.num_task_types),
+            dtype=np.int64,
         )
         self.apply_allocation(drain_allocation)
         windows = 0

@@ -55,20 +55,11 @@ class TestCollection:
             agent.collect_real_interactions(0)
 
     def test_burst_injection_produces_high_wip_states(self):
-        config = tiny_config(
-            collect_burst_probability=1.0, collect_burst_scale=20.0
-        )
-        agent = MirasAgent(make_msd_env(seed=12), config, seed=12)
-        agent.collect_real_interactions(20, random_fraction=1.0)
+        # Four collection resets, each injecting a burst with p = 0.3.
+        agent = MirasAgent(make_msd_env(seed=12), tiny_config(), seed=12)
+        agent.collect_real_interactions(40, random_fraction=1.0)
         states, _, _ = agent.dataset.arrays()
         assert states.max() > 50  # bursts visible in the dataset
-
-    def test_no_burst_injection_when_disabled(self):
-        config = tiny_config(collect_burst_probability=0.0)
-        agent = MirasAgent(make_msd_env(seed=13), config, seed=13)
-        agent.collect_real_interactions(20, random_fraction=1.0)
-        states, _, _ = agent.dataset.arrays()
-        assert states.max() < 100
 
 
 class TestModelTraining:
@@ -77,33 +68,6 @@ class TestModelTraining:
         loss = agent.train_model()
         assert np.isfinite(loss)
         assert agent.refined_model is not None
-
-    def test_refinement_disabled_uses_raw_model(self):
-        config = tiny_config(
-            model=ModelConfig(hidden_sizes=(8,), epochs=3, refinement_enabled=False)
-        )
-        agent = MirasAgent(make_msd_env(seed=14), config, seed=14)
-        agent.collect_real_interactions(20, random_fraction=1.0)
-        agent.train_model()
-        assert agent.refined_model is agent.model
-
-    def test_refinement_disabled_trains_policy_on_the_raw_model(self):
-        config = tiny_config(
-            model=ModelConfig(hidden_sizes=(8,), epochs=3, refinement_enabled=False)
-        )
-        agent = MirasAgent(make_msd_env(seed=14), config, seed=14)
-        agent.collect_real_interactions(20, random_fraction=1.0)
-        agent.train_model()
-        env = agent.build_batched_model_env()
-        states = env.reset(3)
-        allocations = np.full((3, 4), 3.0)
-        next_states, _, _ = env.step(allocations)
-        raw = np.maximum(agent.model.predict(states, allocations), 0.0)
-        assert next_states.tobytes() == raw.tobytes()
-        assert env.model.lend_count == 0
-        agent.collect_real_interactions(1)  # a new dataset size: a new env stream
-        rollouts, _ = agent.train_policy()
-        assert rollouts >= 1
 
     def test_build_model_env_requires_model(self, agent):
         with pytest.raises(RuntimeError, match="train_model"):

@@ -9,6 +9,8 @@ so neither the worker count nor process scheduling can leak into
 training state.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,20 @@ class TestCollectTelemetry:
             r for r in tracer.sink.records if r["kind"] == "span.collect"
         ]
         assert [s["episode"] for s in spans] == [0, 1, 2, 3, 4, 5]
+
+    def test_collect_lanes_is_the_interleave_width(self):
+        config = small_config("logical", 1)
+        config = replace(config, policy=replace(config.policy, collect_lanes=2))
+        tracer = Tracer(MemorySink())
+        agent = MirasAgent(
+            build_training_env(seed=7), config, seed=7, tracer=tracer,
+            env_spec=ENV_SPEC,
+        )
+        agent.collect_distributed(60)
+        spans = [
+            r for r in tracer.sink.records if r["kind"] == "span.collect"
+        ]
+        assert [s["lane"] for s in spans] == [0, 1, 0]
 
 
 class TestGuards:

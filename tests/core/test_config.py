@@ -8,17 +8,10 @@ from repro.core.config import MirasConfig, ModelConfig, PolicyConfig
 class TestModelConfig:
     def test_defaults(self):
         config = ModelConfig()
-        assert config.refinement_enabled
+        assert tuple(config.hidden_sizes) == (20, 20, 20)
+        assert config.epochs == 40
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"learning_rate": 0},
-            {"epochs": 0},
-            {"refinement_percentile": 0.0},
-            {"refinement_percentile": 50.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"epochs": 0}])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
@@ -69,23 +62,13 @@ class TestMirasPresets:
             )
             assert fast.steps_per_iteration < paper.steps_per_iteration
 
-    def test_scaled(self):
-        config = MirasConfig.msd_paper().scaled(0.1)
-        assert config.steps_per_iteration == 100
-        assert config.eval_steps == 2
-
-    def test_scaled_floors_at_one(self):
-        config = MirasConfig.msd_paper().scaled(1e-6)
-        assert config.steps_per_iteration == 1
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"steps_per_iteration": 0},
             {"iterations": 0},
-            {"initial_random_fraction": 1.5},
-            {"collect_burst_probability": -0.1},
-            {"collect_burst_scale": -1.0},
+            {"reset_interval": 0},
+            {"eval_steps": 0},
         ],
     )
     def test_invalid(self, kwargs):

@@ -1,5 +1,8 @@
 """Tests for agent persistence (save/load roundtrips)."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,13 @@ from repro.core.persistence import (
     save_agent,
 )
 from repro.rl.ddpg import DDPGConfig
+from repro.rl.distributed import EnvSpec
 
 from tests.conftest import make_ligo_env, make_msd_env
 
 
-def trained_agent(seed=41):
-    config = MirasConfig(
+def small_config():
+    return MirasConfig(
         model=ModelConfig(hidden_sizes=(8, 8), epochs=5),
         policy=PolicyConfig(
             ddpg=DDPGConfig(hidden_sizes=(16, 16), batch_size=8),
@@ -30,9 +34,44 @@ def trained_agent(seed=41):
         iterations=1,
         eval_steps=4,
     )
-    agent = MirasAgent(make_msd_env(seed=seed), config, seed=seed)
+
+
+def trained_agent(seed=41):
+    agent = MirasAgent(make_msd_env(seed=seed), small_config(), seed=seed)
     agent.iterate()
     return agent
+
+
+#: Settings a ``config.json`` held before they were retired, each at the
+#: one value it is now fixed at.
+RETIRED_AT_FIXED_VALUES = {
+    "model": {
+        "learning_rate": 0.001,
+        "batch_size": 64,
+        "refinement_percentile": 20.0,
+        "refinement_enabled": True,
+    },
+    "ddpg": {
+        "critic_learning_rate": 0.001,
+        "param_noise_delta": 0.05,
+        "state_scale": 100.0,
+        "output_mixing": 0.02,
+    },
+    "top": {
+        "initial_random_fraction": 1.0,
+        "collect_burst_probability": 0.3,
+        "collect_burst_scale": 20.0,
+        "keep_best_policy": True,
+        "target_eval_reward": None,
+    },
+}
+
+
+def edit_config(directory, edit):
+    path = directory / "config.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
 
 
 class TestConfigRoundtrip:
@@ -231,3 +270,71 @@ class TestAgentRoundtrip:
                 assert np.asarray(pick(loaded)[key]).tobytes() == (
                     np.asarray(value).tobytes()
                 ), key
+
+
+class TestOlderCheckpoints:
+    def test_retired_keys_at_their_fixed_values_load(self, tmp_path):
+        agent = trained_agent()
+        saved = save_agent(tmp_path / "agent", agent)
+        reference = load_agent(saved, make_msd_env(seed=99))
+
+        def add_retired(data):
+            data["model"].update(RETIRED_AT_FIXED_VALUES["model"])
+            data["policy"]["ddpg"].update(RETIRED_AT_FIXED_VALUES["ddpg"])
+            data.update(RETIRED_AT_FIXED_VALUES["top"])
+
+        edit_config(saved, add_retired)
+        loaded = load_agent(saved, make_msd_env(seed=99))
+        assert config_to_dict(loaded.config) == config_to_dict(
+            reference.config
+        )
+        assert loaded.ddpg.actor.network.get_flat().tobytes() == (
+            agent.ddpg.actor.network.get_flat().tobytes()
+        )
+
+    def test_retired_key_at_another_value_is_rejected_by_name(self, tmp_path):
+        saved = save_agent(tmp_path / "agent", trained_agent())
+        edit_config(saved, lambda data: data.update(keep_best_policy=False))
+        with pytest.raises(ValueError, match="'keep_best_policy'.*False"):
+            load_agent(saved, make_msd_env(seed=99))
+
+    def test_unknown_key_is_rejected_by_name(self, tmp_path):
+        saved = save_agent(tmp_path / "agent", trained_agent())
+        edit_config(
+            saved, lambda data: data["policy"]["ddpg"].update(dropout=0.1)
+        )
+        with pytest.raises(ValueError, match="'policy.ddpg.dropout'"):
+            load_agent(saved, make_msd_env(seed=99))
+
+
+class TestEpisodeCounter:
+    def test_next_collection_continues_the_episode_count(self, tmp_path):
+        """A reloaded agent's next distributed collection draws the
+        episodes after the saved ones, not the first iteration's again:
+        it collects exactly what the never-saved agent collects next."""
+        spec = EnvSpec.make(
+            "repro.eval.experiments:build_training_env", dataset="msd"
+        )
+        config = small_config()
+        config = replace(
+            config, policy=replace(config.policy, collect_mode="logical")
+        )
+        agent = MirasAgent(make_msd_env(seed=5), config, env_spec=spec)
+        agent.collect_distributed(20)  # episodes 0 and 1
+        saved = save_agent(tmp_path / "agent", agent)
+        loaded = load_agent(saved, make_msd_env(seed=5))
+        loaded.env_spec = spec
+
+        for twin in (agent, loaded):
+            twin.collect_distributed(10)
+        assert [
+            part[-10:].tobytes() for part in loaded.dataset.arrays()
+        ] == [part[-10:].tobytes() for part in agent.dataset.arrays()]
+
+    def test_directory_without_the_counter_loads_at_zero(self, tmp_path):
+        agent = trained_agent()
+        agent._episodes_collected = 3
+        saved = save_agent(tmp_path / "agent", agent)
+        assert load_agent(saved, make_msd_env())._episodes_collected == 3
+        (saved / "episodes.json").unlink()
+        assert load_agent(saved, make_msd_env())._episodes_collected == 0

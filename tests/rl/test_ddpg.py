@@ -45,7 +45,6 @@ class TestConfig:
         "name,bad",
         [
             ("actor_learning_rate", 0.0),
-            ("critic_learning_rate", -1e-3),
             ("entropy_weight", -0.1),
             ("actor_weight_decay", -1e-3),
         ],

@@ -48,7 +48,7 @@ class TestSigmaAdaptationLoop:
     def test_sigma_converges_toward_target_distance(self):
         """Closed loop: repeated perturb+adapt should keep the induced
         action distance in the vicinity of delta."""
-        agent = make_agent(param_noise_sigma=1.0, param_noise_delta=0.05)
+        agent = make_agent(param_noise_sigma=1.0)
         rng = RngStream("s", np.random.SeedSequence(8))
         for _ in range(64):
             s = rng.uniform(0, 20, size=3)

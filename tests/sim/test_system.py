@@ -38,7 +38,6 @@ class TestConfig:
         ("startup_delay_range", (-1.0, 5.0)),
         ("startup_delay_range", (5.0, float("nan"))),
         ("node_capacity", 0),
-        ("drain_consumers_per_service", 0),
         ("window_length", float("inf")),
     ])
     def test_rejected_at_construction(self, field, value):

@@ -12,10 +12,6 @@ class TestDrainConsumers:
         assert config.resolved_drain_consumers(9) == 10
         assert config.resolved_drain_consumers(4) == 23
 
-    def test_explicit_value_wins(self):
-        config = SystemConfig(consumer_budget=30, drain_consumers_per_service=5)
-        assert config.resolved_drain_consumers(9) == 5
-
     def test_floor_of_two(self):
         config = SystemConfig(consumer_budget=2)
         assert config.resolved_drain_consumers(100) == 2
@@ -33,8 +29,6 @@ class TestNodeCapacity:
         assert config.resolved_node_capacity(9) == 7
 
     def test_budget_floor(self):
-        config = SystemConfig(
-            consumer_budget=100, drain_consumers_per_service=1, num_nodes=3
-        )
+        config = SystemConfig(consumer_budget=100, num_nodes=3)
         capacity = config.resolved_node_capacity(2)
         assert 3 * capacity >= 100
