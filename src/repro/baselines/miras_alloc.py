@@ -57,6 +57,4 @@ class MirasAllocator(Allocator):
     ) -> np.ndarray:
         if self.agent is None:
             raise RuntimeError("call prepare() before allocate()")
-        simplex = self.agent.ddpg.act_greedy(np.asarray(wip, dtype=np.float64))
-        allocation = np.floor(self.budget * np.clip(simplex, 0, 1))
-        return self._check(allocation.astype(np.int64))
+        return self._check(self.agent.act(wip))

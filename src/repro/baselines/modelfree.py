@@ -106,6 +106,7 @@ class ModelFreeDDPGAllocator(Allocator):
     ) -> np.ndarray:
         if self.agent is None:
             raise RuntimeError("call prepare() before allocate()")
-        simplex = self.agent.act_greedy(np.asarray(wip, dtype=np.float64))
-        allocation = np.floor(self.budget * np.clip(simplex, 0, 1))
-        return self._check(allocation.astype(np.int64))
+        simplex = self.agent.act_greedy(wip)
+        return self._check(
+            allocation_from_simplex(simplex[np.newaxis], self.budget)[0]
+        )

@@ -7,7 +7,7 @@
     python -m repro simulate --dataset msd --allocator heft --burst 0
     python -m repro model-accuracy --dataset ligo
     python -m repro experiments --experiments fig5,fig6 --workers 4
-    python -m repro trace --dataset msd --output runs/trace-msd
+    python -m repro simulate --dataset msd --telemetry runs/trace-msd
     python -m repro report runs/trace-msd --validate
     python -m repro report runs/trace-msd --format prom
 
@@ -15,20 +15,22 @@
 burst scenario; ``simulate`` runs a heuristic allocator (no learning);
 ``model-accuracy`` reproduces the Fig. 5 protocol; ``experiments`` maps
 figure/ablation cells over worker processes with label-derived per-cell
-seeds (results are byte-identical for any ``--workers``); ``trace`` reruns a
-simulation or training run with telemetry and the phase profiler on,
-writing a JSONL trace, a run manifest, aggregated metrics and the phase
-tree; ``report`` is how such a run is read back: it loads the trace once,
-folds it once, and prints the utilization, queue-depth,
-container-lifecycle and training-curve tables plus the saved phase tree
-(``--format json|prom`` emits the bytes of ``metrics.json`` /
-``metrics.prom`` instead, ``--output DIR`` writes both files);
-``lint`` runs reprolint (docs/OBSERVABILITY.md, docs/LINTING.md).
+seeds (results are byte-identical for any ``--workers``).  ``train`` and
+``simulate`` take ``--telemetry DIR``: the run is traced with the phase
+profiler on and writes a JSONL trace, a run manifest, aggregated metrics
+and the phase tree into ``DIR`` (``experiments --telemetry`` writes one
+such directory per cell); ``report`` is how such a run is read back: it
+loads the trace once, folds it once, and prints the utilization,
+queue-depth, container-lifecycle and training-curve tables plus the
+saved phase tree (``--format json|prom`` emits the bytes of
+``metrics.json`` / ``metrics.prom`` instead, ``--output DIR`` writes both
+files); ``lint`` runs reprolint (docs/OBSERVABILITY.md, docs/LINTING.md).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -71,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--output", default=None,
                        help="directory to save the trained agent to")
+    _add_telemetry(train)
 
     evaluate = sub.add_parser(
         "evaluate", help="deploy a saved agent on a burst scenario"
@@ -95,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--burst", type=int, default=0)
     simulate.add_argument("--steps", type=int, default=30)
     simulate.add_argument("--seed", type=int, default=1000)
+    _add_telemetry(simulate)
 
     accuracy = sub.add_parser(
         "model-accuracy", help="Fig. 5 model-accuracy protocol"
@@ -134,30 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
              "them into fleet_metrics.json / fleet_manifest.json "
              "(byte-identical for any --workers)",
     )
-
-    trace = sub.add_parser(
-        "trace",
-        help="run a traced, profiled simulation/training run "
-             "(trace + manifest + metrics + profile)",
-    )
-    _add_dataset(trace)
-    trace.add_argument("--mode", choices=("simulate", "train"),
-                       default="simulate")
-    trace.add_argument(
-        "--allocator",
-        choices=("uniform", "wip", "stream", "heft", "hpa", "oracle"),
-        default="uniform",
-        help="allocator for --mode simulate",
-    )
-    trace.add_argument("--burst", type=int, default=0,
-                       help="burst scenario index for --mode simulate")
-    trace.add_argument("--steps", type=int, default=30,
-                       help="control windows for --mode simulate")
-    trace.add_argument("--iterations", type=_count, default=1,
-                       help="Algorithm 2 iterations for --mode train")
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--output", required=True,
-                       help="run directory for trace.jsonl + manifest.json")
 
     report = sub.add_parser(
         "report", help="read back a traced run (tables, metrics, phase tree)"
@@ -199,7 +179,28 @@ def _add_dataset(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", choices=("msd", "ligo"), default="msd")
 
 
-def _cmd_train(args) -> int:
+def _add_telemetry(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--telemetry", default=None, metavar="DIR",
+        help="trace and profile the run; write trace.jsonl, manifest.json, "
+             "metrics.json/.prom and profile.json into DIR",
+    )
+
+
+def _capture(args, argv: List[str]):
+    """The run's ``capture_run`` under ``--telemetry DIR``, else a no-op
+    yielding ``None`` (the untraced default)."""
+    if args.telemetry is None:
+        return contextlib.nullcontext()
+    from repro.telemetry import capture_run
+
+    return capture_run(
+        args.telemetry, seed=args.seed, config=vars(args),
+        command=" ".join(argv),
+    )
+
+
+def _cmd_train(args, argv) -> int:
     from dataclasses import replace
 
     from repro.core.agent import MirasAgent
@@ -223,21 +224,22 @@ def _cmd_train(args) -> int:
         config = replace(
             config, policy=replace(config.policy, **policy_overrides)
         )
-    env = preset_env(args.dataset, args.seed)
     env_spec = EnvSpec.make(
         "repro.eval.experiments:build_training_env", dataset=args.dataset
     )
-    agent = MirasAgent(env, config, seed=args.seed, env_spec=env_spec)
-    agent.iterate(iterations=args.iterations, verbose=True)
-    print(f"training trace: "
-          f"{[round(r.eval_reward, 1) for r in agent.results]}")
-    if args.output:
-        path = save_agent(args.output, agent)
-        print(f"agent saved to {path}")
+    with _capture(args, argv) as tracer:
+        env = preset_env(args.dataset, args.seed, tracer=tracer)
+        agent = MirasAgent(env, config, seed=args.seed, env_spec=env_spec)
+        agent.iterate(iterations=args.iterations, verbose=True)
+        print(f"training trace: "
+              f"{[round(r.eval_reward, 1) for r in agent.results]}")
+        if args.output:
+            path = save_agent(args.output, agent)
+            print(f"agent saved to {path}")
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args, argv) -> int:
     from repro.baselines.miras_alloc import MirasAllocator
     from repro.core.persistence import load_agent
     from repro.eval.experiments import dataset_preset, preset_env
@@ -276,22 +278,25 @@ def _make_allocator(name: str):
     return allocators[name]()
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, argv) -> int:
+    from repro.eval import runner
     from repro.eval.experiments import dataset_preset, preset_env
-    from repro.eval.runner import evaluate_allocator
 
     scenario = _scenario(dataset_preset(args.dataset), args.burst)
-    env = preset_env(
-        args.dataset, args.seed, dict(scenario.background_rates)
-    )
-    result = evaluate_allocator(
-        _make_allocator(args.allocator), env, scenario, args.steps
-    )
+    with _capture(args, argv) as tracer:
+        env = preset_env(
+            args.dataset, args.seed, dict(scenario.background_rates),
+            tracer=tracer,
+        )
+        # Through the module, so an installed profiler's wrapper is called.
+        result = runner.evaluate_allocator(
+            _make_allocator(args.allocator), env, scenario, args.steps
+        )
     _print_result(result)
     return 0
 
 
-def _cmd_model_accuracy(args) -> int:
+def _cmd_model_accuracy(args, argv) -> int:
     from repro.eval.experiments import experiment_fig5_model_accuracy
     from repro.eval.reporting import format_table
 
@@ -317,7 +322,7 @@ def _cmd_model_accuracy(args) -> int:
     return 0
 
 
-def _cmd_experiments(args) -> int:
+def _cmd_experiments(args, argv) -> int:
     from repro.eval.parallel import (
         default_cells,
         results_to_json,
@@ -353,96 +358,7 @@ def _cmd_experiments(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    """Writes ``trace.jsonl``, ``manifest.json``, ``metrics.json``,
-    ``metrics.prom`` and ``profile.json`` (the one artifact outside the
-    determinism contract) into the run directory."""
-    from pathlib import Path
-
-    import repro
-    from repro.eval import runner
-    from repro.eval.experiments import dataset_preset, preset_env
-    from repro.telemetry import (
-        JsonlSink,
-        MetricsSink,
-        PhaseProfiler,
-        RunManifest,
-        Tracer,
-        wall_time_now,
-        write_manifest,
-        write_metrics,
-        write_profile,
-    )
-    from repro.telemetry.sinks import TRACE_FILENAME
-
-    outdir = Path(args.output)
-    sink = MetricsSink(JsonlSink(outdir / TRACE_FILENAME))
-    preset = dataset_preset(args.dataset)
-    config_snapshot = {
-        "dataset": args.dataset,
-        "mode": args.mode,
-        "consumer_budget": preset["budget"],
-        "seed": args.seed,
-    }
-    # The profiler wraps the layer boundaries (telemetry.profile.BOUNDARIES)
-    # for the duration of the run; nothing below is told about it.
-    with Tracer(sink) as tracer, PhaseProfiler() as profiler:
-        if args.mode == "simulate":
-            scenario = _scenario(preset, args.burst)
-            config_snapshot.update(
-                allocator=args.allocator, burst=args.burst, steps=args.steps
-            )
-            command = (
-                f"trace --dataset {args.dataset} --mode simulate "
-                f"--allocator {args.allocator} --burst {args.burst} "
-                f"--steps {args.steps} --seed {args.seed}"
-            )
-            env = preset_env(
-                args.dataset,
-                args.seed,
-                dict(scenario.background_rates),
-                tracer=tracer,
-            )
-            # Through the module, so the installed wrapper is the one called.
-            result = runner.evaluate_allocator(
-                _make_allocator(args.allocator), env, scenario, args.steps
-            )
-            print(
-                f"{result.allocator} on {result.scenario}: "
-                f"aggregated reward {result.aggregated_reward():.0f}, "
-                f"mean response time {result.mean_response_time():.1f} s"
-            )
-        else:
-            from repro.core.agent import MirasAgent
-
-            config_snapshot.update(iterations=args.iterations)
-            command = (
-                f"trace --dataset {args.dataset} --mode train "
-                f"--iterations {args.iterations} --seed {args.seed}"
-            )
-            env = preset_env(args.dataset, args.seed, tracer=tracer)
-            agent = MirasAgent(env, preset["fast_config"](), seed=args.seed)
-            agent.iterate(iterations=args.iterations, verbose=True)
-    manifest = RunManifest(
-        run_name=outdir.name,
-        seed=args.seed,
-        config=config_snapshot,
-        command=command,
-        package_version=repro.__version__,
-        sim_time_end=float(env.system.loop.now),
-        records_written=tracer.records_written,
-        counters=dict(tracer.counters),
-        wall_time=wall_time_now(),
-    )
-    print(f"trace: {outdir / TRACE_FILENAME} "
-          f"({tracer.records_written} records)")
-    print(f"manifest: {write_manifest(outdir, manifest)}")
-    print(f"metrics: {write_metrics(outdir, sink)}")
-    print(f"profile: {write_profile(outdir, profiler)}")
-    return 0
-
-
-def _cmd_report(args) -> int:
+def _cmd_report(args, argv) -> int:
     """The one reader of a finished run: load once, fold once."""
     from pathlib import Path
 
@@ -533,7 +449,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "model-accuracy": _cmd_model_accuracy,
     "experiments": _cmd_experiments,
-    "trace": _cmd_trace,
     "report": _cmd_report,
 }
 
@@ -547,7 +462,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return lint_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    return _COMMANDS[args.command](args, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,10 +14,12 @@ A saved agent directory contains:
   never-saved agent; directories written before this file existed load
   with fresh optimisers,
 - ``results.json`` — per-iteration training diagnostics,
-- ``episodes.json`` — the distributed collector's episode counter, so a
-  reloaded agent's next collection continues the episode indices (and
-  the seed streams derived from them) instead of re-drawing the first
-  iteration's; directories written before this file existed load at 0.
+- ``episodes.json`` — the distributed collector's episode counter and
+  the adapted parameter-noise sigma, so a reloaded agent's next
+  collection continues the episode indices (and the seed streams derived
+  from them) with the same perturbation scale instead of re-drawing the
+  first iteration's; directories written before this file existed load
+  at 0, and before it held the sigma, at the initial sigma.
 
 A ``config.json`` written before a setting was retired still loads as
 long as it holds that setting at the one value it now takes; any other
@@ -67,6 +69,7 @@ _RETIRED = {
         "param_noise_delta": 0.05,
         "state_scale": 100.0,
         "output_mixing": 0.02,
+        "tau": 0.01,
     },
     "": {
         "initial_random_fraction": 1.0,
@@ -173,9 +176,10 @@ def _write_agent(directory: Path, agent: MirasAgent) -> None:
     (directory / "results.json").write_text(
         json.dumps([dataclasses.asdict(r) for r in agent.results], indent=2)
     )
-    (directory / "episodes.json").write_text(
-        json.dumps({"episodes_collected": agent._episodes_collected})
-    )
+    (directory / "episodes.json").write_text(json.dumps({
+        "episodes_collected": agent._episodes_collected,
+        "param_noise_sigma": agent.ddpg.param_noise.sigma,
+    }))
 
 
 def load_agent(
@@ -249,7 +253,9 @@ def load_agent(
         ]
     episodes_path = directory / "episodes.json"
     if episodes_path.exists():
-        agent._episodes_collected = json.loads(episodes_path.read_text())[
-            "episodes_collected"
-        ]
+        episodes = json.loads(episodes_path.read_text())
+        agent._episodes_collected = episodes["episodes_collected"]
+        agent.ddpg.param_noise.sigma = episodes.get(
+            "param_noise_sigma", agent.ddpg.param_noise.sigma
+        )
     return agent

@@ -15,9 +15,10 @@ Determinism contract (pinned by tests/eval/test_parallel_runner.py):
   count — ``workers=4`` reproduces ``workers=1`` reproduces the in-process
   serial path exactly.
 
-Fleet telemetry (``telemetry_dir``): each cell captures its own trace
-and metrics snapshot under ``<telemetry_dir>/<label>/`` (the worker owns
-the files — no cross-process handles), and the parent merges them in
+Fleet telemetry (``telemetry_dir``): each cell captures its own run
+directory — trace, metrics, manifest and phase profile — under
+``<telemetry_dir>/<label>/`` (the worker owns the files — no
+cross-process handles), and the parent merges the traces in
 sorted-label order via :mod:`repro.telemetry.fleet`.  Because traces are
 a pure function of (root seed, label), the merged artifacts inherit the
 worker-count independence above.
@@ -160,10 +161,11 @@ def _execute_cell(
 ) -> Dict:
     """Run one cell (module-level so worker processes can unpickle it).
 
-    With a telemetry directory the worker captures its own trace and
-    metrics files under ``<telemetry_dir>/<label>/`` — per-cell capture
-    keeps worker processes free of shared handles, and the files are a
-    pure function of (root seed, label), not of worker identity.
+    With a telemetry directory the worker captures the cell as a run
+    directory under ``<telemetry_dir>/<label>/``
+    (:func:`repro.telemetry.capture_run`) — per-cell capture keeps
+    worker processes free of shared handles, and the trace and metrics
+    are a pure function of (root seed, label), not of worker identity.
     """
     experiment, replicate, params, root_seed, telemetry_dir = spec
     cell = ExperimentCell(experiment, replicate, params)
@@ -171,18 +173,18 @@ def _execute_cell(
     if telemetry_dir is None:
         result = EXPERIMENTS[experiment](seed=seed, **dict(params))
     else:
-        from repro.telemetry.metrics import MetricsSink, write_metrics
-        from repro.telemetry.sinks import TRACE_FILENAME, JsonlSink
-        from repro.telemetry.tracer import Tracer
+        from repro.telemetry.capture import capture_run
 
-        cell_dir = Path(telemetry_dir) / cell.label
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        sink = MetricsSink(JsonlSink(cell_dir / TRACE_FILENAME))
-        with Tracer(sink) as tracer:
+        with capture_run(
+            Path(telemetry_dir) / cell.label,
+            seed=seed,
+            config={"experiment": experiment, "replicate": replicate,
+                    "params": dict(params), "root_seed": root_seed},
+            command=f"experiments cell {cell.label}",
+        ) as tracer:
             result = EXPERIMENTS[experiment](
                 seed=seed, tracer=tracer, **dict(params)
             )
-        write_metrics(cell_dir, sink)
     return {
         "experiment": experiment,
         "replicate": replicate,

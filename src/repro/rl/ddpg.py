@@ -38,6 +38,9 @@ __all__ = ["DDPGConfig", "DDPGAgent"]
 #: record per update would dominate the trace during policy training.
 METRIC_INTERVAL = 50
 
+#: Target-network soft-update rate (Polyak averaging).
+TAU = 0.01
+
 
 @dataclass
 class DDPGConfig:
@@ -50,7 +53,6 @@ class DDPGConfig:
     hidden_sizes: Sequence[int] = (256, 256, 256)
     actor_learning_rate: float = 1e-4
     gamma: float = 0.95
-    tau: float = 0.01
     batch_size: int = 64
     buffer_capacity: int = 100_000
     #: 'parameter' (MIRAS), 'action-gaussian', 'action-ou', or 'none'.
@@ -72,7 +74,6 @@ class DDPGConfig:
 
     def __post_init__(self):
         check_in_range("gamma", self.gamma, 0.0, 1.0)
-        check_in_range("tau", self.tau, 0.0, 1.0, inclusive=(False, True))
         check_positive("actor_learning_rate", self.actor_learning_rate)
         check_non_negative("actor_weight_decay", self.actor_weight_decay)
         check_non_negative("entropy_weight", self.entropy_weight)
@@ -293,8 +294,8 @@ class DDPGAgent:
 
         self.actor.policy_gradient_step(features, dq_da_at)
 
-        soft_update(self.actor.target_network, self.actor.network, cfg.tau)
-        soft_update(self.critic.target_network, self.critic.network, cfg.tau)
+        soft_update(self.actor.target_network, self.actor.network, TAU)
+        soft_update(self.critic.target_network, self.critic.network, TAU)
         self.updates_done += 1
         if self.tracer.enabled and self.updates_done % METRIC_INTERVAL == 0:
             self.tracer.metric(

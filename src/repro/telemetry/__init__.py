@@ -17,20 +17,24 @@ The observability layer of docs/OBSERVABILITY.md:
 - :mod:`repro.telemetry.fleet` — deterministic merge of per-cell traces
   from parallel runs (worker-count independent),
 - :mod:`repro.telemetry.profile` — the hierarchical phase profiler
-  (wall/CPU time per layer boundary, installed around a run by
-  ``repro trace``; outside the determinism contract).
+  (wall/CPU time per layer boundary; outside the determinism contract),
+- :mod:`repro.telemetry.capture` — :func:`capture_run`, the one writer
+  of a run directory (trace, manifest, metrics and profile) behind every
+  ``--telemetry DIR``.
 
-Typical use (the tracer is a context manager — the sink is flushed and
-closed on exit, including exceptional exit)::
+Typical use (the sink is flushed and closed on exit, including
+exceptional exit; the manifest, metrics and profile follow a block that
+succeeds)::
 
-    from repro.telemetry import JsonlSink, MetricsSink, Tracer
+    from repro.telemetry import capture_run
 
-    with Tracer(MetricsSink(JsonlSink("runs/demo/trace.jsonl"))) as tracer:
+    with capture_run("runs/demo", seed=0, config={}, command="demo") as tracer:
         system = MicroserviceWorkflowSystem(ensemble, config, seed=0,
                                             tracer=tracer)
         ...
 """
 
+from repro.telemetry.capture import capture_run
 from repro.telemetry.manifest import (
     NONDETERMINISTIC_FIELDS,
     RunManifest,
@@ -113,4 +117,5 @@ __all__ = [
     "discover_cells",
     "merge_fleet",
     "write_fleet",
+    "capture_run",
 ]

@@ -6,8 +6,9 @@ fixed-bucket histograms with exact quantile readout (P50/P95/P99 of
 response time, queue depth, startup latency, per-service WIP and
 utilization, training-loss EWMAs).  It is fed two ways:
 
-- **live** — a :class:`MetricsSink` composes with any other sink
-  (``Tracer(MetricsSink(JsonlSink(...)))``) and aggregates what it is
+- **live** — a :class:`MetricsSink` composes with any other sink (the
+  JSONL trace file, under :func:`~repro.telemetry.capture.capture_run`)
+  and aggregates what it is
   written a control window at a time (always before anything is read:
   see :class:`MetricsSink`),
 - **offline** — :func:`aggregate_trace` replays an existing
@@ -834,8 +835,8 @@ class MetricsAggregator:
 class MetricsSink(Sink):
     """A sink that aggregates what it is written, then forwards it downstream.
 
-    This is the live half of the engine: wrap any real sink
-    (``MetricsSink(JsonlSink(path))``) — or nothing at all, for
+    This is the live half of the engine: wrap any real sink (the
+    JSONL trace file, as ``capture_run`` does) — or nothing at all, for
     metrics-only runs — and hand the result to a :class:`Tracer`.  The
     per-window snapshot hook rides on the ``span.window`` record that
     ``system.run_window()`` emits at every window boundary: deriving the

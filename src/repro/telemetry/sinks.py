@@ -27,8 +27,8 @@ TRACE_FILENAME = "trace.jsonl"
 class Sink:
     """Interface for trace-record consumers.
 
-    Every sink is a context manager: ``with JsonlSink(path) as sink:``
-    flushes and closes on exit — including exceptional exit, so a
+    Every sink is a context manager: ``with sink:`` flushes and closes
+    on exit — including exceptional exit, so a
     crashed run never loses buffered trace lines.
     """
 

@@ -56,6 +56,7 @@ RETIRED_AT_FIXED_VALUES = {
         "param_noise_delta": 0.05,
         "state_scale": 100.0,
         "output_mixing": 0.02,
+        "tau": 0.01,
     },
     "top": {
         "initial_random_fraction": 1.0,
@@ -331,6 +332,42 @@ class TestEpisodeCounter:
             part[-10:].tobytes() for part in loaded.dataset.arrays()
         ] == [part[-10:].tobytes() for part in agent.dataset.arrays()]
 
+    def test_next_collection_after_training_uses_the_adapted_sigma(
+        self, tmp_path
+    ):
+        """Policy training adapts the parameter-noise sigma; a reloaded
+        agent perturbs its next collection by that sigma, not the
+        initial one, so it collects exactly what the never-saved agent
+        collects next."""
+        spec = EnvSpec.make(
+            "repro.eval.experiments:build_training_env", dataset="msd"
+        )
+        config = small_config()
+        config = replace(config, policy=replace(
+            config.policy, collect_mode="logical", rollout_length=30
+        ))
+        agent = MirasAgent(make_msd_env(seed=5), config, env_spec=spec)
+        agent.iterate()
+        assert (
+            agent.ddpg.param_noise.sigma != config.policy.ddpg.param_noise_sigma
+        )
+        saved = save_agent(tmp_path / "agent", agent)
+        loaded = load_agent(saved, make_msd_env(seed=5))
+        loaded.env_spec = spec
+
+        for twin in (agent, loaded):
+            twin.collect_distributed(30)
+        assert [part.tobytes() for part in loaded.dataset.arrays()] == [
+            part.tobytes() for part in agent.dataset.arrays()
+        ]
+        replays = [twin.ddpg.replay.state_dict() for twin in (agent, loaded)]
+        assert replays[0].keys() == replays[1].keys()
+        for key in replays[0]:
+            assert (
+                np.asarray(replays[0][key]).tobytes()
+                == np.asarray(replays[1][key]).tobytes()
+            ), key
+
     def test_directory_without_the_counter_loads_at_zero(self, tmp_path):
         agent = trained_agent()
         agent._episodes_collected = 3
@@ -338,3 +375,21 @@ class TestEpisodeCounter:
         assert load_agent(saved, make_msd_env())._episodes_collected == 3
         (saved / "episodes.json").unlink()
         assert load_agent(saved, make_msd_env())._episodes_collected == 0
+
+    def test_directory_without_the_sigma_loads_the_initial_sigma(
+        self, tmp_path
+    ):
+        agent = trained_agent()
+        agent.ddpg.param_noise.sigma /= 3.0
+        saved = save_agent(tmp_path / "agent", agent)
+        assert load_agent(saved, make_msd_env()).ddpg.param_noise.sigma == (
+            agent.ddpg.param_noise.sigma
+        )
+        (saved / "episodes.json").write_text(
+            json.dumps({"episodes_collected": 3})
+        )
+        loaded = load_agent(saved, make_msd_env())
+        assert loaded._episodes_collected == 3
+        assert loaded.ddpg.param_noise.sigma == (
+            agent.config.policy.ddpg.param_noise_sigma
+        )

@@ -10,7 +10,9 @@ import json
 
 import pytest
 
-from repro.eval.parallel import default_cells, run_cells
+from repro.cli import main
+from repro.eval.parallel import default_cells, derive_cell_seed, run_cells
+from repro.telemetry import read_manifest
 from repro.telemetry.fleet import (
     FLEET_EXPOSITION_FILENAME,
     FLEET_MANIFEST_FILENAME,
@@ -35,15 +37,24 @@ def _fleet_cells():
 
 
 class TestFleetCapture:
-    def test_per_cell_artifacts_written(self, tmp_path):
+    def test_per_cell_artifacts_written(self, tmp_path, capsys):
+        """Every cell directory is a complete run directory: what
+        ``repro report`` reads for a single run, phase tree included."""
         fleet = tmp_path / "fleet"
         run_cells(_fleet_cells(), root_seed=5, workers=1,
                   telemetry_dir=fleet)
         for rep in (0, 1):
             cell = fleet / "ablate-window" / f"rep{rep}"
-            assert (cell / "trace.jsonl").exists()
-            assert (cell / "metrics.json").exists()
-            assert (cell / "metrics.prom").exists()
+            for name in ("trace.jsonl", "metrics.json", "metrics.prom",
+                         "manifest.json", "profile.json"):
+                assert (cell / name).exists(), name
+            assert read_manifest(cell).seed == derive_cell_seed(
+                5, f"ablate-window/rep{rep}"
+            )
+            assert main(["report", str(cell)]) == 0
+            out = capsys.readouterr().out
+            assert "sim.run_window" in out
+            assert "ns per boundary call x" in out
         for name in FLEET_FILES:
             assert (fleet / name).exists()
 
@@ -67,10 +78,18 @@ class TestWorkerCountIndependence:
             assert (serial / name).read_bytes() == (
                 parallel / name
             ).read_bytes(), name
-        # Per-cell traces match too, not just the merged rollup.
+        # Per-cell traces match too, not just the merged rollup, and so
+        # do the cell manifests but for their wall-clock stamp.
         for label, trace in discover_cells(serial):
             twin = parallel / label / "trace.jsonl"
             assert trace.read_bytes() == twin.read_bytes(), label
+            manifests = [
+                read_manifest(root / label).to_dict()
+                for root in (serial, parallel)
+            ]
+            for manifest in manifests:
+                del manifest["wall_time"]
+            assert manifests[0] == manifests[1], label
 
 
 class TestMerge:

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.nn import MLP
-from repro.rl.ddpg import METRIC_INTERVAL, DDPGAgent
+from repro.rl.ddpg import METRIC_INTERVAL, TAU, DDPGAgent
 from repro.utils.validation import isclose_zero
 
 
@@ -229,8 +229,8 @@ class ReferenceDDPGAgent(DDPGAgent):
             )
         )
 
-        ref_soft_update(self.ref_actor_target, self.ref_actor, cfg.tau)
-        ref_soft_update(self.ref_critic_target, self.ref_critic, cfg.tau)
+        ref_soft_update(self.ref_actor_target, self.ref_actor, TAU)
+        ref_soft_update(self.ref_critic_target, self.ref_critic, TAU)
         # Acting and perturbation run on the production networks.
         for network, reference in self.networks():
             network.set_flat(reference.get_flat())

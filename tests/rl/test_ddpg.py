@@ -32,7 +32,6 @@ class TestConfig:
         "kwargs",
         [
             {"gamma": 1.5},
-            {"tau": 0.0},
             {"batch_size": 0},
             {"exploration": "epsilon-greedy"},
         ],

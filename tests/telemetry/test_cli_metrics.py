@@ -1,5 +1,6 @@
-"""CLI round-trips for the observability surface: ``repro trace`` writes
-the run, ``repro report`` is its one reader (text tables and phase tree,
+"""CLI round-trips for the observability surface: ``--telemetry DIR`` on
+``repro simulate`` / ``repro train`` writes the run, ``repro report`` is
+its one reader (text tables and phase tree,
 ``--format json|prom``, ``--output``) — and the live-vs-replay equality
 of the metrics files they write."""
 
@@ -11,6 +12,8 @@ from repro.cli import build_parser, main
 from repro.telemetry import PROFILE_VERSION, load_trace
 from repro.telemetry.metrics import SNAPSHOT_VERSION
 
+from tests.core.test_agent import tiny_config
+
 SEED = 5
 STEPS = 3
 
@@ -20,21 +23,21 @@ def run_dir(tmp_path_factory):
     """One short traced simulate run shared by all round-trip tests."""
     outdir = tmp_path_factory.mktemp("runs") / "trace-msd"
     code = main([
-        "trace", "--dataset", "msd", "--allocator", "uniform",
+        "simulate", "--dataset", "msd", "--allocator", "uniform",
         "--burst", "0", "--steps", str(STEPS), "--seed", str(SEED),
-        "--output", str(outdir),
+        "--telemetry", str(outdir),
     ])
     assert code == 0
     return outdir
 
 
 class TestParser:
-    def test_exactly_eight_flat_verbs(self):
+    def test_exactly_seven_flat_verbs(self):
         parser = build_parser()
         (sub,) = parser._subparsers._group_actions
         assert list(sub.choices) == [
             "train", "evaluate", "simulate", "model-accuracy",
-            "experiments", "trace", "report", "lint",
+            "experiments", "report", "lint",
         ]
         for verb in sub.choices.values():
             assert verb._subparsers is None
@@ -126,7 +129,7 @@ class TestReportJson:
 
 
 class TestProfileRun:
-    """``repro trace`` always installs the phase profiler."""
+    """``--telemetry`` always installs the phase profiler."""
 
     def test_writes_profile_json(self, run_dir):
         document = json.loads((run_dir / "profile.json").read_text())
@@ -166,6 +169,48 @@ class TestProfileRun:
         for name in ("trace.jsonl", "metrics.json", "metrics.prom"):
             assert (
                 (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
+            ), name
+
+    def test_train_profiling_is_outside_the_determinism_contract(
+        self, tmp_path, monkeypatch
+    ):
+        """``train --telemetry`` writes the trace and metrics bytes of the
+        same training run in-process under a plain, unprofiled Tracer."""
+        from repro.core.agent import MirasAgent
+        from repro.eval.experiments import dataset_preset, preset_env
+        from repro.rl.distributed import EnvSpec
+        from repro.telemetry import (
+            JsonlSink,
+            MetricsSink,
+            Tracer,
+            write_metrics,
+        )
+
+        monkeypatch.setitem(dataset_preset("msd"), "fast_config", tiny_config)
+        run_dir = tmp_path / "cli"
+        assert main([
+            "train", "--dataset", "msd", "--iterations", "1",
+            "--seed", str(SEED), "--telemetry", str(run_dir),
+        ]) == 0
+        assert (run_dir / "profile.json").exists()
+
+        plain = tmp_path / "plain"
+        sink = MetricsSink(JsonlSink(plain / "trace.jsonl"))
+        with Tracer(sink) as tracer:
+            agent = MirasAgent(
+                preset_env("msd", SEED, tracer=tracer),
+                tiny_config(),
+                seed=SEED,
+                env_spec=EnvSpec.make(
+                    "repro.eval.experiments:build_training_env",
+                    dataset="msd",
+                ),
+            )
+            agent.iterate(iterations=1)
+        write_metrics(plain, sink)
+        for name in ("trace.jsonl", "metrics.json", "metrics.prom"):
+            assert (
+                (plain / name).read_bytes() == (run_dir / name).read_bytes()
             ), name
 
     def test_report_renders_saved_phase_tree(self, run_dir, capsys):

@@ -1,6 +1,7 @@
-"""CLI round-trip: ``repro trace`` writes a run directory that
-``repro report`` can summarize."""
+"""CLI round-trip: ``repro simulate|train --telemetry DIR`` writes a run
+directory that ``repro report`` can summarize."""
 
+import hashlib
 import json
 
 import pytest
@@ -9,21 +10,37 @@ from repro.cli import build_parser, main
 from repro.telemetry import JsonlSink, load_trace, read_manifest, write_manifest
 from repro.telemetry.records import SCHEMA_VERSION
 
+from tests.core.test_agent import tiny_config
 from tests.telemetry.schema_v4 import as_v4
 
 
-class TestParser:
-    def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace", "--output", "runs/t"])
-        assert args.dataset == "msd"
-        assert args.mode == "simulate"
-        assert args.allocator == "uniform"
-        assert args.burst == 0
-        assert args.seed == 0
+#: sha256 of the run directory ``simulate --dataset msd --allocator heft
+#: --burst 0 --steps 3 --seed 1000`` writes, recorded from the ``repro
+#: trace`` verb it replaced with the same arguments.
+RUN_DIGESTS = {
+    "trace.jsonl":
+        "8a7580edc0cc549908cd3bc0236e67b72bf031c46076eb39a35efd7528f10c1f",
+    "metrics.json":
+        "2b55a180cd13dabfcbb60ffc953d4e72fe813e66a6dd8010655fd28d84d269d0",
+    "metrics.prom":
+        "8f71b7a96d6bb6caf6937cc0842bb578c47591ef708b8dd0243584319a7092b8",
+}
 
-    def test_trace_requires_output(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace"])
+
+class TestParser:
+    def test_simulate_telemetry_defaults_to_none(self):
+        args = build_parser().parse_args(["simulate"])
+        assert args.telemetry is None
+        assert args.seed == 1000
+        args = build_parser().parse_args(["simulate", "--telemetry", "runs/t"])
+        assert args.telemetry == "runs/t"
+
+    def test_train_telemetry_defaults_to_none(self):
+        args = build_parser().parse_args(["train"])
+        assert args.telemetry is None
+        assert args.seed == 0
+        args = build_parser().parse_args(["train", "--telemetry", "runs/t"])
+        assert args.telemetry == "runs/t"
 
     def test_report_takes_path_and_validate(self):
         args = build_parser().parse_args(["report", "runs/t", "--validate"])
@@ -36,12 +53,18 @@ class TestTraceReportRoundTrip:
     def run_dir(self, tmp_path_factory):
         outdir = tmp_path_factory.mktemp("runs") / "trace-msd"
         code = main([
-            "trace", "--dataset", "msd", "--allocator", "heft",
+            "simulate", "--dataset", "msd", "--allocator", "heft",
             "--burst", "0", "--steps", "3", "--seed", "1000",
-            "--output", str(outdir),
+            "--telemetry", str(outdir),
         ])
         assert code == 0
         return outdir
+
+    def test_run_directory_bytes_are_pinned(self, run_dir):
+        assert {
+            name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in RUN_DIGESTS
+        } == RUN_DIGESTS
 
     def test_trace_writes_jsonl_and_manifest(self, run_dir):
         records = load_trace(run_dir, validate=True)
@@ -51,9 +74,13 @@ class TestTraceReportRoundTrip:
         assert manifest.seed == 1000
         assert manifest.records_written == len(records)
         assert manifest.config["allocator"] == "heft"
+        assert manifest.config["telemetry"] == str(run_dir)
         assert manifest.sim_time_end > 0
         assert manifest.wall_time is not None
-        assert "--seed 1000" in manifest.command
+        assert manifest.command == (
+            "simulate --dataset msd --allocator heft --burst 0 --steps 3 "
+            f"--seed 1000 --telemetry {run_dir}"
+        )
 
     def test_manifest_is_valid_json_with_sorted_keys(self, run_dir):
         raw = (run_dir / "manifest.json").read_text()
@@ -164,29 +191,13 @@ class TestTraceReportRoundTrip:
 class TestTraceTrainMode(object):
     def test_train_mode_emits_training_curves(self, tmp_path, capsys,
                                               monkeypatch):
-        from repro.core.config import MirasConfig, ModelConfig, PolicyConfig
-        from repro.rl.ddpg import DDPGConfig
+        from repro.eval.experiments import dataset_preset
 
-        def tiny_config(cls):
-            return MirasConfig(
-                model=ModelConfig(hidden_sizes=(8,), epochs=2),
-                policy=PolicyConfig(
-                    ddpg=DDPGConfig(hidden_sizes=(16,), batch_size=8),
-                    rollout_length=4,
-                    rollouts_per_iteration=2,
-                    patience=2,
-                ),
-                steps_per_iteration=15,
-                reset_interval=10,
-                iterations=1,
-                eval_steps=2,
-            )
-
-        monkeypatch.setattr(MirasConfig, "msd_fast", classmethod(tiny_config))
+        monkeypatch.setitem(dataset_preset("msd"), "fast_config", tiny_config)
         outdir = tmp_path / "trace-train"
         code = main([
-            "trace", "--dataset", "msd", "--mode", "train",
-            "--iterations", "1", "--seed", "0", "--output", str(outdir),
+            "train", "--dataset", "msd", "--iterations", "1", "--seed", "0",
+            "--telemetry", str(outdir),
         ])
         assert code == 0
         records = load_trace(outdir, validate=True)

@@ -21,11 +21,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--dataset", "hpc"])
 
-    @pytest.mark.parametrize("command", [["train"], ["trace", "--mode", "train"]])
-    def test_iterations_below_one_rejected(self, command, capsys):
+    def test_iterations_below_one_rejected(self, capsys):
         """``--iterations 0`` used to train the preset's count."""
         with pytest.raises(SystemExit) as exit_info:
-            main(command + ["--iterations", "0"])
+            main(["train", "--iterations", "0"])
         assert exit_info.value.code == 2
         assert "--iterations: must be >= 1" in capsys.readouterr().err
 

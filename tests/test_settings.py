@@ -17,7 +17,6 @@ LEVERS = {
     "DDPGConfig.buffer_capacity": "rl/test_update_equivalence.py::test_weights_byte_equal_to_reference",
     "DDPGConfig.perturb_interval": "rl/test_serial_policy_oracle.py::test_act_at_k1_matches_the_serial_agent",
     "DDPGConfig.reward_scale": "rl/test_ddpg.py::test_entropy_bonus_pulls_toward_uniform",
-    "DDPGConfig.tau": "rl/test_ddpg.py::test_invalid_rejected",
     "SystemConfig.num_nodes": "sim/test_system_config.py::test_budget_floor",
     "SystemConfig.startup_delay_range": "sim/test_system.py::test_single_request_traverses_full_dag",
     "SystemConfig.tds_replicas": "sim/test_serial_differential.py::test_serial_path_equals_reference",
