@@ -31,7 +31,13 @@ writes ``BENCH_training.json`` at the repository root:
   the ``run_window`` calls one logical pass makes — an exact count —
   as ``windows_simulated`` / ``windows_per_collected_step``: every
   episode runs on a fresh replica whose reset is free, so collecting a
-  step should cost one simulated window.
+  step should cost one simulated window.  Beside ``speedup`` it records
+  ``host_parallelism``, read right after the fastest physical pass: a
+  fixed pure-Python kernel (``benchmarks/e2e/hostspeed.py``) run twice
+  in this process over the same two runs in two processes at once.  It
+  reads ~2 on two free cores and ~1 while a shared host's second vCPU
+  is cold or taken, which tells a slow pool from a busy host
+  (informational, no gate).
 - ``update`` — one ``DDPGAgent.update`` at ``msd_fast`` shapes (state
   and action 4, hidden (128, 128), batch 64): microseconds per update
   (informational, best of ``--repeats`` passes of 500) and the
@@ -54,11 +60,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -87,6 +95,9 @@ from repro.sim.system import MicroserviceWorkflowSystem
 from repro.utils.pool import resolve_workers
 from repro.utils.rng import RngStream
 
+sys.path.append(str(Path(__file__).resolve().parent / "e2e"))
+from hostspeed import reference_kernel  # noqa: E402
+
 #: Gate: batched rollout generation must be at least this much faster.
 SPEEDUP_FLOOR = 3.0
 
@@ -111,6 +122,10 @@ WINDOWS_PER_STEP_CEILING = 1.1
 #: allocated its temporaries).
 UPDATE_PEAK_CEILING = 256 * 1024
 UPDATES_TIMED = 500
+
+#: Reference-kernel runs per process in one host-parallelism reading
+#: (~70 us each on the 2-vCPU host, so ~0.1 s a process).
+PARALLELISM_KERNEL_RUNS = 1500
 
 ARTIFACT = "BENCH_training.json"
 
@@ -321,6 +336,25 @@ def _distributed_floor(cpu_count: int) -> Optional[float]:
     return None
 
 
+def _kernel_runs(runs: int) -> None:
+    for _ in range(runs):
+        reference_kernel()
+
+
+def _host_parallelism(width: int = 2) -> float:
+    """How many CPU-bound pure-Python processes the host runs at once
+    right now, up to ``width``: ``width`` kernel loops one after another
+    in this process over the same loops in ``width`` processes at once
+    (process start-up excluded)."""
+    runs = [PARALLELISM_KERNEL_RUNS] * width
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=width, mp_context=spawn) as pool:
+        list(pool.map(_kernel_runs, [1] * width))  # start the processes
+        serial_s, _ = _timed(lambda: [_kernel_runs(n) for n in runs])
+        parallel_s, _ = _timed(lambda: list(pool.map(_kernel_runs, runs)))
+    return serial_s / parallel_s
+
+
 def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
     # LIGO at the paper's 25-step episodes: enough work per episode that
     # the pool's start-up does not dominate (short MSD plans read < 1x).
@@ -351,7 +385,9 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
             lambda: collect(0)
         )
         elapsed, physical_blocks = collect(workers)
-        physical_s = min(physical_s, elapsed)
+        parallelism = _host_parallelism()
+        if elapsed < physical_s:
+            physical_s, host_parallelism = elapsed, parallelism
 
     cpu_count = os.cpu_count() or 1
     floor = _distributed_floor(cpu_count)
@@ -367,6 +403,7 @@ def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
         "speedup": logical_s / physical_s,
         "speedup_floor": floor,
         "gate_enforced": floor is not None,
+        "host_parallelism": host_parallelism,
         "logical_match": _blocks_equal(logical_blocks, logical_again_blocks),
         "physical_matches_logical": _blocks_equal(
             logical_blocks, physical_blocks
@@ -517,7 +554,8 @@ def main(argv=None) -> int:
         f"{distributed['logical_steps_per_second']:,.0f} steps/s, physical "
         f"({distributed['workers']} workers + learner) "
         f"{distributed['physical_steps_per_second']:,.0f} steps/s "
-        f"-> {distributed['speedup']:.2f}x ({gate_note}), merges "
+        f"-> {distributed['speedup']:.2f}x ({gate_note}; host "
+        f"parallelism {distributed['host_parallelism']:.2f}x), merges "
         + ("match" if distributed["logical_match"]
            and distributed["physical_matches_logical"] else "DIFFER")
         + f", {distributed['windows_simulated']} windows simulated for "

@@ -202,13 +202,13 @@ def run_cells(
     """Run every cell; returns ``{label: payload}`` in input-cell order.
 
     ``workers=1`` runs every cell in-process; a larger count ``W`` fans
-    the grid over ``W`` worker processes while this process runs its own
-    share, cells ``0, W+1, 2(W+1), …``
-    (:func:`repro.utils.pool.ordered_pool_map`); ``workers=0``
-    auto-detects ``os.cpu_count()`` (falling back to 1 when the count is
-    unknown).  All paths execute the same ``_execute_cell`` function with
-    the same derived seeds, so the returned mapping is identical
-    regardless of worker count.
+    the grid over ``W`` worker processes while this process runs cell 0
+    and then, whenever the next result is not back yet, the last cell no
+    worker has started (:func:`repro.utils.pool.ordered_pool_map`);
+    ``workers=0`` auto-detects ``os.cpu_count()`` (falling back to 1 when
+    the count is unknown).  All paths execute the same ``_execute_cell``
+    function with the same derived seeds, so the returned mapping is
+    identical regardless of worker count.
 
     ``telemetry_dir`` switches on fleet telemetry: per-cell trace and
     metrics capture in the workers, then a sorted-label merge in the

@@ -156,8 +156,11 @@ class DDPGAgent:
         )
 
     def refresh_perturbation(self) -> None:
-        """Resample the perturbed actor (call at episode boundaries)."""
-        flat = self.actor.network.get_flat()
+        """Resample the perturbed actor (call at episode boundaries).
+
+        The perturbed network is built once and overwritten in place.
+        """
+        flat = self.actor.network.params
         # Label carries the refresh index: each perturbation gets its own
         # uniquely named stream (labels never feed entropy, so this is
         # name-only — draws are unchanged for a fixed seed).
@@ -165,9 +168,9 @@ class DDPGAgent:
             flat, self.rng.fork(f"perturb{self._perturbs_done}")
         )
         self._perturbs_done += 1
-        perturbed = self.actor.network.clone()
-        perturbed.set_flat(noisy)
-        self._perturbed_network = perturbed
+        if self._perturbed_network is None:
+            self._perturbed_network = self.actor.network.clone()
+        self._perturbed_network.set_flat(noisy)
         self._acts_since_perturb = 0
 
     def adapt_parameter_noise(self) -> Optional[float]:

@@ -20,10 +20,13 @@ Topology and determinism contract (docs/PERFORMANCE.md):
   seed, the exploration stream, the burst draws.  Worker identity,
   scheduling and completion order never feed entropy.
 - Blocks are ingested in **episode order** (the logical round-robin
-  interleave), regardless of which worker produced them or when:
+  interleave), regardless of which process produced them or when:
   ``ordered_pool_map`` yields in input order, and
   :meth:`DistributedCollector.collect` checks each block against the
-  plan.
+  plan.  The learner runs episode 0 and then, whenever the next block
+  is not back yet, steals the last episode no worker has started, so
+  which process runs an episode depends on timing, and nothing else
+  does.
 
 Together these pin the engine's output to the logical schedule: for any
 worker count K the collected dataset, replay contents, traces and
@@ -34,10 +37,10 @@ the same schedule on K >= 1 worker processes plus this one, for
 wall-clock throughput.
 
 Abort semantics: collection is fail-fast.  If an episode raises, in a
-worker or in the learner's own share, the exception propagates to the
-learner once the episodes not yet started are cancelled and the pool is
-shut down; a worker process that dies surfaces as
-:class:`repro.utils.pool.WorkerDied` naming the first episode that did
+worker or in the learner (episode 0 or a stolen one), the exception
+propagates to the learner once the blocks before it are ingested, the
+episodes not yet started are cancelled and the pool is shut down; a
+worker process that dies surfaces as :class:`repro.utils.pool.WorkerDied` naming the first episode that did
 not come back.  Either way exactly the contiguous episode-order prefix
 before it remains ingested (no out-of-order partial state, no silent
 loss).
@@ -47,7 +50,11 @@ module-level and its payload is a plain dict of scalars, strings and
 numpy arrays — no live RNG generators, tracers, sinks or open handles;
 ``tests/core/test_agent_distributed.py`` pickles real payloads across a
 process pool and compares the merge byte for byte with the in-process
-schedule.
+schedule.  Each process keeps one acting network per policy shape, and
+one network for parameter-noise episodes to act through: an episode
+overwrites the weights of both, so none reads what another left
+(``tests/rl/test_serial_policy_oracle.py`` runs payloads A, B, A in one
+process against an actor built per episode).
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.nn import MLP
 from repro.rl.actor import Actor
 from repro.rl.noise import (
     GaussianActionNoise,
@@ -203,16 +211,33 @@ def policy_payload(ddpg) -> Dict:
     }
 
 
-def _actor_from_payload(payload: Dict, rng: RngStream) -> Actor:
-    """Rebuild the frozen actor inside a worker (weights overwrite init)."""
-    actor = Actor(
+#: ``(actor, perturbed network)`` per policy shape ``(state_dim,
+#: action_dim, hidden_sizes)``, built once per process.
+_ACTING: Dict[Tuple, Tuple[Actor, MLP]] = {}
+
+
+def _acting_networks(payload: Dict, rng: RngStream) -> Tuple[Actor, MLP]:
+    """This process's actor for the payload's shape, loaded with its
+    weights, and the perturbed network beside it (weights stale).
+
+    ``rng`` initialises the actor the first time a shape is seen.
+    """
+    key = (
         payload["state_dim"],
         payload["action_dim"],
-        hidden_sizes=payload["hidden_sizes"],
-        rng=rng,
+        tuple(payload["hidden_sizes"]),
     )
+    if key not in _ACTING:
+        actor = Actor(
+            payload["state_dim"],
+            payload["action_dim"],
+            hidden_sizes=payload["hidden_sizes"],
+            rng=rng,
+        )
+        _ACTING[key] = (actor, actor.network.clone())
+    actor, perturbed = _ACTING[key]
     actor.network.load_state_dict(payload["actor_weights"])
-    return actor
+    return actor, perturbed
 
 
 def run_collect_episode(spec: Dict) -> Dict:
@@ -234,7 +259,9 @@ def run_collect_episode(spec: Dict) -> Dict:
         np.random.SeedSequence(spec["seed"]),
     )
     payload = spec["policy"]
-    actor = _actor_from_payload(payload, rng.fork("actor-init"))
+    # The fork stays even when the actor exists already: it fixes where
+    # the forks below fall in the stream tree.
+    actor, perturbed = _acting_networks(payload, rng.fork("actor-init"))
 
     exploration = payload["exploration"]
     network = None
@@ -243,12 +270,12 @@ def run_collect_episode(spec: Dict) -> Dict:
         # One perturbation per episode (the serial loop refreshes at reset
         # boundaries too); sigma is the learner's snapshot — adaptation
         # stays on the learner side, where the replay buffer lives.
-        flat = actor.network.get_flat()
+        flat = actor.network.params
         noisy = flat + rng.fork("perturb").normal(
             0.0, payload["param_noise_sigma"], size=flat.shape
         )
-        network = actor.network.clone()
-        network.set_flat(noisy)
+        perturbed.set_flat(noisy)
+        network = perturbed
     elif exploration == "action-ou":
         noise = OrnsteinUhlenbeckNoise(
             payload["action_dim"], sigma=payload["action_noise_sigma"]
@@ -333,9 +360,10 @@ class TransitionBlock:
 class DistributedCollector:
     """Executes an episode plan over N workers and merges the blocks.
 
-    ``workers`` counts worker processes: the learner runs its own share
-    of the episodes beside them (:func:`repro.utils.pool.ordered_pool_map`),
-    and ``0`` — logical collection — runs every episode in this process.
+    ``workers`` counts worker processes: the learner runs episodes beside
+    them, the first and every one it steals while it waits for the next
+    block (:func:`repro.utils.pool.ordered_pool_map`), and ``0`` —
+    logical collection — runs every episode in this process.
     Blocks arrive in plan order, and the merged output is byte-identical
     for any worker count.
     """

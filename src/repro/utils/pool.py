@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterator, Sequence
 
@@ -27,6 +27,24 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
+def _run_here(fn: Callable, spec) -> Future:
+    """``fn(spec)`` in this process, its outcome held like a pool's."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(spec))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _failed(future: Future) -> bool:
+    return (
+        future.done()
+        and not future.cancelled()
+        and future.exception() is not None
+    )
+
+
 def ordered_pool_map(
     fn: Callable,
     specs: Sequence,
@@ -37,30 +55,44 @@ def ordered_pool_map(
     yielded lazily in *input* order no matter who finishes first, so
     completion order cannot leak into results.
 
-    The caller is one of the ``workers + 1`` executors: it runs specs
-    ``0, W+1, 2(W+1), …`` (``W = workers``) itself, between yields, while
-    the pool runs the rest, all submitted up front.  The pool is never
-    wider than the number of specs it is given, and a map whose specs all
-    fall to the caller starts no process.
+    The pool is given every spec but the first, all submitted up front,
+    and the caller runs spec 0.  Then, whenever the next result in input
+    order is not back yet, the caller *steals*: it cancels the last spec
+    the pool has not started, runs it itself and holds its result until
+    its turn.  Nobody idles while work is left, and every spec runs
+    exactly once.  The pool is at most ``min(workers, len(specs) - 1)``
+    processes wide; ``workers=0`` or a single spec starts none.
 
-    An exception raised by ``fn`` — in the caller or in a worker —
-    propagates as itself once the specs not yet started are cancelled and
-    the pool has wound down.  A worker that dies takes the pool with it;
+    An exception raised by ``fn`` — in a worker, or in the caller on spec
+    0 or a stolen spec — propagates as itself after exactly the results
+    before it in input order, once the specs not yet started are
+    cancelled and the pool has wound down; the caller steals nothing
+    once a failure is known.  A worker that dies takes the pool with it;
     that surfaces as :class:`WorkerDied` naming (``names[i]`` for
     ``specs[i]``) the first spec whose result did not come back —
     everything before it was yielded.
     """
-    stride = workers + 1
-    pooled = [i for i in range(len(specs)) if i % stride]
-    if not pooled:
+    if not workers or len(specs) <= 1:
         yield from map(fn, specs)
         return
     done = 0
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(pooled)))
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(specs) - 1))
     try:
-        futures = {i: pool.submit(fn, specs[i]) for i in pooled}
-        for i, spec in enumerate(specs):
-            result = futures[i].result() if i % stride else fn(spec)
+        pooled = [pool.submit(fn, spec) for spec in specs[1:]]
+        futures = [_run_here(fn, specs[0]), *pooled]
+        # Pooled specs start in input order, so everything below the
+        # first one that will not cancel has started too.
+        last = len(specs) - 1
+        for i in range(len(specs)):
+            while (
+                not futures[i].done()
+                and last >= i
+                and not any(map(_failed, futures))
+                and futures[last].cancel()
+            ):
+                futures[last] = _run_here(fn, specs[last])
+                last -= 1
+            result = futures[i].result()
             done += 1
             yield result
     except BrokenProcessPool as exc:

@@ -3,9 +3,10 @@
 
 Both process paths map through ``repro.utils.pool.ordered_pool_map``:
 the physical collector and the experiment sweep.  Each test SIGKILLs a
-real child mid-map.  The caller runs specs ``0, W+1, 2(W+1), …`` itself,
-so each test first asserts that its fatal spec is one the pool runs, and
-the kill refuses to fire in the test process.
+real child mid-map.  The caller runs spec 0 itself and steals specs the
+pool has not started, so each test makes its spec 0 slow, has its fatal
+spec among those the pool starts or queues at once, and the kill refuses
+to fire in the test process.
 """
 
 import contextlib
@@ -36,9 +37,16 @@ def bounded(seconds=60.0):
 TEST_PID = os.getpid()
 
 
+#: How long each test's spec 0 keeps the caller busy: the pool has
+#: started or queued its first ``W + 1`` specs long before.
+CALLER_PAUSE_S = 0.3
+
+
 def pool_runs(index, workers):
-    """Whether ``ordered_pool_map`` hands spec ``index`` to a worker."""
-    return index % (workers + 1) != 0
+    """Whether spec ``index`` is one the pool starts or queues at once
+    (its call queue holds one spec more than it has workers), so a caller
+    kept busy on spec 0 can no longer steal it."""
+    return 1 <= index <= workers + 1
 
 
 def kill_this_worker():
@@ -47,9 +55,12 @@ def kill_this_worker():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def env_that_dies_at(seed, fatal_seed):
+def env_that_dies_at(seed, fatal_seed, slow_seed):
     """EnvSpec factory: the replica of one episode kills its worker, after
-    a pause that lets the episodes already in flight come back."""
+    a pause that lets the episodes already in flight come back; another
+    one (the caller's) is slow to build."""
+    if seed == slow_seed:
+        time.sleep(CALLER_PAUSE_S)
     if seed == fatal_seed:
         time.sleep(0.3)
         kill_this_worker()
@@ -62,7 +73,9 @@ def test_killed_collector_worker_names_the_episode_and_keeps_the_prefix():
     plan = episode_plan(40, 10, config.policy.collect_lanes, root_seed=7)
     assert pool_runs(2, config.policy.collect_workers)
     spec = EnvSpec.make(
-        f"{__name__}:env_that_dies_at", fatal_seed=plan[2].env_seed
+        f"{__name__}:env_that_dies_at",
+        fatal_seed=plan[2].env_seed,
+        slow_seed=plan[0].env_seed,
     )
     agent = MirasAgent(build_training_env(seed=7), config, seed=7, env_spec=spec)
     with bounded(), pytest.raises(
@@ -76,7 +89,9 @@ def test_killed_collector_worker_names_the_episode_and_keeps_the_prefix():
     assert len(agent.dataset) == len(agent.ddpg.replay) == 10 * lost
 
 
-def _fatal_experiment(seed, fatal=False):
+def _fatal_experiment(seed, fatal=False, slow=False):
+    if slow:
+        time.sleep(CALLER_PAUSE_S)
     if fatal:
         kill_this_worker()
     return {"seed": seed}
@@ -86,7 +101,9 @@ def test_killed_sweep_worker_names_the_cell(monkeypatch):
     # Forked workers inherit the patched registry.
     monkeypatch.setitem(parallel.EXPERIMENTS, "fatal", _fatal_experiment)
     cells = [
-        parallel.ExperimentCell.make("fatal", r, {"fatal": r == 1})
+        parallel.ExperimentCell.make(
+            "fatal", r, {"fatal": r == 1, "slow": r == 0}
+        )
         for r in range(3)
     ]
     assert pool_runs(1, workers=2)

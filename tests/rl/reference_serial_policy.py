@@ -193,7 +193,9 @@ class ReferenceRefinedModel(RefinedModel):
 
 
 # --- The collection worker ---------------------------------------------------
-# run_collect_episode below is verbatim.  The names defined here make it
+# run_collect_episode below is verbatim, and so is _actor_from_payload:
+# every episode builds a fresh actor, loads the payload's weights into it
+# and clones it for the perturbation.  The names defined here make it
 # resolve to the serial actor, noise and env mapping.
 
 
@@ -226,7 +228,14 @@ class EnvSpec(distributed.EnvSpec):
 
 
 def _actor_from_payload(payload: Dict, rng: RngStream) -> Actor:
-    actor = distributed._actor_from_payload(payload, rng)
+    """Rebuild the frozen actor inside a worker (weights overwrite init)."""
+    actor = Actor(
+        payload["state_dim"],
+        payload["action_dim"],
+        hidden_sizes=payload["hidden_sizes"],
+        rng=rng,
+    )
+    actor.network.load_state_dict(payload["actor_weights"])
     actor.__class__ = ReferenceActor
     return actor
 

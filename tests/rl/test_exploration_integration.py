@@ -21,13 +21,14 @@ class TestPerturbationLifecycle:
         agent = make_agent(perturb_interval=5, param_noise_sigma=0.3)
         state = np.array([4.0, 2.0, 1.0])
         agent.act(state, explore=True)
-        first = agent._perturbed_network
-        for _ in range(3):
+        first = agent._perturbed_network.get_flat()
+        for _ in range(4):
             agent.act(state, explore=True)
-        assert agent._perturbed_network is first  # within the interval
-        for _ in range(5):
-            agent.act(state, explore=True)
-        assert agent._perturbed_network is not first  # refreshed
+        # Within the interval: the same perturbed weights.
+        assert agent._perturbed_network.get_flat().tobytes() == first.tobytes()
+        agent.act(state, explore=True)
+        # The interval's first act: new weights (written in place).
+        assert not np.allclose(agent._perturbed_network.get_flat(), first)
 
     def test_refresh_changes_the_perturbation(self):
         agent = make_agent(param_noise_sigma=0.3)

@@ -32,15 +32,15 @@ def _rng_state(stream):
     )
 
 
-def _agent(cls, exploration, dim=3):
+def _agent(cls, exploration, dim=3, hidden_sizes=(16, 16), seed=5):
     config = DDPGConfig(
-        hidden_sizes=(16, 16),
+        hidden_sizes=hidden_sizes,
         batch_size=8,
         exploration=exploration,
         action_noise_sigma=0.4,
         perturb_interval=7,
     )
-    return cls(dim, dim, config=config, rng=_stream(5, "agent"))
+    return cls(dim, dim, config=config, rng=_stream(seed, "agent"))
 
 
 def _state(rng):
@@ -137,10 +137,8 @@ def test_projection_rows_match_the_serial_projection():
                 assert one.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("exploration", MODES)
-def test_collect_episode_matches_the_serial_worker(exploration):
-    agent = _agent(DDPGAgent, exploration, dim=4)  # MSD's four services
-    spec = {
+def _collect_spec(agent):
+    return {
         "episode": 0,
         "lane": 0,
         "steps": 40,
@@ -153,11 +151,42 @@ def test_collect_episode_matches_the_serial_worker(exploration):
         "burst_scale": 10.0,
         "policy": distributed.policy_payload(agent),
     }
-    block = distributed.run_collect_episode(spec)
-    expected = reference.run_collect_episode(spec)
+
+
+def _assert_same_block(block, expected):
     assert block.keys() == expected.keys()
     for key, value in expected.items():
         if isinstance(value, np.ndarray):
             assert block[key].tobytes() == value.tobytes(), key
         else:
             assert block[key] == value, key
+
+
+@pytest.mark.parametrize("exploration", MODES)
+def test_collect_episode_matches_the_serial_worker(exploration):
+    agent = _agent(DDPGAgent, exploration, dim=4)  # MSD's four services
+    spec = _collect_spec(agent)
+    _assert_same_block(
+        distributed.run_collect_episode(spec), reference.run_collect_episode(spec)
+    )
+
+
+@pytest.mark.parametrize("exploration", MODES)
+def test_reused_acting_network_matches_a_fresh_actor_per_episode(exploration):
+    # One process keeps one acting network per policy shape; episodes on
+    # payloads A, B, A must each match an actor built for that episode.
+    for hidden_sizes in ((16, 16), (24,)):
+        a, b = (
+            _agent(DDPGAgent, exploration, 4, hidden_sizes, seed)
+            for seed in (5, 6)
+        )
+        # Fresh actors sit near the uniform allocation; B acts differently.
+        b.actor.network.params += _stream(7).normal(
+            0.0, 0.5, size=b.actor.network.params.shape
+        )
+        for agent in (a, b, a):
+            spec = _collect_spec(agent)
+            _assert_same_block(
+                distributed.run_collect_episode(spec),
+                reference.run_collect_episode(spec),
+            )

@@ -76,6 +76,7 @@ class TestTrainEvaluateRoundtrip:
     def test_train_save_then_evaluate(self, tmp_path, capsys, monkeypatch):
         # Shrink the fast preset so the CLI test stays quick.
         from repro.core.config import MirasConfig, ModelConfig, PolicyConfig
+        from repro.eval.experiments import dataset_preset
         from repro.rl.ddpg import DDPGConfig
 
         tiny = MirasConfig(
@@ -91,7 +92,9 @@ class TestTrainEvaluateRoundtrip:
             iterations=1,
             eval_steps=3,
         )
-        monkeypatch.setattr(MirasConfig, "msd_fast", classmethod(lambda cls: tiny))
+        # `repro train` reads the preset table, which holds the bound
+        # method itself: patching MirasConfig.msd_fast would not reach it.
+        monkeypatch.setitem(dataset_preset("msd"), "fast_config", lambda: tiny)
 
         agent_dir = tmp_path / "agent"
         code = main(["train", "--dataset", "msd", "--output", str(agent_dir)])
