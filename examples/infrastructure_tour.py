@@ -4,8 +4,8 @@
 No learning here — this example exercises the substrate directly so you
 can see the moving parts the paper's Section II/V describe:
 
-- the TDS ensemble answering dependency queries (with a replica failure),
-- queues with ack/redelivery,
+- the TDS's dependency tables routing each workflow's tasks,
+- queues with ack/redelivery (a crashed container's request comes back),
 - consumer scaling with container start-up latency,
 - the two scale-down modes (graceful drain vs kill + redeliver),
 - per-window observations and the Eq. (1) reward.
@@ -31,15 +31,13 @@ def main():
         seed=7,
     )
 
-    # --- TDS: dependency lookups survive a replica failure ---------------
+    # --- TDS: the dependency tables the invoker routes from --------------
     print("TDS dependency queries (Fig. 2 analog):")
-    for workflow in ensemble.workflow_names():
-        entries = system.tds.entry_tasks(workflow)
-        print(f"  {workflow}: entry={entries}")
-    system.tds.fail_server(0)
-    print(f"  replica 0 failed -> still serving: "
-          f"{system.tds.successors('Type3', 'Preprocess')}")
-    system.tds.recover_server(0)
+    table = system.table
+    for w, workflow in enumerate(table.workflow_names):
+        print(f"  {workflow}: entry={table.entry_names[w]}")
+    after = [successor for successor, _ in table.routes["Type3", "Preprocess"]]
+    print(f"  Type3 after Preprocess -> {after}")
 
     # --- Submit work and scale up ----------------------------------------
     print("\nSubmitting 30 Type3 workflows (Ingest->Preprocess->{Segment,Analyze}):")
@@ -52,9 +50,16 @@ def main():
           f"reward={observation.reward:.0f} "
           f"(consumers took 5-10 s to start)")
 
+    # --- A container crash: its request is redelivered --------------------
+    preprocess = system.microservices["Preprocess"]
+    before = preprocess.redelivered_total
+    crashed = preprocess.crash_one()
+    print(f"\nCrashed one Preprocess container: {crashed}; "
+          f"{preprocess.redelivered_total - before} request(s) redelivered, "
+          f"replacement starting ({preprocess.starting_consumers} starting)")
+
     # --- Kill semantics: scale a busy service to zero ---------------------
     print("\nScaling Preprocess to zero mid-flight (kill mode):")
-    preprocess = system.microservices["Preprocess"]
     before = preprocess.redelivered_total
     system.apply_allocation([4, 0, 5, 5])
     redelivered = preprocess.redelivered_total - before
@@ -68,10 +73,6 @@ def main():
     print(f"\nAfter 13 windows: WIP={system.wip_vector().astype(int).tolist()}")
     print(f"  workflows completed: {system.invoker.completed_total}/30")
     print(f"  request conservation holds: {system.conservation_ok()}")
-
-    # --- Cluster state -----------------------------------------------------
-    print(f"\nCluster load by node: {system.cluster.load_by_node()}")
-    print(f"TDS reads per replica: {system.tds.read_distribution()}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from repro.workload import MSD_BACKGROUND_RATES, PoissonArrivalProcess
 
 
 def main():
-    # 1. The emulated infrastructure: queues, consumers, TDS, 3-node cluster.
+    # 1. The emulated infrastructure: dependency routing, queues, consumers.
     ensemble = build_msd_ensemble()
     system = MicroserviceWorkflowSystem(
         ensemble, SystemConfig(consumer_budget=14), seed=0

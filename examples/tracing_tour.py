@@ -27,7 +27,6 @@ from repro.core import MirasAgent
 from repro.core.config import MirasConfig, ModelConfig, PolicyConfig
 from repro.rl.ddpg import DDPGConfig
 from repro.sim import MicroserviceEnv, MicroserviceWorkflowSystem, SystemConfig
-from repro.sim.faults import crash_one_consumer
 from repro.telemetry import (
     RunManifest,
     aggregate_trace,
@@ -82,7 +81,7 @@ def run_traced(outdir: Path, seed: int = 7) -> RunManifest:
         system.inject_burst({"Type3": 20})
         system.apply_allocation([4, 4, 3, 3])
         system.run_window()
-        crash_one_consumer(system.microservices["Preprocess"])
+        system.microservices["Preprocess"].crash_one()
         system.run_window()
 
         # One tiny Algorithm 2 iteration on the same (traced) system:

@@ -57,7 +57,7 @@ from repro.sim.microservice import _BUSY, _IDLE, _STOPPED, BatchedMicroservice
 from repro.sim.requests import RequestPool
 from repro.sim.substrate import PrefetchStream
 from repro.sim.system import MicroserviceWorkflowSystem
-from repro.sim.tds import CompiledDependencyTable, TaskDependencyService
+from repro.sim.tds import CompiledDependencyTable
 from repro.utils.rng import RngStream
 
 __all__ = ["BatchedWorkflowSystem", "BatchedInvoker"]
@@ -177,9 +177,9 @@ class BatchedInvoker:
     """Integer-indexed workflow invoker (Fig. 1 steps 1, 2 and 4).
 
     Mirrors :class:`repro.sim.invoker.WorkflowInvoker` exactly —
-    submission order, TDS read accounting, AND-join publish points,
-    completion detection — but addresses workflow instances by pool row
-    and tasks by compiled-table indices.  The AND-join test is a
+    submission order, AND-join publish points, completion detection —
+    but addresses workflow instances by pool row and tasks by
+    compiled-table indices.  The AND-join test is a
     countdown (``wf_pred_remaining`` hits zero) instead of the serial
     set-membership test; both fire at the same completion event.
     """
@@ -187,14 +187,12 @@ class BatchedInvoker:
     def __init__(
         self,
         loop: TypedEventLoop,
-        tds: TaskDependencyService,
         table: CompiledDependencyTable,
         pool: RequestPool,
         services: List[BatchedMicroservice],
         on_workflow_complete=None,
     ):
         self.loop = loop
-        self.tds = tds
         self.table = table
         self.pool = pool
         self.services = services
@@ -221,7 +219,6 @@ class BatchedInvoker:
         now = self.loop.now
         wfi = pool.add_workflows(1, w, now, table.size[w], table.pred_counts[w])
         self.submitted_total += 1
-        self.tds.account_reads(1)  # entry-tasks query
         for _local, g in table.entries[w]:
             self.services[g].publish_many(pool.add_tasks([g], [wfi], now))
         return wfi
@@ -242,9 +239,7 @@ class BatchedInvoker:
             )
         pool.wf_task_done[wfi, local] = 1
 
-        self.tds.account_reads(1)  # successors query
         for s_local, s_g in table.successors[w][local]:
-            self.tds.account_reads(1)  # predecessors query (AND-join check)
             remaining = int(pool.wf_pred_remaining[wfi, s_local]) - 1
             pool.wf_pred_remaining[wfi, s_local] = remaining
             if remaining == 0:
@@ -289,7 +284,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
     # Substrate wiring ----------------------------------------------------
     def _build_substrate(self) -> None:
         self.loop = TypedEventLoop()
-        self.table = self.tds.table
         self.pool = RequestPool(self.table.max_tasks)
         self.microservices: Dict[str, BatchedMicroservice] = {}
         self._services: List[BatchedMicroservice] = []
@@ -300,7 +294,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
                 task_type,
                 index=g,
                 loop=self.loop,
-                cluster=self.cluster,
                 rng=self._rngs["service_times"].fork(task_type.name),
                 pool=self.pool,
                 on_task_complete=self._on_batched_task_complete,
@@ -312,7 +305,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
             self._services.append(ms)
         self.invoker = BatchedInvoker(
             self.loop,
-            self.tds,
             self.table,
             self.pool,
             self._services,
@@ -396,9 +388,9 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         Submissions that can trigger immediate dispatch (an entry queue
         has an idle consumer) or must emit per-request trace events go
         through the exact per-request path; the remainder is appended as
-        whole arrays — workflow rows, task rows, TDS read accounting and
-        queue contents land exactly as the per-request loop would leave
-        them (see docs/SIMULATOR.md on burst-order equivalence).
+        whole arrays — workflow rows, task rows and queue contents land
+        exactly as the per-request loop would leave them (see
+        docs/SIMULATOR.md on burst-order equivalence).
         """
         pool = self.pool
         table = self.table
@@ -425,7 +417,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
             )
             wfis = np.arange(first, first + remaining, dtype=np.int64)
             self.invoker.submitted_total += remaining
-            self.tds.account_reads(remaining)  # one entry-tasks query each
             for _local, g in table.entries[w]:
                 tis = pool.add_tasks(
                     np.full(remaining, g, dtype=np.int32), wfis, now
@@ -1085,8 +1076,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
                     ms.current_task[slot] = ms.pending_token[slot] = -1
             if gone:
                 ms.draining = [s for s in ms.draining if s not in gone]
-                for slot in chain.stopped:
-                    ms.cluster.release(ms.node[slot])
             for (finish, slot, pop, _k), seq in zip(chain.parked, seqs[ms_i]):
                 ms.state[slot] = _BUSY
                 ms.current_task[slot] = tasks[pop]
@@ -1103,7 +1092,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         if not arrivals.times.size:
             return
         self.invoker.submitted_total += arrivals.times.size
-        self.tds.account_reads(arrivals.times.size)  # entry-tasks queries
         counts = np.bincount(arrivals.streams, minlength=len(self._arrivals))
         for stream, count in zip(self._arrivals, counts.tolist()):
             if count:
@@ -1117,13 +1105,8 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
         """Dependency bookkeeping and window metrics."""
         pool = self.pool
         pool.wf_task_done[wfs, locals_] = 1
-        edges = 0
         for pub_wf, pub_local in decrements:
             np.subtract.at(pool.wf_pred_remaining, (pub_wf, pub_local), 1)
-            edges += pub_wf.size
-        # One successors query per completion, one predecessors query
-        # per successor edge.
-        self.tds.account_reads(wfs.size + edges)
         if not wfs.size:
             return
         # Window metrics.

@@ -22,7 +22,6 @@ from repro.sim.requests import TaskRequest
 from repro.utils.validation import isclose_zero
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.sim.cluster import Node
     from repro.sim.microservice import Microservice
 
 __all__ = [
@@ -80,14 +79,13 @@ def service_time_params(
 class Consumer:
     """One container processing task requests for a single microservice."""
 
-    def __init__(self, microservice: "Microservice", node: "Node"):
+    def __init__(self, microservice: "Microservice"):
         self.consumer_id = next(_consumer_ids)
         #: Run-local id used in trace records: the process-global
         #: ``consumer_id`` differs between same-seed runs in one process,
         #: which would break trace byte-reproducibility.
         self.trace_id: int = microservice.consumers_started
         self.microservice = microservice
-        self.node = node
         self.state = ConsumerState.STARTING
         #: Simulation time of container creation (start-up latency origin).
         self.created_at: float = microservice.loop.now

@@ -2,10 +2,10 @@
 
 Implements the four-step request flow of the paper's Fig. 1:
 
-1. on workflow arrival, ask the TDS which task(s) start the workflow,
+1. on workflow arrival, look up which task(s) start the workflow,
 2. publish the request to those tasks' queues,
 3. a consumer processes the request,
-4. on completion, query the TDS for subsequent task(s) and publish to them —
+4. on completion, look up the subsequent task(s) and publish to them —
    honouring AND-join synchronisation (a successor is published only once
    **all** of its predecessors in this workflow instance have completed).
 """
@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 
 from repro.sim.events import EventLoop
 from repro.sim.requests import TaskRequest, WorkflowRequest
-from repro.sim.tds import TaskDependencyService
+from repro.sim.tds import CompiledDependencyTable
 
 __all__ = ["WorkflowInvoker"]
 
@@ -30,29 +30,25 @@ Publish = Callable[[TaskRequest], None]
 class WorkflowInvoker:
     """Routes workflow requests through their task DAGs.
 
-    Routing is resolved once, at construction, from the TDS's compiled
+    Routing is resolved once, at construction, from the compiled
     dependency table: per workflow type its size and entry tasks, per
     ``(workflow type, task)`` the successors with the predecessors each
     waits for — every task already paired with its queue's ``publish``
-    (``publishers``, by task type).  The hot path
-    is then dictionary lookups; every TDS read the queries stood for is
-    still accounted, one ``account_reads`` call per submission and per
-    completion.
+    (``publishers``, by task type).  The hot path is then dictionary
+    lookups.
     """
 
     def __init__(
         self,
         loop: EventLoop,
-        tds: TaskDependencyService,
+        table: CompiledDependencyTable,
         publishers: Dict[str, Publish],
         on_workflow_complete: Optional[WorkflowCompletionCallback] = None,
     ):
         self.loop = loop
-        self.tds = tds
         self.on_workflow_complete = on_workflow_complete
         self.submitted_total = 0
         self.completed_total = 0
-        table = tds.table
         # A task type without a queue is reported when something is
         # published to it, not here: ``publishers.get`` leaves ``None``.
         self._entries = {
@@ -82,7 +78,6 @@ class WorkflowInvoker:
         now = self.loop.now
         request = WorkflowRequest(workflow_type, now, total_tasks)
         self.submitted_total += 1
-        self.tds.account_reads(1)  # entry-tasks query
         for task, publish in entries:
             if publish is None:
                 raise _no_queue(task, workflow_type)
@@ -91,14 +86,7 @@ class WorkflowInvoker:
 
     # Completion routing ------------------------------------------------------
     def handle_task_completion(self, task_request: TaskRequest, now: float) -> None:
-        """Step 4 of Fig. 1: publish ready successors; detect completion.
-
-        The TDS reads are the successors query plus one predecessors
-        query (the AND-join check) per successor, accounted in one
-        ``account_reads`` call: a publish never touches the TDS, so the
-        replica set cannot change between them, and the quorum check
-        of the first read decides all of them either way.
-        """
+        """Step 4 of Fig. 1: publish ready successors; detect completion."""
         workflow_request = task_request.workflow
         task = task_request.task_type
         completed = workflow_request.completed_tasks
@@ -109,9 +97,9 @@ class WorkflowInvoker:
             )
         completed.add(task)
 
-        route = self._routes[workflow_request.workflow_type, task]
-        self.tds.account_reads(1 + len(route))
-        for successor, predecessors, publish in route:
+        for successor, predecessors, publish in self._routes[
+            workflow_request.workflow_type, task
+        ]:
             if completed.issuperset(predecessors):
                 if publish is None:
                     raise _no_queue(successor, workflow_request.workflow_type)

@@ -44,7 +44,6 @@ from bisect import bisect_left
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.sim.cluster import Cluster
 from repro.sim.consumer import Consumer, ConsumerState, service_time_params
 from repro.sim.events import EventHandle, EventLoop, TypedEventLoop
 from repro.sim.queueing import DeliveryTag, IndexFifo, QueueError
@@ -100,7 +99,6 @@ class Microservice:
         self,
         task_type: TaskType,
         loop: EventLoop,
-        cluster: Cluster,
         rng: RngStream,
         on_task_complete: TaskCompletionCallback,
         startup_delay_range: Tuple[float, float] = (5.0, 10.0),
@@ -121,7 +119,6 @@ class Microservice:
         #: The task type's name, which is also the queue's.
         self.name = task_type.name
         self.loop = loop
-        self.cluster = cluster
         self.rng = rng
         self.on_task_complete = on_task_complete
         self.startup_delay_range = startup_delay_range
@@ -171,8 +168,7 @@ class Microservice:
             self._remove_one_consumer()
 
     def _start_consumer(self) -> None:
-        node = self.cluster.place()
-        consumer = Consumer(self, node)
+        consumer = Consumer(self)
         self.consumers.append(consumer)
         heapq.heappush(self._starting, (consumer.trace_id, consumer))
         self.consumers_started += 1
@@ -186,7 +182,6 @@ class Microservice:
                 "kind": "event.consumer_start", "t": None,
                 "service": self.name,
                 "consumer_id": consumer.trace_id,
-                "node": node.node_id,
                 "startup_delay": delay,
             })
 
@@ -228,7 +223,7 @@ class Microservice:
         self._stop_now(victim)
 
     def _stop_now(self, victim: Consumer) -> None:
-        """Hard-stop a live consumer and free its slot.
+        """Hard-stop a live consumer.
 
         A busy victim's in-flight request is redelivered (never lost);
         the elapsed processing is wasted.  An idle victim is always the
@@ -252,7 +247,6 @@ class Microservice:
                     "idle victim is not the first idle consumer")
         victim.state = ConsumerState.STOPPED
         self.consumers.remove(victim)
-        self.cluster.release(victim.node)
 
     def crash_one(self) -> bool:
         """Crash one busy (else idle) consumer and start a replacement.
@@ -439,10 +433,9 @@ class Microservice:
         consumer.pending_event = None
         self.tasks_completed += 1
         if consumer in self.draining:
-            # Terminating pod: its last task is done; release the slot.
+            # Terminating pod: its last task is done; it exits.
             consumer.state = ConsumerState.STOPPED
             self.draining.remove(consumer)
-            self.cluster.release(consumer.node)
             self._trace_stop(consumer, "drained")
         else:
             consumer.state = ConsumerState.IDLE
@@ -498,7 +491,6 @@ class Microservice:
                 "slot": c.trace_id,
                 "state": c.state.value,
                 "created_at": float(c.created_at),
-                "node": c.node.node_id,
                 "tasks_completed": c.tasks_completed,
                 "busy_time": float(c.busy_time),
                 "task": None if c.current_request is None else in_service(c),
@@ -506,7 +498,7 @@ class Microservice:
             for c in self.consumers
         ]
         draining = [
-            {"slot": c.trace_id, "node": c.node.node_id, "task": in_service(c)}
+            {"slot": c.trace_id, "task": in_service(c)}
             for c in self.draining
         ]
         return [task(r) for r in self._ready], consumers, draining
@@ -553,7 +545,6 @@ class BatchedMicroservice:
         task_type: TaskType,
         index: int,
         loop: TypedEventLoop,
-        cluster: Cluster,
         rng: RngStream,
         pool: RequestPool,
         on_task_complete: BatchedTaskCompletionCallback,
@@ -575,7 +566,6 @@ class BatchedMicroservice:
         #: Position in the system's microservice list (event payload id).
         self.index = index
         self.loop = loop
-        self.cluster = cluster
         self.rng = rng
         self.pool = pool
         self.on_task_complete = on_task_complete
@@ -599,7 +589,6 @@ class BatchedMicroservice:
         self.processing_started: List[float] = []
         self.slot_busy_time: List[float] = []
         self.slot_tasks_completed: List[int] = []
-        self.node: List = []
         self.pending_token: List[int] = []
         #: Live slots in serial ``consumers``-list order (always sorted).
         self.order: List[int] = []
@@ -635,15 +624,9 @@ class BatchedMicroservice:
             self._remove_consumers(self.allocated - target)
 
     def _start_consumers(self, count: int) -> None:
-        """Start ``count`` containers in one block: the placements,
-        start-up draws, ready events and ``seq`` numbers of that many
+        """Start ``count`` containers in one block: the start-up draws,
+        ready events, ``seq`` numbers and start records of that many
         single starts on the serial twin."""
-        if self.tracer.enabled and count > 1:
-            # Placement and start records interleave container by container.
-            for _ in range(count):
-                self._start_consumers(1)
-            return
-        nodes = self.cluster.place_many(count)
         first = self.consumers_started
         slots = range(first, first + count)
         low, high = self.startup_delay_range
@@ -659,7 +642,6 @@ class BatchedMicroservice:
         self.processing_started.extend([0.0] * count)
         self.slot_busy_time.extend([0.0] * count)
         self.slot_tasks_completed.extend([0] * count)
-        self.node.extend(nodes)
         self.pending_token.extend(range(token, token + count))
         self._busy_indexed.extend([False] * count)
         self.order.extend(slots)
@@ -667,13 +649,13 @@ class BatchedMicroservice:
         self._starting.extend(slots)
         self.consumers_started += count
         if self.tracer.enabled:
-            self.tracer.write({
-                "kind": "event.consumer_start", "t": None,
-                "service": self.name,
-                "consumer_id": first,
-                "node": nodes[0].node_id,
-                "startup_delay": delays[0],
-            })
+            for slot, delay in zip(slots, delays):
+                self.tracer.write({
+                    "kind": "event.consumer_start", "t": None,
+                    "service": self.name,
+                    "consumer_id": slot,
+                    "startup_delay": delay,
+                })
 
     def on_ready(self, slot: int) -> None:
         """Consumer-ready event executor (start-up delay elapsed)."""
@@ -696,8 +678,8 @@ class BatchedMicroservice:
         many single removals on the serial twin (live starting slots,
         then idle ones, each lowest first, then busy ones, newest first),
         with their state changes and, under a tracer, their records in
-        the same order: ``consumer_stop``, ``redeliver`` (kill),
-        ``release``, victim by victim."""
+        the same order: ``consumer_stop``, then ``redeliver`` (kill),
+        victim by victim."""
         state, tokens = self.state, self.pending_token
         starting = [s for s in self._starting if state[s] == _STARTING]
         self._starting = starting[count:]
@@ -723,9 +705,8 @@ class BatchedMicroservice:
             + [self.scale_down_mode] * len(busy)
         )
         removed = victims + busy
-        if self.scale_down_mode == "kill":
-            victims = removed
-        else:  # graceful termination: each finishes its task, then exits
+        if self.scale_down_mode == "drain":
+            # Graceful termination: each finishes its task, then exits.
             self.draining += busy
         # Traced, each victim takes a step for its records; else busy ones.
         traced = self.tracer.enabled
@@ -744,13 +725,9 @@ class BatchedMicroservice:
                 self.current_task[slot] = tokens[slot] = -1
                 self.consumers_killed_busy += 1
                 state[slot] = _STOPPED
-            if traced and mode != "drain":
-                self.cluster.release_many([self.node[slot]])
-        if not traced:
-            self.cluster.release_many([self.node[s] for s in victims])
 
     def _stop_now(self, victim: int) -> None:
-        """Hard-stop a live consumer and free its slot.
+        """Hard-stop a live consumer.
 
         A busy victim's in-flight request is redelivered (never lost);
         the elapsed processing is wasted.  An idle victim is always the
@@ -771,7 +748,6 @@ class BatchedMicroservice:
                     "idle victim is not the first idle consumer")
         self.state[victim] = _STOPPED
         del self.order[bisect_left(self.order, victim)]  # sorted: no scan
-        self.cluster.release(self.node[victim])
 
     def _first_busy(self) -> int:
         """The first busy slot in ``order``, or -1 (a terminating
@@ -895,10 +871,9 @@ class BatchedMicroservice:
         self.pending_token[slot] = -1
         self.tasks_completed += 1
         if slot in self.draining:
-            # Terminating pod: its last task is done; release the slot.
+            # Terminating pod: its last task is done; it exits.
             self.state[slot] = _STOPPED
             self.draining.remove(slot)
-            self.cluster.release(self.node[slot])
             self._trace_stop(slot, "drained")
         else:
             self.state[slot] = _IDLE
@@ -953,7 +928,6 @@ class BatchedMicroservice:
                 "slot": slot,
                 "state": self.state[slot],
                 "created_at": float(self.created_at[slot]),
-                "node": self.node[slot].node_id,
                 "tasks_completed": int(self.slot_tasks_completed[slot]),
                 "busy_time": float(self.slot_busy_time[slot]),
                 "task": None if self.current_task[slot] < 0 else in_service(slot),
@@ -961,8 +935,7 @@ class BatchedMicroservice:
             for slot in self.order
         ]
         draining = [
-            {"slot": slot, "node": self.node[slot].node_id,
-             "task": in_service(slot)}
+            {"slot": slot, "task": in_service(slot)}
             for slot in self.draining
         ]
         return [task(t) for t in self.fifo.to_list()], consumers, draining

@@ -13,7 +13,7 @@ Two pieces the batched substrate (:mod:`repro.sim.batched`) builds on:
 
 - :func:`substrate_snapshot` — one deep, JSON-compatible dictionary of
   everything observable about a system (queues, consumers, counters,
-  cluster, TDS, window history, RNG states).  The serial and batched
+  window history, RNG states).  The serial and batched
   substrates produce *identical* snapshots for the same seed and
   scenario; the equivalence suite (tests/sim/test_batched_substrate.py)
   pins that, and docs/SIMULATOR.md states the contract.
@@ -179,10 +179,9 @@ def substrate_snapshot(system) -> Dict[str, Any]:
 
     Returns one JSON-compatible dictionary covering the event loop,
     per-microservice queues (contents included), consumer tables,
-    lifetime counters, cluster placement, TDS read accounting, the full
-    window-observation history, the delay tracker, and every RNG
-    stream's bit-generator state (registered Poisson arrival streams
-    included).  A serial
+    lifetime counters, the full window-observation history, the delay
+    tracker, and every RNG stream's bit-generator state (registered
+    Poisson arrival streams included).  A serial
     :class:`repro.sim.system.MicroserviceWorkflowSystem` and a batched
     :class:`repro.sim.batched.BatchedWorkflowSystem` built from the same
     seed and driven through the same scenario return **equal**
@@ -259,15 +258,6 @@ def substrate_snapshot(system) -> Dict[str, Any]:
             "completed": system.invoker.completed_total,
         },
         "microservices": microservices,
-        "cluster": {
-            str(k): v for k, v in system.cluster.load_by_node().items()
-        },
-        "tds": {
-            "reads": {
-                str(k): v for k, v in system.tds.read_distribution().items()
-            },
-            "healthy": system.tds.healthy_count,
-        },
         "history": [_observation_dict(o) for o in system.history],
         "rngs": {
             name: _rng_state(stream)

@@ -1,6 +1,6 @@
 """The microservice workflow system facade.
 
-Wires together the cluster, TDS ensemble, per-task microservices and the
+Wires together the dependency table, per-task microservices and the
 workflow invoker, and exposes the time-windowed control surface of the
 paper's Section II-B: apply an allocation m(k) at a window boundary, let
 the world run for one window, observe w(k+1), d(k) and the reward.
@@ -14,13 +14,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.cluster import Cluster
 from repro.sim.events import EventLoop
 from repro.sim.invoker import WorkflowInvoker
 from repro.sim.metrics import WindowObservation
 from repro.sim.microservice import Microservice
 from repro.sim.requests import TaskRequest, WorkflowRequest
-from repro.sim.tds import TaskDependencyService
+from repro.sim.tds import CompiledDependencyTable
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.rng import RngStream, spawn_rngs
 from repro.utils.validation import check_integral, check_positive
@@ -39,24 +38,13 @@ class SystemConfig:
         Control-window length in seconds (paper default: 30 s).
     consumer_budget:
         The total-consumer constraint ``C`` (14 for MSD, 30 for LIGO).
-    num_nodes:
-        Cluster machines (paper: 3 GCP VMs).
-    node_capacity:
-        Consumer slots per node; ``None`` sizes the cluster with enough
-        headroom for the drain ("reset") procedure, which temporarily
-        over-provisions consumers beyond ``C``.
     startup_delay_range:
         Container start-up latency bounds (paper measured 5–10 s).
-    tds_replicas:
-        TDS ensemble size (paper: 3 Zookeeper nodes).
     """
 
     window_length: float = 30.0
     consumer_budget: int = 14
-    num_nodes: int = 3
-    node_capacity: Optional[int] = None
     startup_delay_range: tuple = (5.0, 10.0)
-    tds_replicas: int = 3
     #: "drain" (graceful, Kubernetes-like) or "kill" (immediate + nack).
     scale_down_mode: str = "drain"
 
@@ -67,12 +55,6 @@ class SystemConfig:
                 f"got {self.window_length!r}"
             )
         check_positive("consumer_budget", self.consumer_budget)
-        check_positive("num_nodes", self.num_nodes)
-        check_positive("tds_replicas", self.tds_replicas)
-        if self.node_capacity is not None and not self.node_capacity >= 1:
-            raise ValueError(
-                f"node_capacity must be >= 1, got {self.node_capacity!r}"
-            )
         low, high = self.startup_delay_range
         if not 0 <= low <= high < math.inf:  # a NaN bound fails too
             raise ValueError(
@@ -88,24 +70,10 @@ class SystemConfig:
         """Per-service consumer count used by the drain ("reset").
 
         Three budgets' worth spread across the services — "sufficient
-        consumers of each microservice" without exploding the cluster for
-        ensembles with many task types.
+        consumers of each microservice" without exploding the deployment
+        for ensembles with many task types.
         """
         return max(2, math.ceil(3 * self.consumer_budget / num_task_types))
-
-    def resolved_node_capacity(self, num_task_types: int) -> int:
-        """Slots per node, with drain headroom when not set explicitly.
-
-        The drain's total (at least three budgets) is the peak; 30%
-        headroom covers gracefully-draining consumers that still hold a
-        slot while their replacement allocation spins up.
-        """
-        if self.node_capacity is not None:
-            return self.node_capacity
-        drain_total = (
-            self.resolved_drain_consumers(num_task_types) * num_task_types
-        )
-        return math.ceil(1.3 * drain_total / self.num_nodes) + 1
 
 
 class MicroserviceWorkflowSystem:
@@ -139,16 +107,8 @@ class MicroserviceWorkflowSystem:
             seed, ["service_times", "startup", "workload", "misc"]
         )
 
-        self.cluster = Cluster(
-            num_nodes=self.config.num_nodes,
-            node_capacity=self.config.resolved_node_capacity(
-                ensemble.num_task_types
-            ),
-            tracer=self.tracer,
-        )
-        self.tds = TaskDependencyService(
-            ensemble, replicas=self.config.tds_replicas
-        )
+        #: The dependency tables both invokers route from.
+        self.table = CompiledDependencyTable(ensemble)
         self._build_substrate()
         # The microservices in task-index order, the order of w(k) and m(k).
         self._services = [
@@ -181,7 +141,7 @@ class MicroserviceWorkflowSystem:
 
         Template method: :class:`repro.sim.batched.BatchedWorkflowSystem`
         overrides this to install the array-backed substrate while every
-        other wiring step (cluster, TDS, RNG streams, tracer binding)
+        other wiring step (dependency table, RNG streams, tracer binding)
         stays shared.  The two substrates must fork per-microservice RNG
         streams in the same ``ensemble.task_types`` order — fork order,
         not fork label, determines stream identity.
@@ -192,7 +152,6 @@ class MicroserviceWorkflowSystem:
             self.microservices[task_type.name] = Microservice(
                 task_type,
                 loop=self.loop,
-                cluster=self.cluster,
                 rng=self._rngs["service_times"].fork(task_type.name),
                 on_task_complete=self._on_task_complete,
                 startup_delay_range=self.config.startup_delay_range,
@@ -201,7 +160,7 @@ class MicroserviceWorkflowSystem:
             )
         self.invoker = WorkflowInvoker(
             self.loop,
-            self.tds,
+            self.table,
             {name: ms.publish for name, ms in self.microservices.items()},
             on_workflow_complete=self._on_workflow_complete,
         )

@@ -599,9 +599,6 @@ class MetricsAggregator:
         self._faults = r.counter(
             "repro_faults_total", "injected faults", ("fault",)
         )
-        self._node_used = r.gauge(
-            "repro_node_slots_used", "cluster slots in use", ("node",)
-        )
         self._collect_episodes = r.counter(
             "repro_collect_episodes_total",
             "distributed-collection episodes merged", ("lane",),
@@ -665,12 +662,12 @@ class MetricsAggregator:
 
         One pass carries the clock gauge and partitions the records **by
         fold**, each part in stream order; then every fold runs once over
-        its part.  By fold and not by kind, because a gauge keeps the
-        last value and a running mean: ``event.placement`` and
-        ``event.release`` both set ``repro_node_slots_used``, so they
-        share a fold and stay interleaved.  Everything else two folds
-        share is an integer-valued counter (``repro_consumer_events_total``,
-        ``repro_records_total``), which no order can move.
+        its part.  Each kind has a fold of its own; the kinds with none
+        (a v4 trace's ``event.task_complete``, a v5 trace's
+        ``event.placement`` and ``event.release``) share a part that is
+        only counted.  What two folds share is an integer-valued counter
+        (``repro_consumer_events_total``, ``repro_records_total``), which
+        no order can move.
         """
         handlers = self._HANDLERS
         part_of: Dict[str, List[Mapping]] = {}  # kind -> its fold's part
@@ -761,16 +758,13 @@ class MetricsAggregator:
             if record["wasted"] > 0:
                 self._wasted_work[service].inc(record["wasted"])
         for service, (times, waits) in by_service.items():
-            self._service_time[service].observe_many(times)
+            if times:  # an unstamped span opens no service-time series
+                self._service_time[service].observe_many(times)
             self._queue_wait[service].observe_many(waits)
 
     def _fold_faults(self, records: List[Mapping]) -> None:
         for record in records:
             self._faults[record["fault"]].inc()
-
-    def _fold_node_slots(self, records: List[Mapping]) -> None:
-        for record in records:
-            self._node_used[record["node"]].set(record["used"])
 
     def _fold_windows(self, records: List[Mapping]) -> None:
         for record in records:
@@ -804,9 +798,8 @@ class MetricsAggregator:
             self._training_last[name].set(value)
             self._training_ewma[name].update(value)
 
-    #: kind -> the fold over that kind's records.  Kinds naming one fold
-    #: are folded together, interleaved (see :meth:`observe_many`).  A
-    #: kind with none (a v4 trace's ``event.task_complete``) is counted.
+    #: kind -> the fold over that kind's records (see :meth:`observe_many`).
+    #: A kind with none (one an older schema wrote) is only counted.
     _HANDLERS: Dict[str, Callable] = {
         "event.arrival": _fold_arrivals,
         "event.workflow_complete": _fold_workflow_completions,
@@ -817,8 +810,6 @@ class MetricsAggregator:
         "event.consumer_stop": _fold_consumer_stops,
         "event.task_span": _fold_task_spans,
         "event.fault": _fold_faults,
-        "event.placement": _fold_node_slots,
-        "event.release": _fold_node_slots,
         "span.window": _fold_windows,
         "span.collect": _fold_collects,
         "metric": _fold_metrics,

@@ -35,7 +35,9 @@ __all__ = [
 #: v4: added ``span.collect`` (one merged distributed-collection episode).
 #: v5: dropped ``event.task_complete``: its ``service_time`` is the
 #: ``t - started`` of the ``event.task_span`` written at the same instant.
-SCHEMA_VERSION = 5
+#: v6: dropped ``event.placement``, ``event.release`` and the ``node`` of
+#: ``event.consumer_start``: cluster placement is no longer modelled.
+SCHEMA_VERSION = 6
 
 #: Fields present on every record regardless of kind.
 ENVELOPE_FIELDS: FrozenSet[str] = frozenset({"kind", "t"})
@@ -72,7 +74,7 @@ RECORD_SCHEMAS: Dict[str, FrozenSet[str]] = {
     # (first consume possible), removal (mode: drain / kill /
     # cancel-starting / idle / drained).
     "event.consumer_start": frozenset({
-        "service", "consumer_id", "node", "startup_delay",
+        "service", "consumer_id", "startup_delay",
     }),
     "event.consumer_ready": frozenset({
         "service", "consumer_id", "startup_latency",
@@ -90,10 +92,7 @@ RECORD_SCHEMAS: Dict[str, FrozenSet[str]] = {
         "service", "request_id", "published", "started", "deliveries",
         "wasted",
     }),
-    # Cluster slot accounting (Kubernetes scheduler analog).
-    "event.placement": frozenset({"node", "used"}),
-    "event.release": frozenset({"node", "used"}),
-    # Injected faults: consumer_crash / tds_outage / tds_recover.
+    # Injected faults: consumer_crash.
     "event.fault": frozenset({"fault", "target"}),
     # A named scalar (training-loop instrumentation).  ``step`` is the
     # producer's own counter (iteration, epoch, update index) or None.

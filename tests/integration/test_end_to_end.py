@@ -101,10 +101,16 @@ class TestConservationUnderChaos:
                 env.step(allocation)
             assert env.system.conservation_ok(), mode
 
-    def test_tds_failover_during_processing(self):
+    def test_crash_failover_during_processing(self):
+        """A busy consumer crashes mid-burst: its request is redelivered
+        and a replacement takes over, so the run still completes work."""
         env = make_msd_env(seed=37)
         env.system.inject_burst({"Type3": 10})
-        env.system.tds.fail_server(0)
+        env.step(env.uniform_allocation())
+        preprocess = env.system.microservices["Preprocess"]
+        assert preprocess.busy_consumers > 0
+        assert preprocess.crash_one()
+        assert preprocess.redelivered_total == 1
         for _ in range(10):
             env.step(env.uniform_allocation())
         assert env.system.invoker.completed_total > 0

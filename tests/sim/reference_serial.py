@@ -17,6 +17,8 @@ queue state at it, and three properties read the lifetime totals off
 it, which is what ``substrate_snapshot`` reads; nothing else touched).
 ``ReferenceSerialSystem`` wires them exactly as
 ``MicroserviceWorkflowSystem._build_substrate`` wires today's classes.
+The TDS read accounting and cluster slot releases are gone from it, with
+the replica and placement emulations that were their only effect.
 tests/sim/test_serial_differential.py runs generated scenarios on both
 and requires equal snapshots after every window and equal traces.
 """
@@ -276,7 +278,6 @@ class ReferenceMicroservice(Microservice):
                     "idle victim is not the first idle consumer")
         victim.state = ConsumerState.STOPPED
         self.consumers.remove(victim)
-        self.cluster.release(victim.node)
 
     def _dispatch(self) -> None:
         """Hand ready messages to idle consumers (push delivery).
@@ -334,7 +335,6 @@ class ReferenceMicroservice(Microservice):
             # Terminating pod: its last task is done; release the slot.
             consumer.state = ConsumerState.STOPPED
             self.draining.remove(consumer)
-            self.cluster.release(consumer.node)
             self._trace_stop(consumer, "drained")
         else:
             consumer.state = ConsumerState.IDLE
@@ -365,7 +365,6 @@ class ReferenceWorkflowInvoker(WorkflowInvoker):
             total_tasks=total_tasks,
         )
         self.submitted_total += 1
-        self.tds.account_reads(1)  # entry-tasks query
         for task, queue in entries:
             self._publish(request, task, queue)
         return request
@@ -401,12 +400,9 @@ class ReferenceWorkflowInvoker(WorkflowInvoker):
             )
         completed.add(task)
 
-        account_read = self.tds.account_reads
-        account_read(1)  # successors query
         for successor, predecessors, queue in self._routes[
             workflow_request.workflow_type, task
         ]:
-            account_read(1)  # predecessors query (AND-join check)
             if completed.issuperset(predecessors):
                 self._publish(workflow_request, successor, queue)
 
@@ -436,7 +432,6 @@ class ReferenceSerialSystem(MicroserviceWorkflowSystem):
             self.microservices[task_type.name] = ReferenceMicroservice(
                 task_type,
                 loop=self.loop,
-                cluster=self.cluster,
                 rng=self._rngs["service_times"].fork(task_type.name),
                 on_task_complete=self._on_task_complete,
                 startup_delay_range=self.config.startup_delay_range,
@@ -445,7 +440,7 @@ class ReferenceSerialSystem(MicroserviceWorkflowSystem):
             )
         self.invoker = ReferenceWorkflowInvoker(
             self.loop,
-            self.tds,
+            self.table,
             {name: ms.queue for name, ms in self.microservices.items()},
             on_workflow_complete=self._on_workflow_complete,
         )

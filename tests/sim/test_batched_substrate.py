@@ -172,9 +172,7 @@ class TestTracedEquivalence:
             injector = None
             if chaos:
                 injector = ChaosInjector(
-                    system,
-                    consumer_crash_rate=0.05,
-                    tds_outage_rate=0.01,
+                    system, consumer_crash_rate=0.05
                 ).start()
             for k in range(8):
                 if k == 2:
@@ -200,7 +198,7 @@ class TestTracedEquivalence:
         assert snap_s == snap_b
 
     def test_trace_bytes_identical_under_chaos(self, tmp_path):
-        """Redelivery-under-fault: crashes + TDS outages, traced."""
+        """Redelivery-under-fault: crashes, traced."""
         snap_s, bytes_s = self._traced_run(
             MicroserviceWorkflowSystem,
             tmp_path / "serial.jsonl",
@@ -220,7 +218,7 @@ class TestTracedEquivalence:
 
 class TestFaultEquivalence:
     def test_chaos_untraced_snapshots(self):
-        """Crashes and outages land identically without a tracer."""
+        """Crashes land identically without a tracer."""
 
         def scenario(cls):
             system = cls(
@@ -233,23 +231,16 @@ class TestFaultEquivalence:
                 np.full(system.ensemble.num_task_types, 2)
             )
             system.inject_burst({names[0]: 10, names[-1]: 5})
-            injector = ChaosInjector(
-                system,
-                consumer_crash_rate=0.1,
-                tds_outage_rate=0.02,
-                tds_outage_duration=45.0,
-            ).start()
+            injector = ChaosInjector(system, consumer_crash_rate=0.1).start()
             snaps = []
             for _ in range(8):
                 system.run_window()
                 snaps.append(substrate_snapshot(system))
             injector.stop()
-            return snaps, injector.crashes_injected, injector.outages_injected
+            return snaps, injector.crashes_injected
 
-        (serial, crashes_s, outages_s), (batched, crashes_b, outages_b) = (
-            run_both(scenario)
-        )
-        assert (crashes_s, outages_s) == (crashes_b, outages_b)
+        (serial, crashes_s), (batched, crashes_b) = run_both(scenario)
+        assert crashes_s == crashes_b
         assert crashes_s > 0, "scenario must inject crashes"
         assert_window_snapshots_equal(serial, batched)
 
@@ -470,7 +461,7 @@ class TestFastPath:
         assert_window_snapshots_equal(serial, batched)
 
     def test_terminating_consumers_finish_inside_a_replayed_window(self):
-        """Drain-mode scale-down: STOPPED, slot released, order kept."""
+        """Drain-mode scale-down: STOPPED, draining emptied, order kept."""
 
         def scenario(cls):
             system = cls(
@@ -491,7 +482,7 @@ class TestFastPath:
         assert draining == 20
         assert not batched_sys.microservices["Ingest"].draining
         assert batched_sys.fast_windows == 3
-        assert batched_sys.cluster.total_used == 4
+        assert batched_sys.microservices["Ingest"].allocated == 4
         assert_window_snapshots_equal(serial, batched)
 
     @pytest.mark.parametrize("kills", ["starting", "busy"])

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.events import EventLoop
 from repro.sim.invoker import WorkflowInvoker
-from repro.sim.tds import TaskDependencyService
+from repro.sim.tds import CompiledDependencyTable
 from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
 
 
@@ -28,7 +28,7 @@ def build_invoker(edges, tasks=(), without_queue=()):
     completed = []
     invoker = WorkflowInvoker(
         loop,
-        TaskDependencyService(ensemble),
+        CompiledDependencyTable(ensemble),
         {n: queue.append for n, queue in queues.items()},
         on_workflow_complete=completed.append,
     )

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.sim.cluster import Cluster
 from repro.sim.consumer import ConsumerState, service_time_params
 from repro.sim.events import EventLoop
 from repro.sim.microservice import Microservice
@@ -17,22 +16,19 @@ def build(
     cv=0.0,
     startup=(0.0, 0.0),
     scale_down_mode="drain",
-    capacity=50,
     seed=5,
 ):
     loop = EventLoop()
-    cluster = Cluster(num_nodes=3, node_capacity=capacity)
     completed = []
     ms = Microservice(
         TaskType("A", mean, cv=cv),
         loop=loop,
-        cluster=cluster,
         rng=RngStream("ms", np.random.SeedSequence(seed)),
         on_task_complete=lambda req, now: completed.append((req, now)),
         startup_delay_range=startup,
         scale_down_mode=scale_down_mode,
     )
-    return loop, cluster, ms, completed
+    return loop, ms, completed
 
 
 def publish(ms, count=1):
@@ -89,32 +85,32 @@ class TestSampleServiceTime:
 
 class TestScaling:
     def test_scale_up_creates_consumers(self):
-        loop, cluster, ms, _ = build()
+        loop, ms, _ = build()
         ms.scale_to(3)
         assert ms.allocated == 3
-        assert cluster.total_used == 3
+        assert not ms.draining
 
     def test_scale_down_removes_consumers(self):
-        loop, cluster, ms, _ = build()
+        loop, ms, _ = build()
         ms.scale_to(3)
         ms.scale_to(1)
         assert ms.allocated == 1
-        assert cluster.total_used == 1
+        assert not ms.draining
 
     def test_scale_to_zero(self):
-        loop, cluster, ms, _ = build()
+        loop, ms, _ = build()
         ms.scale_to(2)
         ms.scale_to(0)
         assert ms.allocated == 0
-        assert cluster.total_used == 0
+        assert not ms.draining
 
     def test_negative_rejected(self):
-        loop, cluster, ms, _ = build()
+        loop, ms, _ = build()
         with pytest.raises(ValueError):
             ms.scale_to(-1)
 
     def test_startup_delay_gates_processing(self):
-        loop, cluster, ms, completed = build(mean=1.0, startup=(5.0, 5.0))
+        loop, ms, completed = build(mean=1.0, startup=(5.0, 5.0))
         publish(ms, 1)
         ms.scale_to(1)
         loop.run_until(4.0)
@@ -123,18 +119,18 @@ class TestScaling:
         assert len(completed) == 1  # started at 5, processed 1s task
 
     def test_starting_consumer_cancelled_cleanly(self):
-        loop, cluster, ms, completed = build(mean=1.0, startup=(5.0, 5.0))
+        loop, ms, completed = build(mean=1.0, startup=(5.0, 5.0))
         ms.scale_to(1)
         ms.scale_to(0)
         loop.run_until(10.0)
         assert ms.allocated == 0
         assert ms.consumers_killed_starting == 1
-        assert cluster.total_used == 0
+        assert not ms.draining
 
 
 class TestProcessing:
     def test_tasks_complete_and_ack(self):
-        loop, cluster, ms, completed = build(mean=2.0)
+        loop, ms, completed = build(mean=2.0)
         requests = publish(ms, 3)
         ms.scale_to(1)
         loop.run_until(6.0)
@@ -144,14 +140,14 @@ class TestProcessing:
         assert ms.wip == 0
 
     def test_parallel_consumers_speed_up(self):
-        loop, _, ms, completed = build(mean=2.0)
+        loop, ms, completed = build(mean=2.0)
         publish(ms, 4)
         ms.scale_to(4)
         loop.run_until(2.0)
         assert len(completed) == 4
 
     def test_wip_counts_queued_plus_in_service(self):
-        loop, _, ms, _ = build(mean=10.0)
+        loop, ms, _ = build(mean=10.0)
         publish(ms, 3)
         ms.scale_to(1)
         loop.run_until(1.0)
@@ -159,7 +155,7 @@ class TestProcessing:
         assert ms.busy_consumers == 1
 
     def test_idle_consumer_wakes_on_publish(self):
-        loop, _, ms, completed = build(mean=1.0)
+        loop, ms, completed = build(mean=1.0)
         ms.scale_to(1)
         loop.run_until(5.0)
         publish(ms, 1)
@@ -169,20 +165,20 @@ class TestProcessing:
 
 class TestScaleDownDrain:
     def test_busy_consumer_finishes_task_then_exits(self):
-        loop, cluster, ms, completed = build(mean=4.0, scale_down_mode="drain")
+        loop, ms, completed = build(mean=4.0, scale_down_mode="drain")
         publish(ms, 1)
         ms.scale_to(1)
         loop.run_until(1.0)
         ms.scale_to(0)
         assert ms.allocated == 0  # leaves the allocation immediately
-        assert cluster.total_used == 1  # still occupies a slot while draining
+        assert len(ms.draining) == 1  # still running while it drains
         loop.run_until(5.0)
         assert len(completed) == 1  # task finished, not redelivered
-        assert cluster.total_used == 0
+        assert not ms.draining
         assert ms.redelivered_total == 0
 
     def test_draining_consumer_takes_no_more_work(self):
-        loop, _, ms, completed = build(mean=2.0, scale_down_mode="drain")
+        loop, ms, completed = build(mean=2.0, scale_down_mode="drain")
         publish(ms, 2)
         ms.scale_to(1)
         loop.run_until(0.5)
@@ -194,13 +190,13 @@ class TestScaleDownDrain:
 
 class TestScaleDownKill:
     def test_busy_consumer_killed_and_task_redelivered(self):
-        loop, cluster, ms, completed = build(mean=4.0, scale_down_mode="kill")
+        loop, ms, completed = build(mean=4.0, scale_down_mode="kill")
         (request,) = publish(ms, 1)
         ms.scale_to(1)
         loop.run_until(1.0)
         ms.scale_to(0)
         assert ms.consumers_killed_busy == 1
-        assert cluster.total_used == 0
+        assert ms.allocated == 0 and not ms.draining
         assert ms.redelivered_total == 1
         assert request.wasted_work == pytest.approx(1.0)
         # Another consumer picks the redelivered request up.
@@ -210,7 +206,7 @@ class TestScaleDownKill:
         assert ms.conservation_ok()
 
     def test_victim_preference_spares_busy(self):
-        loop, _, ms, _ = build(mean=100.0, scale_down_mode="kill")
+        loop, ms, _ = build(mean=100.0, scale_down_mode="kill")
         publish(ms, 1)
         ms.scale_to(3)  # one busy, two idle
         loop.run_until(1.0)
@@ -229,7 +225,7 @@ class TestCrashVictimIndex:
     def test_index_lets_go_of_stopped_consumers(self, mode):
         """Only a crash reads the busy index; a run without one must not
         keep every consumer it ever started."""
-        loop, _, ms, _ = build(mean=1.0, scale_down_mode=mode, capacity=400)
+        loop, ms, _ = build(mean=1.0, scale_down_mode=mode)
         for round_ in range(60):
             publish(ms, 20)
             ms.scale_to(10)
@@ -242,7 +238,7 @@ class TestCrashVictimIndex:
     def test_crash_takes_the_first_busy_member(self):
         """Stopped, idle-again and terminating consumers ahead of it in
         the index are skipped."""
-        loop, _, ms, _ = build(mean=10.0, cv=0.0)
+        loop, ms, _ = build(mean=10.0, cv=0.0)
         ms.scale_to(4)
         loop.run_until(0.0)
         publish(ms, 4)  # consumers 0-3 busy

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.cluster import Cluster
 from repro.sim.events import EventLoop
 from repro.sim.microservice import Microservice
 from repro.sim.queueing import QueueError
@@ -30,7 +29,6 @@ def serve(consumers=1, mode="kill", seed=3):
     ms = Microservice(
         TaskType("A", 1.0, cv=0.0),
         loop=loop,
-        cluster=Cluster(num_nodes=1, node_capacity=64),
         rng=RngStream("queue", np.random.SeedSequence(seed)),
         on_task_complete=lambda request, now: done.append(request),
         startup_delay_range=(0.0, 0.0),

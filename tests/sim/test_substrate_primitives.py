@@ -4,8 +4,7 @@ Each block operation (``push_many``, ``publish_many``,
 ``add_workflows``, ``add_tasks``) is checked row by row: one block
 equals the same rows given as blocks of one, the property the bulk path
 of ``inject_burst`` relies on (the exact tier passes blocks of one).
-``account_reads`` is checked against the serial TDS queries.  The
-system-level equivalence suite is tests/sim/test_batched_substrate.py.
+The system-level equivalence suite is tests/sim/test_batched_substrate.py.
 """
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 from repro.sim.queueing import IndexFifo
 from repro.sim.requests import RequestPool
 from repro.sim.substrate import PrefetchStream
-from repro.sim.tds import CompiledDependencyTable, TaskDependencyService
+from repro.sim.tds import CompiledDependencyTable
 from repro.utils.rng import RngStream
 from repro.workflows import build_ligo_ensemble, build_msd_ensemble
 
@@ -135,39 +134,6 @@ class TestPrefetchStream:
         for _ in range(10):
             expected = float(reference.generator.lognormal(1.0, 0.5))
             assert stream.lognormal(1.0, 0.5) == expected
-
-
-class TestAccountReads:
-    def test_matches_sequential_reads_all_healthy(self):
-        ensemble = build_msd_ensemble()
-        serial = TaskDependencyService(ensemble, replicas=3)
-        batch = TaskDependencyService(ensemble, replicas=3)
-        for _ in range(7):
-            serial.entry_tasks("Type1")
-        batch.account_reads(7)
-        assert serial.read_distribution() == batch.read_distribution()
-        # Continue mixing: the round-robin pointer must line up too.
-        serial.entry_tasks("Type2")
-        batch.account_reads(1)
-        assert serial.read_distribution() == batch.read_distribution()
-
-    def test_matches_sequential_reads_degraded(self):
-        ensemble = build_msd_ensemble()
-        serial = TaskDependencyService(ensemble, replicas=3)
-        batch = TaskDependencyService(ensemble, replicas=3)
-        serial.fail_server(1)
-        batch.fail_server(1)
-        for _ in range(11):
-            serial.entry_tasks("Type1")
-        batch.account_reads(11)
-        assert serial.read_distribution() == batch.read_distribution()
-
-    def test_zero_and_negative(self):
-        tds = TaskDependencyService(build_msd_ensemble(), replicas=3)
-        tds.account_reads(0)
-        assert sum(tds.read_distribution().values()) == 0
-        with pytest.raises(ValueError):
-            tds.account_reads(-1)
 
 
 class TestCompiledDependencyTable:

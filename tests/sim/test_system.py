@@ -21,8 +21,6 @@ class TestConfig:
     def test_defaults_match_paper(self):
         config = SystemConfig()
         assert config.window_length == 30.0
-        assert config.num_nodes == 3
-        assert config.tds_replicas == 3
         assert config.startup_delay_range == (5.0, 10.0)
 
     def test_invalid_values_rejected(self):
@@ -37,7 +35,6 @@ class TestConfig:
         ("startup_delay_range", (10.0, 5.0)),
         ("startup_delay_range", (-1.0, 5.0)),
         ("startup_delay_range", (5.0, float("nan"))),
-        ("node_capacity", 0),
         ("window_length", float("inf")),
     ])
     def test_rejected_at_construction(self, field, value):
@@ -45,11 +42,6 @@ class TestConfig:
         at ``reset()``, or (an endless window) never."""
         with pytest.raises(ValueError, match=field):
             SystemConfig(**{field: value})
-
-    def test_node_capacity_covers_drain(self):
-        config = SystemConfig(consumer_budget=14)
-        capacity = config.resolved_node_capacity(num_task_types=4)
-        assert 3 * capacity >= 4 * 14  # drain over-provisioning fits
 
 
 class TestWorkflowRouting:

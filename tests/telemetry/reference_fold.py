@@ -9,7 +9,8 @@ read instead of per observation.  The per-record fold lives here — the
 ``Histogram`` class and the method bodies below are the parent's
 (71ddc62), verbatim — as the reference
 ``tests/telemetry/test_fold_differential.py`` compares the batch fold
-against, byte for byte.
+against, byte for byte.  Its placement fold went with schema v6's
+placement and release records.
 
 :class:`ReferenceSink` is a drop-in for ``MetricsSink``: same registry,
 same families, same snapshot / exposition / window-row code; only *how a
@@ -226,9 +227,6 @@ class ReferenceAggregator(MetricsAggregator):
     def _on_fault(self, record: Mapping) -> None:
         self._faults[record["fault"]].inc()
 
-    def _on_placement(self, record: Mapping) -> None:
-        self._node_used[record["node"]].set(record["used"])
-
     def _on_window(self, record: Mapping) -> None:
         self._windows[()].inc()
         self._window_reward[()].set(record["reward"])
@@ -269,8 +267,6 @@ class ReferenceAggregator(MetricsAggregator):
         "event.task_complete": _on_task_complete,
         "event.task_span": _on_task_span,
         "event.fault": _on_fault,
-        "event.placement": _on_placement,
-        "event.release": _on_placement,
         "span.window": _on_window,
         "span.collect": _on_collect,
         "metric": _on_metric,

@@ -15,15 +15,20 @@ from tests.telemetry.schema_v4 import as_v4
 
 
 #: sha256 of the run directory ``simulate --dataset msd --allocator heft
-#: --burst 0 --steps 3 --seed 1000`` writes, recorded from the ``repro
-#: trace`` verb it replaced with the same arguments.
+#: --burst 0 --steps 3 --seed 1000`` writes.  Schema v6, recorded from
+#: parent 96b1b8c's run directory with the ``event.placement`` /
+#: ``event.release`` lines and the ``node`` of ``event.consumer_start``
+#: filtered out of its trace, and the metrics ``repro report --output``
+#: folds from that trace: no ``repro_node_slots_used`` family, no series
+#: for the two kinds in ``repro_records_total`` and one clock stamp fewer
+#: per placement or release in ``repro_sim_time_seconds``.
 RUN_DIGESTS = {
     "trace.jsonl":
-        "8a7580edc0cc549908cd3bc0236e67b72bf031c46076eb39a35efd7528f10c1f",
+        "60f2de4ff290c419395e59bde56572f42c1659fc9260e4f6972b326fafb67238",
     "metrics.json":
-        "2b55a180cd13dabfcbb60ffc953d4e72fe813e66a6dd8010655fd28d84d269d0",
+        "88d4563b8d5c93587aa71da195eb412e3c20869766f808a57a6e533aa9be7a62",
     "metrics.prom":
-        "8f71b7a96d6bb6caf6937cc0842bb578c47591ef708b8dd0243584319a7092b8",
+        "e24f87b6ef41b0a5f3f171b2d6d5c8f7bd2858752f48e2fb17b1da52003023b2",
 }
 
 
@@ -124,6 +129,65 @@ class TestTraceReportRoundTrip:
         assert v5["series"] and service_times(v4_dir) == v5
         live = json.loads((run_dir / "metrics.json").read_text())
         assert live["families"]["repro_service_time_seconds"] == v5
+
+    def test_report_reads_a_v5_trace(self, run_dir, tmp_path, capsys):
+        """A trace written before v6, with the cluster's placement and
+        release records and a ``node`` on each container start: it still
+        renders, and the retired kinds are counted under
+        ``repro_records_total``; ``--validate`` names the first retired
+        kind it meets."""
+        records = load_trace(run_dir)
+        v5_records = []
+        for used, record in enumerate(records):
+            if record["kind"] == "event.consumer_start":
+                node = record["consumer_id"] % 3
+                v5_records.append({
+                    "kind": "event.placement", "t": record["t"],
+                    "node": node, "used": used,
+                })
+                record = {**record, "node": node}
+            v5_records.append(record)
+        v5_records.append({
+            "kind": "event.release", "t": records[-1]["t"],
+            "node": 0, "used": 0,
+        })
+        v5_dir = tmp_path / "trace-v5"
+        with JsonlSink(v5_dir / "trace.jsonl") as sink:
+            for record in v5_records:
+                sink.write(record)
+        manifest = read_manifest(run_dir)
+        manifest.schema_version = 5
+        write_manifest(v5_dir, manifest)
+
+        assert main(["report", str(v5_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "schema v5," in out
+        assert "Container lifecycle" in out
+
+        def records_total(path):
+            assert main(["report", str(path), "--format", "json"]) == 0
+            families = json.loads(capsys.readouterr().out)["families"]
+            return {
+                s["labels"]["kind"]: s["value"]
+                for s in families["repro_records_total"]["series"]
+            }
+
+        placements = sum(
+            r["kind"] == "event.consumer_start" for r in records
+        )
+        assert placements
+        assert records_total(v5_dir) == {
+            **records_total(run_dir),
+            "event.placement": placements,
+            "event.release": 1,
+        }
+
+        assert main(["report", str(v5_dir), "--validate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trace.jsonl:1: unknown record kind 'event.placement'" in (
+            captured.err
+        )
 
     def test_report_reads_an_unstamped_span(self, run_dir, tmp_path, capsys):
         """A schema-valid span written before a clock was bound (``t``

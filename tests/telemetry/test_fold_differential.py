@@ -3,17 +3,16 @@
 ``MetricsSink`` queues what it is written and folds a window's worth at
 once, one list fold per kind (``MetricsAggregator.observe_many``); until
 PR 24 it folded each record as it arrived.  The per-record fold is kept
-in :mod:`tests.telemetry.reference_fold`.  Generated streams — all 14
-kinds, placements and releases interleaved on shared nodes, retries and
-wasted work, unstamped prefixes, tails after the last window, times that
-run backwards the way a fleet merge's do — and the real traces of the
-ten ``sim_paper_traced`` seed-7 cells must fold to the same
-``metrics.json``, ``metrics.prom`` and window series by ``==``, wherever
-the batch side is read and however its queue is cut.
+in :mod:`tests.telemetry.reference_fold`.  Generated streams — all 12
+kinds, retries and wasted work, unstamped prefixes, tails after the last
+window, times that run backwards the way a fleet merge's do — and the
+real traces of the ten ``sim_paper_traced`` seed-7 cells must fold to
+the same ``metrics.json``, ``metrics.prom`` and window series by ``==``,
+wherever the batch side is read and however its queue is cut.
 
 The oracle folds schema v4, whose ``event.task_complete`` carried each
 task's service time; it is fed :func:`tests.telemetry.schema_v4.as_v4`
-of the v5 stream, and the two agree on everything but the two things the
+of the v6 stream, and the two agree on everything but the two things the
 dropped record moved (:func:`v5_view`).
 """
 
@@ -47,7 +46,6 @@ from tests.telemetry.schema_v4 import as_v4
 
 SERVICES = ("Ingest", "Align", "Call", "Merge")
 WORKFLOWS = ("Type1", "Type2", "Type3")
-NODES = (0, 1, 2)
 STOP_MODES = ("drain", "kill", "cancel-starting", "idle", "drained")
 
 
@@ -100,7 +98,6 @@ def event_record(rng, kind: str) -> dict:
         payload = {
             "service": service,
             "consumer_id": whole(rng, 0, 64),
-            "node": pick(rng, NODES),
             "startup_delay": 5 + real(rng, 5),
         }
     elif kind == "event.consumer_ready":
@@ -128,13 +125,8 @@ def event_record(rng, kind: str) -> dict:
             # sum of these moves the last digit.
             "wasted": pick(rng, (0.1, 0.7, real(rng, 30))) if retried else 0.0,
         }
-    elif kind in ("event.placement", "event.release"):
-        payload = {"node": pick(rng, NODES), "used": whole(rng, 0, 9)}
     elif kind == "event.fault":
-        payload = {
-            "fault": pick(rng, ("consumer_crash", "tds_outage", "tds_recover")),
-            "target": service,
-        }
+        payload = {"fault": "consumer_crash", "target": service}
     elif kind == "span.collect":
         payload = {
             "lane": whole(rng, 0, 3),
@@ -155,12 +147,10 @@ def event_record(rng, kind: str) -> dict:
     return {"kind": kind, **payload}
 
 
-#: Hot kinds a window mostly holds, cold ones now and then; placement and
-#: release drawn often enough to interleave on a node inside one window.
+#: Hot kinds a window mostly holds, cold ones now and then.
 EVENT_KINDS = sorted(set(RECORD_SCHEMAS) - {"span.window"})
 EVENT_WEIGHTS = np.array([
     12 if k in ("event.publish", "event.task_span")
-    else 6 if k in ("event.placement", "event.release")
     else 4 if k in ("event.arrival", "event.workflow_complete")
     else 1
     for k in EVENT_KINDS
@@ -254,7 +244,7 @@ def test_generated_stream_folds_as_record_by_record(seed, monkeypatch):
     expected = reference_outputs(records)
     assert v5_view(outputs(aggregate_trace(records))) == expected
     # Reads at random positions, and a queue limit small enough to cut
-    # windows — and runs of placements and releases — anywhere.
+    # windows anywhere.
     rng = np.random.default_rng(1000 + seed)
     monkeypatch.setattr(metrics, "PENDING_LIMIT", whole(rng, 2, 40))
     sink = MetricsSink()
@@ -274,22 +264,13 @@ def test_the_generator_draws_every_kind_and_every_trap():
     # An unstamped span has no ``t - started``: no service time to fold.
     assert any(r.get("kind") == "event.task_span" and r["t"] is None for r in records)
     assert records[-1].get("kind") != "span.window"
-    # Somewhere a release lands between two placements of one node inside
-    # one window: grouped by kind, the node's gauge would end on the wrong
-    # value.
-    slots = [
-        r["kind"][len("event."):] if r.get("kind") in ("event.placement", "event.release")
-        and r["node"] == 0 else "|" if r.get("kind") == "span.window" else ""
-        for r in records
-    ]
-    assert "placement release placement" in " ".join(filter(None, slots))
 
 
 def test_a_read_between_two_records_changes_no_later_byte():
     records = generated_stream(99)[:400]
     reference = ReferenceSink()
     read_every_time = MetricsSink()
-    # The oracle reads the v4 stream, the sink the v5 one; they are
+    # The oracle reads the v4 stream, the sink the v6 one; they are
     # compared wherever no v4 task_complete is waiting for its span.
     waiting = 0
     for record in as_v4(records):
@@ -358,5 +339,7 @@ def test_sim_paper_traced_cells_fold_as_record_by_record():
         total += len(records)
         total_v4 += len(as_v4(records))
         assert v5_view(outputs(live)) == reference_outputs(records)
-    assert total == 84_167  # the workload's record count on seed 7
-    assert total_v4 == 114_084  # under schema v4: 29,917 task_complete more
+    # The workload's record count on seed 7: 84,167 under schema v5, less
+    # the 2,506 placement and release records v6 dropped.
+    assert total == 81_661
+    assert total_v4 == 111_578  # under schema v4: 29,917 task_complete more

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.sim import MicroserviceEnv, MicroserviceWorkflowSystem, SystemConfig
-from repro.sim.faults import crash_one_consumer
 from repro.telemetry import (
     NULL_TRACER,
     JsonlSink,
@@ -34,7 +33,7 @@ def drive(system, windows=4):
     system.inject_burst({"Type3": 10})
     system.apply_allocation([4, 4, 3, 3])
     system.run_window()
-    crash_one_consumer(system.microservices["Preprocess"])
+    system.microservices["Preprocess"].crash_one()
     system.apply_allocation([0, 6, 4, 4])  # kill path -> redeliveries
     for _ in range(windows - 1):
         system.run_window()
@@ -52,8 +51,7 @@ class TestSimInstrumentation:
         assert {
             "event.arrival", "event.workflow_complete", "event.publish",
             "event.redeliver", "event.consumer_start",
-            "event.consumer_ready", "event.consumer_stop",
-            "event.placement", "event.release", "event.fault",
+            "event.consumer_ready", "event.consumer_stop", "event.fault",
             "span.window",
         } <= kinds
 

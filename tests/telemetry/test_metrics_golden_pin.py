@@ -1,6 +1,6 @@
 """Golden pin: fixed-seed traced runs must reproduce the recorded bytes.
 
-The digests below were recorded from commit 4817eec, *before* the
+The digests below were first recorded from commit 4817eec, *before* the
 metrics aggregator's record dispatch was compiled (per-record
 ``labels()`` resolution, ``insort`` histograms, whole-history window
 rows).  Every later change to ``repro.telemetry`` that claims to be a
@@ -17,11 +17,19 @@ drain moved — next to the digests recorded with the drain as it is now.
 The fault cell never resets and is unchanged.
 
 Schema v5 dropped ``event.task_complete`` on purpose: it carried the
-``t - started`` of the task span written at the same instant.  Every
-digest recorded under v4 is asserted through
-:func:`tests.telemetry.schema_v4.as_v4` — the v5 run's records with the
-v4 records put back, folded offline — so nothing but the dropped record
-moved; next to them are the digests of the v5 run as it is.
+``t - started`` of the task span written at the same instant.  The
+digests of the v4 stream are asserted through
+:func:`tests.telemetry.schema_v4.as_v4` — the run's records with the v4
+records put back, folded offline — so nothing but the dropped record
+moved; next to them are the digests of the run as it is.
+
+Schema v6 dropped ``event.placement``, ``event.release`` and the
+``node`` of ``event.consumer_start`` on purpose: cluster placement fed
+no state the agent observes, and went.  Every digest below was
+re-recorded then, from the parent's (96b1b8c) records of the same cell
+with exactly those records and that key filtered out, folded by this
+aggregator: the filtered parent stream equals the v6 run's record for
+record, so nothing but the dropped records moved.
 """
 
 import hashlib
@@ -33,7 +41,6 @@ from repro.baselines import HeftAllocator
 from repro.eval.experiments import dataset_preset
 from repro.eval.runner import evaluate_allocator, make_env
 from repro.sim import SystemConfig
-from repro.sim.faults import crash_one_consumer
 from repro.sim.system import MicroserviceWorkflowSystem
 from repro.telemetry import (
     MemorySink,
@@ -46,30 +53,33 @@ from repro.telemetry import (
 from tests.sim.reference_drain import reference_drain
 from tests.telemetry.schema_v4 import as_v4
 
-# Schema v4: asserted through ``as_v4``.
+# Schema v4 as ``as_v4`` rebuilds it from a v6 run.
 
-#: Recorded from 4817eec; reproduced under the drain-to-zero reset.
+#: Reproduced under the drain-to-zero reset.  Re-recorded for schema v6
+#: from parent 96b1b8c's v4 view with the placement records filtered out.
 REFERENCE_DRAIN_SHA256 = {
-    "msd": "f122e5d24c86884c061d9dff3117a9bc87505e8fa1855c2475a08cce9a6e4d09",
-    "ligo": "9f02b343d5b97c155d67a5d05ff9650039083408a794900385f89c460d08b8f9",
+    "msd": "013ee6d40ce63d913425126d1ebba2cd4bd39e67e6c9132fa62e7ec03055533a",
+    "ligo": "ad42d926a4837cc0eee90676c5597c9383e01c3888c0a32df62aa3e9f454efbb",
 }
-#: msd/ligo recorded from PR 18 (parent d1b520f): resets stop when
-#: nothing waits; faults from 4817eec, as before.
+#: Resets stop when nothing waits.  Re-recorded for schema v6 from parent
+#: 96b1b8c's v4 view with the placement records filtered out.
 GOLDEN_SHA256 = {
-    "msd": "479c22c32c27d5dfd1bed89357e6394f07b6c96dd2c80b7a866022ae99b4fd9b",
-    "ligo": "6d5e84613276aba11d4fea32dc5f0c92c6c55157d8ff9bc2203b9c3eb801406a",
-    "faults": "1d0dd0c8e6ad0cff66908ba934f78a23b825ff0c30182d03115398580642f3b8",
+    "msd": "52dfd98317685924b85e5fa0e24edef4f91cc6e57e396e320688e6adae773f78",
+    "ligo": "0de7cfbb47c5d8ecf550c9487626f7241c6fa77aa6171c3fd3121a681df120fb",
+    "faults": "2be3f63d105982f955fdb8ec37e27cee03fa71a0b93039e811b745e9abf65a9e",
 }
-#: Schema v5, recorded with parent b41154b: no
-#: ``event.task_complete`` in the record stream, so none in
-#: ``repro_records_total`` and one clock stamp fewer per task in
-#: ``repro_sim_time_seconds``; every histogram and window row as under v4.
-GOLDEN_V5_SHA256 = {
-    "msd": "0b918631087253c8e215cd743b7841f480f2b26bfcf5021c4be73c38b7397bcd",
-    "ligo": "c009ec2f1ab2ef4e4e723425069c2b69204238fa32b3dc94305bdf328acb2f03",
-    "faults": "383f0d8ced216d89e5bfd931ce415f96991dd494d7544a1906ea26120230d900",
+#: Schema v6, recorded from parent 96b1b8c's records with the placement
+#: records filtered out: no ``event.placement`` / ``event.release`` in
+#: the record stream, so none in ``repro_records_total``, no
+#: ``repro_node_slots_used`` family, no ``node`` in a consumer start and
+#: one clock stamp fewer per placement or release in
+#: ``repro_sim_time_seconds``; every other family and window row as
+#: under v5.
+GOLDEN_V6_SHA256 = {
+    "msd": "c9da0f8fe2dae8d37385aacf4507484f47735c6db4ad6425aff1ef2cdfe610e9",
+    "ligo": "7c4378767b3842e703852a770f14bbc338a22b7dfd56bd7b80cae4404d1285c2",
+    "faults": "f085f6c48aa44075e5b8d5a0ad26372ffbcc14037b29c01e9a6d0eaee00f826a",
 }
-
 
 def digest(sink: MetricsSink, records) -> str:
     """sha256 over metrics.json, metrics.prom and the record stream."""
@@ -114,7 +124,7 @@ def evaluate_cell(dataset: str, seed: int) -> MetricsSink:
 def test_evaluate_allocator_cell_matches_recorded_bytes(dataset, seed):
     sink = evaluate_cell(dataset, seed)
     assert v4_digest(sink) == GOLDEN_SHA256[dataset]
-    assert live_digest(sink) == GOLDEN_V5_SHA256[dataset]
+    assert live_digest(sink) == GOLDEN_V6_SHA256[dataset]
 
 
 @pytest.mark.parametrize("dataset,seed", [("msd", 11), ("ligo", 12)])
@@ -134,7 +144,7 @@ def fault_cell() -> MetricsSink:
     system.apply_allocation([4, 4, 3, 3])
     system.run_window()
     for service in ("Preprocess", "Segment"):
-        assert crash_one_consumer(system.microservices[service])
+        assert system.microservices[service].crash_one()
     system.apply_allocation([0, 6, 4, 4])
     for _ in range(6):
         system.run_window()
@@ -152,4 +162,4 @@ def test_fault_injected_cell_matches_recorded_bytes():
     ):
         assert families[name]["series"], name
     assert v4_digest(sink) == GOLDEN_SHA256["faults"]
-    assert live_digest(sink) == GOLDEN_V5_SHA256["faults"]
+    assert live_digest(sink) == GOLDEN_V6_SHA256["faults"]

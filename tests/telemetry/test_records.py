@@ -28,8 +28,7 @@ EXAMPLES = {
     "event.publish": {"queue": "Ingest", "depth": 3},
     "event.redeliver": {"queue": "Ingest", "depth": 4},
     "event.consumer_start": {
-        "service": "Ingest", "consumer_id": 2, "node": 1,
-        "startup_delay": 7.5,
+        "service": "Ingest", "consumer_id": 2, "startup_delay": 7.5,
     },
     "event.consumer_ready": {
         "service": "Ingest", "consumer_id": 2, "startup_latency": 7.5,
@@ -41,8 +40,6 @@ EXAMPLES = {
         "service": "Ingest", "request_id": 17, "published": 10.0,
         "started": 12.5, "deliveries": 1, "wasted": 0.0,
     },
-    "event.placement": {"node": 1, "used": 3},
-    "event.release": {"node": 1, "used": 2},
     "event.fault": {"fault": "consumer_crash", "target": "Ingest"},
     "metric": {"name": "train/eval_reward", "value": -3.5, "step": 0},
 }
@@ -58,13 +55,29 @@ class TestRegistry:
 
     def test_v5_dropped_task_complete(self):
         """Its service time is the ``t - started`` of the task's span."""
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION >= 5
         assert "event.task_complete" not in RECORD_SCHEMAS
         with pytest.raises(ValueError, match="unknown record kind"):
             validate_record({
                 "kind": "event.task_complete", "t": 30.0,
                 "service": "Ingest", "service_time": 9.5,
             })
+
+    def test_v6_dropped_placement(self):
+        """Cluster placement is not modelled: no slot records, and a
+        container start names no node."""
+        assert SCHEMA_VERSION == 6
+        for kind, payload in (
+            ("event.placement", {"node": 1, "used": 3}),
+            ("event.release", {"node": 1, "used": 2}),
+        ):
+            assert kind not in RECORD_SCHEMAS
+            with pytest.raises(ValueError, match="unknown record kind"):
+                validate_record({"kind": kind, "t": 30.0, **payload})
+        start = make_record("event.consumer_start")
+        start["node"] = 1
+        with pytest.raises(ValueError, match="unexpected=\\['node'\\]"):
+            validate_record(start)
 
     def test_envelope_fields(self):
         assert ENVELOPE_FIELDS == {"kind", "t"}

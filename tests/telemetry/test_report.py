@@ -50,7 +50,7 @@ RECORDS = [
     {"kind": "event.publish", "t": 2.0, "queue": "Ingest", "depth": 2},
     {"kind": "event.redeliver", "t": 3.0, "queue": "Ingest", "depth": 3},
     {"kind": "event.consumer_start", "t": 0.0, "service": "Ingest",
-     "consumer_id": 0, "node": 0, "startup_delay": 6.0},
+     "consumer_id": 0, "startup_delay": 6.0},
     {"kind": "event.consumer_ready", "t": 6.0, "service": "Ingest",
      "consumer_id": 0, "startup_latency": 6.0},
     {"kind": "event.consumer_ready", "t": 10.0, "service": "Ingest",

@@ -39,7 +39,7 @@ WINDOWLESS = [
      "request_id": 1},
     {"kind": "event.publish", "t": 0.5, "queue": "Ingest", "depth": 1},
     {"kind": "event.consumer_start", "t": 1.0, "service": "Ingest",
-     "consumer_id": 7, "node": "node-0", "startup_delay": 8.0},
+     "consumer_id": 7, "startup_delay": 8.0},
     {"kind": "event.consumer_ready", "t": 9.0, "service": "Ingest",
      "consumer_id": 7, "startup_latency": 8.0},
 ]

@@ -36,7 +36,7 @@ SCHEDULED = {
         "ROADMAP item 4: the differential harness draws DAGs",
     "repro.sim.faults.ChaosInjector":
         "ROADMAP item 4: the differential harness draws repro.sim.faults "
-        "outages",
+        "crashes",
     "repro.workload.arrivals.DeterministicArrivalProcess":
         "ROADMAP item 4: the differential harness draws arrival processes "
         "(its callbacks-pending scenarios already do)",

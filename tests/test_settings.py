@@ -3,8 +3,8 @@ only, a field of the five config dataclasses is set by keyword (``replace``
 too) or override-dict key in ``src/repro`` or ``benchmarks/`` (``x=cfg.x``
 only forwards), or is a ``LEVERS`` row naming the test that sets it.  A
 keyword passed to a config class's own constructor sets that class's field
-only; one passed to a ``COLLISIONS`` constructor sets none.  A row whose
-field gained a customer or is gone fails.  Lenient by name, not flaky."""
+only.  A row whose field gained a customer or is gone fails.  Lenient by
+name, not flaky."""
 
 import ast
 from pathlib import Path
@@ -19,17 +19,8 @@ LEVERS = {
     "DDPGConfig.buffer_capacity": "rl/test_update_equivalence.py::test_weights_byte_equal_to_reference",
     "DDPGConfig.perturb_interval": "rl/test_serial_policy_oracle.py::test_act_at_k1_matches_the_serial_agent",
     "DDPGConfig.reward_scale": "rl/test_ddpg.py::test_entropy_bonus_pulls_toward_uniform",
-    # Until ROADMAP item 14 deletes the field with the cluster.
-    "SystemConfig.node_capacity": "sim/test_system_config.py::test_explicit_capacity_wins",
-    "SystemConfig.num_nodes": "sim/test_system_config.py::test_budget_floor",
     "SystemConfig.startup_delay_range": "sim/test_system.py::test_single_request_traverses_full_dag",
-    "SystemConfig.tds_replicas": "sim/test_serial_differential.py::test_serial_path_equals_reference",
 }
-
-
-# Constructors that are not config classes but take a keyword named like
-# a config field: what they are passed sets no config field.
-COLLISIONS = {"Cluster"}
 
 
 def _callee(call):
@@ -46,8 +37,7 @@ def chosen(trees, classes):
     for node in (n for tree in trees for n in ast.walk(tree)):
         if isinstance(node, ast.Call):
             callee = _callee(node)
-            owners = ([callee] if callee in classes
-                      else [] if callee in COLLISIONS else list(classes))
+            owners = [callee] if callee in classes else list(classes)
             for kw in node.keywords:
                 if kw.arg and not (
                         isinstance(kw.value, ast.Attribute) and kw.value.attr == kw.arg):
@@ -88,9 +78,8 @@ def test_the_guard_fires():
     tree = ast.parse("class SystemConfig:\n    knob: int = 1\n    used: int = 2\nSystemConfig(used=3, knob=cfg.knob)")
     assert unset([tree.body[0]], [tree], {}) == (["SystemConfig.knob"], [])
     assert unset([tree.body[0]], [tree], {"SystemConfig.used": ""}) == (["SystemConfig.knob"], ["SystemConfig.used"])
-    # A keyword counts for the class the call constructs, and for no
-    # class when the callee is a known collision.
+    # A keyword counts for the class the call constructs.
     tree = ast.parse("class SystemConfig:\n    knob: int = 1\nclass ModelConfig:\n    knob: int = 1\n"
-                     "ModelConfig(knob=2)\nCluster(knob=3)")
+                     "ModelConfig(knob=2)")
     assert unset(tree.body[:2], [tree], {}) == (["SystemConfig.knob"], [])
     assert unset(tree.body[:2], [ast.parse("replace(cfg, knob=4)")], {}) == ([], [])
