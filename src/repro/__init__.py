@@ -40,11 +40,11 @@ __all__ = [
 ]
 
 
-def quickstart_msd_agent(seed: int = 0, fast: bool = True):
+def quickstart_msd_agent(seed: int = 0):
     """Build an MSD environment and train a MIRAS agent on it.
 
-    Returns ``(agent, env)``.  With ``fast=True`` (default) the scaled-down
-    schedule runs in seconds; ``fast=False`` runs the paper's schedule.
+    Returns ``(agent, env)``.  The scaled-down schedule runs in seconds;
+    ``repro train --scale paper`` runs the paper's.
     """
     from repro.workload import MSD_BACKGROUND_RATES, PoissonArrivalProcess
 
@@ -54,7 +54,6 @@ def quickstart_msd_agent(seed: int = 0, fast: bool = True):
     )
     PoissonArrivalProcess(MSD_BACKGROUND_RATES).attach(system)
     env = MicroserviceEnv(system)
-    config = MirasConfig.msd_fast() if fast else MirasConfig.msd_paper()
-    agent = MirasAgent(env, config, seed=seed)
+    agent = MirasAgent(env, MirasConfig.msd_fast(), seed=seed)
     agent.iterate()
     return agent, env

@@ -23,9 +23,17 @@ import numpy as np
 from repro.baselines.base import Allocator, largest_remainder_allocation
 from repro.sim.env import MicroserviceEnv
 from repro.sim.metrics import WindowObservation
-from repro.utils.validation import check_in_range
 
 __all__ = ["HpaAllocator"]
+
+#: The utilisation each service is scaled toward.  Kubernetes leaves the
+#: target to the operator; 70 % is this baseline's calibration.
+TARGET_UTILIZATION = 0.7
+#: Floor of each service's desired count (HPA's default ``minReplicas``).
+MIN_REPLICAS = 1
+#: Max multiplicative growth per window: HPA's default scale-up policy
+#: adds at most 100 % of the current replicas per period.
+SCALE_UP_LIMIT = 2.0
 
 
 class HpaAllocator(Allocator):
@@ -33,26 +41,7 @@ class HpaAllocator(Allocator):
 
     name = "hpa"
 
-    def __init__(
-        self,
-        target_utilization: float = 0.7,
-        min_replicas: int = 1,
-        scale_up_limit: float = 2.0,
-    ):
-        check_in_range(
-            "target_utilization", target_utilization, 0.0, 1.0,
-            inclusive=(False, True),
-        )
-        if min_replicas < 0:
-            raise ValueError(f"min_replicas must be >= 0, got {min_replicas}")
-        if scale_up_limit <= 1.0:
-            raise ValueError(
-                f"scale_up_limit must exceed 1, got {scale_up_limit!r}"
-            )
-        self.target_utilization = target_utilization
-        self.min_replicas = min_replicas
-        #: Max multiplicative growth per window (HPA's scale-up policy).
-        self.scale_up_limit = scale_up_limit
+    def __init__(self):
         self._previous: Optional[np.ndarray] = None
 
     def _on_bind(self, env: MicroserviceEnv) -> None:
@@ -100,10 +89,10 @@ class HpaAllocator(Allocator):
             queue_pressure = w * service / capacity
             metric = max(utilization, min(queue_pressure, 3.0))
             wanted = min(
-                math.ceil(current * metric / self.target_utilization),
-                math.ceil(current * self.scale_up_limit),
+                math.ceil(current * metric / TARGET_UTILIZATION),
+                math.ceil(current * SCALE_UP_LIMIT),
             )
-            desired.append(max(wanted, self.min_replicas))
+            desired.append(max(wanted, MIN_REPLICAS))
 
         if sum(desired) <= self.budget:
             allocation = np.array(desired, dtype=np.int64)

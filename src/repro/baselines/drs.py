@@ -38,6 +38,13 @@ from repro.sim.metrics import WindowObservation
 
 __all__ = ["DrsAllocator", "erlang_c", "mmc_expected_number"]
 
+#: EWMA weight of the newest window in the arrival-rate estimate DRS
+#: provisions for (see :class:`~repro.baselines.base.TaskArrivalRateEstimator`).
+RATE_SMOOTHING = 0.3
+#: Least arrival rate (requests/s) a service is provisioned for, so a
+#: service that saw no arrivals still gets its one stabilising server.
+RATE_FLOOR = 1e-3
+
 
 def erlang_c(servers: int, offered_load: float) -> float:
     """Erlang-C: probability an arrival waits in an M/M/m queue.
@@ -88,11 +95,7 @@ class DrsAllocator(Allocator):
 
     name = "stream"
 
-    def __init__(self, rate_smoothing: float = 0.3, rate_floor: float = 1e-3):
-        if rate_floor < 0:
-            raise ValueError(f"rate_floor must be >= 0, got {rate_floor!r}")
-        self.rate_smoothing = rate_smoothing
-        self.rate_floor = rate_floor
+    def __init__(self):
         self._estimator: Optional[TaskArrivalRateEstimator] = None
 
     def _on_bind(self, env: MicroserviceEnv) -> None:
@@ -104,7 +107,7 @@ class DrsAllocator(Allocator):
         self._estimator = TaskArrivalRateEstimator(
             self.num_services,
             env.system.config.window_length,
-            alpha=self.rate_smoothing,
+            alpha=RATE_SMOOTHING,
         )
 
     def reset(self) -> None:
@@ -124,8 +127,7 @@ class DrsAllocator(Allocator):
             rates = self._estimator.rates
         # J-entry vectors as Python floats: the same float64 arithmetic
         # without a numpy call per operation.
-        floor = self.rate_floor
-        rates = [max(r, floor) for r in rates.tolist()]
+        rates = [max(r, RATE_FLOOR) for r in rates.tolist()]
         service_rates = self._service_rates
 
         # Step 2: minimum stable allocation (offered loads are >= 0, so

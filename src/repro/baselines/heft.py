@@ -25,6 +25,10 @@ from repro.workflows.dag import WorkflowEnsemble
 
 __all__ = ["HeftAllocator", "upward_ranks"]
 
+#: Added to every queue length before it is weighted by rank, so a service
+#: with an empty queue keeps a share in proportion to its priority.
+SMOOTHING = 0.5
+
 
 def upward_ranks(ensemble: WorkflowEnsemble) -> Dict[str, float]:
     """HEFT upward rank per task type, maximised across workflows.
@@ -51,11 +55,6 @@ class HeftAllocator(Allocator):
 
     name = "heft"
 
-    def __init__(self, smoothing: float = 0.5):
-        if smoothing < 0:
-            raise ValueError(f"smoothing must be >= 0, got {smoothing!r}")
-        self.smoothing = smoothing
-
     def _on_bind(self, env: MicroserviceEnv) -> None:
         ensemble = env.system.ensemble
         ranks = upward_ranks(ensemble)
@@ -70,7 +69,7 @@ class HeftAllocator(Allocator):
     ) -> np.ndarray:
         wip = np.asarray(wip, dtype=np.float64)
         # "based on both task number and task priority":
-        weights = (wip + self.smoothing) * self._ranks
+        weights = (wip + SMOOTHING) * self._ranks
         return self._check(
             largest_remainder_allocation(weights, self.budget)
         )

@@ -36,7 +36,6 @@ class ModelFreeDDPGAllocator(Allocator):
         self,
         training_steps: int = 1000,
         reset_interval: int = 25,
-        updates_per_step: int = 1,
         config: Optional[DDPGConfig] = None,
         seed: int = 0,
         burst_probability: float = 0.3,
@@ -44,7 +43,6 @@ class ModelFreeDDPGAllocator(Allocator):
     ):
         check_positive("training_steps", training_steps)
         check_positive("reset_interval", reset_interval)
-        check_positive("updates_per_step", updates_per_step)
         if not 0 <= burst_probability <= 1:
             raise ValueError(
                 f"burst_probability must lie in [0, 1], got {burst_probability!r}"
@@ -53,7 +51,6 @@ class ModelFreeDDPGAllocator(Allocator):
             raise ValueError(f"burst_scale must be >= 0, got {burst_scale!r}")
         self.training_steps = training_steps
         self.reset_interval = reset_interval
-        self.updates_per_step = updates_per_step
         self.config = config or DDPGConfig()
         self.seed = seed
         #: Burst-at-reset coverage, matching MirasConfig's collection
@@ -94,7 +91,7 @@ class ModelFreeDDPGAllocator(Allocator):
                 state, executed / env.consumer_budget, reward, next_state
             )
             if len(self.agent.replay) >= self.config.batch_size:
-                self.agent.update_many(self.updates_per_step)
+                self.agent.update()  # one update per real step, as in DDPG
             state = next_state
             episode_return += reward
         self.episode_returns.append(episode_return)

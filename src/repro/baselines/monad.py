@@ -16,7 +16,7 @@ over a short horizon:
 
 The paper's criticism — "MONAD focuses on short-term returns and is not
 suitable to yield a global optimal solution" — corresponds to the short
-(default 1-step) horizon here.
+(1-step, :data:`HORIZON`) horizon here.
 """
 
 from __future__ import annotations
@@ -30,21 +30,29 @@ from repro.core.dataset import TransitionDataset
 from repro.rl.noise import project_to_simplex
 from repro.sim.env import MicroserviceEnv
 from repro.sim.metrics import WindowObservation
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["LinearPerformanceModel", "MonadAllocator"]
+
+#: Ridge penalty of the linear performance model's least-squares fit.
+RIDGE = 1.0
+#: MPC lookahead in windows: MONAD's one-step controller.
+HORIZON = 1
+#: Projected-gradient iterations, and their step size, per allocation.
+GRADIENT_STEPS = 100
+STEP_SIZE = 0.5
+#: Random-allocation windows :meth:`MonadAllocator.prepare` identifies on.
+TRAINING_STEPS = 200
 
 
 class LinearPerformanceModel:
     """Ridge-regression linear dynamics ``w' = A w + B m + c``."""
 
-    def __init__(self, state_dim: int, action_dim: int, ridge: float = 1.0):
+    def __init__(self, state_dim: int, action_dim: int):
         check_positive("state_dim", state_dim)
         check_positive("action_dim", action_dim)
-        check_non_negative("ridge", ridge)
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.ridge = ridge
         self.A = np.eye(state_dim)
         self.B = np.zeros((state_dim, action_dim))
         self.c = np.zeros(state_dim)
@@ -57,7 +65,7 @@ class LinearPerformanceModel:
         design = np.concatenate(
             [states, actions, np.ones((n, 1))], axis=1
         )
-        gram = design.T @ design + self.ridge * np.eye(design.shape[1])
+        gram = design.T @ design + RIDGE * np.eye(design.shape[1])
         theta = np.linalg.solve(gram, design.T @ next_states)
         self.A = theta[: self.state_dim].T
         self.B = theta[self.state_dim : self.state_dim + self.action_dim].T
@@ -73,40 +81,22 @@ class LinearPerformanceModel:
 
 
 class MonadAllocator(Allocator):
-    """One-step (or short-horizon) MPC over the linear model."""
+    """One-step MPC over the linear model."""
 
     name = "monad"
 
-    def __init__(
-        self,
-        horizon: int = 1,
-        ridge: float = 1.0,
-        gradient_steps: int = 100,
-        step_size: float = 0.5,
-        training_steps: int = 200,
-    ):
-        check_positive("horizon", horizon)
-        check_positive("gradient_steps", gradient_steps)
-        check_positive("step_size", step_size)
-        check_positive("training_steps", training_steps)
-        self.horizon = horizon
-        self.ridge = ridge
-        self.gradient_steps = gradient_steps
-        self.step_size = step_size
-        self.training_steps = training_steps
+    def __init__(self):
         self.model: Optional[LinearPerformanceModel] = None
 
     # Identification ---------------------------------------------------------
     def prepare(self, env: MicroserviceEnv) -> None:
         """Collect identification data with random allocations and fit."""
         self.bind(env)
-        self.model = LinearPerformanceModel(
-            env.state_dim, env.action_dim, ridge=self.ridge
-        )
+        self.model = LinearPerformanceModel(env.state_dim, env.action_dim)
         dataset = TransitionDataset(env.state_dim, env.action_dim)
         rng = env.system.workload_rng.fork("monad-ident")
         state = env.reset()
-        for step in range(self.training_steps):
+        for step in range(TRAINING_STEPS):
             if step > 0 and step % 25 == 0:
                 state = env.reset()
             allocation = env.random_allocation(rng)
@@ -124,9 +114,7 @@ class MonadAllocator(Allocator):
         real-environment interaction budget as MIRAS.
         """
         self.bind(env)
-        self.model = LinearPerformanceModel(
-            env.state_dim, env.action_dim, ridge=self.ridge
-        )
+        self.model = LinearPerformanceModel(env.state_dim, env.action_dim)
         self.model.fit(dataset)
 
     # Control ------------------------------------------------------------------
@@ -148,9 +136,9 @@ class MonadAllocator(Allocator):
         wip = np.asarray(wip, dtype=np.float64)
         # Continuous relaxation, warm-started at a uniform split.
         m = np.full(self.num_services, self.budget / self.num_services)
-        for _ in range(self.gradient_steps):
+        for _ in range(GRADIENT_STEPS):
             gradient = self._objective_gradient(wip, m)
-            m = self._project(m - self.step_size * gradient)
+            m = self._project(m - STEP_SIZE * gradient)
         allocation = largest_remainder_allocation(m, self.budget)
         return self._check(allocation)
 
@@ -161,7 +149,7 @@ class MonadAllocator(Allocator):
         state = wip
         # Accumulated sensitivity d state / d m across the horizon.
         sensitivity = np.zeros((model.state_dim, model.action_dim))
-        for _ in range(self.horizon):
+        for _ in range(HORIZON):
             sensitivity = model.A @ sensitivity + model.B
             state = model.predict(state, m)
             clipped = np.maximum(state, 0.0)

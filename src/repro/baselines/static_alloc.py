@@ -17,6 +17,10 @@ from repro.sim.metrics import WindowObservation
 
 __all__ = ["UniformAllocator", "ProportionalToWipAllocator"]
 
+#: Added to every WIP count before apportioning (see
+#: :class:`ProportionalToWipAllocator`).
+WIP_SMOOTHING = 1.0
+
 
 class UniformAllocator(Allocator):
     """Split the budget evenly across microservices, every window."""
@@ -40,23 +44,19 @@ class UniformAllocator(Allocator):
 class ProportionalToWipAllocator(Allocator):
     """Allocate proportionally to current WIP (queue-pressure reactive).
 
-    ``smoothing`` adds a constant to every weight so empty services retain
-    a small share and are not starved the instant their queue drains.
+    Every weight is WIP plus :data:`WIP_SMOOTHING`, so empty services
+    retain a small share and are not starved the instant their queue
+    drains.
     """
 
     name = "wip-proportional"
-
-    def __init__(self, smoothing: float = 1.0):
-        if smoothing < 0:
-            raise ValueError(f"smoothing must be >= 0, got {smoothing!r}")
-        self.smoothing = smoothing
 
     def allocate(
         self,
         wip: np.ndarray,
         observation: Optional[WindowObservation] = None,
     ) -> np.ndarray:
-        weights = np.asarray(wip, dtype=np.float64) + self.smoothing
+        weights = np.asarray(wip, dtype=np.float64) + WIP_SMOOTHING
         return self._check(
             largest_remainder_allocation(weights, self.budget)
         )

@@ -38,7 +38,6 @@ from repro.rl.distributed import (
     policy_payload,
 )
 from repro.sim.env import MicroserviceEnv, allocation_from_simplex
-from repro.telemetry.tracer import Tracer
 from repro.utils.pool import resolve_workers
 from repro.utils.rng import spawn_rngs
 
@@ -79,7 +78,6 @@ class MirasAgent:
         env: MicroserviceEnv,
         config: Optional[MirasConfig] = None,
         seed: int = 0,
-        tracer: Optional[Tracer] = None,
         env_spec: Optional[EnvSpec] = None,
     ):
         self.env = env
@@ -93,9 +91,9 @@ class MirasAgent:
         #: indices (and hence the label-derived seed streams) never
         #: repeat between iterations.
         self._episodes_collected = 0
-        #: Telemetry tracer; inherits the environment's system tracer so a
-        #: traced system automatically gets training-loop scalars too.
-        self.tracer = tracer if tracer is not None else env.system.tracer
+        #: Telemetry tracer: the environment's system tracer, so a traced
+        #: system automatically gets training-loop scalars too.
+        self.tracer = env.system.tracer
         self._rngs = spawn_rngs(
             seed, ["collect", "model", "refine", "model-env", "ddpg"]
         )

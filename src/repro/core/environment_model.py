@@ -57,7 +57,6 @@ class EnvironmentModel:
         self.action_dim = action_dim
         self.network = MLP(
             [state_dim + action_dim, *hidden_sizes, state_dim],
-            hidden_activation="relu",
             output_activation="linear",
             rng=rng.fork("envmodel/net"),
         )

@@ -31,6 +31,15 @@ from repro.utils.rng import RngStream, fallback_stream
 
 __all__ = ["RefinedModel"]
 
+#: Algorithm 1's Lend–Giveback percentile p: tau is each WIP column's p-th
+#: percentile, omega its (100-p)-th (20, the one value MIRAS uses).
+PERCENTILE = 20.0
+#: Least tau, and least omega - tau: keeps the boundary region non-empty
+#: when the dataset is dominated by zero-WIP samples (the p-percentile of
+#: a mostly-zero column is 0, which would disable the refinement exactly
+#: where the paper needs it — at w_j ~ 0).
+TAU_FLOOR = 1.0
+
 
 class RefinedModel:
     """Wraps an :class:`EnvironmentModel` with Algorithm 1."""
@@ -70,23 +79,14 @@ class RefinedModel:
         cls,
         model: EnvironmentModel,
         dataset: TransitionDataset,
-        percentile: float = 20.0,
         rng: Optional[RngStream] = None,
-        tau_floor: float = 1.0,
         tracer: Optional[Tracer] = None,
     ) -> "RefinedModel":
-        """Initialise tau/omega by "simple statistical analysis" over D.
-
-        ``percentile`` is Algorithm 1's Lend–Giveback p (20, the one value
-        MIRAS uses): tau is each WIP column's p-th percentile, omega its
-        (100-p)-th.  ``tau_floor`` keeps the boundary region non-empty when the dataset
-        is dominated by zero-WIP samples (the p-percentile of a mostly-zero
-        column is 0, which would disable the refinement exactly where the
-        paper needs it — at w_j ~ 0).
-        """
-        tau, omega = dataset.wip_percentiles(percentile)
-        tau = np.maximum(tau, tau_floor)
-        omega = np.maximum(omega, tau + tau_floor)
+        """Initialise tau/omega by "simple statistical analysis" over D:
+        the :data:`PERCENTILE` bands, floored at :data:`TAU_FLOOR`."""
+        tau, omega = dataset.wip_percentiles(PERCENTILE)
+        tau = np.maximum(tau, TAU_FLOOR)
+        omega = np.maximum(omega, tau + TAU_FLOOR)
         return cls(model, tau, omega, rng=rng, tracer=tracer)
 
     @property

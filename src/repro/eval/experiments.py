@@ -282,7 +282,6 @@ def experiment_fig6_training_trace(
     dataset: str = "msd",
     config: Optional[MirasConfig] = None,
     seed: int = 0,
-    verbose: bool = False,
     tracer=None,
 ) -> List[IterationResult]:
     """Reproduce Fig. 6a/6b: aggregated evaluation reward per iteration.
@@ -295,13 +294,19 @@ def experiment_fig6_training_trace(
     env = preset_env(dataset, seed, tracer=tracer)
     config = config or preset["fast_config"]()
     agent = MirasAgent(env, config, seed=seed)
-    agent.iterate(verbose=verbose)
+    agent.iterate()
     return agent.results
 
 
 # ---------------------------------------------------------------------------
 # Figs. 7–8 — comparison with existing algorithms
 # ---------------------------------------------------------------------------
+
+#: Seed of every Figs. 7–8 evaluation system: apart from the training
+#: seeds, and the same for each allocator, so all of them face the same
+#: background arrivals and service times.
+EVAL_SEED = 1000
+
 
 def _build_comparison_allocators(
     dataset: str,
@@ -360,7 +365,6 @@ def _comparison(
     steps: int,
     config: Optional[MirasConfig],
     seed: int,
-    eval_seed: int,
     tracer=None,
 ) -> Dict[str, Dict[str, EvalResult]]:
     preset = dataset_preset(dataset)
@@ -377,7 +381,7 @@ def _comparison(
             scenario,
             steps=steps,
             config=system_config,
-            eval_seed=eval_seed,
+            eval_seed=EVAL_SEED,
         )
     return results
 
@@ -387,7 +391,6 @@ def experiment_fig7_msd_comparison(
     config: Optional[MirasConfig] = None,
     scenarios: Optional[Sequence[BurstScenario]] = None,
     seed: int = 0,
-    eval_seed: int = 1000,
     tracer=None,
 ) -> Dict[str, Dict[str, EvalResult]]:
     """Fig. 7: MSD response time under the three burst conditions.
@@ -396,8 +399,7 @@ def experiment_fig7_msd_comparison(
     ``config=MirasConfig.msd_paper()`` and ``steps`` ~ the paper's horizon.
     """
     return _comparison(
-        "msd", scenarios or MSD_BURSTS, steps, config, seed, eval_seed,
-        tracer=tracer,
+        "msd", scenarios or MSD_BURSTS, steps, config, seed, tracer=tracer,
     )
 
 
@@ -406,13 +408,11 @@ def experiment_fig8_ligo_comparison(
     config: Optional[MirasConfig] = None,
     scenarios: Optional[Sequence[BurstScenario]] = None,
     seed: int = 0,
-    eval_seed: int = 1000,
     tracer=None,
 ) -> Dict[str, Dict[str, EvalResult]]:
     """Fig. 8: LIGO response time under the three burst conditions."""
     return _comparison(
-        "ligo", scenarios or LIGO_BURSTS, steps, config, seed, eval_seed,
-        tracer=tracer,
+        "ligo", scenarios or LIGO_BURSTS, steps, config, seed, tracer=tracer,
     )
 
 
@@ -424,7 +424,6 @@ def ablation_refinement(
     dataset: str = "msd",
     collect_steps: int = 600,
     test_steps: int = 200,
-    percentile: float = 20.0,
     seed: int = 0,
     tracer=None,
 ) -> Dict[str, float]:
@@ -448,8 +447,7 @@ def ablation_refinement(
     )
     model.fit(train_data, epochs=60)
     refined = RefinedModel.from_dataset(
-        model, train_data, percentile=percentile,
-        rng=rng.fork("ablate-refine/refine"),
+        model, train_data, rng=rng.fork("ablate-refine/refine"),
     )
 
     test_data, trace = _collect_random_dataset(

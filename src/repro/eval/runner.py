@@ -181,7 +181,8 @@ def run_scenario_comparison(
     scenario: BurstScenario,
     steps: int,
     config: Optional[SystemConfig] = None,
-    eval_seed: int = 1000,
+    *,
+    eval_seed: int,
 ) -> Dict[str, EvalResult]:
     """Evaluate several (already prepared) allocators on one scenario.
 

@@ -23,10 +23,10 @@ from repro.nn.initializers import (
     uniform_init,
 )
 from repro.nn.layers import Dense
-from repro.nn.losses import Loss, MeanSquaredError
+from repro.nn.losses import MeanSquaredError
 from repro.nn.network import MLP, soft_update
 from repro.nn.serialization import load_mlp, save_mlp
-from repro.nn.optimizers import Adam, Optimizer
+from repro.nn.optimizers import Adam
 
 __all__ = [
     "Activation",
@@ -35,9 +35,7 @@ __all__ = [
     "Linear",
     "get_activation",
     "Dense",
-    "Loss",
     "MeanSquaredError",
-    "Optimizer",
     "Adam",
     "MLP",
     "soft_update",

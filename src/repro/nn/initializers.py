@@ -21,16 +21,21 @@ def he_uniform(fan_in: int, fan_out: int, rng: RngStream) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def uniform_init(
-    fan_in: int, fan_out: int, rng: RngStream, limit: float = 3e-3
-) -> np.ndarray:
+#: Bound of :func:`uniform_init`: DDPG's final-layer range (Lillicrap et
+#: al., Section 7: uniform in [-3e-3, 3e-3]).
+SMALL_UNIFORM_LIMIT = 3e-3
+
+
+def uniform_init(fan_in: int, fan_out: int, rng: RngStream) -> np.ndarray:
     """Small uniform initialisation.
 
     DDPG conventionally initialises the final actor/critic layers with small
     uniform weights so the initial policy output is near-uniform and initial
     Q estimates are near zero.
     """
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return rng.uniform(
+        -SMALL_UNIFORM_LIMIT, SMALL_UNIFORM_LIMIT, size=(fan_in, fan_out)
+    )
 
 
 def constant_init(fan_in: int, fan_out: int, value: float = 0.0) -> np.ndarray:

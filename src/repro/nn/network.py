@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.layers import Dense
-from repro.nn.losses import Loss, MeanSquaredError
-from repro.nn.optimizers import Adam, Optimizer
+from repro.nn.losses import MeanSquaredError
+from repro.nn.optimizers import Adam
 from repro.utils.rng import RngStream, fallback_stream
 
 __all__ = ["MLP", "soft_update"]
@@ -41,8 +41,8 @@ class MLP:
     ----------
     layer_sizes:
         ``[in_dim, hidden..., out_dim]``; at least one layer (two entries).
-    hidden_activation / output_activation:
-        Activation names for hidden layers and the final layer.
+    output_activation:
+        Activation name of the final layer; every hidden layer is ReLU.
     aux_dim / aux_layer:
         If ``aux_dim`` > 0, layer index ``aux_layer`` (0-based) receives an
         extra input of that width concatenated to its normal input.  The
@@ -57,7 +57,6 @@ class MLP:
     def __init__(
         self,
         layer_sizes: Sequence[int],
-        hidden_activation: str = "relu",
         output_activation: str = "linear",
         aux_dim: int = 0,
         aux_layer: int = 1,
@@ -77,7 +76,6 @@ class MLP:
             rng = fallback_stream("mlp")
 
         self.layer_sizes = list(layer_sizes)
-        self.hidden_activation = hidden_activation
         self.output_activation = output_activation
         self.aux_dim = aux_dim
         self.aux_layer = aux_layer if aux_dim else -1
@@ -85,7 +83,7 @@ class MLP:
         last = len(layer_sizes) - 2
         for i, (n_in, n_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
             is_last = i == last
-            activation = output_activation if is_last else hidden_activation
+            activation = output_activation if is_last else "relu"
             init = final_init if is_last else "he"
             layer_aux = aux_dim if i == self.aux_layer else 0
             layer = Dense(
@@ -96,7 +94,7 @@ class MLP:
                 aux_dim=layer_aux,
                 rng=rng.fork(f"layer{i}"),
             )
-            if not is_last and activation == "relu":
+            if not is_last:
                 layer._workspaces = {}  # its output never leaves forward()
             self.layers.append(layer)
         self._bind_arena()
@@ -205,16 +203,14 @@ class MLP:
     def input_gradient(
         self,
         x: np.ndarray,
-        grad_out: Optional[np.ndarray] = None,
         aux: Optional[np.ndarray] = None,
         wrt: str = "input",
     ) -> np.ndarray:
-        """Gradient of (a scalar projection of) the output w.r.t. inputs.
+        """Gradient of the output's row sum w.r.t. inputs.
 
-        With ``grad_out=None`` the output is assumed scalar per sample and a
-        vector of ones is used — this gives d(output)/d(input) directly,
-        which is what the deterministic policy gradient needs from the
-        critic (``wrt='aux'`` selects the action input).
+        For a scalar output per sample this is d(output)/d(input), which is
+        what the deterministic policy gradient needs from the critic
+        (``wrt='aux'`` selects the action input).
 
         Only input gradients are computed: no weight gradient is formed,
         :attr:`grads` keeps what the last :meth:`backward` left there, and
@@ -225,11 +221,8 @@ class MLP:
             raise ValueError(f"wrt must be 'input' or 'aux', got {wrt!r}")
         if wrt == "aux" and not self.aux_dim:
             raise ValueError("network has no auxiliary input")
-        out = self.forward(x, aux)
-        if grad_out is None:
-            grad_out = np.ones_like(out)
         grad_x, grad_aux = self._backpropagate(
-            grad_out,
+            np.ones_like(self.forward(x, aux)),
             accumulate=False,
             first_layer=self.aux_layer if wrt == "aux" else 0,
         )
@@ -238,23 +231,18 @@ class MLP:
     # Training ----------------------------------------------------------
     def params_and_grads(self):
         """The arena as one ``(params, grads, segment_bounds)`` entry for
-        :meth:`repro.nn.Optimizer.step`."""
+        :meth:`repro.nn.Adam.step`."""
         return [(self.params, self.grads, self.segment_bounds)]
 
     def train_batch(
         self,
         x: np.ndarray,
         y: np.ndarray,
-        optimizer: Optional[Optimizer] = None,
-        loss: Optional[Loss] = None,
-        aux: Optional[np.ndarray] = None,
+        optimizer: Adam,
+        loss: MeanSquaredError,
     ) -> float:
         """One gradient step on a batch; returns the batch loss."""
-        optimizer = optimizer or getattr(self, "_default_optimizer", None)
-        if optimizer is None:
-            self._default_optimizer = optimizer = Adam()
-        loss = loss or MeanSquaredError()
-        prediction = self.forward(x, aux)
+        prediction = self.forward(x)
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         value, grad = loss(prediction, y)
         self.backward(grad)

@@ -1,6 +1,6 @@
-"""Gradient-descent optimisers.
+"""The Adam optimiser.
 
-The optimisers operate on lists of (parameter, gradient) array pairs,
+It operates on lists of (parameter, gradient) array pairs,
 keeping per-entry state (Adam moments) keyed by position.
 :class:`repro.nn.network.MLP` supplies its whole flat arena as *one* entry,
 ``(params, grads, segment_bounds)``, so a step is a dozen in-place ufunc
@@ -10,29 +10,39 @@ works too and gives bitwise the same update.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_non_negative, check_positive, isclose_zero
 
-__all__ = ["Optimizer", "Adam"]
+__all__ = ["Adam"]
 
 #: Entries are ``(param, grad)`` or ``(param, grad, segment_bounds)``.
 ParamGrads = List[tuple]
 
+#: Moment decay rates and denominator guard: Kingma & Ba's recommended
+#: defaults (TensorFlow's too); the paper names no others.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
-class Optimizer(ABC):
-    """Base optimiser; subclasses implement :meth:`_update`."""
 
-    name = "optimizer"
+class Adam:
+    """Adam optimiser (Kingma & Ba) — the one optimiser of every network here."""
 
-    def __init__(self, learning_rate: float = 1e-3, grad_clip: float = 0.0):
+    def __init__(
+        self,
+        learning_rate: float = 1e-3,
+        grad_clip: float = 0.0,
+        weight_decay: float = 0.0,
+    ):
         check_positive("learning_rate", learning_rate)
         check_non_negative("grad_clip", grad_clip)
+        check_non_negative("weight_decay", weight_decay)
         self.learning_rate = learning_rate
         self.grad_clip = grad_clip
+        self.weight_decay = weight_decay
         self._state: Dict[int, Dict[str, np.ndarray]] = {}
         # Two param-shaped work arrays per entry, reused every step.
         self._scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -84,21 +94,39 @@ class Optimizer(ABC):
             return None
         return self.grad_clip / total
 
-    @abstractmethod
-    def _update(
-        self,
-        index: int,
-        param: np.ndarray,
-        grad: np.ndarray,
-        work: np.ndarray,
-        spare: np.ndarray,
-    ) -> None:
+    def _update(self, index, param, grad, work, spare):
         """Apply one update to ``param`` in place.
 
         ``work`` and ``spare`` are param-shaped scratch.  ``grad`` may *be*
         ``spare`` (a clipped gradient), so ``spare`` may only be written
         once ``grad`` has been read for the last time.
         """
+        # Each line is the in-place form of the textbook expression on its
+        # right, same operations in the same order (the bytes are pinned).
+        state = self._state.get(index)
+        if state is None:
+            state = self._state[index] = {
+                "m": np.zeros_like(param),
+                "v": np.zeros_like(param),
+            }
+        m, v = state["m"], state["v"]
+        m *= BETA1
+        m += np.multiply(grad, 1.0 - BETA1, out=work)  # (1-b1)*g
+        v *= BETA2
+        np.multiply(grad, 1.0 - BETA2, out=work)
+        v += np.multiply(work, grad, out=work)  # ((1-b2)*g)*g
+        # grad is dead from here on, so spare is free.
+        np.divide(m, 1.0 - BETA1**self.iterations, out=work)  # m_hat
+        np.multiply(work, self.learning_rate, out=work)  # lr*m_hat
+        np.divide(v, 1.0 - BETA2**self.iterations, out=spare)  # v_hat
+        np.sqrt(spare, out=spare)
+        spare += EPSILON  # sqrt(v_hat)+eps
+        param -= np.divide(work, spare, out=work)
+        if self.weight_decay:
+            # Decoupled (AdamW-style) decay: keeps logits from saturating.
+            param -= np.multiply(
+                param, self.learning_rate * self.weight_decay, out=work
+            )
 
     def reset(self) -> None:
         """Drop accumulated state (e.g. after re-initialising a network)."""
@@ -126,59 +154,3 @@ class Optimizer(ABC):
             self._state.setdefault(int(index), {})[name] = np.array(
                 value, dtype=np.float64
             )
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba) — default for all networks here."""
-
-    name = "adam"
-
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        grad_clip: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(learning_rate, grad_clip)
-        if not 0.0 <= beta1 < 1.0:
-            raise ValueError(f"beta1 must lie in [0, 1), got {beta1!r}")
-        if not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"beta2 must lie in [0, 1), got {beta2!r}")
-        check_positive("epsilon", epsilon)
-        check_non_negative("weight_decay", weight_decay)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.weight_decay = weight_decay
-
-    def _update(self, index, param, grad, work, spare):
-        # Each line is the in-place form of the textbook expression on its
-        # right, same operations in the same order (the bytes are pinned).
-        state = self._state.get(index)
-        if state is None:
-            state = self._state[index] = {
-                "m": np.zeros_like(param),
-                "v": np.zeros_like(param),
-            }
-        m, v = state["m"], state["v"]
-        m *= self.beta1
-        m += np.multiply(grad, 1.0 - self.beta1, out=work)  # (1-b1)*g
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=work)
-        v += np.multiply(work, grad, out=work)  # ((1-b2)*g)*g
-        # grad is dead from here on, so spare is free.
-        np.divide(m, 1.0 - self.beta1**self.iterations, out=work)  # m_hat
-        np.multiply(work, self.learning_rate, out=work)  # lr*m_hat
-        np.divide(v, 1.0 - self.beta2**self.iterations, out=spare)  # v_hat
-        np.sqrt(spare, out=spare)
-        spare += self.epsilon  # sqrt(v_hat)+eps
-        param -= np.divide(work, spare, out=work)
-        if self.weight_decay:
-            # Decoupled (AdamW-style) decay: keeps logits from saturating.
-            param -= np.multiply(
-                param, self.learning_rate * self.weight_decay, out=work
-            )
-

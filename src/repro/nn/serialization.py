@@ -1,8 +1,8 @@
 """Save/load MLPs as ``.npz`` archives.
 
-The archive stores the architecture (layer sizes, activations, auxiliary
-input config) alongside every layer's weights and biases, so a saved
-network can be reconstructed without any other context.
+The archive stores the architecture (layer sizes, output activation,
+auxiliary input config) alongside every layer's weights and biases, so a
+saved network can be reconstructed without any other context.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ def save_mlp(path: Union[str, Path], network: MLP) -> Path:
         path = path.with_suffix(path.suffix + ".npz")
     meta = {
         "layer_sizes": network.layer_sizes,
-        "hidden_activation": network.hidden_activation,
         "output_activation": network.output_activation,
         "aux_dim": network.aux_dim,
         "aux_layer": network.aux_layer if network.aux_dim else 1,
@@ -52,9 +51,15 @@ def load_mlp(path: Union[str, Path]) -> MLP:
         if _META_KEY not in archive:
             raise ValueError(f"{path} is not a saved MLP (missing metadata)")
         meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode("utf-8"))
+        # Archives written before every hidden layer was ReLU name theirs.
+        hidden = meta.get("hidden_activation", "relu")
+        if hidden != "relu":
+            raise ValueError(
+                f"{path}: hidden_activation {hidden!r} is not supported; "
+                "every hidden layer is 'relu'"
+            )
         network = MLP(
             meta["layer_sizes"],
-            hidden_activation=meta["hidden_activation"],
             output_activation=meta["output_activation"],
             aux_dim=meta["aux_dim"],
             aux_layer=meta["aux_layer"],

@@ -16,7 +16,6 @@ from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.noise import (
     AdaptiveParameterNoise,
     GaussianActionNoise,
-    OrnsteinUhlenbeckNoise,
     project_to_simplex,
 )
 from repro.rl.replay import ReplayBuffer
@@ -29,6 +28,5 @@ __all__ = [
     "ReplayBuffer",
     "AdaptiveParameterNoise",
     "GaussianActionNoise",
-    "OrnsteinUhlenbeckNoise",
     "project_to_simplex",
 ]

@@ -55,7 +55,6 @@ class Actor:
         self.output_mixing = output_mixing
         self.network = MLP(
             [state_dim, *hidden_sizes, action_dim],
-            hidden_activation="relu",
             output_activation="softmax",
             rng=rng.fork("actor/net"),
             final_init="small_uniform",

@@ -47,7 +47,6 @@ class Critic:
         self.reward_scale = reward_scale
         self.network = MLP(
             [state_dim, *hidden_sizes, 1],
-            hidden_activation="relu",
             output_activation="linear",
             aux_dim=action_dim,
             aux_layer=1,

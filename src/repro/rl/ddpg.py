@@ -6,9 +6,9 @@ the actor's weights with adaptive Gaussian noise (Plappert et al.) so every
 explored action still lies on the probability simplex and therefore never
 violates the consumer budget.
 
-Action-space noise (Gaussian or Ornstein-Uhlenbeck) is also implemented —
-the paper's ablation finding is that it "performs poorly" because noisy
-actions break the constraint — so the comparison is reproducible.
+Gaussian action-space noise is also implemented — the paper's ablation
+finding is that it "performs poorly" because noisy actions break the
+constraint — so the comparison is reproducible.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.rl.critic import Critic
 from repro.rl.noise import (
     AdaptiveParameterNoise,
     GaussianActionNoise,
-    OrnsteinUhlenbeckNoise,
     repair_action_noise,
 )
 from repro.rl.replay import ReplayBuffer
@@ -55,7 +54,7 @@ class DDPGConfig:
     gamma: float = 0.95
     batch_size: int = 64
     buffer_capacity: int = 100_000
-    #: 'parameter' (MIRAS), 'action-gaussian', 'action-ou', or 'none'.
+    #: 'parameter' (MIRAS) or 'action-gaussian' (the paper's ablation).
     exploration: str = "parameter"
     param_noise_sigma: float = 0.05
     action_noise_sigma: float = 0.15
@@ -80,7 +79,7 @@ class DDPGConfig:
         check_positive("batch_size", self.batch_size)
         check_positive("buffer_capacity", self.buffer_capacity)
         check_positive("perturb_interval", self.perturb_interval)
-        valid = {"parameter", "action-gaussian", "action-ou", "none"}
+        valid = {"parameter", "action-gaussian"}
         if self.exploration not in valid:
             raise ValueError(
                 f"exploration must be one of {sorted(valid)}, "
@@ -131,14 +130,7 @@ class DDPGAgent:
         self._perturbed_network: Optional[MLP] = None
         self._acts_since_perturb = 0
         self._perturbs_done = 0
-        if cfg.exploration == "action-ou":
-            self.action_noise = OrnsteinUhlenbeckNoise(
-                action_dim, sigma=cfg.action_noise_sigma
-            )
-        else:
-            self.action_noise = GaussianActionNoise(
-                sigma=cfg.action_noise_sigma
-            )
+        self.action_noise = GaussianActionNoise(sigma=cfg.action_noise_sigma)
 
         self.updates_done = 0
         #: Count of exploration actions that left the simplex (only possible
@@ -202,7 +194,7 @@ class DDPGAgent:
         simplex.
         """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if not explore or self.config.exploration == "none":
+        if not explore:
             return self.actor.act(states)
         k = states.shape[0]
         self.exploration_actions += k

@@ -67,11 +67,7 @@ import numpy as np
 
 from repro.nn import MLP
 from repro.rl.actor import Actor
-from repro.rl.noise import (
-    GaussianActionNoise,
-    OrnsteinUhlenbeckNoise,
-    repair_action_noise,
-)
+from repro.rl.noise import GaussianActionNoise, repair_action_noise
 from repro.utils.pool import ordered_pool_map
 from repro.utils.rng import RngStream, derive_stream_seed
 from repro.utils.validation import (
@@ -276,11 +272,7 @@ def run_collect_episode(spec: Dict) -> Dict:
         )
         perturbed.set_flat(noisy)
         network = perturbed
-    elif exploration == "action-ou":
-        noise = OrnsteinUhlenbeckNoise(
-            payload["action_dim"], sigma=payload["action_noise_sigma"]
-        )
-    elif exploration == "action-gaussian":
+    else:
         noise = GaussianActionNoise(sigma=payload["action_noise_sigma"])
 
     env.reset()

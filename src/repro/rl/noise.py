@@ -7,7 +7,8 @@ on total number of consumers, leading to invalid exploration.  Our approach
 ... is to use parameter space noise in exploration [Plappert et al.]
 instead of action space noise."
 
-Both kinds are implemented here so the ablation bench can reproduce the
+Both kinds are implemented here (i.i.d. Gaussian on the action, adaptive
+Gaussian on the weights) so the ablation bench can reproduce the
 comparison.  :func:`project_to_simplex` is the repair step an action-noise
 agent must apply to make its noisy action executable at all — the
 "invalid exploration" the paper describes.
@@ -15,7 +16,7 @@ agent must apply to make its noisy action executable at all — the
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -24,11 +25,21 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "GaussianActionNoise",
-    "OrnsteinUhlenbeckNoise",
     "AdaptiveParameterNoise",
     "project_to_simplex",
     "repair_action_noise",
 ]
+
+#: Adaptive scaling (Plappert et al., Section 3): each adaptation
+#: multiplies or divides sigma by ``PARAM_NOISE_ADAPT`` so the clean vs
+#: perturbed action distance tracks ``PARAM_NOISE_DELTA``.  The method
+#: leaves both to the user; these are this reproduction's calibration.
+PARAM_NOISE_DELTA = 0.05
+PARAM_NOISE_ADAPT = 1.05
+#: Clamp on the adapted sigma, so a run of one-sided distances can neither
+#: switch exploration off nor blow the weights up.
+PARAM_NOISE_MIN_SIGMA = 1e-4
+PARAM_NOISE_MAX_SIGMA = 10.0
 
 
 def project_to_simplex(vectors: np.ndarray) -> np.ndarray:
@@ -57,7 +68,7 @@ def project_to_simplex(vectors: np.ndarray) -> np.ndarray:
 
 def repair_action_noise(
     clean: np.ndarray,
-    noise: Union[GaussianActionNoise, OrnsteinUhlenbeckNoise],
+    noise: GaussianActionNoise,
     rng: RngStream,
 ) -> Tuple[np.ndarray, int]:
     """Action-space exploration: perturb a ``(K, dim)`` block of actions,
@@ -91,91 +102,19 @@ class GaussianActionNoise:
         check_positive("batch", batch)
         return rng.normal(0.0, self.sigma, size=(batch, action_dim))
 
-    def reset(self) -> None:
-        """No state to reset; present for interface symmetry."""
-
-
-class OrnsteinUhlenbeckNoise:
-    """Temporally correlated OU noise — classic DDPG exploration."""
-
-    def __init__(
-        self,
-        action_dim: int,
-        theta: float = 0.15,
-        sigma: float = 0.2,
-        dt: float = 1.0,
-    ):
-        check_positive("action_dim", action_dim)
-        check_positive("theta", theta)
-        check_positive("sigma", sigma)
-        check_positive("dt", dt)
-        self.action_dim = action_dim
-        self.theta = theta
-        self.sigma = sigma
-        self.dt = dt
-        self._state = np.zeros(action_dim)
-
-    def sample(self, batch: int, action_dim: int, rng: RngStream) -> np.ndarray:
-        """The next step of the process as a ``(1, action_dim)`` block.
-
-        The OU process is a *temporal* correlation over one rollout's
-        steps; K parallel rollouts sharing one OU state would correlate
-        across rollouts instead, so only a batch of one is defined.
-        """
-        check_positive("batch", batch)
-        if batch != 1:
-            raise ValueError(
-                "OrnsteinUhlenbeckNoise is temporally correlated per "
-                "rollout and cannot drive a rollout batch; use "
-                "rollout_batch=1 or gaussian/parameter exploration"
-            )
-        if action_dim != self.action_dim:
-            raise ValueError(
-                f"noise built for dim {self.action_dim}, asked for {action_dim}"
-            )
-        drift = -self.theta * self._state * self.dt
-        diffusion = self.sigma * np.sqrt(self.dt) * rng.normal(
-            size=self.action_dim
-        )
-        self._state = self._state + drift + diffusion
-        return self._state[np.newaxis].copy()
-
-    def reset(self) -> None:
-        self._state = np.zeros(self.action_dim)
-
 
 class AdaptiveParameterNoise:
     """Adaptive-scale Gaussian noise on policy *weights* (Plappert et al.).
 
     The perturbation scale ``sigma`` is adapted so the induced action-space
-    distance between the clean and the perturbed policy tracks a target
-    ``delta``: too-close means exploration is too timid (grow sigma),
-    too-far means it is erratic (shrink sigma).
+    distance between the clean and the perturbed policy tracks the target
+    :data:`PARAM_NOISE_DELTA`: too-close means exploration is too timid
+    (grow sigma), too-far means it is erratic (shrink sigma).
     """
 
-    def __init__(
-        self,
-        initial_sigma: float = 0.05,
-        delta: float = 0.05,
-        adapt_coefficient: float = 1.05,
-        min_sigma: float = 1e-4,
-        max_sigma: float = 10.0,
-    ):
+    def __init__(self, initial_sigma: float = 0.05):
         check_positive("initial_sigma", initial_sigma)
-        check_positive("delta", delta)
-        if adapt_coefficient <= 1.0:
-            raise ValueError(
-                f"adapt_coefficient must exceed 1, got {adapt_coefficient!r}"
-            )
-        if not 0 < min_sigma <= max_sigma:
-            raise ValueError(
-                f"need 0 < min_sigma <= max_sigma, got {min_sigma}, {max_sigma}"
-            )
         self.sigma = initial_sigma
-        self.delta = delta
-        self.adapt_coefficient = adapt_coefficient
-        self.min_sigma = min_sigma
-        self.max_sigma = max_sigma
 
     def perturb(self, flat_params: np.ndarray, rng: RngStream) -> np.ndarray:
         """Return a noisy copy of a flat parameter vector."""
@@ -185,16 +124,18 @@ class AdaptiveParameterNoise:
     def adapt(self, action_distance: float) -> float:
         """Update sigma from the measured clean-vs-perturbed action distance.
 
-        Returns the new sigma.  Distance below ``delta`` grows sigma;
-        above shrinks it (Plappert et al., Eq. 4).
+        Returns the new sigma.  Distance below the target delta grows
+        sigma; above shrinks it (Plappert et al., Eq. 4).
         """
         if action_distance < 0:
             raise ValueError(f"distance must be >= 0, got {action_distance!r}")
-        if action_distance < self.delta:
-            self.sigma *= self.adapt_coefficient
+        if action_distance < PARAM_NOISE_DELTA:
+            self.sigma *= PARAM_NOISE_ADAPT
         else:
-            self.sigma /= self.adapt_coefficient
-        self.sigma = float(np.clip(self.sigma, self.min_sigma, self.max_sigma))
+            self.sigma /= PARAM_NOISE_ADAPT
+        self.sigma = float(
+            np.clip(self.sigma, PARAM_NOISE_MIN_SIGMA, PARAM_NOISE_MAX_SIGMA)
+        )
         return self.sigma
 
     @staticmethod
@@ -211,5 +152,5 @@ class AdaptiveParameterNoise:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AdaptiveParameterNoise(sigma={self.sigma:.4g}, "
-            f"delta={self.delta})"
+            f"delta={PARAM_NOISE_DELTA})"
         )

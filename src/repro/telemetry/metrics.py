@@ -541,8 +541,8 @@ class MetricsAggregator:
     call per record.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry or MetricsRegistry()
+    def __init__(self):
+        self.registry = MetricsRegistry()
         r = self.registry
         self._records = r.counter(
             "repro_records_total", "trace records seen by kind", ("kind",)

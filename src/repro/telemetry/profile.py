@@ -294,9 +294,7 @@ def _total_calls(node: PhaseNode) -> int:
     return node.calls + sum(_total_calls(c) for c in node.children.values())
 
 
-def render_profile(
-    source: Union[PhaseProfiler, Dict], max_depth: Optional[int] = None
-) -> str:
+def render_profile(source: Union[PhaseProfiler, Dict]) -> str:
     """Render the phase tree as an indented text report.
 
     Accepts a profiler or a loaded profile.json document (v3: with a cost line).
@@ -311,8 +309,6 @@ def render_profile(
     lines.append("-" * len(lines[0]))
 
     def visit(node: PhaseNode, depth: int) -> None:
-        if max_depth is not None and depth > max_depth:
-            return
         label = ("  " * depth) + node.name
         lines.append(
             f"{label:<40} {node.calls:>8} {node.wall:>10.4f} "

@@ -32,21 +32,17 @@ class Tracer:
     sink:
         Destination for records; ``None`` (or a :class:`NullSink`) makes
         the tracer disabled — every emit method returns immediately.
-    clock:
-        Zero-argument callable returning the current *simulation* time.
-        Usually superseded by the system binding its event loop through
-        :meth:`bind_clock`.
+
+    The clock — the current *simulation* time — is bound afterwards with
+    :meth:`bind_clock`: the system binds its event loop.
     """
 
-    def __init__(
-        self,
-        sink: Optional[Sink] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
+    def __init__(self, sink: Optional[Sink] = None):
         self.sink: Sink = sink if sink is not None else NullSink()
         #: Fast-path flag checked by instrumented hot paths.
         self.enabled: bool = not isinstance(self.sink, NullSink)
-        self._clock = clock
+        #: A zero-argument callable bound by :meth:`bind_clock`.
+        self._clock: Optional[Callable[[], float]] = None
         #: The bound event loop; its ``_now`` is ``t``, read as an
         #: attribute — no call per record.  Takes precedence over
         #: ``clock``.

@@ -70,14 +70,14 @@ def check_integral(name: str, values: np.ndarray) -> list:
     return counts
 
 
-def isclose_zero(value: float, eps: float = ZERO_EPS) -> bool:
-    """True when ``abs(value) <= eps``.
+def isclose_zero(value: float) -> bool:
+    """True when ``abs(value) <= ZERO_EPS``.
 
     Use this instead of ``value == 0.0``: exact float equality silently
     misbehaves once a quantity has been through any arithmetic, and the
     static-analysis pass (rule S101) rejects it in library code.
     """
-    return abs(value) <= eps
+    return abs(value) <= ZERO_EPS
 
 
 def require(condition: bool, message: str) -> None:

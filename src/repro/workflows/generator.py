@@ -63,7 +63,6 @@ def random_ensemble(
     seed: int = 0,
     rng: Optional[RngStream] = None,
     mean_service_range: Tuple[float, float] = (1.0, 6.0),
-    edge_probability: float = 0.5,
 ) -> WorkflowEnsemble:
     """Sample a random workflow ensemble.
 
@@ -94,7 +93,6 @@ def random_ensemble(
                 task_names,
                 rng,
                 min_tasks=min(2, num_task_types),
-                edge_probability=edge_probability,
             )
             for i in range(num_workflow_types)
         ]

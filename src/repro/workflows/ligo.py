@@ -44,17 +44,12 @@ LIGO_TASKS = (
 LIGO_WORKFLOWS = ("DataFind", "CAT", "Full", "Injection")
 
 
-def build_ligo_ensemble(service_time_scale: float = 1.0) -> WorkflowEnsemble:
+def build_ligo_ensemble() -> WorkflowEnsemble:
     """Build the LIGO ensemble.
 
-    ``service_time_scale`` multiplies every mean service time; the default
-    calibration keeps the paper's budget ``C=30`` tight-but-feasible.
+    The mean service times are calibrated to keep the paper's budget
+    ``C=30`` tight-but-feasible.
     """
-    if service_time_scale <= 0:
-        raise ValueError(
-            f"service_time_scale must be positive, got {service_time_scale!r}"
-        )
-    scale = service_time_scale
     # Mean service times follow the relative weights of the LIGO Inspiral
     # characterisation in [17]: Inspiral (matched filtering) dominates by
     # far; bank generation is the next heaviest; coincidence/result stages
@@ -62,15 +57,15 @@ def build_ligo_ensemble(service_time_scale: float = 1.0) -> WorkflowEnsemble:
     # spans roughly one heavy task, keeping the bursts of Section VI-D a
     # genuinely hard allocation problem under C=30.
     task_types = [
-        TaskType("DataFind", 4.5 * scale, cv=0.3),
-        TaskType("TmpltBank", 9.0 * scale, cv=0.4),
-        TaskType("Inspiral", 18.0 * scale, cv=0.6),
-        TaskType("Thinca", 6.0 * scale, cv=0.4),
-        TaskType("TrigBank", 4.5 * scale, cv=0.4),
-        TaskType("Sire", 6.0 * scale, cv=0.5),
-        TaskType("Coire", 7.5 * scale, cv=0.5),
-        TaskType("Inca", 6.0 * scale, cv=0.4),
-        TaskType("InspInj", 3.0 * scale, cv=0.3),
+        TaskType("DataFind", 4.5, cv=0.3),
+        TaskType("TmpltBank", 9.0, cv=0.4),
+        TaskType("Inspiral", 18.0, cv=0.6),
+        TaskType("Thinca", 6.0, cv=0.4),
+        TaskType("TrigBank", 4.5, cv=0.4),
+        TaskType("Sire", 6.0, cv=0.5),
+        TaskType("Coire", 7.5, cv=0.5),
+        TaskType("Inca", 6.0, cv=0.4),
+        TaskType("InspInj", 3.0, cv=0.3),
     ]
     workflow_types = [
         # DataFind: lightweight frame-lookup + template-bank workflow.

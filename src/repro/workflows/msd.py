@@ -32,26 +32,17 @@ MSD_TASKS = ("Ingest", "Preprocess", "Segment", "Analyze")
 MSD_WORKFLOWS = ("Type1", "Type2", "Type3")
 
 
-def build_msd_ensemble(service_time_scale: float = 1.0) -> WorkflowEnsemble:
+def build_msd_ensemble() -> WorkflowEnsemble:
     """Build the MSD ensemble.
 
-    Parameters
-    ----------
-    service_time_scale:
-        Multiplier on every mean service time; the default calibration keeps
-        the paper's budget ``C=14`` tight-but-feasible under the evaluation
-        arrival rates.
+    The mean service times are calibrated to keep the paper's budget
+    ``C=14`` tight-but-feasible under the evaluation arrival rates.
     """
-    if service_time_scale <= 0:
-        raise ValueError(
-            f"service_time_scale must be positive, got {service_time_scale!r}"
-        )
-    scale = service_time_scale
     task_types = [
-        TaskType("Ingest", 2.0 * scale, cv=0.4),
-        TaskType("Preprocess", 4.0 * scale, cv=0.5),
-        TaskType("Segment", 6.0 * scale, cv=0.6),
-        TaskType("Analyze", 5.0 * scale, cv=0.5),
+        TaskType("Ingest", 2.0, cv=0.4),
+        TaskType("Preprocess", 4.0, cv=0.5),
+        TaskType("Segment", 6.0, cv=0.6),
+        TaskType("Analyze", 5.0, cv=0.5),
     ]
     workflow_types = [
         # Type1: straight segmentation pipeline.

@@ -34,11 +34,6 @@ class ArrivalTrace:
             out[workflow_type] = out.get(workflow_type, 0) + 1
         return out
 
-    @property
-    def horizon(self) -> float:
-        """Timestamp of the last event (0.0 for an empty trace)."""
-        return self.events[-1][0] if self.events else 0.0
-
     def shifted(self, offset: float) -> "ArrivalTrace":
         """A copy with every timestamp moved by ``offset`` (>= 0 result)."""
         events = [(t + offset, wt) for t, wt in self.events]

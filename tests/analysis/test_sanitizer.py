@@ -28,7 +28,8 @@ def fresh_stream(name="root", seed=7):
 
 def fresh_tracer():
     sink = MemorySink()
-    tracer = Tracer(sink, clock=lambda: 0.0)
+    tracer = Tracer(sink)
+    tracer.bind_clock(lambda: 0.0)
     return tracer, sink
 
 

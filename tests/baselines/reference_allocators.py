@@ -8,7 +8,7 @@ previous allocation carry state between windows).
 
 import numpy as np
 
-from repro.baselines import DrsAllocator, HpaAllocator, UniformAllocator
+from repro.baselines import DrsAllocator, HpaAllocator, UniformAllocator, autoscaler, drs
 from repro.baselines.drs import mmc_expected_number
 
 
@@ -63,7 +63,7 @@ class ReferenceDrs(DrsAllocator):
             rates = self._estimator.update(observation, self._task_names)
         else:
             rates = self._estimator.rates
-        rates = np.maximum(rates, self.rate_floor)
+        rates = np.maximum(rates, drs.RATE_FLOOR)
         offered = rates / self._service_rates
         allocation = np.floor(offered).astype(np.int64) + 1
         if int(allocation.sum()) > self.budget:
@@ -124,11 +124,11 @@ class ReferenceHpa(HpaAllocator):
         )
         queue_pressure = wip * self._service_times / (current * self._window)
         metric = np.maximum(utilization, np.minimum(queue_pressure, 3.0))
-        desired = np.ceil(current * metric / self.target_utilization)
+        desired = np.ceil(current * metric / autoscaler.TARGET_UTILIZATION)
         desired = np.minimum(
-            desired, np.ceil(current * self.scale_up_limit)
+            desired, np.ceil(current * autoscaler.SCALE_UP_LIMIT)
         )
-        desired = np.maximum(desired, self.min_replicas)
+        desired = np.maximum(desired, autoscaler.MIN_REPLICAS)
         total = int(desired.sum())
         if total <= self.budget:
             allocation = desired.astype(np.int64)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import HeftAllocator, ProportionalToWipAllocator
+from repro.baselines import HeftAllocator, ProportionalToWipAllocator, autoscaler, static_alloc
+from repro.baselines import heft as heft_module
 from repro.baselines.base import largest_remainder_allocation
 from repro.baselines.drs import DrsAllocator
 from repro.baselines.autoscaler import HpaAllocator
@@ -70,20 +71,25 @@ ENVS = [
 
 @pytest.mark.parametrize("make_env, budget", ENVS)
 @pytest.mark.parametrize(
-    "allocator, reference",
+    "allocator, reference, constants",
     [
-        (UniformAllocator, ReferenceUniform),
-        (DrsAllocator, ReferenceDrs),
-        (HpaAllocator, ReferenceHpa),
-        # Caps the default parameters never reach.
+        (UniformAllocator, ReferenceUniform, {}),
+        (DrsAllocator, ReferenceDrs, {}),
+        (HpaAllocator, ReferenceHpa, {}),
+        # Caps HPA's constants never reach.
         (
-            lambda: HpaAllocator(0.9, min_replicas=0, scale_up_limit=6.0),
-            lambda: ReferenceHpa(0.9, min_replicas=0, scale_up_limit=6.0),
+            HpaAllocator,
+            ReferenceHpa,
+            {"TARGET_UTILIZATION": 0.9, "MIN_REPLICAS": 0, "SCALE_UP_LIMIT": 6.0},
         ),
     ],
     ids=["uniform", "drs", "hpa", "hpa-wide"],
 )
-def test_allocations_match_the_array_code(make_env, budget, allocator, reference):
+def test_allocations_match_the_array_code(
+    make_env, budget, allocator, reference, constants, monkeypatch
+):
+    for name, value in constants.items():
+        monkeypatch.setattr(autoscaler, name, value)
     env = make_env(consumer_budget=budget, with_arrivals=False)
     ours, theirs = allocator(), reference()
     for a in (ours, theirs):
@@ -110,13 +116,13 @@ def test_weighted_allocators_match_the_array_code(make_env, budget):
         assert same(
             heft.allocate(wip, observation),
             reference_check(heft, reference_largest_remainder_allocation(
-                (wip + heft.smoothing) * heft._ranks, budget
+                (wip + heft_module.SMOOTHING) * heft._ranks, budget
             )),
         )
         assert same(
             wip_allocator.allocate(wip, observation),
             reference_check(wip_allocator, reference_largest_remainder_allocation(
-                wip + wip_allocator.smoothing, budget
+                wip + static_alloc.WIP_SMOOTHING, budget
             )),
         )
 

@@ -14,10 +14,12 @@ fallback, exact gain ties and the zero-gain early stop.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
 from repro.baselines.base import largest_remainder_allocation
+from repro.baselines import drs
 from repro.baselines.drs import DrsAllocator, mmc_expected_number
 from repro.sim.metrics import WindowObservation
 
@@ -78,7 +80,8 @@ def draw(rng):
 
 
 def production_allocate(names, means, publishes, window, budget, floor):
-    """``DrsAllocator`` bound to a stub env and fed one observation."""
+    """``DrsAllocator`` bound to a stub env and fed one observation, with
+    its rate floor patched to ``floor``."""
     ensemble = SimpleNamespace(
         task_names=lambda: list(names),
         task=lambda name: SimpleNamespace(
@@ -92,7 +95,7 @@ def production_allocate(names, means, publishes, window, budget, floor):
             ensemble=ensemble, config=SimpleNamespace(window_length=window)
         ),
     )
-    allocator = DrsAllocator(rate_floor=floor)
+    allocator = DrsAllocator()
     allocator.bind(env)
     observation = WindowObservation(
         index=0,
@@ -103,7 +106,8 @@ def production_allocate(names, means, publishes, window, budget, floor):
         reward=0.0,
         task_publishes=dict(zip(names, (int(p) for p in publishes))),
     )
-    return allocator.allocate(np.zeros(len(names)), observation)
+    with mock.patch.object(drs, "RATE_FLOOR", floor):
+        return allocator.allocate(np.zeros(len(names)), observation)
 
 
 def test_incremental_greedy_equals_full_recompute():

@@ -148,7 +148,3 @@ class TestHeftAllocator:
         allocator.bind(env)
         allocation = allocator.allocate(np.zeros(4))
         assert allocation.sum() == 14
-
-    def test_invalid_smoothing(self):
-        with pytest.raises(ValueError):
-            HeftAllocator(smoothing=-1.0)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.agent import MirasAgent
 from repro.core.config import MirasConfig, ModelConfig, PolicyConfig
-from repro.eval.experiments import build_training_env
+from repro.eval.experiments import build_training_env, preset_env
 from repro.rl.ddpg import DDPGConfig
 from repro.rl.distributed import EnvSpec
 from repro.telemetry.sinks import MemorySink
@@ -46,13 +46,13 @@ def small_config(mode, workers):
 
 
 def run_training(mode, workers, traced=False):
-    env = build_training_env(seed=7)
+    # The agent traces through its environment's system tracer.
     tracer = Tracer(MemorySink()) if traced else None
+    env = preset_env("msd", 7, tracer=tracer)
     agent = MirasAgent(
         env,
         small_config(mode, workers),
         seed=7,
-        tracer=tracer,
         env_spec=ENV_SPEC,
     )
     results = agent.iterate()
@@ -138,7 +138,7 @@ class TestCollectTelemetry:
         config = replace(config, policy=replace(config.policy, collect_lanes=2))
         tracer = Tracer(MemorySink())
         agent = MirasAgent(
-            build_training_env(seed=7), config, seed=7, tracer=tracer,
+            preset_env("msd", 7, tracer=tracer), config, seed=7,
             env_spec=ENV_SPEC,
         )
         agent.collect_distributed(60)

@@ -209,7 +209,8 @@ class TestAgentRoundtrip:
             critic.train_features(critic.normalize_states(states), actions, targets)
             actor.policy_gradient_step(actor.normalize(states), lambda _: dq_da)
             twin.model.network.train_batch(
-                model_x, model_y, optimizer=twin.model.optimizer
+                model_x, model_y, optimizer=twin.model.optimizer,
+                loss=twin.model.loss,
             )
         for pick in (
             lambda a: a.ddpg.critic.network,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
-from repro.core.refinement import RefinedModel
+from repro.core.refinement import PERCENTILE, TAU_FLOOR, RefinedModel
 from repro.utils.rng import RngStream
 
 
@@ -25,8 +25,9 @@ def make_model_and_data(rng, n=200):
 class TestConstruction:
     def test_from_dataset_thresholds(self, rng):
         model, dataset = make_model_and_data(rng)
-        refined = RefinedModel.from_dataset(model, dataset, percentile=20.0, rng=rng)
-        tau_raw, omega_raw = dataset.wip_percentiles(20.0)
+        refined = RefinedModel.from_dataset(model, dataset, rng=rng)
+        assert PERCENTILE == 20.0  # Algorithm 1's p
+        tau_raw, omega_raw = dataset.wip_percentiles(PERCENTILE)
         assert np.all(refined.tau >= tau_raw)  # floored
         assert np.all(refined.omega >= refined.tau)
 
@@ -36,10 +37,10 @@ class TestConstruction:
             dataset.add(np.zeros(1), np.ones(1), np.zeros(1))
         model = EnvironmentModel(1, 1, hidden_sizes=(4,), rng=rng.fork("z"))
         model.fit(dataset, epochs=2)
-        refined = RefinedModel.from_dataset(model, dataset, rng=rng, tau_floor=1.0)
+        refined = RefinedModel.from_dataset(model, dataset, rng=rng)
         # Percentiles of an all-zero column are 0; the floor keeps the
         # boundary region non-empty so the refinement still fires at w=0.
-        assert refined.tau[0] == 1.0
+        assert refined.tau[0] == TAU_FLOOR
         assert refined.omega[0] >= 2.0
         refined.predict(np.zeros(1), np.ones(1))
         assert refined.lend_count == 1

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Adam, load_mlp, save_mlp, soft_update
+from repro.nn import MLP, Adam, MeanSquaredError, load_mlp, save_mlp, soft_update
 from repro.utils.rng import spawn_rngs
 
 from tests.rl.reference_ddpg import (
@@ -127,12 +127,10 @@ class TestInputGradient:
     def test_projected_output(self):
         net, twin = make_net(aux=False), make_net(aux=False)
         rng = np.random.default_rng(2)
-        x, seed_grad = rng.normal(size=(4, 5)), rng.normal(size=(4, 2))
-        twin.forward(x)
-        expected, _ = twin.backward(seed_grad)
-        assert net.input_gradient(x, grad_out=seed_grad).tobytes() == (
-            expected.tobytes()
-        )
+        # A two-output net: the input gradient is that of the row sum.
+        x = rng.normal(size=(4, 5))
+        expected, _ = twin.backward(np.ones_like(twin.forward(x)))
+        assert net.input_gradient(x).tobytes() == expected.tobytes()
 
 
 class TestOptimizerSteps:
@@ -183,33 +181,31 @@ class TestOptimizerSteps:
         assert net.grads.tobytes() == before.tobytes()
 
     def test_state_dict_round_trip_continues_bitwise(self):
-        net, twin = make_net(), make_net()
+        net, twin = make_net(aux=False), make_net(aux=False)
         rng = np.random.default_rng(5)
         first, second = Adam(grad_clip=1.0), Adam(grad_clip=1.0)
-        batches = [
-            (rng.normal(size=(8, 5)), rng.normal(size=(8, 2)), rng.normal(size=(8, 3)))
-            for _ in range(6)
-        ]
-        for x, y, aux in batches[:3]:
-            net.train_batch(x, y, optimizer=first, aux=aux)
-            twin.train_batch(x, y, optimizer=second, aux=aux)
+        mse = MeanSquaredError()
+        batches = [(rng.normal(size=(8, 5)), rng.normal(size=(8, 2))) for _ in range(6)]
+        for x, y in batches[:3]:
+            net.train_batch(x, y, optimizer=first, loss=mse)
+            twin.train_batch(x, y, optimizer=second, loss=mse)
         restored = Adam(grad_clip=1.0)
         restored.load_state_dict(second.state_dict())
         assert restored.iterations == 3
-        for x, y, aux in batches[3:]:
-            net.train_batch(x, y, optimizer=first, aux=aux)
-            twin.train_batch(x, y, optimizer=restored, aux=aux)
+        for x, y in batches[3:]:
+            net.train_batch(x, y, optimizer=first, loss=mse)
+            twin.train_batch(x, y, optimizer=restored, loss=mse)
         assert net.get_flat().tobytes() == twin.get_flat().tobytes()
 
     def test_state_dict_is_a_copy(self):
-        net = make_net()
+        net = make_net(aux=False)
         optimizer = Adam()
         rng = np.random.default_rng(6)
         net.train_batch(
             rng.normal(size=(4, 5)),
             rng.normal(size=(4, 2)),
             optimizer=optimizer,
-            aux=rng.normal(size=(4, 3)),
+            loss=MeanSquaredError(),
         )
         state = optimizer.state_dict()
         assert set(state) == {"iterations", "0/m", "0/v"}

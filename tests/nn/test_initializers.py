@@ -7,6 +7,7 @@ from repro.nn.initializers import (
     constant_init,
     glorot_uniform,
     he_uniform,
+    SMALL_UNIFORM_LIMIT,
     uniform_init,
 )
 from repro.utils.rng import RngStream
@@ -40,9 +41,10 @@ class TestHe:
 
 class TestSmallUniform:
     def test_custom_limit(self, init_rng):
-        weights = uniform_init(20, 20, init_rng, limit=1e-3)
-        assert np.all(np.abs(weights) <= 1e-3)
-        assert np.any(weights != 0)
+        # The limit is DDPG's fixed final-layer range, not He's fan-in one.
+        weights = uniform_init(20, 20, init_rng)
+        assert np.all(np.abs(weights) <= SMALL_UNIFORM_LIMIT)
+        assert np.abs(weights).max() > 0.9 * SMALL_UNIFORM_LIMIT
 
 
 class TestConstant:

@@ -114,7 +114,7 @@ class TestTraining:
         x = net_rng.normal(size=(512, 2))
         y = (2 * x[:, :1] - x[:, 1:]) * 0.5
         for _ in range(400):
-            net.train_batch(x, y, optimizer=opt)
+            net.train_batch(x, y, optimizer=opt, loss=MeanSquaredError())
         loss, _ = MeanSquaredError()(net.forward(x), y)
         assert loss < 1e-2
 

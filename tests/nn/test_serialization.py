@@ -1,10 +1,12 @@
 """Tests for MLP save/load."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.nn import MLP
-from repro.nn.serialization import load_mlp, save_mlp
+from repro.nn.serialization import _META_KEY, load_mlp, save_mlp
 from repro.utils.rng import RngStream
 
 
@@ -47,4 +49,35 @@ class TestRoundtrip:
         path = tmp_path / "other.npz"
         np.savez(path, foo=np.zeros(3))
         with pytest.raises(ValueError, match="not a saved MLP"):
+            load_mlp(path)
+
+
+class TestHiddenActivationKey:
+    """Archives from before every hidden layer was ReLU carry the key."""
+
+    def rewrite_meta(self, path, **extra):
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(arrays[_META_KEY].tobytes().decode("utf-8"))
+        meta.update(extra)
+        arrays[_META_KEY] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+
+    def test_save_writes_no_hidden_activation(self, tmp_path, ser_rng):
+        path = save_mlp(tmp_path / "net", MLP([2, 4, 1], rng=ser_rng))
+        with np.load(path) as archive:
+            meta = json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
+        assert "hidden_activation" not in meta
+
+    def test_relu_archive_loads(self, tmp_path, ser_rng):
+        net = MLP([3, 8, 2], rng=ser_rng)
+        path = save_mlp(tmp_path / "old", net)
+        self.rewrite_meta(path, hidden_activation="relu")
+        x = ser_rng.normal(size=(4, 3))
+        assert load_mlp(path).forward(x).tobytes() == net.forward(x).tobytes()
+
+    def test_other_activation_rejected_by_name(self, tmp_path, ser_rng):
+        path = save_mlp(tmp_path / "old", MLP([3, 8, 2], rng=ser_rng))
+        self.rewrite_meta(path, hidden_activation="tanh")
+        with pytest.raises(ValueError, match="'tanh'"):
             load_mlp(path)

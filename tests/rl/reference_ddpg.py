@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn import MLP
+from repro.nn import MLP, optimizers
 from repro.rl.ddpg import METRIC_INTERVAL, TAU, DDPGAgent
 from repro.utils.validation import isclose_zero
 
@@ -128,9 +128,9 @@ class RefAdam:
     def like(cls, adam) -> "RefAdam":
         return cls(
             adam.learning_rate,
-            adam.beta1,
-            adam.beta2,
-            adam.epsilon,
+            optimizers.BETA1,
+            optimizers.BETA2,
+            optimizers.EPSILON,
             adam.grad_clip,
             adam.weight_decay,
         )

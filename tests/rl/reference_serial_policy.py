@@ -23,11 +23,7 @@ from repro.nn import MLP
 from repro.rl import distributed
 from repro.rl.actor import Actor
 from repro.rl.ddpg import DDPGAgent
-from repro.rl.noise import (
-    AdaptiveParameterNoise,
-    GaussianActionNoise,
-    OrnsteinUhlenbeckNoise,
-)
+from repro.rl.noise import AdaptiveParameterNoise, GaussianActionNoise
 from repro.sim.env import MicroserviceEnv
 from repro.utils.rng import RngStream
 
@@ -35,7 +31,6 @@ __all__ = [
     "ReferenceActor",
     "ReferenceDDPGAgent",
     "ReferenceGaussianActionNoise",
-    "ReferenceOrnsteinUhlenbeckNoise",
     "ReferenceRefinedModel",
     "project_to_simplex",
     "run_collect_episode",
@@ -65,26 +60,6 @@ class ReferenceGaussianActionNoise(GaussianActionNoise):
         return rng.normal(0.0, self.sigma, size=action_dim)
 
 
-class ReferenceOrnsteinUhlenbeckNoise(OrnsteinUhlenbeckNoise):
-    def sample(self, action_dim: int, rng: RngStream) -> np.ndarray:
-        if action_dim != self.action_dim:
-            raise ValueError(
-                f"noise built for dim {self.action_dim}, asked for {action_dim}"
-            )
-        drift = -self.theta * self._state * self.dt
-        diffusion = self.sigma * np.sqrt(self.dt) * rng.normal(
-            size=self.action_dim
-        )
-        self._state = self._state + drift + diffusion
-        return self._state.copy()
-
-
-_REFERENCE_NOISE = {
-    GaussianActionNoise: ReferenceGaussianActionNoise,
-    OrnsteinUhlenbeckNoise: ReferenceOrnsteinUhlenbeckNoise,
-}
-
-
 class ReferenceActor(Actor):
     def act(self, state: np.ndarray, network: Optional[MLP] = None) -> np.ndarray:
         """Action for one state; optionally through a perturbed network."""
@@ -105,7 +80,7 @@ class ReferenceDDPGAgent(DDPGAgent):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.actor.__class__ = ReferenceActor
-        self.action_noise.__class__ = _REFERENCE_NOISE[type(self.action_noise)]
+        self.action_noise.__class__ = ReferenceGaussianActionNoise
 
     def adapt_parameter_noise(self) -> Optional[float]:
         """Adapt sigma from replayed states; returns the measured distance."""
@@ -123,7 +98,7 @@ class ReferenceDDPGAgent(DDPGAgent):
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         """Simplex action for one state (with exploration when asked)."""
         state = np.asarray(state, dtype=np.float64)
-        if not explore or self.config.exploration == "none":
+        if not explore:
             return self.actor.act(state)
         self.exploration_actions += 1
 
@@ -241,7 +216,6 @@ def _actor_from_payload(payload: Dict, rng: RngStream) -> Actor:
 
 
 GaussianActionNoise = ReferenceGaussianActionNoise  # noqa: F811
-OrnsteinUhlenbeckNoise = ReferenceOrnsteinUhlenbeckNoise  # noqa: F811
 
 
 def run_collect_episode(spec: Dict) -> Dict:
@@ -275,10 +249,6 @@ def run_collect_episode(spec: Dict) -> Dict:
         )
         network = actor.network.clone()
         network.set_flat(noisy)
-    elif exploration == "action-ou":
-        noise = OrnsteinUhlenbeckNoise(
-            payload["action_dim"], sigma=payload["action_noise_sigma"]
-        )
     elif exploration == "action-gaussian":
         noise = GaussianActionNoise(sigma=payload["action_noise_sigma"])
 
@@ -299,8 +269,6 @@ def run_collect_episode(spec: Dict) -> Dict:
             simplex = explore_rng.generator.dirichlet(np.ones(action_dim))
         elif exploration == "parameter":
             simplex = actor.act(state, network=network)
-        elif exploration == "none":
-            simplex = actor.act(state)
         else:
             clean = actor.act(state)
             simplex = clean + noise.sample(action_dim, explore_rng)

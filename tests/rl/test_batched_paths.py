@@ -13,7 +13,6 @@ import pytest
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.noise import (
     GaussianActionNoise,
-    OrnsteinUhlenbeckNoise,
     project_to_simplex,
 )
 from repro.rl.replay import ReplayBuffer
@@ -102,21 +101,6 @@ class TestBatchedNoise:
         assert batched.shape == (1, 3)
         assert serial.tobytes() == batched[0].tobytes()
 
-    def test_ou_k1_bitwise_equals_serial(self):
-        a = RngStream("n", np.random.SeedSequence(4))
-        b = RngStream("n", np.random.SeedSequence(4))
-        serial_noise = reference.ReferenceOrnsteinUhlenbeckNoise(3, sigma=0.3)
-        batched_noise = OrnsteinUhlenbeckNoise(3, sigma=0.3)
-        for _ in range(5):  # OU carries state across calls
-            serial = serial_noise.sample(3, a)
-            batched = batched_noise.sample(1, 3, b)
-            assert serial.tobytes() == batched[0].tobytes()
-
-    def test_ou_rejects_k_above_one(self, rng):
-        noise = OrnsteinUhlenbeckNoise(3, sigma=0.3)
-        with pytest.raises(ValueError, match="rollout_batch"):
-            noise.sample(2, 3, rng)
-
     def test_project_batch_rows_bitwise_equal_serial(self, rng):
         vectors = rng.normal(size=(6, 4))
         batched = project_to_simplex(vectors)
@@ -149,7 +133,7 @@ def _twin_agents(exploration="parameter", seed=0, **overrides):
 
 class TestActBatch:
     @pytest.mark.parametrize(
-        "exploration", ["parameter", "action-gaussian", "none"]
+        "exploration", ["parameter", "action-gaussian"]
     )
     def test_k1_bitwise_equals_act(self, exploration):
         kwargs = (

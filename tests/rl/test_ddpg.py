@@ -98,11 +98,6 @@ class TestActing:
         greedy = agent.act_greedy(state)
         assert not np.allclose(explored, greedy)
 
-    def test_none_exploration_is_greedy(self):
-        agent = make_agent(exploration="none")
-        state = np.array([5.0, 2.0, 1.0])
-        assert np.allclose(agent.act(state, True), agent.act_greedy(state))
-
 
 class TestParameterNoiseAdaptation:
     def test_adapt_without_data_returns_none(self):

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sanitizer import sanitized
 from repro.core.reward import reward_eq1
+from repro.rl import noise as noise_module
 from repro.rl.noise import (
     AdaptiveParameterNoise,
     GaussianActionNoise,
-    OrnsteinUhlenbeckNoise,
     project_to_simplex,
 )
 from repro.rl.replay import ReplayBuffer
@@ -189,27 +189,9 @@ class TestActionNoise:
         samples = noise.sample(5000, 4, rng)
         assert abs(samples.std() - 0.5) < 0.05
 
-    def test_ou_is_temporally_correlated(self, rng):
-        noise = OrnsteinUhlenbeckNoise(action_dim=1, theta=0.1, sigma=0.2)
-        series = np.array([noise.sample(1, 1, rng)[0, 0] for _ in range(2000)])
-        lag1 = np.corrcoef(series[:-1], series[1:])[0, 1]
-        assert lag1 > 0.5  # strongly correlated, unlike white noise
-
-    def test_ou_reset(self, rng):
-        noise = OrnsteinUhlenbeckNoise(action_dim=2)
-        noise.sample(1, 2, rng)
-        noise.reset()
-        assert np.array_equal(noise._state, np.zeros(2))
-
-    def test_ou_dim_mismatch(self, rng):
-        noise = OrnsteinUhlenbeckNoise(action_dim=2)
-        with pytest.raises(ValueError):
-            noise.sample(1, 3, rng)
-
 
 class TestGuardedDtypeStability:
-    """The reward's dtype and the OU noise's batch-shape contracts hold
-    with the sanitizer active."""
+    """The reward's dtype contract holds with the sanitizer active."""
 
     @staticmethod
     def _stream(seed):
@@ -223,34 +205,26 @@ class TestGuardedDtypeStability:
             ):
                 assert reward_eq1(wip).dtype == np.float64
 
-    def test_ou_rejects_k_above_one_sanitized(self):
-        noise = OrnsteinUhlenbeckNoise(3, sigma=0.2)
-        with sanitized():
-            with pytest.raises(ValueError, match="rollout_batch"):
-                noise.sample(2, 3, self._stream(32))
-
 
 class TestAdaptiveParameterNoise:
     def test_sigma_grows_when_too_close(self):
-        noise = AdaptiveParameterNoise(initial_sigma=0.1, delta=0.5)
+        noise = AdaptiveParameterNoise(initial_sigma=0.1)
         noise.adapt(action_distance=0.01)
-        assert noise.sigma > 0.1
+        assert noise.sigma == 0.1 * noise_module.PARAM_NOISE_ADAPT
 
     def test_sigma_shrinks_when_too_far(self):
-        noise = AdaptiveParameterNoise(initial_sigma=0.1, delta=0.05)
+        noise = AdaptiveParameterNoise(initial_sigma=0.1)
         noise.adapt(action_distance=1.0)
-        assert noise.sigma < 0.1
+        assert noise.sigma == 0.1 / noise_module.PARAM_NOISE_ADAPT
 
     def test_sigma_clamped(self):
-        noise = AdaptiveParameterNoise(
-            initial_sigma=0.1, delta=0.5, min_sigma=0.09, max_sigma=0.11
-        )
-        for _ in range(100):
+        noise = AdaptiveParameterNoise(initial_sigma=0.1)
+        for _ in range(500):
             noise.adapt(0.0)
-        assert noise.sigma == pytest.approx(0.11)
-        for _ in range(100):
+        assert noise.sigma == noise_module.PARAM_NOISE_MAX_SIGMA
+        for _ in range(500):
             noise.adapt(10.0)
-        assert noise.sigma == pytest.approx(0.09)
+        assert noise.sigma == noise_module.PARAM_NOISE_MIN_SIGMA
 
     def test_perturb_changes_params(self, rng):
         noise = AdaptiveParameterNoise(initial_sigma=0.5)
@@ -267,8 +241,6 @@ class TestAdaptiveParameterNoise:
         ) == pytest.approx(1.0)
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            AdaptiveParameterNoise(adapt_coefficient=1.0)
         with pytest.raises(ValueError):
             AdaptiveParameterNoise(initial_sigma=0.0)
         noise = AdaptiveParameterNoise()

@@ -18,7 +18,7 @@ from repro.utils.rng import RngStream
 
 from tests.rl import reference_serial_policy as reference
 
-MODES = ["parameter", "action-gaussian", "action-ou", "none"]
+MODES = ["parameter", "action-gaussian"]
 
 
 def _stream(seed, name="oracle"):
@@ -76,10 +76,6 @@ def test_act_at_k1_matches_the_serial_agent(exploration):
     assert agent.param_noise.sigma == oracle.param_noise.sigma
     if exploration.startswith("action"):
         assert agent.constraint_violations > 0
-    if exploration == "action-ou":
-        assert agent.action_noise._state.tobytes() == (
-            oracle.action_noise._state.tobytes()
-        )
 
 
 def _trained_model():

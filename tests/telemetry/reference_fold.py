@@ -20,6 +20,7 @@ the old way.
 
 from bisect import bisect_left
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from unittest import mock
 
 from repro.telemetry.metrics import (
     Counter,
@@ -29,6 +30,7 @@ from repro.telemetry.metrics import (
     _Family,
     window_summary_row,
 )
+from repro.telemetry import metrics
 from repro.telemetry.sinks import Sink
 
 
@@ -152,7 +154,9 @@ class ReferenceAggregator(MetricsAggregator):
     ``__init__``), folded one record at a time."""
 
     def __init__(self):
-        super().__init__(ReferenceRegistry())
+        # The catalogue registers on the module's MetricsRegistry.
+        with mock.patch.object(metrics, "MetricsRegistry", ReferenceRegistry):
+            super().__init__()
         #: kind -> (its ``repro_records_total`` child, its fold or None).
         self._dispatch: Dict[str, Tuple[Counter, Optional[Callable]]] = {}
 

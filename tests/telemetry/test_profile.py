@@ -201,15 +201,6 @@ class TestRender:
         write_profile(tmp_path, profiler)
         assert "model/fit" in render_profile(read_profile(tmp_path))
 
-    def test_max_depth_truncates(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("top"):
-            with profiler.phase("deep"):
-                pass
-        shallow = render_profile(profiler, max_depth=0)
-        assert "top" in shallow
-        assert "deep" not in shallow
-
     def test_empty_profile(self):
         assert "(no phases recorded)" in render_profile(PhaseProfiler())
 

@@ -18,6 +18,13 @@ from repro.telemetry import (
 from tests.telemetry.test_records import make_record
 
 
+def clocked(sink, t):
+    """An enabled tracer whose clock reads ``t``."""
+    tracer = Tracer(sink)
+    tracer.bind_clock(lambda: t)
+    return tracer
+
+
 class TestDisabledTracer:
     def test_default_tracer_is_disabled(self):
         tracer = Tracer()
@@ -69,7 +76,7 @@ class TestEnabledTracer:
         loop's time as a float, and the record written is the dict the
         site built, stamped in place."""
         sink = MemorySink()
-        tracer = Tracer(sink, clock=lambda: 7.0)
+        tracer = clocked(sink, 7.0)
         loop = loop_class()
         tracer.bind_clock(loop)
         loop.run_until(12)  # an int: the trace still says 12.0
@@ -95,7 +102,7 @@ class TestEnabledTracer:
 
     def test_metric_record_shape(self):
         sink = MemorySink()
-        tracer = Tracer(sink, clock=lambda: 7.0)
+        tracer = clocked(sink, 7.0)
         tracer.metric("model/epoch_loss", 0.25, step=3)
         tracer.metric("unstepped", 1.0)
         assert sink.records[0] == {
@@ -132,7 +139,7 @@ class TestJsonlSink:
     def test_writes_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "runs" / "trace.jsonl"  # parent dir auto-created
         with JsonlSink(path) as sink:
-            tracer = Tracer(sink, clock=lambda: 1.0)
+            tracer = clocked(sink, 1.0)
             tracer.emit("event.publish", queue="Ingest", depth=1)
             tracer.emit("event.redeliver", queue="Ingest", depth=2)
         lines = path.read_text().strip().splitlines()

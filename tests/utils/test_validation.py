@@ -62,10 +62,6 @@ class TestIscloseZero:
         assert not isclose_zero(1e-6)
         assert not isclose_zero(-0.5)
 
-    def test_custom_epsilon(self):
-        assert isclose_zero(0.05, eps=0.1)
-        assert not isclose_zero(0.05, eps=0.01)
-
 
 class TestRequire:
     def test_passes_silently_when_true(self):

@@ -1,7 +1,5 @@
 """Tests pinning the MSD and LIGO ensembles to the paper's constraints."""
 
-import pytest
-
 from repro.workflows.ligo import LIGO_TASKS, LIGO_WORKFLOWS, build_ligo_ensemble
 from repro.workflows.msd import MSD_TASKS, MSD_WORKFLOWS, build_msd_ensemble
 
@@ -30,18 +28,6 @@ class TestMsdEnsemble:
         ensemble = build_msd_ensemble()
         used = set().union(*(w.tasks for w in ensemble.workflow_types))
         assert used == set(MSD_TASKS)
-
-    def test_service_time_scale(self):
-        base = build_msd_ensemble()
-        scaled = build_msd_ensemble(service_time_scale=2.0)
-        for t_base, t_scaled in zip(base.task_types, scaled.task_types):
-            assert t_scaled.mean_service_time == pytest.approx(
-                2.0 * t_base.mean_service_time
-            )
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            build_msd_ensemble(service_time_scale=0.0)
 
 
 class TestLigoEnsemble:
