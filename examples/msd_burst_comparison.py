@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Compare MIRAS against the paper's baselines on an MSD burst (Fig. 7).
+"""Compare MIRAS against the paper's baselines on the MSD bursts (Fig. 7).
 
 Trains MIRAS, a model-free DDPG agent with the same interaction budget,
 identifies MONAD on the same dataset, and evaluates all of them plus DRS
-("stream") and HEFT on the paper's first MSD burst condition
-(300/200/300 requests of Type1/2/3).
+("stream") and HEFT on the paper's three MSD burst conditions; the
+per-window series is the first one's (300/200/300 requests of
+Type1/2/3).
 
 Run:  python examples/msd_burst_comparison.py          # scaled-down
       python examples/msd_burst_comparison.py --paper  # paper-scale (slow)
@@ -39,7 +40,6 @@ def main():
     results = experiment_fig7_msd_comparison(
         steps=args.steps,
         config=config,
-        scenarios=MSD_BURSTS[:1],
         seed=0,
     )
 

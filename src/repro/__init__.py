@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-def quickstart_msd_agent(seed: int = 0):
+def quickstart_msd_agent():
     """Build an MSD environment and train a MIRAS agent on it.
 
     Returns ``(agent, env)``.  The scaled-down schedule runs in seconds;
@@ -50,10 +50,10 @@ def quickstart_msd_agent(seed: int = 0):
 
     ensemble = build_msd_ensemble()
     system = MicroserviceWorkflowSystem(
-        ensemble, SystemConfig(consumer_budget=14), seed=seed
+        ensemble, SystemConfig(consumer_budget=14), seed=0
     )
     PoissonArrivalProcess(MSD_BACKGROUND_RATES).attach(system)
     env = MicroserviceEnv(system)
-    agent = MirasAgent(env, MirasConfig.msd_fast(), seed=seed)
+    agent = MirasAgent(env, MirasConfig.msd_fast(), seed=0)
     agent.iterate()
     return agent, env

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.baselines.base import Allocator
 from repro.core.agent import MirasAgent
-from repro.core.config import MirasConfig
 from repro.sim.env import MicroserviceEnv
 from repro.sim.metrics import WindowObservation
 
@@ -21,30 +20,16 @@ __all__ = ["MirasAllocator"]
 
 
 class MirasAllocator(Allocator):
-    """MIRAS as a per-window allocator.
-
-    Either wrap an already-trained agent, or let :meth:`prepare` run the
-    full Algorithm-2 training against the environment it is handed.
-    """
+    """A trained MIRAS agent as a per-window allocator."""
 
     name = "miras"
 
-    def __init__(
-        self,
-        agent: Optional[MirasAgent] = None,
-        config: Optional[MirasConfig] = None,
-        seed: int = 0,
-    ):
+    def __init__(self, agent: MirasAgent):
         self.agent = agent
-        self.config = config
-        self.seed = seed
 
     def prepare(self, env: MicroserviceEnv) -> None:
         self.bind(env)
-        if self.agent is None:
-            self.agent = MirasAgent(env, self.config, seed=self.seed)
-            self.agent.iterate()
-        elif self.agent.env.consumer_budget != env.consumer_budget:
+        if self.agent.env.consumer_budget != env.consumer_budget:
             raise ValueError(
                 "trained MIRAS agent has a different consumer budget "
                 f"({self.agent.env.consumer_budget} vs {env.consumer_budget})"
@@ -55,6 +40,4 @@ class MirasAllocator(Allocator):
         wip: np.ndarray,
         observation: Optional[WindowObservation] = None,
     ) -> np.ndarray:
-        if self.agent is None:
-            raise RuntimeError("call prepare() before allocate()")
         return self._check(self.agent.act(wip))

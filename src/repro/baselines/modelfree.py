@@ -18,6 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.baselines.base import Allocator
+from repro.core.agent import COLLECT_BURST_SCALE
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.sim.env import MicroserviceEnv, allocation_from_simplex
 from repro.sim.metrics import WindowObservation
@@ -39,7 +40,6 @@ class ModelFreeDDPGAllocator(Allocator):
         config: Optional[DDPGConfig] = None,
         seed: int = 0,
         burst_probability: float = 0.3,
-        burst_scale: float = 20.0,
     ):
         check_positive("training_steps", training_steps)
         check_positive("reset_interval", reset_interval)
@@ -47,16 +47,14 @@ class ModelFreeDDPGAllocator(Allocator):
             raise ValueError(
                 f"burst_probability must lie in [0, 1], got {burst_probability!r}"
             )
-        if burst_scale < 0:
-            raise ValueError(f"burst_scale must be >= 0, got {burst_scale!r}")
         self.training_steps = training_steps
         self.reset_interval = reset_interval
         self.config = config or DDPGConfig()
         self.seed = seed
-        #: Burst-at-reset coverage, matching MirasConfig's collection
-        #: protocol so the interaction budgets stay comparable.
+        #: Burst-at-reset coverage, matching MIRAS's collection protocol
+        #: (at its COLLECT_BURST_SCALE) so the interaction budgets stay
+        #: comparable.
         self.burst_probability = burst_probability
-        self.burst_scale = burst_scale
         self.agent: Optional[DDPGAgent] = None
         self.episode_returns: List[float] = []
 
@@ -70,7 +68,7 @@ class ModelFreeDDPGAllocator(Allocator):
         burst_rng = rng.fork("bursts")
         env.reset()
         state = env.inject_random_burst(
-            burst_rng, self.burst_probability, self.burst_scale
+            burst_rng, self.burst_probability, COLLECT_BURST_SCALE
         )
         episode_return = 0.0
         for step in range(self.training_steps):
@@ -79,7 +77,7 @@ class ModelFreeDDPGAllocator(Allocator):
                 episode_return = 0.0
                 env.reset()
                 state = env.inject_random_burst(
-                    burst_rng, self.burst_probability, self.burst_scale
+                    burst_rng, self.burst_probability, COLLECT_BURST_SCALE
                 )
                 self.agent.refresh_perturbation()
             simplex = self.agent.act(state, explore=True)

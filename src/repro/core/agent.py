@@ -282,9 +282,7 @@ class MirasAgent:
         return history[-1]
 
     # --- Phase 3: policy training on the model -----------------------------
-    def build_batched_model_env(
-        self, batch_size: Optional[int] = None
-    ) -> BatchedModelEnv:
+    def build_batched_model_env(self) -> BatchedModelEnv:
         """The vectorised synthetic environment (K parallel rollouts)."""
         if self.refined_model is None:
             raise RuntimeError("train_model() must run before policy training")
@@ -293,7 +291,7 @@ class MirasAgent:
             self.dataset,
             consumer_budget=self.env.consumer_budget,
             rollout_length=self.config.policy.rollout_length,
-            batch_size=batch_size or self.config.policy.rollout_batch,
+            batch_size=self.config.policy.rollout_batch,
             rng=self._rngs["model-env"].fork(f"nb{len(self.dataset)}"),
         )
 
@@ -366,7 +364,7 @@ class MirasAgent:
         return episode_returns
 
     # --- Evaluation on the real environment -----------------------------------
-    def evaluate(self, steps: Optional[int] = None) -> IterationResult:
+    def evaluate(self) -> IterationResult:
         """Run the greedy policy on the real system (Fig. 6 measurement).
 
         With ``config.eval_burst_scale`` > 0 the evaluation episode starts
@@ -374,16 +372,12 @@ class MirasAgent:
         workflow types), so iteration-to-iteration scores are comparable
         and reflect burst handling, not just steady-state behaviour.
         """
-        if steps is None:
-            steps = self.config.eval_steps
-        elif steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
         self.env.reset()
         state = self.env.inject_even_burst(self.config.eval_burst_scale)
         total_reward = 0.0
         wip_sums = []
         response_times: List[float] = []
-        for _ in range(steps):
+        for _ in range(self.config.eval_steps):
             simplex = self.ddpg.act_greedy(state)
             executed = self._simplex_to_executed(simplex)
             state, reward, observation = self.env.step(executed)

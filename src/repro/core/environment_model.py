@@ -33,8 +33,12 @@ from repro.nn import MLP, Adam, MeanSquaredError
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_positive
+from repro.utils.wip import log_wip
 
 __all__ = ["EnvironmentModel"]
+
+#: Adam step size of the model fit: Kingma & Ba's default.
+LEARNING_RATE = 1e-3
 
 
 class EnvironmentModel:
@@ -45,7 +49,6 @@ class EnvironmentModel:
         state_dim: int,
         action_dim: int,
         hidden_sizes: Sequence[int] = (20, 20, 20),
-        learning_rate: float = 1e-3,
         rng: Optional[RngStream] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -60,7 +63,7 @@ class EnvironmentModel:
             output_activation="linear",
             rng=rng.fork("envmodel/net"),
         )
-        self.optimizer = Adam(learning_rate)
+        self.optimizer = Adam(LEARNING_RATE)
         self.loss = MeanSquaredError()
         self._rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -77,7 +80,7 @@ class EnvironmentModel:
 
     # Encoding --------------------------------------------------------------
     def _encode_state(self, states: np.ndarray) -> np.ndarray:
-        return np.log1p(np.maximum(np.asarray(states, dtype=np.float64), 0.0))
+        return log_wip(states)
 
     def _encode_inputs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return np.concatenate(

@@ -14,12 +14,13 @@ A saved agent directory contains:
   never-saved agent; directories written before this file existed load
   with fresh optimisers,
 - ``results.json`` — per-iteration training diagnostics,
-- ``episodes.json`` — the distributed collector's episode counter and
-  the adapted parameter-noise sigma, so a reloaded agent's next
-  collection continues the episode indices (and the seed streams derived
-  from them) with the same perturbation scale instead of re-drawing the
-  first iteration's; directories written before this file existed load
-  at 0, and before it held the sigma, at the initial sigma.
+- ``episodes.json`` — the agent's seed, the distributed collector's
+  episode counter and the adapted parameter-noise sigma, so a reloaded
+  agent rebuilds the same seed streams and its next collection continues
+  the episode indices (and the streams derived from them) with the same
+  perturbation scale instead of re-drawing the first iteration's;
+  directories written before this file existed load at 0, before it held
+  the sigma at the initial sigma, and before it held the seed at seed 0.
 
 A ``config.json`` written before a setting was retired still loads as
 long as it holds that setting at the one value it now takes; any other
@@ -70,6 +71,12 @@ _RETIRED = {
         "state_scale": 100.0,
         "output_mixing": 0.02,
         "tau": 0.01,
+        "actor_learning_rate": 1e-4,
+        "buffer_capacity": 100_000,
+        "param_noise_sigma": 0.05,
+        "action_noise_sigma": 0.15,
+        "reward_scale": 500.0,
+        "perturb_interval": 25,
     },
     "": {
         "initial_random_fraction": 1.0,
@@ -177,20 +184,23 @@ def _write_agent(directory: Path, agent: MirasAgent) -> None:
         json.dumps([dataclasses.asdict(r) for r in agent.results], indent=2)
     )
     (directory / "episodes.json").write_text(json.dumps({
+        "seed": agent.seed,
         "episodes_collected": agent._episodes_collected,
         "param_noise_sigma": agent.ddpg.param_noise.sigma,
     }))
 
 
-def load_agent(
-    directory: Union[str, Path], env: MicroserviceEnv, seed: int = 0
-) -> MirasAgent:
+def load_agent(directory: Union[str, Path], env: MicroserviceEnv) -> MirasAgent:
     """Reconstruct an agent saved by :func:`save_agent`, bound to ``env``."""
     directory = Path(directory)
     config = config_from_dict(
         json.loads((directory / "config.json").read_text())
     )
-    agent = MirasAgent(env, config, seed=seed)
+    episodes_path = directory / "episodes.json"
+    episodes = (
+        json.loads(episodes_path.read_text()) if episodes_path.exists() else {}
+    )
+    agent = MirasAgent(env, config, seed=episodes.get("seed", 0))
 
     dataset_path = directory / "dataset.npz"
     if dataset_path.exists():
@@ -251,11 +261,8 @@ def load_agent(
             IterationResult(**entry)
             for entry in json.loads(results_path.read_text())
         ]
-    episodes_path = directory / "episodes.json"
-    if episodes_path.exists():
-        episodes = json.loads(episodes_path.read_text())
-        agent._episodes_collected = episodes["episodes_collected"]
-        agent.ddpg.param_noise.sigma = episodes.get(
-            "param_noise_sigma", agent.ddpg.param_noise.sigma
-        )
+    agent._episodes_collected = episodes.get("episodes_collected", 0)
+    agent.ddpg.param_noise.sigma = episodes.get(
+        "param_noise_sigma", agent.ddpg.param_noise.sigma
+    )
     return agent

@@ -389,7 +389,6 @@ def _comparison(
 def experiment_fig7_msd_comparison(
     steps: int = 30,
     config: Optional[MirasConfig] = None,
-    scenarios: Optional[Sequence[BurstScenario]] = None,
     seed: int = 0,
     tracer=None,
 ) -> Dict[str, Dict[str, EvalResult]]:
@@ -399,20 +398,19 @@ def experiment_fig7_msd_comparison(
     ``config=MirasConfig.msd_paper()`` and ``steps`` ~ the paper's horizon.
     """
     return _comparison(
-        "msd", scenarios or MSD_BURSTS, steps, config, seed, tracer=tracer,
+        "msd", MSD_BURSTS, steps, config, seed, tracer=tracer,
     )
 
 
 def experiment_fig8_ligo_comparison(
     steps: int = 30,
     config: Optional[MirasConfig] = None,
-    scenarios: Optional[Sequence[BurstScenario]] = None,
     seed: int = 0,
     tracer=None,
 ) -> Dict[str, Dict[str, EvalResult]]:
     """Fig. 8: LIGO response time under the three burst conditions."""
     return _comparison(
-        "ligo", scenarios or LIGO_BURSTS, steps, config, seed, tracer=tracer,
+        "ligo", LIGO_BURSTS, steps, config, seed, tracer=tracer,
     )
 
 

@@ -38,6 +38,11 @@ def uniform_init(fan_in: int, fan_out: int, rng: RngStream) -> np.ndarray:
     )
 
 
-def constant_init(fan_in: int, fan_out: int, value: float = 0.0) -> np.ndarray:
-    """Constant initialisation (used for biases)."""
-    return np.full((fan_in, fan_out), value, dtype=np.float64)
+#: What :func:`constant_init` fills with: zero biases, the usual default
+#: beside Glorot/He weights.
+FILL_VALUE = 0.0
+
+
+def constant_init(fan_in: int, fan_out: int) -> np.ndarray:
+    """Constant :data:`FILL_VALUE` initialisation (used for biases)."""
+    return np.full((fan_in, fan_out), FILL_VALUE, dtype=np.float64)

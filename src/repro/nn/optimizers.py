@@ -77,19 +77,19 @@ class Adam:
         The squared norm is accumulated one parameter array at a time —
         for an arena entry, one ``segment_bounds`` interval at a time —
         so a flat arena and the equivalent list of per-layer arrays round
-        identically.
+        identically.  The terms are added left to right, one rounding
+        each: builtin ``sum`` compensates since Python 3.12, so it would
+        clip differently from one interpreter to the next.
         """
-        squares: List[float] = []
+        squares = 0.0
         for index, (_, grad, *bounds) in enumerate(params_and_grads):
             squared = np.multiply(grad, grad, out=self._scratch[index][0])
             if bounds:
-                squares.extend(
-                    float(squared[lo:hi].sum())
-                    for lo, hi in zip(bounds[0], bounds[0][1:])
-                )
+                for lo, hi in zip(bounds[0], bounds[0][1:]):
+                    squares += float(squared[lo:hi].sum())
             else:
-                squares.append(float(squared.sum()))
-        total = np.sqrt(sum(squares))
+                squares += float(squared.sum())
+        total = np.sqrt(squares)
         if total <= self.grad_clip or isclose_zero(total):
             return None
         return self.grad_clip / total

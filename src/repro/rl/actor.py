@@ -6,8 +6,8 @@ the output layer.  The categorical distribution can then be translated into
 numbers of consumers by multiplying with the total number of consumers C:
 m_j(k) = floor(C * a_j(k))" (Section IV-D).
 
-State inputs are normalised by a fixed scale (WIP counts can reach
-hundreds; raw counts would saturate the first layer).
+State inputs are log-compressed and divided by a fixed scale (WIP counts
+can reach hundreds; raw counts would saturate the first layer).
 """
 
 from __future__ import annotations
@@ -19,8 +19,18 @@ import numpy as np
 from repro.nn import MLP, Adam
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_positive
+from repro.utils.wip import log_wip
 
 __all__ = ["Actor"]
+
+#: WIP that normalises to ~1: features are ``log1p(w) / log1p(STATE_SCALE)``.
+#: Burst WIP reaches the hundreds (Section VI-D), so bursts stay near 1.
+STATE_SCALE = 100.0
+
+#: Mix a little uniform mass into the softmax: a <- (1-eps)a + eps/J.
+#: Keeps the policy off exact simplex corners, where the softmax
+#: Jacobian vanishes and the deterministic policy gradient dies.
+OUTPUT_MIXING = 0.02
 
 
 class Actor:
@@ -32,27 +42,16 @@ class Actor:
         action_dim: int,
         hidden_sizes: Sequence[int] = (256, 256, 256),
         learning_rate: float = 1e-4,
-        state_scale: float = 100.0,
         rng: Optional[RngStream] = None,
-        output_mixing: float = 0.02,
         weight_decay: float = 1e-4,
     ):
         check_positive("state_dim", state_dim)
         check_positive("action_dim", action_dim)
-        check_positive("state_scale", state_scale)
-        if not 0 <= output_mixing < 1:
-            raise ValueError(
-                f"output_mixing must lie in [0, 1), got {output_mixing!r}"
-            )
         if rng is None:
             rng = fallback_stream("actor")
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.state_scale = state_scale
-        #: Mix a little uniform mass into the softmax: a <- (1-eps)a + eps/J.
-        #: Keeps the policy off exact simplex corners, where the softmax
-        #: Jacobian vanishes and the deterministic policy gradient dies.
-        self.output_mixing = output_mixing
+        self.output_mixing = OUTPUT_MIXING
         self.network = MLP(
             [state_dim, *hidden_sizes, action_dim],
             output_activation="softmax",
@@ -65,15 +64,9 @@ class Actor:
         )
 
     def normalize(self, states: np.ndarray) -> np.ndarray:
-        """Compress raw WIP states into a range the MLP handles well.
-
-        WIP is non-negative and heavy-tailed (background load keeps it
-        near zero; bursts push it into the hundreds), so a log transform
-        keeps resolution near the boundary while bounding burst states:
-        ``log1p(w) / log1p(state_scale)`` is ~1 at ``state_scale`` WIP.
-        """
-        states = np.asarray(states, dtype=np.float64)
-        return np.log1p(np.maximum(states, 0.0)) / np.log1p(self.state_scale)
+        """Compress raw WIP states into a range the MLP handles well:
+        :func:`~repro.utils.wip.log_wip` over ``log1p(STATE_SCALE)``."""
+        return log_wip(states) / np.log1p(STATE_SCALE)
 
     def _mix(self, actions: np.ndarray) -> np.ndarray:
         if not self.output_mixing:

@@ -14,10 +14,19 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn import MLP, Adam, MeanSquaredError
+from repro.rl.actor import STATE_SCALE
 from repro.utils.rng import RngStream, fallback_stream
 from repro.utils.validation import check_positive
+from repro.utils.wip import log_wip
 
 __all__ = ["Critic"]
+
+#: Critic Adam step size: DDPG's (Lillicrap et al.).
+LEARNING_RATE = 1e-3
+
+#: Rewards are divided by this before critic regression; sized for the
+#: burst regime where |r| reaches a few thousand (Eq. 1 at high WIP).
+REWARD_SCALE = 500.0
 
 
 class Critic:
@@ -28,23 +37,17 @@ class Critic:
         state_dim: int,
         action_dim: int,
         hidden_sizes: Sequence[int] = (256, 256, 256),
-        learning_rate: float = 1e-3,
-        state_scale: float = 100.0,
-        reward_scale: float = 100.0,
         rng: Optional[RngStream] = None,
     ):
         check_positive("state_dim", state_dim)
         check_positive("action_dim", action_dim)
-        check_positive("state_scale", state_scale)
-        check_positive("reward_scale", reward_scale)
         if len(hidden_sizes) < 1:
             raise ValueError("critic needs at least one hidden layer")
         if rng is None:
             rng = fallback_stream("critic")
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.state_scale = state_scale
-        self.reward_scale = reward_scale
+        self.reward_scale = REWARD_SCALE
         self.network = MLP(
             [state_dim, *hidden_sizes, 1],
             output_activation="linear",
@@ -54,13 +57,12 @@ class Critic:
             final_init="small_uniform",
         )
         self.target_network = self.network.clone()
-        self.optimizer = Adam(learning_rate, grad_clip=1.0)
+        self.optimizer = Adam(LEARNING_RATE, grad_clip=1.0)
         self.loss = MeanSquaredError()
 
     def normalize_states(self, states: np.ndarray) -> np.ndarray:
         """Same log compression as the actor (see Actor.normalize)."""
-        states = np.asarray(states, dtype=np.float64)
-        return np.log1p(np.maximum(states, 0.0)) / np.log1p(self.state_scale)
+        return log_wip(states) / np.log1p(STATE_SCALE)
 
     # Every method below takes states already through
     # :meth:`normalize_states`, so a caller that feeds several networks

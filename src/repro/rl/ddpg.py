@@ -40,6 +40,28 @@ METRIC_INTERVAL = 50
 #: Target-network soft-update rate (Polyak averaging).
 TAU = 0.01
 
+#: Actor Adam step size: DDPG's (Lillicrap et al.); the critic's is
+#: :data:`repro.rl.critic.LEARNING_RATE`.
+ACTOR_LEARNING_RATE = 1e-4
+
+#: Replay ring size; past it the oldest transitions are overwritten.  The
+#: paper gives none; this reproduction's choice.
+BUFFER_CAPACITY = 100_000
+
+#: Initial std of the actor-weight perturbation, adapted toward
+#: PARAM_NOISE_DELTA from there (Plappert et al.); this reproduction's
+#: starting point.
+PARAM_NOISE_SIGMA = 0.05
+
+#: Std of the Gaussian action noise of the 'action-gaussian' ablation;
+#: this reproduction's choice.
+ACTION_NOISE_SIGMA = 0.15
+
+#: Refresh the perturbed actor every this many act() calls: once per
+#: 25-step collection episode (MirasConfig.reset_interval), as Plappert et
+#: al. resample the perturbation per episode.
+PERTURB_INTERVAL = 25
+
 
 @dataclass
 class DDPGConfig:
@@ -50,17 +72,10 @@ class DDPGConfig:
     """
 
     hidden_sizes: Sequence[int] = (256, 256, 256)
-    actor_learning_rate: float = 1e-4
     gamma: float = 0.95
     batch_size: int = 64
-    buffer_capacity: int = 100_000
     #: 'parameter' (MIRAS) or 'action-gaussian' (the paper's ablation).
     exploration: str = "parameter"
-    param_noise_sigma: float = 0.05
-    action_noise_sigma: float = 0.15
-    #: Rewards are divided by this before critic regression; sized for the
-    #: burst regime where |r| reaches a few thousand (Eq. 1 at high WIP).
-    reward_scale: float = 500.0
     #: Decoupled weight decay on the actor (prevents logit saturation).
     actor_weight_decay: float = 1e-3
     #: Entropy bonus on the actor objective (ascend Q + beta * H(a)).
@@ -68,17 +83,12 @@ class DDPGConfig:
     #: it — a corner allocation starves every other microservice, which is
     #: catastrophic for workflow pipelines.
     entropy_weight: float = 0.02
-    #: Refresh the perturbed actor every this many act() calls.
-    perturb_interval: int = 25
 
     def __post_init__(self):
         check_in_range("gamma", self.gamma, 0.0, 1.0)
-        check_positive("actor_learning_rate", self.actor_learning_rate)
         check_non_negative("actor_weight_decay", self.actor_weight_decay)
         check_non_negative("entropy_weight", self.entropy_weight)
         check_positive("batch_size", self.batch_size)
-        check_positive("buffer_capacity", self.buffer_capacity)
-        check_positive("perturb_interval", self.perturb_interval)
         valid = {"parameter", "action-gaussian"}
         if self.exploration not in valid:
             raise ValueError(
@@ -111,7 +121,7 @@ class DDPGAgent:
             state_dim,
             action_dim,
             hidden_sizes=cfg.hidden_sizes,
-            learning_rate=cfg.actor_learning_rate,
+            learning_rate=ACTOR_LEARNING_RATE,
             rng=rng.fork("actor"),
             weight_decay=cfg.actor_weight_decay,
         )
@@ -119,18 +129,17 @@ class DDPGAgent:
             state_dim,
             action_dim,
             hidden_sizes=cfg.hidden_sizes,
-            reward_scale=cfg.reward_scale,
             rng=rng.fork("critic"),
         )
-        self.replay = ReplayBuffer(cfg.buffer_capacity, state_dim, action_dim)
+        self.replay = ReplayBuffer(BUFFER_CAPACITY, state_dim, action_dim)
 
         self.param_noise = AdaptiveParameterNoise(
-            initial_sigma=cfg.param_noise_sigma
+            initial_sigma=PARAM_NOISE_SIGMA
         )
         self._perturbed_network: Optional[MLP] = None
         self._acts_since_perturb = 0
         self._perturbs_done = 0
-        self.action_noise = GaussianActionNoise(sigma=cfg.action_noise_sigma)
+        self.action_noise = GaussianActionNoise(sigma=ACTION_NOISE_SIGMA)
 
         self.updates_done = 0
         #: Count of exploration actions that left the simplex (only possible
@@ -144,7 +153,7 @@ class DDPGAgent:
         actor (and therefore sample the replay buffer to adapt sigma)."""
         return (
             self._perturbed_network is None
-            or self._acts_since_perturb >= self.config.perturb_interval
+            or self._acts_since_perturb >= PERTURB_INTERVAL
         )
 
     def refresh_perturbation(self) -> None:
@@ -255,8 +264,8 @@ class DDPGAgent:
         rewards = batch["rewards"]
         next_states = batch["next_states"]
 
-        # Actor and critic normalise states identically (same log1p map,
-        # same default state_scale), so do it once; each (network, weights,
+        # Actor and critic normalise states identically (the same
+        # log_wip map and STATE_SCALE), so do it once; each (network, weights,
         # input) triple below is then forwarded exactly once.
         features = self.actor.normalize(states)
         next_features = self.actor.normalize(next_states)

@@ -202,7 +202,7 @@ def policy_payload(ddpg) -> Dict:
         "hidden_sizes": tuple(int(h) for h in cfg.hidden_sizes),
         "exploration": str(cfg.exploration),
         "param_noise_sigma": float(ddpg.param_noise.sigma),
-        "action_noise_sigma": float(cfg.action_noise_sigma),
+        "action_noise_sigma": float(ddpg.action_noise.sigma),
         "actor_weights": ddpg.actor.network.state_dict(),
     }
 

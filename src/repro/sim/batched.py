@@ -297,7 +297,6 @@ class BatchedWorkflowSystem(MicroserviceWorkflowSystem):
                 rng=self._rngs["service_times"].fork(task_type.name),
                 pool=self.pool,
                 on_task_complete=self._on_batched_task_complete,
-                startup_delay_range=self.config.startup_delay_range,
                 scale_down_mode=self.config.scale_down_mode,
                 tracer=self.tracer,
             )

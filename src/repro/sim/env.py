@@ -14,14 +14,14 @@ even minutes" interaction the paper's sample-efficiency argument is about.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.sim.metrics import WindowObservation
 from repro.sim.system import MicroserviceWorkflowSystem
 from repro.utils.rng import RngStream
-from repro.utils.validation import check_integral, check_positive
+from repro.utils.validation import check_integral
 
 __all__ = ["MicroserviceEnv", "ConstraintViolation", "allocation_from_simplex"]
 
@@ -56,18 +56,9 @@ def allocation_from_simplex(
 class MicroserviceEnv:
     """reset/step interface used by MIRAS and all learning baselines."""
 
-    def __init__(
-        self,
-        system: MicroserviceWorkflowSystem,
-        consumer_budget: Optional[int] = None,
-    ):
+    def __init__(self, system: MicroserviceWorkflowSystem):
         self.system = system
-        self.consumer_budget = (
-            consumer_budget
-            if consumer_budget is not None
-            else system.config.consumer_budget
-        )
-        check_positive("consumer_budget", self.consumer_budget)
+        self.consumer_budget = system.config.consumer_budget
         self.steps_taken = 0
         self.episodes = 0
         #: Real windows spent draining in :meth:`reset` — with

@@ -63,8 +63,8 @@ class EventLoop:
     ``_now``, ``_heap`` and ``_seq_next`` are that contract.
     """
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = start_time
+    def __init__(self):
+        self._now = 0.0
         # Rows: (when, seq, handle, callback, args).  ``seq`` is unique,
         # so tuple comparison never reaches the payload.
         self._heap: List[
@@ -201,8 +201,8 @@ class TypedEventLoop:
     none is pending (see docs/SIMULATOR.md).
     """
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = start_time
+    def __init__(self):
+        self._now = 0.0
         # Rows: (when, seq, kind, a, b).  ``seq`` is unique, so tuple
         # comparison never reaches the payload and a callback with its
         # argument tuple can ride in slots ``a`` and ``b`` safely.

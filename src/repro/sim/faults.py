@@ -14,10 +14,7 @@ loop, for stress tests and failure-injection suites.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.sim.system import MicroserviceWorkflowSystem
-from repro.utils.rng import RngStream
 from repro.utils.validation import check_non_negative
 
 __all__ = ["ChaosInjector"]
@@ -29,12 +26,11 @@ class ChaosInjector:
     def __init__(
         self,
         system: MicroserviceWorkflowSystem,
-        rng: Optional[RngStream] = None,
         consumer_crash_rate: float = 0.0,
     ):
         check_non_negative("consumer_crash_rate", consumer_crash_rate)
         self.system = system
-        self.rng = rng if rng is not None else system.workload_rng.fork("chaos")
+        self.rng = system.workload_rng.fork("chaos")
         self.consumer_crash_rate = consumer_crash_rate
         self.active = False
         self.crashes_injected = 0

@@ -56,6 +56,10 @@ from repro.workflows.dag import TaskType
 
 __all__ = ["Microservice", "BatchedMicroservice"]
 
+#: Container start-up latency bounds in seconds, drawn uniformly per
+#: started consumer (the paper measured 5-10 s, Section V).
+STARTUP_DELAY_RANGE = (5.0, 10.0)
+
 #: Called with (task_request, completion_time) when a task finishes.
 TaskCompletionCallback = Callable[[TaskRequest, float], None]
 
@@ -101,15 +105,9 @@ class Microservice:
         loop: EventLoop,
         rng: RngStream,
         on_task_complete: TaskCompletionCallback,
-        startup_delay_range: Tuple[float, float] = (5.0, 10.0),
         scale_down_mode: str = "drain",
         tracer: Optional[Tracer] = None,
     ):
-        low, high = startup_delay_range
-        if not 0 <= low <= high:
-            raise ValueError(
-                f"bad startup_delay_range {startup_delay_range!r}"
-            )
         if scale_down_mode not in ("drain", "kill"):
             raise ValueError(
                 f"scale_down_mode must be 'drain' or 'kill', "
@@ -121,7 +119,7 @@ class Microservice:
         self.loop = loop
         self.rng = rng
         self.on_task_complete = on_task_complete
-        self.startup_delay_range = startup_delay_range
+        self.startup_delay_range = STARTUP_DELAY_RANGE
         self.scale_down_mode = scale_down_mode
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
@@ -548,15 +546,9 @@ class BatchedMicroservice:
         rng: RngStream,
         pool: RequestPool,
         on_task_complete: BatchedTaskCompletionCallback,
-        startup_delay_range: Tuple[float, float] = (5.0, 10.0),
         scale_down_mode: str = "drain",
         tracer: Optional[Tracer] = None,
     ):
-        low, high = startup_delay_range
-        if not 0 <= low <= high:
-            raise ValueError(
-                f"bad startup_delay_range {startup_delay_range!r}"
-            )
         if scale_down_mode not in ("drain", "kill"):
             raise ValueError(
                 f"scale_down_mode must be 'drain' or 'kill', "
@@ -569,7 +561,7 @@ class BatchedMicroservice:
         self.rng = rng
         self.pool = pool
         self.on_task_complete = on_task_complete
-        self.startup_delay_range = startup_delay_range
+        self.startup_delay_range = STARTUP_DELAY_RANGE
         self.scale_down_mode = scale_down_mode
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.prefetch = PrefetchStream(rng)

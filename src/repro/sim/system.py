@@ -38,13 +38,10 @@ class SystemConfig:
         Control-window length in seconds (paper default: 30 s).
     consumer_budget:
         The total-consumer constraint ``C`` (14 for MSD, 30 for LIGO).
-    startup_delay_range:
-        Container start-up latency bounds (paper measured 5–10 s).
     """
 
     window_length: float = 30.0
     consumer_budget: int = 14
-    startup_delay_range: tuple = (5.0, 10.0)
     #: "drain" (graceful, Kubernetes-like) or "kill" (immediate + nack).
     scale_down_mode: str = "drain"
 
@@ -55,11 +52,6 @@ class SystemConfig:
                 f"got {self.window_length!r}"
             )
         check_positive("consumer_budget", self.consumer_budget)
-        low, high = self.startup_delay_range
-        if not 0 <= low <= high < math.inf:  # a NaN bound fails too
-            raise ValueError(
-                f"bad startup_delay_range {self.startup_delay_range!r}"
-            )
         if self.scale_down_mode not in ("drain", "kill"):
             raise ValueError(
                 f"scale_down_mode must be 'drain' or 'kill', "
@@ -154,7 +146,6 @@ class MicroserviceWorkflowSystem:
                 loop=self.loop,
                 rng=self._rngs["service_times"].fork(task_type.name),
                 on_task_complete=self._on_task_complete,
-                startup_delay_range=self.config.startup_delay_range,
                 scale_down_mode=self.config.scale_down_mode,
                 tracer=self.tracer,
             )

@@ -175,13 +175,18 @@ class Gauge:
         }
 
 
+#: Weight of the newest observation in every registry EWMA (training-loss
+#: smoothing); this reproduction's choice.
+EWMA_ALPHA = 0.3
+
+
 class Ewma:
     """Exponentially weighted moving average (training-loss smoothing)."""
 
     __slots__ = ("alpha", "value", "last", "observations")
     kind = "ewma"
 
-    def __init__(self, alpha: float = 0.3):
+    def __init__(self, alpha: float):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
@@ -408,9 +413,8 @@ class MetricsRegistry:
         name: str,
         help_text: str = "",
         labels: Sequence[str] = (),
-        alpha: float = 0.3,
     ) -> _Family:
-        return self._register(name, help_text, labels, lambda: Ewma(alpha))
+        return self._register(name, help_text, labels, lambda: Ewma(EWMA_ALPHA))
 
     def histogram(
         self,

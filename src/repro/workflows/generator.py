@@ -8,7 +8,9 @@ by the examples to demonstrate that MIRAS generalises beyond MSD/LIGO:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
@@ -61,7 +63,6 @@ def random_ensemble(
     num_task_types: int,
     num_workflow_types: int,
     seed: int = 0,
-    rng: Optional[RngStream] = None,
     mean_service_range: Tuple[float, float] = (1.0, 6.0),
 ) -> WorkflowEnsemble:
     """Sample a random workflow ensemble.
@@ -72,10 +73,7 @@ def random_ensemble(
     """
     check_positive("num_task_types", num_task_types)
     check_positive("num_workflow_types", num_workflow_types)
-    if rng is None:
-        import numpy as np
-
-        rng = RngStream("ensemble", np.random.SeedSequence(seed))
+    rng = RngStream("ensemble", np.random.SeedSequence(seed))
 
     task_names = tuple(f"Task{i}" for i in range(num_task_types))
     low, high = mean_service_range

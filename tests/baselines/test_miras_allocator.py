@@ -51,9 +51,3 @@ class TestMirasAllocator:
         allocator = MirasAllocator(agent=agent)
         with pytest.raises(ValueError, match="consumer budget"):
             allocator.prepare(make_msd_env(seed=99, consumer_budget=20))
-
-    def test_allocate_before_prepare_raises(self):
-        allocator = MirasAllocator(agent=None)
-        allocator.bind(make_msd_env(seed=99))
-        with pytest.raises(RuntimeError, match="prepare"):
-            allocator.allocate(np.zeros(4))

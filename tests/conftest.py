@@ -61,13 +61,25 @@ def ligo_ensemble():
     return build_ligo_ensemble()
 
 
-def make_msd_env(seed=0, consumer_budget=14, with_arrivals=True, **config_kwargs):
+def set_startup_delay(system, delay_range):
+    """``system`` with every container start-up drawn from ``delay_range``
+    instead of :data:`repro.sim.microservice.STARTUP_DELAY_RANGE`; call it
+    before the first allocation."""
+    for ms in system.microservices.values():
+        ms.startup_delay_range = delay_range
+    return system
+
+
+def make_msd_env(seed=0, consumer_budget=14, with_arrivals=True,
+                 startup_delay_range=None, **config_kwargs):
     """Helper: a full MSD environment with background workload."""
     system = MicroserviceWorkflowSystem(
         build_msd_ensemble(),
         SystemConfig(consumer_budget=consumer_budget, **config_kwargs),
         seed=seed,
     )
+    if startup_delay_range is not None:
+        set_startup_delay(system, startup_delay_range)
     if with_arrivals:
         PoissonArrivalProcess(MSD_BACKGROUND_RATES).attach(system)
     return MicroserviceEnv(system)

@@ -99,7 +99,7 @@ class TestIterate:
 
     def test_evaluate_records_metrics(self, agent):
         agent.iterate(iterations=1)
-        result = agent.evaluate(steps=3)
+        result = agent.evaluate()
         assert np.isfinite(result.eval_reward)
         assert result.eval_mean_wip >= 0
 
@@ -108,6 +108,4 @@ class TestIterate:
         """0 is not "use the config", and -1 does not run nothing."""
         with pytest.raises(ValueError, match="iterations"):
             agent.iterate(iterations=count)
-        with pytest.raises(ValueError, match="steps"):
-            agent.evaluate(steps=count)
         assert agent.results == [] and len(agent.dataset) == 0

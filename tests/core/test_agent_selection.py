@@ -71,7 +71,7 @@ class TestEvalBurst:
         )
         agent.collect_real_interactions(20, random_fraction=1.0)
         agent.train_model()
-        result = agent.evaluate(steps=3)
+        result = agent.evaluate()
         # A 20 * 14 = 280-request burst must dominate the reward.
         assert result.eval_reward < -100
 
@@ -82,7 +82,7 @@ class TestEvalBurst:
         )
         agent.collect_real_interactions(20, random_fraction=1.0)
         agent.train_model()
-        result = agent.evaluate(steps=3)
+        result = agent.evaluate()
         assert result.eval_reward > -150
 
     def test_invalid_scale_rejected(self):

@@ -14,7 +14,7 @@ from repro.core.persistence import (
     load_agent,
     save_agent,
 )
-from repro.rl.ddpg import DDPGConfig
+from repro.rl.ddpg import PARAM_NOISE_SIGMA, DDPGConfig
 from repro.rl.distributed import EnvSpec
 
 from tests.conftest import make_ligo_env, make_msd_env
@@ -57,6 +57,12 @@ RETIRED_AT_FIXED_VALUES = {
         "state_scale": 100.0,
         "output_mixing": 0.02,
         "tau": 0.01,
+        "actor_learning_rate": 1e-4,
+        "buffer_capacity": 100_000,
+        "param_noise_sigma": 0.05,
+        "action_noise_sigma": 0.15,
+        "reward_scale": 500.0,
+        "perturb_interval": 25,
     },
     "top": {
         "initial_random_fraction": 1.0,
@@ -300,6 +306,21 @@ class TestOlderCheckpoints:
         with pytest.raises(ValueError, match="'keep_best_policy'.*False"):
             load_agent(saved, make_msd_env(seed=99))
 
+    @pytest.mark.parametrize("key", [
+        "actor_learning_rate", "buffer_capacity", "param_noise_sigma",
+        "action_noise_sigma", "reward_scale", "perturb_interval",
+    ])
+    def test_retired_ddpg_key_loads_only_at_its_fixed_value(self, key):
+        data = config_to_dict(small_config())
+        fixed = RETIRED_AT_FIXED_VALUES["ddpg"][key]
+        data["policy"]["ddpg"][key] = fixed
+        assert config_to_dict(config_from_dict(data)) == config_to_dict(
+            small_config()
+        )
+        data["policy"]["ddpg"][key] = fixed * 2
+        with pytest.raises(ValueError, match=f"'policy.ddpg.{key}'"):
+            config_from_dict(data)
+
     def test_unknown_key_is_rejected_by_name(self, tmp_path):
         saved = save_agent(tmp_path / "agent", trained_agent())
         edit_config(
@@ -333,6 +354,29 @@ class TestEpisodeCounter:
             part[-10:].tobytes() for part in loaded.dataset.arrays()
         ] == [part[-10:].tobytes() for part in agent.dataset.arrays()]
 
+    def test_reloaded_agent_keeps_its_seed(self, tmp_path):
+        """The seed roots every stream and the episode plan: an agent
+        built with seed 7 reloads at seed 7 and collects what the
+        never-saved agent collects next."""
+        spec = EnvSpec.make(
+            "repro.eval.experiments:build_training_env", dataset="msd"
+        )
+        config = small_config()
+        config = replace(
+            config, policy=replace(config.policy, collect_mode="logical")
+        )
+        agent = MirasAgent(make_msd_env(seed=5), config, seed=7, env_spec=spec)
+        agent.collect_distributed(20)
+        loaded = load_agent(save_agent(tmp_path / "agent", agent), make_msd_env(seed=5))
+        loaded.env_spec = spec
+        assert loaded.seed == 7
+
+        for twin in (agent, loaded):
+            twin.collect_distributed(10)
+        assert [
+            part[-10:].tobytes() for part in loaded.dataset.arrays()
+        ] == [part[-10:].tobytes() for part in agent.dataset.arrays()]
+
     def test_next_collection_after_training_uses_the_adapted_sigma(
         self, tmp_path
     ):
@@ -350,7 +394,7 @@ class TestEpisodeCounter:
         agent = MirasAgent(make_msd_env(seed=5), config, env_spec=spec)
         agent.iterate()
         assert (
-            agent.ddpg.param_noise.sigma != config.policy.ddpg.param_noise_sigma
+            agent.ddpg.param_noise.sigma != PARAM_NOISE_SIGMA
         )
         saved = save_agent(tmp_path / "agent", agent)
         loaded = load_agent(saved, make_msd_env(seed=5))
@@ -391,6 +435,5 @@ class TestEpisodeCounter:
         )
         loaded = load_agent(saved, make_msd_env())
         assert loaded._episodes_collected == 3
-        assert loaded.ddpg.param_noise.sigma == (
-            agent.config.policy.ddpg.param_noise_sigma
-        )
+        assert loaded.ddpg.param_noise.sigma == PARAM_NOISE_SIGMA
+        assert loaded.seed == 0

@@ -54,7 +54,7 @@ class TestMirasOnMsd:
         assert eval_env.system.conservation_ok()
 
     def test_quickstart_helper(self):
-        agent, env = quickstart_msd_agent(seed=33)
+        agent, env = quickstart_msd_agent()
         assert agent.results
         assert env.system.conservation_ok()
 

@@ -13,6 +13,8 @@ from repro.sim.system import MicroserviceWorkflowSystem, SystemConfig
 from repro.workflows import random_ensemble
 from repro.workload import PoissonArrivalProcess
 
+from tests.conftest import set_startup_delay
+
 
 def build_random_system(
     num_tasks, num_workflows, seed, budget=10, scale_down_mode="drain"
@@ -85,11 +87,9 @@ def test_completed_workflows_visited_every_task(num_tasks, seed):
     """Every completed workflow instance completed each of its tasks
     exactly once (AND-join correctness on random DAGs)."""
     ensemble = random_ensemble(num_tasks, 2, seed=seed)
-    system = MicroserviceWorkflowSystem(
-        ensemble,
-        SystemConfig(consumer_budget=12, startup_delay_range=(0.0, 0.0)),
-        seed=seed,
-    )
+    system = set_startup_delay(MicroserviceWorkflowSystem(
+        ensemble, SystemConfig(consumer_budget=12), seed=seed,
+    ), (0.0, 0.0))
     requests = [
         system.submit(name) for name in ensemble.workflow_names() for _ in range(3)
     ]

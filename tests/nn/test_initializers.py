@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import initializers
 from repro.nn.initializers import (
     constant_init,
     glorot_uniform,
@@ -48,8 +49,9 @@ class TestSmallUniform:
 
 
 class TestConstant:
-    def test_fill_value(self):
-        weights = constant_init(3, 4, value=0.5)
+    def test_fill_value(self, monkeypatch):
+        monkeypatch.setattr(initializers, "FILL_VALUE", 0.5)
+        weights = constant_init(3, 4)
         assert weights.shape == (3, 4)
         assert np.all(weights == 0.5)
 

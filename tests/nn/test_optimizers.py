@@ -1,5 +1,7 @@
 """Tests for the Adam optimiser, its clipping and its shape checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,18 @@ class TestGradClip:
         x = np.array([0.0, 0.0])
         opt.step([(x, np.array([30.0, 40.0]))])  # norm 50 -> scaled to 1
         assert np.linalg.norm(x) == pytest.approx(1.0)
+
+    def test_norm_adds_the_squares_left_to_right(self):
+        """1e16 + 1 + 1 is 1e16 added left to right but 1e16 + 2 exactly
+        (builtin ``sum`` on Python 3.12, ``math.fsum``): the clip factor
+        must be the left-to-right one on every interpreter."""
+        grads = np.array([1e8, 1.0, 1.0])
+        scale = 1.0 / np.sqrt(1e16)
+        assert 1.0 / np.sqrt(math.fsum(grads**2)) < scale
+        opt = PlainStep(learning_rate=1.0, grad_clip=1.0)
+        params = [np.zeros(1) for _ in grads]
+        opt.step([(x, grads[i : i + 1]) for i, x in enumerate(params)])
+        assert np.concatenate(params).tobytes() == (-(grads * scale)).tobytes()
 
     def test_no_clip_below_threshold(self):
         opt = PlainStep(learning_rate=1.0, grad_clip=100.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.rl import actor as actor_module
 from repro.rl.actor import Actor
 from repro.rl.critic import Critic
 from repro.utils.rng import RngStream
@@ -25,8 +26,9 @@ class TestActor:
             assert action.sum() == pytest.approx(1.0)
             assert np.all(action >= 0)
 
-    def test_output_mixing_keeps_actions_off_corners(self, rng):
-        actor = Actor(4, 4, hidden_sizes=(8,), output_mixing=0.1, rng=rng)
+    def test_output_mixing_keeps_actions_off_corners(self, rng, monkeypatch):
+        monkeypatch.setattr(actor_module, "OUTPUT_MIXING", 0.1)
+        actor = Actor(4, 4, hidden_sizes=(8,), rng=rng)
         action = actor.act(np.array([[1000.0, 0, 0, 0]]))[0]
         assert np.all(action >= 0.1 / 4 - 1e-12)
 
@@ -61,10 +63,6 @@ class TestActor:
     def test_policy_gradient_shape_check(self, actor):
         with pytest.raises(ValueError):
             actor.policy_gradient_step(np.zeros((2, 4)), lambda _: np.zeros((3, 4)))
-
-    def test_invalid_mixing(self, rng):
-        with pytest.raises(ValueError):
-            Actor(4, 4, output_mixing=1.0, rng=rng)
 
 
 class TestCritic:

@@ -10,6 +10,7 @@ contract rests on.
 import numpy as np
 import pytest
 
+from repro.rl import ddpg
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.noise import (
     GaussianActionNoise,
@@ -135,13 +136,10 @@ class TestActBatch:
     @pytest.mark.parametrize(
         "exploration", ["parameter", "action-gaussian"]
     )
-    def test_k1_bitwise_equals_act(self, exploration):
-        kwargs = (
-            {"action_noise_sigma": 0.4}
-            if exploration == "action-gaussian"
-            else {}
-        )
-        serial, batched = _twin_agents(exploration=exploration, **kwargs)
+    def test_k1_bitwise_equals_act(self, exploration, monkeypatch):
+        if exploration == "action-gaussian":
+            monkeypatch.setattr(ddpg, "ACTION_NOISE_SIGMA", 0.4)
+        serial, batched = _twin_agents(exploration=exploration)
         for i in range(30):
             state = np.array([float(i), 1.0, 0.5])
             a1 = serial.act(state, explore=True)

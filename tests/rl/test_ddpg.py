@@ -8,6 +8,7 @@ from benchmarks.run_training_bench import (
     update_peak_bytes,
     warmed_update_agent,
 )
+from repro.rl import critic, ddpg
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.utils.rng import RngStream
 
@@ -43,7 +44,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "name,bad",
         [
-            ("actor_learning_rate", 0.0),
             ("entropy_weight", -0.1),
             ("actor_weight_decay", -1e-3),
         ],
@@ -80,8 +80,9 @@ class TestActing:
             assert np.all(action >= 0)
         assert agent.constraint_violations == 0
 
-    def test_action_noise_violates_and_projects(self):
-        agent = make_agent(exploration="action-gaussian", action_noise_sigma=0.5)
+    def test_action_noise_violates_and_projects(self, monkeypatch):
+        monkeypatch.setattr(ddpg, "ACTION_NOISE_SIGMA", 0.5)
+        agent = make_agent(exploration="action-gaussian")
         for i in range(100):
             action = agent.act(np.array([float(i), 1.0, 0.5]), explore=True)
             # Executed action is repaired to the simplex...
@@ -90,8 +91,9 @@ class TestActing:
         # ...but raw noisy actions violated the constraint along the way.
         assert agent.constraint_violations > 50
 
-    def test_exploration_differs_from_greedy(self):
-        agent = make_agent(exploration="parameter", param_noise_sigma=0.5)
+    def test_exploration_differs_from_greedy(self, monkeypatch):
+        monkeypatch.setattr(ddpg, "PARAM_NOISE_SIGMA", 0.5)
+        agent = make_agent(exploration="parameter")
         state = np.array([5.0, 2.0, 1.0])
         agent.refresh_perturbation()
         explored = agent.act(state, explore=True)
@@ -105,8 +107,9 @@ class TestParameterNoiseAdaptation:
         agent.refresh_perturbation()
         assert agent.adapt_parameter_noise() is None
 
-    def test_adapt_measures_distance(self):
-        agent = make_agent(param_noise_sigma=0.3)
+    def test_adapt_measures_distance(self, monkeypatch):
+        monkeypatch.setattr(ddpg, "PARAM_NOISE_SIGMA", 0.3)
+        agent = make_agent()
         for i in range(20):
             agent.store(
                 np.array([i, 1.0, 0.5]),
@@ -137,9 +140,10 @@ class TestUpdates:
         assert np.isfinite(mean_loss)
         assert agent.updates_done == 6
 
-    def test_entropy_bonus_pulls_toward_uniform(self):
+    def test_entropy_bonus_pulls_toward_uniform(self, monkeypatch):
         """With a flat critic, the entropy term should spread the policy."""
-        agent = make_agent(seed=5, entropy_weight=0.5, reward_scale=1e9)
+        monkeypatch.setattr(critic, "REWARD_SCALE", 1e9)
+        agent = make_agent(seed=5, entropy_weight=0.5)
         # Gigantic reward scale makes dQ/da ~ 0: entropy dominates.
         rng = RngStream("e", np.random.SeedSequence(2))
         state = np.array([5.0, 1.0, 0.5])
@@ -153,12 +157,12 @@ class TestUpdates:
         spread_after = float(np.max(after) - np.min(after))
         assert spread_after <= spread_before + 1e-9
 
-    def test_learning_on_synthetic_bandit(self):
+    def test_learning_on_synthetic_bandit(self, monkeypatch):
         """One-step environment where allocating to dim 0 is optimal:
         reward = a[0].  DDPG should learn to put most mass on dim 0."""
-        agent = make_agent(
-            seed=3, gamma=0.0, actor_learning_rate=1e-3, reward_scale=1.0
-        )
+        monkeypatch.setattr(ddpg, "ACTOR_LEARNING_RATE", 1e-3)
+        monkeypatch.setattr(critic, "REWARD_SCALE", 1.0)
+        agent = make_agent(seed=3, gamma=0.0)
         rng = RngStream("bandit", np.random.SeedSequence(9))
         state = np.array([1.0, 1.0, 1.0])
         for step in range(600):

@@ -11,7 +11,7 @@ import pytest
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
 from repro.core.refinement import RefinedModel
-from repro.rl import distributed
+from repro.rl import ddpg, distributed
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.noise import project_to_simplex
 from repro.utils.rng import RngStream
@@ -32,13 +32,17 @@ def _rng_state(stream):
     )
 
 
+@pytest.fixture(autouse=True)
+def short_schedule(monkeypatch):
+    """Wide action noise and a refresh every 7 acts: a short run sees
+    many violations and perturbations."""
+    monkeypatch.setattr(ddpg, "ACTION_NOISE_SIGMA", 0.4)
+    monkeypatch.setattr(ddpg, "PERTURB_INTERVAL", 7)
+
+
 def _agent(cls, exploration, dim=3, hidden_sizes=(16, 16), seed=5):
     config = DDPGConfig(
-        hidden_sizes=hidden_sizes,
-        batch_size=8,
-        exploration=exploration,
-        action_noise_sigma=0.4,
-        perturb_interval=7,
+        hidden_sizes=hidden_sizes, batch_size=8, exploration=exploration
     )
     return cls(dim, dim, config=config, rng=_stream(seed, "agent"))
 

@@ -9,6 +9,7 @@ weight can only come from the update arithmetic.
 import numpy as np
 import pytest
 
+from repro.rl import ddpg
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.telemetry import MemorySink, Tracer
 from repro.utils.rng import spawn_rngs
@@ -18,14 +19,20 @@ from tests.rl.reference_ddpg import ReferenceDDPGAgent
 STATE_DIM, ACTION_DIM, UPDATES = 4, 3, 200
 
 
+@pytest.fixture(autouse=True)
+def small_ring(monkeypatch):
+    """A 256-row replay ring and a refresh every 7 acts: a short run
+    reaches the wraparound and several perturbations."""
+    monkeypatch.setattr(ddpg, "BUFFER_CAPACITY", 256)
+    monkeypatch.setattr(ddpg, "PERTURB_INTERVAL", 7)
+
+
 def build(cls, exploration, entropy_weight, traced):
     config = DDPGConfig(
         hidden_sizes=(24, 16),
         batch_size=16,
-        buffer_capacity=256,
         exploration=exploration,
         entropy_weight=entropy_weight,
-        perturb_interval=7,
     )
     tracer = Tracer(MemorySink()) if traced else None
     agent = cls(

@@ -434,7 +434,6 @@ class ReferenceSerialSystem(MicroserviceWorkflowSystem):
                 loop=self.loop,
                 rng=self._rngs["service_times"].fork(task_type.name),
                 on_task_complete=self._on_task_complete,
-                startup_delay_range=self.config.startup_delay_range,
                 scale_down_mode=self.config.scale_down_mode,
                 tracer=self.tracer,
             )

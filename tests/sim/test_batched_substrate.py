@@ -27,6 +27,8 @@ from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
 from repro.workload import DeterministicArrivalProcess, PoissonArrivalProcess
 from repro.workload.bursts import MSD_BACKGROUND_RATES
 
+from tests.conftest import set_startup_delay
+
 SUBSTRATES = (MicroserviceWorkflowSystem, BatchedWorkflowSystem)
 
 
@@ -327,11 +329,9 @@ class TestFastPath:
         """The vectorised replay both engages and stays equivalent."""
 
         def scenario(cls):
-            system = cls(
-                build_msd_ensemble(),
-                SystemConfig(consumer_budget=14, startup_delay_range=(0.0, 0.0)),
-                seed=23,
-            )
+            system = set_startup_delay(cls(
+                build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=23,
+            ), (0.0, 0.0))
             system.apply_allocation([4, 4, 3, 3])
             system.inject_burst({"Type1": 200, "Type2": 100, "Type3": 100})
             snaps = []
@@ -357,11 +357,9 @@ class TestFastPath:
         """
 
         def scenario(cls):
-            system = cls(
-                build_msd_ensemble(),
-                SystemConfig(consumer_budget=14, startup_delay_range=(0.0, 0.0)),
-                seed=29,
-            )
+            system = set_startup_delay(cls(
+                build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=29,
+            ), (0.0, 0.0))
             system.apply_allocation([2, 2, 2, 2])
             system.inject_burst({"Type1": 10})  # drains mid-run
             snaps = []
@@ -393,11 +391,9 @@ class TestFastPath:
         )
 
         def scenario(cls):
-            system = cls(
-                ensemble,
-                SystemConfig(consumer_budget=9, startup_delay_range=(0.0, 0.0)),
-                seed=31,
-            )
+            system = set_startup_delay(cls(
+                ensemble, SystemConfig(consumer_budget=9), seed=31,
+            ), (0.0, 0.0))
             system.apply_allocation([3, 3, 3])
             system.inject_burst(
                 {name: 20 for name in ensemble.workflow_names()}
@@ -573,11 +569,9 @@ class TestFastPath:
         )
 
         def build(cls):
-            system = cls(
-                ensemble,
-                SystemConfig(consumer_budget=8, startup_delay_range=(0.0, 0.0)),
-                seed=71,
-            )
+            system = set_startup_delay(cls(
+                ensemble, SystemConfig(consumer_budget=8), seed=71,
+            ), (0.0, 0.0))
             PoissonArrivalProcess({"W": 0.5}).attach(system)
             system.apply_allocation([4, 4])
             system.inject_burst({"W": 30})

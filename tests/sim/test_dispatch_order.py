@@ -39,6 +39,7 @@ from repro.telemetry import JsonlSink, Tracer
 from repro.workflows import build_msd_ensemble
 from repro.workload import PoissonArrivalProcess
 
+from tests.conftest import set_startup_delay
 from tests.sim.reference_drain import reference_drain
 
 BUDGET = 512
@@ -169,17 +170,14 @@ def drive(cls, mode, seed, oracle=False, tracer=None):
     Returns the snapshots and the serial run's :class:`DispatchOracle`
     (``oracle``) or the batched run's :class:`RemovalCensus`.
     """
-    system = cls(
+    system = set_startup_delay(cls(
         build_msd_ensemble(),
         SystemConfig(
-            consumer_budget=BUDGET,
-            window_length=10.0,
-            scale_down_mode=mode,
-            startup_delay_range=(1.0, 4.0),
+            consumer_budget=BUDGET, window_length=10.0, scale_down_mode=mode
         ),
         seed=seed,
         tracer=tracer,
-    )
+    ), (1.0, 4.0))
     if cls is BatchedWorkflowSystem:
         checker = RemovalCensus(system)
     else:
@@ -309,11 +307,9 @@ def calls_per_event(cls):
 def calls_per_removed_consumer(count, state):
     """Interpreter calls per victim of one untraced batched scale-down
     that removes ``count`` consumers, all of them in ``state``."""
-    system = BatchedWorkflowSystem(
-        build_msd_ensemble(),
-        SystemConfig(consumer_budget=count, startup_delay_range=(1.0, 4.0)),
-        seed=7,
-    )
+    system = set_startup_delay(BatchedWorkflowSystem(
+        build_msd_ensemble(), SystemConfig(consumer_budget=count), seed=7,
+    ), (1.0, 4.0))
     ms = next(iter(system.microservices.values()))
     ms.scale_to(count)
     if state == "idle":

@@ -25,9 +25,9 @@ def build(
         loop=loop,
         rng=RngStream("ms", np.random.SeedSequence(seed)),
         on_task_complete=lambda req, now: completed.append((req, now)),
-        startup_delay_range=startup,
         scale_down_mode=scale_down_mode,
     )
+    ms.startup_delay_range = startup
     return loop, ms, completed
 
 

@@ -31,9 +31,9 @@ def serve(consumers=1, mode="kill", seed=3):
         loop=loop,
         rng=RngStream("queue", np.random.SeedSequence(seed)),
         on_task_complete=lambda request, now: done.append(request),
-        startup_delay_range=(0.0, 0.0),
         scale_down_mode=mode,
     )
+    ms.startup_delay_range = (0.0, 0.0)
     ms.scale_to(consumers)
     loop.run_until(0.0)  # start-ups due now
     return loop, ms, done

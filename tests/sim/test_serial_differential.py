@@ -34,6 +34,7 @@ from repro.workflows import build_ligo_ensemble, build_msd_ensemble
 from repro.workflows.generator import random_ensemble
 from repro.workload import PoissonArrivalProcess
 
+from tests.conftest import set_startup_delay
 from tests.sim.reference_serial import ReferenceSerialSystem
 from tests.sim.test_replay_differential import build_fixed_ensemble
 from tests.telemetry.schema_v4 import as_v4
@@ -46,7 +47,7 @@ def build_random_ensemble(seed):
 
 
 def generate(seed):
-    """Scenario ``seed``: ``(builder, config, rates, chaos, plan)``.
+    """Scenario ``seed``: ``(builder, config, startup, rates, chaos, plan)``.
 
     A plan step is ``(reset, allocations, burst, crashes)``.
     """
@@ -64,8 +65,8 @@ def generate(seed):
         consumer_budget=budget,
         window_length=window,
         scale_down_mode=("drain", "kill")[int(rng.integers(2))],
-        startup_delay_range=(1.0, float(rng.choice([1.0, 6.0]))),
     )
+    startup = (1.0, float(rng.choice([1.0, 6.0])))
     names = ensemble.workflow_names()
     rates = (
         {name: float(rng.uniform(0.0, 0.3)) for name in names}
@@ -96,7 +97,7 @@ def generate(seed):
         ]
         reset = step > 0 and rng.random() < 0.2
         plan.append((reset, allocations, burst, crashes))
-    return builder, config, rates, chaos, plan
+    return builder, config, startup, rates, chaos, plan
 
 
 class ReferenceRecorder:
@@ -122,8 +123,10 @@ class ReferenceRecorder:
 
 def run(cls, seed, tracer=None):
     """Drive one system through scenario ``seed``: its snapshots."""
-    builder, config, rates, chaos, plan = generate(seed)
-    system = cls(builder(), config, seed=seed, tracer=tracer)
+    builder, config, startup, rates, chaos, plan = generate(seed)
+    system = set_startup_delay(
+        cls(builder(), config, seed=seed, tracer=tracer), startup
+    )
     if rates:
         PoissonArrivalProcess(rates).attach(system)
     if chaos:
@@ -164,7 +167,7 @@ def test_generator_draws_every_ingredient():
     """The tier-1 seeds cover what the suite claims to draw."""
     seen = set()
     for seed in range(SCENARIOS):
-        builder, config, rates, chaos, plan = generate(seed)
+        builder, config, _, rates, chaos, plan = generate(seed)
         seen.add(config.scale_down_mode)
         seen.add(builder().name if builder is not build_fixed_ensemble else "cv=0")
         seen.update(

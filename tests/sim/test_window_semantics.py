@@ -6,13 +6,14 @@ import pytest
 from repro.sim.system import MicroserviceWorkflowSystem, SystemConfig
 from repro.workflows import build_msd_ensemble
 
+from tests.conftest import set_startup_delay
+
 
 def make_system(**kwargs):
     kwargs.setdefault("consumer_budget", 14)
-    kwargs.setdefault("startup_delay_range", (0.0, 0.0))
-    return MicroserviceWorkflowSystem(
+    return set_startup_delay(MicroserviceWorkflowSystem(
         build_msd_ensemble(), SystemConfig(**kwargs), seed=2
-    )
+    ), (0.0, 0.0))
 
 
 class TestWindowBoundaries:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.sim import MicroserviceEnv, MicroserviceWorkflowSystem, SystemConfig
+from repro.sim.microservice import STARTUP_DELAY_RANGE
 from repro.telemetry import (
     NULL_TRACER,
     JsonlSink,
@@ -86,7 +87,7 @@ class TestSimInstrumentation:
         sink = MemorySink()
         system = traced_system(Tracer(sink))
         drive(system)
-        low, high = system.config.startup_delay_range
+        low, high = STARTUP_DELAY_RANGE
         readies = [r for r in sink.records
                    if r["kind"] == "event.consumer_ready"]
         assert readies
