@@ -24,7 +24,7 @@ loads the trace once, folds it once, and prints the utilization,
 queue-depth, container-lifecycle and training-curve tables plus the
 saved phase tree (``--format json|prom`` emits the bytes of
 ``metrics.json`` / ``metrics.prom`` instead, ``--output DIR`` writes both
-files); ``lint`` runs reprolint (docs/OBSERVABILITY.md, docs/LINTING.md).
+files; docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -153,15 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--output", default=None,
         help="also write metrics.json + metrics.prom into this directory",
-    )
-
-    # `lint` forwards everything to repro.analysis (handled in main()
-    # before parsing, because argparse.REMAINDER drops leading options);
-    # registered here so it shows up in --help.
-    sub.add_parser(
-        "lint",
-        help="run reprolint, the determinism static-analysis pass",
-        add_help=False,
     )
 
     return parser
@@ -457,10 +448,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        from repro.analysis.cli import main as lint_main
-
-        return lint_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args, argv)
 

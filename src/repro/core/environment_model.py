@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.dataset import TransitionDataset
 from repro.nn import MLP, Adam, MeanSquaredError
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.utils.rng import RngStream, fallback_stream
+from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 from repro.utils.wip import log_wip
 
@@ -49,13 +49,12 @@ class EnvironmentModel:
         state_dim: int,
         action_dim: int,
         hidden_sizes: Sequence[int] = (20, 20, 20),
-        rng: Optional[RngStream] = None,
+        *,
+        rng: RngStream,
         tracer: Optional[Tracer] = None,
     ):
         check_positive("state_dim", state_dim)
         check_positive("action_dim", action_dim)
-        if rng is None:
-            rng = fallback_stream("env-model")
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.network = MLP(

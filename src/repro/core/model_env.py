@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.dataset import TransitionDataset
 from repro.core.refinement import RefinedModel
 from repro.core.reward import reward_eq1
-from repro.utils.rng import RngStream, fallback_stream
+from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 
 __all__ = ["BatchedModelEnv"]
@@ -46,13 +46,12 @@ class BatchedModelEnv:
         consumer_budget: int,
         rollout_length: int = 25,
         batch_size: int = 1,
-        rng: Optional[RngStream] = None,
+        *,
+        rng: RngStream,
     ):
         check_positive("consumer_budget", consumer_budget)
         check_positive("rollout_length", rollout_length)
         check_positive("batch_size", batch_size)
-        if rng is None:
-            rng = fallback_stream("model-env")
         self.model = model
         self.dataset = dataset
         self.consumer_budget = consumer_budget

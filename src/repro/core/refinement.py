@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.utils.rng import RngStream, fallback_stream
+from repro.utils.rng import RngStream
 
 __all__ = ["RefinedModel"]
 
@@ -49,7 +49,7 @@ class RefinedModel:
         model: EnvironmentModel,
         tau: np.ndarray,
         omega: np.ndarray,
-        rng: Optional[RngStream] = None,
+        rng: RngStream,
         tracer: Optional[Tracer] = None,
     ):
         tau = np.asarray(tau, dtype=np.float64)
@@ -62,8 +62,6 @@ class RefinedModel:
             raise ValueError(f"omega shape {omega.shape} != tau shape {tau.shape}")
         if np.any(omega < tau):
             raise ValueError("omega must be >= tau per dimension")
-        if rng is None:
-            rng = fallback_stream("refine")
         self.model = model
         self.tau = tau
         self.omega = omega
@@ -79,7 +77,7 @@ class RefinedModel:
         cls,
         model: EnvironmentModel,
         dataset: TransitionDataset,
-        rng: Optional[RngStream] = None,
+        rng: RngStream,
         tracer: Optional[Tracer] = None,
     ) -> "RefinedModel":
         """Initialise tau/omega by "simple statistical analysis" over D:

@@ -28,7 +28,7 @@ from repro.nn.initializers import (
     he_uniform,
     uniform_init,
 )
-from repro.utils.rng import RngStream, fallback_stream
+from repro.utils.rng import RngStream
 
 __all__ = ["Dense"]
 
@@ -69,7 +69,8 @@ class Dense:
         activation: str = "relu",
         init: str = "he",
         aux_dim: int = 0,
-        rng: Optional[RngStream] = None,
+        *,
+        rng: RngStream,
     ):
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError(
@@ -80,8 +81,6 @@ class Dense:
         if init not in _INITIALIZERS:
             known = ", ".join(sorted(_INITIALIZERS))
             raise ValueError(f"unknown init {init!r}; known: {known}")
-        if rng is None:
-            rng = fallback_stream("dense")
 
         self.in_dim = in_dim
         self.out_dim = out_dim

@@ -29,7 +29,7 @@ import numpy as np
 from repro.nn.layers import Dense
 from repro.nn.losses import MeanSquaredError
 from repro.nn.optimizers import Adam
-from repro.utils.rng import RngStream, fallback_stream
+from repro.utils.rng import RngStream
 
 __all__ = ["MLP", "soft_update"]
 
@@ -60,7 +60,8 @@ class MLP:
         output_activation: str = "linear",
         aux_dim: int = 0,
         aux_layer: int = 1,
-        rng: Optional[RngStream] = None,
+        *,
+        rng: RngStream,
         final_init: str = "glorot",
     ):
         if len(layer_sizes) < 2:
@@ -72,8 +73,6 @@ class MLP:
                 f"aux_layer {aux_layer} out of range for "
                 f"{len(layer_sizes) - 1} layers"
             )
-        if rng is None:
-            rng = fallback_stream("mlp")
 
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation

@@ -65,7 +65,7 @@ def load_mlp(path: Union[str, Path]) -> MLP:
             aux_layer=meta["aux_layer"],
             # Initial weights are discarded below, so a fixed init seed
             # is fine here and the loaded network stays deterministic.
-            rng=RngStream(  # reprolint: disable=D201
+            rng=RngStream(
                 "load-mlp", np.random.SeedSequence(0)
             ),
         )

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.nn import MLP, Adam
-from repro.utils.rng import RngStream, fallback_stream
+from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 from repro.utils.wip import log_wip
 
@@ -42,13 +42,12 @@ class Actor:
         action_dim: int,
         hidden_sizes: Sequence[int] = (256, 256, 256),
         learning_rate: float = 1e-4,
-        rng: Optional[RngStream] = None,
+        *,
+        rng: RngStream,
         weight_decay: float = 1e-4,
     ):
         check_positive("state_dim", state_dim)
         check_positive("action_dim", action_dim)
-        if rng is None:
-            rng = fallback_stream("actor")
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.output_mixing = OUTPUT_MIXING

@@ -9,13 +9,13 @@ second layer's input.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.nn import MLP, Adam, MeanSquaredError
 from repro.rl.actor import STATE_SCALE
-from repro.utils.rng import RngStream, fallback_stream
+from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 from repro.utils.wip import log_wip
 
@@ -37,14 +37,13 @@ class Critic:
         state_dim: int,
         action_dim: int,
         hidden_sizes: Sequence[int] = (256, 256, 256),
-        rng: Optional[RngStream] = None,
+        *,
+        rng: RngStream,
     ):
         check_positive("state_dim", state_dim)
         check_positive("action_dim", action_dim)
         if len(hidden_sizes) < 1:
             raise ValueError("critic needs at least one hidden layer")
-        if rng is None:
-            rng = fallback_stream("critic")
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.reward_scale = REWARD_SCALE

@@ -28,7 +28,7 @@ from repro.rl.noise import (
 )
 from repro.rl.replay import ReplayBuffer
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-from repro.utils.rng import RngStream, fallback_stream
+from repro.utils.rng import RngStream
 from repro.utils.validation import check_in_range, check_non_negative, check_positive
 
 __all__ = ["DDPGConfig", "DDPGAgent"]
@@ -105,12 +105,11 @@ class DDPGAgent:
         state_dim: int,
         action_dim: int,
         config: Optional[DDPGConfig] = None,
-        rng: Optional[RngStream] = None,
+        *,
+        rng: RngStream,
         tracer: Optional[Tracer] = None,
     ):
         self.config = config or DDPGConfig()
-        if rng is None:
-            rng = fallback_stream("ddpg")
         self.rng = rng
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.state_dim = state_dim

@@ -46,7 +46,7 @@ def wall_time_now() -> float:
     simulation-clock timestamps, and everything measured by a real clock
     is excluded from the determinism contract.
     """
-    return time.time()  # reprolint: disable=D102
+    return time.time()
 
 
 @dataclass

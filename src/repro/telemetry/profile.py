@@ -16,7 +16,8 @@ and self time (cumulative minus children).
 not of the simulation: its clock reads are real, so profiler output is
 explicitly excluded from the trace-determinism contract, exactly like
 ``wall_time`` in the run manifest.  The two clock reads below are the
-sanctioned wall-clock sites (reprolint D102 suppressed); nothing from
+sanctioned wall-clock sites (the wall clock is a D102 ``WAIVED`` row of
+``tests/test_determinism.py``); nothing from
 this module may ever be written into a trace record.  The determinism
 tests pin the other direction too: a profiled run writes the same
 trace, weights, replay and dataset bytes.
@@ -106,7 +107,7 @@ BOUNDARIES: List[Tuple[str, str]] = [
 
 def _wall_clock() -> float:
     """Sanctioned wall-clock read for profiling (not simulation data)."""
-    return time.perf_counter()  # reprolint: disable=D102
+    return time.perf_counter()
 
 
 def _cpu_clock() -> float:

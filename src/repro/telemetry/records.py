@@ -6,9 +6,9 @@ JSON-serialisable dict with a two-field envelope:
 - ``kind`` — one of the registered kinds below,
 - ``t`` — the *simulation-clock* timestamp (seconds since the run's
   event-loop epoch), or ``None`` for records emitted before a clock is
-  bound.  Wall-clock time never appears in trace records (reprolint D102);
-  it lives only in the run manifest, where determinism tests explicitly
-  ignore it.
+  bound.  Wall-clock time never appears in trace records
+  (``tests/test_determinism.py``, D102); it lives only in the run
+  manifest, where determinism tests explicitly ignore it.
 
 The schema registry is the contract between the emitting instrumentation
 (``repro.sim``, ``repro.core``, ``repro.rl``) and the consuming side

@@ -4,8 +4,8 @@ Design constraints (docs/OBSERVABILITY.md):
 
 - **Deterministic timestamps.**  The tracer never reads the wall clock;
   ``t`` comes from the bound event loop (or a clock callable), so a
-  re-run with the same seed produces an identical trace (reprolint D102
-  stays clean by construction).
+  re-run with the same seed produces an identical trace (D102 of
+  ``tests/test_determinism.py`` stays clean by construction).
 - **Off-by-default-cheap.**  Components default to :data:`NULL_TRACER`,
   whose :attr:`Tracer.enabled` is False.  Hot paths guard emission with
   ``if tracer.enabled:`` so the disabled cost is one attribute read and a

@@ -2,12 +2,7 @@
 map."""
 
 from repro.utils.pool import WorkerDied, ordered_pool_map, resolve_workers
-from repro.utils.rng import (
-    ReproducibilityWarning,
-    RngStream,
-    fallback_stream,
-    spawn_rngs,
-)
+from repro.utils.rng import RngStream, spawn_rngs
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -21,9 +16,7 @@ __all__ = [
     "ordered_pool_map",
     "resolve_workers",
     "RngStream",
-    "ReproducibilityWarning",
     "spawn_rngs",
-    "fallback_stream",
     "check_in_range",
     "check_non_negative",
     "check_positive",

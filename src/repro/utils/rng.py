@@ -11,16 +11,13 @@ Reproducibility contract
 ------------------------
 All randomness in ``repro`` must flow through :class:`RngStream`; ambient
 sources (the :mod:`random` module, global numpy state, wall-clock seeds)
-are forbidden and rejected statically by ``python -m repro.analysis``
-(rule family D1).  Components accept an ``rng`` argument; when a caller
-omits it, the component falls back to :func:`fallback_stream`, which keeps
-old call sites working but emits a :class:`ReproducibilityWarning` so the
-fallback is never silent (rule family D2).
+are forbidden, and every stochastic component takes a required ``rng``
+stream forked from the experiment seed.  ``tests/test_determinism.py``
+enforces both statically (docs/ARCHITECTURE.md, "Determinism contract").
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, List
 
 import numpy as np
@@ -28,23 +25,8 @@ import numpy as np
 __all__ = [
     "RngStream",
     "spawn_rngs",
-    "fallback_stream",
     "derive_stream_seed",
-    "ReproducibilityWarning",
 ]
-
-#: Seed used by :func:`fallback_stream` when a caller does not provide an
-#: explicit stream.  Kept as a named constant so the fallback is auditable.
-FALLBACK_SEED = 0
-
-
-class ReproducibilityWarning(UserWarning):
-    """A component silently used a default seed instead of an explicit one.
-
-    Experiments that care about their results should construct every
-    stochastic component with a stream forked from the experiment seed;
-    this warning marks the places that did not.
-    """
 
 
 class RngStream:
@@ -125,21 +107,3 @@ def derive_stream_seed(root_seed: int, label: str) -> int:
     entropy = (root_seed, *label.encode("utf-8"))
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint32)[0])
 
-
-def fallback_stream(name: str) -> RngStream:
-    """Default stream for components whose caller passed ``rng=None``.
-
-    Returns a stream seeded from :data:`FALLBACK_SEED` so legacy call sites
-    keep working, but emits a :class:`ReproducibilityWarning`: results that
-    matter should thread an explicit stream forked from the experiment seed
-    instead of relying on this fixed default.
-    """
-    warnings.warn(
-        f"component {name!r} was constructed without an explicit RngStream "
-        f"and falls back to the fixed seed {FALLBACK_SEED}; pass "
-        "rng=<stream>.fork(...) derived from the experiment seed for "
-        "reproducible, independently seeded results",
-        ReproducibilityWarning,
-        stacklevel=3,
-    )
-    return RngStream(name, np.random.SeedSequence(FALLBACK_SEED))

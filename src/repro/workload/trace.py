@@ -1,11 +1,9 @@
-"""Arrival-trace record and replay."""
+"""Arrival-trace record (replayed by ``TraceArrivalProcess``)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Mapping, Tuple, Union
+from typing import List, Mapping, Tuple
 
 __all__ = ["ArrivalTrace"]
 
@@ -38,27 +36,6 @@ class ArrivalTrace:
         """A copy with every timestamp moved by ``offset`` (>= 0 result)."""
         events = [(t + offset, wt) for t, wt in self.events]
         return ArrivalTrace(events)
-
-    # Persistence -----------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the trace as JSON lines."""
-        path = Path(path)
-        with path.open("w") as handle:
-            for time, workflow_type in self.events:
-                handle.write(json.dumps({"t": time, "wf": workflow_type}) + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ArrivalTrace":
-        """Read a trace written by :meth:`save`."""
-        events: List[Tuple[float, str]] = []
-        with Path(path).open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                events.append((float(record["t"]), str(record["wf"])))
-        return cls(events)
 
     def __len__(self) -> int:
         return len(self.events)

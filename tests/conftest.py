@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis import sanitizer as _sanitizer
-
 from repro.sim.env import MicroserviceEnv
 from repro.sim.system import MicroserviceWorkflowSystem, SystemConfig
 from repro.utils.rng import RngStream
@@ -14,6 +12,8 @@ from repro.workload import (
     MSD_BACKGROUND_RATES,
     PoissonArrivalProcess,
 )
+
+from tests import sanitizer as _sanitizer
 
 
 def pytest_configure(config):
@@ -28,7 +28,7 @@ def pytest_configure(config):
 def _repro_sanitize(request):
     """Run every test under the runtime sanitizer when REPRO_SANITIZE=1.
 
-    The sanitizer asserts the dynamic half of the reprolint contracts —
+    The sanitizer asserts the dynamic half of the determinism contract —
     fork-label collisions and emit-schema conformance — per test, with a
     fresh registry each time.  CI exercises this as its own matrix entry.
     Tests that deliberately violate a contract (e.g. pinning the documented

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.dataset import TransitionDataset
 from repro.core.environment_model import EnvironmentModel
 from repro.core.refinement import RefinedModel
-from repro.utils.rng import RngStream, fallback_stream
+from repro.utils.rng import RngStream
 from repro.utils.validation import check_positive
 
 
@@ -44,8 +44,6 @@ class ModelEnv:
     ):
         check_positive("consumer_budget", consumer_budget)
         check_positive("rollout_length", rollout_length)
-        if rng is None:
-            rng = fallback_stream("model-env")
         self.model = model
         self.dataset = dataset
         self.consumer_budget = consumer_budget

@@ -10,10 +10,11 @@ labels in play are unique per parent (what the sanitizer asserts live).
 
 import numpy as np
 
-from repro.analysis.sanitizer import sanitized
 from repro.eval.experiments import experiment_fig5_model_accuracy
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.utils.rng import RngStream
+
+from tests.sanitizer import sanitized
 
 FAST = dict(
     dataset="msd", collect_steps=24, test_steps=8,

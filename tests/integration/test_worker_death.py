@@ -29,9 +29,9 @@ from tests.core.test_agent_distributed import small_config
 @contextlib.contextmanager
 def bounded(seconds=60.0):
     """The error must arrive, not a hang: real wall-clock on purpose."""
-    started = time.monotonic()  # reprolint: disable=D102
+    started = time.monotonic()
     yield
-    assert time.monotonic() - started < seconds  # reprolint: disable=D102
+    assert time.monotonic() - started < seconds
 
 
 TEST_PID = os.getpid()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.sanitizer import sanitized
 from repro.core.reward import reward_eq1
 from repro.rl import noise as noise_module
 from repro.rl.noise import (
@@ -14,6 +13,8 @@ from repro.rl.noise import (
 )
 from repro.rl.replay import ReplayBuffer
 from repro.utils.rng import RngStream
+
+from tests.sanitizer import sanitized
 
 
 class TestReplayBuffer:

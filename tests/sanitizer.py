@@ -1,7 +1,7 @@
 """Runtime sanitizer: contracts asserted on the *running* program.
 
-The static pass sees one file at a time; this module checks what only
-the running program can show:
+The static checks (``tests/test_determinism.py``) see one file at a time;
+this module checks what only the running program can show:
 
 - **Fork-label provenance**: while active, forking the
   same label twice from the same parent :class:`~repro.utils.rng.RngStream`
@@ -16,7 +16,7 @@ the running program can show:
 
 Activation is explicit and reversible::
 
-    from repro.analysis.sanitizer import sanitized
+    from tests.sanitizer import sanitized
 
     with sanitized():
         run_experiment()
@@ -24,9 +24,7 @@ Activation is explicit and reversible::
 The test suite activates it per-test via an autouse fixture when
 ``REPRO_SANITIZE=1`` (see ``tests/conftest.py``); CI runs that mode as a
 dedicated matrix entry.  Runtime imports (``repro.utils.rng``,
-``repro.telemetry``) happen inside :func:`activate`, keeping
-``repro.analysis`` import-free of runtime packages for the static path —
-the layering that ``tests/test_layering.py`` enforces.
+``repro.telemetry``) happen inside :func:`activate`.
 """
 
 from __future__ import annotations

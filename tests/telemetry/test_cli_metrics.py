@@ -32,12 +32,12 @@ def run_dir(tmp_path_factory):
 
 
 class TestParser:
-    def test_exactly_seven_flat_verbs(self):
+    def test_exactly_six_flat_verbs(self):
         parser = build_parser()
         (sub,) = parser._subparsers._group_actions
         assert list(sub.choices) == [
             "train", "evaluate", "simulate", "model-accuracy",
-            "experiments", "report", "lint",
+            "experiments", "report",
         ]
         for verb in sub.choices.values():
             assert verb._subparsers is None

@@ -9,7 +9,7 @@ import ast
 from pathlib import Path
 
 LAYERS = {
-    "utils": "", "analysis": "",  # analysis reads the others as ASTs only
+    "utils": "",
     "nn": "utils", "telemetry": "utils", "workflows": "utils",
     "sim": "telemetry utils workflows", "workload": "sim utils",
     "rl": "nn telemetry utils", "core": "nn rl sim telemetry utils",

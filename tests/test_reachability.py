@@ -15,11 +15,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
-#: The CLI modules, everything under benchmarks/, and the one harness file
-#: that is an entry point: tests/conftest.py is where REPRO_SANITIZE=1 (the
-#: CI sanitizer job) reaches ``repro.analysis.sanitizer``.
-ROOT_FILES = [SRC / "cli.py", SRC / "__main__.py", SRC / "analysis" / "cli.py",
-              REPO / "tests" / "conftest.py",
+#: The CLI modules and everything under benchmarks/.
+ROOT_FILES = [SRC / "cli.py", SRC / "__main__.py",
               *sorted((REPO / "benchmarks").rglob("*.py"))]
 #: ``"package.module:Class.method"`` strings name code too (EnvSpec
 #: factories, the profiler's and the e2e harness's wrap tables).

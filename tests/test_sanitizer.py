@@ -8,8 +8,8 @@ bookkeeping counters the CI matrix entry reports.
 import numpy as np
 import pytest
 
-from repro.analysis import sanitizer
-from repro.analysis.sanitizer import SanitizerError, sanitized
+from tests import sanitizer
+from tests.sanitizer import SanitizerError, sanitized
 from repro.telemetry.sinks import MemorySink
 from repro.telemetry.tracer import Tracer
 from repro.utils.rng import RngStream

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    ReproducibilityWarning,
-    RngStream,
-    fallback_stream,
-    spawn_rngs,
-)
+from repro.utils.rng import RngStream, spawn_rngs
 
 
 class TestSpawnRngs:
@@ -85,31 +80,6 @@ class TestFork:
             return root.fork("mid").fork("leaf").uniform(size=10)
 
         assert np.array_equal(leaf(), leaf())
-
-
-class TestFallbackStream:
-    def test_warns_and_returns_fixed_seed_stream(self):
-        with pytest.warns(ReproducibilityWarning, match="explicit RngStream"):
-            first = fallback_stream("dense")
-        with pytest.warns(ReproducibilityWarning):
-            second = fallback_stream("dense")
-        assert np.array_equal(first.uniform(size=10), second.uniform(size=10))
-
-    def test_component_constructors_warn_without_rng(self):
-        from repro.nn.layers import Dense
-
-        with pytest.warns(ReproducibilityWarning):
-            Dense(3, 2)
-
-    def test_component_constructors_silent_with_rng(self):
-        import warnings
-
-        from repro.nn.layers import Dense
-
-        rng = RngStream("t", np.random.SeedSequence(3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproducibilityWarning)
-            Dense(3, 2, rng=rng)
 
 
 class TestDistributionPassthroughs:

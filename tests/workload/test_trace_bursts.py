@@ -30,13 +30,6 @@ class TestArrivalTrace:
         shifted = trace.shifted(5.0)
         assert shifted.events == [(6.0, "A")]
 
-    def test_save_load_roundtrip(self, tmp_path):
-        trace = ArrivalTrace([(1.0, "A"), (2.5, "B")])
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = ArrivalTrace.load(path)
-        assert loaded.events == trace.events
-
     def test_len(self):
         assert len(ArrivalTrace([(1.0, "A")])) == 1
 
