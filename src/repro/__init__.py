@@ -16,8 +16,12 @@ Allocation over Scientific Workflows" (ICDCS 2019), including:
 
 Quickstart::
 
-    from repro import quickstart_msd_agent
-    agent, env = quickstart_msd_agent()
+    from repro import MirasAgent, MirasConfig
+    from repro.eval.experiments import preset_env
+
+    env = preset_env("msd", 0)
+    agent = MirasAgent(env, MirasConfig.msd_fast(), seed=0)
+    agent.iterate()
     print([r.eval_reward for r in agent.results])
 """
 
@@ -35,25 +39,6 @@ __all__ = [
     "SystemConfig",
     "build_msd_ensemble",
     "build_ligo_ensemble",
-    "quickstart_msd_agent",
     "__version__",
 ]
 
-
-def quickstart_msd_agent():
-    """Build an MSD environment and train a MIRAS agent on it.
-
-    Returns ``(agent, env)``.  The scaled-down schedule runs in seconds;
-    ``repro train --scale paper`` runs the paper's.
-    """
-    from repro.workload import MSD_BACKGROUND_RATES, PoissonArrivalProcess
-
-    ensemble = build_msd_ensemble()
-    system = MicroserviceWorkflowSystem(
-        ensemble, SystemConfig(consumer_budget=14), seed=0
-    )
-    PoissonArrivalProcess(MSD_BACKGROUND_RATES).attach(system)
-    env = MicroserviceEnv(system)
-    agent = MirasAgent(env, MirasConfig.msd_fast(), seed=0)
-    agent.iterate()
-    return agent, env

@@ -112,23 +112,15 @@ class TaskArrivalRateEstimator:
 class Allocator(ABC):
     """Per-window resource allocation policy.
 
-    Lifecycle: :meth:`prepare` runs once and may be expensive (the learning
-    baselines train there); :meth:`bind` attaches the allocator to the
-    environment it will control (the comparison harness trains on one
-    system and evaluates on a fresh one with identical arrivals, so these
-    are separate systems); :meth:`reset` clears per-episode state.
+    Lifecycle: the learning baselines are trained first, each by its own
+    method; :meth:`bind` attaches the allocator to the environment it
+    will control (the comparison harness trains on one system and
+    evaluates on a fresh one with identical arrivals, so these are
+    separate systems); :meth:`reset` clears per-episode state.
     """
 
     #: Short name used in reports ("miras", "stream", "heft", ...).
     name = "allocator"
-
-    def prepare(self, env: MicroserviceEnv) -> None:
-        """One-time setup; learning baselines train here.
-
-        Default implementation just binds — heuristic allocators need no
-        training.
-        """
-        self.bind(env)
 
     def bind(self, env: MicroserviceEnv) -> None:
         """Attach to the environment this allocator will control."""

@@ -120,7 +120,7 @@ class DrsAllocator(Allocator):
         observation: Optional[WindowObservation] = None,
     ) -> np.ndarray:
         if self._estimator is None:
-            raise RuntimeError("call prepare() before allocate()")
+            raise RuntimeError("call bind() before allocate()")
         if observation is not None:
             rates = self._estimator.update(observation, self._task_names)
         else:

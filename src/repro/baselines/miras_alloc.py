@@ -27,8 +27,7 @@ class MirasAllocator(Allocator):
     def __init__(self, agent: MirasAgent):
         self.agent = agent
 
-    def prepare(self, env: MicroserviceEnv) -> None:
-        self.bind(env)
+    def _on_bind(self, env: MicroserviceEnv) -> None:
         if self.agent.env.consumer_budget != env.consumer_budget:
             raise ValueError(
                 "trained MIRAS agent has a different consumer budget "

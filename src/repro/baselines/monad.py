@@ -41,8 +41,6 @@ HORIZON = 1
 #: Projected-gradient iterations, and their step size, per allocation.
 GRADIENT_STEPS = 100
 STEP_SIZE = 0.5
-#: Random-allocation windows :meth:`MonadAllocator.prepare` identifies on.
-TRAINING_STEPS = 200
 
 
 class LinearPerformanceModel:
@@ -89,29 +87,13 @@ class MonadAllocator(Allocator):
         self.model: Optional[LinearPerformanceModel] = None
 
     # Identification ---------------------------------------------------------
-    def prepare(self, env: MicroserviceEnv) -> None:
-        """Collect identification data with random allocations and fit."""
-        self.bind(env)
-        self.model = LinearPerformanceModel(env.state_dim, env.action_dim)
-        dataset = TransitionDataset(env.state_dim, env.action_dim)
-        rng = env.system.workload_rng.fork("monad-ident")
-        state = env.reset()
-        for step in range(TRAINING_STEPS):
-            if step > 0 and step % 25 == 0:
-                state = env.reset()
-            allocation = env.random_allocation(rng)
-            next_state, _, _ = env.step(allocation)
-            dataset.add(state, allocation.astype(np.float64), next_state)
-            state = next_state
-        self.model.fit(dataset)
-
     def fit_from_dataset(
         self, env: MicroserviceEnv, dataset: TransitionDataset
     ) -> None:
-        """Alternative preparation: reuse an existing interaction dataset.
+        """Fit the linear model on an existing interaction dataset.
 
-        The comparison harness uses this to give MONAD exactly the same
-        real-environment interaction budget as MIRAS.
+        The comparison harness passes MIRAS's, so MONAD gets exactly the
+        same real-environment interaction budget.
         """
         self.bind(env)
         self.model = LinearPerformanceModel(env.state_dim, env.action_dim)
@@ -132,7 +114,7 @@ class MonadAllocator(Allocator):
         observation: Optional[WindowObservation] = None,
     ) -> np.ndarray:
         if self.model is None or not self.model.fitted:
-            raise RuntimeError("call prepare()/fit_from_dataset() first")
+            raise RuntimeError("call fit_from_dataset() first")
         wip = np.asarray(wip, dtype=np.float64)
         # Continuous relaxation, warm-started at a uniform split.
         m = np.full(self.num_services, self.budget / self.num_services)

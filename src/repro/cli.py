@@ -3,7 +3,7 @@
 ::
 
     python -m repro train --dataset msd --output runs/msd-agent
-    python -m repro evaluate --agent runs/msd-agent --dataset msd --burst 0
+    python -m repro simulate --agent runs/msd-agent --dataset msd --burst 0
     python -m repro simulate --dataset msd --allocator heft --burst 0
     python -m repro model-accuracy --dataset ligo
     python -m repro experiments --experiments fig5,fig6 --workers 4
@@ -11,8 +11,9 @@
     python -m repro report runs/trace-msd --validate
     python -m repro report runs/trace-msd --format prom
 
-``train`` runs Algorithm 2; ``evaluate`` deploys a saved agent on a paper
-burst scenario; ``simulate`` runs a heuristic allocator (no learning);
+``train`` runs Algorithm 2; ``simulate`` runs a heuristic allocator (no
+learning) on a paper burst scenario, or deploys a saved agent there with
+``--agent DIR``;
 ``model-accuracy`` reproduces the Fig. 5 protocol; ``experiments`` maps
 figure/ablation cells over worker processes with label-derived per-cell
 seeds (results are byte-identical for any ``--workers``).  ``train`` and
@@ -75,27 +76,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory to save the trained agent to")
     _add_telemetry(train)
 
-    evaluate = sub.add_parser(
-        "evaluate", help="deploy a saved agent on a burst scenario"
-    )
-    _add_dataset(evaluate)
-    evaluate.add_argument("--agent", required=True,
-                          help="directory written by `repro train --output`")
-    evaluate.add_argument("--burst", type=int, default=0,
-                          help="burst scenario index (0-2)")
-    evaluate.add_argument("--steps", type=int, default=30)
-    evaluate.add_argument("--seed", type=int, default=1000)
-
     simulate = sub.add_parser(
-        "simulate", help="run a heuristic allocator on a burst (no learning)"
+        "simulate",
+        help="run a heuristic allocator (no learning) or a saved agent on "
+             "a burst",
     )
     _add_dataset(simulate)
-    simulate.add_argument(
+    allocator = simulate.add_mutually_exclusive_group()
+    allocator.add_argument(
         "--allocator",
         choices=("uniform", "wip", "stream", "heft", "hpa", "oracle"),
-        default="uniform",
+        default=None, help="heuristic allocator (default: uniform)",
     )
-    simulate.add_argument("--burst", type=int, default=0)
+    allocator.add_argument(
+        "--agent", default=None, metavar="DIR",
+        help="deploy the agent `repro train --output DIR` saved",
+    )
+    simulate.add_argument("--burst", type=int, default=0,
+                          help="burst scenario index (0-2)")
     simulate.add_argument("--steps", type=int, default=30)
     simulate.add_argument("--seed", type=int, default=1000)
     _add_telemetry(simulate)
@@ -230,24 +228,6 @@ def _cmd_train(args, argv) -> int:
     return 0
 
 
-def _cmd_evaluate(args, argv) -> int:
-    from repro.baselines.miras_alloc import MirasAllocator
-    from repro.core.persistence import load_agent
-    from repro.eval.experiments import dataset_preset, preset_env
-    from repro.eval.runner import evaluate_allocator
-
-    scenario = _scenario(dataset_preset(args.dataset), args.burst)
-    env = preset_env(
-        args.dataset, args.seed, dict(scenario.background_rates)
-    )
-    agent = load_agent(args.agent, env)
-    result = evaluate_allocator(
-        MirasAllocator(agent=agent), env, scenario, args.steps
-    )
-    _print_result(result)
-    return 0
-
-
 def _make_allocator(name: str):
     from repro.baselines.autoscaler import HpaAllocator
     from repro.baselines.drs import DrsAllocator
@@ -274,14 +254,23 @@ def _cmd_simulate(args, argv) -> int:
     from repro.eval.experiments import dataset_preset, preset_env
 
     scenario = _scenario(dataset_preset(args.dataset), args.burst)
+    if args.agent is None and args.allocator is None:
+        args.allocator = "uniform"
     with _capture(args, argv) as tracer:
         env = preset_env(
             args.dataset, args.seed, dict(scenario.background_rates),
             tracer=tracer,
         )
+        if args.agent is None:
+            allocator = _make_allocator(args.allocator)
+        else:
+            from repro.baselines.miras_alloc import MirasAllocator
+            from repro.core.persistence import load_agent
+
+            allocator = MirasAllocator(agent=load_agent(args.agent, env))
         # Through the module, so an installed profiler's wrapper is called.
         result = runner.evaluate_allocator(
-            _make_allocator(args.allocator), env, scenario, args.steps
+            allocator, env, scenario, args.steps
         )
     _print_result(result)
     return 0
@@ -436,7 +425,6 @@ def _print_result(result) -> None:
 
 _COMMANDS = {
     "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
     "simulate": _cmd_simulate,
     "model-accuracy": _cmd_model_accuracy,
     "experiments": _cmd_experiments,

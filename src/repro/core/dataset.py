@@ -52,14 +52,6 @@ class TransitionDataset:
         self._actions.append(action)
         self._next_states.append(next_state)
 
-    def extend(self, other: "TransitionDataset") -> None:
-        """Append every transition from another dataset."""
-        if (other.state_dim, other.action_dim) != (self.state_dim, self.action_dim):
-            raise ValueError("dataset dimension mismatch")
-        self._states.extend(other._states)
-        self._actions.extend(other._actions)
-        self._next_states.extend(other._next_states)
-
     # Views --------------------------------------------------------------------
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(states, actions, next_states) as stacked arrays."""
@@ -85,26 +77,6 @@ class TransitionDataset:
         return tau, omega
 
     # Training helpers ---------------------------------------------------------
-    def split(
-        self, test_fraction: float, rng: RngStream
-    ) -> Tuple["TransitionDataset", "TransitionDataset"]:
-        """Random (train, test) split."""
-        check_in_range(
-            "test_fraction", test_fraction, 0.0, 1.0, inclusive=(False, False)
-        )
-        n = len(self)
-        if n < 2:
-            raise RuntimeError("need at least 2 transitions to split")
-        indices = rng.permutation(n)
-        n_test = max(1, int(round(n * test_fraction)))
-        test_idx = set(indices[:n_test].tolist())
-        train = TransitionDataset(self.state_dim, self.action_dim)
-        test = TransitionDataset(self.state_dim, self.action_dim)
-        for i in range(n):
-            target = test if i in test_idx else train
-            target.add(self._states[i], self._actions[i], self._next_states[i])
-        return train, test
-
     def sample_states(self, count: int, rng: RngStream) -> np.ndarray:
         """Random states from D (model-env episode starts)."""
         check_positive("count", count)

@@ -152,20 +152,6 @@ class EnvironmentModel:
         self.trained = True
         return history
 
-    def evaluate(self, dataset: TransitionDataset) -> float:
-        """Mean squared one-step error (normalised units) on a dataset."""
-        states, actions, next_states = dataset.arrays()
-        x = self._encode_inputs(states, actions)
-        y = self._encode_targets(states, next_states)
-        x_n = (x - self._norm["x_mean"]) / self._norm["x_std"]
-        y_n = (y - self._norm["y_mean"]) / self._norm["y_std"]
-        value, _ = self.loss(self.network.forward(x_n), y_n)
-        if self.tracer.enabled:
-            self.tracer.metric(
-                "model/val_loss", value, step=self.epochs_trained
-            )
-        return value
-
     # Prediction -------------------------------------------------------------
     def predict(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
         """One-step prediction ŝ(k+1) = f̂_Φ(s(k), a(k)) for a ``(K, ·)`` block.

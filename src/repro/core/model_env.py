@@ -64,10 +64,6 @@ class BatchedModelEnv:
         self.total_steps = 0
 
     @property
-    def state_dim(self) -> int:
-        return self.model.state_dim
-
-    @property
     def action_dim(self) -> int:
         return self.model.action_dim
 

@@ -143,18 +143,6 @@ class RefinedModel:
         """:meth:`predict` under the name the synthetic environment calls."""
         return self.predict(states, actions)
 
-    def rollout(
-        self, initial_state: np.ndarray, actions: np.ndarray
-    ) -> np.ndarray:
-        """Iterative multi-step prediction through the refined model."""
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        state = np.asarray(initial_state, dtype=np.float64).copy()
-        trajectory = np.zeros((actions.shape[0], self.state_dim))
-        for t, action in enumerate(actions):
-            state = self.predict(state, action)
-            trajectory[t] = state
-        return trajectory
-
     def below_threshold(self, state: np.ndarray) -> np.ndarray:
         """Boolean mask of dimensions the refinement would adjust."""
         return np.asarray(state, dtype=np.float64) < self.tau

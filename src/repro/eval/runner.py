@@ -139,7 +139,7 @@ def evaluate_allocator(
 ) -> EvalResult:
     """Reset, inject the burst, then run ``steps`` allocator-controlled windows.
 
-    The allocator must already be prepared (trained); this call only binds
+    The allocator must already be trained; this call only binds
     it to ``env`` and runs the evaluation protocol.  The reset drains
     until no request is waiting (WIP is then what is in service); on a
     fresh ``env`` it costs no window, so exactly ``steps`` are simulated.

@@ -12,7 +12,6 @@ and soft target-network updates.
 from repro.nn.activations import (
     Activation,
     Linear,
-    ReLU,
     Softmax,
     get_activation,
 )
@@ -30,7 +29,6 @@ from repro.nn.optimizers import Adam
 
 __all__ = [
     "Activation",
-    "ReLU",
     "Softmax",
     "Linear",
     "get_activation",

@@ -1,9 +1,11 @@
 """Activation functions with forward and backward passes.
 
-Every activation implements ``forward(z) -> y`` and
-``backward(grad_y, z, y) -> grad_z``.  The backward pass receives both the
-pre-activation ``z`` and the cached output ``y`` so that each activation can
-use whichever is cheaper (e.g. softmax only needs ``y``).
+These are the *output* activations.  Every one implements
+``forward(z) -> y`` and ``backward(grad_y, z, y) -> grad_z``; the backward
+pass receives both the pre-activation ``z`` and the cached output ``y``
+so that each activation can use whichever is cheaper (e.g. softmax only
+needs ``y``).  Hidden layers are ReLU, computed in place by
+:class:`repro.nn.Dense` itself.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Activation",
-    "ReLU",
     "Softmax",
     "Linear",
     "get_activation",
@@ -38,18 +39,6 @@ class Activation(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
-
-
-class ReLU(Activation):
-    """Rectified linear unit — the paper's stated hidden activation."""
-
-    name = "relu"
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(z, 0.0)
-
-    def backward(self, grad_y, z, y):
-        return grad_y * (z > 0.0)
 
 
 class Softmax(Activation):
@@ -87,12 +76,12 @@ class Linear(Activation):
 
 
 _REGISTRY = {
-    cls.name: cls for cls in (ReLU, Softmax, Linear)
+    cls.name: cls for cls in (Softmax, Linear)
 }
 
 
 def get_activation(name: str) -> Activation:
-    """Look up an activation by name (``relu``, ``softmax``, ``linear``)."""
+    """Look up an output activation by name (``softmax``, ``linear``)."""
     try:
         return _REGISTRY[name]()
     except KeyError:

@@ -6,13 +6,14 @@ The layer supports everything MIRAS's networks need:
 - gradients with respect to the *input* (the deterministic policy gradient
   chains dQ/da through the critic's input),
 - an optional *auxiliary input* concatenated at this layer (the paper's
-  critic "inserts one of Critic's inputs — action — to the second layer"),
-- flattened parameter views for parameter-space exploration noise.
+  critic "inserts one of Critic's inputs — action — to the second layer").
 
 Inside an :class:`repro.nn.MLP` the four parameter/gradient arrays are
 *views* into the network's flat arena (:meth:`Dense.bind`): write them
-with ``layer.weights[...] = value``, never rebind the attribute.  Its
-hidden ReLU layers compute in buffers they own; the last one allocates.
+with ``layer.weights[...] = value``, never rebind the attribute.  A
+``"relu"`` layer is a hidden layer: it computes in buffers it owns, so
+its output is only good until its next forward.  The other activations
+allocate, which is why an MLP's last layer is never ReLU.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class Dense:
         width is ``in_dim + aux_dim`` and callers must pass the auxiliary
         tensor to :meth:`forward`.
     activation:
-        Name of the activation (see :func:`repro.nn.get_activation`) or an
-        :class:`Activation` instance.
+        ``"relu"`` (a hidden layer), or the name of an output activation
+        (see :func:`repro.nn.get_activation`).
     init:
         One of ``glorot``, ``he``, ``small_uniform``.
     aux_dim:
@@ -85,10 +86,9 @@ class Dense:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.aux_dim = aux_dim
-        self.activation: Activation = (
-            activation
-            if isinstance(activation, Activation)
-            else get_activation(activation)
+        #: The output activation; ``None`` for a hidden ReLU layer.
+        self.activation: Optional[Activation] = (
+            None if activation == "relu" else get_activation(activation)
         )
         fan_in = in_dim + aux_dim
         self.weights = _INITIALIZERS[init](fan_in, out_dim, rng)
@@ -107,10 +107,12 @@ class Dense:
         # it is value-identical to np.concatenate, so outputs are bitwise
         # unchanged.
         self._concat_buf: Optional[np.ndarray] = None
-        # Hidden ReLU layers of an MLP only (it sets this): a y / grad_z
-        # stack per batch row count.  Their output never leaves the MLP;
-        # the last layer's is returned, so it keeps allocating (None).
-        self._workspaces: Optional[Dict[int, np.ndarray]] = None
+        # Hidden ReLU layers only: a y / grad_z stack per batch row
+        # count.  Their output never leaves the MLP; an output layer's is
+        # returned, so it keeps allocating (None).
+        self._workspaces: Optional[Dict[int, np.ndarray]] = (
+            {} if self.activation is None else None
+        )
         self._grad_buf: Optional[np.ndarray] = None
 
     def __getstate__(self) -> dict:
@@ -141,19 +143,15 @@ class Dense:
                 raise ValueError(
                     f"aux shape {aux.shape} != ({x.shape[0]}, {self.aux_dim})"
                 )
-            if x.dtype == np.float64 and aux.dtype == np.float64:
-                buf = self._concat_buf
-                if buf is None or buf.shape[0] != x.shape[0]:
-                    buf = np.empty(
-                        (x.shape[0], self.in_dim + self.aux_dim),
-                        dtype=np.float64,
-                    )
-                    self._concat_buf = buf
-                buf[:, : self.in_dim] = x
-                buf[:, self.in_dim :] = aux
-                x = buf
-            else:
-                x = np.concatenate([x, aux], axis=1)
+            buf = self._concat_buf
+            if buf is None or buf.shape[0] != x.shape[0]:
+                buf = np.empty(
+                    (x.shape[0], self.in_dim + self.aux_dim), dtype=np.float64
+                )
+                self._concat_buf = buf
+            buf[:, : self.in_dim] = x
+            buf[:, self.in_dim :] = aux
+            x = buf
         elif aux is not None:
             raise ValueError("layer does not accept an auxiliary input")
 
@@ -224,25 +222,6 @@ class Dense:
         """
         return self._grad_inputs(self._grad_z(grad_y))
 
-    # Parameter flattening (for parameter-space noise) ------------------
-    @property
-    def num_params(self) -> int:
-        return self.weights.size + self.bias.size
-
-    def get_flat(self) -> np.ndarray:
-        """Return a flat copy of (weights, bias)."""
-        return np.concatenate([self.weights.ravel(), self.bias.ravel()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        """Load parameters from a flat vector produced by :meth:`get_flat`."""
-        if flat.shape != (self.num_params,):
-            raise ValueError(
-                f"flat vector has shape {flat.shape}, expected ({self.num_params},)"
-            )
-        w_size = self.weights.size
-        self.weights[...] = flat[:w_size].reshape(self.weights.shape)
-        self.bias[...] = flat[w_size:]
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of all parameters for checkpointing."""
         return {"weights": self.weights.copy(), "bias": self.bias.copy()}
@@ -259,5 +238,5 @@ class Dense:
         aux = f", aux_dim={self.aux_dim}" if self.aux_dim else ""
         return (
             f"Dense({self.in_dim} -> {self.out_dim}, "
-            f"activation={self.activation.name}{aux})"
+            f"activation={getattr(self.activation, 'name', 'relu')}{aux})"
         )

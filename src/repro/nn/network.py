@@ -1,8 +1,8 @@
 """Sequential multilayer perceptron.
 
 This is the single network container used by the environment model, the
-actor, and the critic.  Beyond the usual ``fit``/``predict`` it exposes the
-three capabilities the MIRAS algorithms require:
+actor, and the critic.  Beyond forward, backward and ``train_batch`` it
+exposes the three capabilities the MIRAS algorithms require:
 
 - **input gradients** (:meth:`MLP.input_gradient`) for the deterministic
   policy gradient, which chains dQ/da through the critic's action input;
@@ -93,8 +93,6 @@ class MLP:
                 aux_dim=layer_aux,
                 rng=rng.fork(f"layer{i}"),
             )
-            if not is_last:
-                layer._workspaces = {}  # its output never leaves forward()
             self.layers.append(layer)
         self._bind_arena()
 
@@ -142,14 +140,6 @@ class MLP:
         self._bind_arena()
 
     # ------------------------------------------------------------------
-    @property
-    def in_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layer_sizes[-1]
-
     def forward(
         self, x: np.ndarray, aux: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -160,14 +150,6 @@ class MLP:
         for i, layer in enumerate(self.layers):
             h = layer.forward(h, aux if i == self.aux_layer else None)
         return h
-
-    def predict(
-        self, x: np.ndarray, aux: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Forward pass; 1-D inputs give 1-D outputs."""
-        single = np.asarray(x).ndim == 1
-        out = self.forward(x, aux)
-        return out[0] if single else out
 
     @property
     def output(self) -> Optional[np.ndarray]:

@@ -32,6 +32,10 @@ STATE_SCALE = 100.0
 #: Jacobian vanishes and the deterministic policy gradient dies.
 OUTPUT_MIXING = 0.02
 
+#: Adam step size: DDPG's (Lillicrap et al.); the critic's is
+#: :data:`repro.rl.critic.LEARNING_RATE`.
+ACTOR_LEARNING_RATE = 1e-4
+
 
 class Actor:
     """Deterministic policy mu_theta: state -> point on the action simplex."""
@@ -41,10 +45,9 @@ class Actor:
         state_dim: int,
         action_dim: int,
         hidden_sizes: Sequence[int] = (256, 256, 256),
-        learning_rate: float = 1e-4,
         *,
         rng: RngStream,
-        weight_decay: float = 1e-4,
+        weight_decay: float,
     ):
         check_positive("state_dim", state_dim)
         check_positive("action_dim", action_dim)
@@ -59,7 +62,7 @@ class Actor:
         )
         self.target_network = self.network.clone()
         self.optimizer = Adam(
-            learning_rate, grad_clip=1.0, weight_decay=weight_decay
+            ACTOR_LEARNING_RATE, grad_clip=1.0, weight_decay=weight_decay
         )
 
     def normalize(self, states: np.ndarray) -> np.ndarray:

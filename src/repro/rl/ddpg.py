@@ -40,10 +40,6 @@ METRIC_INTERVAL = 50
 #: Target-network soft-update rate (Polyak averaging).
 TAU = 0.01
 
-#: Actor Adam step size: DDPG's (Lillicrap et al.); the critic's is
-#: :data:`repro.rl.critic.LEARNING_RATE`.
-ACTOR_LEARNING_RATE = 1e-4
-
 #: Replay ring size; past it the oldest transitions are overwritten.  The
 #: paper gives none; this reproduction's choice.
 BUFFER_CAPACITY = 100_000
@@ -120,7 +116,6 @@ class DDPGAgent:
             state_dim,
             action_dim,
             hidden_sizes=cfg.hidden_sizes,
-            learning_rate=ACTOR_LEARNING_RATE,
             rng=rng.fork("actor"),
             weight_decay=cfg.actor_weight_decay,
         )
@@ -236,7 +231,8 @@ class DDPGAgent:
         reward: float,
         next_state: np.ndarray,
     ) -> None:
-        self.replay.add(state, action, reward, next_state)
+        """Store one transition: a :meth:`store_batch` block of one row."""
+        self.store_batch([state], [action], [reward], [next_state])
 
     def store_batch(
         self,

@@ -143,10 +143,6 @@ class EpisodeTask:
     #: Environment-replica seed (separately label-derived).
     env_seed: int
 
-    @property
-    def label(self) -> str:
-        return f"lane{self.lane}/ep{self.episode}"
-
 
 def episode_plan(
     steps: int,
@@ -229,6 +225,7 @@ def _acting_networks(payload: Dict, rng: RngStream) -> Tuple[Actor, MLP]:
             payload["action_dim"],
             hidden_sizes=payload["hidden_sizes"],
             rng=rng,
+            weight_decay=0.0,  # acting only: its optimizer never steps
         )
         _ACTING[key] = (actor, actor.network.clone())
     actor, perturbed = _ACTING[key]

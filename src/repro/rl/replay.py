@@ -34,38 +34,6 @@ class ReplayBuffer:
         self._cursor = 0
         self.total_added = 0
 
-    def add(
-        self,
-        state: np.ndarray,
-        action: np.ndarray,
-        reward: float,
-        next_state: np.ndarray,
-    ) -> None:
-        """Store one transition, evicting the oldest when full (FIFO)."""
-        state = np.asarray(state, dtype=np.float64)
-        action = np.asarray(action, dtype=np.float64)
-        next_state = np.asarray(next_state, dtype=np.float64)
-        if state.shape != (self.state_dim,):
-            raise ValueError(
-                f"state shape {state.shape} != ({self.state_dim},)"
-            )
-        if action.shape != (self.action_dim,):
-            raise ValueError(
-                f"action shape {action.shape} != ({self.action_dim},)"
-            )
-        if next_state.shape != (self.state_dim,):
-            raise ValueError(
-                f"next_state shape {next_state.shape} != ({self.state_dim},)"
-            )
-        i = self._cursor
-        self._states[i] = state
-        self._actions[i] = action
-        self._rewards[i, 0] = reward
-        self._next_states[i] = next_state
-        self._cursor = (self._cursor + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
-        self.total_added += 1
-
     def add_batch(
         self,
         states: np.ndarray,
@@ -73,13 +41,12 @@ class ReplayBuffer:
         rewards: np.ndarray,
         next_states: np.ndarray,
     ) -> None:
-        """Store ``n`` transitions with one shape check and slice writes.
+        """Store ``n`` transitions, evicting the oldest when full (FIFO).
 
-        Equivalent to ``n`` sequential :meth:`add` calls (same final
-        contents, cursor, and eviction order) but validates once and
-        writes each array in at most two wraparound-aware slice
-        assignments, so the synthetic-rollout engine can feed a whole
-        ``(K, dim)`` step in one call.
+        One shape check and at most two wraparound-aware slice writes
+        per array, so the synthetic-rollout engine feeds a whole
+        ``(K, dim)`` step in one call; a single transition is a block of
+        one row.
         """
         states = np.asarray(states, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.float64)
@@ -105,7 +72,7 @@ class ReplayBuffer:
             return
         start = self._cursor
         if n > self.capacity:
-            # Sequential adds would overwrite the first n - capacity rows;
+            # Row by row, the first n - capacity rows would be overwritten;
             # only the tail survives, landing after an advanced cursor.
             start = (start + n - self.capacity) % self.capacity
             states = states[-self.capacity :]
@@ -211,10 +178,6 @@ class ReplayBuffer:
         self._size = size
         self._cursor = cursor
         self.total_added = int(state["total_added"])
-
-    def clear(self) -> None:
-        self._size = 0
-        self._cursor = 0
 
     def __len__(self) -> int:
         return self._size

@@ -45,10 +45,6 @@ class WorkflowRequest:
     completed_tasks: Set[str] = field(default_factory=set)
     completion_time: Optional[float] = None
 
-    @property
-    def is_complete(self) -> bool:
-        return self.completion_time is not None
-
     def response_time(self) -> float:
         """Arrival-to-last-task-finish duration (the paper's "delay")."""
         if self.completion_time is None:
@@ -58,7 +54,10 @@ class WorkflowRequest:
         return self.completion_time - self.arrival_time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.is_complete else f"{len(self.completed_tasks)} tasks"
+        state = (
+            "done" if self.completion_time is not None
+            else f"{len(self.completed_tasks)} tasks"
+        )
         return (
             f"WorkflowRequest(id={self.request_id}, type={self.workflow_type!r}, "
             f"{state})"

@@ -657,10 +657,6 @@ class MetricsAggregator:
         self._response_merged: List[float] = []
 
     # Dispatch -------------------------------------------------------------
-    def observe(self, record: Mapping) -> None:
-        """Fold one trace record into the aggregates."""
-        self.observe_many((record,))
-
     def observe_many(self, records: Iterable[Mapping]) -> None:
         """Fold ``records`` into the aggregates, as if one at a time.
 

@@ -31,7 +31,7 @@ import json
 import time
 import timeit
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 __all__ = [
     "PROFILE_VERSION",
@@ -266,20 +266,6 @@ class PhaseProfiler:
         node.cpu += cpu
 
     # Reading --------------------------------------------------------------
-    @property
-    def depth(self) -> int:
-        """Current nesting depth (0 outside any phase)."""
-        return len(self._stack) - 1
-
-    def node(self, *path: str) -> Optional[PhaseNode]:
-        """Look up a node by phase path; None when never entered."""
-        node = self.root
-        for name in path:
-            node = node.children.get(name)
-            if node is None:
-                return None
-        return node
-
     def to_dict(self) -> Dict:
         """The profile.json document."""
         return {

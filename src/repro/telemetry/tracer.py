@@ -112,10 +112,6 @@ class Tracer:
         self.counters[name] = self.counters.get(name, 0) + n
 
     # Lifecycle -----------------------------------------------------------
-    def flush(self) -> None:
-        """Flush the sink."""
-        self.sink.flush()
-
     def close(self) -> None:
         """Flush and close the sink."""
         self.sink.flush()

@@ -65,9 +65,6 @@ class RngStream:
     def exponential(self, scale: float = 1.0, size=None):
         return self.generator.exponential(scale, size)
 
-    def lognormal(self, mean: float = 0.0, sigma: float = 1.0, size=None):
-        return self.generator.lognormal(mean, sigma, size)
-
     def integers(self, low: int, high: int, size=None):
         return self.generator.integers(low, high, size)
 

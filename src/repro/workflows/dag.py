@@ -192,11 +192,6 @@ class WorkflowEnsemble:
         """``J`` in the paper's notation."""
         return len(self.task_types)
 
-    @property
-    def num_workflow_types(self) -> int:
-        """``N`` in the paper's notation."""
-        return len(self.workflow_types)
-
     def task_index(self, name: str) -> int:
         """Stable index of a task type (the dimension in w(k)/m(k))."""
         try:

@@ -50,4 +50,4 @@ class TestMirasAllocator:
         agent = tiny_trained_agent()
         allocator = MirasAllocator(agent=agent)
         with pytest.raises(ValueError, match="consumer budget"):
-            allocator.prepare(make_msd_env(seed=99, consumer_budget=20))
+            allocator.bind(make_msd_env(seed=99, consumer_budget=20))

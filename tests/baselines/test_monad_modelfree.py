@@ -55,35 +55,28 @@ class TestLinearPerformanceModel:
             LinearPerformanceModel(2, 0)
 
 
-@pytest.fixture
-def short_identification(monkeypatch):
-    """30 identification windows instead of 200, to keep the tests fast."""
-    monkeypatch.setattr(monad, "TRAINING_STEPS", 30)
+def random_dataset(seed=0):
+    """50 random transitions of MSD's 4 task types."""
+    dataset = TransitionDataset(4, 4)
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        dataset.add(
+            rng.uniform(0, 50, 4), rng.uniform(0, 4, 4), rng.uniform(0, 50, 4)
+        )
+    return dataset
 
 
 class TestMonadAllocator:
-    def test_prepare_collects_and_fits(self, short_identification):
-        env = make_msd_env(seed=21)
-        allocator = MonadAllocator()
-        allocator.prepare(env)
-        assert allocator.model.fitted
-
     def test_fit_from_dataset(self):
         env = make_msd_env(seed=22)
-        dataset = TransitionDataset(4, 4)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            dataset.add(
-                rng.uniform(0, 50, 4), rng.uniform(0, 4, 4), rng.uniform(0, 50, 4)
-            )
         allocator = MonadAllocator()
-        allocator.fit_from_dataset(env, dataset)
+        allocator.fit_from_dataset(env, random_dataset())
         assert allocator.model.fitted
 
-    def test_allocation_feasible(self, short_identification):
+    def test_allocation_feasible(self):
         env = make_msd_env(seed=23)
         allocator = MonadAllocator()
-        allocator.prepare(env)
+        allocator.fit_from_dataset(env, random_dataset())
         for wip in [np.zeros(4), np.array([100.0, 50, 25, 10])]:
             allocation = allocator.allocate(wip)
             assert allocation.sum() <= 14

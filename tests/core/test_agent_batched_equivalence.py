@@ -137,7 +137,8 @@ class TestLargerBatches:
         agent = _prepared_agent(seed=7)
         with PhaseProfiler() as profiler:
             agent.train_policy()
-        step_node = profiler.node("core.train_policy", "core.model_env_step")
+        policy_node = profiler.root.children["core.train_policy"]
+        step_node = policy_node.children.get("core.model_env_step")
         assert step_node is not None
         assert step_node.calls >= 1
         predict_node = step_node.children.get("core.predict_batch")

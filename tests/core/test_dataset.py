@@ -31,15 +31,6 @@ class TestAdd:
         with pytest.raises(ValueError, match="next_state shape"):
             dataset.add(np.zeros(3), np.zeros(2), np.zeros(4))
 
-    def test_extend(self):
-        a, b = filled(5), filled(3, seed=1)
-        a.extend(b)
-        assert len(a) == 8
-
-    def test_extend_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            filled(2).extend(TransitionDataset(4, 2))
-
 
 class TestViews:
     def test_arrays_shapes(self):
@@ -69,16 +60,6 @@ class TestStatistics:
 
 
 class TestSplitAndBatches:
-    def test_split_partitions(self, rng):
-        dataset = filled(20)
-        train, test = dataset.split(0.25, rng)
-        assert len(train) + len(test) == 20
-        assert len(test) == 5
-
-    def test_split_too_small(self, rng):
-        with pytest.raises(RuntimeError):
-            filled(1).split(0.5, rng)
-
     def test_sample_states(self, rng):
         states = filled(10).sample_states(5, rng)
         assert states.shape == (5, 3)

@@ -17,15 +17,20 @@ def queue_dataset(n, rng_seed=0, drain_rate=3.0):
     return dataset
 
 
+def one_step_mse(model, dataset):
+    states, actions, next_states = dataset.arrays()
+    return float(np.mean((model.predict(states, actions) - next_states) ** 2))
+
+
 class TestIncrementalRefit:
     def test_refit_on_grown_dataset_improves(self, rng):
         model = EnvironmentModel(2, 2, hidden_sizes=(16, 16), rng=rng)
         small = queue_dataset(60)
         model.fit(small, epochs=15)
         grown = queue_dataset(600, rng_seed=1)
-        error_before = model.evaluate(grown)
+        error_before = one_step_mse(model, grown)
         model.fit(grown, epochs=30)
-        error_after = model.evaluate(grown)
+        error_after = one_step_mse(model, grown)
         assert error_after < error_before
 
     def test_norm_refreshed_on_refit(self, rng):

@@ -208,8 +208,8 @@ class TestAgentRoundtrip:
         actions = data.dirichlet(np.ones(4), size=8)
         targets = -data.gamma(2.0, 200.0, size=(8, 1))
         dq_da = data.normal(size=(8, 4))
-        model_x = data.normal(size=(8, agent.model.network.in_dim))
-        model_y = data.normal(size=(8, agent.model.network.out_dim))
+        model_x = data.normal(size=(8, agent.model.network.layer_sizes[0]))
+        model_y = data.normal(size=(8, agent.model.network.layer_sizes[-1]))
         for twin in (agent, loaded):
             critic, actor = twin.ddpg.critic, twin.ddpg.actor
             critic.train_features(critic.normalize_states(states), actions, targets)

@@ -98,13 +98,3 @@ class TestPrediction:
         refined = RefinedModel.from_dataset(model, dataset, rng=rng)
         mask = refined.below_threshold(np.array([0.0, 1e9]))
         assert mask.tolist() == [True, False]
-
-
-class TestRollout:
-    def test_rollout_shape(self, rng):
-        model, dataset = make_model_and_data(rng)
-        refined = RefinedModel.from_dataset(model, dataset, rng=rng)
-        actions = np.tile(np.array([2.0, 2.0]), (5, 1))
-        trajectory = refined.rollout(np.array([30.0, 30.0]), actions)
-        assert trajectory.shape == (5, 2)
-        assert np.all(trajectory >= 0)

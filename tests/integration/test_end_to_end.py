@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import quickstart_msd_agent
 from repro.baselines import (
     DrsAllocator,
     HeftAllocator,
@@ -12,6 +11,7 @@ from repro.baselines import (
 )
 from repro.core.agent import MirasAgent
 from repro.core.config import MirasConfig, ModelConfig, PolicyConfig
+from repro.eval.experiments import preset_env
 from repro.eval.runner import evaluate_allocator, make_env
 from repro.rl.ddpg import DDPGConfig
 from repro.sim.system import SystemConfig
@@ -54,7 +54,10 @@ class TestMirasOnMsd:
         assert eval_env.system.conservation_ok()
 
     def test_quickstart_helper(self):
-        agent, env = quickstart_msd_agent()
+        # The README's quickstart.
+        env = preset_env("msd", 0)
+        agent = MirasAgent(env, MirasConfig.msd_fast(), seed=0)
+        agent.iterate()
         assert agent.results
         assert env.system.conservation_ok()
 

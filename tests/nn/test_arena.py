@@ -38,7 +38,7 @@ def assert_layers_are_arena_views(net):
             assert np.shares_memory(array, arena)
         size = layer.weights.size
         assert layer.weights.tobytes() == net.params[offset : offset + size].tobytes()
-        offset += layer.num_params
+        offset += size + layer.bias.size
     assert offset == net.num_params == net.params.size
 
 

@@ -1,7 +1,6 @@
 """The Dense layer's preallocated [x | aux] concat buffer must be an
 invisible optimisation: bitwise-identical outputs and gradients to the
-``np.concatenate`` path, reuse while the batch size is stable, and a
-clean fallback for non-float64 inputs.
+``np.concatenate`` path, and reuse while the batch size is stable.
 """
 
 import numpy as np
@@ -22,8 +21,8 @@ class TestConcatBuffer:
         x = layer_rng.normal(size=(5, 3))
         aux = layer_rng.normal(size=(5, 2))
         out = layer.forward(x, aux)
-        expected = layer.activation.forward(
-            np.concatenate([x, aux], axis=1) @ layer.weights + layer.bias
+        expected = np.maximum(
+            np.concatenate([x, aux], axis=1) @ layer.weights + layer.bias, 0.0
         )
         assert out.tobytes() == expected.tobytes()
 
@@ -57,12 +56,12 @@ class TestConcatBuffer:
         grad_x, grad_aux = layer.backward(grad_y)
 
         # Reference: the pre-buffer computation spelled out with an
-        # explicit np.concatenate (the activation is stateless given
-        # (grad_y, z, y), so this is exactly the old code path).
+        # explicit np.concatenate and a separate ReLU (exactly the old
+        # code path).
         xc = np.concatenate([x, aux], axis=1)
         z = xc @ layer.weights + layer.bias
-        y = layer.activation.forward(z)
-        grad_z = layer.activation.backward(grad_y, z, y)
+        y = np.maximum(z, 0.0)
+        grad_z = grad_y * (z > 0.0)
         grad_full = grad_z @ layer.weights.T
 
         assert out.tobytes() == y.tobytes()
@@ -70,12 +69,3 @@ class TestConcatBuffer:
         assert grad_aux.tobytes() == grad_full[:, 3:].tobytes()
         assert layer.grad_weights.tobytes() == (xc.T @ grad_z).tobytes()
         assert layer.grad_bias.tobytes() == grad_z.sum(axis=0).tobytes()
-
-    def test_non_float64_inputs_fall_back(self, layer_rng):
-        layer = Dense(3, 4, aux_dim=2, activation="linear", rng=layer_rng)
-        x = np.ones((2, 3), dtype=np.float32)
-        aux = np.ones((2, 2), dtype=np.float32)
-        out = layer.forward(x, aux)
-        assert layer._concat_buf is None  # buffer path never engaged
-        expected = np.concatenate([x, aux], axis=1) @ layer.weights + layer.bias
-        assert np.allclose(out, expected)

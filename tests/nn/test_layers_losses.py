@@ -89,18 +89,6 @@ class TestDenseBackward:
 
 
 class TestFlatParams:
-    def test_roundtrip(self, layer_rng):
-        layer = Dense(3, 4, rng=layer_rng)
-        flat = layer.get_flat()
-        assert flat.shape == (layer.num_params,)
-        layer.set_flat(flat * 2.0)
-        assert np.allclose(layer.get_flat(), flat * 2.0)
-
-    def test_wrong_size_rejected(self, layer_rng):
-        layer = Dense(3, 4, rng=layer_rng)
-        with pytest.raises(ValueError):
-            layer.set_flat(np.zeros(layer.num_params + 1))
-
     def test_state_dict_roundtrip(self, layer_rng):
         layer = Dense(3, 4, rng=layer_rng)
         state = layer.state_dict()

@@ -23,19 +23,13 @@ class TestConstruction:
 
     def test_dims(self, net_rng):
         net = MLP([4, 8, 2], rng=net_rng)
-        assert net.in_dim == 4
-        assert net.out_dim == 2
-        assert len(net.layers) == 2
+        assert [layer.weights.shape for layer in net.layers] == [(4, 8), (8, 2)]
 
 
 class TestForward:
     def test_batch_shape(self, net_rng):
         net = MLP([4, 8, 2], rng=net_rng)
         assert net.forward(np.zeros((5, 4))).shape == (5, 2)
-
-    def test_predict_single_returns_1d(self, net_rng):
-        net = MLP([4, 8, 2], rng=net_rng)
-        assert net.predict(np.zeros(4)).shape == (2,)
 
     def test_softmax_output_is_distribution(self, net_rng):
         net = MLP([4, 8, 3], output_activation="softmax", rng=net_rng)

@@ -20,11 +20,21 @@ from repro.rl.ddpg import METRIC_INTERVAL, TAU, DDPGAgent
 from repro.utils.validation import isclose_zero
 
 
+class RefReLU:
+    """The hidden activation as a separate object, as it was then."""
+
+    def forward(self, z):
+        return np.maximum(z, 0.0)
+
+    def backward(self, grad_y, z, y):
+        return grad_y * (z > 0.0)
+
+
 class RefDense:
     def __init__(self, layer):
         self.in_dim = layer.in_dim
         self.aux_dim = layer.aux_dim
-        self.activation = layer.activation
+        self.activation = layer.activation or RefReLU()
         self.weights = layer.weights.copy()
         self.bias = layer.bias.copy()
         self.grad_weights = np.zeros_like(self.weights)

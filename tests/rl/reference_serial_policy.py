@@ -2,8 +2,8 @@
 
 Kept in ``tests/`` as the K=1 oracle for the training-side functions that
 now take one ``(K, ...)`` block: acting, action noise, the simplex
-projection, the refined model and the collection worker's exploration
-step.  Every body below is the pre-change code verbatim: one state, one
+projection, the refined model, the replay buffer's store and the
+collection worker's exploration step.  Every body below is the pre-change code verbatim: one state, one
 ``(n,)`` vector, one draw of ``size=d`` at a time.  Methods are
 overrides of today's classes (``Reference`` prefix); the free functions
 shadow today's names in this module, so the verbatim bodies resolve to
@@ -24,6 +24,7 @@ from repro.rl import distributed
 from repro.rl.actor import Actor
 from repro.rl.ddpg import DDPGAgent
 from repro.rl.noise import AdaptiveParameterNoise, GaussianActionNoise
+from repro.rl.replay import ReplayBuffer
 from repro.sim.env import MicroserviceEnv
 from repro.utils.rng import RngStream
 
@@ -32,6 +33,7 @@ __all__ = [
     "ReferenceDDPGAgent",
     "ReferenceGaussianActionNoise",
     "ReferenceRefinedModel",
+    "ReferenceReplayBuffer",
     "project_to_simplex",
     "run_collect_episode",
 ]
@@ -55,6 +57,40 @@ def project_to_simplex(vector: np.ndarray) -> np.ndarray:
     return np.maximum(vector - theta, 0.0)
 
 
+class ReferenceReplayBuffer(ReplayBuffer):
+    def add(
+        self,
+        state: np.ndarray,
+        action: np.ndarray,
+        reward: float,
+        next_state: np.ndarray,
+    ) -> None:
+        """Store one transition, evicting the oldest when full (FIFO)."""
+        state = np.asarray(state, dtype=np.float64)
+        action = np.asarray(action, dtype=np.float64)
+        next_state = np.asarray(next_state, dtype=np.float64)
+        if state.shape != (self.state_dim,):
+            raise ValueError(
+                f"state shape {state.shape} != ({self.state_dim},)"
+            )
+        if action.shape != (self.action_dim,):
+            raise ValueError(
+                f"action shape {action.shape} != ({self.action_dim},)"
+            )
+        if next_state.shape != (self.state_dim,):
+            raise ValueError(
+                f"next_state shape {next_state.shape} != ({self.state_dim},)"
+            )
+        i = self._cursor
+        self._states[i] = state
+        self._actions[i] = action
+        self._rewards[i, 0] = reward
+        self._next_states[i] = next_state
+        self._cursor = (self._cursor + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+        self.total_added += 1
+
+
 class ReferenceGaussianActionNoise(GaussianActionNoise):
     def sample(self, action_dim: int, rng: RngStream) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=action_dim)
@@ -64,7 +100,7 @@ class ReferenceActor(Actor):
     def act(self, state: np.ndarray, network: Optional[MLP] = None) -> np.ndarray:
         """Action for one state; optionally through a perturbed network."""
         network = network or self.network
-        action = network.predict(self.normalize(np.atleast_2d(state)))[0]
+        action = network.forward(self.normalize(np.atleast_2d(state)))[0]
         return self._mix(action)
 
     def act_batch(
@@ -75,12 +111,22 @@ class ReferenceActor(Actor):
 
 
 class ReferenceDDPGAgent(DDPGAgent):
-    """Today's agent with the serial actor, noise and act put back."""
+    """Today's agent with the serial actor, noise, act and store put back."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.actor.__class__ = ReferenceActor
         self.action_noise.__class__ = ReferenceGaussianActionNoise
+        self.replay.__class__ = ReferenceReplayBuffer
+
+    def store(
+        self,
+        state: np.ndarray,
+        action: np.ndarray,
+        reward: float,
+        next_state: np.ndarray,
+    ) -> None:
+        self.replay.add(state, action, reward, next_state)
 
     def adapt_parameter_noise(self) -> Optional[float]:
         """Adapt sigma from replayed states; returns the measured distance."""
@@ -209,6 +255,7 @@ def _actor_from_payload(payload: Dict, rng: RngStream) -> Actor:
         payload["action_dim"],
         hidden_sizes=payload["hidden_sizes"],
         rng=rng,
+        weight_decay=0.0,
     )
     actor.network.load_state_dict(payload["actor_weights"])
     actor.__class__ = ReferenceActor

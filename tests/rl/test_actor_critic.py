@@ -11,7 +11,9 @@ from repro.utils.rng import RngStream
 
 @pytest.fixture
 def actor(rng):
-    return Actor(4, 4, hidden_sizes=(16, 16), rng=rng.fork("a"))
+    return Actor(
+        4, 4, hidden_sizes=(16, 16), rng=rng.fork("a"), weight_decay=1e-4
+    )
 
 
 @pytest.fixture
@@ -28,7 +30,7 @@ class TestActor:
 
     def test_output_mixing_keeps_actions_off_corners(self, rng, monkeypatch):
         monkeypatch.setattr(actor_module, "OUTPUT_MIXING", 0.1)
-        actor = Actor(4, 4, hidden_sizes=(8,), rng=rng)
+        actor = Actor(4, 4, hidden_sizes=(8,), rng=rng, weight_decay=1e-4)
         action = actor.act(np.array([[1000.0, 0, 0, 0]]))[0]
         assert np.all(action >= 0.1 / 4 - 1e-12)
 

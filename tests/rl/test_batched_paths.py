@@ -46,7 +46,7 @@ class TestAddBatch:
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_matches_sequential_adds(self, rng, n):
         batch = _transitions(n, rng)
-        serial = ReplayBuffer(16, 3, 3)
+        serial = reference.ReferenceReplayBuffer(16, 3, 3)
         batched = ReplayBuffer(16, 3, 3)
         for row in zip(*batch):
             serial.add(*row)
@@ -54,7 +54,7 @@ class TestAddBatch:
         assert _buffers_equal(serial, batched)
 
     def test_wraparound_matches_sequential(self, rng):
-        serial = ReplayBuffer(10, 3, 3)
+        serial = reference.ReferenceReplayBuffer(10, 3, 3)
         batched = ReplayBuffer(10, 3, 3)
         first = _transitions(7, rng)
         second = _transitions(6, rng)  # wraps: 7 + 6 > 10
@@ -66,7 +66,7 @@ class TestAddBatch:
         assert _buffers_equal(serial, batched)
 
     def test_oversized_batch_matches_sequential(self, rng):
-        serial = ReplayBuffer(8, 3, 3)
+        serial = reference.ReferenceReplayBuffer(8, 3, 3)
         batched = ReplayBuffer(8, 3, 3)
         block = _transitions(20, rng)  # n > capacity: keep the newest 8
         for row in zip(*block):

@@ -8,7 +8,7 @@ from benchmarks.run_training_bench import (
     update_peak_bytes,
     warmed_update_agent,
 )
-from repro.rl import critic, ddpg
+from repro.rl import actor, critic, ddpg
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.utils.rng import RngStream
 
@@ -160,7 +160,7 @@ class TestUpdates:
     def test_learning_on_synthetic_bandit(self, monkeypatch):
         """One-step environment where allocating to dim 0 is optimal:
         reward = a[0].  DDPG should learn to put most mass on dim 0."""
-        monkeypatch.setattr(ddpg, "ACTOR_LEARNING_RATE", 1e-3)
+        monkeypatch.setattr(actor, "ACTOR_LEARNING_RATE", 1e-3)
         monkeypatch.setattr(critic, "REWARD_SCALE", 1.0)
         agent = make_agent(seed=3, gamma=0.0)
         rng = RngStream("bandit", np.random.SeedSequence(9))

@@ -21,8 +21,8 @@ class TestReplayBuffer:
     def _filled(self, count, capacity=10):
         buffer = ReplayBuffer(capacity, state_dim=2, action_dim=2)
         for i in range(count):
-            buffer.add(
-                np.array([i, i]), np.array([0.5, 0.5]), float(i), np.array([i, i])
+            buffer.add_batch(
+                [[i, i]], [[0.5, 0.5]], [float(i)], [[i, i]]
             )
         return buffer
 
@@ -57,14 +57,9 @@ class TestReplayBuffer:
     def test_shape_validation(self):
         buffer = ReplayBuffer(4, 2, 2)
         with pytest.raises(ValueError):
-            buffer.add(np.zeros(3), np.zeros(2), 0.0, np.zeros(2))
+            buffer.add_batch(np.zeros((1, 3)), np.zeros((1, 2)), [0.0], np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            buffer.add(np.zeros(2), np.zeros(1), 0.0, np.zeros(2))
-
-    def test_clear(self, rng):
-        buffer = self._filled(5)
-        buffer.clear()
-        assert len(buffer) == 0
+            buffer.add_batch(np.zeros((1, 2)), np.zeros((1, 1)), [0.0], np.zeros((1, 2)))
 
 
 class TestReplayCheckpoint:
@@ -74,8 +69,8 @@ class TestReplayCheckpoint:
     def _filled(self, count, capacity=10):
         buffer = ReplayBuffer(capacity, state_dim=2, action_dim=2)
         for i in range(count):
-            buffer.add(
-                np.array([i, i]), np.array([0.5, 0.5]), float(i), np.array([i, i])
+            buffer.add_batch(
+                [[i, i]], [[0.5, 0.5]], [float(i)], [[i, i]]
             )
         return buffer
 
@@ -109,7 +104,7 @@ class TestReplayCheckpoint:
         # Continued writes land identically: the restored ring keeps the
         # original's eviction order, not a rewound one.
         for b in (buffer, restored):
-            b.add(np.array([99.0, 99.0]), np.zeros(2), 99.0, np.zeros(2))
+            b.add_batch([[99.0, 99.0]], np.zeros((1, 2)), [99.0], np.zeros((1, 2)))
         self._assert_identical(buffer, restored)
 
     def test_restored_buffer_samples_identically(self):

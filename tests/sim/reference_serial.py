@@ -303,7 +303,7 @@ class ReferenceMicroservice(Microservice):
             service_time = self._fixed_service
             if service_time is None:
                 service_time = float(
-                    self.rng.lognormal(mean=self._mu, sigma=self._sigma)
+                    self.rng.generator.lognormal(mean=self._mu, sigma=self._sigma)
                 )
             consumer.pending_event = self.loop.schedule(
                 service_time, self._on_finished, consumer

@@ -49,7 +49,7 @@ def reference_service_time(mean: float, cv: float, rng) -> float:
     fixed, mu, sigma = service_time_params(mean, cv)
     if fixed is not None:
         return fixed
-    return float(rng.lognormal(mean=mu, sigma=sigma))
+    return float(rng.generator.lognormal(mean=mu, sigma=sigma))
 
 
 class TestSampleServiceTime:

@@ -17,12 +17,12 @@ class TestWorkflowRequest:
             request.response_time()
         request.completion_time = 25.0
         assert request.response_time() == 15.0
-        assert request.is_complete
+        assert request.completion_time is not None
 
     def test_completed_tasks_start_empty(self):
         request = WorkflowRequest("W", 0.0, 3)
         assert request.completed_tasks == set()
-        assert not request.is_complete
+        assert request.completion_time is None
 
 
 class TestTaskRequest:

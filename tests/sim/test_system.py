@@ -50,7 +50,7 @@ class TestWorkflowRouting:
         system.apply_allocation([2, 2, 2, 2])
         request = system.submit("Type3")
         system.loop.run_until(200.0)
-        assert request.is_complete
+        assert request.completion_time is not None
         assert request.completed_tasks == {
             "Ingest",
             "Preprocess",
@@ -73,11 +73,11 @@ class TestWorkflowRouting:
         system.apply_allocation([2, 2, 2, 0])  # Analyze starved
         request = system.submit("Type3")
         system.loop.run_until(300.0)
-        assert not request.is_complete
+        assert request.completion_time is None
         assert "Segment" in request.completed_tasks
         system.apply_allocation([2, 2, 2, 2])
         system.loop.run_until(600.0)
-        assert request.is_complete
+        assert request.completion_time is not None
 
 
 class TestWindows:

@@ -293,7 +293,7 @@ def test_observe_is_the_one_record_fold():
     records = generated_stream(5)
     one_by_one = metrics.MetricsAggregator()
     for record in records:
-        one_by_one.observe(record)
+        one_by_one.observe_many((record,))
     at_once = metrics.MetricsAggregator()
     at_once.observe_many(records)
     assert snapshot_to_json(one_by_one.snapshot()) == snapshot_to_json(at_once.snapshot())

@@ -236,20 +236,20 @@ class TestAggregator:
 
     def test_unknown_kind_is_ignored(self):
         agg = MetricsAggregator()
-        agg.observe({"kind": "event.not_registered", "t": 1.0})
+        agg.observe_many([{"kind": "event.not_registered", "t": 1.0}])
         families = agg.snapshot()["families"]
         series = families["repro_records_total"]["series"]
         assert series[0]["labels"] == {"kind": "event.not_registered"}
 
     def test_window_record_populates_gauges(self):
         agg = MetricsAggregator()
-        agg.observe({
+        agg.observe_many([{
             "kind": "span.window", "t": 30.0, "index": 0, "start": 0.0,
             "end": 30.0, "reward": -7.5,
             "wip": {"Ingest": 4.0}, "allocation": {"Ingest": 4},
             "busy": {"Ingest": 2}, "starting": {"Ingest": 0},
             "queue_ready": {"Ingest": 1}, "arrivals": 3, "completions": 1,
-        })
+        }])
         families = agg.snapshot()["families"]
         util = families["repro_utilization"]["series"][0]
         assert util["labels"] == {"service": "Ingest"}
@@ -259,11 +259,11 @@ class TestAggregator:
 
     def test_task_span_populates_wait_retry_and_waste_families(self):
         agg = MetricsAggregator()
-        agg.observe({
+        agg.observe_many([{
             "kind": "event.task_span", "t": 25.0, "service": "Ingest",
             "request_id": 3, "published": 10.0, "started": 14.0,
             "deliveries": 3, "wasted": 6.5,
-        })
+        }])
         families = agg.snapshot()["families"]
         wait = families["repro_queue_wait_seconds"]["series"][0]
         assert wait["labels"] == {"service": "Ingest"}
@@ -275,11 +275,11 @@ class TestAggregator:
 
     def test_clean_task_span_emits_no_retry_or_waste_series(self):
         agg = MetricsAggregator()
-        agg.observe({
+        agg.observe_many([{
             "kind": "event.task_span", "t": 5.0, "service": "Ingest",
             "request_id": 0, "published": 1.0, "started": 1.0,
             "deliveries": 1, "wasted": 0.0,
-        })
+        }])
         families = agg.snapshot()["families"]
         assert families["repro_task_retries_total"]["series"] == []
         assert families["repro_wasted_work_seconds"]["series"] == []
@@ -287,10 +287,10 @@ class TestAggregator:
     def test_training_metric_updates_last_and_ewma(self):
         agg = MetricsAggregator()
         for value in (4.0, 2.0):
-            agg.observe({
+            agg.observe_many([{
                 "kind": "metric", "t": None, "name": "model/epoch_loss",
                 "value": value, "step": 1,
-            })
+            }])
         families = agg.snapshot()["families"]
         last = families["repro_training_metric"]["series"][0]
         ewma = families["repro_training_metric_ewma"]["series"][0]

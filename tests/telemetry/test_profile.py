@@ -27,6 +27,14 @@ from repro.telemetry.profile import (
 )
 
 
+def node(profiler, *path):
+    """The profiler's node at a phase path."""
+    found = profiler.root
+    for name in path:
+        found = found.children[name]
+    return found
+
+
 class TestPhaseTree:
     def test_nested_phases_build_a_tree(self):
         profiler = PhaseProfiler()
@@ -35,8 +43,8 @@ class TestPhaseTree:
                 pass
             with profiler.phase("inner"):
                 pass
-        outer = profiler.node("outer")
-        inner = profiler.node("outer", "inner")
+        outer = node(profiler, "outer")
+        inner = node(profiler, "outer", "inner")
         assert outer.calls == 1
         assert inner.calls == 2
         assert outer.wall >= inner.wall >= 0.0
@@ -65,20 +73,13 @@ class TestPhaseTree:
         with pytest.raises(RuntimeError):
             with profiler.phase("risky"):
                 raise RuntimeError("boom")
-        assert profiler.depth == 0
+        assert profiler._stack == [profiler.root]
         # Timings were still recorded for the failed phase.
-        assert profiler.node("risky").calls == 1
+        assert node(profiler, "risky").calls == 1
         # And the stack is usable afterwards.
         with profiler.phase("next"):
             pass
-        assert profiler.node("next").calls == 1
-
-    def test_missing_node_lookup(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("a"):
-            pass
-        assert profiler.node("a", "nope") is None
-        assert profiler.node("nope") is None
+        assert node(profiler, "next").calls == 1
 
 
 def _installed():
@@ -104,7 +105,7 @@ class TestBoundaryTable:
             build = "repro.core.refinement:RefinedModel.from_dataset"
             assert type(_resolve(build)[2]) is classmethod
         assert all(a is b for a, b in zip(_installed(), before))
-        assert profiler.depth == 0
+        assert profiler._stack == [profiler.root]
 
     def test_restores_when_the_body_raises(self, rng):
         from repro.nn.network import MLP
@@ -115,8 +116,8 @@ class TestBoundaryTable:
             with PhaseProfiler() as profiler:
                 network.forward(np.zeros((1, 99)))  # wrong width
         assert all(a is b for a, b in zip(_installed(), before))
-        assert profiler.depth == 0
-        assert profiler.node("nn.forward").calls == 1
+        assert profiler._stack == [profiler.root]
+        assert node(profiler, "nn.forward").calls == 1
 
     def test_second_install_raises_and_leaves_the_first_intact(self):
         before = _installed()
@@ -179,7 +180,7 @@ class TestPersistence:
             read_profile(path)
 
     def test_node_dict_round_trip(self):
-        original = self._populated().node("agent/collect")
+        original = node(self._populated(), "agent/collect")
         restored = PhaseNode.from_dict(original.to_dict())
         assert restored.name == original.name
         assert restored.calls == original.calls
@@ -247,7 +248,7 @@ class TestDeterminismBoundary:
 
         with PhaseProfiler() as profiler:
             memory, _ = _traced_run()
-        window = profiler.node("sim.env_step", "sim.run_window")
+        window = node(profiler, "sim.env_step", "sim.run_window")
         assert window.calls == 4
         dispatch = window.children["sim.dispatch"]
         assert dispatch.calls == 4
@@ -291,7 +292,7 @@ class TestDeterminismBoundary:
         with PhaseProfiler() as profiler:
             profiled = train()
         assert profiled == plain
-        update = profiler.node("core.iterate", "core.train_policy", "rl.update")
+        update = node(profiler, "core.iterate", "core.train_policy", "rl.update")
         assert update.calls > 0
         assert update.children["nn.forward"].calls >= 4 * update.calls
         assert update.children["rl.replay_sample"].calls == update.calls
@@ -329,6 +330,6 @@ class TestDeterminismBoundary:
         assert profiled.fast_ineligible_reasons == {}
         assert substrate_snapshot(profiled) == substrate_snapshot(plain)
         # Replayed windows never reach the event loop.
-        window = profiler.node("sim.env_step", "sim.run_window")
+        window = node(profiler, "sim.env_step", "sim.run_window")
         assert window.calls == 8
         assert "sim.dispatch" not in window.children

@@ -102,9 +102,12 @@ class TestTrainEvaluateRoundtrip:
         assert (agent_dir / "config.json").exists()
         assert json.loads((agent_dir / "results.json").read_text())
 
+        trace_dir = tmp_path / "trace"
         code = main(
-            ["evaluate", "--agent", str(agent_dir), "--dataset", "msd",
-             "--steps", "3"]
+            ["simulate", "--agent", str(agent_dir), "--dataset", "msd",
+             "--steps", "3", "--telemetry", str(trace_dir)]
         )
         assert code == 0
         assert "miras on msd-burst1" in capsys.readouterr().out
+        assert (trace_dir / "trace.jsonl").stat().st_size > 0
+        assert main(["report", str(trace_dir), "--validate"]) == 0

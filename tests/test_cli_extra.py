@@ -49,8 +49,10 @@ class TestParserDetails:
         args = build_parser().parse_args(["train", "--iterations", "2"])
         assert args.iterations == 2
 
-    def test_evaluate_requires_agent(self):
+    def test_agent_excludes_allocator(self):
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["evaluate"])
+            build_parser().parse_args(
+                ["simulate", "--agent", "runs/agent", "--allocator", "uniform"]
+            )

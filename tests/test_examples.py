@@ -69,6 +69,6 @@ class TestExamples:
         spec.loader.exec_module(module)
         ensemble = module.build_genomics_ensemble()
         assert ensemble.num_task_types == 5
-        assert ensemble.num_workflow_types == 3
+        assert len(ensemble.workflow_types) == 3
         covered = set().union(*(w.tasks for w in ensemble.workflow_types))
         assert covered == set(ensemble.task_names())

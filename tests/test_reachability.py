@@ -4,9 +4,12 @@ AST only, by name: a public function, class or method under ``src/repro``
 must be named by a CLI module, by something under ``benchmarks/``, or by
 the body of a definition that is itself reachable -- or be a row of
 ``SCHEDULED`` citing the ROADMAP item that will call it.  Tests, examples
-and ``__init__`` re-exports are not customers.  Matching by bare name
+and ``__init__`` re-exports are not customers, but a definition in an
+``__init__`` is checked like any other.  Matching by bare name
 over-approximates (any ``.add`` keeps every ``add`` alive), so dynamic
-dispatch can only make the guard more lenient, never flaky.
+dispatch can only make the guard more lenient, never flaky; what the
+entry points actually run is a runtime question no AST answers
+(docs/ARCHITECTURE.md, "Customers").
 """
 
 import ast
@@ -82,9 +85,10 @@ def _scan():
         live |= _names([ast.parse(path.read_text())])
     defs = {}
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py" or path in ROOT_FILES:
+        if path in ROOT_FILES:
             continue
-        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
         tree = ast.parse(path.read_text())
         # ``from m import f as _f``: a use of ``_f`` is a use of ``f``.
         aliases = {a.asname: a.name.rpartition(".")[2]

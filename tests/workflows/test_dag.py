@@ -103,7 +103,7 @@ class TestWorkflowEnsemble:
             [WorkflowType("W1", edges=[("A", "B")])],
         )
         assert ensemble.num_task_types == 2
-        assert ensemble.num_workflow_types == 1
+        assert len(ensemble.workflow_types) == 1
 
     def test_duplicate_task_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate task"):
@@ -150,7 +150,7 @@ class TestRandomGenerator:
     def test_random_ensemble_is_valid_and_covering(self, j, n, seed):
         ensemble = random_ensemble(j, n, seed=seed)
         assert ensemble.num_task_types == j
-        assert ensemble.num_workflow_types == n
+        assert len(ensemble.workflow_types) == n
         covered = set().union(*(w.tasks for w in ensemble.workflow_types))
         assert covered == set(ensemble.task_names())
 

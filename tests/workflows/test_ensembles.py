@@ -10,7 +10,7 @@ class TestMsdEnsemble:
     def test_counts_match_paper(self):
         ensemble = build_msd_ensemble()
         assert ensemble.num_task_types == 4
-        assert ensemble.num_workflow_types == 3
+        assert len(ensemble.workflow_types) == 3
 
     def test_names(self):
         ensemble = build_msd_ensemble()
@@ -37,7 +37,7 @@ class TestLigoEnsemble:
     def test_counts_match_paper(self):
         ensemble = build_ligo_ensemble()
         assert ensemble.num_task_types == 9
-        assert ensemble.num_workflow_types == 4
+        assert len(ensemble.workflow_types) == 4
 
     def test_names(self):
         ensemble = build_ligo_ensemble()
