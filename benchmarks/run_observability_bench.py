@@ -2,7 +2,8 @@
 """Observability overhead benchmark + regression gate.
 
 Measures the observability subsystem's costs on the loaded MSD system
-and writes ``BENCH_observability.json`` at the repository root.  Both
+and, given ``--output PATH``, writes them there as JSON (CI passes the
+committed artifact's name, ``BENCH_observability.json``).  Both
 gates are stated as what a user pays per unit telemetry controls, not as
 a share of the untraced window: the window is the simulator's to shrink,
 and a fixed cost divided by a shrinking window fails a percentage gate
@@ -41,7 +42,8 @@ slowest of the ten.  The window ceiling is the site ceiling times the
 ``--check`` exits non-zero when any reading exceeds its ceiling — this
 is the CI gate.
 
-Run:  PYTHONPATH=src python benchmarks/run_observability_bench.py --check
+Run:  PYTHONPATH=src python benchmarks/run_observability_bench.py --check \
+          [--output BENCH_observability.json]
 """
 
 from __future__ import annotations
@@ -236,9 +238,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=REPEATS,
                         help="repetitions per configuration (best-of)")
     parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parent.parent / ARTIFACT),
-        help="where to write the JSON artifact",
+        "--output", metavar="PATH",
+        help=f"write the JSON artifact here (e.g. {ARTIFACT}); "
+             f"without it nothing is written",
     )
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if the no-op cost per site or per "
@@ -247,11 +249,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     result = run_benchmark(args.windows, args.repeats)
-    Path(args.output).write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-    print(f"wrote {args.output}")
+    if args.output:
+        Path(args.output).write_text(
+            json.dumps(result, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote {args.output}")
     print(f"instrumentation sites/window: {result['sites_per_window']:.0f}")
     print(f"no-op cost: {result['noop_ns_per_site']:.1f} ns/site "
           f"(ceiling {NOOP_NS_PER_SITE} ns) = "

@@ -1,8 +1,10 @@
 """Substrate throughput benchmark: tasks/second on both substrates, CI-gated.
 
-Measures the serial and batched substrates on identical scenarios and
-writes ``BENCH_substrate.json`` at the repo root, with both substrates'
-absolute tasks/second and burst-injection seconds for every scenario:
+Measures the serial and batched substrates on identical scenarios and,
+given ``--output PATH``, writes them there as JSON (CI passes the
+committed artifact's name, ``BENCH_substrate.json``), with both
+substrates' absolute tasks/second and burst-injection seconds for every
+scenario:
 
 - **paper scale** (consumer budget 14, MSD burst) — informational; the
   batched substrate pays its per-window overhead on tiny windows.
@@ -37,7 +39,8 @@ number can come from simulating something different.
 Usage::
 
     PYTHONPATH=src python benchmarks/run_substrate_bench.py           # all
-    PYTHONPATH=src python benchmarks/run_substrate_bench.py --check   # CI gate
+    PYTHONPATH=src python benchmarks/run_substrate_bench.py --check \
+        --output BENCH_substrate.json                                 # CI gate
     PYTHONPATH=src python benchmarks/run_substrate_bench.py --quick   # smoke
     PYTHONPATH=src python benchmarks/run_substrate_bench.py --million # demo
 """
@@ -62,9 +65,6 @@ from repro.sim import (
 from repro.workflows import build_msd_ensemble
 from repro.workload import PoissonArrivalProcess
 from repro.workload.bursts import BurstScenario
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_substrate.json"
 
 #: The CI gate: on the production-scale scenario the batched substrate's
 #: throughput must be at least this share of the serial substrate's.
@@ -385,6 +385,11 @@ def main(argv=None) -> int:
         action="store_true",
         help="also run the million-request batched-only demo",
     )
+    parser.add_argument(
+        "--output", metavar="PATH",
+        help="write the JSON artifact here (e.g. BENCH_substrate.json); "
+             "without it nothing is written",
+    )
     args = parser.parse_args(argv)
 
     assert_snapshot_equivalence()
@@ -424,8 +429,9 @@ def main(argv=None) -> int:
             f"{name} batched run >= {CLOSED_LOOP_FLOOR}x faster than serial"
         ] = results[name]["batched_over_serial"] >= CLOSED_LOOP_FLOOR
     results["gate_passed"] = all(gates.values())
-    OUTPUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {OUTPUT_PATH}")
+    if args.output:
+        Path(args.output).write_text(json.dumps(results, indent=2) + "\n")
+        print(f"wrote {args.output}")
 
     for gate, passed in gates.items():
         if not passed:

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Training-path throughput benchmark + regression gate.
 
-Measures the two perf-opt paths of the synthetic-rollout engine and
-writes ``BENCH_training.json`` at the repository root:
+Measures the two perf-opt paths of the synthetic-rollout engine and,
+given ``--output PATH``, writes them there as JSON (CI passes the
+committed artifact's name, ``BENCH_training.json``):
 
 - ``rollout.speedup`` — synthetic-rollout transitions/second of the
   batched engine (``BatchedModelEnv`` + ``act_batch`` + ``add_batch``
@@ -53,7 +54,8 @@ than 1.1 windows per collected step, a warmed update's allocation peak
 exceeds 256 KiB, or (on hosts with >= 2 cores) physical collection is
 below its floor.
 
-Run:  PYTHONPATH=src python benchmarks/run_training_bench.py --check
+Run:  PYTHONPATH=src python benchmarks/run_training_bench.py --check \
+          [--output BENCH_training.json]
 """
 
 from __future__ import annotations
@@ -507,9 +509,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=2,
                         help="repetitions per configuration (best-of)")
     parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parent.parent / ARTIFACT),
-        help="where to write the JSON artifact",
+        "--output", metavar="PATH",
+        help=f"write the JSON artifact here (e.g. {ARTIFACT}); "
+             f"without it nothing is written",
     )
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on speedup/equality/allocation gate "
@@ -521,15 +523,17 @@ def main(argv=None) -> int:
         args.cells, args.workers, args.repeats,
         args.collect_steps, args.collect_workers,
     )
-    Path(args.output).write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    if args.output:
+        Path(args.output).write_text(
+            json.dumps(result, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote {args.output}")
 
     rollout = result["rollout"]
     parallel = result["parallel"]
     distributed = result["distributed"]
     update = result["update"]
-    print(f"wrote {args.output}")
     print(
         f"rollout generation: serial "
         f"{rollout['serial_steps_per_second']:,.0f} steps/s, batched "

@@ -122,7 +122,11 @@ class MirasConfig:
     # Presets -----------------------------------------------------------------
     @classmethod
     def msd_paper(cls) -> "MirasConfig":
-        """The paper's full-scale MSD schedule (hours of wall-clock)."""
+        """The paper's full-scale MSD schedule.
+
+        How long it runs is untimed; ROADMAP item 7(a) adds the
+        paper-width workload that will time it.
+        """
         return cls(
             model=ModelConfig(hidden_sizes=(20, 20, 20)),
             policy=PolicyConfig(

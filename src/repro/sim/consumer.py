@@ -77,7 +77,20 @@ def service_time_params(
 
 
 class Consumer:
-    """One container processing task requests for a single microservice."""
+    """One container processing task requests for a single microservice.
+
+    A consumer is the :class:`repro.sim.events.EventLoop` handle of its
+    own task-finish row: the loop reads a row handle's ``cancelled`` and
+    nothing else, so a dispatch pushes the consumer itself with the
+    ``finish_args`` it built at birth, and allocates nothing per task.
+    One handle per consumer is enough because a consumer has at most one
+    finish pending, and once stopped it is never dispatched again; a
+    kill or crash calls :meth:`cancel` as it stops a busy one.
+    ``cancelled`` is the class attribute until then.  The start-up row
+    has an :class:`~repro.sim.events.EventHandle` of its own.
+    """
+
+    cancelled = False
 
     def __init__(self, microservice: "Microservice"):
         self.consumer_id = next(_consumer_ids)
@@ -92,13 +105,20 @@ class Consumer:
         self.current_tag: Optional[DeliveryTag] = None
         self.current_request: Optional[TaskRequest] = None
         self.processing_started_at: float = 0.0
-        #: Handle to the pending activation or finish event (for kills).
-        self.pending_event: Optional[EventHandle] = None
+        #: Handle to the pending activation (an ``EventHandle``) or
+        #: finish event (the consumer itself), for kills.
+        self.pending_event: EventHandle | Consumer | None = None
+        #: The args of every finish row, built once.
+        self.finish_args = (self,)
         #: Entered in the microservice's busy index (crash victim search).
         self.busy_indexed = False
         # Lifetime counters.
         self.tasks_completed = 0
         self.busy_time = 0.0
+
+    def cancel(self) -> None:
+        """Cancel the pending finish row (the consumer is stopping)."""
+        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

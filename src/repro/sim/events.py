@@ -40,6 +40,10 @@ class EventHandle:
     ``cancelled`` starts as the class attribute, so making a handle (one
     per event) runs no Python ``__init__``; only :meth:`cancel` gives an
     instance its own value.  A handle lives while its row is pending.
+    The loop reads nothing of a row's handle but ``cancelled``, so any
+    object with that flag and a ``cancel()`` can be one: a serial
+    :class:`repro.sim.consumer.Consumer` is the handle of its own finish
+    row.
     """
 
     cancelled = False
@@ -55,12 +59,17 @@ class EventLoop:
     :meth:`run_until`, which matches the paper's time-window structure:
     the controller acts, then the world advances by one window.
 
-    A row is ``(when, seq, handle, callback, args)``.  The serial
+    A row is ``(when, seq, handle, callback, args)``, and a row's handle
+    is anything with a ``cancelled`` flag: the loop reads nothing else
+    of it.  :meth:`schedule` and :meth:`schedule_at` make a fresh
+    :class:`EventHandle`.  The serial
     :class:`repro.sim.microservice.Microservice` pushes its task-finish
-    rows onto ``_heap`` itself, one per dispatched task, with exactly
-    what :meth:`schedule` would make (the next ``seq``, a fresh
-    :class:`EventHandle`, ``when = now + service time``): the row layout,
-    ``_now``, ``_heap`` and ``_seq_next`` are that contract.
+    rows onto ``_heap`` itself, one per dispatched task, with what
+    :meth:`schedule` would make (the next ``seq``, ``when = now +
+    service time``) except the handle: a consumer is the handle of its
+    own finish row, with the ``(consumer,)`` args it built at birth.
+    The row layout, ``_now``, ``_heap`` and ``_seq_next`` are that
+    contract.
     """
 
     def __init__(self):
@@ -134,18 +143,22 @@ class EventLoop:
             raise ValueError(
                 f"cannot run backwards (when={when!r}, now={self._now!r})"
             )
+        # Callbacks push onto ``heap`` (the same list); nothing reads
+        # ``processed`` mid-run, so it is added to once, at the end.
+        heap = self._heap
+        heappop = heapq.heappop
         executed = 0
-        while self._heap and self._heap[0][0] <= when:
+        while heap and heap[0][0] <= when:
             # Peek before unpacking: cancelled heads are popped and
             # dropped without building locals for time/seq/callback.
-            if self._heap[0][2].cancelled:
-                heapq.heappop(self._heap)
+            if heap[0][2].cancelled:
+                heappop(heap)
                 continue
-            event_time, _, _handle, callback, args = heapq.heappop(self._heap)
+            event_time, _, _handle, callback, args = heappop(heap)
             self._now = event_time
             callback(*args)
             executed += 1
-            self._processed += 1
+        self._processed += executed
         self._now = when
         return executed
 

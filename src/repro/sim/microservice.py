@@ -42,10 +42,11 @@ import heapq
 import itertools
 from bisect import bisect_left
 from collections import deque
+from math import exp
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.consumer import Consumer, ConsumerState, service_time_params
-from repro.sim.events import EventHandle, EventLoop, TypedEventLoop
+from repro.sim.events import EventLoop, TypedEventLoop
 from repro.sim.queueing import DeliveryTag, IndexFifo, QueueError
 from repro.sim.requests import RequestPool, TaskRequest
 from repro.sim.substrate import PrefetchStream
@@ -126,9 +127,14 @@ class Microservice:
         self._fixed_service, self._mu, self._sigma = service_time_params(
             task_type.mean_service_time, task_type.cv
         )
-        #: The stream's own draw, bound once: the same draws as
-        #: ``rng.lognormal(mu, sigma)``, one call instead of two.
-        self._lognormal = rng.generator.lognormal
+        # The bit generator's cheapest draws, bound once.  numpy's scalar
+        # ``lognormal(mu, sigma)`` is the C ``exp(mu + sigma * z)`` of one
+        # ``standard_normal`` z and ``uniform(low, high)`` is ``low +
+        # (high - low) * random()``: the same doubles, computed here
+        # without numpy's argument handling
+        # (tests/sim/test_draw_identities.py pins both).
+        self._standard_normal = rng.generator.standard_normal
+        self._random = rng.generator.random
         # The queue (module docstring): ready messages oldest first, and
         # the delivered ones by delivery tag until they are settled.
         self._ready: Deque[TaskRequest] = deque()
@@ -171,7 +177,7 @@ class Microservice:
         heapq.heappush(self._starting, (consumer.trace_id, consumer))
         self.consumers_started += 1
         low, high = self.startup_delay_range
-        delay = float(self.rng.uniform(low, high)) if high > 0 else 0.0
+        delay = low + (high - low) * self._random() if high > 0 else 0.0
         consumer.pending_event = self.loop.schedule(
             delay, self._on_started, consumer
         )
@@ -341,7 +347,8 @@ class Microservice:
                 "kind": "event.publish", "t": None,
                 "queue": self.name, "depth": self.wip,
             })
-        self._dispatch()
+        if self._idle:
+            self._dispatch()
 
     def _nack(self, tag: DeliveryTag) -> None:
         """Negative-acknowledge: requeue at the front for redelivery."""
@@ -366,8 +373,9 @@ class Microservice:
         delivery moves the message to the unacked map under a fresh tag,
         and the consumer's finish row goes straight onto the event heap
         — the row :meth:`EventLoop.schedule` would push (next ``seq``,
-        fresh handle, ``now + service time``), without its delay guard:
-        a valid :class:`TaskType` never yields a negative or NaN time.
+        ``now + service time``), with the consumer as its handle and its
+        birth-time ``finish_args``, and without the delay guard: a valid
+        :class:`TaskType` never yields a negative or NaN time.
         """
         idle = self._idle
         ready = self._ready
@@ -379,6 +387,9 @@ class Microservice:
         unacked = self._unacked
         tags = self._tags
         fixed = self._fixed_service
+        mu = self._mu
+        sigma = self._sigma
+        standard_normal = self._standard_normal
         on_finished = self._on_finished
         while idle and ready:
             consumer = heapq.heappop(idle)[1]
@@ -394,13 +405,15 @@ class Microservice:
             consumer.processing_started_at = now
             request.started_at = now
             if fixed is None:
-                when = now + self._lognormal(self._mu, self._sigma)
+                when = now + exp(mu + sigma * standard_normal())
             else:
                 when = now + fixed
-            handle = consumer.pending_event = EventHandle()
+            consumer.pending_event = consumer
             seq = loop._seq_next
             loop._seq_next = seq + 1
-            heapq.heappush(heap, (when, seq, handle, on_finished, (consumer,)))
+            heapq.heappush(
+                heap, (when, seq, consumer, on_finished, consumer.finish_args)
+            )
 
     def _on_finished(self, consumer: Consumer) -> None:
         if consumer.state is not ConsumerState.BUSY:
@@ -430,10 +443,11 @@ class Microservice:
         consumer.current_request = None
         consumer.pending_event = None
         self.tasks_completed += 1
-        if consumer in self.draining:
+        draining = self.draining
+        if draining and consumer in draining:
             # Terminating pod: its last task is done; it exits.
             consumer.state = ConsumerState.STOPPED
-            self.draining.remove(consumer)
+            draining.remove(consumer)
             self._trace_stop(consumer, "drained")
         else:
             consumer.state = ConsumerState.IDLE

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = ["WorkflowRequest", "TaskRequest", "RequestPool"]
 
 _request_ids = itertools.count()
-_task_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -71,7 +70,6 @@ class TaskRequest:
     task_type: str
     workflow: WorkflowRequest
     published_at: float
-    task_id: int = field(default_factory=_task_ids.__next__)
     #: Number of delivery attempts (redeliveries after consumer kills).
     deliveries: int = 0
     #: Cumulative processing time wasted by interrupted attempts.
@@ -82,7 +80,7 @@ class TaskRequest:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"TaskRequest(id={self.task_id}, task={self.task_type!r}, "
+            f"TaskRequest(task={self.task_type!r}, "
             f"wf={self.workflow.request_id})"
         )
 

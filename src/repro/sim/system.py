@@ -183,14 +183,17 @@ class MicroserviceWorkflowSystem:
         self._arrival_rngs.append(rng)
         scale = 1.0 / rate
         loop = self.loop
+        # numpy's ``exponential(scale)`` is ``scale *`` one standard
+        # exponential: the same doubles, one bound call per gap.
+        standard_exponential = rng.generator.standard_exponential
 
         def fire() -> None:
             if process.active:
                 self.submit(workflow_type)
                 process.submitted += 1
-                loop.schedule(float(rng.exponential(scale)), fire)
+                loop.schedule(scale * standard_exponential(), fire)
 
-        loop.schedule(float(rng.exponential(scale)), fire)
+        loop.schedule(scale * standard_exponential(), fire)
 
     def submit(self, workflow_type: str) -> WorkflowRequest:
         """Submit one workflow request now (used by arrival processes)."""

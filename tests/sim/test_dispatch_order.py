@@ -354,8 +354,12 @@ def check_call_budget(processed):
     # dropped its small-array numpy calls: serial 24.4 -> 23.9 here
     # (24.3 -> 23.7 behind the reference drain), batched 13.9 -> 13.3
     # (14.8 -> 14.3); each budget is the larger count plus under 5 %.
+    # Serial budget 25.0 until a serial task drew through the bit
+    # generator's cheapest calls and pushed its consumer as the finish
+    # row's handle: 21.58 -> 21.39 here (21.42 -> 21.27 behind the
+    # reference drain); the budget is the larger count plus under 5 %.
     for cls, budget in (
-        (MicroserviceWorkflowSystem, 25.0),
+        (MicroserviceWorkflowSystem, 22.4),
         (BatchedWorkflowSystem, 14.9),
     ):
         events, calls = calls_per_event(cls)
@@ -385,7 +389,9 @@ def test_call_budget_per_control_window():
     # runs or the burst is injected are the events' and the burst's.
     # 231.2 before the per-window glue dropped its small-array numpy
     # calls (three checks of one vector, np.mean, the observation's
-    # copies); it reads 166.9, and the budget is that plus under 5 %.
+    # copies); it read 166.9 under a budget of 175.0.  150.4 -> 148.7
+    # when a start-up delay stopped going through RngStream.uniform
+    # (one frame per started consumer); the budget is that plus under 5 %.
     events, calls = heft_cell_calls(
         MicroserviceWorkflowSystem,
         excluded={
@@ -394,4 +400,4 @@ def test_call_budget_per_control_window():
         },
     )
     assert events == 3463, "the cell itself changed"
-    assert calls / WINDOWS <= 175.0
+    assert calls / WINDOWS <= 156.0

@@ -32,9 +32,3 @@ class TestTaskRequest:
         assert task.deliveries == 0
         assert task.wasted_work == 0.0
         assert task.workflow is workflow
-
-    def test_ids_are_unique(self):
-        workflow = WorkflowRequest("W", 0.0, 1)
-        a = TaskRequest("A", workflow, 0.0)
-        b = TaskRequest("A", workflow, 0.0)
-        assert a.task_id != b.task_id
