@@ -488,22 +488,18 @@ class MirasAgent:
             step=step,
         )
 
-    def _snapshot_policy(self) -> dict:
-        """Copy the actor/critic (and target) weights."""
-        return {
-            "actor": self.ddpg.actor.network.state_dict(),
-            "actor_target": self.ddpg.actor.target_network.state_dict(),
-            "critic": self.ddpg.critic.network.state_dict(),
-            "critic_target": self.ddpg.critic.target_network.state_dict(),
-        }
+    def _policy_networks(self) -> tuple:
+        actor, critic = self.ddpg.actor, self.ddpg.critic
+        return (actor.network, actor.target_network,
+                critic.network, critic.target_network)
 
-    def _restore_policy(self, snapshot: dict) -> None:
-        self.ddpg.actor.network.load_state_dict(snapshot["actor"])
-        self.ddpg.actor.target_network.load_state_dict(snapshot["actor_target"])
-        self.ddpg.critic.network.load_state_dict(snapshot["critic"])
-        self.ddpg.critic.target_network.load_state_dict(
-            snapshot["critic_target"]
-        )
+    def _snapshot_policy(self) -> list:
+        """Copy the actor/critic (and target) weights."""
+        return [network.get_flat() for network in self._policy_networks()]
+
+    def _restore_policy(self, snapshot: list) -> None:
+        for network, flat in zip(self._policy_networks(), snapshot):
+            network.set_flat(flat)
 
     def act(self, state: np.ndarray) -> np.ndarray:
         """Greedy integer allocation for deployment."""

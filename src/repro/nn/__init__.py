@@ -24,7 +24,6 @@ from repro.nn.initializers import (
 from repro.nn.layers import Dense
 from repro.nn.losses import MeanSquaredError
 from repro.nn.network import MLP, soft_update
-from repro.nn.serialization import load_mlp, save_mlp
 from repro.nn.optimizers import Adam
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "Adam",
     "MLP",
     "soft_update",
-    "save_mlp",
-    "load_mlp",
     "glorot_uniform",
     "he_uniform",
     "uniform_init",

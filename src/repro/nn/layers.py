@@ -222,18 +222,6 @@ class Dense:
         """
         return self._grad_inputs(self._grad_z(grad_y))
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Copy of all parameters for checkpointing."""
-        return {"weights": self.weights.copy(), "bias": self.bias.copy()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        if state["weights"].shape != self.weights.shape:
-            raise ValueError("weights shape mismatch in state dict")
-        if state["bias"].shape != self.bias.shape:
-            raise ValueError("bias shape mismatch in state dict")
-        self.weights[...] = state["weights"]
-        self.bias[...] = state["bias"]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         aux = f", aux_dim={self.aux_dim}" if self.aux_dim else ""
         return (

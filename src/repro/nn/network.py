@@ -22,7 +22,7 @@ equal-sized gradient vector beside it; each layer's ``weights`` / ``bias``
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -248,14 +248,6 @@ class MLP:
                 f"expected ({self.num_params},)"
             )
         self.params[...] = flat
-
-    def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
-        """Copy of all parameters keyed by layer index."""
-        return {f"layer{i}": l.state_dict() for i, l in enumerate(self.layers)}
-
-    def load_state_dict(self, state: Dict[str, Dict[str, np.ndarray]]) -> None:
-        for i, layer in enumerate(self.layers):
-            layer.load_state_dict(state[f"layer{i}"])
 
     def clone(self) -> "MLP":
         """Structural + parameter deep copy (used for target networks).

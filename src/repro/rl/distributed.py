@@ -199,7 +199,7 @@ def policy_payload(ddpg) -> Dict:
         "exploration": str(cfg.exploration),
         "param_noise_sigma": float(ddpg.param_noise.sigma),
         "action_noise_sigma": float(ddpg.action_noise.sigma),
-        "actor_weights": ddpg.actor.network.state_dict(),
+        "actor_weights": ddpg.actor.network.get_flat(),
     }
 
 
@@ -229,7 +229,7 @@ def _acting_networks(payload: Dict, rng: RngStream) -> Tuple[Actor, MLP]:
         )
         _ACTING[key] = (actor, actor.network.clone())
     actor, perturbed = _ACTING[key]
-    actor.network.load_state_dict(payload["actor_weights"])
+    actor.network.set_flat(payload["actor_weights"])
     return actor, perturbed
 
 

@@ -67,7 +67,7 @@ def training_state(agent):
         "dataset_actions": d._actions[: len(d)].copy(),
         "dataset_next": d._next_states[: len(d)].copy(),
         "replay": replay.state_dict(),
-        "actor": agent.ddpg.actor.network.state_dict(),
+        "actor": agent.ddpg.actor.network.get_flat(),
     }
 
 
@@ -76,11 +76,7 @@ def assert_states_equal(a, b):
         assert np.array_equal(a[key], b[key]), key
     for key, value in a["replay"].items():
         assert np.array_equal(value, b["replay"][key]), f"replay/{key}"
-    for layer, params in a["actor"].items():
-        for key, value in params.items():
-            assert np.array_equal(
-                value, b["actor"][layer][key]
-            ), f"actor/{layer}/{key}"
+    assert np.array_equal(a["actor"], b["actor"]), "actor"
 
 
 class TestLogicalByteIdentity:

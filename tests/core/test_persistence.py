@@ -42,43 +42,15 @@ def trained_agent(seed=41):
     return agent
 
 
-#: Settings a ``config.json`` held before they were retired, each at the
-#: one value it is now fixed at.
-RETIRED_AT_FIXED_VALUES = {
-    "model": {
-        "learning_rate": 0.001,
-        "batch_size": 64,
-        "refinement_percentile": 20.0,
-        "refinement_enabled": True,
-    },
-    "ddpg": {
-        "critic_learning_rate": 0.001,
-        "param_noise_delta": 0.05,
-        "state_scale": 100.0,
-        "output_mixing": 0.02,
-        "tau": 0.01,
-        "actor_learning_rate": 1e-4,
-        "buffer_capacity": 100_000,
-        "param_noise_sigma": 0.05,
-        "action_noise_sigma": 0.15,
-        "reward_scale": 500.0,
-        "perturb_interval": 25,
-    },
-    "top": {
-        "initial_random_fraction": 1.0,
-        "collect_burst_probability": 0.3,
-        "collect_burst_scale": 20.0,
-        "keep_best_policy": True,
-        "target_eval_reward": None,
-    },
-}
-
-
 def edit_config(directory, edit):
-    path = directory / "config.json"
-    data = json.loads(path.read_text())
-    edit(data)
-    path.write_text(json.dumps(data))
+    """Apply ``edit`` to the config inside a saved agent's archive."""
+    path = directory / "agent.npz"
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    header = json.loads(arrays["header"].item())
+    edit(header["config"])
+    arrays["header"] = np.array(json.dumps(header))
+    np.savez(path, **arrays)
 
 
 class TestConfigRoundtrip:
@@ -227,23 +199,54 @@ class TestAgentRoundtrip:
                 pick(agent).get_flat().tobytes()
             )
 
-    def test_directory_without_optimizer_state_still_loads(self, tmp_path):
-        agent = trained_agent()
-        saved = save_agent(tmp_path / "agent", agent)
-        (saved / "optimizers.npz").unlink()
-        loaded = load_agent(saved, make_msd_env(seed=99))
-        assert loaded.ddpg.actor.optimizer.iterations == 0
-        assert loaded.model.optimizer.iterations == 0
+    def test_untrained_agent_dimension_mismatch_rejected(self, tmp_path):
+        agent = MirasAgent(make_msd_env(seed=3), small_config(), seed=3)
+        assert len(agent.dataset) == 0
+        save_agent(tmp_path / "agent", agent)
+        with pytest.raises(ValueError, match="state_dim"):
+            load_agent(tmp_path / "agent", make_ligo_env(seed=99))
+
+    def test_directory_without_the_archive_is_rejected(self, tmp_path):
+        """A directory of the earlier one-file-per-part layout holds no
+        ``agent.npz``; loading it names the file it looked for."""
+        saved = tmp_path / "agent"
+        saved.mkdir()
+        for name in ("config.json", "actor.npz", "replay.npz"):
+            (saved / name).write_bytes(b"")
+        with pytest.raises(FileNotFoundError, match="agent.npz"):
+            load_agent(saved, make_msd_env(seed=99))
+
+    def test_every_save_leaves_only_the_archive(self, tmp_path):
+        target = tmp_path / "agent"
+        for seed in (1, 2):
+            save_agent(
+                target, MirasAgent(make_msd_env(seed=seed), small_config(), seed=seed)
+            )
+        assert [path.name for path in tmp_path.iterdir()] == ["agent"]
+        assert [path.name for path in target.iterdir()] == ["agent.npz"]
+
+    def test_untrained_agent_saved_over_a_trained_checkpoint(self, tmp_path):
+        """The second save replaces the whole checkpoint: nothing of the
+        trained agent — its dataset above all — outlives it."""
+        target = save_agent(tmp_path / "agent", trained_agent(seed=0))
+        untrained = MirasAgent(make_msd_env(seed=1), small_config(), seed=1)
+        save_agent(target, untrained)
+        loaded = load_agent(target, make_msd_env(seed=99))
+        assert len(loaded.dataset) == 0
+        assert loaded.refined_model is None
+        assert loaded.seed == 1
+        assert loaded.results == []
+        assert len(loaded.ddpg.replay) == 0
         assert loaded.ddpg.actor.network.get_flat().tobytes() == (
-            agent.ddpg.actor.network.get_flat().tobytes()
+            untrained.ddpg.actor.network.get_flat().tobytes()
         )
 
     def test_interrupted_save_leaves_the_previous_checkpoint(
         self, tmp_path, monkeypatch
     ):
-        """A save that dies at ``replay.npz`` — after the networks were
-        written — must not leave new weights beside the old replay buffer
-        and optimiser state."""
+        """A save that raises once the archive is written — before it
+        replaces the previous one — leaves that checkpoint byte-identical
+        and no temp file behind."""
         agent = trained_agent()
         target = save_agent(tmp_path / "agent", agent)
         before = {path.name: path.read_bytes() for path in target.iterdir()}
@@ -252,10 +255,9 @@ class TestAgentRoundtrip:
         agent.ddpg.update()  # new weights, new optimiser moments
         real_savez = np.savez
 
-        def savez(path, **arrays):
-            if str(path).endswith("replay.npz"):
-                raise OSError("disk full")
-            real_savez(path, **arrays)
+        def savez(file, **arrays):
+            real_savez(file, **arrays)
+            raise OSError("disk full")
 
         monkeypatch.setattr(np, "savez", savez)
         with pytest.raises(OSError, match="disk full"):
@@ -281,45 +283,16 @@ class TestAgentRoundtrip:
 
 
 class TestOlderCheckpoints:
-    def test_retired_keys_at_their_fixed_values_load(self, tmp_path):
-        agent = trained_agent()
-        saved = save_agent(tmp_path / "agent", agent)
-        reference = load_agent(saved, make_msd_env(seed=99))
-
-        def add_retired(data):
-            data["model"].update(RETIRED_AT_FIXED_VALUES["model"])
-            data["policy"]["ddpg"].update(RETIRED_AT_FIXED_VALUES["ddpg"])
-            data.update(RETIRED_AT_FIXED_VALUES["top"])
-
-        edit_config(saved, add_retired)
-        loaded = load_agent(saved, make_msd_env(seed=99))
-        assert config_to_dict(loaded.config) == config_to_dict(
-            reference.config
-        )
-        assert loaded.ddpg.actor.network.get_flat().tobytes() == (
-            agent.ddpg.actor.network.get_flat().tobytes()
-        )
+    """A config holding a setting that was since retired is rejected by
+    the key's name, whatever value it holds."""
 
     def test_retired_key_at_another_value_is_rejected_by_name(self, tmp_path):
         saved = save_agent(tmp_path / "agent", trained_agent())
-        edit_config(saved, lambda data: data.update(keep_best_policy=False))
-        with pytest.raises(ValueError, match="'keep_best_policy'.*False"):
-            load_agent(saved, make_msd_env(seed=99))
-
-    @pytest.mark.parametrize("key", [
-        "actor_learning_rate", "buffer_capacity", "param_noise_sigma",
-        "action_noise_sigma", "reward_scale", "perturb_interval",
-    ])
-    def test_retired_ddpg_key_loads_only_at_its_fixed_value(self, key):
-        data = config_to_dict(small_config())
-        fixed = RETIRED_AT_FIXED_VALUES["ddpg"][key]
-        data["policy"]["ddpg"][key] = fixed
-        assert config_to_dict(config_from_dict(data)) == config_to_dict(
-            small_config()
-        )
-        data["policy"]["ddpg"][key] = fixed * 2
-        with pytest.raises(ValueError, match=f"'policy.ddpg.{key}'"):
-            config_from_dict(data)
+        for value in (True, False):
+            edit_config(saved, lambda data: data.update(keep_best_policy=value))
+            with pytest.raises(ValueError, match="'keep_best_policy'"):
+                load_agent(saved, make_msd_env(seed=99))
+            edit_config(saved, lambda data: data.pop("keep_best_policy"))
 
     def test_unknown_key_is_rejected_by_name(self, tmp_path):
         saved = save_agent(tmp_path / "agent", trained_agent())
@@ -412,28 +385,3 @@ class TestEpisodeCounter:
                 np.asarray(replays[0][key]).tobytes()
                 == np.asarray(replays[1][key]).tobytes()
             ), key
-
-    def test_directory_without_the_counter_loads_at_zero(self, tmp_path):
-        agent = trained_agent()
-        agent._episodes_collected = 3
-        saved = save_agent(tmp_path / "agent", agent)
-        assert load_agent(saved, make_msd_env())._episodes_collected == 3
-        (saved / "episodes.json").unlink()
-        assert load_agent(saved, make_msd_env())._episodes_collected == 0
-
-    def test_directory_without_the_sigma_loads_the_initial_sigma(
-        self, tmp_path
-    ):
-        agent = trained_agent()
-        agent.ddpg.param_noise.sigma /= 3.0
-        saved = save_agent(tmp_path / "agent", agent)
-        assert load_agent(saved, make_msd_env()).ddpg.param_noise.sigma == (
-            agent.ddpg.param_noise.sigma
-        )
-        (saved / "episodes.json").write_text(
-            json.dumps({"episodes_collected": 3})
-        )
-        loaded = load_agent(saved, make_msd_env())
-        assert loaded._episodes_collected == 3
-        assert loaded.ddpg.param_noise.sigma == PARAM_NOISE_SIGMA
-        assert loaded.seed == 0

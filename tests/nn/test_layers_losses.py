@@ -88,15 +88,6 @@ class TestDenseBackward:
         assert grad_aux.shape == (4, 2)
 
 
-class TestFlatParams:
-    def test_state_dict_roundtrip(self, layer_rng):
-        layer = Dense(3, 4, rng=layer_rng)
-        state = layer.state_dict()
-        layer.weights[:] = 0.0
-        layer.load_state_dict(state)
-        assert np.allclose(layer.weights, state["weights"])
-
-
 class TestLosses:
     def test_mse_value_and_gradient(self):
         loss = MeanSquaredError()

@@ -128,14 +128,26 @@ class TestFlatParams:
         with pytest.raises(ValueError):
             net.set_flat(np.zeros(net.num_params - 1))
 
-    def test_state_dict_roundtrip(self, net_rng):
-        net = MLP([3, 8, 2], rng=net_rng)
-        state = net.state_dict()
-        x = net_rng.normal(size=(2, 3))
-        before = net.forward(x).copy()
-        net.set_flat(net.get_flat() * 0.0)
-        net.load_state_dict(state)
-        assert np.allclose(net.forward(x), before)
+    @pytest.mark.parametrize("kind", ["plain", "softmax", "aux"])
+    def test_set_flat_into_a_twin_reproduces_outputs(self, net_rng, kind):
+        """How a saved agent loads: another network of the same shape,
+        initialised from another seed, takes the flat vector and then
+        computes the same bytes."""
+        def build(seed):
+            rng = RngStream("twin", np.random.SeedSequence(seed))
+            if kind == "softmax":
+                return MLP([4, 8, 4], output_activation="softmax", rng=rng)
+            if kind == "aux":
+                return MLP([4, 8, 1], aux_dim=2, aux_layer=1, rng=rng)
+            return MLP([4, 16, 2], rng=rng)
+
+        net, twin = build(1), build(2)
+        x = net_rng.normal(size=(5, 4))
+        aux = net_rng.normal(size=(5, 2)) if kind == "aux" else None
+        assert twin.forward(x, aux).tobytes() != net.forward(x, aux).tobytes()
+        twin.set_flat(net.get_flat())
+        assert twin.output_activation == net.output_activation
+        assert twin.forward(x, aux).tobytes() == net.forward(x, aux).tobytes()
 
 
 class TestCloneAndSoftUpdate:

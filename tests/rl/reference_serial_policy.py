@@ -257,7 +257,7 @@ def _actor_from_payload(payload: Dict, rng: RngStream) -> Actor:
         rng=rng,
         weight_decay=0.0,
     )
-    actor.network.load_state_dict(payload["actor_weights"])
+    actor.network.set_flat(payload["actor_weights"])
     actor.__class__ = ReferenceActor
     return actor
 

@@ -22,17 +22,31 @@ where either fails fails here first, by name, rather than in a golden
 pin.  Every (mu, sigma) of the MSD and LIGO preset task types, every
 preset background rate and the start-up range are checked, and the
 bit generator must be in the same state after both.
+
+A profiler cannot see which of these calls a run makes: numpy's
+``Generator`` methods are Cython functions, which raise no ``call`` or
+``c_call`` profile event, so the interpreter-call budgets of
+tests/sim/test_dispatch_order.py would pass with the distribution
+methods put back.  The last test records them instead, through a proxy
+on every stream of a serial system.
 """
 
+import collections
 import math
 import struct
 
 import numpy as np
 import pytest
 
+from repro.baselines import HeftAllocator
 from repro.eval.experiments import dataset_preset
+from repro.eval.runner import evaluate_allocator
+from repro.sim import MicroserviceWorkflowSystem, SystemConfig
 from repro.sim.consumer import service_time_params
+from repro.sim.env import MicroserviceEnv
 from repro.sim.microservice import STARTUP_DELAY_RANGE
+from repro.utils.rng import RngStream
+from repro.workload import PoissonArrivalProcess
 
 DRAWS = 5000
 PRESETS = ("msd", "ligo")
@@ -111,3 +125,69 @@ def test_the_cases_cover_both_presets():
     # and 0.036 per second.
     assert len(lognormal_cases()) == 12
     assert len(exponential_cases()) == 5
+
+
+class RecordingGenerator:
+    """A numpy ``Generator`` that counts the calls of each of its methods
+    by name and otherwise behaves as the generator it wraps."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._generator, name)
+        if not callable(attr):
+            return attr
+        calls = self.calls
+
+        def record(*args, **kwargs):
+            calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return record
+
+
+def test_a_serial_cell_draws_only_through_the_cheapest_calls(monkeypatch):
+    """One MSD heft cell under Poisson background, every stream of the
+    system recorded from its birth: no distribution method is called,
+    and each dispatch of a task type with cv > 0 draws exactly one
+    ``standard_normal``."""
+    make_stream = RngStream.__init__
+
+    def recording_stream(self, name, seed_sequence):
+        make_stream(self, name, seed_sequence)
+        self.generator = RecordingGenerator(self.generator)
+
+    preset = dataset_preset("msd")
+    scenario = preset["bursts"][0]
+    with monkeypatch.context() as patch:
+        patch.setattr(RngStream, "__init__", recording_stream)
+        system = MicroserviceWorkflowSystem(
+            preset["builder"](),
+            SystemConfig(consumer_budget=preset["budget"]),
+            seed=1000,
+        )
+        PoissonArrivalProcess(dict(scenario.background_rates)).attach(system)
+    evaluate_allocator(HeftAllocator(), MicroserviceEnv(system), scenario, 30)
+
+    named, arrivals = system.rng_streams()
+    services = [ms.rng for ms in system.microservices.values()]
+    streams = [*named.values(), *arrivals, *services]
+    assert arrivals and all(
+        isinstance(stream.generator, RecordingGenerator) for stream in streams
+    )
+    calls = sum(
+        (stream.generator.calls for stream in streams), collections.Counter()
+    )
+    for method in ("lognormal", "exponential", "uniform"):
+        assert calls[method] == 0, method
+    assert calls["standard_exponential"] > 0  # the background is live
+
+    drawn = 0
+    for ms in system.microservices.values():
+        dispatches = ms.acked_total + ms.redelivered_total + ms.unacked_count
+        draws = ms.rng.generator.calls["standard_normal"]
+        assert draws == (dispatches if ms.task_type.cv > 0 else 0), ms.name
+        drawn += draws
+    assert drawn > 0 and calls["standard_normal"] == drawn

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -99,8 +97,7 @@ class TestTrainEvaluateRoundtrip:
         agent_dir = tmp_path / "agent"
         code = main(["train", "--dataset", "msd", "--output", str(agent_dir)])
         assert code == 0
-        assert (agent_dir / "config.json").exists()
-        assert json.loads((agent_dir / "results.json").read_text())
+        assert [path.name for path in agent_dir.iterdir()] == ["agent.npz"]
 
         trace_dir = tmp_path / "trace"
         code = main(

@@ -40,9 +40,6 @@ RULES = {
 
 #: ``(path under src/repro, rule)`` -> why the library keeps that finding.
 WAIVED = {
-    ("nn/serialization.py", "D201"):
-        "load_mlp overwrites the initial weights it draws, so their seed "
-        "never shows",
     ("telemetry/manifest.py", "D102"):
         "the manifest's wall_time says when a run happened; no trace "
         "record carries it",

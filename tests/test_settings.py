@@ -12,7 +12,7 @@ of a name ``src/repro`` does not define that passes the function itself
 and then its arguments (``run_once(benchmark, fn, *args, **kwargs)``,
 ``partial(fn, ...)``); by a keyword to a call through the ``REGISTRY``;
 or by a key of a ``FEEDS`` dict.  The keys of documents the program
-writes or ships (``_RETIRED``, ``policy_payload``, ``episodes.json``, a
+writes or ships (``policy_payload``, a saved agent's header, a
 ``state_dict``) set nothing.  Anything else is a ``LEVERS`` row naming
 the test that sets it, to reach a mechanism that stays: ``Class.field``
 for a field, ``name(param)`` for a parameter.  A row whose setting
