@@ -75,7 +75,6 @@ class EnvironmentModel:
             "y_mean": np.zeros(state_dim),
             "y_std": np.ones(state_dim),
         }
-        self.trained = False
 
     # Encoding --------------------------------------------------------------
     def _encode_state(self, states: np.ndarray) -> np.ndarray:
@@ -149,7 +148,6 @@ class EnvironmentModel:
                 self.tracer.metric(
                     "model/epoch_loss", epoch_loss, step=self.epochs_trained
                 )
-        self.trained = True
         return history
 
     # Prediction -------------------------------------------------------------
@@ -197,4 +195,4 @@ class EnvironmentModel:
         return trajectory
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EnvironmentModel({self.network!r}, trained={self.trained})"
+        return f"EnvironmentModel({self.network!r})"

@@ -180,7 +180,6 @@ def load_agent(directory: Union[str, Path], env: MicroserviceEnv) -> MirasAgent:
         for name, network in _networks(agent).items():
             network.set_flat(archive[name])
         agent.model._norm = _section(archive, "norm")
-        agent.model.trained = True
         if len(agent.dataset):
             agent.refined_model = RefinedModel.from_dataset(
                 agent.model,

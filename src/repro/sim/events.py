@@ -61,8 +61,7 @@ class EventLoop:
 
     A row is ``(when, seq, handle, callback, args)``, and a row's handle
     is anything with a ``cancelled`` flag: the loop reads nothing else
-    of it.  :meth:`schedule` and :meth:`schedule_at` make a fresh
-    :class:`EventHandle`.  The serial
+    of it.  :meth:`schedule` makes a fresh :class:`EventHandle`.  The serial
     :class:`repro.sim.microservice.Microservice` pushes its task-finish
     rows onto ``_heap`` itself, one per dispatched task, with what
     :meth:`schedule` would make (the next ``seq``, ``when = now +
@@ -111,27 +110,12 @@ class EventLoop:
         # and blocks every row behind it).
         if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
-        # schedule_at's push, not a call to it: this runs once per event.
         handle = EventHandle()
         seq = self._seq_next
         self._seq_next = seq + 1
         heapq.heappush(
             self._heap, (self._now + delay, seq, handle, callback, args)
         )
-        return handle
-
-    def schedule_at(
-        self, when: float, callback: Callable[..., None], *args
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if not when >= self._now:
-            raise ValueError(
-                f"cannot schedule into the past (when={when!r}, now={self._now!r})"
-            )
-        handle = EventHandle()
-        seq = self._seq_next
-        self._seq_next = seq + 1
-        heapq.heappush(self._heap, (when, seq, handle, callback, args))
         return handle
 
     def run_until(self, when: float) -> int:

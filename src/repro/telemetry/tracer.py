@@ -3,7 +3,7 @@
 Design constraints (docs/OBSERVABILITY.md):
 
 - **Deterministic timestamps.**  The tracer never reads the wall clock;
-  ``t`` comes from the bound event loop (or a clock callable), so a
+  ``t`` comes from the bound event loop, so a
   re-run with the same seed produces an identical trace (D102 of
   ``tests/test_determinism.py`` stays clean by construction).
 - **Off-by-default-cheap.**  Components default to :data:`NULL_TRACER`,
@@ -17,7 +17,7 @@ Design constraints (docs/OBSERVABILITY.md):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.telemetry.sinks import NullSink, Sink
 
@@ -41,38 +41,30 @@ class Tracer:
         self.sink: Sink = sink if sink is not None else NullSink()
         #: Fast-path flag checked by instrumented hot paths.
         self.enabled: bool = not isinstance(self.sink, NullSink)
-        #: A zero-argument callable bound by :meth:`bind_clock`.
-        self._clock: Optional[Callable[[], float]] = None
         #: The bound event loop; its ``_now`` is ``t``, read as an
-        #: attribute — no call per record.  Takes precedence over
-        #: ``clock``.
+        #: attribute — no call per record.
         self._loop = None
         #: Named monotonic counters (flushed into the run manifest).
         self.counters: Dict[str, int] = {}
         self.records_written = 0
 
     # Clock ---------------------------------------------------------------
-    def bind_clock(self, clock) -> None:
+    def bind_clock(self, loop) -> None:
         """Attach the simulation clock; no-op on a disabled tracer.
 
-        ``clock`` is an event loop (anything with a ``_now`` attribute:
-        :class:`~repro.sim.events.EventLoop`, ``TypedEventLoop``) or a
-        zero-argument callable.  The no-op keeps the shared
-        :data:`NULL_TRACER` singleton free of cross-run state when many
-        systems are constructed without tracing.
+        ``loop`` is an event loop (anything with a ``_now`` attribute:
+        :class:`~repro.sim.events.EventLoop`, ``TypedEventLoop``).  The
+        no-op keeps the shared :data:`NULL_TRACER` singleton free of
+        cross-run state when many systems are constructed without
+        tracing.
         """
-        if not self.enabled:
-            return
-        if callable(clock):
-            self._clock, self._loop = clock, None
-        else:
-            self._loop = clock
+        if self.enabled:
+            self._loop = loop
 
     def now(self) -> Optional[float]:
-        """Current simulation time, or ``None`` before a clock is bound."""
-        if self._loop is not None:
-            return float(self._loop._now)
-        return float(self._clock()) if self._clock is not None else None
+        """Current simulation time, or ``None`` before a loop is bound."""
+        loop = self._loop
+        return float(loop._now) if loop is not None else None
 
     # Emission ------------------------------------------------------------
     def write(self, record: Dict) -> None:
@@ -89,9 +81,7 @@ class Tracer:
             return
         loop = self._loop
         # Stamping the caller's dict is the contract (see above).
-        record["t"] = (
-            float(loop._now) if loop is not None else self.now()
-        )
+        record["t"] = float(loop._now) if loop is not None else None
         self.sink.write(record)
         self.records_written += 1
 

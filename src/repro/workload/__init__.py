@@ -1,19 +1,15 @@
-"""Workload generation: arrival processes, burst scenarios, traces.
+"""Workload generation: arrival processes and burst scenarios.
 
 "We use Poisson process to emulate request traces for both workflow
 datasets" (Section VI-A1) and "generate bursts of workflow requests"
-(Section VI-D).  This package provides both, plus a Markov-modulated
-process for the dynamic-workload stress the paper's introduction motivates,
-and record/replay traces so every algorithm in a comparison sees the exact
-same arrivals.
+(Section VI-D).  This package provides both, plus fixed-interval
+arrivals, which stay a callback on the event loop.
 """
 
 from repro.workload.arrivals import (
     ArrivalProcess,
     DeterministicArrivalProcess,
-    ModulatedPoissonArrivalProcess,
     PoissonArrivalProcess,
-    TraceArrivalProcess,
 )
 from repro.workload.bursts import (
     BurstScenario,
@@ -22,15 +18,11 @@ from repro.workload.bursts import (
     MSD_BACKGROUND_RATES,
     MSD_BURSTS,
 )
-from repro.workload.trace import ArrivalTrace
 
 __all__ = [
     "ArrivalProcess",
     "PoissonArrivalProcess",
     "DeterministicArrivalProcess",
-    "ModulatedPoissonArrivalProcess",
-    "TraceArrivalProcess",
-    "ArrivalTrace",
     "BurstScenario",
     "MSD_BURSTS",
     "LIGO_BURSTS",

@@ -19,8 +19,8 @@ it, which is what ``substrate_snapshot`` reads; nothing else touched).
 ``MicroserviceWorkflowSystem._build_substrate`` wires today's classes.
 The TDS read accounting and cluster slot releases are gone from it, with
 the replica and placement emulations that were their only effect.
-tests/sim/test_serial_differential.py runs generated scenarios on both
-and requires equal snapshots after every window and equal traces.
+The scenario harness (tests/sim/scenarios.py) runs generated scenarios
+on both and requires equal snapshots after every window and equal traces.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ scenario from the same seed produces **byte-identical traces** and
 here runs both substrates side by side and compares
 :func:`repro.sim.substrate.substrate_snapshot` after every window (and
 raw trace bytes where tracing is on), so any divergence pins to the
-first window it appears in.
+first window it appears in.  The plain equality scenarios (bursts,
+scaling, kill redelivery, Poisson arrivals, chaos, drains) are drawn by
+the generated-scenario harness, ``tests/sim/scenarios.py``; the cases
+here target what a generator reaches rarely or not at all.
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ from repro.sim import (
     substrate_snapshot,
 )
 from repro.telemetry import JsonlSink, Tracer
-from repro.workflows import build_ligo_ensemble, build_msd_ensemble
+from repro.workflows import build_msd_ensemble
 from repro.workflows.dag import TaskType, WorkflowEnsemble, WorkflowType
 from repro.workload import DeterministicArrivalProcess, PoissonArrivalProcess
 from repro.workload.bursts import MSD_BACKGROUND_RATES
@@ -52,82 +55,6 @@ def assert_window_snapshots_equal(serial, batched):
 
 
 class TestBurstEquivalence:
-    """Same seed, same burst -> same snapshot, at every burst size."""
-
-    @pytest.mark.parametrize("burst", [1, 7, 1024])
-    def test_msd_burst_snapshots(self, burst):
-        def scenario(cls):
-            system = cls(
-                build_msd_ensemble(),
-                SystemConfig(consumer_budget=14),
-                seed=3,
-            )
-            system.apply_allocation([4, 4, 3, 3])
-            system.inject_burst({"Type1": burst, "Type2": max(1, burst // 2)})
-            snaps = []
-            for _ in range(6):
-                system.run_window()
-                snaps.append(substrate_snapshot(system))
-            assert system.conservation_ok()
-            return snaps
-
-        serial, batched = run_both(scenario)
-        assert_window_snapshots_equal(serial, batched)
-
-    def test_scaling_mid_run(self):
-        """Allocation changes (scale up, drain down, to-zero) match."""
-
-        def scenario(cls):
-            system = cls(
-                build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=5
-            )
-            allocations = [
-                [4, 4, 3, 3],
-                [1, 1, 1, 1],
-                [0, 6, 0, 6],
-                [3, 3, 3, 3],
-            ]
-            system.inject_burst({"Type1": 40, "Type2": 10, "Type3": 10})
-            snaps = []
-            for allocation in allocations:
-                system.apply_allocation(allocation)
-                system.run_window()
-                snaps.append(substrate_snapshot(system))
-            return snaps
-
-        serial, batched = run_both(scenario)
-        assert_window_snapshots_equal(serial, batched)
-
-    def test_kill_mode_redelivery(self):
-        """Scale-down kills redeliver in the same order on both sides."""
-
-        def scenario(cls):
-            system = cls(
-                build_msd_ensemble(),
-                SystemConfig(consumer_budget=14, scale_down_mode="kill"),
-                seed=7,
-            )
-            system.apply_allocation([4, 4, 3, 3])
-            system.inject_burst({"Type1": 30, "Type3": 10})
-            snaps = []
-            for k in range(6):
-                if k == 1:
-                    system.apply_allocation([1, 1, 1, 1])  # busy kills
-                if k == 3:
-                    system.apply_allocation([4, 4, 3, 3])
-                system.run_window()
-                snaps.append(substrate_snapshot(system))
-            redelivered = sum(
-                ms.redelivered_total
-                for ms in system.microservices.values()
-            )
-            return snaps, redelivered
-
-        (serial, redelivered_s), (batched, redelivered_b) = run_both(scenario)
-        assert redelivered_s == redelivered_b
-        assert redelivered_s > 0, "scenario must actually exercise redelivery"
-        assert_window_snapshots_equal(serial, batched)
-
     def test_kill_while_starting_cancels_identically(self):
         """Scale up then immediately down: cancelled ready events match."""
 
@@ -218,54 +145,7 @@ class TestTracedEquivalence:
         assert snap_s == snap_b
 
 
-class TestFaultEquivalence:
-    def test_chaos_untraced_snapshots(self):
-        """Crashes land identically without a tracer."""
-
-        def scenario(cls):
-            system = cls(
-                build_ligo_ensemble(),
-                SystemConfig(consumer_budget=30, scale_down_mode="kill"),
-                seed=13,
-            )
-            names = list(system.ensemble.workflow_names())
-            system.apply_allocation(
-                np.full(system.ensemble.num_task_types, 2)
-            )
-            system.inject_burst({names[0]: 10, names[-1]: 5})
-            injector = ChaosInjector(system, consumer_crash_rate=0.1).start()
-            snaps = []
-            for _ in range(8):
-                system.run_window()
-                snaps.append(substrate_snapshot(system))
-            injector.stop()
-            return snaps, injector.crashes_injected
-
-        (serial, crashes_s), (batched, crashes_b) = run_both(scenario)
-        assert crashes_s == crashes_b
-        assert crashes_s > 0, "scenario must inject crashes"
-        assert_window_snapshots_equal(serial, batched)
-
-
 class TestArrivalEquivalence:
-    def test_poisson_arrivals(self):
-        """Stochastic arrival processes drive both substrates identically."""
-
-        def scenario(cls):
-            system = cls(
-                build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=17
-            )
-            PoissonArrivalProcess(MSD_BACKGROUND_RATES).attach(system)
-            system.apply_allocation([4, 4, 3, 3])
-            snaps = []
-            for _ in range(8):
-                system.run_window()
-                snaps.append(substrate_snapshot(system))
-            return snaps
-
-        serial, batched = run_both(scenario)
-        assert_window_snapshots_equal(serial, batched)
-
     def test_typed_arrival_rows_take_the_callbacks_seqs(self):
         """A Poisson stream is a callback chain on the serial loop and
         typed rows on the batched one: same ``seq`` numbers, same
@@ -305,24 +185,6 @@ class TestArrivalEquivalence:
         # Two streams stopped: two no-op events, no seq taken for them.
         assert serial[5][1] - serial[3][1] >= 2
         assert not replaying.loop.callbacks_pending
-
-    def test_drain_procedure(self):
-        """The paper's reset (over-provision until WIP ~ 0) matches."""
-
-        def scenario(cls):
-            system = cls(
-                build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=19
-            )
-            system.apply_allocation([2, 2, 2, 2])
-            system.inject_burst({"Type1": 30, "Type2": 15, "Type3": 15})
-            system.run_window()
-            windows = system.drain()
-            return windows, substrate_snapshot(system)
-
-        (windows_s, snap_s), (windows_b, snap_b) = run_both(scenario)
-        assert windows_s == windows_b
-        assert snap_s == snap_b
-
 
 class TestFastPath:
     def test_fast_windows_engage_and_match(self):
@@ -660,9 +522,9 @@ class TestFastPath:
         assert_window_snapshots_equal(serial, batched)
 
     def test_arrival_process_makes_every_window_ineligible(self):
-        """An arrival process that is not Poisson (deterministic, MMPP,
-        trace) schedules Python callbacks: its next arrival is always
-        pending, and the replay cannot see into it."""
+        """A fixed-interval arrival process schedules Python callbacks:
+        its next arrival is always pending, and the replay cannot see
+        into it."""
         system = BatchedWorkflowSystem(
             build_msd_ensemble(), SystemConfig(consumer_budget=14), seed=59
         )

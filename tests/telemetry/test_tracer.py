@@ -1,6 +1,7 @@
 """Tracer and sink behavior, including the disabled fast path."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,9 +20,10 @@ from tests.telemetry.test_records import make_record
 
 
 def clocked(sink, t):
-    """An enabled tracer whose clock reads ``t``."""
+    """An enabled tracer whose clock reads ``t``: bound to a stub loop,
+    since the tracer reads only a loop's ``_now``."""
     tracer = Tracer(sink)
-    tracer.bind_clock(lambda: t)
+    tracer.bind_clock(SimpleNamespace(_now=t))
     return tracer
 
 
@@ -42,11 +44,11 @@ class TestDisabledTracer:
     def test_bind_clock_is_noop_when_disabled(self):
         """The shared NULL_TRACER must not retain per-run clock state."""
         tracer = Tracer()
-        tracer.bind_clock(lambda: 99.0)
+        tracer.bind_clock(SimpleNamespace(_now=99.0))
         assert tracer.now() is None
 
     def test_null_tracer_singleton_stays_clean(self):
-        NULL_TRACER.bind_clock(lambda: 1.0)
+        NULL_TRACER.bind_clock(SimpleNamespace(_now=1.0))
         NULL_TRACER.emit("event.publish", queue="x", depth=1)
         NULL_TRACER.count("x")
         assert NULL_TRACER.now() is None
@@ -60,7 +62,7 @@ class TestEnabledTracer:
         tracer = Tracer(sink)
         assert tracer.enabled
         tracer.emit("event.publish", queue="Ingest", depth=2)
-        tracer.bind_clock(lambda: 42.5)
+        tracer.bind_clock(SimpleNamespace(_now=42.5))
         tracer.emit("event.publish", queue="Ingest", depth=3)
         assert len(sink) == 2
         assert sink.records[0]["t"] is None  # before the clock was bound
@@ -72,9 +74,9 @@ class TestEnabledTracer:
 
     @pytest.mark.parametrize("loop_class", [EventLoop, TypedEventLoop])
     def test_a_bound_loop_is_the_clock(self, loop_class):
-        """The system binds its event loop, not a callable: ``t`` is the
-        loop's time as a float, and the record written is the dict the
-        site built, stamped in place."""
+        """The system binds its event loop: ``t`` is the loop's time as
+        a float, and the record written is the dict the site built,
+        stamped in place."""
         sink = MemorySink()
         tracer = clocked(sink, 7.0)
         loop = loop_class()
@@ -90,9 +92,6 @@ class TestEnabledTracer:
         assert type(record["t"]) is float
         assert tracer.now() == record["t"]
         assert tracer.records_written == 1
-        later = 3.5
-        tracer.bind_clock(lambda: later)  # a callable bound later wins again
-        assert tracer.now() == later
 
     def test_binding_a_loop_leaves_the_null_tracer_clean(self):
         NULL_TRACER.bind_clock(EventLoop())

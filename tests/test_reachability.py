@@ -1,11 +1,12 @@
 """`src/` is closed under its entry points (docs/ARCHITECTURE.md, "Customers").
 
 AST only, by name: a public function, class or method under ``src/repro``
-must be named by a CLI module, by something under ``benchmarks/``, or by
-the body of a definition that is itself reachable -- or be a row of
-``SCHEDULED`` citing the ROADMAP item that will call it.  Tests, examples
-and ``__init__`` re-exports are not customers, but a definition in an
-``__init__`` is checked like any other.  Matching by bare name
+must be named by a CLI module, by something under ``benchmarks/``, by
+the generated-scenario harness, or by the body of a definition that is
+itself reachable -- or be a row of ``SCHEDULED`` citing the ROADMAP item
+that will call it.  Other tests, examples and ``__init__`` re-exports are
+not customers, but a definition in an ``__init__`` is checked like any
+other.  Matching by bare name
 over-approximates (any ``.add`` keeps every ``add`` alive), so dynamic
 dispatch can only make the guard more lenient, never flaky; what the
 entry points actually run is a runtime question no AST answers
@@ -18,9 +19,14 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
-#: The CLI modules and everything under benchmarks/.
+#: The CLI modules, everything under benchmarks/, and the one test-side
+#: customer: the scenario harness draws the fault injector, the random
+#: DAGs and the arrival processes the program never runs, because the
+#: simulator's equalities must hold under them too.  A unit test of a
+#: name is not a customer; a generated scenario that reaches it is.
 ROOT_FILES = [SRC / "cli.py", SRC / "__main__.py",
-              *sorted((REPO / "benchmarks").rglob("*.py"))]
+              *sorted((REPO / "benchmarks").rglob("*.py")),
+              REPO / "tests" / "sim" / "scenarios.py"]
 #: ``"package.module:Class.method"`` strings name code too (EnvSpec
 #: factories, the profiler's and the e2e harness's wrap tables).
 _ENTRY_POINT = re.compile(r"^[\w.]+:[\w.]+$")
@@ -32,18 +38,6 @@ SCHEDULED = {
     "repro.rl.critic.Critic.normalize_states":
         "ROADMAP item 4: tests/rl/reference_ddpg.py, an oracle kept "
         "verbatim, calls it",
-    "repro.workflows.generator.random_ensemble":
-        "ROADMAP item 4: the differential harness draws DAGs",
-    "repro.sim.faults.ChaosInjector":
-        "ROADMAP item 4: the differential harness draws repro.sim.faults "
-        "crashes",
-    "repro.workload.arrivals.DeterministicArrivalProcess":
-        "ROADMAP item 4: the differential harness draws arrival processes "
-        "(its callbacks-pending scenarios already do)",
-    "repro.workload.arrivals.ModulatedPoissonArrivalProcess":
-        "ROADMAP item 4: the differential harness draws arrival processes",
-    "repro.workload.arrivals.TraceArrivalProcess":
-        "ROADMAP item 4: the differential harness draws arrival processes",
     "repro.eval.runner.EvalResult.response_time_series_for":
         "ROADMAP item 1a: Fig. 8 diagnosed per workflow type and task type, "
         "the way Bader et al. (PAPERS.md) report",

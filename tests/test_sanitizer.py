@@ -5,6 +5,8 @@ off), fork-label collision detection, emit-schema validation, and the
 bookkeeping counters the CI matrix entry reports.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ def fresh_stream(name="root", seed=7):
 def fresh_tracer():
     sink = MemorySink()
     tracer = Tracer(sink)
-    tracer.bind_clock(lambda: 0.0)
+    tracer.bind_clock(SimpleNamespace(_now=0.0))
     return tracer, sink
 
 

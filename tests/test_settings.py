@@ -35,9 +35,8 @@ FEEDS = {
 # Set only by the test named, each to reach a mechanism that stays.
 LEVERS = {
     "PolicyConfig.collect_lanes": "core/test_agent_distributed.py::test_collect_lanes_is_the_interleave_width",
-    # The item-4 generators: fault injection, MMPP arrivals, random DAGs.
+    # What the scenario harness draws: fault injection, random DAGs.
     "ChaosInjector(consumer_crash_rate)": "sim/test_faults.py::test_crashes_do_not_lose_requests",
-    "ModulatedPoissonArrivalProcess(mean_phase_duration)": "workload/test_arrivals.py::test_phases_produce_different_volumes",
     "random_ensemble(mean_service_range)": "workflows/test_generator_properties.py::test_service_times_within_requested_range",
     "random_ensemble(seed)": "workflows/test_generator_properties.py::test_service_times_within_requested_range",
     "random_workflow(edge_probability)": "workflows/test_generator_properties.py::test_zero_edge_probability_yields_chain_links",

@@ -1,17 +1,10 @@
 """Tests for arrival processes."""
 
-import numpy as np
 import pytest
 
 from repro.sim.system import MicroserviceWorkflowSystem, SystemConfig
 from repro.workflows import build_msd_ensemble
-from repro.workload import (
-    DeterministicArrivalProcess,
-    ModulatedPoissonArrivalProcess,
-    PoissonArrivalProcess,
-    TraceArrivalProcess,
-)
-from repro.workload.trace import ArrivalTrace
+from repro.workload import DeterministicArrivalProcess, PoissonArrivalProcess
 
 
 def make_system(seed=0):
@@ -81,46 +74,3 @@ class TestDeterministicArrivals:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             DeterministicArrivalProcess({"Type1": 0.0})
-
-
-class TestModulatedPoisson:
-    def test_phases_produce_different_volumes(self):
-        system = make_system(seed=2)
-        process = ModulatedPoissonArrivalProcess(
-            low_rates={"Type1": 0.01},
-            high_rates={"Type1": 1.0},
-            mean_phase_duration=200.0,
-        ).attach(system)
-        system.loop.run_until(4000.0)
-        # Average rate ~0.5 req/s; far more than low-only, less than high-only.
-        assert 40 < process.submitted < 4000
-
-    def test_mismatched_rate_maps_rejected(self):
-        with pytest.raises(ValueError, match="same types"):
-            ModulatedPoissonArrivalProcess(
-                low_rates={"Type1": 0.1}, high_rates={"Type2": 0.1}
-            )
-
-    def test_invalid_phase_duration(self):
-        with pytest.raises(ValueError):
-            ModulatedPoissonArrivalProcess(
-                low_rates={"Type1": 0.1},
-                high_rates={"Type1": 0.2},
-                mean_phase_duration=0.0,
-            )
-
-
-class TestTraceArrivals:
-    def test_replays_exactly(self):
-        trace = ArrivalTrace([(1.0, "Type1"), (2.0, "Type2"), (2.5, "Type1")])
-        system = make_system()
-        process = TraceArrivalProcess(trace).attach(system)
-        system.loop.run_until(10.0)
-        assert process.submitted == 3
-        assert system.invoker.submitted_total == 3
-
-    def test_trace_before_now_rejected(self):
-        system = make_system()
-        system.loop.run_until(10.0)
-        with pytest.raises(ValueError, match="before current time"):
-            TraceArrivalProcess(ArrivalTrace([(1.0, "Type1")])).attach(system)

@@ -1,37 +1,12 @@
-"""Tests for arrival traces and the paper's burst scenarios."""
+"""Tests for the paper's burst scenarios."""
 
-import numpy as np
 import pytest
 
-from repro.utils.rng import RngStream
 from repro.workload.bursts import (
     BurstScenario,
     LIGO_BURSTS,
     MSD_BURSTS,
 )
-from repro.workload.trace import ArrivalTrace
-
-
-class TestArrivalTrace:
-    def test_requires_time_order(self):
-        with pytest.raises(ValueError, match="time-ordered"):
-            ArrivalTrace([(2.0, "A"), (1.0, "A")])
-
-    def test_rejects_negative_times(self):
-        with pytest.raises(ValueError):
-            ArrivalTrace([(-1.0, "A")])
-
-    def test_rejects_empty_workflow_name(self):
-        with pytest.raises(ValueError):
-            ArrivalTrace([(1.0, "")])
-
-    def test_shifted(self):
-        trace = ArrivalTrace([(1.0, "A")])
-        shifted = trace.shifted(5.0)
-        assert shifted.events == [(6.0, "A")]
-
-    def test_len(self):
-        assert len(ArrivalTrace([(1.0, "A")])) == 1
 
 
 class TestBurstScenariosMatchPaper:
